@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +29,9 @@ from .models import (
     subset_sum_value,
     vertex_pairs,
 )
-from .noise import noise_instance_observation
-from .rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed
+from .noise import check_rho, coupled_trial
+from .rng import INSTANCE_STREAM, derive_seed
+from .solvers import f2_rank
 
 PSP_PATH_BUDGET = 10**6
 RLC_ENUM_BUDGET = 2**24
@@ -46,6 +47,19 @@ class PosteriorMean:
 def _finite_or_inconsistent(log_weights: np.ndarray, what: str) -> None:
     if not np.any(log_weights > -np.inf):
         raise InconsistentInputError(f"no {what} supports the observation at this noise level")
+
+
+def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int) -> PosteriorMean:
+    """Posterior mass on each of size coordinates; configuration r holds members[r].
+
+    The maximum log-weight is subtracted before exponentiation.
+    """
+    hi = log_weights.max()
+    w = np.exp(log_weights - hi)
+    Z = w.sum()
+    est = np.zeros(size)
+    np.add.at(est, members.ravel(), np.repeat(w, members.shape[1]))
+    return PosteriorMean(estimate=est / Z, log_partition=float(hi + math.log(Z)))
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +81,7 @@ def posterior_mean_psp(
     corners the full likelihood is used instead of the ratio form.
     """
     n, L, q = params.n, params.L, params.q
-    if not (0.0 <= rho <= 1.0):
-        raise ParameterError(f"need rho in [0,1], got {rho}")
+    check_rho(rho)
     pairs = vertex_pairs(n)
     edge_present = np.array(
         [noisy_adjacency[i, j] for (i, j) in pairs], dtype=float
@@ -94,12 +107,7 @@ def posterior_mean_psp(
             + coef_log(n_pairs - L - (total_present - m_in), 1.0 - q)
         )
     _finite_or_inconsistent(lw, "length-L path")
-    hi = lw.max()
-    w = np.exp(lw - hi)
-    Z = w.sum()
-    est = np.zeros(len(pairs))
-    np.add.at(est, path_idx.ravel(), np.repeat(w, L))
-    return PosteriorMean(estimate=est / Z, log_partition=float(hi + math.log(Z)))
+    return _weighted_marginals(lw, path_idx, len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +149,7 @@ def posterior_mean_rlc(
     m, n = A.shape
     if y_hat.shape != (m,):
         raise ParameterError(f"y_hat has shape {y_hat.shape}, expected ({m},)")
-    if not (0.0 <= rho <= 1.0):
-        raise ParameterError(f"need rho in [0,1], got {rho}")
+    check_rho(rho)
     count, ones = _rlc_hamming_profile(A, y_hat, budget=budget)
     if rho == 0.0:
         if count[0] == 0:
@@ -185,8 +192,7 @@ def posterior_mean_gss(
     over sorted indices) reproduces y_hat bit-exactly.
     """
     N, k = params.N, params.k
-    if not (0.0 <= rho <= 1.0):
-        raise ParameterError(f"need rho in [0,1], got {rho}")
+    check_rho(rho)
     combos = _subsets(N, k, budget)
     if rho == 0.0:
         matches = [
@@ -201,12 +207,7 @@ def posterior_mean_gss(
     sums = np.asarray(X, dtype=float)[combos].sum(axis=1)
     shrink = math.sqrt(1.0 - rho * rho)
     lw = -((y_hat - shrink * sums) ** 2) / (2.0 * rho * rho)
-    hi = lw.max()
-    w = np.exp(lw - hi)
-    Z = w.sum()
-    est = np.zeros(N)
-    np.add.at(est, combos.ravel(), np.repeat(w, k))
-    return PosteriorMean(estimate=est / Z, log_partition=float(hi + math.log(Z)))
+    return _weighted_marginals(lw, combos, N)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +235,8 @@ def posterior_mean_tpca(
     lam * (1 - rho^2); pass params with that lam.
     """
     combos, lw = _tpca_log_weights(Y, params, budget)
-    hi = lw.max()
-    w = np.exp(lw - hi)
-    Z = w.sum()
-    est = np.zeros(params.n)
-    np.add.at(est, combos.ravel(), np.repeat(w, params.k))
-    est = est / Z / math.sqrt(params.k)
-    return PosteriorMean(estimate=est, log_partition=float(hi + math.log(Z)))
+    pm = _weighted_marginals(lw, combos, params.n)
+    return PosteriorMean(estimate=pm.estimate / math.sqrt(params.k), log_partition=pm.log_partition)
 
 
 def tpca_overlap_distribution(
@@ -259,8 +255,7 @@ def tpca_overlap_distribution(
     member = np.zeros(params.n, dtype=bool)
     member[list(planted_support)] = True
     overlap = member[combos].sum(axis=1)
-    hi = lw.max()
-    w = np.exp(lw - hi)
+    w = np.exp(lw - lw.max())
     mass = np.bincount(overlap, weights=w, minlength=params.k + 1)
     return mass / w.sum()
 
@@ -274,21 +269,21 @@ def tpca_class_sizes(n: int, k: int) -> np.ndarray:
 # dispatch + MMSE curves
 
 
+# model -> (params, observation, rho, **kw) -> PosteriorMean.  A TPCA
+# observation at rho is the same model at lam * (1 - rho^2).
+_POSTERIORS = {
+    "psp": lambda params, obs, rho, **kw: posterior_mean_psp(obs, params, rho, **kw),
+    "rlc": lambda params, obs, rho, **kw: posterior_mean_rlc(*obs, rho, **kw),
+    "gss": lambda params, obs, rho, **kw: posterior_mean_gss(*obs, params, rho, **kw),
+    "tpca": lambda params, obs, rho, **kw: posterior_mean_tpca(
+        obs, replace(params, lam=params.lam * (1.0 - rho * rho)), **kw
+    ),
+}
+
+
 def posterior_mean_for(params, observation, rho: float, **kw) -> PosteriorMean:
     """Bayes-optimal estimate from an observation that passed through noise at rho."""
-    name = model_name(params)
-    if name == "psp":
-        return posterior_mean_psp(observation, params, rho, **kw)
-    if name == "rlc":
-        A, y_hat = observation
-        return posterior_mean_rlc(A, y_hat, rho, **kw)
-    if name == "gss":
-        X, y_hat = observation
-        return posterior_mean_gss(X, y_hat, params, rho, **kw)
-    if name == "tpca":
-        tilde = TpcaParams(n=params.n, k=params.k, d=params.d, lam=params.lam * (1.0 - rho * rho))
-        return posterior_mean_tpca(observation, tilde, **kw)
-    raise ParameterError(f"unknown model {name!r}")
+    return _POSTERIORS[model_name(params)](params, observation, rho, **kw)
 
 
 @dataclass(frozen=True)
@@ -304,8 +299,6 @@ class MmseReport:
 
 
 def _sample_full_rank_rlc(params: RlcParams, seed: int, t: int):
-    from .solvers import f2_rank
-
     for attempt in range(256):
         inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t, attempt))
         if f2_rank(inst.A) == params.n:
@@ -331,15 +324,12 @@ def estimate_mmse_curve(
     name = model_name(params)
     if full_rank_only and name != "rlc":
         raise ParameterError("full_rank_only applies to the linear-code model only")
+    draw = _sample_full_rank_rlc if full_rank_only else None
     norm = signal_norm(params)
     out = []
     for j, rho in enumerate(rho_grid):
         def trial(t: int, _rho=rho, _j=j) -> float:
-            if full_rank_only:
-                inst = _sample_full_rank_rlc(params, seed, t)
-            else:
-                inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
-            noisy = noise_instance_observation(inst, _rho, derive_seed(seed, NOISE_STREAM, _j, t))
+            inst, noisy = coupled_trial(params, _rho, seed, t, grid_point=_j, draw=draw)
             pm = posterior_mean_for(params, noisy, _rho)
             diff = pm.estimate - inst.signal_vector()
             return float(diff @ diff)

@@ -14,37 +14,19 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .bayes import estimate_mmse_curve, tpca_overlap_distribution
-from .counting import count_approx_paths, expected_count, sample_null_graph
+from .counting import count_approx_paths, count_overlap_pairs, expected_count, sample_null_graph
 from .errors import ParameterError
-from .lowdeg import (
-    DiagramSpec,
-    diagram_expectation,
-    diagram_mc_oracle,
-    gss_stability_bound,
-    psp_stability_bound,
-    random_gss_poly,
-    random_psp_symmetric_poly,
-    random_rlc_poly,
-    rlc_stability_bound,
-    stability_ratio,
-)
-from .mc import default_threads
-from .models import (
-    TpcaParams,
-    model_name,
-    params_from_json,
-    params_to_json,
-    sample_instance,
-    signal_norm,
-)
-from .rng import INSTANCE_STREAM, derive_seed, generator
+from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_oracle, stability_ratio
+from .mc import default_threads, mean_stderr
+from .models import MODEL_NAMES, model_name, params_from_json, params_to_json, sample_instance, signal_norm
+from .rng import INSTANCE_STREAM, POLY_STREAM, derive_seed, generator
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 from .stability import ESTIMATORS, measure_stability, verify_barrier
 
@@ -255,24 +237,34 @@ def _cmd_barrier(config: ExperimentConfig, threads: int):
     return rows, None
 
 
+def _f2_recovers(inst, options) -> bool:
+    sol = f2_solve(inst.A, inst.y)
+    return sol.kind == "unique" and bool(np.array_equal(sol.particular, inst.x))
+
+
+def _lll_recovers(inst, options) -> bool:
+    cfg = LllConfig(bits=int(options.get("bits", 128)))
+    return lll_subset_sum(inst.X, inst.Y, inst.params.k, cfg) == inst.S
+
+
+# model -> (instance, options) -> whether the model's fast solver recovers the signal
+_FAST_SOLVERS = {
+    "psp": lambda inst, options: shortest_path(inst.adjacency) == inst.path,
+    "rlc": _f2_recovers,
+    "gss": _lll_recovers,
+}
+
+
 def _cmd_solve(config: ExperimentConfig, threads: int):
     params = config.model_params()
     name = model_name(params)
-    if name == "tpca":
+    if name not in _FAST_SOLVERS:
         raise UsageError("solve supports psp, rlc, and gss (no fast tensor solver)")
+    recovers = _FAST_SOLVERS[name]
     hits = 0
     for t in range(config.trials):
         inst = sample_instance(params, derive_seed(config.seed, INSTANCE_STREAM, t))
-        if name == "psp":
-            got = shortest_path(inst.adjacency)
-            hits += got == inst.path
-        elif name == "rlc":
-            sol = f2_solve(inst.A, inst.y)
-            hits += sol.kind == "unique" and bool(np.array_equal(sol.particular, inst.x))
-        else:
-            cfg = LllConfig(bits=int(config.options.get("bits", 128)))
-            got = lll_subset_sum(inst.X, inst.Y, params.k, cfg)
-            hits += got == inst.S
+        hits += recovers(inst, config.options)
     rate = hits / config.trials
     se = math.sqrt(rate * (1 - rate) / config.trials)
     rows = [Row(name, _params_blob(params), "", config.trials, "exact_recovery_rate", rate, se)]
@@ -286,12 +278,13 @@ def _cmd_count_paths(config: ExperimentConfig, threads: int):
     except KeyError as missing:
         raise UsageError(f"count-paths needs option {missing}") from None
     graphs = int(opts.get("graphs", config.trials))
+    if graphs < 1:
+        raise UsageError("count-paths needs graphs >= 1")
     counts = np.empty(graphs)
     for t in range(graphs):
         adj = sample_null_graph(n, q, derive_seed(config.seed, INSTANCE_STREAM, t))
         counts[t] = count_approx_paths(adj, m, eps_m)
-    mean = float(counts.mean())
-    se = float(counts.std(ddof=1) / math.sqrt(graphs)) if graphs > 1 else 0.0
+    mean, se = mean_stderr(counts)
     target = expected_count(n, m, eps_m, q)
     blob = json.dumps({"eps_m": eps_m, "m": m, "n": n, "q": q}, sort_keys=True, separators=(",", ":"))
     rows = [
@@ -299,8 +292,6 @@ def _cmd_count_paths(config: ExperimentConfig, threads: int):
         Row("gnq", blob, "", graphs, "expected_count", target, 0.0),
     ]
     if opts.get("pairs", False):
-        from .counting import count_overlap_pairs
-
         pair_graphs = int(opts.get("pair_graphs", min(graphs, 100)))
         totals: dict[int, float] = {}
         pair_total = 0.0
@@ -350,21 +341,16 @@ def _cmd_lowdeg_stability(config: ExperimentConfig, threads: int):
     n_polys = int(config.options.get("n_polys", 10))
     if not config.rho_grid:
         raise UsageError("lowdeg-stability needs a rho_grid")
-    makers = {
-        "rlc": (random_rlc_poly, rlc_stability_bound),
-        "gss": (random_gss_poly, gss_stability_bound),
-        "psp": (random_psp_symmetric_poly, psp_stability_bound),
-    }
-    if name not in makers:
+    if name not in POLY_FAMILIES:
         raise UsageError("lowdeg-stability supports psp, rlc, and gss")
-    make, bound_fn = makers[name]
-    rng = generator(derive_seed(config.seed, 3))
+    family = POLY_FAMILIES[name]
+    rng = generator(derive_seed(config.seed, POLY_STREAM))
     blob = _params_blob(params)
     rows = []
     for rho in config.rho_grid:
-        rows.append(Row(name, blob, rho, config.trials, "stability_bound", bound_fn(degree, rho), 0.0))
+        rows.append(Row(name, blob, rho, config.trials, "stability_bound", family.bound(degree, rho), 0.0))
         for p in range(n_polys):
-            poly = make(params, degree, rng)
+            poly = family.make(params, degree, rng)
             r = stability_ratio(poly, params, rho, config.trials, derive_seed(config.seed, 4, p), threads=threads)
             rows.append(Row(name, blob, rho, config.trials, f"stability_ratio[{p}]", r.ratio, r.stderr))
     return rows, None
@@ -379,7 +365,7 @@ def _cmd_pca_window(config: ExperimentConfig, threads: int):
         raise UsageError("pca-window needs option 'lambdas'")
     rows = []
     for lam in lambdas:
-        p_lam = TpcaParams(n=params.n, k=params.k, d=params.d, lam=float(lam))
+        p_lam = replace(params, lam=float(lam))
         top_mass = np.empty(config.trials)
         for t in range(config.trials):
             inst = sample_instance(p_lam, derive_seed(config.seed, INSTANCE_STREAM, t))
@@ -389,10 +375,7 @@ def _cmd_pca_window(config: ExperimentConfig, threads: int):
         se = math.sqrt(frac * (1 - frac) / config.trials)
         blob = _params_blob(p_lam)
         rows.append(Row("tpca", blob, "", config.trials, "p_k_majority_frac", frac, se))
-        rows.append(
-            Row("tpca", blob, "", config.trials, "p_k_mean", float(top_mass.mean()),
-                float(top_mass.std(ddof=1) / math.sqrt(config.trials)))
-        )
+        rows.append(Row("tpca", blob, "", config.trials, "p_k_mean", *mean_stderr(top_mass)))
     return rows, None
 
 
@@ -414,8 +397,6 @@ def run(config: ExperimentConfig, threads: Optional[int] = None) -> int:
         config.validate()
         if threads is None:
             threads = default_threads()
-        if config.deterministic:
-            threads_effective = threads  # reductions are index-ordered either way
         rows, svg = _COMMAND_IMPLS[config.command](config, threads)
         written = _write_outputs(config, rows, svg)
     except UsageError as err:
@@ -442,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--model", choices=("psp", "rlc", "gss", "tpca"))
+        p.add_argument("--model", choices=MODEL_NAMES)
         p.add_argument("--params", help="model parameters as a JSON object")
         p.add_argument("--rho-grid", help="comma-separated noise levels")
         p.add_argument("--trials", type=int)

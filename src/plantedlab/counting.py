@@ -15,31 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError
-from .models import edge_vector_from_adjacency, path_edge_indices, vertex_pairs
+from .models import adjacency_from_edge_vector, edge_vector_from_adjacency, path_edge_indices, vertex_pairs
 from .rng import generator
 
 PATH_BUDGET = 10**6
 PAIR_BUDGET = 10**8
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
-
-
 def _check_args(n: int, m: int, eps_m: int) -> None:
     if not (0 <= eps_m <= m):
         raise ParameterError(f"need 0 <= eps_m <= m, got eps_m={eps_m}, m={m}")
-    if m > n - 1:
+    if not (1 <= m <= n - 1):
         raise ParameterError(f"no length-{m} path fits in {n} vertices")
 
 
 def expected_count(n: int, m: int, eps_m: int, q: float) -> float:
     """Mean approximate-path count in G(n, q): (n-2)_(m-1) * C(m, eps_m) * q^(m - eps_m)."""
     _check_args(n, m, eps_m)
-    return _falling(n - 2, m - 1) * math.comb(m, eps_m) * q ** (m - eps_m)
+    return math.perm(n - 2, m - 1) * math.comb(m, eps_m) * q ** (m - eps_m)
 
 
 def count_approx_paths(adjacency: np.ndarray, m: int, eps_m: int, *, budget: int = PATH_BUDGET) -> int:
@@ -109,6 +102,4 @@ def sample_null_graph(n: int, q: float, seed: int) -> np.ndarray:
     """Adjacency of a plain G(n, q) draw (no planting); 1-indexed like the models."""
     rng = generator(seed)
     vec = rng.random(len(vertex_pairs(n))) < q
-    from .models import adjacency_from_edge_vector
-
     return adjacency_from_edge_vector(vec, n)

@@ -12,25 +12,26 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import IllConditionedError, ParameterError, ResourceBudgetError
-from .mc import ratio_with_stderr, run_trials
+from .mc import mean_stderr, ratio_with_stderr, run_trials
 from .models import (
     GssParams,
     PspParams,
     RlcParams,
     model_name,
     pair_index,
+    path_edges,
     sample_instance,
     vertex_pairs,
 )
-from .noise import noise_instance_observation
-from .rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
+from .noise import coupled_trial
+from .rng import INSTANCE_STREAM, derive_seed, generator
 
 DIAGRAM_DEGREE_CAP = 10
 CHARACTER_ENUM_BUDGET = 2**24
@@ -116,7 +117,7 @@ def diagram_expectation(spec: DiagramSpec, *, cap: int = DIAGRAM_DEGREE_CAP) -> 
         return total
 
     norm = math.sqrt(math.prod(math.factorial(a) for a in spec.alpha))
-    return rec(tuple(int(a) for a in spec.alpha)) / norm
+    return float(rec(tuple(int(a) for a in spec.alpha)) / norm)
 
 
 def diagram_mc_oracle(spec: DiagramSpec, samples: int, seed: int) -> tuple[float, float]:
@@ -130,7 +131,7 @@ def diagram_mc_oracle(spec: DiagramSpec, samples: int, seed: int) -> tuple[float
     for i, a in enumerate(spec.alpha):
         if a > 0:
             vals = vals * hermite_eval(a, Z[:, i])
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+    return mean_stderr(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +360,10 @@ class StabilityRatio:
 
 
 def _degree_regime_warning(poly, params) -> None:
-    D = poly.degree
-    name = model_name(params)
-    if name == "rlc" and 2 * D > params.n:
-        warnings.warn(f"degree {D} outside the 2D <= n validity regime at n={params.n}", stacklevel=3)
-    elif name == "gss" and (D**4 > params.k or D**5 > params.N / params.k):
-        warnings.warn(f"degree {D} is large for k={params.k}, N={params.N}", stacklevel=3)
-    elif name == "psp" and 2 * D >= params.L:
-        warnings.warn(f"degree {D} outside the 2D < L validity regime at L={params.L}", stacklevel=3)
+    family = POLY_FAMILIES.get(model_name(params))
+    message = family.regime(poly.degree, params) if family else None
+    if message:
+        warnings.warn(message, stacklevel=3)
 
 
 def stability_ratio(
@@ -383,21 +380,17 @@ def stability_ratio(
     The same noise realization couples the two arms of every trial.
     """
     _degree_regime_warning(poly, params)
-    name = model_name(params)
 
     def trial(t: int) -> tuple[float, float]:
-        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
-        obs = inst.adjacency if name == "psp" else inst.observation
-        noisy = noise_instance_observation(inst, rho, derive_seed(seed, NOISE_STREAM, t))
-        v0 = poly.evaluate(obs, params)
+        inst, noisy = coupled_trial(params, rho, seed, t)
+        v0 = poly.evaluate(inst.observation, params)
         v1 = poly.evaluate(noisy, params)
         return ((v0 - v1) ** 2, v0**2)
 
     results = run_trials(trials, trial, threads)
     num = np.array([r[0] for r in results])
     den = np.array([r[1] for r in results])
-    den_mean = float(den.mean())
-    den_se = float(den.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    den_mean, den_se = mean_stderr(den)
     if den_mean <= 10 * den_se:
         raise IllConditionedError(
             f"E[f^2] = {den_mean:.3g} indistinguishable from zero (stderr {den_se:.3g})"
@@ -414,8 +407,8 @@ def gss_stability_bound(degree: int, rho: float) -> float:
     return 2.0 * (1.0 - (1.0 - rho * rho) ** (degree / 2.0))
 
 
-def psp_stability_bound(degree: int, rho: float) -> float:
-    return 2.0 * (1.0 - (1.0 - rho) ** degree)
+# edge indicators under Bernoulli resampling obey the same bound as code bits
+psp_stability_bound = rlc_stability_bound
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +467,33 @@ def random_psp_symmetric_poly(
     return PspSymmetricPoly(terms=terms)
 
 
+class PolyFamily(NamedTuple):
+    make: Callable  # (params, degree, rng) -> random polynomial
+    bound: Callable  # (degree, rho) -> stability bound
+    regime: Callable  # (degree, params) -> warning when outside the bound's regime, else None
+
+
+# make calls through the module globals, so a rebinding of random_*_poly
+# (perfbench/tracing.py does this) is seen
+POLY_FAMILIES = {
+    "rlc": PolyFamily(
+        lambda *a: random_rlc_poly(*a),
+        rlc_stability_bound,
+        lambda D, p: f"degree {D} outside the 2D <= n validity regime at n={p.n}" if 2 * D > p.n else None,
+    ),
+    "gss": PolyFamily(
+        lambda *a: random_gss_poly(*a),
+        gss_stability_bound,
+        lambda D, p: f"degree {D} is large for k={p.k}, N={p.N}" if D**4 > p.k or D**5 > p.N / p.k else None,
+    ),
+    "psp": PolyFamily(
+        lambda *a: random_psp_symmetric_poly(*a),
+        psp_stability_bound,
+        lambda D, p: f"degree {D} outside the 2D < L validity regime at L={p.L}" if 2 * D >= p.L else None,
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # symmetrization check
 
@@ -516,8 +536,6 @@ def symmetrize_check(
     sym = np.empty(trials)
     for t in range(trials):
         inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
-        from .models import path_edges
-
         truth = float(tp in path_edges(inst.path))
         adj = inst.adjacency
         raw[t] = (g(adj) - truth) ** 2
@@ -526,11 +544,4 @@ def symmetrize_check(
             p = perms[r]
             acc += g(adj[np.ix_(p, p)])
         sym[t] = (acc / n_perms - truth) ** 2
-    mse_raw = float(raw.mean())
-    mse_sym = float(sym.mean())
-    return SymmetrizeReport(
-        mse_raw=mse_raw,
-        stderr_raw=float(raw.std(ddof=1) / math.sqrt(trials)),
-        mse_symmetrized=mse_sym,
-        stderr_symmetrized=float(sym.std(ddof=1) / math.sqrt(trials)),
-    )
+    return SymmetrizeReport(*mean_stderr(raw), *mean_stderr(sym))

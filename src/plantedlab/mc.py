@@ -9,6 +9,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import IllConditionedError
+
 THREADS_ENV_VAR = "PLANTEDLAB_THREADS"
 
 
@@ -41,11 +43,16 @@ def mean_stderr(values: Sequence[float]) -> tuple[float, float]:
 
 
 def ratio_with_stderr(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
-    """Delta-method stderr for mean(num)/mean(den) over paired samples."""
+    """Delta-method stderr for mean(num)/mean(den) over paired samples.
+
+    Raises IllConditionedError unless mean(den) is a positive finite number.
+    """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     T = num.size
     mn, md = num.mean(), den.mean()
+    if not (0.0 < md < math.inf):
+        raise IllConditionedError(f"ratio denominator has mean {float(md)}; need a positive finite mean")
     ratio = mn / md
     if T < 2:
         return (float(ratio), 0.0)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -54,6 +54,15 @@ def pair_index(n: int) -> dict[tuple[int, int], int]:
 def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
     """Canonical (min, max) edges of a vertex sequence."""
     return [(min(a, b), max(a, b)) for a, b in zip(path[:-1], path[1:])]
+
+
+def path_indicator(path: Sequence[int], n: int) -> np.ndarray:
+    """Edge-indicator vector of a vertex sequence over the canonical pairs of [n]."""
+    idx = pair_index(n)
+    vec = np.zeros(len(idx))
+    for e in path_edges(path):
+        vec[idx[e]] = 1.0
+    return vec
 
 
 def adjacency_from_edge_vector(edge_vec: np.ndarray, n: int) -> np.ndarray:
@@ -150,11 +159,7 @@ class PspInstance:
 
     def signal_vector(self) -> np.ndarray:
         """Edge-indicator vector of the planted path over canonical pairs."""
-        idx = pair_index(self.params.n)
-        vec = np.zeros(len(idx), dtype=float)
-        for e in path_edges(self.path):
-            vec[idx[e]] = 1.0
-        return vec
+        return path_indicator(self.path, self.params.n)
 
 
 @dataclass(frozen=True)
@@ -272,6 +277,13 @@ MODEL_NAMES = ("psp", "rlc", "gss", "tpca")
 
 _PARAM_TYPES = {"psp": PspParams, "rlc": RlcParams, "gss": GssParams, "tpca": TpcaParams}
 _SAMPLERS = {"psp": sample_psp, "rlc": sample_rlc, "gss": sample_gss, "tpca": sample_tpca}
+# exact E||signal||^2
+_SIGNAL_NORMS = {
+    "psp": lambda p: float(p.L),
+    "rlc": lambda p: p.n / 2.0,
+    "gss": lambda p: float(p.k),
+    "tpca": lambda p: 1.0,
+}
 
 
 def model_name(params) -> str:
@@ -287,18 +299,14 @@ def sample_instance(params, seed: int):
 
 def signal_norm(params) -> float:
     """Exact E||signal||^2 for each model."""
-    name = model_name(params)
-    if name == "psp":
-        return float(params.L)
-    if name == "rlc":
-        return params.n / 2.0
-    if name == "gss":
-        return float(params.k)
-    return 1.0
+    return _SIGNAL_NORMS[model_name(params)](params)
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization
+
+# dataclass field -> JSON key, where they differ
+_JSON_KEYS = {"lam": "lambda"}
 
 
 def _bits_to_string(arr: np.ndarray) -> str:
@@ -310,80 +318,86 @@ def _string_to_bits(s: str, shape) -> np.ndarray:
 
 
 def params_to_json(params) -> dict:
-    name = model_name(params)
-    if name == "psp":
-        return {"model": "psp", "n": params.n, "L": params.L, "q": params.q}
-    if name == "rlc":
-        return {"model": "rlc", "m": params.m, "n": params.n}
-    if name == "gss":
-        return {"model": "gss", "N": params.N, "k": params.k}
-    return {"model": "tpca", "n": params.n, "k": params.k, "d": params.d, "lambda": params.lam}
+    return {
+        "model": model_name(params),
+        **{_JSON_KEYS.get(f.name, f.name): getattr(params, f.name) for f in fields(params)},
+    }
 
 
 def params_from_json(obj: dict):
+    """Inverse of params_to_json; every field is required and no other key is allowed."""
     name = obj.get("model")
-    if name == "psp":
-        return PspParams(n=obj["n"], L=obj["L"], q=obj["q"])
-    if name == "rlc":
-        return RlcParams(m=obj["m"], n=obj["n"])
-    if name == "gss":
-        return GssParams(N=obj["N"], k=obj["k"])
-    if name == "tpca":
-        return TpcaParams(n=obj["n"], k=obj["k"], d=obj["d"], lam=obj["lambda"])
-    raise ParameterError(f"unknown model name {name!r}")
+    if name not in _PARAM_TYPES:
+        raise ParameterError(f"unknown model name {name!r}")
+    keys = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(_PARAM_TYPES[name])}
+    given = set(obj) - {"model"}
+    if given != set(keys):
+        raise ParameterError(
+            f"{name} params need fields {sorted(keys)}; "
+            f"missing {sorted(set(keys) - given)}, unknown {sorted(given - set(keys))}"
+        )
+    return _PARAM_TYPES[name](**{keys[k]: obj[k] for k in keys})
+
+
+def _psp_to_json(inst: PspInstance) -> dict:
+    edges = [[i, j] for (i, j) in vertex_pairs(inst.params.n) if inst.adjacency[i, j]]
+    return {"path": list(inst.path), "edges": edges}
+
+
+def _psp_from_json(params: PspParams, obj: dict) -> PspInstance:
+    adj = np.zeros((params.n + 1, params.n + 1), dtype=bool)
+    for i, j in obj["edges"]:
+        adj[i, j] = adj[j, i] = True
+    return PspInstance(params=params, path=tuple(obj["path"]), adjacency=adj)
+
+
+def _rlc_to_json(inst: RlcInstance) -> dict:
+    return {"A": _bits_to_string(inst.A), "x": _bits_to_string(inst.x), "y": _bits_to_string(inst.y)}
+
+
+def _rlc_from_json(params: RlcParams, obj: dict) -> RlcInstance:
+    return RlcInstance(
+        params=params,
+        A=_string_to_bits(obj["A"], (params.m, params.n)),
+        x=_string_to_bits(obj["x"], (params.n,)),
+        y=_string_to_bits(obj["y"], (params.m,)),
+    )
+
+
+def _gss_to_json(inst: GssInstance) -> dict:
+    return {"X": [float(v) for v in inst.X], "S": list(inst.S), "Y": inst.Y}
+
+
+def _gss_from_json(params: GssParams, obj: dict) -> GssInstance:
+    return GssInstance(params=params, X=np.array(obj["X"], dtype=float), S=tuple(obj["S"]), Y=float(obj["Y"]))
+
+
+def _tpca_to_json(inst: TpcaInstance) -> dict:
+    return {"support": list(inst.support), "Y": [float(v) for v in inst.Y.ravel()]}
+
+
+def _tpca_from_json(params: TpcaParams, obj: dict) -> TpcaInstance:
+    Y = np.array(obj["Y"], dtype=float).reshape((params.n,) * params.d)
+    return TpcaInstance(params=params, support=tuple(obj["support"]), Y=Y)
+
+
+_INSTANCE_CODECS = {
+    "psp": (_psp_to_json, _psp_from_json),
+    "rlc": (_rlc_to_json, _rlc_from_json),
+    "gss": (_gss_to_json, _gss_from_json),
+    "tpca": (_tpca_to_json, _tpca_from_json),
+}
 
 
 def instance_to_json(inst) -> dict:
-    payload = {"params": params_to_json(inst.params)}
-    if isinstance(inst, PspInstance):
-        n = inst.params.n
-        edges = [
-            [i, j] for (i, j) in vertex_pairs(n) if inst.adjacency[i, j]
-        ]
-        payload.update({"path": list(inst.path), "edges": edges})
-    elif isinstance(inst, RlcInstance):
-        payload.update(
-            {"A": _bits_to_string(inst.A), "x": _bits_to_string(inst.x), "y": _bits_to_string(inst.y)}
-        )
-    elif isinstance(inst, GssInstance):
-        payload.update({"X": [float(v) for v in inst.X], "S": list(inst.S), "Y": inst.Y})
-    elif isinstance(inst, TpcaInstance):
-        payload.update({"support": list(inst.support), "Y": [float(v) for v in inst.Y.ravel()]})
-    else:
-        raise ParameterError(f"unknown instance type {type(inst)!r}")
-    return payload
+    to_json, _ = _INSTANCE_CODECS[model_name(inst.params)]
+    return {"params": params_to_json(inst.params), **to_json(inst)}
 
 
 def instance_from_json(obj: dict):
     params = params_from_json(obj["params"])
-    name = model_name(params)
-    if name == "psp":
-        vec = np.zeros(len(vertex_pairs(params.n)), dtype=bool)
-        idx = pair_index(params.n)
-        for i, j in obj["edges"]:
-            vec[idx[(min(i, j), max(i, j))]] = True
-        return PspInstance(
-            params=params, path=tuple(obj["path"]), adjacency=adjacency_from_edge_vector(vec, params.n)
-        )
-    if name == "rlc":
-        return RlcInstance(
-            params=params,
-            A=_string_to_bits(obj["A"], (params.m, params.n)),
-            x=_string_to_bits(obj["x"], (params.n,)),
-            y=_string_to_bits(obj["y"], (params.m,)),
-        )
-    if name == "gss":
-        return GssInstance(
-            params=params,
-            X=np.array(obj["X"], dtype=float),
-            S=tuple(obj["S"]),
-            Y=float(obj["Y"]),
-        )
-    return TpcaInstance(
-        params=params,
-        support=tuple(obj["support"]),
-        Y=np.array(obj["Y"], dtype=float).reshape((params.n,) * params.d),
-    )
+    _, from_json = _INSTANCE_CODECS[model_name(params)]
+    return from_json(params, obj)
 
 
 def enumerate_paths(n: int, L: int, budget: int = 10**6) -> np.ndarray:
@@ -391,9 +405,7 @@ def enumerate_paths(n: int, L: int, budget: int = 10**6) -> np.ndarray:
 
     Returned array has shape (count, L-1); count = (n-2)(n-3)...(n-L).
     """
-    count = 1
-    for t in range(L - 1):
-        count *= n - 2 - t
+    count = math.perm(n - 2, L - 1)
     if count > budget:
         raise ResourceBudgetError(f"{count} candidate paths exceed budget {budget}")
     if L == 1:

@@ -13,18 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .models import PspInstance, adjacency_from_edge_vector, edge_vector_from_adjacency
-from .rng import generator
+from .models import (
+    PspInstance,
+    adjacency_from_edge_vector,
+    edge_vector_from_adjacency,
+    model_name,
+    sample_instance,
+)
+from .rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
 
 
-def _check_rho(rho: float) -> None:
+def check_rho(rho: float) -> None:
     if not (0.0 <= rho <= 1.0):
         raise ParameterError(f"need rho in [0,1], got {rho}")
 
 
 def noise_psp(instance: PspInstance, rho: float, seed: int) -> np.ndarray:
     """Resample every unordered pair from Bern(q) with probability rho."""
-    _check_rho(rho)
+    check_rho(rho)
     adj = instance.adjacency
     if rho == 0.0:
         return adj.copy()
@@ -39,7 +45,7 @@ def noise_psp(instance: PspInstance, rho: float, seed: int) -> np.ndarray:
 
 def noise_rlc(y: np.ndarray, rho: float, seed: int) -> np.ndarray:
     """Resample each codeword bit from Bern(1/2) with probability rho; A untouched."""
-    _check_rho(rho)
+    check_rho(rho)
     if rho == 0.0:
         return y.copy()
     rng = generator(seed)
@@ -50,7 +56,7 @@ def noise_rlc(y: np.ndarray, rho: float, seed: int) -> np.ndarray:
 
 def noise_gss(Y: float, rho: float, seed: int) -> float:
     """Ornstein-Uhlenbeck step on the scalar observation."""
-    _check_rho(rho)
+    check_rho(rho)
     if rho == 0.0:
         return float(Y)
     rng = generator(seed)
@@ -60,7 +66,7 @@ def noise_gss(Y: float, rho: float, seed: int) -> float:
 
 def noise_tpca(Y: np.ndarray, rho: float, seed: int) -> np.ndarray:
     """Entrywise Ornstein-Uhlenbeck step on the observed tensor."""
-    _check_rho(rho)
+    check_rho(rho)
     if rho == 0.0:
         return Y.copy()
     rng = generator(seed)
@@ -68,38 +74,38 @@ def noise_tpca(Y: np.ndarray, rho: float, seed: int) -> np.ndarray:
     return np.sqrt(1.0 - rho * rho) * Y + rho * Z
 
 
-def noise_observation(model: str, observation, rho: float, seed: int, *, instance=None):
-    """Apply the model's operator to a generic observation tuple.
-
-    PSP needs the instance (for q); RLC observations are (A, y) with noise on
-    y only; GSS observations are (X, Y) with noise on Y only.
-    """
-    if model == "psp":
-        if instance is None:
-            raise ParameterError("psp noise needs the instance to read q")
-        return noise_psp(instance, rho, seed)
-    if model == "rlc":
-        A, y = observation
-        return (A, noise_rlc(y, rho, seed))
-    if model == "gss":
-        X, Y = observation
-        return (X, noise_gss(Y, rho, seed))
-    if model == "tpca":
-        return noise_tpca(observation, rho, seed)
-    raise ParameterError(f"unknown model {model!r}")
+# model -> (instance, rho, seed) -> the noisy observation, shaped like instance.observation
+_NOISE = {
+    "psp": noise_psp,
+    "rlc": lambda inst, rho, seed: (inst.A, noise_rlc(inst.y, rho, seed)),
+    "gss": lambda inst, rho, seed: (inst.X, noise_gss(inst.Y, rho, seed)),
+    "tpca": lambda inst, rho, seed: noise_tpca(inst.Y, rho, seed),
+}
 
 
 def noise_instance_observation(instance, rho: float, seed: int):
-    from .models import model_name
+    """The instance's observation after the model's noise operator at rho."""
+    return _NOISE[model_name(instance.params)](instance, rho, seed)
 
-    model = model_name(instance.params)
-    if model == "psp":
-        return noise_psp(instance, rho, seed)
-    return noise_observation(model, instance.observation, rho, seed)
+
+def coupled_trial(params, rho: float, seed: int, t: int, *, grid_point=None, draw=None):
+    """Trial t of a coupled experiment: (instance, its observation after T_rho).
+
+    The instance is sample_instance at seed path (seed, INSTANCE_STREAM, t),
+    or draw(params, seed, t) when given.  The noise seed path is
+    (seed, NOISE_STREAM, t), or (seed, NOISE_STREAM, grid_point, t) for a
+    point of a noise grid, so the same draw replays against any estimator.
+    """
+    if draw is None:
+        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
+    else:
+        inst = draw(params, seed, t)
+    path = (t,) if grid_point is None else (grid_point, t)
+    return inst, noise_instance_observation(inst, rho, derive_seed(seed, NOISE_STREAM, *path))
 
 
 def ou_compose(rho1: float, rho2: float) -> float:
     """The single rho equivalent to applying OU noise at rho1 then rho2."""
-    _check_rho(rho1)
-    _check_rho(rho2)
+    check_rho(rho1)
+    check_rho(rho2)
     return float(np.sqrt(rho1**2 + rho2**2 - rho1**2 * rho2**2))

@@ -53,24 +53,6 @@ def shortest_path(adjacency: np.ndarray, source: int = 1, target: int = 2) -> Op
     return tuple(path)
 
 
-def all_simple_paths(adjacency: np.ndarray, source: int = 1, target: int = 2):
-    """DFS enumeration of all simple paths; exhaustive oracle for small n."""
-    n = adjacency.shape[0] - 1
-    out = []
-
-    def walk(path, seen):
-        u = path[-1]
-        if u == target:
-            out.append(tuple(path))
-            return
-        for v in range(1, n + 1):
-            if adjacency[u, v] and v not in seen:
-                walk(path + [v], seen | {v})
-
-    walk([source], {source})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra
 
@@ -80,10 +62,15 @@ def _pack_rows(A: np.ndarray) -> list[int]:
     return [int(sum(int(A[i, j]) << j for j in range(n))) for i in range(m)]
 
 
-def f2_rank(A: np.ndarray) -> int:
-    rows = _pack_rows(A)
-    rank = 0
-    for col in range(A.shape[1]):
+def _f2_eliminate(rows: list[int], n_cols: int) -> list[int]:
+    """Gauss-Jordan elimination of packed rows, in place, over columns 0..n_cols-1.
+
+    Returns the pivot columns; pivot r ends up alone in its column, in row r.
+    Bits at n_cols and above ride along (an augmented right-hand side).
+    """
+    pivot_cols: list[int] = []
+    for col in range(n_cols):
+        rank = len(pivot_cols)
         pivot = next((r for r in range(rank, len(rows)) if (rows[r] >> col) & 1), None)
         if pivot is None:
             continue
@@ -91,8 +78,12 @@ def f2_rank(A: np.ndarray) -> int:
         for r in range(len(rows)):
             if r != rank and (rows[r] >> col) & 1:
                 rows[r] ^= rows[rank]
-        rank += 1
-    return rank
+        pivot_cols.append(col)
+    return pivot_cols
+
+
+def f2_rank(A: np.ndarray) -> int:
+    return len(_f2_eliminate(_pack_rows(A), A.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -110,19 +101,9 @@ def f2_solve(A: np.ndarray, y: np.ndarray) -> F2Solution:
     m, n = A.shape
     if y.shape != (m,):
         raise ParameterError(f"y has shape {y.shape}, expected ({m},)")
-    rows = [_pack_rows(A)[i] | (int(y[i]) << n) for i in range(m)]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if (rows[r] >> col) & 1), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(m):
-            if r != rank and (rows[r] >> col) & 1:
-                rows[r] ^= rows[rank]
-        pivot_cols.append(col)
-        rank += 1
+    rows = [row | (int(y[i]) << n) for i, row in enumerate(_pack_rows(A))]
+    pivot_cols = _f2_eliminate(rows, n)
+    rank = len(pivot_cols)
     var_mask = (1 << n) - 1
     for r in range(rank, m):
         if rows[r] & var_mask == 0 and (rows[r] >> n) & 1:
@@ -140,20 +121,6 @@ def f2_solve(A: np.ndarray, y: np.ndarray) -> F2Solution:
         basis.append(vec)
     kind = "unique" if not free_cols else "affine"
     return F2Solution(kind=kind, particular=particular, nullspace_basis=basis, rank=rank)
-
-
-def f2_solution_set(sol: F2Solution) -> list[np.ndarray]:
-    """Materialize the full affine solution set (small systems only)."""
-    if sol.kind == "inconsistent":
-        return []
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(sol.nullspace_basis)):
-        v = sol.particular.copy()
-        for b, basis_vec in zip(bits, sol.nullspace_basis):
-            if b:
-                v = (v + basis_vec) % 2
-        out.append(v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,48 +241,6 @@ def lll_reduce(basis: Sequence[Sequence[int]], delta: float = 0.75) -> list[list
     if d[n] != input_det:
         raise AssertionError("Gram determinant changed during reduction")
     return b
-
-
-def lattice_coordinates(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> Optional[list[int]]:
-    """Integer coordinates of vector in the row lattice of basis, or None.
-
-    Exact rational elimination; intended for membership checks on small bases.
-    """
-    rows = [[Fraction(v) for v in row] for row in basis]
-    target = [Fraction(v) for v in vector]
-    n, m = len(rows), len(rows[0])
-    coeff = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    r = 0
-    pivots = []
-    for col in range(m):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        coeff[r], coeff[piv] = coeff[piv], coeff[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        coeff[r] = [v * inv for v in coeff[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * bq for a, bq in zip(rows[i], rows[r])]
-                coeff[i] = [a - f * bq for a, bq in zip(coeff[i], coeff[r])]
-        pivots.append(col)
-        r += 1
-    coords = [Fraction(0)] * n
-    residual = list(target)
-    for i, col in enumerate(pivots):
-        c = residual[col]
-        if c != 0:
-            coords_i = c
-            residual = [a - coords_i * bq for a, bq in zip(residual, rows[i])]
-            coords = [a + coords_i * bq for a, bq in zip(coords, coeff[i])]
-    if any(v != 0 for v in residual):
-        return None
-    if any(v.denominator != 1 for v in coords):
-        return None
-    return [int(v) for v in coords]
 
 
 # ---------------------------------------------------------------------------

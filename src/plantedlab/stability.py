@@ -19,9 +19,9 @@ import numpy as np
 from .bayes import MmseReport, posterior_mean_for
 from .errors import EstimatorTrialError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr, run_trials
-from .models import PspParams, model_name, sample_instance, vertex_pairs
-from .noise import noise_instance_observation
-from .rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed
+from .models import PspParams, model_name, path_indicator, vertex_pairs
+from .noise import coupled_trial
+from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 
 
 # ---------------------------------------------------------------------------
@@ -31,16 +31,10 @@ from .rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed
 def _psp_prior_mean(params: PspParams) -> np.ndarray:
     """Exact prior edge marginals of the planted path (L >= 2)."""
     n, L = params.n, params.L
-    def falling(a, b):
-        out = 1
-        for t in range(b):
-            out *= a - t
-        return out
-
-    total_paths = falling(n - 2, L - 1)
-    p_end = falling(n - 3, L - 2) / total_paths  # a fixed {1,u} or {2,u} pair
+    total_paths = math.perm(n - 2, L - 1)
+    p_end = math.perm(n - 3, L - 2) / total_paths  # a fixed {1,u} or {2,u} pair
     p_mid = (
-        2 * (L - 2) * falling(n - 4, L - 3) / total_paths if L >= 3 else 0.0
+        2 * (L - 2) * math.perm(n - 4, L - 3) / total_paths if L >= 3 else 0.0
     )  # a fixed pair of non-endpoint vertices
     out = np.empty(len(vertex_pairs(n)))
     for t, (i, j) in enumerate(vertex_pairs(n)):
@@ -53,15 +47,17 @@ def _psp_prior_mean(params: PspParams) -> np.ndarray:
     return out
 
 
+_PRIOR_MEANS = {
+    "psp": _psp_prior_mean,
+    "rlc": lambda p: np.full(p.n, 0.5),
+    "gss": lambda p: np.full(p.N, p.k / p.N),
+    "tpca": lambda p: np.full(p.n, (p.k / p.n) / math.sqrt(p.k)),
+}
+
+
 def prior_mean_vector(params) -> np.ndarray:
-    name = model_name(params)
-    if name == "psp":
-        return _psp_prior_mean(params)
-    if name == "rlc":
-        return np.full(params.n, 0.5)
-    if name == "gss":
-        return np.full(params.N, params.k / params.N)
-    return np.full(params.n, (params.k / params.n) / math.sqrt(params.k))
+    """Exact prior mean of the signal vector."""
+    return _PRIOR_MEANS[model_name(params)](params)
 
 
 def _posterior_mean_estimator(params, rho: float) -> Callable:
@@ -72,29 +68,14 @@ def _posterior_mean_estimator(params, rho: float) -> Callable:
 
 
 def _shortest_path_indicator(params, rho: float) -> Callable:
-    if model_name(params) != "psp":
-        raise ParameterError("shortest_path_indicator is a planted-path estimator")
-    from .models import pair_index, path_edges
-    from .solvers import shortest_path
-
-    idx = pair_index(params.n)
-
     def run(adjacency) -> np.ndarray:
-        out = np.zeros(len(idx))
-        path = shortest_path(adjacency)
-        if path is not None and len(path) >= 2:
-            for e in path_edges(path):
-                out[idx[e]] = 1.0
-        return out
+        # an unreachable target gives the all-zero vector
+        return path_indicator(shortest_path(adjacency) or (), params.n)
 
     return run
 
 
 def _f2_round_estimator(params, rho: float) -> Callable:
-    if model_name(params) != "rlc":
-        raise ParameterError("f2_round is a linear-code estimator")
-    from .solvers import f2_solve
-
     def run(observation) -> np.ndarray:
         A, y = observation
         sol = f2_solve(A, y)
@@ -109,10 +90,6 @@ def _f2_round_estimator(params, rho: float) -> Callable:
 
 
 def _lll_subset_indicator(params, rho: float) -> Callable:
-    if model_name(params) != "gss":
-        raise ParameterError("lll_subset_indicator is a subset-sum estimator")
-    from .solvers import LllConfig, lll_subset_sum
-
     cfg = LllConfig()
 
     def run(observation) -> np.ndarray:
@@ -146,6 +123,13 @@ ESTIMATORS: dict[str, Callable] = {
     "lll_subset_indicator": _lll_subset_indicator,
     "constant_prior_mean": _constant_prior_mean,
 }
+# estimator -> (the one model it accepts, that model's description); the
+# others accept every model
+_ESTIMATOR_MODELS = {
+    "shortest_path_indicator": ("psp", "planted-path"),
+    "f2_round": ("rlc", "linear-code"),
+    "lll_subset_indicator": ("gss", "subset-sum"),
+}
 
 
 def resolve_estimator(name: str, params, rho: float) -> Callable:
@@ -153,6 +137,10 @@ def resolve_estimator(name: str, params, rho: float) -> Callable:
         raise ParameterError(
             f"unknown estimator {name!r}; registered: {sorted(ESTIMATORS)}"
         )
+    if name in _ESTIMATOR_MODELS:
+        model, what = _ESTIMATOR_MODELS[name]
+        if model_name(params) != model:
+            raise ParameterError(f"{name} is a {what} estimator")
     return ESTIMATORS[name](params, rho)
 
 
@@ -195,10 +183,8 @@ def measure_stability(
 
     def trial(t: int):
         try:
-            inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
-            obs = inst.adjacency if model_name(params) == "psp" else inst.observation
-            noisy = noise_instance_observation(inst, rho, derive_seed(seed, NOISE_STREAM, t))
-            a = np.asarray(fn(obs), dtype=float)
+            inst, noisy = coupled_trial(params, rho, seed, t)
+            a = np.asarray(fn(inst.observation), dtype=float)
             b = np.asarray(fn(noisy), dtype=float)
         except Exception as exc:  # noqa: BLE001 - abort with the trial index
             raise EstimatorTrialError(t, exc) from exc

@@ -1,12 +1,17 @@
-"""Independent Monte-Carlo oracles used to validate exact posterior code.
+"""Slow reference implementations that the tests check the library against.
 
-These are written straight from the generative descriptions in plain numpy,
-on purpose sharing no code with the library's samplers/noise/posteriors.
+The Monte-Carlo posterior oracles are written straight from the generative
+descriptions in plain numpy, on purpose sharing no code with the library's
+samplers/noise/posteriors.  The exhaustive oracles at the end (all simple
+paths, the full GF(2) solution set, exact lattice coordinates) check the
+fast solvers.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -140,3 +145,77 @@ def gss_counting_weights_mpmath(X: np.ndarray, y_hat: float, k: int, rho: float)
         for i in combo:
             marg[i] += w
     return np.array([float(v / total) for v in marg])
+
+
+def all_simple_paths(adjacency: np.ndarray, source: int = 1, target: int = 2):
+    """DFS enumeration of all simple paths; exhaustive oracle for small n."""
+    n = adjacency.shape[0] - 1
+    out = []
+
+    def walk(path, seen):
+        u = path[-1]
+        if u == target:
+            out.append(tuple(path))
+            return
+        for v in range(1, n + 1):
+            if adjacency[u, v] and v not in seen:
+                walk(path + [v], seen | {v})
+
+    walk([source], {source})
+    return out
+
+
+def f2_solution_set(sol) -> list[np.ndarray]:
+    """Materialize the full affine solution set of an F2Solution (small systems only)."""
+    if sol.kind == "inconsistent":
+        return []
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(sol.nullspace_basis)):
+        v = sol.particular.copy()
+        for b, basis_vec in zip(bits, sol.nullspace_basis):
+            if b:
+                v = (v + basis_vec) % 2
+        out.append(v)
+    return out
+
+
+def lattice_coordinates(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> Optional[list[int]]:
+    """Integer coordinates of vector in the row lattice of basis, or None.
+
+    Exact rational elimination; intended for membership checks on small bases.
+    """
+    rows = [[Fraction(v) for v in row] for row in basis]
+    target = [Fraction(v) for v in vector]
+    n, m = len(rows), len(rows[0])
+    coeff = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    r = 0
+    pivots = []
+    for col in range(m):
+        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        coeff[r], coeff[piv] = coeff[piv], coeff[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        coeff[r] = [v * inv for v in coeff[r]]
+        for i in range(n):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * bq for a, bq in zip(rows[i], rows[r])]
+                coeff[i] = [a - f * bq for a, bq in zip(coeff[i], coeff[r])]
+        pivots.append(col)
+        r += 1
+    coords = [Fraction(0)] * n
+    residual = list(target)
+    for i, col in enumerate(pivots):
+        c = residual[col]
+        if c != 0:
+            coords_i = c
+            residual = [a - coords_i * bq for a, bq in zip(residual, rows[i])]
+            coords = [a + coords_i * bq for a, bq in zip(coords, coeff[i])]
+    if any(v != 0 for v in residual):
+        return None
+    if any(v.denominator != 1 for v in coords):
+        return None
+    return [int(v) for v in coords]

@@ -45,15 +45,15 @@ from plantedlab.models import (
 from plantedlab.noise import noise_gss
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import (
-    all_simple_paths,
     exhaustive_subset_sum,
-    f2_solution_set,
     f2_solve,
     LllConfig,
     lll_subset_sum,
     shortest_path,
 )
 from plantedlab.stability import measure_stability, verify_barrier
+
+from oracles import all_simple_paths, f2_solution_set
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from plantedlab.cli import COMMANDS, CSV_HEADER, ExperimentConfig, main, run
 
 
@@ -165,6 +167,13 @@ def test_count_paths_command(tmp_path):
     assert "mean_pair_overlap[" in text
 
 
+def test_count_paths_without_graphs_exits_2(tmp_path):
+    code = main(
+        ["count-paths", "--options", '{"n":9,"m":3,"eps_m":1,"q":0.3,"graphs":0}', "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+
+
 def test_barrier_command(tmp_path):
     out = tmp_path / "barrier"
     code = main(
@@ -239,6 +248,22 @@ def test_hermite_check_command(tmp_path):
     assert code == 0
     text = read(out.with_suffix(".csv")).decode()
     assert "exact[0]" in text and "mc[1]" in text
+    import csv as csvmod
+    import io
+
+    for row in csvmod.DictReader(io.StringIO(text)):
+        for cell in (row["value"], row["stderr"]):
+            assert "np." not in cell
+            float(cell)
+
+
+@pytest.mark.parametrize(
+    "params, message", [('{"m":8}', "missing ['n']"), ('{"m":8,"n":5,"zz":1}', "unknown ['zz']")]
+)
+def test_malformed_params_exit_2(tmp_path, capsys, params, message):
+    code = main(["solve", "--model", "rlc", "--params", params, "--trials", "3", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_output_exits_2(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -208,29 +209,48 @@ def test_invalid_params_raise():
         TpcaParams(n=4, k=2, d=1, lam=1.0)
 
 
-def test_json_round_trip_all_models():
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(max_examples=25, deadline=None)
+def test_json_round_trip_all_models(seed):
     instances = [
-        sample_psp(PspParams(n=7, L=3, q=0.3), seed=4),
-        sample_rlc(RlcParams(m=6, n=4), seed=4),
-        sample_gss(GssParams(N=9, k=3), seed=4),
-        sample_tpca(TpcaParams(n=5, k=2, d=3, lam=2.5), seed=4),
+        sample_psp(PspParams(n=7, L=3, q=0.3), seed=seed),
+        sample_rlc(RlcParams(m=6, n=4), seed=seed),
+        sample_gss(GssParams(N=9, k=3), seed=seed),
+        sample_tpca(TpcaParams(n=5, k=2, d=3, lam=2.5), seed=seed),
     ]
     for inst in instances:
         blob = instance_to_json(inst)
-        back = instance_from_json(blob)
         assert params_from_json(params_to_json(inst.params)) == inst.params
-        assert type(back) is type(inst)
-        if hasattr(inst, "adjacency"):
-            assert np.array_equal(back.adjacency, inst.adjacency)
-            assert back.path == inst.path
-        if hasattr(inst, "A"):
-            assert np.array_equal(back.A, inst.A)
-            assert np.array_equal(back.y, inst.y)
-        if hasattr(inst, "S"):
-            assert back.S == inst.S and back.Y == inst.Y
-        if hasattr(inst, "support"):
-            assert back.support == inst.support
-            assert np.array_equal(back.Y, inst.Y)
+        # the text form, as the CLI writes it, must decode to the same instance
+        for back in (instance_from_json(blob), instance_from_json(json.loads(json.dumps(blob, sort_keys=True)))):
+            assert type(back) is type(inst)
+            assert back.params == inst.params
+            if hasattr(inst, "adjacency"):
+                assert np.array_equal(back.adjacency, inst.adjacency)
+                assert back.path == inst.path
+            if hasattr(inst, "A"):
+                assert np.array_equal(back.A, inst.A)
+                assert np.array_equal(back.x, inst.x)
+                assert np.array_equal(back.y, inst.y)
+            if hasattr(inst, "S"):
+                assert np.array_equal(back.X, inst.X)
+                assert back.S == inst.S and back.Y == inst.Y
+            if hasattr(inst, "support"):
+                assert back.support == inst.support
+                assert np.array_equal(back.Y, inst.Y)
+
+
+def test_params_from_json_names_missing_and_unknown_fields():
+    with pytest.raises(ParameterError, match=r"missing \['n'\]"):
+        params_from_json({"model": "rlc", "m": 8})
+    with pytest.raises(ParameterError, match=r"unknown \['zz'\]"):
+        params_from_json({"model": "rlc", "m": 8, "n": 5, "zz": 1})
+    with pytest.raises(ParameterError, match="unknown model"):
+        params_from_json({"model": "nope"})
+    # the SNR is "lambda" on the wire and lam on the dataclass
+    assert params_from_json({"model": "tpca", "n": 5, "k": 2, "d": 3, "lambda": 2.5}).lam == 2.5
+    with pytest.raises(ParameterError, match=r"unknown \['lam'\]"):
+        params_from_json({"model": "tpca", "n": 5, "k": 2, "d": 3, "lambda": 2.5, "lam": 2.5})
 
 
 def test_psp_from_constants_rounds():

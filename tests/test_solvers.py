@@ -8,16 +8,15 @@ from plantedlab.models import GssParams, sample_gss
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import (
     LllConfig,
-    all_simple_paths,
     exhaustive_subset_sum,
     f2_rank,
-    f2_solution_set,
     f2_solve,
-    lattice_coordinates,
     lll_reduce,
     lll_subset_sum,
     shortest_path,
 )
+
+from oracles import all_simple_paths, f2_solution_set, lattice_coordinates
 
 
 def adjacency_from_edges(n, edges):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plantedlab.bayes import estimate_mmse_curve
-from plantedlab.errors import EstimatorTrialError, ParameterError
+from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
 from plantedlab.models import GssParams, PspParams, RlcParams, signal_norm
 from plantedlab.stability import (
     barrier_penalty,
@@ -70,6 +70,15 @@ def test_estimator_failure_carries_trial_index():
     with pytest.raises(EstimatorTrialError) as err:
         measure_stability(broken, GssParams(N=8, k=2), rho=0.3, trials=5, seed=3)
     assert err.value.trial == 0
+
+
+def test_all_zero_estimator_is_ill_conditioned():
+    # eta divides by the mean output norm, which is 0 here: an error, not NaN
+    def zero(obs):
+        return np.zeros(5)
+
+    with pytest.raises(IllConditionedError):
+        measure_stability(zero, RlcParams(m=8, n=5), rho=0.5, trials=20, seed=1)
 
 
 def test_barrier_penalty_values():
