@@ -22,12 +22,12 @@ from .models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    edge_vector_from_adjacency,
     model_name,
     path_edge_indices,
     sample_instance,
     signal_norm,
     subset_sum_value,
-    vertex_pairs,
 )
 from .noise import check_rho, coupled_trial
 from .rng import INSTANCE_STREAM, derive_seed
@@ -82,10 +82,7 @@ def posterior_mean_psp(
     """
     n, L, q = params.n, params.L, params.q
     check_rho(rho)
-    pairs = vertex_pairs(n)
-    edge_present = np.array(
-        [noisy_adjacency[i, j] for (i, j) in pairs], dtype=float
-    )
+    edge_present = edge_vector_from_adjacency(noisy_adjacency).astype(float)
     path_idx = path_edge_indices(n, L, budget)
     m_in = edge_present[path_idx].sum(axis=1)  # edges of H present in the graph
     p1 = 1.0 - rho * (1.0 - q)
@@ -99,7 +96,7 @@ def posterior_mean_psp(
         lw = coef_log(m_in, p1 / q) + coef_log(L - m_in, rho)
     else:
         total_present = edge_present.sum()
-        n_pairs = len(pairs)
+        n_pairs = edge_present.size
         lw = (
             coef_log(m_in, p1)
             + coef_log(L - m_in, rho * (1.0 - q))
@@ -107,7 +104,7 @@ def posterior_mean_psp(
             + coef_log(n_pairs - L - (total_present - m_in), 1.0 - q)
         )
     _finite_or_inconsistent(lw, "length-L path")
-    return _weighted_marginals(lw, path_idx, len(pairs))
+    return _weighted_marginals(lw, path_idx, edge_present.size)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +310,6 @@ def estimate_mmse_curve(
     seed: int,
     *,
     full_rank_only: bool = False,
-    threads: int = 1,
 ) -> list[MmseReport]:
     """Monte-Carlo noisy-MMSE and NMMSE estimates on a noise grid.
 
@@ -334,7 +330,7 @@ def estimate_mmse_curve(
             diff = pm.estimate - inst.signal_vector()
             return float(diff @ diff)
 
-        errs = run_trials(trials, trial, threads)
+        errs = run_trials(trials, trial)
         mmse_hat, stderr = mean_stderr(errs)
         out.append(
             MmseReport(

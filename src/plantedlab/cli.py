@@ -24,7 +24,7 @@ from .bayes import estimate_mmse_curve, tpca_overlap_distribution
 from .counting import count_approx_paths, count_overlap_pairs, expected_count, sample_null_graph
 from .errors import ParameterError
 from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_oracle, stability_ratio
-from .mc import default_threads, mean_stderr
+from .mc import mean_stderr
 from .models import MODEL_NAMES, model_name, params_from_json, params_to_json, sample_instance, signal_norm
 from .rng import INSTANCE_STREAM, POLY_STREAM, derive_seed, generator
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
@@ -174,7 +174,7 @@ def nmmse_svg(points: list[tuple[float, float]], title: str) -> str:
 # command implementations
 
 
-def _cmd_mmse_curve(config: ExperimentConfig, threads: int):
+def _cmd_mmse_curve(config: ExperimentConfig):
     params = config.model_params()
     reports = estimate_mmse_curve(
         params,
@@ -182,7 +182,6 @@ def _cmd_mmse_curve(config: ExperimentConfig, threads: int):
         config.trials,
         config.seed,
         full_rank_only=bool(config.options.get("full_rank_only", False)),
-        threads=threads,
     )
     blob = _params_blob(params)
     rows = []
@@ -197,7 +196,13 @@ def _cmd_mmse_curve(config: ExperimentConfig, threads: int):
     return rows, svg
 
 
-def _cmd_stability(config: ExperimentConfig, threads: int):
+def _estimator_rows(rep, blob: str, rho, *extra: tuple) -> list[Row]:
+    """Rows eta[name], mse[name], then metric[name] for each (metric, value, stderr) in extra."""
+    cells = [("eta", rep.eta_hat, rep.eta_stderr), ("mse", rep.mse_hat, rep.mse_stderr), *extra]
+    return [Row(rep.model, blob, rho, rep.trials, f"{metric}[{rep.estimator}]", v, se) for metric, v, se in cells]
+
+
+def _cmd_stability(config: ExperimentConfig):
     params = config.model_params()
     if not config.estimators:
         raise UsageError("stability needs at least one estimator name")
@@ -205,35 +210,25 @@ def _cmd_stability(config: ExperimentConfig, threads: int):
     rows = []
     for name in config.estimators:
         for rho in config.rho_grid:
-            rep = measure_stability(name, params, rho, config.trials, config.seed, threads=threads)
-            rows.append(Row(rep.model, blob, rho, rep.trials, f"eta[{name}]", rep.eta_hat, rep.eta_stderr))
-            rows.append(Row(rep.model, blob, rho, rep.trials, f"mse[{name}]", rep.mse_hat, rep.mse_stderr))
-            rows.append(
-                Row(rep.model, blob, rho, rep.trials, f"estimator_norm[{name}]", rep.estimator_norm_hat, rep.norm_stderr)
-            )
+            rep = measure_stability(name, params, rho, config.trials, config.seed)
+            rows += _estimator_rows(rep, blob, rho, ("estimator_norm", rep.estimator_norm_hat, rep.norm_stderr))
     return rows, None
 
 
-def _cmd_barrier(config: ExperimentConfig, threads: int):
+def _cmd_barrier(config: ExperimentConfig):
     params = config.model_params()
     if not config.estimators:
         raise UsageError("barrier needs at least one estimator name")
     blob = _params_blob(params)
     rows = []
     for rho in config.rho_grid:
-        (mmse,) = estimate_mmse_curve(params, [rho], config.trials, config.seed, threads=threads)
+        (mmse,) = estimate_mmse_curve(params, [rho], config.trials, config.seed)
         rows.append(Row(mmse.model, blob, rho, mmse.trials, "mmse_rho", mmse.mmse_hat, mmse.stderr))
         for name in config.estimators:
-            stab = measure_stability(name, params, rho, config.trials, config.seed, threads=threads)
+            stab = measure_stability(name, params, rho, config.trials, config.seed)
             check = verify_barrier(stab, mmse, signal_norm(params))
-            rows.append(Row(stab.model, blob, rho, stab.trials, f"eta[{name}]", stab.eta_hat, stab.eta_stderr))
-            rows.append(Row(stab.model, blob, rho, stab.trials, f"mse[{name}]", stab.mse_hat, stab.mse_stderr))
-            rows.append(
-                Row(stab.model, blob, rho, stab.trials, f"barrier_margin[{name}]", check.margin, check.combined_stderr)
-            )
-            rows.append(
-                Row(stab.model, blob, rho, stab.trials, f"barrier_holds[{name}]", float(check.holds), 0.0)
-            )
+            margin = ("barrier_margin", check.margin, check.combined_stderr)
+            rows += _estimator_rows(stab, blob, rho, margin, ("barrier_holds", float(check.holds), 0.0))
     return rows, None
 
 
@@ -255,7 +250,7 @@ _FAST_SOLVERS = {
 }
 
 
-def _cmd_solve(config: ExperimentConfig, threads: int):
+def _cmd_solve(config: ExperimentConfig):
     params = config.model_params()
     name = model_name(params)
     if name not in _FAST_SOLVERS:
@@ -271,7 +266,7 @@ def _cmd_solve(config: ExperimentConfig, threads: int):
     return rows, None
 
 
-def _cmd_count_paths(config: ExperimentConfig, threads: int):
+def _cmd_count_paths(config: ExperimentConfig):
     opts = config.options
     try:
         n, m, eps_m, q = int(opts["n"]), int(opts["m"]), int(opts["eps_m"]), float(opts["q"])
@@ -309,7 +304,7 @@ def _cmd_count_paths(config: ExperimentConfig, threads: int):
     return rows, None
 
 
-def _cmd_hermite_check(config: ExperimentConfig, threads: int):
+def _cmd_hermite_check(config: ExperimentConfig):
     opts = config.options
     n_specs = int(opts.get("n_specs", 10))
     samples = int(opts.get("samples", 10**6))
@@ -334,7 +329,7 @@ def _cmd_hermite_check(config: ExperimentConfig, threads: int):
     return rows, None
 
 
-def _cmd_lowdeg_stability(config: ExperimentConfig, threads: int):
+def _cmd_lowdeg_stability(config: ExperimentConfig):
     params = config.model_params()
     name = model_name(params)
     degree = int(config.options.get("degree", 2))
@@ -351,12 +346,12 @@ def _cmd_lowdeg_stability(config: ExperimentConfig, threads: int):
         rows.append(Row(name, blob, rho, config.trials, "stability_bound", family.bound(degree, rho), 0.0))
         for p in range(n_polys):
             poly = family.make(params, degree, rng)
-            r = stability_ratio(poly, params, rho, config.trials, derive_seed(config.seed, 4, p), threads=threads)
+            r = stability_ratio(poly, params, rho, config.trials, derive_seed(config.seed, 4, p))
             rows.append(Row(name, blob, rho, config.trials, f"stability_ratio[{p}]", r.ratio, r.stderr))
     return rows, None
 
 
-def _cmd_pca_window(config: ExperimentConfig, threads: int):
+def _cmd_pca_window(config: ExperimentConfig):
     params = config.model_params()
     if model_name(params) != "tpca":
         raise UsageError("pca-window needs a tpca model")
@@ -391,18 +386,13 @@ _COMMAND_IMPLS = {
 }
 
 
-def run(config: ExperimentConfig, threads: Optional[int] = None) -> int:
+def run(config: ExperimentConfig) -> int:
     """Execute a configuration; returns the process exit status."""
     try:
         config.validate()
-        if threads is None:
-            threads = default_threads()
-        rows, svg = _COMMAND_IMPLS[config.command](config, threads)
+        rows, svg = _COMMAND_IMPLS[config.command](config)
         written = _write_outputs(config, rows, svg)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    except ParameterError as err:
+    except (UsageError, ParameterError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - budget/runtime failures
@@ -433,53 +423,52 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--svg", action="store_true", default=None)
         p.add_argument("--deterministic", dest="deterministic", action="store_true", default=None)
         p.add_argument("--no-deterministic", dest="deterministic", action="store_false")
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int, help="accepted and ignored: trials run serially")
         p.add_argument("--options", help="command-specific options as a JSON object")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, Optional[int]]:
+# (argparse attribute, config field, converter or None to copy the value)
+_FLAG_FIELDS = (
+    ("model", "model", None),
+    ("params", "params", json.loads),
+    ("rho_grid", "rho_grid", lambda text: [float(v) for v in text.split(",") if v]),
+    ("trials", "trials", None),
+    ("seed", "seed", None),
+    ("estimators", "estimators", lambda text: [v for v in text.split(",") if v]),
+    ("out", "output", None),
+    ("svg", "svg", None),
+    ("deterministic", "deterministic", None),
+)
+
+
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     base: dict = {"command": args.command}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         loaded.pop("command", None)
         base.update(loaded)
-    if args.model is not None:
-        base["model"] = args.model
-    if args.params is not None:
-        base["params"] = json.loads(args.params)
-    if args.rho_grid is not None:
-        base["rho_grid"] = [float(v) for v in args.rho_grid.split(",") if v]
-    if args.trials is not None:
-        base["trials"] = args.trials
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.estimators is not None:
-        base["estimators"] = [v for v in args.estimators.split(",") if v]
-    if args.out is not None:
-        base["output"] = args.out
-    if args.svg is not None:
-        base["svg"] = args.svg
-    if args.deterministic is not None:
-        base["deterministic"] = args.deterministic
+    for attr, key, convert in _FLAG_FIELDS:
+        value = getattr(args, attr)
+        if value is not None:
+            base[key] = value if convert is None else convert(value)
     if args.options is not None:
-        base.setdefault("options", {})
-        base["options"] = {**base["options"], **json.loads(args.options)}
-    return ExperimentConfig.from_json(base), args.threads
+        base["options"] = {**base.get("options", {}), **json.loads(args.options)}
+    return ExperimentConfig.from_json(base)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config, threads = config_from_args(args)
+        config = config_from_args(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (json.JSONDecodeError, OSError, TypeError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    return run(config, threads)
+    return run(config)
 
 
 if __name__ == "__main__":

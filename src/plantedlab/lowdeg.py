@@ -24,11 +24,11 @@ from .models import (
     GssParams,
     PspParams,
     RlcParams,
+    edge_vector_from_adjacency,
     model_name,
     pair_index,
     path_edges,
     sample_instance,
-    vertex_pairs,
 )
 from .noise import coupled_trial
 from .rng import INSTANCE_STREAM, derive_seed, generator
@@ -327,7 +327,7 @@ class PspSymmetricPoly:
 
     def evaluate(self, adjacency: np.ndarray, params: PspParams) -> float:
         n, q = params.n, params.q
-        present = np.array([adjacency[i, j] for (i, j) in vertex_pairs(n)], dtype=float)
+        present = edge_vector_from_adjacency(adjacency).astype(float)
         centered = (present - q) / math.sqrt(q * (1.0 - q))
         total = 0.0
         for shape, c in self.terms:
@@ -372,8 +372,6 @@ def stability_ratio(
     rho: float,
     trials: int,
     seed: int,
-    *,
-    threads: int = 1,
 ) -> StabilityRatio:
     """MC estimate of E[(f(obs) - f(T_rho obs))^2] / E[f(obs)^2], planted measure.
 
@@ -387,7 +385,7 @@ def stability_ratio(
         v1 = poly.evaluate(noisy, params)
         return ((v0 - v1) ** 2, v0**2)
 
-    results = run_trials(trials, trial, threads)
+    results = run_trials(trials, trial)
     num = np.array([r[0] for r in results])
     den = np.array([r[1] for r in results])
     den_mean, den_se = mean_stderr(den)

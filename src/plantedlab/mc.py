@@ -1,36 +1,22 @@
-"""Small Monte-Carlo helpers: ordered trial execution and summary statistics."""
+"""Small Monte-Carlo helpers: the serial trial loop and summary statistics."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import IllConditionedError
 
-THREADS_ENV_VAR = "PLANTEDLAB_THREADS"
 
+# The third parameter is ignored: perfbench/tracing.py calls run_trials with three positional arguments.
+def run_trials(n: int, fn: Callable[[int], object], _ignored=None) -> list:
+    """Evaluate fn(0..n-1) serially; results are returned in index order.
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
-
-
-def run_trials(n: int, fn: Callable[[int], object], threads: int = 1) -> list:
-    """Evaluate fn(0..n-1); results are returned in index order.
-
-    Per-trial work must derive its own randomness from the trial index, so the
-    output is identical for any thread count.
+    Per-trial work derives its own randomness from the trial index.
     """
-    if threads <= 1:
-        return [fn(t) for t in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
+    return [fn(t) for t in range(n)]
 
 
 def mean_stderr(values: Sequence[float]) -> tuple[float, float]:

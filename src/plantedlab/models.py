@@ -65,20 +65,28 @@ def path_indicator(path: Sequence[int], n: int) -> np.ndarray:
     return vec
 
 
+@lru_cache(maxsize=None)
+def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) index arrays of vertex_pairs(n), read-only."""
+    pairs = np.array(vertex_pairs(n), dtype=np.intp).reshape(-1, 2).T.copy()
+    pairs.flags.writeable = False
+    return pairs[0], pairs[1]
+
+
 def adjacency_from_edge_vector(edge_vec: np.ndarray, n: int) -> np.ndarray:
     """Symmetric (n+1)x(n+1) boolean adjacency; row/column 0 unused."""
+    rows, cols = _pair_arrays(n)
+    present = np.asarray(edge_vec, dtype=bool)
     adj = np.zeros((n + 1, n + 1), dtype=bool)
-    for (i, j), present in zip(vertex_pairs(n), edge_vec):
-        if present:
-            adj[i, j] = adj[j, i] = True
+    adj[rows, cols] = present
+    adj[cols, rows] = present
     return adj
 
 
 def edge_vector_from_adjacency(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0] - 1
-    iu = np.triu_indices(n + 1, k=1)
-    keep = iu[0] >= 1
-    return adj[iu[0][keep], iu[1][keep]].copy()
+    """adj at vertex_pairs(n), n = adj.shape[0] - 1, in pair order and with adj's dtype."""
+    rows, cols = _pair_arrays(adj.shape[0] - 1)
+    return adj[rows, cols]
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +333,27 @@ def params_to_json(params) -> dict:
 
 
 def params_from_json(obj: dict):
-    """Inverse of params_to_json; every field is required and no other key is allowed."""
+    """Inverse of params_to_json; every field is required and no other key is allowed.
+
+    An int field takes an int and a float field any int or float; bools are
+    rejected.  Values are passed on unconverted.
+    """
     name = obj.get("model")
     if name not in _PARAM_TYPES:
         raise ParameterError(f"unknown model name {name!r}")
-    keys = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(_PARAM_TYPES[name])}
+    fs = {_JSON_KEYS.get(f.name, f.name): f for f in fields(_PARAM_TYPES[name])}
     given = set(obj) - {"model"}
-    if given != set(keys):
+    if given != set(fs):
         raise ParameterError(
-            f"{name} params need fields {sorted(keys)}; "
-            f"missing {sorted(set(keys) - given)}, unknown {sorted(given - set(keys))}"
+            f"{name} params need fields {sorted(fs)}; "
+            f"missing {sorted(set(fs) - given)}, unknown {sorted(given - set(fs))}"
         )
-    return _PARAM_TYPES[name](**{keys[k]: obj[k] for k in keys})
+    for key, f in fs.items():
+        value, want_int = obj[key], f.type == "int"  # postponed annotations: f.type is a string
+        if isinstance(value, bool) or not isinstance(value, int if want_int else (int, float)):
+            kind = "an int" if want_int else "a number"
+            raise ParameterError(f"{name} field {key!r} must be {kind}, got {value!r}")
+    return _PARAM_TYPES[name](**{f.name: obj[key] for key, f in fs.items()})
 
 
 def _psp_to_json(inst: PspInstance) -> dict:

@@ -1,10 +1,10 @@
-"""Seed derivation for reproducible, scheduling-independent Monte Carlo.
+"""Seed derivation for reproducible Monte Carlo.
 
 All randomness flows through counter-based Philox generators keyed by a
 master seed plus an integer label path, so that trial t of stream s draws
-identical values whether trials run serially or in parallel.  Sampler seeds
-and noise seeds live on separate streams: a stability trial can replay the
-same noise realization against several estimators.
+the same values whichever other trials run, and in whatever order.  Sampler
+seeds and noise seeds live on separate streams: a stability trial can replay
+the same noise realization against several estimators.
 """
 
 from __future__ import annotations

@@ -169,8 +169,6 @@ def measure_stability(
     rho: float,
     trials: int,
     seed: int,
-    *,
-    threads: int = 1,
 ) -> StabilityReport:
     """Measure (rho, eta)-stability and clean-arm MSE of an estimator.
 
@@ -186,13 +184,15 @@ def measure_stability(
             inst, noisy = coupled_trial(params, rho, seed, t)
             a = np.asarray(fn(inst.observation), dtype=float)
             b = np.asarray(fn(noisy), dtype=float)
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise ValueError("non-finite estimator output")
         except Exception as exc:  # noqa: BLE001 - abort with the trial index
             raise EstimatorTrialError(t, exc) from exc
         d = a - b
         e = a - inst.signal_vector()
         return (float(d @ d), float(e @ e), float(a @ a))
 
-    rows = run_trials(trials, trial, threads)
+    rows = run_trials(trials, trial)
     diffs = np.array([r[0] for r in rows])
     errs = np.array([r[1] for r in rows])
     norms = np.array([r[2] for r in rows])

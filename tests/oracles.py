@@ -2,7 +2,8 @@
 
 The Monte-Carlo posterior oracles are written straight from the generative
 descriptions in plain numpy, on purpose sharing no code with the library's
-samplers/noise/posteriors.  The exhaustive oracles at the end (all simple
+samplers/noise/posteriors.  The PSP pair loops check the library's indexed
+edge-vector conversions.  The exhaustive oracles at the end (all simple
 paths, the full GF(2) solution set, exact lattice coordinates) check the
 fast solvers.
 """
@@ -145,6 +146,22 @@ def gss_counting_weights_mpmath(X: np.ndarray, y_hat: float, k: int, rho: float)
         for i in combo:
             marg[i] += w
     return np.array([float(v / total) for v in marg])
+
+
+def psp_edge_vector_loop(adjacency: np.ndarray, n: int) -> np.ndarray:
+    """adjacency[i, j] over the pairs i < j of [n], 1-indexed, lexicographic."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return np.array([adjacency[i, j] for (i, j) in pairs], dtype=adjacency.dtype)
+
+
+def psp_adjacency_loop(edge_vec: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric (n+1)x(n+1) boolean adjacency of an edge vector in pair order."""
+    adj = np.zeros((n + 1, n + 1), dtype=bool)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for (i, j), present in zip(pairs, edge_vec):
+        if present:
+            adj[i, j] = adj[j, i] = True
+    return adj
 
 
 def all_simple_paths(adjacency: np.ndarray, source: int = 1, target: int = 2):

@@ -289,14 +289,6 @@ def test_mmse_curve_gss_full_noise_exact():
     assert report.mmse_hat == expected and report.stderr == 0.0
 
 
-def test_mmse_curve_threads_do_not_change_results():
-    params = GssParams(N=12, k=2)
-    serial = estimate_mmse_curve(params, [0.3, 0.7], trials=30, seed=9, threads=1)
-    parallel = estimate_mmse_curve(params, [0.3, 0.7], trials=30, seed=9, threads=4)
-    for a, b in zip(serial, parallel):
-        assert a.mmse_hat == b.mmse_hat and a.stderr == b.stderr
-
-
 def test_nishimori_identity():
     # E||E[x|y]||^2 == E<x, E[x|y]> under the correct model
     params = RlcParams(m=8, n=6)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,7 +104,7 @@ def test_sidecar_round_trips_config(tmp_path):
         seed=9,
         output=str(out),
     )
-    assert run(config, threads=1) == 0
+    assert run(config) == 0
     blob = json.loads(read(out.with_suffix(".json")))
     assert ExperimentConfig.from_json(blob["config"]) == config
 
@@ -258,10 +261,22 @@ def test_hermite_check_command(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "params, message", [('{"m":8}', "missing ['n']"), ('{"m":8,"n":5,"zz":1}', "unknown ['zz']")]
+    "params, message",
+    [
+        ('{"m":8}', "missing ['n']"),
+        ('{"m":8,"n":5,"zz":1}', "unknown ['zz']"),
+        ('{"m":"8","n":5}', "field 'm' must be an int"),
+        ('{"m":8.5,"n":5}', "field 'm' must be an int"),
+        ('{"m":true,"n":1}', "field 'm' must be an int"),
+        ('psp {"n":"10","L":3,"q":0.3}', "field 'n' must be an int"),
+        ('psp {"n":10,"L":3,"q":"0.3"}', "field 'q' must be a number"),
+    ],
 )
 def test_malformed_params_exit_2(tmp_path, capsys, params, message):
-    code = main(["solve", "--model", "rlc", "--params", params, "--trials", "3", "--out", str(tmp_path / "x")])
+    model, _, params = params.rpartition(" ")  # an optional model name precedes the JSON
+    code = main(
+        ["solve", "--model", model or "rlc", "--params", params, "--trials", "3", "--out", str(tmp_path / "x")]
+    )
     assert code == 2
     assert message in capsys.readouterr().err
 
@@ -275,3 +290,30 @@ def test_all_commands_are_wired():
     from plantedlab.cli import _COMMAND_IMPLS
 
     assert set(_COMMAND_IMPLS) == set(COMMANDS)
+
+
+def test_traced_barrier_run_with_threads_flag(tmp_path):
+    # perfbench's tracer wraps mc.run_trials and calls it with three positional
+    # arguments; a traced benchmark run passes --threads to every command
+    root = Path(__file__).resolve().parents[1]
+    argv = [
+        "barrier", "--model", "rlc", "--params", '{"m":8,"n":5}', "--rho-grid", "0.3", "--trials", "30",
+        "--seed", "3", "--estimators", "posterior_mean,f2_round", "--threads", "2", "--out", str(tmp_path / "b"),
+    ]
+    script = "\n".join(
+        [
+            "import json, sys",
+            f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]",
+            "import plantedlab.cli",
+            "from tracing import Tracer",
+            "tracer = Tracer()",
+            "tracer.install()",
+            f"code = plantedlab.cli.main({argv!r})",
+            "print(json.dumps([code, sorted({span[1] for span in tracer.spans})]))",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, names = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert {"mc.run_trials", "stability.trial"} <= set(names)

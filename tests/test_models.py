@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import psp_adjacency_loop, psp_edge_vector_loop
 from plantedlab import models
 from plantedlab.errors import ParameterError, ResourceBudgetError
 from plantedlab.models import (
@@ -41,6 +42,22 @@ def test_psp_complete_graph_at_q_one():
         assert inst.adjacency[i, j]
     assert inst.path[0] == 1 and inst.path[-1] == 2
     assert inst.path[1] in (3, 4, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=14), st.integers(min_value=0, max_value=2**32 - 1))
+def test_psp_pair_conversions_match_loop_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    vec = rng.random(n * (n - 1) // 2) < rng.random()
+    adj = models.adjacency_from_edge_vector(vec, n)
+    assert np.array_equal(adj, psp_adjacency_loop(vec, n))
+    back = models.edge_vector_from_adjacency(adj)
+    assert np.array_equal(back, vec) and back.dtype == bool
+    # any matrix, bool or float, is read at the upper-triangle pairs only
+    for other in (rng.random((n + 1, n + 1)) < 0.5, rng.standard_normal((n + 1, n + 1))):
+        got = models.edge_vector_from_adjacency(other)
+        want = psp_edge_vector_loop(other, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_psp_path_edges_always_present():

@@ -72,6 +72,24 @@ def test_estimator_failure_carries_trial_index():
     assert err.value.trial == 0
 
 
+@pytest.mark.parametrize("bad_call, bad", [(2, math.inf), (3, math.nan)])
+def test_non_finite_estimator_output_carries_trial_index(bad_call, bad):
+    # calls alternate clean arm, noisy arm: calls 2 and 3 are trial 1's two arms
+    calls = []
+
+    def flaky(obs):
+        calls.append(None)
+        out = np.ones(5)
+        if len(calls) - 1 == bad_call:
+            out[0] = bad
+        return out
+
+    with pytest.raises(EstimatorTrialError) as err:
+        measure_stability(flaky, RlcParams(m=8, n=5), rho=0.5, trials=4, seed=1)
+    assert err.value.trial == 1
+    assert "non-finite" in str(err.value)
+
+
 def test_all_zero_estimator_is_ill_conditioned():
     # eta divides by the mean output norm, which is 0 here: an error, not NaN
     def zero(obs):
