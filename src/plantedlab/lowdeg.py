@@ -30,7 +30,7 @@ from .models import (
     path_edges,
     sample_instance,
 )
-from .noise import coupled_trial
+from .noise import check_rho, coupled_trial
 from .rng import INSTANCE_STREAM, derive_seed, generator
 
 DIAGRAM_DEGREE_CAP = 10
@@ -172,6 +172,22 @@ def enumerate_character_indices(params: RlcParams, max_degree: int) -> list[Char
     return out
 
 
+@lru_cache(maxsize=4)
+def _character_sign_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """+-1 int8 signs over all (A, x), read-only; A[i, j] is bit i*n+j of a, x_j bit j of x.
+
+    a_signs[a, i, j] = 2 A[i, j] - 1 and y_signs[a, x, i] = 2 y_i - 1 for y = Ax mod 2.
+    """
+    a_bits = (np.arange(2 ** (m * n))[:, None] >> np.arange(m * n) & 1).astype(np.int8)
+    a_bits = a_bits.reshape(-1, m, n)
+    x_bits = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(np.int8)
+    y = np.einsum("aij,xj->axi", a_bits, x_bits) & 1
+    a_signs, y_signs = 2 * a_bits - 1, 2 * y - 1
+    a_signs.flags.writeable = False
+    y_signs.flags.writeable = False
+    return a_signs, y_signs
+
+
 def rlc_character_expectation(
     idx1: CharacterIndex,
     idx2: CharacterIndex,
@@ -180,12 +196,15 @@ def rlc_character_expectation(
     *,
     budget: int = CHARACTER_ENUM_BUDGET,
 ) -> float:
-    """Exact E[chi_{S1,T1}(A, y) * chi_{S2,T2}(A, T_rho(y))] by enumeration.
+    """Exact E[chi_{S1,T1}(A, y) * chi_{S2,T2}(A, T_rho(y))], in closed form over the noise.
 
-    Sums over all (A, x, resample mask) configurations; fresh bits on resampled
-    coordinates integrate to zero in the +-1 convention, so a mask that hits
-    T2 kills the term.  Exact up to float rounding in the rho powers.
+    A resampled coordinate of T2 gets a fresh bit that integrates to zero in
+    the +-1 convention, so only masks avoiding T2 count, with total weight
+    (1-rho)^|T2|.  The remaining product is chi_{S1 ^ S2}(A) chi_{T1 ^ T2}(y),
+    summed as an integer over all (A, x): the result rounds once.  budget caps
+    2^(mn+n+m), the (A, x, resample mask) configurations the expectation ranges over.
     """
+    check_rho(rho)
     m, n = params.m, params.n
     if 2 ** (m * n + n + m) > budget:
         raise ResourceBudgetError(f"2^{m * n + n + m} configurations exceed budget {budget}")
@@ -194,34 +213,14 @@ def rlc_character_expectation(
             "character orthogonality needs 2 * degree <= n; expect nonzero cross terms",
             stacklevel=2,
         )
-    total = 0.0
-    for a_bits in range(2 ** (m * n)):
-        A = np.array([[(a_bits >> (i * n + j)) & 1 for j in range(n)] for i in range(m)], dtype=np.uint8)
-        base_A = 1.0
-        for i, j in idx1.S:
-            base_A *= 2.0 * A[i, j] - 1.0
-        for i, j in idx2.S:
-            base_A *= 2.0 * A[i, j] - 1.0
-        for x_bits in range(2**n):
-            x = np.array([(x_bits >> j) & 1 for j in range(n)], dtype=np.uint8)
-            y = (A @ x) % 2
-            val_y1 = 1.0
-            for i in idx1.T:
-                val_y1 *= 2.0 * y[i] - 1.0
-            for mask_bits in range(2**m):
-                p_mask = 1.0
-                for i in range(m):
-                    p_mask *= rho if (mask_bits >> i) & 1 else (1.0 - rho)
-                if p_mask == 0.0:
-                    continue
-                val = base_A * val_y1
-                for i in idx2.T:
-                    if (mask_bits >> i) & 1:
-                        val = 0.0
-                        break
-                    val *= 2.0 * y[i] - 1.0
-                total += p_mask * val
-    return total / 2 ** (m * n + n)
+    weight = (1.0 - rho) ** len(idx2.T)
+    if weight == 0.0:
+        return 0.0  # every mask hits T2 (and no -0.0 from a negative sum)
+    a_signs, y_signs = _character_sign_tables(m, n)
+    rows, cols = np.array(sorted(idx1.S ^ idx2.S), dtype=np.intp).reshape(-1, 2).T
+    chi_a = a_signs[:, rows, cols].prod(axis=1)
+    chi_y = y_signs[:, :, sorted(idx1.T ^ idx2.T)].prod(axis=2).sum(axis=1)
+    return weight * int(chi_a @ chi_y) / 2 ** (m * n + n)
 
 
 # ---------------------------------------------------------------------------

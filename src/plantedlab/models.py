@@ -147,8 +147,8 @@ class TpcaParams:
             raise ParameterError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.d < 2:
             raise ParameterError(f"need tensor order d >= 2, got {self.d}")
-        if self.lam < 0:
-            raise ParameterError(f"need lambda >= 0, got {self.lam}")
+        if not (0 <= self.lam < math.inf):
+            raise ParameterError(f"need finite lambda >= 0, got {self.lam}")
 
 
 # ---------------------------------------------------------------------------

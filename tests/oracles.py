@@ -3,7 +3,8 @@
 The Monte-Carlo posterior oracles are written straight from the generative
 descriptions in plain numpy, on purpose sharing no code with the library's
 samplers/noise/posteriors.  The PSP pair loops check the library's indexed
-edge-vector conversions.  The exhaustive oracles at the end (all simple
+edge-vector conversions, and the (A, x, mask) loop checks the closed-form
+RLC character correlation.  The exhaustive oracles at the end (all simple
 paths, the full GF(2) solution set, exact lattice coordinates) check the
 fast solvers.
 """
@@ -162,6 +163,43 @@ def psp_adjacency_loop(edge_vec: np.ndarray, n: int) -> np.ndarray:
         if present:
             adj[i, j] = adj[j, i] = True
     return adj
+
+
+def rlc_character_expectation_loop(idx1, idx2, params, rho: float) -> float:
+    """E[chi_{S1,T1}(A, y) * chi_{S2,T2}(A, T_rho(y))] by a loop over every (A, x, resample mask).
+
+    Fresh bits on resampled coordinates integrate to zero in the +-1
+    convention, so a mask that hits T2 kills the term.
+    """
+    m, n = params.m, params.n
+    total = 0.0
+    for a_bits in range(2 ** (m * n)):
+        A = np.array([[(a_bits >> (i * n + j)) & 1 for j in range(n)] for i in range(m)], dtype=np.uint8)
+        base_A = 1.0
+        for i, j in idx1.S:
+            base_A *= 2.0 * A[i, j] - 1.0
+        for i, j in idx2.S:
+            base_A *= 2.0 * A[i, j] - 1.0
+        for x_bits in range(2**n):
+            x = np.array([(x_bits >> j) & 1 for j in range(n)], dtype=np.uint8)
+            y = (A @ x) % 2
+            val_y1 = 1.0
+            for i in idx1.T:
+                val_y1 *= 2.0 * y[i] - 1.0
+            for mask_bits in range(2**m):
+                p_mask = 1.0
+                for i in range(m):
+                    p_mask *= rho if (mask_bits >> i) & 1 else (1.0 - rho)
+                if p_mask == 0.0:
+                    continue
+                val = base_A * val_y1
+                for i in idx2.T:
+                    if (mask_bits >> i) & 1:
+                        val = 0.0
+                        break
+                    val *= 2.0 * y[i] - 1.0
+                total += p_mask * val
+    return total / 2 ** (m * n + n)
 
 
 def all_simple_paths(adjacency: np.ndarray, source: int = 1, target: int = 2):

@@ -270,6 +270,8 @@ def test_hermite_check_command(tmp_path):
         ('{"m":true,"n":1}', "field 'm' must be an int"),
         ('psp {"n":"10","L":3,"q":0.3}', "field 'n' must be an int"),
         ('psp {"n":10,"L":3,"q":"0.3"}', "field 'q' must be a number"),
+        ('tpca {"n":5,"k":2,"d":2,"lambda":NaN}', "need finite lambda >= 0, got nan"),
+        ('tpca {"n":5,"k":2,"d":2,"lambda":Infinity}', "need finite lambda >= 0, got inf"),
     ],
 )
 def test_malformed_params_exit_2(tmp_path, capsys, params, message):

@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import rlc_character_expectation_loop
 from plantedlab.errors import IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import (
     CharacterIndex,
@@ -241,6 +244,65 @@ def test_character_full_row_exception_exact_value():
             swapped = rlc_character_expectation(ycoord, row, params, rho)
         assert math.isclose(val, -(1 - rho) / 4, abs_tol=1e-12)
         assert math.isclose(swapped, -1 / 4, abs_tol=1e-12)
+
+
+@st.composite
+def _character_case(draw):
+    """(params, idx1, idx2) with 1 <= n <= m <= 3 and both indices of degree <= 2."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 3))
+    cells = [(i, j) for i in range(m) for j in range(n)]
+
+    def index():
+        S = draw(st.lists(st.sampled_from(cells), max_size=2, unique=True))
+        T = draw(st.lists(st.integers(0, m - 1), max_size=2 - len(S), unique=True))
+        return CharacterIndex.make(S, T)
+
+    return RlcParams(m=m, n=n), index(), index()
+
+
+def _closed_form_and_loop(case, rho):
+    params, i1, i2 = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return rlc_character_expectation(i1, i2, params, rho), rlc_character_expectation_loop(i1, i2, params, rho)
+
+
+@given(_character_case(), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_character_closed_form_equals_loop_at_dyadic_rho(case, rho):
+    # every term of the loop is exact at dyadic rho, so the one-rounding
+    # closed form must agree to the bit
+    val, ref = _closed_form_and_loop(case, rho)
+    assert val.hex() == float(ref).hex(), (case, rho, val, ref)
+
+
+@given(_character_case(), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_character_closed_form_matches_loop_at_any_rho(case, rho):
+    val, ref = _closed_form_and_loop(case, rho)
+    assert math.isclose(val, ref, rel_tol=0.0, abs_tol=1e-12), (case, rho, val, ref)
+
+
+def test_character_benchmark_rows_bit_identical_to_loop():
+    # the four criterion-04 table rows the exact benchmark workload evaluates:
+    # (row index into the degree <= 2 indices at m=3, n=2, rho)
+    params = RlcParams(m=3, n=2)
+    indices = enumerate_character_indices(params, max_degree=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for row, rho in ((1, 0.25), (12, 0.0), (23, 0.5), (34, 1.0)):
+            for idx2 in indices:
+                val = rlc_character_expectation(indices[row], idx2, params, rho)
+                ref = rlc_character_expectation_loop(indices[row], idx2, params, rho)
+                assert val.hex() == float(ref).hex(), (row, rho, idx2, val, ref)
+
+
+@pytest.mark.parametrize("rho", [1.5, math.nan])
+def test_character_rejects_rho_outside_unit_interval(rho):
+    idx = CharacterIndex.make(coords=[0])
+    with pytest.raises(ParameterError, match="rho"):
+        rlc_character_expectation(idx, idx, RlcParams(m=3, n=2), rho)
 
 
 def test_character_budget():

@@ -226,6 +226,12 @@ def test_invalid_params_raise():
         TpcaParams(n=4, k=2, d=1, lam=1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+def test_tpca_lambda_must_be_finite_and_nonnegative(lam):
+    with pytest.raises(ParameterError, match="finite lambda"):
+        TpcaParams(n=4, k=2, d=3, lam=lam)
+
+
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 @settings(max_examples=25, deadline=None)
 def test_json_round_trip_all_models(seed):
