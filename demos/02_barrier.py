@@ -8,7 +8,7 @@ buys it immunity from the bound.
 """
 
 from plantedlab.bayes import estimate_mmse_curve
-from plantedlab.models import RlcParams, signal_norm
+from plantedlab.models import RlcParams
 from plantedlab.stability import measure_stability, verify_barrier
 
 params = RlcParams(m=14, n=10)
@@ -22,7 +22,7 @@ print()
 print(f"{'estimator':>24}  {'eta':>7}  {'mse':>7}  {'rhs':>8}  {'margin':>8}  holds")
 for name in ("posterior_mean", "f2_round", "constant_prior_mean"):
     stab = measure_stability(name, params, rho, trials, seed=8)
-    check = verify_barrier(stab, mmse, signal_norm(params))
+    check = verify_barrier(stab, mmse)
     print(
         f"{name:>24}  {stab.eta_hat:7.4f}  {stab.mse_hat:7.3f}  {check.rhs:8.3f}"
         f"  {check.margin:8.3f}  {check.holds}"

@@ -1,86 +1,8 @@
 """plantedlab: planted estimation models, noise operators, Bayes estimators,
-polynomial-time solvers, and stability measurements at desk scale."""
+polynomial-time solvers, and stability measurements at desk scale.
 
-from .bayes import (
-    MmseReport,
-    PosteriorMean,
-    estimate_mmse_curve,
-    posterior_mean_for,
-    posterior_mean_gss,
-    posterior_mean_psp,
-    posterior_mean_rlc,
-    posterior_mean_tpca,
-    tpca_class_sizes,
-    tpca_overlap_distribution,
-)
-from .counting import (
-    OverlapPairCount,
-    count_approx_paths,
-    count_overlap_pairs,
-    expected_count,
-    sample_null_graph,
-)
-from .errors import (
-    DegenerateInputError,
-    EstimatorTrialError,
-    IllConditionedError,
-    InconsistentInputError,
-    ParameterError,
-    ResourceBudgetError,
-)
-from .lowdeg import (
-    CharacterIndex,
-    DiagramSpec,
-    GssPoly,
-    PspSymmetricPoly,
-    RlcPoly,
-    diagram_expectation,
-    diagram_mc_oracle,
-    gss_stability_bound,
-    hermite_eval,
-    psp_stability_bound,
-    rlc_character_expectation,
-    rlc_stability_bound,
-    stability_ratio,
-    symmetrize_check,
-)
-from .models import (
-    GssInstance,
-    GssParams,
-    PspInstance,
-    PspParams,
-    RlcInstance,
-    RlcParams,
-    TpcaInstance,
-    TpcaParams,
-    instance_from_json,
-    instance_to_json,
-    params_from_json,
-    params_to_json,
-    sample_gss,
-    sample_instance,
-    sample_psp,
-    sample_rlc,
-    sample_tpca,
-    signal_norm,
-)
-from .noise import noise_gss, noise_psp, noise_rlc, noise_tpca, ou_compose
-from .solvers import (
-    F2Solution,
-    LllConfig,
-    f2_rank,
-    f2_solve,
-    lll_reduce,
-    lll_subset_sum,
-    shortest_path,
-)
-from .stability import (
-    ESTIMATORS,
-    BarrierCheck,
-    StabilityReport,
-    barrier_penalty,
-    measure_stability,
-    verify_barrier,
-)
+Import from the submodules (``plantedlab.models``, ``plantedlab.bayes``, ...);
+the package root exports only ``__version__``.
+"""
 
 __version__ = "0.1.0"

@@ -33,7 +33,6 @@ from .noise import check_rho, coupled_trial
 from .rng import INSTANCE_STREAM, derive_seed
 from .solvers import f2_rank
 
-PSP_PATH_BUDGET = 10**6
 RLC_ENUM_BUDGET = 2**24
 SUBSET_BUDGET = 10**6
 
@@ -66,13 +65,7 @@ def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int)
 # PSP
 
 
-def posterior_mean_psp(
-    noisy_adjacency: np.ndarray,
-    params: PspParams,
-    rho: float,
-    *,
-    budget: int = PSP_PATH_BUDGET,
-) -> PosteriorMean:
+def posterior_mean_psp(noisy_adjacency: np.ndarray, params: PspParams, rho: float) -> PosteriorMean:
     """Posterior mean of the path's edge indicators given the noisy graph.
 
     A candidate path H gets weight ((1 - rho(1-q))/q)^{|E(H) & G|} * rho^{L - |E(H) & G|}:
@@ -83,7 +76,7 @@ def posterior_mean_psp(
     n, L, q = params.n, params.L, params.q
     check_rho(rho)
     edge_present = edge_vector_from_adjacency(noisy_adjacency).astype(float)
-    path_idx = path_edge_indices(n, L, budget)
+    path_idx = path_edge_indices(n, L)
     m_in = edge_present[path_idx].sum(axis=1)  # edges of H present in the graph
     p1 = 1.0 - rho * (1.0 - q)
 
@@ -111,16 +104,14 @@ def posterior_mean_psp(
 # RLC
 
 
-def _rlc_hamming_profile(
-    A: np.ndarray, y_hat: np.ndarray, *, budget: int = RLC_ENUM_BUDGET
-) -> tuple[np.ndarray, np.ndarray]:
+def _rlc_hamming_profile(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """count[h] and per-coordinate ones-count[h, i] over all messages x.
 
     count[h] = #{x : w(Ax - y_hat) = h}; ones[h, i] = #{x : w(Ax - y_hat) = h, x_i = 1}.
     """
     m, n = A.shape
-    if 2**n > budget:
-        raise ResourceBudgetError(f"2^{n} messages exceed budget {budget}")
+    if 2**n > RLC_ENUM_BUDGET:
+        raise ResourceBudgetError(f"2^{n} messages exceed budget {RLC_ENUM_BUDGET}")
     count = np.zeros(m + 1, dtype=float)
     ones = np.zeros((m + 1, n), dtype=float)
     chunk = 1 << 16
@@ -135,9 +126,7 @@ def _rlc_hamming_profile(
     return count, ones
 
 
-def posterior_mean_rlc(
-    A: np.ndarray, y_hat: np.ndarray, rho: float, *, budget: int = RLC_ENUM_BUDGET
-) -> PosteriorMean:
+def posterior_mean_rlc(A: np.ndarray, y_hat: np.ndarray, rho: float) -> PosteriorMean:
     """Posterior mean of the message bits; weight (rho/(2-rho))^{w(Ax - y_hat)}.
 
     The estimate coordinate i is the marginal P(x_i = 1 | A, y_hat); the
@@ -147,7 +136,7 @@ def posterior_mean_rlc(
     if y_hat.shape != (m,):
         raise ParameterError(f"y_hat has shape {y_hat.shape}, expected ({m},)")
     check_rho(rho)
-    count, ones = _rlc_hamming_profile(A, y_hat, budget=budget)
+    count, ones = _rlc_hamming_profile(A, y_hat)
     if rho == 0.0:
         if count[0] == 0:
             raise InconsistentInputError("no message reproduces y_hat exactly at rho=0")
@@ -166,10 +155,10 @@ def posterior_mean_rlc(
 # GSS
 
 
-def _subsets(N: int, k: int, budget: int) -> np.ndarray:
+def _subsets(N: int, k: int) -> np.ndarray:
     total = math.comb(N, k)
-    if total > budget:
-        raise ResourceBudgetError(f"C({N},{k}) = {total} subsets exceed budget {budget}")
+    if total > SUBSET_BUDGET:
+        raise ResourceBudgetError(f"C({N},{k}) = {total} subsets exceed budget {SUBSET_BUDGET}")
     combos = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(N), k)),
         dtype=np.int64,
@@ -178,9 +167,7 @@ def _subsets(N: int, k: int, budget: int) -> np.ndarray:
     return combos.reshape(total, k)
 
 
-def posterior_mean_gss(
-    X: np.ndarray, y_hat: float, params: GssParams, rho: float, *, budget: int = SUBSET_BUDGET
-) -> PosteriorMean:
+def posterior_mean_gss(X: np.ndarray, y_hat: float, params: GssParams, rho: float) -> PosteriorMean:
     """Posterior mean of subset membership given the noisy sum.
 
     For rho > 0, subset S has Gaussian log-weight
@@ -190,7 +177,7 @@ def posterior_mean_gss(
     """
     N, k = params.N, params.k
     check_rho(rho)
-    combos = _subsets(N, k, budget)
+    combos = _subsets(N, k)
     if rho == 0.0:
         matches = [
             row for row in combos if subset_sum_value(X, row) == y_hat
@@ -211,8 +198,8 @@ def posterior_mean_gss(
 # Sparse tensor PCA
 
 
-def _tpca_log_weights(Y: np.ndarray, params: TpcaParams, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    combos = _subsets(params.n, params.k, budget)
+def _tpca_log_weights(Y: np.ndarray, params: TpcaParams) -> tuple[np.ndarray, np.ndarray]:
+    combos = _subsets(params.n, params.k)
     scale = math.sqrt(params.lam) * params.k ** (-params.d / 2.0)
     lw = np.empty(combos.shape[0])
     for r, row in enumerate(combos):
@@ -221,9 +208,7 @@ def _tpca_log_weights(Y: np.ndarray, params: TpcaParams, budget: int) -> tuple[n
     return combos, lw
 
 
-def posterior_mean_tpca(
-    Y: np.ndarray, params: TpcaParams, *, budget: int = SUBSET_BUDGET
-) -> PosteriorMean:
+def posterior_mean_tpca(Y: np.ndarray, params: TpcaParams) -> PosteriorMean:
     """Posterior mean of the sparse spike; support weight exp(sqrt(lam) <Y, x'^d>).
 
     The quadratic term of the Gaussian log-likelihood is constant across
@@ -231,24 +216,18 @@ def posterior_mean_tpca(
     observation that went through the OU operator at rho is the same model at
     lam * (1 - rho^2); pass params with that lam.
     """
-    combos, lw = _tpca_log_weights(Y, params, budget)
+    combos, lw = _tpca_log_weights(Y, params)
     pm = _weighted_marginals(lw, combos, params.n)
     return PosteriorMean(estimate=pm.estimate / math.sqrt(params.k), log_partition=pm.log_partition)
 
 
-def tpca_overlap_distribution(
-    Y: np.ndarray,
-    planted_support: Sequence[int],
-    params: TpcaParams,
-    *,
-    budget: int = SUBSET_BUDGET,
-) -> np.ndarray:
+def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], params: TpcaParams) -> np.ndarray:
     """Posterior mass binned by support overlap with the planted support.
 
     Returns (p_0, ..., p_k) with p_i the posterior probability that the drawn
     support shares exactly i indices with the planted one; sums to 1.
     """
-    combos, lw = _tpca_log_weights(Y, params, budget)
+    combos, lw = _tpca_log_weights(Y, params)
     member = np.zeros(params.n, dtype=bool)
     member[list(planted_support)] = True
     overlap = member[combos].sum(axis=1)
@@ -257,30 +236,23 @@ def tpca_overlap_distribution(
     return mass / w.sum()
 
 
-def tpca_class_sizes(n: int, k: int) -> np.ndarray:
-    """Number of k-supports at each overlap with a fixed support."""
-    return np.array([math.comb(k, i) * math.comb(n - k, k - i) for i in range(k + 1)], dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # dispatch + MMSE curves
 
 
-# model -> (params, observation, rho, **kw) -> PosteriorMean.  A TPCA
+# model -> (params, observation, rho) -> PosteriorMean.  A TPCA
 # observation at rho is the same model at lam * (1 - rho^2).
 _POSTERIORS = {
-    "psp": lambda params, obs, rho, **kw: posterior_mean_psp(obs, params, rho, **kw),
-    "rlc": lambda params, obs, rho, **kw: posterior_mean_rlc(*obs, rho, **kw),
-    "gss": lambda params, obs, rho, **kw: posterior_mean_gss(*obs, params, rho, **kw),
-    "tpca": lambda params, obs, rho, **kw: posterior_mean_tpca(
-        obs, replace(params, lam=params.lam * (1.0 - rho * rho)), **kw
-    ),
+    "psp": lambda params, obs, rho: posterior_mean_psp(obs, params, rho),
+    "rlc": lambda params, obs, rho: posterior_mean_rlc(*obs, rho),
+    "gss": lambda params, obs, rho: posterior_mean_gss(*obs, params, rho),
+    "tpca": lambda params, obs, rho: posterior_mean_tpca(obs, replace(params, lam=params.lam * (1.0 - rho * rho))),
 }
 
 
-def posterior_mean_for(params, observation, rho: float, **kw) -> PosteriorMean:
+def posterior_mean_for(params, observation, rho: float) -> PosteriorMean:
     """Bayes-optimal estimate from an observation that passed through noise at rho."""
-    return _POSTERIORS[model_name(params)](params, observation, rho, **kw)
+    return _POSTERIORS[model_name(params)](params, observation, rho)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .counting import count_approx_paths, count_overlap_pairs, expected_count, s
 from .errors import ParameterError
 from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_oracle, stability_ratio
 from .mc import mean_stderr
-from .models import MODEL_NAMES, model_name, params_from_json, params_to_json, sample_instance, signal_norm
+from .models import MODEL_NAMES, model_name, params_from_json, params_to_json, sample_instance
 from .rng import INSTANCE_STREAM, POLY_STREAM, derive_seed, generator
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 from .stability import ESTIMATORS, measure_stability, verify_barrier
@@ -226,7 +226,7 @@ def _cmd_barrier(config: ExperimentConfig):
         rows.append(Row(mmse.model, blob, rho, mmse.trials, "mmse_rho", mmse.mmse_hat, mmse.stderr))
         for name in config.estimators:
             stab = measure_stability(name, params, rho, config.trials, config.seed)
-            check = verify_barrier(stab, mmse, signal_norm(params))
+            check = verify_barrier(stab, mmse)
             margin = ("barrier_margin", check.margin, check.combined_stderr)
             rows += _estimator_rows(stab, blob, rho, margin, ("barrier_holds", float(check.holds), 0.0))
     return rows, None
@@ -288,6 +288,8 @@ def _cmd_count_paths(config: ExperimentConfig):
     ]
     if opts.get("pairs", False):
         pair_graphs = int(opts.get("pair_graphs", min(graphs, 100)))
+        if pair_graphs < 1:
+            raise UsageError("count-paths needs pair_graphs >= 1")
         totals: dict[int, float] = {}
         pair_total = 0.0
         for t in range(pair_graphs):

@@ -18,7 +18,6 @@ from .errors import ParameterError, ResourceBudgetError
 from .models import adjacency_from_edge_vector, edge_vector_from_adjacency, path_edge_indices, vertex_pairs
 from .rng import generator
 
-PATH_BUDGET = 10**6
 PAIR_BUDGET = 10**8
 
 
@@ -35,13 +34,13 @@ def expected_count(n: int, m: int, eps_m: int, q: float) -> float:
     return math.perm(n - 2, m - 1) * math.comb(m, eps_m) * q ** (m - eps_m)
 
 
-def count_approx_paths(adjacency: np.ndarray, m: int, eps_m: int, *, budget: int = PATH_BUDGET) -> int:
+def count_approx_paths(adjacency: np.ndarray, m: int, eps_m: int) -> int:
     """Number of approximate paths of length m with eps_m missing edges."""
     n = adjacency.shape[0] - 1
     _check_args(n, m, eps_m)
     keep = m - eps_m
     present = edge_vector_from_adjacency(adjacency).astype(np.int64)
-    paths = path_edge_indices(n, m, budget)
+    paths = path_edge_indices(n, m)
     pres_counts = present[paths].sum(axis=1)
     comb_table = np.array([math.comb(a, keep) if a >= keep else 0 for a in range(m + 1)], dtype=np.int64)
     return int(comb_table[pres_counts].sum())
@@ -53,9 +52,7 @@ class OverlapPairCount:
     histogram: dict  # shared-edge count k >= 1 -> ordered pair count
 
 
-def count_overlap_pairs(
-    adjacency: np.ndarray, m: int, eps_m: int, *, budget: int = PAIR_BUDGET
-) -> OverlapPairCount:
+def count_overlap_pairs(adjacency: np.ndarray, m: int, eps_m: int) -> OverlapPairCount:
     """Ordered pairs of approximate paths whose paths share >= 1 edge.
 
     The histogram keys are the number of shared path edges; diagonal pairs
@@ -64,10 +61,10 @@ def count_overlap_pairs(
     n = adjacency.shape[0] - 1
     _check_args(n, m, eps_m)
     keep = m - eps_m
-    paths = path_edge_indices(n, m, PATH_BUDGET)
+    paths = path_edge_indices(n, m)
     count = paths.shape[0]
-    if count * count > budget:
-        raise ResourceBudgetError(f"{count}^2 path pairs exceed budget {budget}")
+    if count * count > PAIR_BUDGET:
+        raise ResourceBudgetError(f"{count}^2 path pairs exceed budget {PAIR_BUDGET}")
     present = edge_vector_from_adjacency(adjacency)
     masks = []
     weights = []

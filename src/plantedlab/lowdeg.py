@@ -27,11 +27,9 @@ from .models import (
     edge_vector_from_adjacency,
     model_name,
     pair_index,
-    path_edges,
-    sample_instance,
 )
 from .noise import check_rho, coupled_trial
-from .rng import INSTANCE_STREAM, derive_seed, generator
+from .rng import generator
 
 DIAGRAM_DEGREE_CAP = 10
 CHARACTER_ENUM_BUDGET = 2**24
@@ -87,14 +85,14 @@ class DiagramSpec:
         return int(sum(self.alpha))
 
 
-def diagram_expectation(spec: DiagramSpec, *, cap: int = DIAGRAM_DEGREE_CAP) -> float:
+def diagram_expectation(spec: DiagramSpec) -> float:
     """E[prod h_{alpha_i}(x_i)] over matchings of the degree multigraph.
 
     Unmatched vertices contribute their variable's mean, matched pairs the
     correlation of their two variables; the sum is normalized by sqrt(alpha!).
     """
-    if spec.total_degree > cap:
-        raise ResourceBudgetError(f"total degree {spec.total_degree} exceeds cap {cap}")
+    if spec.total_degree > DIAGRAM_DEGREE_CAP:
+        raise ResourceBudgetError(f"total degree {spec.total_degree} exceeds cap {DIAGRAM_DEGREE_CAP}")
     k = len(spec.alpha)
     mu = spec.mu if spec.mu is not None else np.zeros(k)
     R = spec.R
@@ -188,26 +186,20 @@ def _character_sign_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a_signs, y_signs
 
 
-def rlc_character_expectation(
-    idx1: CharacterIndex,
-    idx2: CharacterIndex,
-    params: RlcParams,
-    rho: float,
-    *,
-    budget: int = CHARACTER_ENUM_BUDGET,
-) -> float:
+def rlc_character_expectation(idx1: CharacterIndex, idx2: CharacterIndex, params: RlcParams, rho: float) -> float:
     """Exact E[chi_{S1,T1}(A, y) * chi_{S2,T2}(A, T_rho(y))], in closed form over the noise.
 
     A resampled coordinate of T2 gets a fresh bit that integrates to zero in
     the +-1 convention, so only masks avoiding T2 count, with total weight
     (1-rho)^|T2|.  The remaining product is chi_{S1 ^ S2}(A) chi_{T1 ^ T2}(y),
-    summed as an integer over all (A, x): the result rounds once.  budget caps
-    2^(mn+n+m), the (A, x, resample mask) configurations the expectation ranges over.
+    summed as an integer over all (A, x): the result rounds once.
+    CHARACTER_ENUM_BUDGET caps 2^(mn+n+m), the (A, x, resample mask)
+    configurations the expectation ranges over.
     """
     check_rho(rho)
     m, n = params.m, params.n
-    if 2 ** (m * n + n + m) > budget:
-        raise ResourceBudgetError(f"2^{m * n + n + m} configurations exceed budget {budget}")
+    if 2 ** (m * n + n + m) > CHARACTER_ENUM_BUDGET:
+        raise ResourceBudgetError(f"2^{m * n + n + m} configurations exceed budget {CHARACTER_ENUM_BUDGET}")
     if 2 * max(idx1.degree, idx2.degree) > n:
         warnings.warn(
             "character orthogonality needs 2 * degree <= n; expect nonzero cross terms",
@@ -412,10 +404,10 @@ psp_stability_bound = rlc_stability_bound
 # random polynomial ensembles (for stability experiments)
 
 
-def random_rlc_poly(params: RlcParams, degree: int, rng: np.random.Generator, n_terms: int = 5) -> RlcPoly:
+def random_rlc_poly(params: RlcParams, degree: int, rng: np.random.Generator) -> RlcPoly:
     cells = [(i, j) for i in range(params.m) for j in range(params.n)]
     terms = []
-    for _ in range(n_terms):
+    for _ in range(5):
         ds = int(rng.integers(0, degree + 1))
         dt = int(rng.integers(0, degree - ds + 1))
         S = [cells[i] for i in rng.choice(len(cells), size=ds, replace=False)] if ds else []
@@ -424,9 +416,9 @@ def random_rlc_poly(params: RlcParams, degree: int, rng: np.random.Generator, n_
     return RlcPoly(terms=tuple(terms))
 
 
-def random_gss_poly(params: GssParams, degree: int, rng: np.random.Generator, n_terms: int = 5) -> GssPoly:
+def random_gss_poly(params: GssParams, degree: int, rng: np.random.Generator) -> GssPoly:
     terms = []
-    for _ in range(n_terms):
+    for _ in range(5):
         dx = int(rng.integers(0, degree + 1))
         t = int(rng.integers(0, degree - dx + 1))
         alpha = []
@@ -455,11 +447,9 @@ PSP_SHAPE_LIBRARY: dict[int, list[Shape]] = {
 }
 
 
-def random_psp_symmetric_poly(
-    params: PspParams, degree: int, rng: np.random.Generator, n_terms: int = 3
-) -> PspSymmetricPoly:
+def random_psp_symmetric_poly(params: PspParams, degree: int, rng: np.random.Generator) -> PspSymmetricPoly:
     pool = [s for d in range(1, degree + 1) for s in PSP_SHAPE_LIBRARY.get(d, [])]
-    picks = rng.choice(len(pool), size=min(n_terms, len(pool)), replace=False)
+    picks = rng.choice(len(pool), size=min(3, len(pool)), replace=False)
     terms = tuple((pool[int(i)], float(rng.standard_normal())) for i in picks)
     return PspSymmetricPoly(terms=terms)
 
@@ -490,55 +480,3 @@ POLY_FAMILIES = {
     ),
 }
 
-
-# ---------------------------------------------------------------------------
-# symmetrization check
-
-
-@dataclass(frozen=True)
-class SymmetrizeReport:
-    mse_raw: float
-    stderr_raw: float
-    mse_symmetrized: float
-    stderr_symmetrized: float
-
-
-def symmetrize_check(
-    g: Callable[[np.ndarray], float],
-    target_pair: tuple[int, int],
-    params: PspParams,
-    trials: int,
-    seed: int,
-    *,
-    n_perms: int = 2000,
-) -> SymmetrizeReport:
-    """Compare the MSE of g with that of its average over vertex relabelings.
-
-    The symmetrized estimator averages g over n_perms sampled permutations of
-    the non-endpoint vertices (endpoints 1 and 2 stay fixed); its own MC error
-    is folded into the reported stderr.  Targets the indicator that
-    target_pair is a planted-path edge.
-    """
-    n = params.n
-    rng = generator(derive_seed(seed, 7))
-    perms = np.empty((n_perms, n + 1), dtype=np.int64)
-    perms[:, 0] = 0
-    perms[:, 1] = 1
-    perms[:, 2] = 2
-    for r in range(n_perms):
-        perms[r, 3:] = rng.permutation(np.arange(3, n + 1))
-    tp = (min(target_pair), max(target_pair))
-
-    raw = np.empty(trials)
-    sym = np.empty(trials)
-    for t in range(trials):
-        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
-        truth = float(tp in path_edges(inst.path))
-        adj = inst.adjacency
-        raw[t] = (g(adj) - truth) ** 2
-        acc = 0.0
-        for r in range(n_perms):
-            p = perms[r]
-            acc += g(adj[np.ix_(p, p)])
-        sym[t] = (acc / n_perms - truth) ** 2
-    return SymmetrizeReport(*mean_stderr(raw), *mean_stderr(sym))

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IllConditionedError
+from .errors import IllConditionedError, ParameterError
 
 
 # The third parameter is ignored: perfbench/tracing.py calls run_trials with three positional arguments.
@@ -20,9 +20,10 @@ def run_trials(n: int, fn: Callable[[int], object], _ignored=None) -> list:
 
 
 def mean_stderr(values: Sequence[float]) -> tuple[float, float]:
+    """Sample mean and its standard error; raises ParameterError on no values."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        return (math.nan, math.nan)
+        raise ParameterError("no values to average; need at least one sample")
     if arr.size == 1:
         return (float(arr[0]), 0.0)
     return (float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)))

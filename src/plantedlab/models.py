@@ -33,6 +33,7 @@ import numpy as np
 from .errors import ParameterError, ResourceBudgetError
 from .rng import generator
 
+PATH_BUDGET = 10**6
 TENSOR_ENTRY_BUDGET = 10**6
 
 
@@ -269,10 +270,10 @@ def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray
     return tensor
 
 
-def sample_tpca(params: TpcaParams, seed: int, *, entry_budget: int = TENSOR_ENTRY_BUDGET) -> TpcaInstance:
-    if params.n**params.d > entry_budget:
+def sample_tpca(params: TpcaParams, seed: int) -> TpcaInstance:
+    if params.n**params.d > TENSOR_ENTRY_BUDGET:
         raise ResourceBudgetError(
-            f"tensor has {params.n**params.d} entries, budget is {entry_budget}"
+            f"tensor has {params.n**params.d} entries, budget is {TENSOR_ENTRY_BUDGET}"
         )
     rng = generator(seed)
     support = tuple(sorted(int(i) for i in rng.choice(params.n, size=params.k, replace=False)))
@@ -417,14 +418,14 @@ def instance_from_json(obj: dict):
     return from_json(params, obj)
 
 
-def enumerate_paths(n: int, L: int, budget: int = 10**6) -> np.ndarray:
+def enumerate_paths(n: int, L: int) -> np.ndarray:
     """All 1->2 paths of length L as rows of intermediate-vertex sequences.
 
     Returned array has shape (count, L-1); count = (n-2)(n-3)...(n-L).
     """
     count = math.perm(n - 2, L - 1)
-    if count > budget:
-        raise ResourceBudgetError(f"{count} candidate paths exceed budget {budget}")
+    if count > PATH_BUDGET:
+        raise ResourceBudgetError(f"{count} candidate paths exceed budget {PATH_BUDGET}")
     if L == 1:
         return np.zeros((1, 0), dtype=np.int64)
     seqs = np.fromiter(
@@ -436,9 +437,9 @@ def enumerate_paths(n: int, L: int, budget: int = 10**6) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def path_edge_indices(n: int, L: int, budget: int = 10**6) -> np.ndarray:
+def path_edge_indices(n: int, L: int) -> np.ndarray:
     """Edge-vector indices of every candidate path, shape (count, L)."""
-    interiors = enumerate_paths(n, L, budget)
+    interiors = enumerate_paths(n, L)
     idx = pair_index(n)
     count = interiors.shape[0]
     out = np.empty((count, L), dtype=np.int64)

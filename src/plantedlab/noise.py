@@ -102,10 +102,3 @@ def coupled_trial(params, rho: float, seed: int, t: int, *, grid_point=None, dra
         inst = draw(params, seed, t)
     path = (t,) if grid_point is None else (grid_point, t)
     return inst, noise_instance_observation(inst, rho, derive_seed(seed, NOISE_STREAM, *path))
-
-
-def ou_compose(rho1: float, rho2: float) -> float:
-    """The single rho equivalent to applying OU noise at rho1 then rho2."""
-    check_rho(rho1)
-    check_rho(rho2)
-    return float(np.sqrt(rho1**2 + rho2**2 - rho1**2 * rho2**2))

@@ -24,14 +24,13 @@ from .models import subset_sum_value
 # shortest path
 
 
-def shortest_path(adjacency: np.ndarray, source: int = 1, target: int = 2) -> Optional[tuple[int, ...]]:
-    """Minimum-edge path from source to target, lexicographically smallest.
+def shortest_path(adjacency: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Minimum-edge path from vertex 1 to vertex 2, lexicographically smallest.
 
-    Vertices are 1-indexed; returns None when target is unreachable.
+    Vertices are 1-indexed; returns None when vertex 2 is unreachable.
     """
     n = adjacency.shape[0] - 1
-    if source == target:
-        return (source,)
+    source, target = 1, 2
     dist = {target: 0}
     frontier = [target]
     while frontier:

@@ -23,6 +23,9 @@ from .models import PspParams, model_name, path_indicator, vertex_pairs
 from .noise import coupled_trial
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 
+# a barrier cell holds when its margin is above -BARRIER_SIGMAS combined standard errors
+BARRIER_SIGMAS = 3.0
+
 
 # ---------------------------------------------------------------------------
 # registered estimators
@@ -239,14 +242,7 @@ class BarrierCheck:
     eta_within_threshold: Optional[bool] = None
 
 
-def verify_barrier(
-    stab: StabilityReport,
-    mmse_rho: MmseReport,
-    signal_norm_value: Optional[float] = None,
-    *,
-    alpha: Optional[float] = None,
-    sigma_mult: float = 3.0,
-) -> BarrierCheck:
+def verify_barrier(stab: StabilityReport, mmse_rho: MmseReport, *, alpha: Optional[float] = None) -> BarrierCheck:
     """Check mse >= mmse_rho - penalty(eta) * E||signal||^2 up to MC error.
 
     Both reports must describe the same (model, params, rho).  When alpha is
@@ -257,7 +253,7 @@ def verify_barrier(
             f"provenance mismatch: stability is {(stab.model, stab.params, stab.rho)}, "
             f"mmse is {(mmse_rho.model, mmse_rho.params, mmse_rho.rho)}"
         )
-    norm = mmse_rho.signal_norm if signal_norm_value is None else float(signal_norm_value)
+    norm = mmse_rho.signal_norm
     eta = max(stab.eta_hat, 0.0)
     penalty = barrier_penalty(eta) * norm
     rhs = mmse_rho.mmse_hat - penalty
@@ -273,8 +269,8 @@ def verify_barrier(
         rhs=rhs,
         margin=margin,
         combined_stderr=combined,
-        holds=margin >= -sigma_mult * combined,
-        holds_within=sigma_mult,
+        holds=margin >= -BARRIER_SIGMAS * combined,
+        holds_within=BARRIER_SIGMAS,
         penalty=penalty,
         eta_hat=eta,
     )

@@ -6,16 +6,24 @@ samplers/noise/posteriors.  The PSP pair loops check the library's indexed
 edge-vector conversions, and the (A, x, mask) loop checks the closed-form
 RLC character correlation.  The exhaustive oracles at the end (all simple
 paths, the full GF(2) solution set, exact lattice coordinates) check the
-fast solvers.
+fast solvers.  The helpers in the last section are test-only API built on
+the library: overlap class sizes, OU composition and a symmetrization check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from plantedlab.mc import mean_stderr
+from plantedlab.models import PspParams, path_edges, sample_instance
+from plantedlab.noise import check_rho
+from plantedlab.rng import INSTANCE_STREAM, derive_seed, generator
 
 
 def psp_rejection_posterior(target_edges: np.ndarray, n: int, L: int, q: float, rho: float,
@@ -274,3 +282,68 @@ def lattice_coordinates(basis: Sequence[Sequence[int]], vector: Sequence[int]) -
     if any(v.denominator != 1 for v in coords):
         return None
     return [int(v) for v in coords]
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers
+
+
+def tpca_class_sizes(n: int, k: int) -> np.ndarray:
+    """Number of k-supports at each overlap with a fixed support."""
+    return np.array([math.comb(k, i) * math.comb(n - k, k - i) for i in range(k + 1)], dtype=float)
+
+
+def ou_compose(rho1: float, rho2: float) -> float:
+    """The single rho equivalent to applying OU noise at rho1 then rho2."""
+    check_rho(rho1)
+    check_rho(rho2)
+    return float(np.sqrt(rho1**2 + rho2**2 - rho1**2 * rho2**2))
+
+
+@dataclass(frozen=True)
+class SymmetrizeReport:
+    mse_raw: float
+    stderr_raw: float
+    mse_symmetrized: float
+    stderr_symmetrized: float
+
+
+def symmetrize_check(
+    g: Callable[[np.ndarray], float],
+    target_pair: tuple[int, int],
+    params: PspParams,
+    trials: int,
+    seed: int,
+    *,
+    n_perms: int = 2000,
+) -> SymmetrizeReport:
+    """Compare the MSE of g with that of its average over vertex relabelings.
+
+    The symmetrized estimator averages g over n_perms sampled permutations of
+    the non-endpoint vertices (endpoints 1 and 2 stay fixed); its own MC error
+    is folded into the reported stderr.  Targets the indicator that
+    target_pair is a planted-path edge.
+    """
+    n = params.n
+    rng = generator(derive_seed(seed, 7))
+    perms = np.empty((n_perms, n + 1), dtype=np.int64)
+    perms[:, 0] = 0
+    perms[:, 1] = 1
+    perms[:, 2] = 2
+    for r in range(n_perms):
+        perms[r, 3:] = rng.permutation(np.arange(3, n + 1))
+    tp = (min(target_pair), max(target_pair))
+
+    raw = np.empty(trials)
+    sym = np.empty(trials)
+    for t in range(trials):
+        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
+        truth = float(tp in path_edges(inst.path))
+        adj = inst.adjacency
+        raw[t] = (g(adj) - truth) ** 2
+        acc = 0.0
+        for r in range(n_perms):
+            p = perms[r]
+            acc += g(adj[np.ix_(p, p)])
+        sym[t] = (acc / n_perms - truth) ** 2
+    return SymmetrizeReport(*mean_stderr(raw), *mean_stderr(sym))

@@ -40,7 +40,6 @@ from plantedlab.models import (
     TpcaParams,
     sample_gss,
     sample_instance,
-    signal_norm,
 )
 from plantedlab.noise import noise_gss
 from plantedlab.rng import derive_seed, generator
@@ -80,7 +79,7 @@ def test_criterion_01_barrier_inequality_grid():
             (mmse,) = estimate_mmse_curve(params, [rho], trials, seed=101)
             for name in estimators:
                 stab = measure_stability(name, params, rho, trials, seed=202)
-                check = verify_barrier(stab, mmse, signal_norm(params))
+                check = verify_barrier(stab, mmse)
                 cells += 1
                 if not check.holds:
                     failures.append((type(params).__name__, name, rho, check.margin, check.combined_stderr))

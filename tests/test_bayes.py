@@ -7,6 +7,7 @@ from oracles import (
     gss_counting_weights_mpmath,
     psp_rejection_posterior,
     rlc_rejection_posterior,
+    tpca_class_sizes,
     tpca_full_density_posterior,
     tpca_resampling_posterior,
 )
@@ -17,10 +18,10 @@ from plantedlab.bayes import (
     posterior_mean_psp,
     posterior_mean_rlc,
     posterior_mean_tpca,
-    tpca_class_sizes,
     tpca_overlap_distribution,
 )
-from plantedlab.errors import InconsistentInputError, ResourceBudgetError
+from plantedlab.counting import count_approx_paths, count_overlap_pairs
+from plantedlab.errors import InconsistentInputError, ParameterError, ResourceBudgetError
 from plantedlab.models import (
     GssParams,
     PspParams,
@@ -146,7 +147,25 @@ def test_rlc_marginal_ratio_complement():
 def test_rlc_budget_error():
     A = np.zeros((4, 30), dtype=np.uint8)
     with pytest.raises(ResourceBudgetError):
-        posterior_mean_rlc(A, np.zeros(4, dtype=np.uint8), rho=0.5, budget=2**20)
+        posterior_mean_rlc(A, np.zeros(4, dtype=np.uint8), rho=0.5)
+
+
+@pytest.mark.parametrize(
+    "enumerate_, message",
+    [
+        # C(60, 5) = 5,461,512 subsets
+        (lambda: posterior_mean_gss(np.zeros(60), 0.0, GssParams(N=60, k=5), 0.5), "subsets exceed budget"),
+        (lambda: posterior_mean_tpca(np.zeros((60, 60)), TpcaParams(n=60, k=5, d=2, lam=1.0)), "subsets exceed budget"),
+        # (12)_4 = 11,880 paths, so 11,880^2 pairs
+        (lambda: count_overlap_pairs(np.zeros((15, 15), dtype=bool), 5, 1), "path pairs exceed budget"),
+        # (18)_5 = 1,028,160 paths
+        (lambda: count_approx_paths(np.zeros((21, 21), dtype=bool), 6, 1), "candidate paths exceed budget"),
+    ],
+    ids=["gss-subsets", "tpca-subsets", "overlap-pairs", "approx-paths"],
+)
+def test_enumeration_budget_errors(enumerate_, message):
+    with pytest.raises(ResourceBudgetError, match=message):
+        enumerate_()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +306,11 @@ def test_mmse_curve_gss_full_noise_exact():
     (report,) = estimate_mmse_curve(params, [1.0], trials=40, seed=8)
     expected = params.k * (1 - params.k / params.N)
     assert report.mmse_hat == expected and report.stderr == 0.0
+
+
+def test_mmse_curve_without_trials_raises():
+    with pytest.raises(ParameterError, match="no values"):
+        estimate_mmse_curve(RlcParams(m=6, n=4), [0.5], 0, 1)
 
 
 def test_nishimori_identity():

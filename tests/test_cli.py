@@ -170,10 +170,10 @@ def test_count_paths_command(tmp_path):
     assert "mean_pair_overlap[" in text
 
 
-def test_count_paths_without_graphs_exits_2(tmp_path):
-    code = main(
-        ["count-paths", "--options", '{"n":9,"m":3,"eps_m":1,"q":0.3,"graphs":0}', "--out", str(tmp_path / "x")]
-    )
+@pytest.mark.parametrize("graphs", ['"graphs":0', '"pairs":true,"pair_graphs":0'], ids=["graphs", "pair_graphs"])
+def test_count_paths_without_graphs_exits_2(tmp_path, graphs):
+    options = '{"n":9,"m":3,"eps_m":1,"q":0.3,%s}' % graphs
+    code = main(["count-paths", "--options", options, "--out", str(tmp_path / "x")])
     assert code == 2
 
 
@@ -283,9 +283,13 @@ def test_malformed_params_exit_2(tmp_path, capsys, params, message):
     assert message in capsys.readouterr().err
 
 
-def test_missing_output_exits_2(capsys):
+def test_missing_output_exits_2(tmp_path, capsys):
     code = main(["hermite-check", "--seed", "1", "--options", '{"n_specs":1,"samples":1000}'])
     assert code == 2
+    # an output path but no Monte-Carlo samples to average is a usage error too
+    code = main(["hermite-check", "--seed", "1", "--options", '{"n_specs":1,"samples":0}', "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "no values to average" in capsys.readouterr().err
 
 
 def test_all_commands_are_wired():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rlc_character_expectation_loop
+from oracles import rlc_character_expectation_loop, symmetrize_check
 from plantedlab.errors import IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import (
     CharacterIndex,
@@ -24,7 +24,6 @@ from plantedlab.lowdeg import (
     rlc_character_expectation,
     rlc_stability_bound,
     stability_ratio,
-    symmetrize_check,
 )
 from plantedlab.models import GssParams, PspParams, RlcParams, sample_psp
 from plantedlab.rng import generator

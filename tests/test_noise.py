@@ -12,7 +12,8 @@ from plantedlab.models import (
     sample_rlc,
     sample_tpca,
 )
-from plantedlab.noise import noise_gss, noise_psp, noise_rlc, noise_tpca, ou_compose
+from oracles import ou_compose
+from plantedlab.noise import noise_gss, noise_psp, noise_rlc, noise_tpca
 from plantedlab.rng import derive_seed
 
 

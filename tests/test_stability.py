@@ -5,7 +5,7 @@ import pytest
 
 from plantedlab.bayes import estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
-from plantedlab.models import GssParams, PspParams, RlcParams, signal_norm
+from plantedlab.models import GssParams, PspParams, RlcParams
 from plantedlab.stability import (
     barrier_penalty,
     measure_stability,
@@ -132,7 +132,7 @@ def test_full_pipeline_rlc_barrier_holds():
     rho = 0.3
     stab = measure_stability("f2_round", params, rho, trials=600, seed=6)
     (mmse,) = estimate_mmse_curve(params, [rho], trials=600, seed=6)
-    check = verify_barrier(stab, mmse, signal_norm(params), alpha=0.5)
+    check = verify_barrier(stab, mmse, alpha=0.5)
     assert check.holds
     assert check.eta_threshold == min(0.5**2 / 400, 1.0)
 
