@@ -29,7 +29,7 @@ from .models import (
     signal_norm,
     subset_sum_value,
 )
-from .noise import check_rho, coupled_trial
+from .noise import check_rho, coupled_trials
 from .rng import INSTANCE_STREAM, derive_seed
 from .solvers import f2_rank
 
@@ -296,8 +296,10 @@ def estimate_mmse_curve(
     norm = signal_norm(params)
     out = []
     for j, rho in enumerate(rho_grid):
-        def trial(t: int, _rho=rho, _j=j) -> float:
-            inst, noisy = coupled_trial(params, _rho, seed, t, grid_point=_j, draw=draw)
+        batch = coupled_trials(params, rho, seed, trials, grid_point=j, draw=draw)
+
+        def trial(t: int, _batch=batch, _rho=rho) -> float:
+            inst, noisy = _batch[t]
             pm = posterior_mean_for(params, noisy, _rho)
             diff = pm.estimate - inst.signal_vector()
             return float(diff @ diff)

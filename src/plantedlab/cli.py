@@ -174,8 +174,14 @@ def nmmse_svg(points: list[tuple[float, float]], title: str) -> str:
 # command implementations
 
 
+def _need_rho_grid(config: ExperimentConfig) -> None:
+    if not config.rho_grid:
+        raise UsageError(f"{config.command} needs a rho_grid")
+
+
 def _cmd_mmse_curve(config: ExperimentConfig):
     params = config.model_params()
+    _need_rho_grid(config)
     reports = estimate_mmse_curve(
         params,
         config.rho_grid,
@@ -206,6 +212,7 @@ def _cmd_stability(config: ExperimentConfig):
     params = config.model_params()
     if not config.estimators:
         raise UsageError("stability needs at least one estimator name")
+    _need_rho_grid(config)
     blob = _params_blob(params)
     rows = []
     for name in config.estimators:
@@ -219,6 +226,7 @@ def _cmd_barrier(config: ExperimentConfig):
     params = config.model_params()
     if not config.estimators:
         raise UsageError("barrier needs at least one estimator name")
+    _need_rho_grid(config)
     blob = _params_blob(params)
     rows = []
     for rho in config.rho_grid:
@@ -310,6 +318,8 @@ def _cmd_hermite_check(config: ExperimentConfig):
     opts = config.options
     n_specs = int(opts.get("n_specs", 10))
     samples = int(opts.get("samples", 10**6))
+    if n_specs < 1:
+        raise UsageError("hermite-check needs n_specs >= 1")
     rng = generator(config.seed)
     rows = []
     for i in range(n_specs):
@@ -336,8 +346,7 @@ def _cmd_lowdeg_stability(config: ExperimentConfig):
     name = model_name(params)
     degree = int(config.options.get("degree", 2))
     n_polys = int(config.options.get("n_polys", 10))
-    if not config.rho_grid:
-        raise UsageError("lowdeg-stability needs a rho_grid")
+    _need_rho_grid(config)
     if name not in POLY_FAMILIES:
         raise UsageError("lowdeg-stability supports psp, rlc, and gss")
     family = POLY_FAMILIES[name]

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ParameterError, ResourceBudgetError
-from .mc import mean_stderr, ratio_with_stderr, run_trials
+from .mc import mean_stderr, ratio_with_stderr
 from .models import (
     GssParams,
     PspParams,
@@ -28,11 +28,15 @@ from .models import (
     model_name,
     pair_index,
 )
-from .noise import check_rho, coupled_trial
+from .noise import check_rho, coupled_trials
 from .rng import generator
 
 DIAGRAM_DEGREE_CAP = 10
 CHARACTER_ENUM_BUDGET = 2**24
+# stability_ratio evaluates its two arms this many trials at a time
+EVAL_CHUNK = 256
+# PspSymmetricPoly.evaluate_many gathers at most this many float64s at once
+PSP_GATHER_ELEMENTS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +154,13 @@ class CharacterIndex:
         return cls(S=frozenset((int(i), int(j)) for i, j in cells), T=frozenset(int(c) for c in coords))
 
 
-def character_value(idx: CharacterIndex, A: np.ndarray, y: np.ndarray) -> float:
+def character_value(idx: CharacterIndex, A: np.ndarray, y: np.ndarray):
+    """chi_{S,T}(A, y) in the +-1 convention; A and y may carry leading batch axes."""
     val = 1.0
     for i, j in idx.S:
-        val *= 2.0 * A[i, j] - 1.0
+        val = val * (2.0 * A[..., i, j] - 1.0)
     for i in idx.T:
-        val *= 2.0 * y[i] - 1.0
+        val = val * (2.0 * y[..., i] - 1.0)
     return val
 
 
@@ -230,8 +235,16 @@ class RlcPoly:
         return max((idx.degree for idx, _ in self.terms), default=0)
 
     def evaluate(self, observation, params: RlcParams) -> float:
-        A, y = observation
-        return sum(c * character_value(idx, A, y) for idx, c in self.terms)
+        return float(self.evaluate_many([observation], params)[0])
+
+    def evaluate_many(self, observations, params: RlcParams) -> np.ndarray:
+        """evaluate at each (A, y); terms accumulate in order, as for one observation."""
+        A = np.stack([obs[0] for obs in observations])
+        y = np.stack([obs[1] for obs in observations])
+        total = np.zeros(len(A))
+        for idx, c in self.terms:
+            total += c * character_value(idx, A, y)
+        return total
 
     def to_json(self) -> list:
         return [
@@ -260,13 +273,17 @@ class GssPoly:
         return max((sum(d for _, d in alpha) + t for alpha, t, _ in self.terms), default=0)
 
     def evaluate(self, observation, params: GssParams) -> float:
-        X, Y = observation
-        y = Y / math.sqrt(params.k)
-        total = 0.0
+        return float(self.evaluate_many([observation], params)[0])
+
+    def evaluate_many(self, observations, params: GssParams) -> np.ndarray:
+        """evaluate at each (X, Y); every product and sum keeps the one-observation order."""
+        X = np.stack([obs[0] for obs in observations])
+        y = np.array([obs[1] for obs in observations], dtype=float) / math.sqrt(params.k)
+        total = np.zeros(len(X))
         for alpha, t, c in self.terms:
-            val = c * (hermite_eval(t, y) if t else 1.0)
+            val = c * hermite_eval(t, y)  # h_0 = 1 exactly
             for coord, deg in alpha:
-                val *= hermite_eval(deg, X[coord])
+                val *= hermite_eval(deg, X[:, coord])
             total += val
         return total
 
@@ -299,7 +316,7 @@ def _shape_maps(shape: Shape, n: int) -> np.ndarray:
     for assign in itertools.permutations(range(3, n + 1), len(placeholders)):
         table = {1: 1, 2: 2, **dict(zip(placeholders, assign))}
         rows.append([idx[tuple(sorted((table[a], table[b])))] for a, b in shape])
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int64).reshape(-1, len(shape))
 
 
 @dataclass(frozen=True)
@@ -317,13 +334,25 @@ class PspSymmetricPoly:
         return max((len(shape) for shape, _ in self.terms), default=0)
 
     def evaluate(self, adjacency: np.ndarray, params: PspParams) -> float:
+        return float(self.evaluate_many([adjacency], params)[0])
+
+    def evaluate_many(self, adjacencies, params: PspParams) -> np.ndarray:
+        """evaluate at each adjacency matrix.
+
+        Each trial's placement products are summed as one 1-D row, so the sum
+        is the pairwise sum of a single evaluation; a gather holds at most
+        PSP_GATHER_ELEMENTS floats.
+        """
         n, q = params.n, params.q
-        present = edge_vector_from_adjacency(adjacency).astype(float)
+        present = edge_vector_from_adjacency(np.stack(adjacencies)).astype(float)
         centered = (present - q) / math.sqrt(q * (1.0 - q))
-        total = 0.0
+        total = np.zeros(len(centered))
         for shape, c in self.terms:
             maps = _shape_maps(shape, n)
-            total += c * float(centered[maps].prod(axis=1).sum())
+            step = max(1, PSP_GATHER_ELEMENTS // max(maps.size, 1))
+            sums = [row.sum() for start in range(0, len(centered), step)
+                    for row in centered[start:start + step, maps].prod(axis=2)]
+            total += c * np.array(sums)
         return total
 
     def to_json(self) -> list:
@@ -369,16 +398,16 @@ def stability_ratio(
     The same noise realization couples the two arms of every trial.
     """
     _degree_regime_warning(poly, params)
-
-    def trial(t: int) -> tuple[float, float]:
-        inst, noisy = coupled_trial(params, rho, seed, t)
-        v0 = poly.evaluate(inst.observation, params)
-        v1 = poly.evaluate(noisy, params)
-        return ((v0 - v1) ** 2, v0**2)
-
-    results = run_trials(trials, trial)
-    num = np.array([r[0] for r in results])
-    den = np.array([r[1] for r in results])
+    batch = coupled_trials(params, rho, seed, trials)
+    num, den = [], []
+    for start in range(0, trials, EVAL_CHUNK):
+        pairs = [batch[t] for t in range(start, min(start + EVAL_CHUNK, trials))]
+        v0 = poly.evaluate_many([inst.observation for inst, _ in pairs], params).tolist()
+        v1 = poly.evaluate_many([noisy for _, noisy in pairs], params).tolist()
+        # Python float arithmetic, as one trial at a time
+        num += [(a - b) ** 2 for a, b in zip(v0, v1)]
+        den += [a**2 for a in v0]
+    num, den = np.array(num), np.array(den)
     den_mean, den_se = mean_stderr(den)
     if den_mean <= 10 * den_se:
         raise IllConditionedError(

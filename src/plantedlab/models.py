@@ -7,7 +7,9 @@ Conventions
   laid out in lexicographic pair order (1,2), (1,3), ..., (n-1,n).
 * RLC/GSS/TPCA indices are 0-based.
 * Samplers are pure functions of (params, seed): identical arguments produce
-  bit-identical instances.  Within a sampler the signal is drawn first, the
+  bit-identical instances.  Each sample_<model>(params, seed) draws from
+  generator(seed) through draw_<model>(params, rng), which batch callers feed
+  a re-keyed generator.  Within a sampler the signal is drawn first, the
   ambient randomness second.
 
 JSON schema (stable field names)
@@ -85,9 +87,12 @@ def adjacency_from_edge_vector(edge_vec: np.ndarray, n: int) -> np.ndarray:
 
 
 def edge_vector_from_adjacency(adj: np.ndarray) -> np.ndarray:
-    """adj at vertex_pairs(n), n = adj.shape[0] - 1, in pair order and with adj's dtype."""
-    rows, cols = _pair_arrays(adj.shape[0] - 1)
-    return adj[rows, cols]
+    """adj at vertex_pairs(n), n = adj.shape[-1] - 1, in pair order and with adj's dtype.
+
+    Leading axes of a stack of adjacency matrices are kept.
+    """
+    rows, cols = _pair_arrays(adj.shape[-1] - 1)
+    return adj[..., rows, cols]
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +228,11 @@ class TpcaInstance:
 # samplers
 
 
-def sample_psp(params: PspParams, seed: int) -> PspInstance:
+def draw_psp(params: PspParams, rng: np.random.Generator) -> PspInstance:
     """Plant a uniform path from 1 to 2, then union an independent G(n, q)."""
     n, L, q = params.n, params.L, params.q
     if n < L + 1:
         raise ParameterError(f"need n >= L+1 intermediate room, got n={n}, L={L}")
-    rng = generator(seed)
     interior = rng.permutation(np.arange(3, n + 1))[: L - 1]
     path = (1, *map(int, interior), 2)
     edge_vec = rng.random(len(vertex_pairs(n))) < q
@@ -238,8 +242,7 @@ def sample_psp(params: PspParams, seed: int) -> PspInstance:
     return PspInstance(params=params, path=path, adjacency=adjacency_from_edge_vector(edge_vec, n))
 
 
-def sample_rlc(params: RlcParams, seed: int) -> RlcInstance:
-    rng = generator(seed)
+def draw_rlc(params: RlcParams, rng: np.random.Generator) -> RlcInstance:
     A = rng.integers(0, 2, size=(params.m, params.n), dtype=np.uint8)
     x = rng.integers(0, 2, size=params.n, dtype=np.uint8)
     y = (A @ x) % 2
@@ -254,8 +257,7 @@ def subset_sum_value(X: np.ndarray, subset: Sequence[int]) -> float:
     return total
 
 
-def sample_gss(params: GssParams, seed: int) -> GssInstance:
-    rng = generator(seed)
+def draw_gss(params: GssParams, rng: np.random.Generator) -> GssInstance:
     X = rng.standard_normal(params.N)
     S = tuple(sorted(int(i) for i in rng.choice(params.N, size=params.k, replace=False)))
     return GssInstance(params=params, X=X, S=S, Y=subset_sum_value(X, S))
@@ -270,22 +272,37 @@ def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray
     return tensor
 
 
-def sample_tpca(params: TpcaParams, seed: int) -> TpcaInstance:
+def draw_tpca(params: TpcaParams, rng: np.random.Generator) -> TpcaInstance:
     if params.n**params.d > TENSOR_ENTRY_BUDGET:
         raise ResourceBudgetError(
             f"tensor has {params.n**params.d} entries, budget is {TENSOR_ENTRY_BUDGET}"
         )
-    rng = generator(seed)
     support = tuple(sorted(int(i) for i in rng.choice(params.n, size=params.k, replace=False)))
     W = rng.standard_normal((params.n,) * params.d)
     Y = math.sqrt(params.lam) * tpca_signal_tensor(params, support) + W
     return TpcaInstance(params=params, support=support, Y=Y)
 
 
+def sample_psp(params: PspParams, seed: int) -> PspInstance:
+    return draw_psp(params, generator(seed))
+
+
+def sample_rlc(params: RlcParams, seed: int) -> RlcInstance:
+    return draw_rlc(params, generator(seed))
+
+
+def sample_gss(params: GssParams, seed: int) -> GssInstance:
+    return draw_gss(params, generator(seed))
+
+
+def sample_tpca(params: TpcaParams, seed: int) -> TpcaInstance:
+    return draw_tpca(params, generator(seed))
+
+
 MODEL_NAMES = ("psp", "rlc", "gss", "tpca")
 
 _PARAM_TYPES = {"psp": PspParams, "rlc": RlcParams, "gss": GssParams, "tpca": TpcaParams}
-_SAMPLERS = {"psp": sample_psp, "rlc": sample_rlc, "gss": sample_gss, "tpca": sample_tpca}
+_DRAWS = {"psp": draw_psp, "rlc": draw_rlc, "gss": draw_gss, "tpca": draw_tpca}
 # exact E||signal||^2
 _SIGNAL_NORMS = {
     "psp": lambda p: float(p.L),
@@ -302,8 +319,13 @@ def model_name(params) -> str:
     raise ParameterError(f"unknown params type {type(params)!r}")
 
 
+def draw_instance(params, rng: np.random.Generator):
+    """The model's sampler, drawing from rng."""
+    return _DRAWS[model_name(params)](params, rng)
+
+
 def sample_instance(params, seed: int):
-    return _SAMPLERS[model_name(params)](params, seed)
+    return draw_instance(params, generator(seed))
 
 
 def signal_norm(params) -> float:

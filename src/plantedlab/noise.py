@@ -4,8 +4,10 @@ Discrete models use Bernoulli resampling: each coordinate is independently
 replaced by a fresh draw from its ambient distribution with probability rho.
 Gaussian models use the Ornstein-Uhlenbeck average sqrt(1-rho^2) * y + rho * Z.
 
-rho = 0 is a bit-exact identity.  Each operator takes an explicit seed so the
-same noise realization can be replayed against different estimators.
+rho = 0 is a bit-exact identity that draws nothing.  Each operator
+draw_noise_<model> draws from a given generator; noise_<model> takes an
+explicit seed instead, so the same noise realization can be replayed against
+different estimators.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from .errors import ParameterError
 from .models import (
     PspInstance,
     adjacency_from_edge_vector,
+    draw_instance,
     edge_vector_from_adjacency,
     model_name,
-    sample_instance,
 )
-from .rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
+from .rng import INSTANCE_STREAM, NOISE_STREAM, derive_seeds, generator, keyed_generator, philox_keys, rekey
 
 
 def check_rho(rho: float) -> None:
@@ -28,77 +30,117 @@ def check_rho(rho: float) -> None:
         raise ParameterError(f"need rho in [0,1], got {rho}")
 
 
-def noise_psp(instance: PspInstance, rho: float, seed: int) -> np.ndarray:
+def draw_noise_psp(instance: PspInstance, rho: float, rng: np.random.Generator) -> np.ndarray:
     """Resample every unordered pair from Bern(q) with probability rho."""
     check_rho(rho)
     adj = instance.adjacency
     if rho == 0.0:
         return adj.copy()
-    q = instance.params.q
     vec = edge_vector_from_adjacency(adj)
-    rng = generator(seed)
     mask = rng.random(vec.shape) < rho
-    fresh = rng.random(vec.shape) < q
-    out = np.where(mask, fresh, vec)
-    return adjacency_from_edge_vector(out, instance.params.n)
+    fresh = rng.random(vec.shape) < instance.params.q
+    return adjacency_from_edge_vector(np.where(mask, fresh, vec), instance.params.n)
 
 
-def noise_rlc(y: np.ndarray, rho: float, seed: int) -> np.ndarray:
+def draw_noise_rlc(y: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
     """Resample each codeword bit from Bern(1/2) with probability rho; A untouched."""
     check_rho(rho)
     if rho == 0.0:
         return y.copy()
-    rng = generator(seed)
     mask = rng.random(y.shape) < rho
     fresh = rng.integers(0, 2, size=y.shape, dtype=y.dtype)
     return np.where(mask, fresh, y)
 
 
-def noise_gss(Y: float, rho: float, seed: int) -> float:
+def draw_noise_gss(Y: float, rho: float, rng: np.random.Generator) -> float:
     """Ornstein-Uhlenbeck step on the scalar observation."""
     check_rho(rho)
     if rho == 0.0:
         return float(Y)
-    rng = generator(seed)
     z = rng.standard_normal()
     return float(np.sqrt(1.0 - rho * rho) * Y + rho * z)
 
 
-def noise_tpca(Y: np.ndarray, rho: float, seed: int) -> np.ndarray:
+def draw_noise_tpca(Y: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
     """Entrywise Ornstein-Uhlenbeck step on the observed tensor."""
     check_rho(rho)
     if rho == 0.0:
         return Y.copy()
-    rng = generator(seed)
     Z = rng.standard_normal(Y.shape)
     return np.sqrt(1.0 - rho * rho) * Y + rho * Z
 
 
-# model -> (instance, rho, seed) -> the noisy observation, shaped like instance.observation
+def noise_psp(instance: PspInstance, rho: float, seed: int) -> np.ndarray:
+    return draw_noise_psp(instance, rho, generator(seed))
+
+
+def noise_rlc(y: np.ndarray, rho: float, seed: int) -> np.ndarray:
+    return draw_noise_rlc(y, rho, generator(seed))
+
+
+def noise_gss(Y: float, rho: float, seed: int) -> float:
+    return draw_noise_gss(Y, rho, generator(seed))
+
+
+def noise_tpca(Y: np.ndarray, rho: float, seed: int) -> np.ndarray:
+    return draw_noise_tpca(Y, rho, generator(seed))
+
+
+# model -> (instance, rho, rng) -> the noisy observation, shaped like instance.observation
 _NOISE = {
-    "psp": noise_psp,
-    "rlc": lambda inst, rho, seed: (inst.A, noise_rlc(inst.y, rho, seed)),
-    "gss": lambda inst, rho, seed: (inst.X, noise_gss(inst.Y, rho, seed)),
-    "tpca": lambda inst, rho, seed: noise_tpca(inst.Y, rho, seed),
+    "psp": draw_noise_psp,
+    "rlc": lambda inst, rho, rng: (inst.A, draw_noise_rlc(inst.y, rho, rng)),
+    "gss": lambda inst, rho, rng: (inst.X, draw_noise_gss(inst.Y, rho, rng)),
+    "tpca": lambda inst, rho, rng: draw_noise_tpca(inst.Y, rho, rng),
 }
+
+
+def draw_noisy_observation(instance, rho: float, rng: np.random.Generator):
+    """The instance's observation after the model's noise operator at rho, drawn from rng."""
+    return _NOISE[model_name(instance.params)](instance, rho, rng)
 
 
 def noise_instance_observation(instance, rho: float, seed: int):
     """The instance's observation after the model's noise operator at rho."""
-    return _NOISE[model_name(instance.params)](instance, rho, seed)
+    return draw_noisy_observation(instance, rho, generator(seed))
 
 
-def coupled_trial(params, rho: float, seed: int, t: int, *, grid_point=None, draw=None):
-    """Trial t of a coupled experiment: (instance, its observation after T_rho).
+class CoupledTrials:
+    """Trials 0..n-1 of a coupled experiment; trial t is drawn when indexed.
+
+    Every instance and noise key is derived at construction.  Indexing
+    re-keys one shared Philox, so trial t is the same whichever trials were
+    drawn before it.
+    """
+
+    def __init__(self, params, rho: float, seed: int, n: int, grid_point, draw):
+        check_rho(rho)
+        ts = np.arange(n)
+        path = () if grid_point is None else (grid_point,)
+        self._noise_keys = philox_keys(derive_seeds(seed, NOISE_STREAM, *path, ts=ts))
+        self._instance_keys = None if draw is not None else philox_keys(derive_seeds(seed, INSTANCE_STREAM, ts=ts))
+        self._params, self._rho, self._seed, self._draw = params, rho, seed, draw
+        self._rng = keyed_generator()
+
+    def __len__(self) -> int:
+        return len(self._noise_keys)
+
+    def __getitem__(self, t: int):
+        if not 0 <= t < len(self):
+            raise IndexError(f"trial {t} outside 0..{len(self) - 1}")
+        if self._draw is None:
+            inst = draw_instance(self._params, rekey(self._rng, self._instance_keys[t]))
+        else:
+            inst = self._draw(self._params, self._seed, t)
+        return inst, draw_noisy_observation(inst, self._rho, rekey(self._rng, self._noise_keys[t]))
+
+
+def coupled_trials(params, rho: float, seed: int, n: int, *, grid_point=None, draw=None) -> CoupledTrials:
+    """Trials 0..n-1 of a coupled experiment: trial t is (instance, its observation after T_rho).
 
     The instance is sample_instance at seed path (seed, INSTANCE_STREAM, t),
     or draw(params, seed, t) when given.  The noise seed path is
     (seed, NOISE_STREAM, t), or (seed, NOISE_STREAM, grid_point, t) for a
     point of a noise grid, so the same draw replays against any estimator.
     """
-    if draw is None:
-        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
-    else:
-        inst = draw(params, seed, t)
-    path = (t,) if grid_point is None else (grid_point, t)
-    return inst, noise_instance_observation(inst, rho, derive_seed(seed, NOISE_STREAM, *path))
+    return CoupledTrials(params, rho, seed, n, grid_point, draw)

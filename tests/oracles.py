@@ -4,7 +4,9 @@ The Monte-Carlo posterior oracles are written straight from the generative
 descriptions in plain numpy, on purpose sharing no code with the library's
 samplers/noise/posteriors.  The PSP pair loops check the library's indexed
 edge-vector conversions, and the (A, x, mask) loop checks the closed-form
-RLC character correlation.  The exhaustive oracles at the end (all simple
+RLC character correlation.  numpy's own SeedSequence checks the batch seed
+derivation, and the per-trial polynomial evaluations and stability loop
+check the batched ones.  The exhaustive oracles at the end (all simple
 paths, the full GF(2) solution set, exact lattice coordinates) check the
 fast solvers.  The helpers in the last section are test-only API built on
 the library: overlap class sizes, OU composition and a symmetrization check.
@@ -20,10 +22,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from plantedlab.mc import mean_stderr
+from plantedlab.lowdeg import _shape_maps, hermite_eval
+from plantedlab.mc import mean_stderr, ratio_with_stderr
 from plantedlab.models import PspParams, path_edges, sample_instance
-from plantedlab.noise import check_rho
-from plantedlab.rng import INSTANCE_STREAM, derive_seed, generator
+from plantedlab.noise import check_rho, noise_instance_observation
+from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
 
 
 def psp_rejection_posterior(target_edges: np.ndarray, n: int, L: int, q: float, rho: float,
@@ -208,6 +211,72 @@ def rlc_character_expectation_loop(idx1, idx2, params, rho: float) -> float:
                     val *= 2.0 * y[i] - 1.0
                 total += p_mask * val
     return total / 2 ** (m * n + n)
+
+
+def seed_sequence_seed(seed: int, *path: int) -> int:
+    """numpy's SeedSequence(seed, spawn_key=path) collapsed to one 64-bit seed."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=path).generate_state(1, np.uint64)[0])
+
+
+def seed_sequence_philox_key(seed: int) -> np.ndarray:
+    """The key that Philox(SeedSequence(seed)) runs on."""
+    return np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
+
+
+def coupled_trial_scalar(params, rho: float, seed: int, t: int, grid_point=None):
+    """Trial t of a coupled experiment from two scalar seeds, one per stream."""
+    inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
+    path = (t,) if grid_point is None else (grid_point, t)
+    return inst, noise_instance_observation(inst, rho, derive_seed(seed, NOISE_STREAM, *path))
+
+
+def rlc_poly_evaluate_loop(poly, observation) -> float:
+    """Sum of coeff * chi_{S,T}(A, y) over the terms, one observation, in term order."""
+    A, y = observation
+    total = 0
+    for idx, c in poly.terms:
+        val = 1.0
+        for i, j in idx.S:
+            val *= 2.0 * A[i, j] - 1.0
+        for i in idx.T:
+            val *= 2.0 * y[i] - 1.0
+        total += c * val
+    return total
+
+
+def gss_poly_evaluate_loop(poly, observation, params) -> float:
+    """Hermite polynomial at one (X, Y), term by term, factor by factor."""
+    X, Y = observation
+    y = Y / math.sqrt(params.k)
+    total = 0.0
+    for alpha, t, c in poly.terms:
+        val = c * (hermite_eval(t, y) if t else 1.0)
+        for coord, deg in alpha:
+            val *= hermite_eval(deg, X[coord])
+        total += val
+    return total
+
+
+def psp_poly_evaluate_loop(poly, adjacency: np.ndarray, params) -> float:
+    """Symmetric PSP polynomial at one graph: one placement sum per term."""
+    n, q = params.n, params.q
+    centered = (psp_edge_vector_loop(adjacency, n).astype(float) - q) / math.sqrt(q * (1.0 - q))
+    total = 0.0
+    for shape, c in poly.terms:
+        total += c * float(centered[_shape_maps(shape, n)].prod(axis=1).sum())
+    return total
+
+
+def stability_ratio_loop(evaluate: Callable, params, rho: float, trials: int, seed: int) -> tuple[float, float]:
+    """(ratio, stderr) of E[(f - f o T_rho)^2] / E[f^2], one trial and one evaluate(observation) at a time."""
+    num, den = [], []
+    for t in range(trials):
+        inst, noisy = coupled_trial_scalar(params, rho, seed, t)
+        v0 = evaluate(inst.observation)
+        v1 = evaluate(noisy)
+        num.append((v0 - v1) ** 2)
+        den.append(v0**2)
+    return ratio_with_stderr(np.array(num), np.array(den))
 
 
 def all_simple_paths(adjacency: np.ndarray, source: int = 1, target: int = 2):

@@ -283,6 +283,33 @@ def test_malformed_params_exit_2(tmp_path, capsys, params, message):
     assert message in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    code = main(
+        ["mmse-curve", "--model", "gss", "--params", '{"N":6,"k":2}', "--rho-grid", "0.5", "--trials", "3",
+         "--seed", "-1", "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mmse-curve", "--model", "gss", "--params", '{"N":6,"k":2}', "--trials", "3"],
+        ["stability", "--model", "gss", "--params", '{"N":6,"k":2}', "--trials", "3", "--estimators", "posterior_mean"],
+        ["barrier", "--model", "gss", "--params", '{"N":6,"k":2}', "--trials", "3", "--estimators", "posterior_mean"],
+        ["hermite-check", "--options", '{"n_specs":0}'],
+    ],
+    ids=["mmse-curve", "stability", "barrier", "hermite-check"],
+)
+def test_nothing_to_compute_exits_2(tmp_path, capsys, argv):
+    # no rho grid, or no diagram specs: a header-only CSV would look like a result
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "needs" in capsys.readouterr().err
+    assert not out.with_suffix(".csv").exists()
+
+
 def test_missing_output_exits_2(tmp_path, capsys):
     code = main(["hermite-check", "--seed", "1", "--options", '{"n_specs":1,"samples":1000}'])
     assert code == 2

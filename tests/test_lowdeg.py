@@ -6,14 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rlc_character_expectation_loop, symmetrize_check
+from oracles import (
+    gss_poly_evaluate_loop,
+    psp_poly_evaluate_loop,
+    rlc_character_expectation_loop,
+    rlc_poly_evaluate_loop,
+    stability_ratio_loop,
+    symmetrize_check,
+)
 from plantedlab.errors import IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import (
+    EVAL_CHUNK,
+    PSP_GATHER_ELEMENTS,
     CharacterIndex,
     DiagramSpec,
     GssPoly,
     PspSymmetricPoly,
     RlcPoly,
+    _shape_maps,
     diagram_expectation,
     diagram_mc_oracle,
     enumerate_character_indices,
@@ -26,6 +36,7 @@ from plantedlab.lowdeg import (
     stability_ratio,
 )
 from plantedlab.models import GssParams, PspParams, RlcParams, sample_psp
+from plantedlab.noise import coupled_trials
 from plantedlab.rng import generator
 
 
@@ -334,6 +345,86 @@ def test_stability_ratio_zero_poly_ill_conditioned():
     poly = RlcPoly(terms=())
     with pytest.raises(IllConditionedError):
         stability_ratio(poly, params, rho=0.5, trials=50, seed=3)
+
+
+# model -> (params, random polynomial maker, one-observation oracle (poly, observation, params) -> value)
+POLY_CASES = {
+    "rlc": (RlcParams(m=7, n=5), random_rlc_poly, lambda poly, obs, params: rlc_poly_evaluate_loop(poly, obs)),
+    "gss": (GssParams(N=12, k=3), random_gss_poly, gss_poly_evaluate_loop),
+    "psp": (PspParams(n=9, L=3, q=0.3), random_psp_symmetric_poly, psp_poly_evaluate_loop),
+}
+POLY_TYPES = {"rlc": RlcPoly, "gss": GssPoly, "psp": PspSymmetricPoly}
+
+
+def _clean_and_noisy(params, rho, seed, trials) -> list:
+    batch = coupled_trials(params, rho, seed, trials)
+    pairs = [batch[t] for t in range(trials)]
+    return [inst.observation for inst, _ in pairs] + [noisy for _, noisy in pairs]
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from(sorted(POLY_CASES)),
+    seed=st.integers(0, 2**32),
+    degree=st.integers(1, 2),
+    trials=st.integers(1, 9),
+)
+def test_evaluate_many_bit_identical_to_one_observation_loop(model, seed, degree, trials):
+    params, make, loop = POLY_CASES[model]
+    poly = make(params, degree, generator(seed))
+    observations = _clean_and_noisy(params, 0.4, seed, trials)
+    want = _hex(loop(poly, obs, params) for obs in observations)
+    assert _hex(poly.evaluate_many(observations, params)) == want
+    values = [poly.evaluate(obs, params) for obs in observations]
+    assert all(type(v) is float for v in values) and _hex(values) == want
+
+
+@pytest.mark.parametrize("model", sorted(POLY_CASES))
+def test_evaluate_many_of_empty_poly_is_zero(model):
+    params, _, loop = POLY_CASES[model]
+    poly = POLY_TYPES[model](terms=())
+    observations = _clean_and_noisy(params, 0.5, 3, 4)
+    assert _hex(poly.evaluate_many(observations, params)) == _hex(loop(poly, obs, params) for obs in observations)
+    assert _hex(poly.evaluate_many(observations, params)) == [(0.0).hex()] * 8
+
+
+def test_psp_evaluate_many_splits_the_largest_shape_across_gathers():
+    params = PspParams(n=10, L=3, q=0.3)
+    shape = ((3, 4), (5, 6))
+    per_trial = _shape_maps(shape, params.n).size
+    assert per_trial == 1680 * 2
+    poly = PspSymmetricPoly(terms=((shape, 0.7), (((1, 3),), -1.2)))
+    trials = 2 * (PSP_GATHER_ELEMENTS // per_trial) + 5  # over two gathers, not a multiple of one
+    observations = _clean_and_noisy(params, 0.3, 5, trials)
+    want = _hex(psp_poly_evaluate_loop(poly, obs, params) for obs in observations)
+    assert _hex(poly.evaluate_many(observations, params)) == want
+
+
+def test_psp_shape_without_placements_contributes_zero():
+    # ((3,4),(5,6)) needs four non-endpoint vertices; n = 5 has three
+    params = PspParams(n=5, L=3, q=0.3)
+    adjacency = sample_psp(params, seed=4).adjacency
+    both = PspSymmetricPoly(terms=((((3, 4), (5, 6)), 1.0), (((1, 3),), 2.0)))
+    single = PspSymmetricPoly(terms=((((1, 3),), 2.0),))
+    assert both.evaluate(adjacency, params) == single.evaluate(adjacency, params)
+
+
+@pytest.mark.parametrize("model", sorted(POLY_CASES))
+def test_stability_ratio_bit_identical_to_trial_loop(model):
+    params, make, loop = POLY_CASES[model]
+    # random GSS and PSP polynomials are heavy-tailed; this seed's clear the
+    # 10-stderr guard on E[f^2] for all three models
+    poly = make(params, 2, generator(13))
+    trials = EVAL_CHUNK + 37  # a partial last chunk
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        r = stability_ratio(poly, params, 0.3, trials, seed=8)
+    ratio, stderr = stability_ratio_loop(lambda obs: loop(poly, obs, params), params, 0.3, trials, 8)
+    assert (r.ratio.hex(), r.stderr.hex()) == (ratio.hex(), stderr.hex())
 
 
 def test_rlc_pure_codeword_character_sits_at_bound():

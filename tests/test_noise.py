@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plantedlab.models import (
     GssParams,
@@ -8,13 +10,23 @@ from plantedlab.models import (
     RlcParams,
     TpcaParams,
     sample_gss,
+    sample_instance,
     sample_psp,
     sample_rlc,
     sample_tpca,
 )
 from oracles import ou_compose
-from plantedlab.noise import noise_gss, noise_psp, noise_rlc, noise_tpca
-from plantedlab.rng import derive_seed
+from plantedlab.noise import (
+    draw_noise_gss,
+    draw_noise_psp,
+    draw_noise_rlc,
+    draw_noise_tpca,
+    noise_gss,
+    noise_psp,
+    noise_rlc,
+    noise_tpca,
+)
+from plantedlab.rng import derive_seed, keyed_generator, philox_keys, rekey
 
 
 def test_rho_zero_is_identity_everywhere():
@@ -26,6 +38,47 @@ def test_rho_zero_is_identity_everywhere():
     assert noise_gss(gss.Y, 0.0, seed=9) == gss.Y
     tpca = sample_tpca(TpcaParams(n=5, k=2, d=3, lam=2.0), seed=1)
     assert np.array_equal(noise_tpca(tpca.Y, 0.0, seed=9), tpca.Y)
+
+
+# model -> (params, instance -> (operator input, the observation it stands for), operator(input, rho, rng))
+NOISE_OPERATORS = {
+    "psp": (PspParams(n=7, L=3, q=0.35), lambda inst: (inst, inst.adjacency), draw_noise_psp),
+    "rlc": (RlcParams(m=9, n=4), lambda inst: (inst.y, inst.y), draw_noise_rlc),
+    "gss": (GssParams(N=8, k=3), lambda inst: (inst.Y, inst.Y), draw_noise_gss),
+    "tpca": (TpcaParams(n=4, k=2, d=3, lam=3.0), lambda inst: (inst.Y, inst.Y), draw_noise_tpca),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(sorted(NOISE_OPERATORS)), seed=st.integers(0, 2**64 - 1), key_seed=st.integers(0, 2**64 - 1))
+def test_rho_zero_copies_the_input_and_draws_nothing(model, seed, key_seed):
+    params, operand, operator = NOISE_OPERATORS[model]
+    x, observed = operand(sample_instance(params, seed))
+    rng = rekey(keyed_generator(), philox_keys([key_seed])[0])
+    before = rng.bit_generator.state
+    out = operator(x, 0.0, rng)
+    assert np.array_equal(out, observed)
+    if isinstance(out, np.ndarray):
+        assert not np.shares_memory(out, observed)
+    after = rng.bit_generator.state
+    assert after["state"]["key"].tolist() == before["state"]["key"].tolist()
+    assert after["state"]["counter"].tolist() == before["state"]["counter"].tolist()
+    assert (after["buffer_pos"], after["has_uint32"]) == (before["buffer_pos"], before["has_uint32"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(sorted(NOISE_OPERATORS)), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2, unique=True), key_seed=st.integers(0, 2**64 - 1))
+def test_rho_one_forgets_the_input(model, seeds, key_seed):
+    params, operand, operator = NOISE_OPERATORS[model]
+    gen, key = keyed_generator(), philox_keys([key_seed])[0]
+    a, b = (operand(sample_instance(params, s))[0] for s in seeds)
+    out_a = operator(a, 1.0, rekey(gen, key))
+    out_b = operator(b, 1.0, rekey(gen, key))
+    assert np.array_equal(out_a, out_b)
+    if model in ("gss", "tpca"):
+        # sqrt(1 - 1) * Y + 1 * Z is exactly Z
+        z = rekey(gen, key).standard_normal(np.shape(out_a) or None)
+        assert np.array_equal(out_a, z)
 
 
 def test_noise_is_replayable():

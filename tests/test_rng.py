@@ -1,0 +1,152 @@
+"""Batch seed derivation and the re-keyed generator against numpy's SeedSequence."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import coupled_trial_scalar, seed_sequence_philox_key, seed_sequence_seed
+from plantedlab.errors import ParameterError
+from plantedlab.models import (
+    GssParams,
+    PspParams,
+    RlcParams,
+    TpcaParams,
+    draw_instance,
+    instance_to_json,
+    sample_instance,
+)
+from plantedlab.noise import coupled_trials, draw_noisy_observation, noise_instance_observation
+from plantedlab.rng import derive_seed, derive_seeds, generator, keyed_generator, philox_keys, rekey
+
+seeds = st.one_of(st.just(0), st.integers(0, 2**64 - 1), st.integers(2**64, 2**130))
+# path words: 0 is one uint32 word; 2**32 and above take two
+words = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+trial_indices = st.one_of(st.integers(0, 40), st.integers(2**32 - 2, 2**32 + 2), st.integers(2**32, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, prefix=st.lists(words, max_size=3), ts=st.lists(trial_indices, min_size=1, max_size=8))
+def test_derive_seeds_match_seed_sequence(seed, prefix, ts):
+    got = derive_seeds(seed, *prefix, ts=np.array(ts, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == [seed_sequence_seed(seed, *prefix, t) for t in ts]
+
+
+def test_derive_seeds_over_a_long_batch():
+    ts = np.arange(3000)
+    for seed, prefix in ((7, (1,)), (71 * 10**12 + 5, (0,)), (2**64 - 1, (1, 3)), (2**64, (4, 2**40))):
+        got = derive_seeds(seed, *prefix, ts=ts).tolist()
+        assert got == [seed_sequence_seed(seed, *prefix, int(t)) for t in ts]
+        assert got[:20] == [derive_seed(seed, *prefix, int(t)) for t in ts[:20]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.integers(0, 2**32 - 1))
+def test_run_entropy_padded_only_with_spawn_key(seed, t):
+    # with a spawn key the run entropy is padded to 4 words: (seed, t) is not
+    # the entropy [seed, t]; without one (philox_keys) nothing is padded
+    assert int(derive_seeds(seed, ts=[t])[0]) == seed_sequence_seed(seed, t)
+    unpadded = np.random.SeedSequence(entropy=[seed, t]).generate_state(1, np.uint64)[0]
+    assert int(derive_seeds(seed, ts=[t])[0]) != int(unpadded)
+    assert philox_keys([seed]).tolist() == [seed_sequence_philox_key(seed).tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=10))
+def test_philox_keys_match_seed_sequence(batch):
+    keys = philox_keys(np.array(batch, dtype=np.uint64))
+    assert keys.shape == (len(batch), 2) and keys.dtype == np.uint64
+    for s, key in zip(batch, keys):
+        assert key.tolist() == seed_sequence_philox_key(s).tolist()
+        assert key.tolist() == np.random.Philox(s).state["state"]["key"].tolist()
+
+
+def test_empty_batch():
+    assert derive_seeds(3, 1, ts=[]).shape == (0,)
+    assert philox_keys(derive_seeds(3, 1, ts=np.arange(0))).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: derive_seeds(-1, 0, ts=[0]),
+        lambda: derive_seeds(1, -2, ts=[0]),
+        lambda: derive_seeds(1, 0, ts=[3, -1]),
+        lambda: derive_seed(-1, 0, 0),
+        lambda: derive_seed(1, 0, -5),
+        lambda: generator(-1),
+    ],
+    ids=["batch-seed", "batch-prefix", "batch-trial", "scalar-seed", "scalar-path", "generator"],
+)
+def test_negative_seed_words_raise_parameter_error(call):
+    # a uint64 cast would wrap -1 to 2**64 - 1 silently
+    with pytest.raises(ParameterError, match="non-negative"):
+        call()
+
+
+MODEL_PARAMS = [
+    PspParams(n=8, L=3, q=0.3),
+    RlcParams(m=7, n=4),
+    GssParams(N=9, k=3),
+    TpcaParams(n=4, k=2, d=3, lam=2.0),
+]
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rho=st.sampled_from([0.0, 0.3, 1.0]))
+def test_rekeyed_generator_draws_the_seeded_stream(seed, rho):
+    # one generator, re-keyed after every draw, against a fresh generator(seed) per call
+    gen = keyed_generator()
+    key = philox_keys([seed])[0]
+    for params in MODEL_PARAMS:
+        inst = sample_instance(params, seed)
+        assert instance_to_json(draw_instance(params, rekey(gen, key))) == instance_to_json(inst)
+        want = noise_instance_observation(inst, rho, seed)
+        assert _same(draw_noisy_observation(inst, rho, rekey(gen, key)), want)
+    # the generator draws the same stream as generator(seed) for the basic draws too
+    for draw in (
+        lambda g: g.standard_normal(5),
+        lambda g: g.integers(0, 2, size=9, dtype=np.uint8),
+        lambda g: g.random(4),
+        lambda g: g.choice(11, size=4, replace=False),
+    ):
+        assert np.array_equal(draw(rekey(gen, key)), draw(generator(seed)))
+
+
+@pytest.mark.parametrize("params", MODEL_PARAMS, ids=lambda p: type(p).__name__)
+def test_coupled_trials_match_scalar_seeds(params):
+    batch = coupled_trials(params, 0.4, 11, 12)
+    assert len(batch) == 12
+    # any access order gives the same trial
+    for t in (5, 0, 11, 5, 3):
+        inst, noisy = batch[t]
+        want_inst, want_noisy = coupled_trial_scalar(params, 0.4, 11, t)
+        assert instance_to_json(inst) == instance_to_json(want_inst)
+        assert _same(noisy, want_noisy)
+    with pytest.raises(IndexError):
+        batch[12]
+    inst, noisy = coupled_trials(params, 0.7, 11, 4, grid_point=2)[3]
+    want_inst, want_noisy = coupled_trial_scalar(params, 0.7, 11, 3, grid_point=2)
+    assert instance_to_json(inst) == instance_to_json(want_inst) and _same(noisy, want_noisy)
+
+
+def test_coupled_trials_custom_draw_keeps_noise_seeds():
+    params = RlcParams(m=6, n=3)
+    calls = []
+
+    def draw(p, seed, t):
+        calls.append(t)
+        return sample_instance(p, derive_seed(seed, 9, t))
+
+    batch = coupled_trials(params, 0.5, 4, 3, grid_point=1, draw=draw)
+    inst, noisy = batch[2]
+    assert calls == [2]
+    assert instance_to_json(inst) == instance_to_json(sample_instance(params, derive_seed(4, 9, 2)))
+    assert _same(noisy, noise_instance_observation(inst, 0.5, derive_seed(4, 1, 1, 2)))
