@@ -73,6 +73,10 @@ CASES.update(
             "count-paths", "--seed", "5",
             "--options", '{"n":9,"m":3,"eps_m":1,"q":0.3,"graphs":150,"pairs":true,"pair_graphs":10}',
         ],
+        "count-paths-pairs-beyond-graphs": [
+            "count-paths", "--seed", "5",
+            "--options", '{"n":9,"m":3,"eps_m":1,"q":0.3,"graphs":5,"pairs":true,"pair_graphs":12}',
+        ],
         "pca-window": [
             "pca-window", "--model", "tpca", "--params", '{"n":8,"k":2,"d":3,"lambda":1.0}',
             "--trials", "20", "--seed", "5", "--options", '{"lambdas":[2.0,12.0]}',
