@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from plantedlab.bayes import tpca_overlap_distribution
-from plantedlab.models import TpcaParams, sample_tpca
+from plantedlab.models import TpcaParams, sample_instance
 from plantedlab.rng import derive_seed
 
 n, k, d = 12, 2, 3
@@ -23,6 +23,6 @@ for mult in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
     params = TpcaParams(n=n, k=k, d=d, lam=mult * base)
     mass = np.empty(trials)
     for t in range(trials):
-        inst = sample_tpca(params, seed=derive_seed(9, 0, t))
+        inst = sample_instance(params, seed=derive_seed(9, 0, t))
         mass[t] = tpca_overlap_distribution(inst.Y, inst.support, params)[k]
     print(f"{mult:12.1f}  {mass.mean():9.3f}  {float((mass > 0.5).mean()):14.2f}")

@@ -29,7 +29,7 @@ from .models import (
     signal_norm,
     subset_sum_value,
 )
-from .noise import check_rho, coupled_trials
+from .noise import CoupledTrials, check_rho
 from .rng import INSTANCE_STREAM, derive_seed
 from .solvers import f2_rank
 
@@ -296,7 +296,7 @@ def estimate_mmse_curve(
     norm = signal_norm(params)
     out = []
     for j, rho in enumerate(rho_grid):
-        batch = coupled_trials(params, rho, seed, trials, grid_point=j, draw=draw)
+        batch = CoupledTrials(params, rho, seed, trials, grid_point=j, draw=draw)
 
         def trial(t: int, _batch=batch, _rho=rho) -> float:
             inst, noisy = _batch[t]

@@ -26,7 +26,7 @@ from .errors import ParameterError
 from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_oracle, stability_ratio
 from .mc import mean_stderr
 from .models import MODEL_NAMES, model_name, params_from_json, params_to_json, sample_instance
-from .rng import INSTANCE_STREAM, POLY_STREAM, derive_seed, generator
+from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, derive_seeds, generator
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 from .stability import ESTIMATORS, measure_stability, verify_barrier
 
@@ -174,6 +174,11 @@ def nmmse_svg(points: list[tuple[float, float]], title: str) -> str:
 # command implementations
 
 
+def _trial_seeds(seed: int, n: int) -> list[int]:
+    """derive_seed(seed, INSTANCE_STREAM, t) for t in 0..n-1, derived in one batch."""
+    return derive_seeds(seed, INSTANCE_STREAM, ts=np.arange(n)).tolist()
+
+
 def _need_rho_grid(config: ExperimentConfig) -> None:
     if not config.rho_grid:
         raise UsageError(f"{config.command} needs a rho_grid")
@@ -265,9 +270,8 @@ def _cmd_solve(config: ExperimentConfig):
         raise UsageError("solve supports psp, rlc, and gss (no fast tensor solver)")
     recovers = _FAST_SOLVERS[name]
     hits = 0
-    for t in range(config.trials):
-        inst = sample_instance(params, derive_seed(config.seed, INSTANCE_STREAM, t))
-        hits += recovers(inst, config.options)
+    for seed in _trial_seeds(config.seed, config.trials):
+        hits += recovers(sample_instance(params, seed), config.options)
     rate = hits / config.trials
     se = math.sqrt(rate * (1 - rate) / config.trials)
     rows = [Row(name, _params_blob(params), "", config.trials, "exact_recovery_rate", rate, se)]
@@ -283,10 +287,23 @@ def _cmd_count_paths(config: ExperimentConfig):
     graphs = int(opts.get("graphs", config.trials))
     if graphs < 1:
         raise UsageError("count-paths needs graphs >= 1")
+    pairs = bool(opts.get("pairs", False))
+    pair_graphs = int(opts.get("pair_graphs", min(graphs, 100))) if pairs else 0
+    if pairs and pair_graphs < 1:
+        raise UsageError("count-paths needs pair_graphs >= 1")
     counts = np.empty(graphs)
-    for t in range(graphs):
-        adj = sample_null_graph(n, q, derive_seed(config.seed, INSTANCE_STREAM, t))
-        counts[t] = count_approx_paths(adj, m, eps_m)
+    totals: dict[int, float] = {}
+    pair_total = 0.0
+    # graph t serves both the count (t < graphs) and the pair census (t < pair_graphs)
+    for t, seed in enumerate(_trial_seeds(config.seed, max(graphs, pair_graphs))):
+        adj = sample_null_graph(n, q, seed)
+        if t < graphs:
+            counts[t] = count_approx_paths(adj, m, eps_m)
+        if t < pair_graphs:
+            census = count_overlap_pairs(adj, m, eps_m)
+            pair_total += census.pair_count
+            for shared, c in census.histogram.items():
+                totals[shared] = totals.get(shared, 0.0) + c
     mean, se = mean_stderr(counts)
     target = expected_count(n, m, eps_m, q)
     blob = json.dumps({"eps_m": eps_m, "m": m, "n": n, "q": q}, sort_keys=True, separators=(",", ":"))
@@ -294,18 +311,7 @@ def _cmd_count_paths(config: ExperimentConfig):
         Row("gnq", blob, "", graphs, "empirical_mean_count", mean, se),
         Row("gnq", blob, "", graphs, "expected_count", target, 0.0),
     ]
-    if opts.get("pairs", False):
-        pair_graphs = int(opts.get("pair_graphs", min(graphs, 100)))
-        if pair_graphs < 1:
-            raise UsageError("count-paths needs pair_graphs >= 1")
-        totals: dict[int, float] = {}
-        pair_total = 0.0
-        for t in range(pair_graphs):
-            adj = sample_null_graph(n, q, derive_seed(config.seed, INSTANCE_STREAM, t))
-            census = count_overlap_pairs(adj, m, eps_m)
-            pair_total += census.pair_count
-            for shared, c in census.histogram.items():
-                totals[shared] = totals.get(shared, 0.0) + c
+    if pairs:
         rows.append(Row("gnq", blob, "", pair_graphs, "mean_pair_count", pair_total / pair_graphs, 0.0))
         for shared in sorted(totals):
             rows.append(
@@ -320,6 +326,8 @@ def _cmd_hermite_check(config: ExperimentConfig):
     samples = int(opts.get("samples", 10**6))
     if n_specs < 1:
         raise UsageError("hermite-check needs n_specs >= 1")
+    if samples < 0:  # 0 samples fails later, as an empty average
+        raise UsageError("hermite-check needs a non-negative sample count")
     rng = generator(config.seed)
     rows = []
     for i in range(n_specs):
@@ -334,7 +342,7 @@ def _cmd_hermite_check(config: ExperimentConfig):
         mu = rng.standard_normal(k) * 0.5 if i % 2 else None
         spec = DiagramSpec(alpha, R, mu)
         exact = diagram_expectation(spec)
-        mc, se = diagram_mc_oracle(spec, samples, derive_seed(config.seed, 5, i))
+        mc, se = diagram_mc_oracle(spec, samples, derive_seed(config.seed, DIAGRAM_STREAM, i))
         blob = json.dumps({"alpha": list(alpha), "mean_shifted": mu is not None}, sort_keys=True)
         rows.append(Row("diagram", blob, "", samples, f"exact[{i}]", exact, 0.0))
         rows.append(Row("diagram", blob, "", samples, f"mc[{i}]", mc, se))
@@ -349,6 +357,8 @@ def _cmd_lowdeg_stability(config: ExperimentConfig):
     _need_rho_grid(config)
     if name not in POLY_FAMILIES:
         raise UsageError("lowdeg-stability supports psp, rlc, and gss")
+    if degree < 0 or n_polys < 1:
+        raise UsageError("lowdeg-stability needs degree >= 0 and n_polys >= 1")
     family = POLY_FAMILIES[name]
     rng = generator(derive_seed(config.seed, POLY_STREAM))
     blob = _params_blob(params)
@@ -357,7 +367,7 @@ def _cmd_lowdeg_stability(config: ExperimentConfig):
         rows.append(Row(name, blob, rho, config.trials, "stability_bound", family.bound(degree, rho), 0.0))
         for p in range(n_polys):
             poly = family.make(params, degree, rng)
-            r = stability_ratio(poly, params, rho, config.trials, derive_seed(config.seed, 4, p))
+            r = stability_ratio(poly, params, rho, config.trials, derive_seed(config.seed, POLY_TRIAL_STREAM, p))
             rows.append(Row(name, blob, rho, config.trials, f"stability_ratio[{p}]", r.ratio, r.stderr))
     return rows, None
 
@@ -369,12 +379,13 @@ def _cmd_pca_window(config: ExperimentConfig):
     lambdas = config.options.get("lambdas")
     if not lambdas:
         raise UsageError("pca-window needs option 'lambdas'")
+    seeds = _trial_seeds(config.seed, config.trials)
     rows = []
     for lam in lambdas:
         p_lam = replace(params, lam=float(lam))
         top_mass = np.empty(config.trials)
-        for t in range(config.trials):
-            inst = sample_instance(p_lam, derive_seed(config.seed, INSTANCE_STREAM, t))
+        for t, seed in enumerate(seeds):
+            inst = sample_instance(p_lam, seed)
             p = tpca_overlap_distribution(inst.Y, inst.support, p_lam)
             top_mass[t] = p[params.k]
         frac = float((top_mass > 0.5).mean())

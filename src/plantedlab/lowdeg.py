@@ -28,7 +28,7 @@ from .models import (
     model_name,
     pair_index,
 )
-from .noise import check_rho, coupled_trials
+from .noise import CoupledTrials, check_rho
 from .rng import generator
 
 DIAGRAM_DEGREE_CAP = 10
@@ -398,7 +398,7 @@ def stability_ratio(
     The same noise realization couples the two arms of every trial.
     """
     _degree_regime_warning(poly, params)
-    batch = coupled_trials(params, rho, seed, trials)
+    batch = CoupledTrials(params, rho, seed, trials)
     num, den = [], []
     for start in range(0, trials, EVAL_CHUNK):
         pairs = [batch[t] for t in range(start, min(start + EVAL_CHUNK, trials))]

@@ -7,10 +7,10 @@ Conventions
   laid out in lexicographic pair order (1,2), (1,3), ..., (n-1,n).
 * RLC/GSS/TPCA indices are 0-based.
 * Samplers are pure functions of (params, seed): identical arguments produce
-  bit-identical instances.  Each sample_<model>(params, seed) draws from
-  generator(seed) through draw_<model>(params, rng), which batch callers feed
-  a re-keyed generator.  Within a sampler the signal is drawn first, the
-  ambient randomness second.
+  bit-identical instances.  sample_instance(params, seed) draws from
+  generator(seed) through the model's draw_<model>(params, rng), which batch
+  callers feed a re-keyed generator.  Within a sampler the signal is drawn
+  first, the ambient randomness second.
 
 JSON schema (stable field names)
 --------------------------------
@@ -281,22 +281,6 @@ def draw_tpca(params: TpcaParams, rng: np.random.Generator) -> TpcaInstance:
     W = rng.standard_normal((params.n,) * params.d)
     Y = math.sqrt(params.lam) * tpca_signal_tensor(params, support) + W
     return TpcaInstance(params=params, support=support, Y=Y)
-
-
-def sample_psp(params: PspParams, seed: int) -> PspInstance:
-    return draw_psp(params, generator(seed))
-
-
-def sample_rlc(params: RlcParams, seed: int) -> RlcInstance:
-    return draw_rlc(params, generator(seed))
-
-
-def sample_gss(params: GssParams, seed: int) -> GssInstance:
-    return draw_gss(params, generator(seed))
-
-
-def sample_tpca(params: TpcaParams, seed: int) -> TpcaInstance:
-    return draw_tpca(params, generator(seed))
 
 
 MODEL_NAMES = ("psp", "rlc", "gss", "tpca")

@@ -5,9 +5,9 @@ replaced by a fresh draw from its ambient distribution with probability rho.
 Gaussian models use the Ornstein-Uhlenbeck average sqrt(1-rho^2) * y + rho * Z.
 
 rho = 0 is a bit-exact identity that draws nothing.  Each operator
-draw_noise_<model> draws from a given generator; noise_<model> takes an
-explicit seed instead, so the same noise realization can be replayed against
-different estimators.
+draw_noise_<model> draws from a given generator; noise_instance_observation
+takes an explicit seed instead, so the same noise realization can be
+replayed against different estimators.
 """
 
 from __future__ import annotations
@@ -70,22 +70,6 @@ def draw_noise_tpca(Y: np.ndarray, rho: float, rng: np.random.Generator) -> np.n
     return np.sqrt(1.0 - rho * rho) * Y + rho * Z
 
 
-def noise_psp(instance: PspInstance, rho: float, seed: int) -> np.ndarray:
-    return draw_noise_psp(instance, rho, generator(seed))
-
-
-def noise_rlc(y: np.ndarray, rho: float, seed: int) -> np.ndarray:
-    return draw_noise_rlc(y, rho, generator(seed))
-
-
-def noise_gss(Y: float, rho: float, seed: int) -> float:
-    return draw_noise_gss(Y, rho, generator(seed))
-
-
-def noise_tpca(Y: np.ndarray, rho: float, seed: int) -> np.ndarray:
-    return draw_noise_tpca(Y, rho, generator(seed))
-
-
 # model -> (instance, rho, rng) -> the noisy observation, shaped like instance.observation
 _NOISE = {
     "psp": draw_noise_psp,
@@ -106,14 +90,19 @@ def noise_instance_observation(instance, rho: float, seed: int):
 
 
 class CoupledTrials:
-    """Trials 0..n-1 of a coupled experiment; trial t is drawn when indexed.
+    """Trials 0..n-1 of a coupled experiment: trial t is (instance, its observation after T_rho).
 
-    Every instance and noise key is derived at construction.  Indexing
-    re-keys one shared Philox, so trial t is the same whichever trials were
-    drawn before it.
+    The instance is sample_instance at seed path (seed, INSTANCE_STREAM, t),
+    or draw(params, seed, t) when given.  The noise seed path is
+    (seed, NOISE_STREAM, t), or (seed, NOISE_STREAM, grid_point, t) for a
+    point of a noise grid, so the same draw replays against any estimator.
+
+    Every instance and noise key is derived at construction, and trial t is
+    drawn when indexed.  Indexing re-keys one shared Philox, so trial t is
+    the same whichever trials were drawn before it.
     """
 
-    def __init__(self, params, rho: float, seed: int, n: int, grid_point, draw):
+    def __init__(self, params, rho: float, seed: int, n: int, *, grid_point=None, draw=None):
         check_rho(rho)
         ts = np.arange(n)
         path = () if grid_point is None else (grid_point,)
@@ -134,13 +123,3 @@ class CoupledTrials:
             inst = self._draw(self._params, self._seed, t)
         return inst, draw_noisy_observation(inst, self._rho, rekey(self._rng, self._noise_keys[t]))
 
-
-def coupled_trials(params, rho: float, seed: int, n: int, *, grid_point=None, draw=None) -> CoupledTrials:
-    """Trials 0..n-1 of a coupled experiment: trial t is (instance, its observation after T_rho).
-
-    The instance is sample_instance at seed path (seed, INSTANCE_STREAM, t),
-    or draw(params, seed, t) when given.  The noise seed path is
-    (seed, NOISE_STREAM, t), or (seed, NOISE_STREAM, grid_point, t) for a
-    point of a noise grid, so the same draw replays against any estimator.
-    """
-    return CoupledTrials(params, rho, seed, n, grid_point, draw)

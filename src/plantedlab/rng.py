@@ -19,10 +19,12 @@ import numpy as np
 from .errors import ParameterError
 
 # Stream labels.  Keep stable: they are part of every experiment's seed path.
+# Label 2 belonged to a retired oracle stream; leave it unused.
 INSTANCE_STREAM = 0
 NOISE_STREAM = 1
-ORACLE_STREAM = 2
 POLY_STREAM = 3
+POLY_TRIAL_STREAM = 4  # per-polynomial stability trials of lowdeg-stability
+DIAGRAM_STREAM = 5  # Monte-Carlo samples of hermite-check
 
 # numpy SeedSequence constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -39,10 +41,10 @@ def _checked(seed: int, path) -> tuple[int, tuple[int, ...]]:
     return words[0], words[1:]
 
 
-def generator(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for (seed, path).  Identical arguments, identical stream."""
-    seed, path = _checked(seed, path)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=path)))
+def generator(seed: int) -> np.random.Generator:
+    """Philox generator for seed.  Identical seeds, identical stream."""
+    seed, _ = _checked(seed, ())
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
 
 
 def derive_seed(seed: int, *path: int) -> int:

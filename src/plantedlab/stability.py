@@ -20,7 +20,7 @@ from .bayes import MmseReport, posterior_mean_for
 from .errors import EstimatorTrialError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr, run_trials
 from .models import PspParams, model_name, path_indicator, vertex_pairs
-from .noise import coupled_trials
+from .noise import CoupledTrials
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 
 # a barrier cell holds when its margin is above -BARRIER_SIGMAS combined standard errors
@@ -181,7 +181,7 @@ def measure_stability(
     """
     name = estimator if isinstance(estimator, str) else getattr(estimator, "__name__", "custom")
     fn = resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator
-    batch = coupled_trials(params, rho, seed, trials)
+    batch = CoupledTrials(params, rho, seed, trials)
 
     def trial(t: int):
         try:

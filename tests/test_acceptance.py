@@ -38,10 +38,9 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
-    sample_gss,
     sample_instance,
 )
-from plantedlab.noise import noise_gss
+from plantedlab.noise import draw_noise_gss
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import (
     exhaustive_subset_sum,
@@ -112,15 +111,15 @@ def test_criterion_03_gss_endpoints_exact():
     exact_marginal = params.k / params.N
     expected_err = params.k * (1 - params.k / params.N)
     for t in range(50):
-        inst = sample_gss(params, seed=derive_seed(23, 0, t))
-        y1 = noise_gss(inst.Y, 1.0, seed=derive_seed(23, 1, t))
+        inst = sample_instance(params, seed=derive_seed(23, 0, t))
+        y1 = draw_noise_gss(inst.Y, 1.0, generator(derive_seed(23, 1, t)))
         pm = posterior_mean_gss(inst.X, y1, params, rho=1.0)
         assert np.all(pm.estimate == exact_marginal)
         diff = pm.estimate - inst.signal_vector()
         assert float(diff @ diff) == expected_err
     recovered = 0
     for t in range(200):
-        inst = sample_gss(params, seed=derive_seed(29, 0, t))
+        inst = sample_instance(params, seed=derive_seed(29, 0, t))
         pm = posterior_mean_gss(inst.X, inst.Y, params, rho=0.0)
         recovered += bool(np.array_equal(pm.estimate, inst.signal_vector()))
     report(3, recovered == 200, f"rho=1 exact, rho=0 recovery {recovered}/200")
@@ -294,7 +293,7 @@ def test_criterion_07_solver_correctness():
     cfg = LllConfig(bits=128)
     agree = 0
     for t in range(100):
-        inst = sample_gss(params, seed=derive_seed(47, 0, t))
+        inst = sample_instance(params, seed=derive_seed(47, 0, t))
         got = lll_subset_sum(inst.X, inst.Y, params.k, cfg)
         oracle, _ = exhaustive_subset_sum(inst.X, inst.Y, params.k)
         agree += got == oracle

@@ -29,14 +29,11 @@ from plantedlab.models import (
     TpcaParams,
     path_edges,
     pair_index,
-    sample_gss,
-    sample_psp,
-    sample_rlc,
-    sample_tpca,
+    sample_instance,
     vertex_pairs,
 )
-from plantedlab.noise import noise_gss, noise_psp, noise_rlc, noise_tpca
-from plantedlab.rng import derive_seed
+from plantedlab.noise import draw_noise_gss, draw_noise_psp, draw_noise_rlc, draw_noise_tpca
+from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import f2_rank
 
 
@@ -46,7 +43,7 @@ from plantedlab.solvers import f2_rank
 
 def test_psp_noiseless_posterior_is_point_mass():
     params = PspParams(n=7, L=3, q=0.15)
-    inst = sample_psp(params, seed=3)
+    inst = sample_instance(params, seed=3)
     pm = posterior_mean_psp(inst.adjacency, params, rho=0.0)
     # the planted path must get posterior 1 on each of its edges unless a
     # second length-L path appeared by chance; verify via the path census
@@ -61,7 +58,7 @@ def test_psp_noiseless_posterior_is_point_mass():
 def test_psp_uniform_posterior_hand_count():
     # rho=1: n=4, L=2: both 1-x-2 paths weigh equally
     params = PspParams(n=4, L=2, q=0.3)
-    inst = sample_psp(params, seed=0)
+    inst = sample_instance(params, seed=0)
     pm = posterior_mean_psp(inst.adjacency, params, rho=1.0)
     idx = pair_index(4)
     assert pm.estimate[idx[(1, 3)]] == 0.5
@@ -75,8 +72,8 @@ def test_psp_uniform_posterior_hand_count():
 def test_psp_posterior_matches_rejection_oracle():
     params = PspParams(n=6, L=3, q=0.35)
     rho = 0.4
-    inst = sample_psp(params, seed=12)
-    noisy = noise_psp(inst, rho, seed=13)
+    inst = sample_instance(params, seed=12)
+    noisy = draw_noise_psp(inst, rho, generator(13))
     pm = posterior_mean_psp(noisy, params, rho)
     pairs = vertex_pairs(6)
     target = np.array([noisy[i, j] for (i, j) in pairs])
@@ -88,7 +85,7 @@ def test_psp_posterior_matches_rejection_oracle():
 
 def test_psp_inconsistent_at_rho_zero():
     params = PspParams(n=6, L=3, q=0.0)
-    inst = sample_psp(params, seed=4)
+    inst = sample_instance(params, seed=4)
     broken = inst.adjacency.copy()
     e = path_edges(inst.path)[1]
     broken[e[0], e[1]] = broken[e[1], e[0]] = False
@@ -98,7 +95,7 @@ def test_psp_inconsistent_at_rho_zero():
 
 def test_psp_budget_error():
     params = PspParams(n=40, L=8, q=0.2)
-    inst = sample_psp(params, seed=1)
+    inst = sample_instance(params, seed=1)
     with pytest.raises(ResourceBudgetError):
         posterior_mean_psp(inst.adjacency, params, rho=0.5)
 
@@ -108,7 +105,7 @@ def test_psp_budget_error():
 
 
 def test_rlc_uniform_posterior_at_full_noise():
-    inst = sample_rlc(RlcParams(m=9, n=6), seed=8)
+    inst = sample_instance(RlcParams(m=9, n=6), seed=8)
     pm = posterior_mean_rlc(inst.A, inst.y, rho=1.0)
     assert np.all(pm.estimate == 0.5)
 
@@ -117,7 +114,7 @@ def test_rlc_noiseless_full_rank_recovers_message():
     params = RlcParams(m=10, n=6)
     found = 0
     for seed in range(20):
-        inst = sample_rlc(params, seed=seed)
+        inst = sample_instance(params, seed=seed)
         if f2_rank(inst.A) < params.n:
             continue
         found += 1
@@ -127,8 +124,8 @@ def test_rlc_noiseless_full_rank_recovers_message():
 
 
 def test_rlc_posterior_matches_rejection_oracle():
-    inst = sample_rlc(RlcParams(m=10, n=8), seed=21)
-    yh = noise_rlc(inst.y, 0.3, seed=22)
+    inst = sample_instance(RlcParams(m=10, n=8), seed=21)
+    yh = draw_noise_rlc(inst.y, 0.3, generator(22))
     pm = posterior_mean_rlc(inst.A, yh, 0.3)
     oracle, hits = rlc_rejection_posterior(inst.A, yh, 0.3, samples=20_000_000, seed=5)
     assert hits > 2000
@@ -137,8 +134,8 @@ def test_rlc_posterior_matches_rejection_oracle():
 
 
 def test_rlc_marginal_ratio_complement():
-    inst = sample_rlc(RlcParams(m=8, n=5), seed=2)
-    yh = noise_rlc(inst.y, 0.4, seed=3)
+    inst = sample_instance(RlcParams(m=8, n=5), seed=2)
+    yh = draw_noise_rlc(inst.y, 0.4, generator(3))
     pm = posterior_mean_rlc(inst.A, yh, 0.4)
     # estimate is P(x_i = 1); the zero-side ratio L0/(L0+L1) is its complement
     assert np.all((1 - pm.estimate) >= 0) and np.all(pm.estimate >= 0)
@@ -174,8 +171,8 @@ def test_enumeration_budget_errors(enumerate_, message):
 
 def test_gss_uniform_posterior_at_full_noise():
     params = GssParams(N=16, k=3)
-    inst = sample_gss(params, seed=9)
-    yh = noise_gss(inst.Y, 1.0, seed=10)
+    inst = sample_instance(params, seed=9)
+    yh = draw_noise_gss(inst.Y, 1.0, generator(10))
     pm = posterior_mean_gss(inst.X, yh, params, rho=1.0)
     assert np.all(pm.estimate == params.k / params.N)
 
@@ -183,22 +180,22 @@ def test_gss_uniform_posterior_at_full_noise():
 def test_gss_noiseless_recovers_planted_subset():
     params = GssParams(N=16, k=3)
     for t in range(50):
-        inst = sample_gss(params, seed=derive_seed(77, 0, t))
+        inst = sample_instance(params, seed=derive_seed(77, 0, t))
         pm = posterior_mean_gss(inst.X, inst.Y, params, rho=0.0)
         assert np.array_equal(pm.estimate, inst.signal_vector())
 
 
 def test_gss_noiseless_inconsistent_input():
     params = GssParams(N=10, k=2)
-    inst = sample_gss(params, seed=1)
+    inst = sample_instance(params, seed=1)
     with pytest.raises(InconsistentInputError):
         posterior_mean_gss(inst.X, inst.Y + 0.5, params, rho=0.0)
 
 
 def test_gss_posterior_matches_extended_precision_oracle():
     params = GssParams(N=14, k=3)
-    inst = sample_gss(params, seed=31)
-    yh = noise_gss(inst.Y, 0.2, seed=32)
+    inst = sample_instance(params, seed=31)
+    yh = draw_noise_gss(inst.Y, 0.2, generator(32))
     pm = posterior_mean_gss(inst.X, yh, params, rho=0.2)
     oracle = gss_counting_weights_mpmath(inst.X, yh, 3, 0.2)
     assert np.max(np.abs(oracle - pm.estimate)) <= 1e-10
@@ -207,7 +204,7 @@ def test_gss_posterior_matches_extended_precision_oracle():
 def test_gss_log_space_robust_in_far_tail():
     # without max-subtraction every weight underflows here
     params = GssParams(N=12, k=3)
-    inst = sample_gss(params, seed=6)
+    inst = sample_instance(params, seed=6)
     far = 60.0
     pm = posterior_mean_gss(inst.X, far, params, rho=0.25)
     assert np.all(np.isfinite(pm.estimate))
@@ -222,7 +219,7 @@ def test_gss_log_space_robust_in_far_tail():
 
 def test_tpca_uniform_posterior_at_lambda_zero():
     params = TpcaParams(n=8, k=2, d=3, lam=0.0)
-    inst = sample_tpca(params, seed=11)
+    inst = sample_instance(params, seed=11)
     pm = posterior_mean_tpca(inst.Y, params)
     expected = (params.k / params.n) / math.sqrt(params.k)
     assert np.allclose(pm.estimate, expected, atol=1e-12)
@@ -231,7 +228,7 @@ def test_tpca_uniform_posterior_at_lambda_zero():
 def test_tpca_posterior_matches_full_density_oracle():
     # the fast path drops the constant quadratic term; the oracle keeps it
     params = TpcaParams(n=9, k=2, d=3, lam=6.0)
-    inst = sample_tpca(params, seed=42)
+    inst = sample_instance(params, seed=42)
     pm = posterior_mean_tpca(inst.Y, params)
     oracle = tpca_full_density_posterior(inst.Y, 9, 2, 3, 6.0)
     assert np.max(np.abs(oracle - pm.estimate)) <= 1e-10
@@ -241,8 +238,8 @@ def test_tpca_noisy_observation_equals_rescaled_model():
     # posterior for T_rho(Y) is the lam(1-rho^2) posterior on the noisy tensor
     params = TpcaParams(n=8, k=2, d=3, lam=12.0)
     rho = 0.6
-    inst = sample_tpca(params, seed=51)
-    noisy = noise_tpca(inst.Y, rho, seed=52)
+    inst = sample_instance(params, seed=51)
+    noisy = draw_noise_tpca(inst.Y, rho, generator(52))
     via_dispatch = posterior_mean_for(params, noisy, rho)
     lam_tilde = params.lam * (1 - rho**2)
     oracle = tpca_full_density_posterior(noisy, 8, 2, 3, lam_tilde)
@@ -251,7 +248,7 @@ def test_tpca_noisy_observation_equals_rescaled_model():
 
 def test_tpca_posterior_matches_resampling_oracle():
     params = TpcaParams(n=10, k=2, d=3, lam=30.0)
-    inst = sample_tpca(params, seed=41)
+    inst = sample_instance(params, seed=41)
     pm = posterior_mean_tpca(inst.Y, params)
     oracle = tpca_resampling_posterior(inst.Y, 10, 2, 3, 30.0, samples=100_000, seed=6)
     # at this SNR both concentrate; compare with a loose Monte-Carlo allowance
@@ -260,7 +257,7 @@ def test_tpca_posterior_matches_resampling_oracle():
 
 def test_tpca_overlap_distribution_uniform_case():
     params = TpcaParams(n=12, k=3, d=3, lam=0.0)
-    inst = sample_tpca(params, seed=13)
+    inst = sample_instance(params, seed=13)
     p = tpca_overlap_distribution(inst.Y, inst.support, params)
     sizes = tpca_class_sizes(params.n, params.k)
     assert np.allclose(p, sizes / sizes.sum(), atol=1e-12)
@@ -269,7 +266,7 @@ def test_tpca_overlap_distribution_uniform_case():
 
 def test_tpca_overlap_sums_to_one():
     params = TpcaParams(n=10, k=2, d=3, lam=5.0)
-    inst = sample_tpca(params, seed=14)
+    inst = sample_instance(params, seed=14)
     p = tpca_overlap_distribution(inst.Y, inst.support, params)
     assert abs(p.sum() - 1.0) <= 1e-12
 
@@ -282,7 +279,7 @@ def test_tpca_high_snr_posterior_concentrates():
     params = TpcaParams(n=n, k=k, d=d, lam=lam)
     wins = 0
     for t in range(100):
-        inst = sample_tpca(params, seed=derive_seed(15, 0, t))
+        inst = sample_instance(params, seed=derive_seed(15, 0, t))
         p = tpca_overlap_distribution(inst.Y, inst.support, params)
         wins += p[k] > 0.9
     assert wins >= 80
@@ -321,8 +318,8 @@ def test_nishimori_identity():
     norms = np.empty(trials)
     inners = np.empty(trials)
     for t in range(trials):
-        inst = sample_rlc(params, seed=derive_seed(10, 0, t))
-        yh = noise_rlc(inst.y, rho, seed=derive_seed(10, 1, t))
+        inst = sample_instance(params, seed=derive_seed(10, 0, t))
+        yh = draw_noise_rlc(inst.y, rho, generator(derive_seed(10, 1, t)))
         pm = posterior_mean_rlc(inst.A, yh, rho)
         norms[t] = pm.estimate @ pm.estimate
         inners[t] = pm.estimate @ inst.x

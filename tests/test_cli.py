@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from plantedlab.cli import COMMANDS, CSV_HEADER, ExperimentConfig, main, run
+from plantedlab.counting import sample_null_graph
+from plantedlab.rng import derive_seed
 
 
 def read(path):
@@ -170,6 +172,20 @@ def test_count_paths_command(tmp_path):
     assert "mean_pair_overlap[" in text
 
 
+def test_count_paths_draws_each_graph_once(tmp_path, monkeypatch):
+    # the pair census reuses the first pair_graphs graphs of the count
+    seeds = []
+
+    def counted(n, q, seed):
+        seeds.append(seed)
+        return sample_null_graph(n, q, seed)
+
+    monkeypatch.setattr("plantedlab.cli.sample_null_graph", counted)
+    options = '{"n":9,"m":3,"eps_m":1,"q":0.3,"graphs":6,"pairs":true,"pair_graphs":4}'
+    assert main(["count-paths", "--seed", "5", "--options", options, "--out", str(tmp_path / "x")]) == 0
+    assert seeds == [derive_seed(5, 0, t) for t in range(6)]
+
+
 @pytest.mark.parametrize("graphs", ['"graphs":0', '"pairs":true,"pair_graphs":0'], ids=["graphs", "pair_graphs"])
 def test_count_paths_without_graphs_exits_2(tmp_path, graphs):
     options = '{"n":9,"m":3,"eps_m":1,"q":0.3,%s}' % graphs
@@ -272,13 +288,27 @@ def test_hermite_check_command(tmp_path):
         ('psp {"n":10,"L":3,"q":"0.3"}', "field 'q' must be a number"),
         ('tpca {"n":5,"k":2,"d":2,"lambda":NaN}', "need finite lambda >= 0, got nan"),
         ('tpca {"n":5,"k":2,"d":2,"lambda":Infinity}', "need finite lambda >= 0, got inf"),
+        # malformed command options, given as a whole argv
+        pytest.param(
+            ["lowdeg-stability", "--model", "gss", "--params", '{"N":6,"k":2}', "--rho-grid", "0.5",
+             "--trials", "3", "--options", '{"degree":-1}'],
+            "needs degree >= 0",
+            id="lowdeg-stability-degree",
+        ),
+        pytest.param(
+            ["hermite-check", "--options", '{"n_specs":1,"samples":-3}'],
+            "needs a non-negative sample count",
+            id="hermite-check-samples",
+        ),
     ],
 )
 def test_malformed_params_exit_2(tmp_path, capsys, params, message):
-    model, _, params = params.rpartition(" ")  # an optional model name precedes the JSON
-    code = main(
-        ["solve", "--model", model or "rlc", "--params", params, "--trials", "3", "--out", str(tmp_path / "x")]
-    )
+    if isinstance(params, str):
+        model, _, params = params.rpartition(" ")  # an optional model name precedes the JSON
+        argv = ["solve", "--model", model or "rlc", "--params", params, "--trials", "3"]
+    else:
+        argv = params
+    code = main([*argv, "--out", str(tmp_path / "x")])
     assert code == 2
     assert message in capsys.readouterr().err
 
@@ -299,11 +329,13 @@ def test_negative_seed_exits_2(tmp_path, capsys):
         ["stability", "--model", "gss", "--params", '{"N":6,"k":2}', "--trials", "3", "--estimators", "posterior_mean"],
         ["barrier", "--model", "gss", "--params", '{"N":6,"k":2}', "--trials", "3", "--estimators", "posterior_mean"],
         ["hermite-check", "--options", '{"n_specs":0}'],
+        ["lowdeg-stability", "--model", "gss", "--params", '{"N":6,"k":2}', "--rho-grid", "0.5", "--trials", "3",
+         "--options", '{"n_polys":0}'],
     ],
-    ids=["mmse-curve", "stability", "barrier", "hermite-check"],
+    ids=["mmse-curve", "stability", "barrier", "hermite-check", "lowdeg-stability"],
 )
 def test_nothing_to_compute_exits_2(tmp_path, capsys, argv):
-    # no rho grid, or no diagram specs: a header-only CSV would look like a result
+    # no rho grid, no diagram specs or no polynomials: a CSV without results would look like a result
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
     assert "needs" in capsys.readouterr().err

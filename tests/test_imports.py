@@ -1,0 +1,47 @@
+"""No module imports a name it never uses (src, tests and demos), checked with the stdlib ast."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import and never read, in order of appearance."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                # `import a.b` binds `a`; `import a.b as c` and `from a import b as c` bind `c`
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):  # a quoted annotation
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name))
+    return [name for name, _ in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
+
+
+def test_scan_finds_an_unused_name():
+    source = "import os\nimport numpy as np\nfrom a.b import c, d\nfrom __future__ import annotations\n"
+    assert unused_imports(source + "x = np.zeros(c)\ny: 'd'\nz = 'os'\n") == ["os"]
+
+
+def test_no_unused_imports():
+    assert len(FILES) > 20
+    found = {str(p.relative_to(ROOT)): unused_imports(p.read_text(encoding="utf-8")) for p in FILES}
+    assert {path: names for path, names in found.items() if names} == {}

@@ -35,8 +35,8 @@ from plantedlab.lowdeg import (
     rlc_stability_bound,
     stability_ratio,
 )
-from plantedlab.models import GssParams, PspParams, RlcParams, sample_psp
-from plantedlab.noise import coupled_trials
+from plantedlab.models import GssParams, PspParams, RlcParams, sample_instance
+from plantedlab.noise import CoupledTrials
 from plantedlab.rng import generator
 
 
@@ -357,7 +357,7 @@ POLY_TYPES = {"rlc": RlcPoly, "gss": GssPoly, "psp": PspSymmetricPoly}
 
 
 def _clean_and_noisy(params, rho, seed, trials) -> list:
-    batch = coupled_trials(params, rho, seed, trials)
+    batch = CoupledTrials(params, rho, seed, trials)
     pairs = [batch[t] for t in range(trials)]
     return [inst.observation for inst, _ in pairs] + [noisy for _, noisy in pairs]
 
@@ -407,7 +407,7 @@ def test_psp_evaluate_many_splits_the_largest_shape_across_gathers():
 def test_psp_shape_without_placements_contributes_zero():
     # ((3,4),(5,6)) needs four non-endpoint vertices; n = 5 has three
     params = PspParams(n=5, L=3, q=0.3)
-    adjacency = sample_psp(params, seed=4).adjacency
+    adjacency = sample_instance(params, seed=4).adjacency
     both = PspSymmetricPoly(terms=((((3, 4), (5, 6)), 1.0), (((1, 3),), 2.0)))
     single = PspSymmetricPoly(terms=((((1, 3),), 2.0),))
     assert both.evaluate(adjacency, params) == single.evaluate(adjacency, params)
@@ -507,10 +507,10 @@ def test_planted_measure_permutation_invariance():
 
     relabeled_target = tuple(sorted((int(perm[3]), int(perm[4]))))
     for t in range(trials):
-        inst = sample_psp(params, derive_seed(8, 0, t))
+        inst = sample_instance(params, derive_seed(8, 0, t))
         truth = float((3, 4) in path_edges(inst.path))
         a[t] = (g(inst.adjacency) - truth) ** 2
-        inst2 = sample_psp(params, derive_seed(8, 1, t))
+        inst2 = sample_instance(params, derive_seed(8, 1, t))
         truth2 = float(relabeled_target in path_edges(inst2.path))
         b[t] = (g(inst2.adjacency[np.ix_(perm, perm)]) - truth2) ** 2
     se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)

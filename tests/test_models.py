@@ -14,30 +14,35 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    draw_instance,
     instance_from_json,
     instance_to_json,
     params_from_json,
     params_to_json,
-    sample_gss,
-    sample_psp,
-    sample_rlc,
-    sample_tpca,
+    sample_instance,
     signal_norm,
     subset_sum_value,
 )
-from plantedlab.rng import derive_seed
+from plantedlab.rng import INSTANCE_STREAM, derive_seeds, keyed_generator, philox_keys, rekey
+
+
+def _trial_draws(params, seed: int, trials: int):
+    """sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t)) for t < trials, one re-keyed Philox."""
+    rng = keyed_generator()
+    for key in philox_keys(derive_seeds(seed, INSTANCE_STREAM, ts=np.arange(trials))):
+        yield draw_instance(params, rekey(rng, key))
 
 
 def test_psp_forced_single_intermediate():
     # n=3, L=2, q=0: the only graph is the path 1-3-2
-    inst = sample_psp(PspParams(n=3, L=2, q=0.0), seed=0)
+    inst = sample_instance(PspParams(n=3, L=2, q=0.0), seed=0)
     assert inst.path == (1, 3, 2)
     edges = {(i, j) for (i, j) in models.vertex_pairs(3) if inst.adjacency[i, j]}
     assert edges == {(1, 3), (2, 3)}
 
 
 def test_psp_complete_graph_at_q_one():
-    inst = sample_psp(PspParams(n=5, L=2, q=1.0), seed=11)
+    inst = sample_instance(PspParams(n=5, L=2, q=1.0), seed=11)
     for i, j in models.vertex_pairs(5):
         assert inst.adjacency[i, j]
     assert inst.path[0] == 1 and inst.path[-1] == 2
@@ -62,7 +67,7 @@ def test_psp_pair_conversions_match_loop_oracle(n, seed):
 
 def test_psp_path_edges_always_present():
     for seed in range(200):
-        inst = sample_psp(PspParams(n=10, L=4, q=0.2), seed=seed)
+        inst = sample_instance(PspParams(n=10, L=4, q=0.2), seed=seed)
         for i, j in models.path_edges(inst.path):
             assert inst.adjacency[i, j]
         assert len(set(inst.path)) == len(inst.path) == inst.params.L + 1
@@ -72,10 +77,7 @@ def test_psp_nonpath_edge_frequency_matches_q():
     # {1,2} is never a path edge when L >= 2, so its marginal is exactly q.
     params = PspParams(n=10, L=3, q=0.3)
     trials = 10**5
-    hits = 0
-    for t in range(trials):
-        inst = sample_psp(params, seed=derive_seed(7, 0, t))
-        hits += bool(inst.adjacency[1, 2])
+    hits = sum(bool(inst.adjacency[1, 2]) for inst in _trial_draws(params, 7, trials))
     freq = hits / trials
     stderr = math.sqrt(0.3 * 0.7 / trials)
     assert abs(freq - 0.3) <= 3 * stderr
@@ -83,7 +85,7 @@ def test_psp_nonpath_edge_frequency_matches_q():
 
 def test_rlc_parity_invariant():
     for seed in range(100):
-        inst = sample_rlc(RlcParams(m=9, n=5), seed=seed)
+        inst = sample_instance(RlcParams(m=9, n=5), seed=seed)
         assert np.array_equal(inst.y, (inst.A @ inst.x) % 2)
 
 
@@ -91,7 +93,7 @@ def test_rlc_zero_message_gives_zero_codeword():
     params = RlcParams(m=6, n=3)
     seen = False
     for seed in range(500):
-        inst = sample_rlc(params, seed=seed)
+        inst = sample_instance(params, seed=seed)
         if not inst.x.any():
             seen = True
             assert not inst.y.any()
@@ -104,10 +106,7 @@ def test_rlc_full_rank_fraction():
 
     params = RlcParams(m=8, n=4)
     trials = 10**5
-    full = 0
-    for t in range(trials):
-        inst = sample_rlc(params, seed=derive_seed(3, 0, t))
-        full += f2_rank(inst.A) == params.n
+    full = sum(f2_rank(inst.A) == params.n for inst in _trial_draws(params, 3, trials))
     frac = full / trials
     bound = 1 - 2 ** (params.n - params.m)
     stderr = math.sqrt(frac * (1 - frac) / trials)
@@ -115,23 +114,21 @@ def test_rlc_full_rank_fraction():
 
 
 def test_gss_forced_full_subset():
-    inst = sample_gss(GssParams(N=4, k=4), seed=5)
+    inst = sample_instance(GssParams(N=4, k=4), seed=5)
     assert inst.S == (0, 1, 2, 3)
     assert inst.Y == subset_sum_value(inst.X, inst.S)
 
 
 def test_gss_subset_sum_bit_exact():
     for seed in range(50):
-        inst = sample_gss(GssParams(N=30, k=7), seed=seed)
+        inst = sample_instance(GssParams(N=30, k=7), seed=seed)
         assert inst.Y == subset_sum_value(inst.X, inst.S)
 
 
 def test_gss_observation_moments():
     params = GssParams(N=200, k=10)
     trials = 10**5
-    ys = np.empty(trials)
-    for t in range(trials):
-        ys[t] = sample_gss(params, seed=derive_seed(19, 0, t)).Y
+    ys = np.array([inst.Y for inst in _trial_draws(params, 19, trials)])
     mean = ys.mean()
     mean_stderr = ys.std(ddof=1) / math.sqrt(trials)
     assert abs(mean - 0.0) <= 3 * mean_stderr
@@ -141,7 +138,7 @@ def test_gss_observation_moments():
 
 
 def test_tpca_pure_noise_variance_at_lambda_zero():
-    inst = sample_tpca(TpcaParams(n=10, k=2, d=3, lam=0.0), seed=2)
+    inst = sample_instance(TpcaParams(n=10, k=2, d=3, lam=0.0), seed=2)
     flat = inst.Y.ravel()
     var = flat.var(ddof=1)
     var_stderr = var * math.sqrt(2.0 / (flat.size - 1))
@@ -153,8 +150,8 @@ def test_tpca_signal_tensor_entries():
     # Same seed, different lambda: Y(lam=4) - Y(lam=1) = (2-1) * x^{tensor d}
     params_hi = TpcaParams(n=6, k=2, d=3, lam=4.0)
     params_lo = TpcaParams(n=6, k=2, d=3, lam=1.0)
-    hi = sample_tpca(params_hi, seed=77)
-    lo = sample_tpca(params_lo, seed=77)
+    hi = sample_instance(params_hi, seed=77)
+    lo = sample_instance(params_lo, seed=77)
     assert hi.support == lo.support
     diff = hi.Y - lo.Y
     expected = models.tpca_signal_tensor(params_hi, hi.support)
@@ -177,23 +174,23 @@ def test_tpca_support_entry_mean_over_resampled_noise():
 
 def test_tpca_budget_error():
     with pytest.raises(ResourceBudgetError):
-        sample_tpca(TpcaParams(n=100, k=2, d=4, lam=1.0), seed=0)
+        sample_instance(TpcaParams(n=100, k=2, d=4, lam=1.0), seed=0)
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 @settings(max_examples=20, deadline=None)
 def test_samplers_deterministic(seed):
-    p1 = sample_psp(PspParams(n=8, L=3, q=0.4), seed)
-    p2 = sample_psp(PspParams(n=8, L=3, q=0.4), seed)
+    p1 = sample_instance(PspParams(n=8, L=3, q=0.4), seed)
+    p2 = sample_instance(PspParams(n=8, L=3, q=0.4), seed)
     assert p1.path == p2.path and np.array_equal(p1.adjacency, p2.adjacency)
-    r1 = sample_rlc(RlcParams(m=7, n=4), seed)
-    r2 = sample_rlc(RlcParams(m=7, n=4), seed)
+    r1 = sample_instance(RlcParams(m=7, n=4), seed)
+    r2 = sample_instance(RlcParams(m=7, n=4), seed)
     assert np.array_equal(r1.A, r2.A) and np.array_equal(r1.x, r2.x)
-    g1 = sample_gss(GssParams(N=12, k=3), seed)
-    g2 = sample_gss(GssParams(N=12, k=3), seed)
+    g1 = sample_instance(GssParams(N=12, k=3), seed)
+    g2 = sample_instance(GssParams(N=12, k=3), seed)
     assert g1.S == g2.S and g1.Y == g2.Y and np.array_equal(g1.X, g2.X)
-    t1 = sample_tpca(TpcaParams(n=5, k=2, d=3, lam=2.0), seed)
-    t2 = sample_tpca(TpcaParams(n=5, k=2, d=3, lam=2.0), seed)
+    t1 = sample_instance(TpcaParams(n=5, k=2, d=3, lam=2.0), seed)
+    t2 = sample_instance(TpcaParams(n=5, k=2, d=3, lam=2.0), seed)
     assert t1.support == t2.support and np.array_equal(t1.Y, t2.Y)
 
 
@@ -205,9 +202,9 @@ def test_signal_norms():
 
 
 def test_signal_vectors_match_norms():
-    inst = sample_psp(PspParams(n=9, L=4, q=0.3), seed=1)
+    inst = sample_instance(PspParams(n=9, L=4, q=0.3), seed=1)
     assert inst.signal_vector().sum() == 4.0
-    tins = sample_tpca(TpcaParams(n=7, k=3, d=2, lam=1.0), seed=1)
+    tins = sample_instance(TpcaParams(n=7, k=3, d=2, lam=1.0), seed=1)
     assert math.isclose(np.sum(tins.signal_vector() ** 2), 1.0, rel_tol=1e-12)
 
 
@@ -236,10 +233,10 @@ def test_tpca_lambda_must_be_finite_and_nonnegative(lam):
 @settings(max_examples=25, deadline=None)
 def test_json_round_trip_all_models(seed):
     instances = [
-        sample_psp(PspParams(n=7, L=3, q=0.3), seed=seed),
-        sample_rlc(RlcParams(m=6, n=4), seed=seed),
-        sample_gss(GssParams(N=9, k=3), seed=seed),
-        sample_tpca(TpcaParams(n=5, k=2, d=3, lam=2.5), seed=seed),
+        sample_instance(PspParams(n=7, L=3, q=0.3), seed=seed),
+        sample_instance(RlcParams(m=6, n=4), seed=seed),
+        sample_instance(GssParams(N=9, k=3), seed=seed),
+        sample_instance(TpcaParams(n=5, k=2, d=3, lam=2.5), seed=seed),
     ]
     for inst in instances:
         blob = instance_to_json(inst)

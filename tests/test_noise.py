@@ -9,35 +9,22 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
-    sample_gss,
     sample_instance,
-    sample_psp,
-    sample_rlc,
-    sample_tpca,
 )
 from oracles import ou_compose
-from plantedlab.noise import (
-    draw_noise_gss,
-    draw_noise_psp,
-    draw_noise_rlc,
-    draw_noise_tpca,
-    noise_gss,
-    noise_psp,
-    noise_rlc,
-    noise_tpca,
-)
-from plantedlab.rng import derive_seed, keyed_generator, philox_keys, rekey
+from plantedlab.noise import draw_noise_gss, draw_noise_psp, draw_noise_rlc, draw_noise_tpca
+from plantedlab.rng import derive_seed, generator, keyed_generator, philox_keys, rekey
 
 
 def test_rho_zero_is_identity_everywhere():
-    psp = sample_psp(PspParams(n=8, L=3, q=0.4), seed=1)
-    assert np.array_equal(noise_psp(psp, 0.0, seed=9), psp.adjacency)
-    rlc = sample_rlc(RlcParams(m=7, n=4), seed=1)
-    assert np.array_equal(noise_rlc(rlc.y, 0.0, seed=9), rlc.y)
-    gss = sample_gss(GssParams(N=10, k=3), seed=1)
-    assert noise_gss(gss.Y, 0.0, seed=9) == gss.Y
-    tpca = sample_tpca(TpcaParams(n=5, k=2, d=3, lam=2.0), seed=1)
-    assert np.array_equal(noise_tpca(tpca.Y, 0.0, seed=9), tpca.Y)
+    psp = sample_instance(PspParams(n=8, L=3, q=0.4), seed=1)
+    assert np.array_equal(draw_noise_psp(psp, 0.0, generator(9)), psp.adjacency)
+    rlc = sample_instance(RlcParams(m=7, n=4), seed=1)
+    assert np.array_equal(draw_noise_rlc(rlc.y, 0.0, generator(9)), rlc.y)
+    gss = sample_instance(GssParams(N=10, k=3), seed=1)
+    assert draw_noise_gss(gss.Y, 0.0, generator(9)) == gss.Y
+    tpca = sample_instance(TpcaParams(n=5, k=2, d=3, lam=2.0), seed=1)
+    assert np.array_equal(draw_noise_tpca(tpca.Y, 0.0, generator(9)), tpca.Y)
 
 
 # model -> (params, instance -> (operator input, the observation it stands for), operator(input, rho, rng))
@@ -82,21 +69,21 @@ def test_rho_one_forgets_the_input(model, seeds, key_seed):
 
 
 def test_noise_is_replayable():
-    psp = sample_psp(PspParams(n=8, L=3, q=0.4), seed=3)
-    a = noise_psp(psp, 0.6, seed=42)
-    b = noise_psp(psp, 0.6, seed=42)
+    psp = sample_instance(PspParams(n=8, L=3, q=0.4), seed=3)
+    a = draw_noise_psp(psp, 0.6, generator(42))
+    b = draw_noise_psp(psp, 0.6, generator(42))
     assert np.array_equal(a, b)
-    gss = sample_gss(GssParams(N=10, k=3), seed=3)
-    assert noise_gss(gss.Y, 0.6, seed=42) == noise_gss(gss.Y, 0.6, seed=42)
+    gss = sample_instance(GssParams(N=10, k=3), seed=3)
+    assert draw_noise_gss(gss.Y, 0.6, generator(42)) == draw_noise_gss(gss.Y, 0.6, generator(42))
 
 
 def test_psp_full_noise_fixed_pair_frequency():
     # rho = 1: output is a fresh G(n, q) regardless of input
     params = PspParams(n=8, L=3, q=0.35)
-    inst = sample_psp(params, seed=5)
+    inst = sample_instance(params, seed=5)
     pair = (inst.path[0], inst.path[1])  # a planted edge, always present in input
     trials = 10**4
-    hits = sum(noise_psp(inst, 1.0, seed=derive_seed(0, 1, t))[pair] for t in range(trials))
+    hits = sum(draw_noise_psp(inst, 1.0, generator(derive_seed(0, 1, t)))[pair] for t in range(trials))
     freq = hits / trials
     stderr = math.sqrt(0.35 * 0.65 / trials)
     assert abs(freq - params.q) <= 3 * stderr
@@ -105,34 +92,34 @@ def test_psp_full_noise_fixed_pair_frequency():
 def test_psp_planted_edge_survival_at_q_zero():
     # q = 0: survival probability of an existing edge is exactly 1 - rho
     params = PspParams(n=8, L=3, q=0.0)
-    inst = sample_psp(params, seed=6)
+    inst = sample_instance(params, seed=6)
     pair = (inst.path[1], inst.path[2])
     pair = (min(pair), max(pair))
     trials = 10**4
-    hits = sum(noise_psp(inst, 0.5, seed=derive_seed(1, 1, t))[pair] for t in range(trials))
+    hits = sum(draw_noise_psp(inst, 0.5, generator(derive_seed(1, 1, t)))[pair] for t in range(trials))
     freq = hits / trials
     stderr = math.sqrt(0.25 / trials)
     assert abs(freq - 0.5) <= 3 * stderr
 
 
 def test_rlc_full_noise_uniform():
-    rlc = sample_rlc(RlcParams(m=6, n=4), seed=2)
+    rlc = sample_instance(RlcParams(m=6, n=4), seed=2)
     trials = 10**4
     counts = np.zeros(6)
     for t in range(trials):
-        counts += noise_rlc(rlc.y, 1.0, seed=derive_seed(2, 1, t))
+        counts += draw_noise_rlc(rlc.y, 1.0, generator(derive_seed(2, 1, t)))
     freq = counts / trials
     stderr = math.sqrt(0.25 / trials)
     assert np.all(np.abs(freq - 0.5) <= 4 * stderr)
 
 
 def test_rlc_flip_probability_is_half_rho():
-    rlc = sample_rlc(RlcParams(m=10, n=4), seed=7)
+    rlc = sample_instance(RlcParams(m=10, n=4), seed=7)
     rho = 0.4
     trials = 10**4
     flips = 0
     for t in range(trials):
-        flips += int((noise_rlc(rlc.y, rho, seed=derive_seed(3, 1, t)) != rlc.y).sum())
+        flips += int((draw_noise_rlc(rlc.y, rho, generator(derive_seed(3, 1, t))) != rlc.y).sum())
     freq = flips / (trials * 10)
     stderr = math.sqrt(0.2 * 0.8 / (trials * 10))
     assert abs(freq - rho / 2) <= 3 * stderr
@@ -141,7 +128,7 @@ def test_rlc_flip_probability_is_half_rho():
 def test_gss_full_noise_standard_normal():
     Y = 7.3
     trials = 2 * 10**4
-    draws = np.array([noise_gss(Y, 1.0, seed=derive_seed(4, 1, t)) for t in range(trials)])
+    draws = np.array([draw_noise_gss(Y, 1.0, generator(derive_seed(4, 1, t))) for t in range(trials)])
     assert abs(draws.mean()) <= 3 * draws.std(ddof=1) / math.sqrt(trials)
     var = draws.var(ddof=1)
     assert abs(var - 1.0) <= 3 * var * math.sqrt(2 / (trials - 1))
@@ -154,8 +141,8 @@ def test_gss_variance_preserved_under_ou():
     trials = 2 * 10**4
     out = np.empty(trials)
     for t in range(trials):
-        inst = sample_gss(params, seed=derive_seed(5, 0, t))
-        out[t] = noise_gss(inst.Y, rho, seed=derive_seed(5, 1, t))
+        inst = sample_instance(params, seed=derive_seed(5, 0, t))
+        out[t] = draw_noise_gss(inst.Y, rho, generator(derive_seed(5, 1, t)))
     target = (1 - rho**2) * params.k + rho**2
     var = out.var(ddof=1)
     assert abs(var - target) <= 3 * var * math.sqrt(2 / (trials - 1))
@@ -172,9 +159,9 @@ def test_ou_semigroup_two_sample():
     two_step = np.empty(trials)
     one_step = np.empty(trials)
     for t in range(trials):
-        mid = noise_gss(Y, rho1, seed=derive_seed(6, 1, t))
-        two_step[t] = noise_gss(mid, rho2, seed=derive_seed(6, 2, t))
-        one_step[t] = noise_gss(Y, rho3, seed=derive_seed(6, 3, t))
+        mid = draw_noise_gss(Y, rho1, generator(derive_seed(6, 1, t)))
+        two_step[t] = draw_noise_gss(mid, rho2, generator(derive_seed(6, 2, t)))
+        one_step[t] = draw_noise_gss(Y, rho3, generator(derive_seed(6, 3, t)))
     # both arms are Gaussian with the same mean/variance; two-sample z-tests
     se_mean = math.sqrt(two_step.var(ddof=1) / trials + one_step.var(ddof=1) / trials)
     assert abs(two_step.mean() - one_step.mean()) <= 3 * se_mean
@@ -184,8 +171,8 @@ def test_ou_semigroup_two_sample():
 
 
 def test_tpca_full_noise_fresh_normal():
-    inst = sample_tpca(TpcaParams(n=5, k=2, d=3, lam=9.0), seed=8)
-    out = noise_tpca(inst.Y, 1.0, seed=99)
+    inst = sample_instance(TpcaParams(n=5, k=2, d=3, lam=9.0), seed=8)
+    out = draw_noise_tpca(inst.Y, 1.0, generator(99))
     flat = out.ravel()
     assert abs(flat.mean()) <= 3 * flat.std(ddof=1) / math.sqrt(flat.size)
     var = flat.var(ddof=1)
@@ -202,11 +189,11 @@ def test_tpca_noise_matches_rescaled_model():
     noisy_means = np.empty(trials)
     fresh_means = np.empty(trials)
     for t in range(trials):
-        inst = sample_tpca(params, seed=derive_seed(7, 0, t))
-        noisy = noise_tpca(inst.Y, rho, seed=derive_seed(7, 1, t))
+        inst = sample_instance(params, seed=derive_seed(7, 0, t))
+        noisy = draw_noise_tpca(inst.Y, rho, generator(derive_seed(7, 1, t)))
         s = list(inst.support)
         noisy_means[t] = noisy[np.ix_(s, s, s)].mean()
-        fresh = sample_tpca(params_tilde, seed=derive_seed(8, 0, t))
+        fresh = sample_instance(params_tilde, seed=derive_seed(8, 0, t))
         sf = list(fresh.support)
         fresh_means[t] = fresh.Y[np.ix_(sf, sf, sf)].mean()
     se = math.sqrt(noisy_means.var(ddof=1) / trials + fresh_means.var(ddof=1) / trials)

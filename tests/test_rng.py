@@ -16,7 +16,7 @@ from plantedlab.models import (
     instance_to_json,
     sample_instance,
 )
-from plantedlab.noise import coupled_trials, draw_noisy_observation, noise_instance_observation
+from plantedlab.noise import CoupledTrials, draw_noisy_observation, noise_instance_observation
 from plantedlab.rng import derive_seed, derive_seeds, generator, keyed_generator, philox_keys, rekey
 
 seeds = st.one_of(st.just(0), st.integers(0, 2**64 - 1), st.integers(2**64, 2**130))
@@ -122,7 +122,7 @@ def test_rekeyed_generator_draws_the_seeded_stream(seed, rho):
 
 @pytest.mark.parametrize("params", MODEL_PARAMS, ids=lambda p: type(p).__name__)
 def test_coupled_trials_match_scalar_seeds(params):
-    batch = coupled_trials(params, 0.4, 11, 12)
+    batch = CoupledTrials(params, 0.4, 11, 12)
     assert len(batch) == 12
     # any access order gives the same trial
     for t in (5, 0, 11, 5, 3):
@@ -132,7 +132,7 @@ def test_coupled_trials_match_scalar_seeds(params):
         assert _same(noisy, want_noisy)
     with pytest.raises(IndexError):
         batch[12]
-    inst, noisy = coupled_trials(params, 0.7, 11, 4, grid_point=2)[3]
+    inst, noisy = CoupledTrials(params, 0.7, 11, 4, grid_point=2)[3]
     want_inst, want_noisy = coupled_trial_scalar(params, 0.7, 11, 3, grid_point=2)
     assert instance_to_json(inst) == instance_to_json(want_inst) and _same(noisy, want_noisy)
 
@@ -145,7 +145,7 @@ def test_coupled_trials_custom_draw_keeps_noise_seeds():
         calls.append(t)
         return sample_instance(p, derive_seed(seed, 9, t))
 
-    batch = coupled_trials(params, 0.5, 4, 3, grid_point=1, draw=draw)
+    batch = CoupledTrials(params, 0.5, 4, 3, grid_point=1, draw=draw)
     inst, noisy = batch[2]
     assert calls == [2]
     assert instance_to_json(inst) == instance_to_json(sample_instance(params, derive_seed(4, 9, 2)))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantedlab.errors import DegenerateInputError, ParameterError
-from plantedlab.models import GssParams, sample_gss
+from plantedlab.models import GssParams, sample_instance
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import (
     LllConfig,
@@ -189,7 +189,7 @@ def test_subset_sum_recovers_planted():
     cfg = LllConfig(bits=128)
     hits = 0
     for t in range(20):
-        inst = sample_gss(params, seed=derive_seed(2024, 0, t))
+        inst = sample_instance(params, seed=derive_seed(2024, 0, t))
         got = lll_subset_sum(inst.X, inst.Y, 3, cfg)
         oracle, err = exhaustive_subset_sum(inst.X, inst.Y, 3)
         assert oracle == inst.S and err == 0.0
@@ -200,7 +200,7 @@ def test_subset_sum_recovers_planted():
 def test_subset_sum_perturbed_target_returns_none():
     params = GssParams(N=20, k=3)
     cfg = LllConfig(bits=128)
-    inst = sample_gss(params, seed=derive_seed(2024, 0, 0))
+    inst = sample_instance(params, seed=derive_seed(2024, 0, 0))
     shifted = inst.Y + 1.0
     _, err = exhaustive_subset_sum(inst.X, shifted, 3)
     assert err > 20 * 2.0 ** (2 - 128)
