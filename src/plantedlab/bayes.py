@@ -8,7 +8,6 @@ limits of rho -> 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -27,14 +26,14 @@ from .models import (
     path_edge_indices,
     sample_instance,
     signal_norm,
-    subset_sum_value,
+    subset_sums,
+    subsets,
 )
 from .noise import CoupledTrials, check_rho
 from .rng import INSTANCE_STREAM, derive_seed
 from .solvers import f2_rank
 
 RLC_ENUM_BUDGET = 2**24
-SUBSET_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -155,18 +154,6 @@ def posterior_mean_rlc(A: np.ndarray, y_hat: np.ndarray, rho: float) -> Posterio
 # GSS
 
 
-def _subsets(N: int, k: int) -> np.ndarray:
-    total = math.comb(N, k)
-    if total > SUBSET_BUDGET:
-        raise ResourceBudgetError(f"C({N},{k}) = {total} subsets exceed budget {SUBSET_BUDGET}")
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(N), k)),
-        dtype=np.int64,
-        count=total * k,
-    )
-    return combos.reshape(total, k)
-
-
 def posterior_mean_gss(X: np.ndarray, y_hat: float, params: GssParams, rho: float) -> PosteriorMean:
     """Posterior mean of subset membership given the noisy sum.
 
@@ -177,17 +164,13 @@ def posterior_mean_gss(X: np.ndarray, y_hat: float, params: GssParams, rho: floa
     """
     N, k = params.N, params.k
     check_rho(rho)
-    combos = _subsets(N, k)
+    combos = subsets(N, k)
     if rho == 0.0:
-        matches = [
-            row for row in combos if subset_sum_value(X, row) == y_hat
-        ]
-        if not matches:
+        matches = combos[subset_sums(X, combos) == y_hat]
+        if not len(matches):
             raise InconsistentInputError("no k-subset reproduces y_hat exactly at rho=0")
-        est = np.zeros(N)
-        for row in matches:
-            est[row] += 1.0
-        return PosteriorMean(estimate=est / len(matches), log_partition=float(math.log(len(matches))))
+        est = np.bincount(matches.ravel(), minlength=N) / len(matches)
+        return PosteriorMean(estimate=est, log_partition=float(math.log(len(matches))))
     sums = np.asarray(X, dtype=float)[combos].sum(axis=1)
     shrink = math.sqrt(1.0 - rho * rho)
     lw = -((y_hat - shrink * sums) ** 2) / (2.0 * rho * rho)
@@ -199,7 +182,7 @@ def posterior_mean_gss(X: np.ndarray, y_hat: float, params: GssParams, rho: floa
 
 
 def _tpca_log_weights(Y: np.ndarray, params: TpcaParams) -> tuple[np.ndarray, np.ndarray]:
-    combos = _subsets(params.n, params.k)
+    combos = subsets(params.n, params.k)
     scale = math.sqrt(params.lam) * params.k ** (-params.d / 2.0)
     lw = np.empty(combos.shape[0])
     for r, row in enumerate(combos):

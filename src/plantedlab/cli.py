@@ -25,7 +25,7 @@ from .counting import count_approx_paths, count_overlap_pairs, expected_count, s
 from .errors import ParameterError
 from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_oracle, stability_ratio
 from .mc import mean_stderr
-from .models import MODEL_NAMES, model_name, params_from_json, params_to_json, sample_instance
+from .models import MODEL_NAMES, check_json_types, model_name, params_from_json, params_to_json, sample_instance
 from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, derive_seeds, generator
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 from .stability import ESTIMATORS, measure_stability, verify_barrier
@@ -42,6 +42,17 @@ COMMANDS = (
 )
 
 CSV_HEADER = ["model", "params_json", "rho", "trials", "metric", "value", "stderr"]
+# command -> the --options keys it reads, with their JSON types (models.check_json_types)
+_OPTION_TYPES = {
+    "mmse-curve": {"full_rank_only": bool},
+    "solve": {"bits": int},
+    "count-paths": {"n": int, "m": int, "eps_m": int, "q": float, "graphs": int, "pairs": bool, "pair_graphs": int},
+    "hermite-check": {"n_specs": int, "samples": int},
+    "lowdeg-stability": {"degree": int, "n_polys": int},
+    "pca-window": {"lambdas": list},
+}
+# the least value of each bounded integer option
+_OPTION_MINIMA = {"graphs": 1, "pair_graphs": 1, "n_specs": 1, "degree": 0, "n_polys": 1}
 
 
 class UsageError(Exception):
@@ -86,6 +97,14 @@ class ExperimentConfig:
                 raise UsageError(
                     f"unknown estimator {name!r}; registered: {sorted(ESTIMATORS)}"
                 )
+        types = _OPTION_TYPES.get(self.command, {})
+        unknown = sorted(set(self.options) - set(types))
+        if unknown:
+            raise UsageError(f"{self.command} reads options {sorted(types)}, not {unknown}")
+        check_json_types(f"{self.command} option", self.options, types)
+        for key, least in _OPTION_MINIMA.items():
+            if self.options.get(key, least) < least:
+                raise UsageError(f"{self.command} needs {key} >= {least}")
 
 
 @dataclass
@@ -192,7 +211,7 @@ def _cmd_mmse_curve(config: ExperimentConfig):
         config.rho_grid,
         config.trials,
         config.seed,
-        full_rank_only=bool(config.options.get("full_rank_only", False)),
+        full_rank_only=config.options.get("full_rank_only", False),
     )
     blob = _params_blob(params)
     rows = []
@@ -251,7 +270,7 @@ def _f2_recovers(inst, options) -> bool:
 
 
 def _lll_recovers(inst, options) -> bool:
-    cfg = LllConfig(bits=int(options.get("bits", 128)))
+    cfg = LllConfig(bits=options.get("bits", 128))
     return lll_subset_sum(inst.X, inst.Y, inst.params.k, cfg) == inst.S
 
 
@@ -281,16 +300,12 @@ def _cmd_solve(config: ExperimentConfig):
 def _cmd_count_paths(config: ExperimentConfig):
     opts = config.options
     try:
-        n, m, eps_m, q = int(opts["n"]), int(opts["m"]), int(opts["eps_m"]), float(opts["q"])
+        n, m, eps_m, q = opts["n"], opts["m"], opts["eps_m"], float(opts["q"])
     except KeyError as missing:
         raise UsageError(f"count-paths needs option {missing}") from None
-    graphs = int(opts.get("graphs", config.trials))
-    if graphs < 1:
-        raise UsageError("count-paths needs graphs >= 1")
-    pairs = bool(opts.get("pairs", False))
-    pair_graphs = int(opts.get("pair_graphs", min(graphs, 100))) if pairs else 0
-    if pairs and pair_graphs < 1:
-        raise UsageError("count-paths needs pair_graphs >= 1")
+    graphs = opts.get("graphs", config.trials)
+    pairs = opts.get("pairs", False)
+    pair_graphs = opts.get("pair_graphs", min(graphs, 100)) if pairs else 0
     counts = np.empty(graphs)
     totals: dict[int, float] = {}
     pair_total = 0.0
@@ -322,10 +337,8 @@ def _cmd_count_paths(config: ExperimentConfig):
 
 def _cmd_hermite_check(config: ExperimentConfig):
     opts = config.options
-    n_specs = int(opts.get("n_specs", 10))
-    samples = int(opts.get("samples", 10**6))
-    if n_specs < 1:
-        raise UsageError("hermite-check needs n_specs >= 1")
+    n_specs = opts.get("n_specs", 10)
+    samples = opts.get("samples", 10**6)
     if samples < 0:  # 0 samples fails later, as an empty average
         raise UsageError("hermite-check needs a non-negative sample count")
     rng = generator(config.seed)
@@ -352,13 +365,11 @@ def _cmd_hermite_check(config: ExperimentConfig):
 def _cmd_lowdeg_stability(config: ExperimentConfig):
     params = config.model_params()
     name = model_name(params)
-    degree = int(config.options.get("degree", 2))
-    n_polys = int(config.options.get("n_polys", 10))
+    degree = config.options.get("degree", 2)
+    n_polys = config.options.get("n_polys", 10)
     _need_rho_grid(config)
     if name not in POLY_FAMILIES:
         raise UsageError("lowdeg-stability supports psp, rlc, and gss")
-    if degree < 0 or n_polys < 1:
-        raise UsageError("lowdeg-stability needs degree >= 0 and n_polys >= 1")
     family = POLY_FAMILIES[name]
     rng = generator(derive_seed(config.seed, POLY_STREAM))
     blob = _params_blob(params)

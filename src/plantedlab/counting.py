@@ -28,22 +28,32 @@ def _check_args(n: int, m: int, eps_m: int) -> None:
         raise ParameterError(f"no length-{m} path fits in {n} vertices")
 
 
+def _check_q(q: float) -> None:
+    if not (0.0 <= q <= 1.0):  # false for nan too
+        raise ParameterError(f"need q in [0, 1], got {q}")
+
+
 def expected_count(n: int, m: int, eps_m: int, q: float) -> float:
     """Mean approximate-path count in G(n, q): (n-2)_(m-1) * C(m, eps_m) * q^(m - eps_m)."""
     _check_args(n, m, eps_m)
+    _check_q(q)
     return math.perm(n - 2, m - 1) * math.comb(m, eps_m) * q ** (m - eps_m)
+
+
+def _path_weights(adjacency: np.ndarray, m: int, eps_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(paths, weights): the edge indices of every length-m path, and how many
+    approximate paths it carries, C(present edges, m - eps_m)."""
+    n = adjacency.shape[0] - 1
+    _check_args(n, m, eps_m)
+    paths = path_edge_indices(n, m)
+    present = edge_vector_from_adjacency(adjacency).astype(np.int64)
+    comb_table = np.array([math.comb(a, m - eps_m) for a in range(m + 1)], dtype=np.int64)
+    return paths, comb_table[present[paths].sum(axis=1)]
 
 
 def count_approx_paths(adjacency: np.ndarray, m: int, eps_m: int) -> int:
     """Number of approximate paths of length m with eps_m missing edges."""
-    n = adjacency.shape[0] - 1
-    _check_args(n, m, eps_m)
-    keep = m - eps_m
-    present = edge_vector_from_adjacency(adjacency).astype(np.int64)
-    paths = path_edge_indices(n, m)
-    pres_counts = present[paths].sum(axis=1)
-    comb_table = np.array([math.comb(a, keep) if a >= keep else 0 for a in range(m + 1)], dtype=np.int64)
-    return int(comb_table[pres_counts].sum())
+    return int(_path_weights(adjacency, m, eps_m)[1].sum())
 
 
 @dataclass(frozen=True)
@@ -58,24 +68,12 @@ def count_overlap_pairs(adjacency: np.ndarray, m: int, eps_m: int) -> OverlapPai
     The histogram keys are the number of shared path edges; diagonal pairs
     (identical underlying path) land at k = m.
     """
-    n = adjacency.shape[0] - 1
-    _check_args(n, m, eps_m)
-    keep = m - eps_m
-    paths = path_edge_indices(n, m)
+    paths, weights = _path_weights(adjacency, m, eps_m)
     count = paths.shape[0]
     if count * count > PAIR_BUDGET:
         raise ResourceBudgetError(f"{count}^2 path pairs exceed budget {PAIR_BUDGET}")
-    present = edge_vector_from_adjacency(adjacency)
-    masks = []
-    weights = []
-    for r in range(count):
-        mask = 0
-        pres = 0
-        for e in paths[r]:
-            mask |= 1 << int(e)
-            pres += bool(present[e])
-        masks.append(mask)
-        weights.append(math.comb(pres, keep) if pres >= keep else 0)
+    weights = weights.tolist()
+    masks = [sum(1 << e for e in row) for row in paths.tolist()]  # a path's edges are distinct
     histogram: dict[int, int] = {}
     total = 0
     for i in range(count):
@@ -97,6 +95,7 @@ def count_overlap_pairs(adjacency: np.ndarray, m: int, eps_m: int) -> OverlapPai
 
 def sample_null_graph(n: int, q: float, seed: int) -> np.ndarray:
     """Adjacency of a plain G(n, q) draw (no planting); 1-indexed like the models."""
+    _check_q(q)
     rng = generator(seed)
     vec = rng.random(len(vertex_pairs(n))) < q
     return adjacency_from_edge_vector(vec, n)

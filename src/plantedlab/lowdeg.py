@@ -26,7 +26,7 @@ from .models import (
     RlcParams,
     edge_vector_from_adjacency,
     model_name,
-    pair_index,
+    placements,
 )
 from .noise import CoupledTrials, check_rho
 from .rng import generator
@@ -307,18 +307,6 @@ class GssPoly:
 Shape = tuple
 
 
-@lru_cache(maxsize=256)
-def _shape_maps(shape: Shape, n: int) -> np.ndarray:
-    """Edge-vector index array, one row per injective placeholder assignment."""
-    placeholders = sorted({v for e in shape for v in e if v >= 3})
-    idx = pair_index(n)
-    rows = []
-    for assign in itertools.permutations(range(3, n + 1), len(placeholders)):
-        table = {1: 1, 2: 2, **dict(zip(placeholders, assign))}
-        rows.append([idx[tuple(sorted((table[a], table[b])))] for a, b in shape])
-    return np.array(rows, dtype=np.int64).reshape(-1, len(shape))
-
-
 @dataclass(frozen=True)
 class PspSymmetricPoly:
     """Vertex-permutation-invariant polynomial over centered edge indicators.
@@ -348,7 +336,7 @@ class PspSymmetricPoly:
         centered = (present - q) / math.sqrt(q * (1.0 - q))
         total = np.zeros(len(centered))
         for shape, c in self.terms:
-            maps = _shape_maps(shape, n)
+            maps = placements(shape, n)
             step = max(1, PSP_GATHER_ELEMENTS // max(maps.size, 1))
             sums = [row.sum() for start in range(0, len(centered), step)
                     for row in centered[start:start + step, maps].prod(axis=2)]

@@ -36,6 +36,7 @@ from .errors import ParameterError, ResourceBudgetError
 from .rng import generator
 
 PATH_BUDGET = 10**6
+SUBSET_BUDGET = 10**6
 TENSOR_ENTRY_BUDGET = 10**6
 
 
@@ -49,11 +50,6 @@ def vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: idx for idx, p in enumerate(vertex_pairs(n))}
-
-
 def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
     """Canonical (min, max) edges of a vertex sequence."""
     return [(min(a, b), max(a, b)) for a, b in zip(path[:-1], path[1:])]
@@ -61,10 +57,8 @@ def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
 
 def path_indicator(path: Sequence[int], n: int) -> np.ndarray:
     """Edge-indicator vector of a vertex sequence over the canonical pairs of [n]."""
-    idx = pair_index(n)
-    vec = np.zeros(len(idx))
-    for e in path_edges(path):
-        vec[idx[e]] = 1.0
+    vec = np.zeros(len(vertex_pairs(n)))
+    vec[pair_ids(n)[path[:-1], path[1:]]] = 1.0
     return vec
 
 
@@ -74,6 +68,58 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     pairs = np.array(vertex_pairs(n), dtype=np.intp).reshape(-1, 2).T.copy()
     pairs.flags.writeable = False
     return pairs[0], pairs[1]
+
+
+@lru_cache(maxsize=None)
+def pair_ids(n: int) -> np.ndarray:
+    """Read-only (n+1)x(n+1) table of edge-vector indices: [i, j] = [j, i] = index of {i, j}, else -1."""
+    rows, cols = _pair_arrays(n)
+    ids = np.full((n + 1, n + 1), -1, dtype=np.intp)
+    ids[rows, cols] = ids[cols, rows] = np.arange(len(rows))
+    ids.flags.writeable = False
+    return ids
+
+
+@lru_cache(maxsize=256)
+def placements(shape: tuple, n: int) -> np.ndarray:
+    """Edge-vector indices of every placement of an edge list into [n], one row each; read-only.
+
+    Labels 1 and 2 stay pinned.  The labels >= 3, in ascending order, take
+    distinct vertices of 3..n in itertools.permutations order, so a shape with
+    more of them than there are such vertices has no placement (0 rows).
+    """
+    holders = sorted({v for e in shape for v in e if v >= 3})
+    count = math.perm(n - 2, len(holders))
+    perms = itertools.chain.from_iterable(itertools.permutations(range(3, n + 1), len(holders)))
+    vertex = np.tile(np.arange(max(map(max, shape)) + 1), (count, 1))  # each label is its own vertex
+    vertex[:, holders] = np.fromiter(perms, dtype=np.intp, count=count * len(holders)).reshape(count, len(holders))
+    a, b = np.array(shape).T
+    out = np.ascontiguousarray(pair_ids(n)[vertex[:, a], vertex[:, b]])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
+def subsets(N: int, k: int) -> np.ndarray:
+    """Every k-subset of range(N) as an ascending row, in itertools.combinations order; read-only."""
+    total = math.comb(N, k)
+    if total > SUBSET_BUDGET:
+        raise ResourceBudgetError(f"C({N},{k}) = {total} subsets exceed budget {SUBSET_BUDGET}")
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(N), k)),
+        dtype=np.int64,
+        count=total * k,
+    ).reshape(total, k)
+    combos.flags.writeable = False
+    return combos
+
+
+def subset_sums(X: np.ndarray, combos: np.ndarray) -> np.ndarray:
+    """subset_sum_value of every row of combos: from 0.0, the columns added left to right."""
+    sums = np.zeros(len(combos))
+    for col in combos.T:
+        sums += np.asarray(X, dtype=float)[col]
+    return sums
 
 
 def adjacency_from_edge_vector(edge_vec: np.ndarray, n: int) -> np.ndarray:
@@ -236,9 +282,7 @@ def draw_psp(params: PspParams, rng: np.random.Generator) -> PspInstance:
     interior = rng.permutation(np.arange(3, n + 1))[: L - 1]
     path = (1, *map(int, interior), 2)
     edge_vec = rng.random(len(vertex_pairs(n))) < q
-    idx = pair_index(n)
-    for e in path_edges(path):
-        edge_vec[idx[e]] = True
+    edge_vec[pair_ids(n)[path[:-1], path[1:]]] = True
     return PspInstance(params=params, path=path, adjacency=adjacency_from_edge_vector(edge_vec, n))
 
 
@@ -339,6 +383,25 @@ def params_to_json(params) -> dict:
     }
 
 
+_JSON_TYPE_NAMES = {int: "an int", float: "a number", bool: "true or false", list: "a list of numbers"}
+
+
+def check_json_types(what: str, obj: dict, types: dict) -> None:
+    """ParameterError unless every obj[key] has the JSON type types[key].
+
+    int takes an integer, float any number, bool only true or false, and list
+    a list of numbers; a bool is never a number.
+    """
+    for key, value in obj.items():
+        kind = types[key]
+        want = (int, float) if kind in (float, list) else kind
+        if (kind is list) != isinstance(value, list) or not all(
+            isinstance(v, want) and (kind is bool) == isinstance(v, bool)
+            for v in (value if kind is list else [value])
+        ):
+            raise ParameterError(f"{what} {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+
+
 def params_from_json(obj: dict):
     """Inverse of params_to_json; every field is required and no other key is allowed.
 
@@ -355,11 +418,8 @@ def params_from_json(obj: dict):
             f"{name} params need fields {sorted(fs)}; "
             f"missing {sorted(set(fs) - given)}, unknown {sorted(given - set(fs))}"
         )
-    for key, f in fs.items():
-        value, want_int = obj[key], f.type == "int"  # postponed annotations: f.type is a string
-        if isinstance(value, bool) or not isinstance(value, int if want_int else (int, float)):
-            kind = "an int" if want_int else "a number"
-            raise ParameterError(f"{name} field {key!r} must be {kind}, got {value!r}")
+    types = {key: int if f.type == "int" else float for key, f in fs.items()}  # postponed annotations: f.type is a string
+    check_json_types(f"{name} field", {key: obj[key] for key in fs}, types)
     return _PARAM_TYPES[name](**{f.name: obj[key] for key, f in fs.items()})
 
 
@@ -424,33 +484,14 @@ def instance_from_json(obj: dict):
     return from_json(params, obj)
 
 
-def enumerate_paths(n: int, L: int) -> np.ndarray:
-    """All 1->2 paths of length L as rows of intermediate-vertex sequences.
+@lru_cache(maxsize=32)
+def path_edge_indices(n: int, L: int) -> np.ndarray:
+    """Edge-vector indices of every length-L path from 1 to 2, shape (count, L), read-only.
 
-    Returned array has shape (count, L-1); count = (n-2)(n-3)...(n-L).
+    count = (n-2)(n-3)...(n-L); rows run in placements order of the interior vertices.
     """
     count = math.perm(n - 2, L - 1)
     if count > PATH_BUDGET:
         raise ResourceBudgetError(f"{count} candidate paths exceed budget {PATH_BUDGET}")
-    if L == 1:
-        return np.zeros((1, 0), dtype=np.int64)
-    seqs = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(3, n + 1), L - 1)),
-        dtype=np.int64,
-        count=count * (L - 1),
-    )
-    return seqs.reshape(count, L - 1)
-
-
-@lru_cache(maxsize=32)
-def path_edge_indices(n: int, L: int) -> np.ndarray:
-    """Edge-vector indices of every candidate path, shape (count, L)."""
-    interiors = enumerate_paths(n, L)
-    idx = pair_index(n)
-    count = interiors.shape[0]
-    out = np.empty((count, L), dtype=np.int64)
-    for r in range(count):
-        seq = (1, *interiors[r], 2)
-        for c, e in enumerate(path_edges(seq)):
-            out[r, c] = idx[e]
-    return out
+    verts = (1, *range(3, L + 2), 2)
+    return placements(tuple(zip(verts[:-1], verts[1:])), n)

@@ -8,7 +8,6 @@ checked without floating point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .models import subset_sum_value
+from .models import SUBSET_BUDGET, subset_sum_value, subset_sums, subsets
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +263,13 @@ def _truncate(value: float, bits: int) -> int:
 
 
 def exhaustive_subset_sum(X: np.ndarray, Y: float, k: int) -> tuple[Optional[tuple[int, ...]], float]:
-    """Best k-subset by |sum - Y| over all C(N, k) candidates (oracle)."""
-    best = None
-    best_err = math.inf
-    for combo in itertools.combinations(range(len(X)), k):
-        err = abs(subset_sum_value(X, combo) - Y)
-        if err < best_err:
-            best, best_err = combo, err
-    return best, best_err
+    """Best k-subset by |sum - Y| over all C(N, k) candidates (oracle); the first one on a tie."""
+    combos = subsets(len(X), k)
+    if not len(combos):
+        return None, math.inf
+    errs = np.abs(subset_sums(X, combos) - Y)
+    best = int(np.argmin(errs))
+    return tuple(int(i) for i in combos[best]), float(errs[best])
 
 
 # float64 carries 53 significant bits; truncating beyond ~48 fractional bits
@@ -308,7 +306,7 @@ def lll_subset_sum(
     t = _truncate(Y, eff_bits)
     scale = 1 << ((eff_bits + 1) // 2)
     if t == 0:
-        if math.comb(N, k) <= 10**6:
+        if math.comb(N, k) <= SUBSET_BUDGET:
             best, err = exhaustive_subset_sum(X, Y, k)
             return best if best is not None and err <= tol else None
         return None

@@ -19,7 +19,7 @@ import numpy as np
 from .bayes import MmseReport, posterior_mean_for
 from .errors import EstimatorTrialError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr, run_trials
-from .models import PspParams, model_name, path_indicator, vertex_pairs
+from .models import PspParams, model_name, pair_ids, path_indicator, vertex_pairs
 from .noise import CoupledTrials
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 
@@ -39,14 +39,9 @@ def _psp_prior_mean(params: PspParams) -> np.ndarray:
     p_mid = (
         2 * (L - 2) * math.perm(n - 4, L - 3) / total_paths if L >= 3 else 0.0
     )  # a fixed pair of non-endpoint vertices
-    out = np.empty(len(vertex_pairs(n)))
-    for t, (i, j) in enumerate(vertex_pairs(n)):
-        if i == 1 and j == 2:
-            out[t] = 0.0
-        elif i in (1, 2):
-            out[t] = p_end
-        else:
-            out[t] = p_mid
+    out = np.full(len(vertex_pairs(n)), p_mid)
+    out[pair_ids(n)[1:3, 3:]] = p_end  # the pairs {1, u} and {2, u}
+    out[pair_ids(n)[1, 2]] = 0.0
     return out
 
 

@@ -3,8 +3,10 @@
 The Monte-Carlo posterior oracles are written straight from the generative
 descriptions in plain numpy, on purpose sharing no code with the library's
 samplers/noise/posteriors.  The PSP pair loops check the library's indexed
-edge-vector conversions, and the (A, x, mask) loop checks the closed-form
-RLC character correlation.  numpy's own SeedSequence checks the batch seed
+edge-vector conversions and its path and shape placements, the row-by-row
+subset scans and the per-path census weights check the cached enumerations
+in models, and the (A, x, mask) loop checks the closed-form RLC character
+correlation.  numpy's own SeedSequence checks the batch seed
 derivation, and the per-trial polynomial evaluations and stability loop
 check the batched ones.  The exhaustive oracles at the end (all simple
 paths, the full GF(2) solution set, exact lattice coordinates) check the
@@ -22,9 +24,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from plantedlab.lowdeg import _shape_maps, hermite_eval
+from plantedlab.lowdeg import hermite_eval
 from plantedlab.mc import mean_stderr, ratio_with_stderr
-from plantedlab.models import PspParams, path_edges, sample_instance
+from plantedlab.models import PspParams, path_edges, sample_instance, subset_sum_value
 from plantedlab.noise import check_rho, noise_instance_observation
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
 
@@ -176,6 +178,64 @@ def psp_adjacency_loop(edge_vec: np.ndarray, n: int) -> np.ndarray:
     return adj
 
 
+def _pair_index(n: int) -> dict:
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return {p: t for t, p in enumerate(pairs)}
+
+
+def path_edge_indices_loop(n: int, L: int) -> np.ndarray:
+    """Edge-vector indices of every 1->2 path of length L, one interior permutation at a time."""
+    idx = _pair_index(n)
+    rows = []
+    for interior in itertools.permutations(range(3, n + 1), L - 1):
+        seq = (1, *interior, 2)
+        rows.append([idx[(min(a, b), max(a, b))] for a, b in zip(seq[:-1], seq[1:])])
+    return np.array(rows, dtype=np.int64).reshape(-1, L)
+
+
+def shape_maps_loop(shape, n: int) -> np.ndarray:
+    """Edge-vector index array of a PSP shape, one row per injective placeholder assignment."""
+    placeholders = sorted({v for e in shape for v in e if v >= 3})
+    idx = _pair_index(n)
+    rows = []
+    for assign in itertools.permutations(range(3, n + 1), len(placeholders)):
+        table = {1: 1, 2: 2, **dict(zip(placeholders, assign))}
+        rows.append([idx[tuple(sorted((table[a], table[b])))] for a, b in shape])
+    return np.array(rows, dtype=np.int64).reshape(-1, len(shape))
+
+
+def gss_exact_match_posterior_loop(X: np.ndarray, y_hat: float, k: int) -> tuple[np.ndarray, int]:
+    """(membership frequencies, match count) over the k-subsets whose float sum is exactly y_hat."""
+    matches = [row for row in itertools.combinations(range(len(X)), k) if subset_sum_value(X, row) == y_hat]
+    est = np.zeros(len(X))
+    for row in matches:
+        est[list(row)] += 1.0
+    return est / len(matches), len(matches)
+
+
+def exhaustive_subset_sum_loop(X: np.ndarray, Y: float, k: int):
+    """Best k-subset by |sum - Y|, the first one in combinations order on a tie."""
+    best = None
+    best_err = math.inf
+    for combo in itertools.combinations(range(len(X)), k):
+        err = abs(subset_sum_value(X, combo) - Y)
+        if err < best_err:
+            best, best_err = combo, err
+    return best, best_err
+
+
+def census_weights_loop(adjacency: np.ndarray, m: int, eps_m: int) -> list[int]:
+    """C(present edges, m - eps_m) for every length-m 1->2 path, in interior permutation order."""
+    n = adjacency.shape[0] - 1
+    keep = m - eps_m
+    weights = []
+    for interior in itertools.permutations(range(3, n + 1), m - 1):
+        seq = (1, *interior, 2)
+        pres = sum(bool(adjacency[a, b]) for a, b in zip(seq[:-1], seq[1:]))
+        weights.append(math.comb(pres, keep) if pres >= keep else 0)
+    return weights
+
+
 def rlc_character_expectation_loop(idx1, idx2, params, rho: float) -> float:
     """E[chi_{S1,T1}(A, y) * chi_{S2,T2}(A, T_rho(y))] by a loop over every (A, x, resample mask).
 
@@ -263,7 +323,7 @@ def psp_poly_evaluate_loop(poly, adjacency: np.ndarray, params) -> float:
     centered = (psp_edge_vector_loop(adjacency, n).astype(float) - q) / math.sqrt(q * (1.0 - q))
     total = 0.0
     for shape, c in poly.terms:
-        total += c * float(centered[_shape_maps(shape, n)].prod(axis=1).sum())
+        total += c * float(centered[shape_maps_loop(shape, n)].prod(axis=1).sum())
     return total
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     gss_counting_weights_mpmath,
+    gss_exact_match_posterior_loop,
     psp_rejection_posterior,
     rlc_rejection_posterior,
     tpca_class_sizes,
@@ -27,8 +28,8 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    pair_ids,
     path_edges,
-    pair_index,
     sample_instance,
     vertex_pairs,
 )
@@ -47,7 +48,6 @@ def test_psp_noiseless_posterior_is_point_mass():
     pm = posterior_mean_psp(inst.adjacency, params, rho=0.0)
     # the planted path must get posterior 1 on each of its edges unless a
     # second length-L path appeared by chance; verify via the path census
-    idx = pair_index(params.n)
     planted = inst.signal_vector()
     on_path = pm.estimate[planted > 0]
     assert np.all(on_path > 0)
@@ -60,13 +60,13 @@ def test_psp_uniform_posterior_hand_count():
     params = PspParams(n=4, L=2, q=0.3)
     inst = sample_instance(params, seed=0)
     pm = posterior_mean_psp(inst.adjacency, params, rho=1.0)
-    idx = pair_index(4)
-    assert pm.estimate[idx[(1, 3)]] == 0.5
-    assert pm.estimate[idx[(2, 3)]] == 0.5
-    assert pm.estimate[idx[(1, 4)]] == 0.5
-    assert pm.estimate[idx[(2, 4)]] == 0.5
-    assert pm.estimate[idx[(1, 2)]] == 0.0
-    assert pm.estimate[idx[(3, 4)]] == 0.0
+    idx = pair_ids(4)
+    assert pm.estimate[idx[1, 3]] == 0.5
+    assert pm.estimate[idx[2, 3]] == 0.5
+    assert pm.estimate[idx[1, 4]] == 0.5
+    assert pm.estimate[idx[2, 4]] == 0.5
+    assert pm.estimate[idx[1, 2]] == 0.0
+    assert pm.estimate[idx[3, 4]] == 0.0
 
 
 def test_psp_posterior_matches_rejection_oracle():
@@ -183,6 +183,18 @@ def test_gss_noiseless_recovers_planted_subset():
         inst = sample_instance(params, seed=derive_seed(77, 0, t))
         pm = posterior_mean_gss(inst.X, inst.Y, params, rho=0.0)
         assert np.array_equal(pm.estimate, inst.signal_vector())
+
+
+def test_gss_noiseless_posterior_matches_the_row_scan():
+    cases = [(np.array([1.0, 1.0, 2.0, 0.5, 0.5, 3.0]), 1.5, 2)]  # four exact matches
+    for t in range(5):
+        inst = sample_instance(GssParams(N=11, k=3 + t % 3), seed=derive_seed(41, 0, t))
+        cases.append((inst.X, inst.Y, inst.params.k))
+    for X, y_hat, k in cases:
+        pm = posterior_mean_gss(X, y_hat, GssParams(N=len(X), k=k), rho=0.0)
+        est, count = gss_exact_match_posterior_loop(X, y_hat, k)
+        assert [v.hex() for v in pm.estimate] == [v.hex() for v in est]
+        assert pm.log_partition == math.log(count)
 
 
 def test_gss_noiseless_inconsistent_input():

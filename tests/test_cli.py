@@ -300,6 +300,68 @@ def test_hermite_check_command(tmp_path):
             "needs a non-negative sample count",
             id="hermite-check-samples",
         ),
+        # a wrongly typed option, a string where a bool belongs, a misspelt key, an out-of-range q
+        pytest.param(
+            ["pca-window", "--model", "tpca", "--params", '{"n":5,"k":2,"d":2,"lambda":1.0}', "--trials", "3",
+             "--options", '{"lambdas":5}'],
+            "option 'lambdas' must be a list of numbers",
+            id="pca-window-lambdas-number",
+        ),
+        pytest.param(
+            ["pca-window", "--model", "tpca", "--params", '{"n":5,"k":2,"d":2,"lambda":1.0}', "--trials", "3",
+             "--options", '{"lambdas":["a"]}'],
+            "option 'lambdas' must be a list of numbers",
+            id="pca-window-lambdas-string",
+        ),
+        pytest.param(
+            ["count-paths", "--options", '{"n":"x","m":3,"eps_m":1,"q":0.3,"graphs":3}'],
+            "option 'n' must be an int",
+            id="count-paths-n",
+        ),
+        pytest.param(
+            ["hermite-check", "--options", '{"n_specs":"x"}'],
+            "option 'n_specs' must be an int",
+            id="hermite-check-n_specs",
+        ),
+        pytest.param(
+            ["lowdeg-stability", "--model", "gss", "--params", '{"N":6,"k":2}', "--rho-grid", "0.5",
+             "--trials", "3", "--options", '{"degree":"x"}'],
+            "option 'degree' must be an int",
+            id="lowdeg-stability-degree-string",
+        ),
+        pytest.param(
+            ["solve", "--model", "gss", "--params", '{"N":6,"k":2}', "--trials", "3", "--options", '{"bits":"x"}'],
+            "option 'bits' must be an int",
+            id="solve-bits",
+        ),
+        pytest.param(
+            ["mmse-curve", "--model", "rlc", "--params", '{"m":8,"n":5}', "--rho-grid", "0.5", "--trials", "3",
+             "--options", '{"full_rank_only":"false"}'],
+            "option 'full_rank_only' must be true or false",
+            id="mmse-curve-full_rank_only",
+        ),
+        pytest.param(
+            ["count-paths", "--options", '{"n":8,"m":3,"eps_m":1,"q":0.3,"graphs":3,"pairs":"no"}'],
+            "option 'pairs' must be true or false",
+            id="count-paths-pairs",
+        ),
+        pytest.param(
+            ["lowdeg-stability", "--model", "gss", "--params", '{"N":6,"k":2}', "--rho-grid", "0.5",
+             "--trials", "3", "--options", '{"n_poly":3}'],
+            "not ['n_poly']",
+            id="lowdeg-stability-misspelt",
+        ),
+        pytest.param(
+            ["stability", "--model", "gss", "--params", '{"N":6,"k":2}', "--rho-grid", "0.5", "--trials", "3",
+             "--estimators", "posterior_mean", "--options", '{"degree":2}'],
+            "stability reads options [], not ['degree']",
+            id="stability-any-option",
+        ),
+        pytest.param(
+            ["count-paths", "--options", '{"n":8,"m":3,"eps_m":1,"q":1.5,"graphs":3}'],
+            "need q in [0, 1], got 1.5",
+            id="count-paths-q",
+        ),
     ],
 )
 def test_malformed_params_exit_2(tmp_path, capsys, params, message):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import census_weights_loop
 from plantedlab.counting import (
+    _path_weights,
     count_approx_paths,
     count_overlap_pairs,
     expected_count,
@@ -152,3 +154,19 @@ def test_invalid_arguments():
         expected_count(n=6, m=3, eps_m=4, q=0.5)
     with pytest.raises(ParameterError):
         count_approx_paths(complete_adjacency(4), m=4, eps_m=1)
+
+
+@pytest.mark.parametrize("q", [1.5, -0.1, math.nan, math.inf])
+def test_q_outside_unit_interval_raises(q):
+    with pytest.raises(ParameterError, match="q in"):
+        expected_count(n=8, m=3, eps_m=1, q=q)
+    with pytest.raises(ParameterError, match="q in"):
+        sample_null_graph(8, q, seed=0)
+
+
+def test_census_weights_match_the_per_path_loop():
+    for n, m, eps_m, q, seed in [(6, 2, 1, 0.5, 1), (8, 3, 1, 0.3, 2), (8, 3, 0, 0.7, 3), (9, 4, 2, 0.4, 4), (7, 3, 3, 0.0, 5)]:
+        adj = sample_null_graph(n, q, derive_seed(seed, 0))
+        paths, weights = _path_weights(adj, m, eps_m)
+        assert weights.tolist() == census_weights_loop(adj, m, eps_m)
+        assert len(paths) == math.perm(n - 2, m - 1)

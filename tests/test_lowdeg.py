@@ -23,7 +23,6 @@ from plantedlab.lowdeg import (
     GssPoly,
     PspSymmetricPoly,
     RlcPoly,
-    _shape_maps,
     diagram_expectation,
     diagram_mc_oracle,
     enumerate_character_indices,
@@ -35,7 +34,7 @@ from plantedlab.lowdeg import (
     rlc_stability_bound,
     stability_ratio,
 )
-from plantedlab.models import GssParams, PspParams, RlcParams, sample_instance
+from plantedlab.models import GssParams, PspParams, RlcParams, placements, sample_instance
 from plantedlab.noise import CoupledTrials
 from plantedlab.rng import generator
 
@@ -395,7 +394,7 @@ def test_evaluate_many_of_empty_poly_is_zero(model):
 def test_psp_evaluate_many_splits_the_largest_shape_across_gathers():
     params = PspParams(n=10, L=3, q=0.3)
     shape = ((3, 4), (5, 6))
-    per_trial = _shape_maps(shape, params.n).size
+    per_trial = placements(shape, params.n).size
     assert per_trial == 1680 * 2
     poly = PspSymmetricPoly(terms=((shape, 0.7), (((1, 3),), -1.2)))
     trials = 2 * (PSP_GATHER_ELEMENTS // per_trial) + 5  # over two gathers, not a multiple of one

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import psp_adjacency_loop, psp_edge_vector_loop
+from oracles import path_edge_indices_loop, psp_adjacency_loop, psp_edge_vector_loop, shape_maps_loop
 from plantedlab import models
 from plantedlab.errors import ParameterError, ResourceBudgetError
+from plantedlab.lowdeg import PSP_SHAPE_LIBRARY, _character_sign_tables
 from plantedlab.models import (
     GssParams,
     PspParams,
@@ -17,11 +18,16 @@ from plantedlab.models import (
     draw_instance,
     instance_from_json,
     instance_to_json,
+    pair_ids,
     params_from_json,
     params_to_json,
+    path_edge_indices,
+    placements,
     sample_instance,
     signal_norm,
     subset_sum_value,
+    subset_sums,
+    subsets,
 )
 from plantedlab.rng import INSTANCE_STREAM, derive_seeds, keyed_generator, philox_keys, rekey
 
@@ -277,3 +283,56 @@ def test_psp_from_constants_rounds():
     params = PspParams.from_constants(n=100, C=0.8, c=2.0)
     assert params.L == round(0.8 * math.log(100) / math.log(math.log(100)))
     assert math.isclose(params.q, 2.0 * math.log(100) / 100)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_placements_match_the_permutation_loops(n):
+    for shapes in PSP_SHAPE_LIBRARY.values():
+        for shape in shapes:
+            got, want = placements(shape, n), shape_maps_loop(shape, n)
+            assert got.shape == want.shape and np.array_equal(got, want), shape
+            assert got.flags.c_contiguous
+    for L in range(1, 6):
+        got, want = path_edge_indices(n, L), path_edge_indices_loop(n, L)
+        assert got.shape == want.shape and np.array_equal(got, want), L
+
+
+def test_pair_ids_index_both_orientations():
+    n = 7
+    ids = pair_ids(n)
+    for t, (i, j) in enumerate(models.vertex_pairs(n)):
+        assert ids[i, j] == ids[j, i] == t
+    # a vertex sequence reads its edges off the table, in either direction
+    assert np.array_equal(models.path_indicator((1, 5, 3, 2), n), models.path_indicator((2, 3, 5, 1), n))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_subset_sums_add_left_to_right(k):
+    rng = np.random.default_rng(k)
+    # mixed magnitudes make the order of the additions show in the last bits
+    X = rng.standard_normal(12) * 10.0 ** rng.integers(-8, 9, size=12)
+    X[0] = -0.0  # 0.0 + -0.0 is 0.0: the sum starts from 0.0, not from the first column
+    combos = subsets(12, k)
+    want = [subset_sum_value(X, row).hex() for row in combos]
+    assert [v.hex() for v in subset_sums(X, combos)] == want
+
+
+def test_subsets_run_in_combinations_order():
+    import itertools
+
+    assert [tuple(r) for r in subsets(6, 3)] == list(itertools.combinations(range(6), 3))
+
+
+def test_shared_enumeration_caches_are_read_only():
+    # every later caller gets the same array, so one caller's write would corrupt them all
+    shared = [
+        pair_ids(5),
+        placements(((1, 3), (3, 4)), 6),
+        path_edge_indices(6, 3),
+        subsets(6, 2),
+        *models._pair_arrays(5),
+        *_character_sign_tables(2, 2),
+    ]
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0

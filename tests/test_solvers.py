@@ -16,7 +16,7 @@ from plantedlab.solvers import (
     shortest_path,
 )
 
-from oracles import all_simple_paths, f2_solution_set, lattice_coordinates
+from oracles import all_simple_paths, exhaustive_subset_sum_loop, f2_solution_set, lattice_coordinates
 
 
 def adjacency_from_edges(n, edges):
@@ -217,3 +217,14 @@ def test_lll_config_validation():
         LllConfig(delta=1.5)
     with pytest.raises(ParameterError):
         LllConfig(bits=8)
+
+
+def test_exhaustive_subset_sum_matches_the_combinations_loop():
+    for t in range(10):
+        inst = sample_instance(GssParams(N=12, k=3), seed=derive_seed(77, 0, t))
+        for target in (inst.Y, inst.Y + 0.37 * t, -inst.Y):
+            got = exhaustive_subset_sum(inst.X, target, 3)
+            want = exhaustive_subset_sum_loop(inst.X, target, 3)
+            assert got == want and got[1].hex() == want[1].hex()
+    # on a tie the first subset in combinations order wins
+    assert exhaustive_subset_sum(np.array([1.0, 1.0, 2.0]), 3.0, 2) == ((0, 2), 0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from plantedlab.bayes import estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
-from plantedlab.models import GssParams, PspParams, RlcParams
+from plantedlab.models import GssParams, PspParams, RlcParams, path_edge_indices, sample_instance
 from plantedlab.stability import (
     barrier_penalty,
     measure_stability,
@@ -173,3 +173,19 @@ def test_bayes_optimality_among_registered_estimators():
     for name in names:
         mse, se = mean_stderr(errs[name])
         assert best <= mse + 3 * math.sqrt(best_se**2 + se**2)
+
+
+def test_shortest_path_indicator_is_zero_when_vertex_2_is_unreachable():
+    params = PspParams(n=7, L=3, q=0.5)
+    adjacency = sample_instance(params, seed=3).adjacency.copy()
+    adjacency[2, :] = adjacency[:, 2] = False
+    out = resolve_estimator("shortest_path_indicator", params, 0.0)(adjacency)
+    assert out.shape == (21,) and not out.any()
+
+
+@pytest.mark.parametrize("n, L", [(5, 2), (7, 3), (9, 4), (8, 5)])
+def test_psp_prior_mean_equals_path_enumeration(n, L):
+    paths = path_edge_indices(n, L)
+    want = np.bincount(paths.ravel(), minlength=n * (n - 1) // 2) / len(paths)
+    got = prior_mean_vector(PspParams(n=n, L=L, q=0.3))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
