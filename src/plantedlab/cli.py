@@ -14,9 +14,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,38 +25,29 @@ from .counting import count_approx_paths, count_overlap_pairs, expected_count, s
 from .errors import ParameterError
 from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_oracle, stability_ratio
 from .mc import mean_stderr
-from .models import MODEL_NAMES, check_json_types, model_name, params_from_json, params_to_json, sample_instance
+from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_json, sample_instance
 from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, derive_seeds, generator
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 from .stability import ESTIMATORS, measure_stability, verify_barrier
 
-COMMANDS = (
-    "mmse-curve",
-    "stability",
-    "barrier",
-    "solve",
-    "count-paths",
-    "hermite-check",
-    "lowdeg-stability",
-    "pca-window",
-)
-
 CSV_HEADER = ["model", "params_json", "rho", "trials", "metric", "value", "stderr"]
-# command -> the --options keys it reads, with their JSON types (models.check_json_types)
-_OPTION_TYPES = {
-    "mmse-curve": {"full_rank_only": bool},
-    "solve": {"bits": int},
-    "count-paths": {"n": int, "m": int, "eps_m": int, "q": float, "graphs": int, "pairs": bool, "pair_graphs": int},
-    "hermite-check": {"n_specs": int, "samples": int},
-    "lowdeg-stability": {"degree": int, "n_polys": int},
-    "pca-window": {"lambdas": list},
+# config field -> its JSON type (models.check_json_types); params may also be null
+_FIELD_TYPES = {
+    "trials": int, "seed": int, "rho_grid": list, "svg": bool, "deterministic": bool, "params": dict, "options": dict
 }
-# the least value of each bounded integer option
-_OPTION_MINIMA = {"graphs": 1, "pair_graphs": 1, "n_specs": 1, "degree": 0, "n_polys": 1}
+REQUIRED = object()  # the default of an option that must be given (and not as an empty list)
 
 
 class UsageError(Exception):
     pass
+
+
+class Command(NamedTuple):
+    impl: Callable  # (config, options with defaults filled in) -> (rows, svg text or None)
+    needs: tuple  # config fields that must be set and non-empty
+    models: tuple = ()  # the models it accepts; () when it takes none
+    # --options key -> (JSON type, default, least value or None); a None default is worked out by impl
+    options: dict = {}
 
 
 @dataclass
@@ -81,13 +72,24 @@ class ExperimentConfig:
         return cls(**obj)
 
     def model_params(self):
-        if self.model is None or self.params is None:
-            raise UsageError(f"command {self.command!r} needs 'model' and 'params'")
         return params_from_json({"model": self.model, **self.params})
 
-    def validate(self) -> None:
-        if self.command not in COMMANDS:
+    def validate(self) -> dict:
+        """Check the config against COMMAND_TABLE; return its options with the defaults filled in."""
+        spec = COMMAND_TABLE.get(self.command)
+        if spec is None:
             raise UsageError(f"unknown command {self.command!r}; choose from {COMMANDS}")
+        typed = {key: getattr(self, key) for key in _FIELD_TYPES if key != "params" or self.params is not None}
+        check_json_types("config field", typed, _FIELD_TYPES)
+        for key in spec.needs:
+            if getattr(self, key) in (None, []):
+                raise UsageError(f"{self.command} needs {key!r}")
+        if spec.models:
+            self.model_params()  # malformed params are reported before an unsupported model
+            if self.model not in spec.models:
+                raise UsageError(f"{self.command} supports models {list(spec.models)}, not {self.model!r}")
+        if self.output is None:
+            raise UsageError("an output path is required")
         if any(not (0.0 <= r <= 1.0) for r in self.rho_grid):
             raise UsageError("rho_grid entries must lie in [0, 1]")
         if self.trials < 1:
@@ -97,14 +99,17 @@ class ExperimentConfig:
                 raise UsageError(
                     f"unknown estimator {name!r}; registered: {sorted(ESTIMATORS)}"
                 )
-        types = _OPTION_TYPES.get(self.command, {})
-        unknown = sorted(set(self.options) - set(types))
+        unknown = sorted(set(self.options) - set(spec.options))
         if unknown:
-            raise UsageError(f"{self.command} reads options {sorted(types)}, not {unknown}")
-        check_json_types(f"{self.command} option", self.options, types)
-        for key, least in _OPTION_MINIMA.items():
-            if self.options.get(key, least) < least:
+            raise UsageError(f"{self.command} reads options {sorted(spec.options)}, not {unknown}")
+        check_json_types(f"{self.command} option", self.options, {key: o[0] for key, o in spec.options.items()})
+        opts = {**{key: o[1] for key, o in spec.options.items() if o[1] is not None}, **self.options}
+        for key, (_, _, least) in spec.options.items():
+            if opts.get(key) in (REQUIRED, []):
+                raise UsageError(f"{self.command} needs option {key!r}")
+            if least is not None and opts.get(key, least) < least:
                 raise UsageError(f"{self.command} needs {key} >= {least}")
+        return opts
 
 
 @dataclass
@@ -123,8 +128,6 @@ def _params_blob(params) -> str:
 
 
 def _write_outputs(config: ExperimentConfig, rows: list[Row], svg: Optional[str]) -> list[str]:
-    if config.output is None:
-        raise UsageError("an output path is required")
     base = Path(config.output)
     base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.with_suffix(".csv")
@@ -198,20 +201,14 @@ def _trial_seeds(seed: int, n: int) -> list[int]:
     return derive_seeds(seed, INSTANCE_STREAM, ts=np.arange(n)).tolist()
 
 
-def _need_rho_grid(config: ExperimentConfig) -> None:
-    if not config.rho_grid:
-        raise UsageError(f"{config.command} needs a rho_grid")
-
-
-def _cmd_mmse_curve(config: ExperimentConfig):
+def _cmd_mmse_curve(config: ExperimentConfig, opts: dict):
     params = config.model_params()
-    _need_rho_grid(config)
     reports = estimate_mmse_curve(
         params,
         config.rho_grid,
         config.trials,
         config.seed,
-        full_rank_only=config.options.get("full_rank_only", False),
+        full_rank_only=opts["full_rank_only"],
     )
     blob = _params_blob(params)
     rows = []
@@ -232,11 +229,8 @@ def _estimator_rows(rep, blob: str, rho, *extra: tuple) -> list[Row]:
     return [Row(rep.model, blob, rho, rep.trials, f"{metric}[{rep.estimator}]", v, se) for metric, v, se in cells]
 
 
-def _cmd_stability(config: ExperimentConfig):
+def _cmd_stability(config: ExperimentConfig, opts: dict):
     params = config.model_params()
-    if not config.estimators:
-        raise UsageError("stability needs at least one estimator name")
-    _need_rho_grid(config)
     blob = _params_blob(params)
     rows = []
     for name in config.estimators:
@@ -246,11 +240,8 @@ def _cmd_stability(config: ExperimentConfig):
     return rows, None
 
 
-def _cmd_barrier(config: ExperimentConfig):
+def _cmd_barrier(config: ExperimentConfig, opts: dict):
     params = config.model_params()
-    if not config.estimators:
-        raise UsageError("barrier needs at least one estimator name")
-    _need_rho_grid(config)
     blob = _params_blob(params)
     rows = []
     for rho in config.rho_grid:
@@ -270,7 +261,7 @@ def _f2_recovers(inst, options) -> bool:
 
 
 def _lll_recovers(inst, options) -> bool:
-    cfg = LllConfig(bits=options.get("bits", 128))
+    cfg = LllConfig(bits=options["bits"])
     return lll_subset_sum(inst.X, inst.Y, inst.params.k, cfg) == inst.S
 
 
@@ -282,29 +273,22 @@ _FAST_SOLVERS = {
 }
 
 
-def _cmd_solve(config: ExperimentConfig):
+def _cmd_solve(config: ExperimentConfig, opts: dict):
     params = config.model_params()
-    name = model_name(params)
-    if name not in _FAST_SOLVERS:
-        raise UsageError("solve supports psp, rlc, and gss (no fast tensor solver)")
-    recovers = _FAST_SOLVERS[name]
+    recovers = _FAST_SOLVERS[config.model]
     hits = 0
     for seed in _trial_seeds(config.seed, config.trials):
-        hits += recovers(sample_instance(params, seed), config.options)
+        hits += recovers(sample_instance(params, seed), opts)
     rate = hits / config.trials
     se = math.sqrt(rate * (1 - rate) / config.trials)
-    rows = [Row(name, _params_blob(params), "", config.trials, "exact_recovery_rate", rate, se)]
+    rows = [Row(config.model, _params_blob(params), "", config.trials, "exact_recovery_rate", rate, se)]
     return rows, None
 
 
-def _cmd_count_paths(config: ExperimentConfig):
-    opts = config.options
-    try:
-        n, m, eps_m, q = opts["n"], opts["m"], opts["eps_m"], float(opts["q"])
-    except KeyError as missing:
-        raise UsageError(f"count-paths needs option {missing}") from None
+def _cmd_count_paths(config: ExperimentConfig, opts: dict):
+    n, m, eps_m, q = opts["n"], opts["m"], opts["eps_m"], float(opts["q"])
     graphs = opts.get("graphs", config.trials)
-    pairs = opts.get("pairs", False)
+    pairs = opts["pairs"]
     pair_graphs = opts.get("pair_graphs", min(graphs, 100)) if pairs else 0
     counts = np.empty(graphs)
     totals: dict[int, float] = {}
@@ -335,15 +319,13 @@ def _cmd_count_paths(config: ExperimentConfig):
     return rows, None
 
 
-def _cmd_hermite_check(config: ExperimentConfig):
-    opts = config.options
-    n_specs = opts.get("n_specs", 10)
-    samples = opts.get("samples", 10**6)
+def _cmd_hermite_check(config: ExperimentConfig, opts: dict):
+    samples = opts["samples"]
     if samples < 0:  # 0 samples fails later, as an empty average
         raise UsageError("hermite-check needs a non-negative sample count")
     rng = generator(config.seed)
     rows = []
-    for i in range(n_specs):
+    for i in range(opts["n_specs"]):
         k = int(rng.integers(2, 4))
         G = rng.standard_normal((k, k + 1))
         cov = G @ G.T
@@ -362,37 +344,27 @@ def _cmd_hermite_check(config: ExperimentConfig):
     return rows, None
 
 
-def _cmd_lowdeg_stability(config: ExperimentConfig):
+def _cmd_lowdeg_stability(config: ExperimentConfig, opts: dict):
     params = config.model_params()
-    name = model_name(params)
-    degree = config.options.get("degree", 2)
-    n_polys = config.options.get("n_polys", 10)
-    _need_rho_grid(config)
-    if name not in POLY_FAMILIES:
-        raise UsageError("lowdeg-stability supports psp, rlc, and gss")
+    name = config.model
     family = POLY_FAMILIES[name]
     rng = generator(derive_seed(config.seed, POLY_STREAM))
     blob = _params_blob(params)
     rows = []
     for rho in config.rho_grid:
-        rows.append(Row(name, blob, rho, config.trials, "stability_bound", family.bound(degree, rho), 0.0))
-        for p in range(n_polys):
-            poly = family.make(params, degree, rng)
+        rows.append(Row(name, blob, rho, config.trials, "stability_bound", family.bound(opts["degree"], rho), 0.0))
+        for p in range(opts["n_polys"]):
+            poly = family.make(params, opts["degree"], rng)
             r = stability_ratio(poly, params, rho, config.trials, derive_seed(config.seed, POLY_TRIAL_STREAM, p))
             rows.append(Row(name, blob, rho, config.trials, f"stability_ratio[{p}]", r.ratio, r.stderr))
     return rows, None
 
 
-def _cmd_pca_window(config: ExperimentConfig):
+def _cmd_pca_window(config: ExperimentConfig, opts: dict):
     params = config.model_params()
-    if model_name(params) != "tpca":
-        raise UsageError("pca-window needs a tpca model")
-    lambdas = config.options.get("lambdas")
-    if not lambdas:
-        raise UsageError("pca-window needs option 'lambdas'")
     seeds = _trial_seeds(config.seed, config.trials)
     rows = []
-    for lam in lambdas:
+    for lam in opts["lambdas"]:
         p_lam = replace(params, lam=float(lam))
         top_mass = np.empty(config.trials)
         for t, seed in enumerate(seeds):
@@ -407,23 +379,38 @@ def _cmd_pca_window(config: ExperimentConfig):
     return rows, None
 
 
-_COMMAND_IMPLS = {
-    "mmse-curve": _cmd_mmse_curve,
-    "stability": _cmd_stability,
-    "barrier": _cmd_barrier,
-    "solve": _cmd_solve,
-    "count-paths": _cmd_count_paths,
-    "hermite-check": _cmd_hermite_check,
-    "lowdeg-stability": _cmd_lowdeg_stability,
-    "pca-window": _cmd_pca_window,
+_GRID = ("model", "params", "rho_grid")
+COMMAND_TABLE = {
+    "mmse-curve": Command(_cmd_mmse_curve, _GRID, MODEL_NAMES, {"full_rank_only": (bool, False, None)}),
+    "stability": Command(_cmd_stability, (*_GRID, "estimators"), MODEL_NAMES),
+    "barrier": Command(_cmd_barrier, (*_GRID, "estimators"), MODEL_NAMES),
+    "solve": Command(_cmd_solve, ("model", "params"), tuple(_FAST_SOLVERS), {"bits": (int, 128, None)}),
+    "count-paths": Command(
+        _cmd_count_paths,
+        (),
+        options={
+            **dict.fromkeys(("n", "m", "eps_m"), (int, REQUIRED, None)),
+            "q": (float, REQUIRED, None),
+            "graphs": (int, None, 1),  # default: trials
+            "pairs": (bool, False, None),
+            "pair_graphs": (int, None, 1),  # default: min(graphs, 100)
+        },
+    ),
+    # samples has no least value here: _cmd_hermite_check rejects a negative count, and 0 fails as an empty average
+    "hermite-check": Command(_cmd_hermite_check, (), options={"n_specs": (int, 10, 1), "samples": (int, 10**6, None)}),
+    "lowdeg-stability": Command(
+        _cmd_lowdeg_stability, _GRID, tuple(POLY_FAMILIES), {"degree": (int, 2, 0), "n_polys": (int, 10, 1)}
+    ),
+    "pca-window": Command(_cmd_pca_window, ("model", "params"), ("tpca",), {"lambdas": (list, REQUIRED, None)}),
 }
+COMMANDS = tuple(COMMAND_TABLE)
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute a configuration; returns the process exit status."""
     try:
-        config.validate()
-        rows, svg = _COMMAND_IMPLS[config.command](config)
+        opts = config.validate()
+        rows, svg = COMMAND_TABLE[config.command].impl(config, opts)
         written = _write_outputs(config, rows, svg)
     except (UsageError, ParameterError) as err:
         print(f"usage error: {err}", file=sys.stderr)
@@ -447,48 +434,38 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--model", choices=MODEL_NAMES)
-        p.add_argument("--params", help="model parameters as a JSON object")
-        p.add_argument("--rho-grid", help="comma-separated noise levels")
+        p.add_argument("--params", type=json.loads, help="model parameters as a JSON object")
+        p.add_argument("--rho-grid", type=float_list, help="comma-separated noise levels")
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--estimators", help="comma-separated registry names")
-        p.add_argument("--out", help="output path stem (.csv/.json/.svg appended)")
+        p.add_argument(
+            "--estimators", type=lambda text: [v for v in text.split(",") if v], help="comma-separated registry names"
+        )
+        p.add_argument("--out", dest="output", help="output path stem (.csv/.json/.svg appended)")
         p.add_argument("--svg", action="store_true", default=None)
         p.add_argument("--deterministic", dest="deterministic", action="store_true", default=None)
         p.add_argument("--no-deterministic", dest="deterministic", action="store_false")
         p.add_argument("--threads", type=int, help="accepted and ignored: trials run serially")
-        p.add_argument("--options", help="command-specific options as a JSON object")
+        p.add_argument("--options", type=json.loads, help="command-specific options as a JSON object")
     return parser
 
 
-# (argparse attribute, config field, converter or None to copy the value)
-_FLAG_FIELDS = (
-    ("model", "model", None),
-    ("params", "params", json.loads),
-    ("rho_grid", "rho_grid", lambda text: [float(v) for v in text.split(",") if v]),
-    ("trials", "trials", None),
-    ("seed", "seed", None),
-    ("estimators", "estimators", lambda text: [v for v in text.split(",") if v]),
-    ("out", "output", None),
-    ("svg", "svg", None),
-    ("deterministic", "deterministic", None),
-)
+def float_list(text: str) -> list[float]:
+    """The --rho-grid type: comma-separated numbers."""
+    return [float(v) for v in text.split(",") if v]
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {"command": args.command}
+    base: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        loaded.pop("command", None)
-        base.update(loaded)
-    for attr, key, convert in _FLAG_FIELDS:
-        value = getattr(args, attr)
-        if value is not None:
-            base[key] = value if convert is None else convert(value)
-    if args.options is not None:
-        base["options"] = {**base.get("options", {}), **json.loads(args.options)}
-    return ExperimentConfig.from_json(base)
+            base = json.load(fh)
+        if not isinstance(base, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
+    flags = {f.name: value for f in fields(ExperimentConfig) if (value := getattr(args, f.name)) is not None}
+    if "options" in base and "options" in flags:  # --options keys override the file's
+        flags["options"] = {**base["options"], **flags["options"]}
+    return ExperimentConfig.from_json({**base, **flags})
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -498,7 +475,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = config_from_args(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (json.JSONDecodeError, OSError, TypeError) as err:
+    except (UsageError, json.JSONDecodeError, OSError, TypeError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     return run(config)

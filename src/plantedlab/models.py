@@ -50,11 +50,6 @@ def vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
-    """Canonical (min, max) edges of a vertex sequence."""
-    return [(min(a, b), max(a, b)) for a, b in zip(path[:-1], path[1:])]
-
-
 def path_indicator(path: Sequence[int], n: int) -> np.ndarray:
     """Edge-indicator vector of a vertex sequence over the canonical pairs of [n]."""
     vec = np.zeros(len(vertex_pairs(n)))
@@ -277,8 +272,6 @@ class TpcaInstance:
 def draw_psp(params: PspParams, rng: np.random.Generator) -> PspInstance:
     """Plant a uniform path from 1 to 2, then union an independent G(n, q)."""
     n, L, q = params.n, params.L, params.q
-    if n < L + 1:
-        raise ParameterError(f"need n >= L+1 intermediate room, got n={n}, L={L}")
     interior = rng.permutation(np.arange(3, n + 1))[: L - 1]
     path = (1, *map(int, interior), 2)
     edge_vec = rng.random(len(vertex_pairs(n))) < q
@@ -383,14 +376,16 @@ def params_to_json(params) -> dict:
     }
 
 
-_JSON_TYPE_NAMES = {int: "an int", float: "a number", bool: "true or false", list: "a list of numbers"}
+_JSON_TYPE_NAMES = {
+    int: "an int", float: "a number", bool: "true or false", list: "a list of numbers", dict: "an object"
+}
 
 
 def check_json_types(what: str, obj: dict, types: dict) -> None:
     """ParameterError unless every obj[key] has the JSON type types[key].
 
-    int takes an integer, float any number, bool only true or false, and list
-    a list of numbers; a bool is never a number.
+    int takes an integer, float any number, bool only true or false, list a
+    list of numbers, and dict any object; a bool is never a number.
     """
     for key, value in obj.items():
         kind = types[key]

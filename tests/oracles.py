@@ -11,7 +11,8 @@ derivation, and the per-trial polynomial evaluations and stability loop
 check the batched ones.  The exhaustive oracles at the end (all simple
 paths, the full GF(2) solution set, exact lattice coordinates) check the
 fast solvers.  The helpers in the last section are test-only API built on
-the library: overlap class sizes, OU composition and a symmetrization check.
+the library: canonical path edges, overlap class sizes, OU composition and a
+symmetrization check.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from plantedlab.lowdeg import hermite_eval
 from plantedlab.mc import mean_stderr, ratio_with_stderr
-from plantedlab.models import PspParams, path_edges, sample_instance, subset_sum_value
+from plantedlab.models import PspParams, sample_instance, subset_sum_value
 from plantedlab.noise import check_rho, noise_instance_observation
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
 
@@ -415,6 +416,11 @@ def lattice_coordinates(basis: Sequence[Sequence[int]], vector: Sequence[int]) -
 
 # ---------------------------------------------------------------------------
 # test-only helpers
+
+
+def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
+    """Canonical (min, max) edges of a vertex sequence."""
+    return [(min(a, b), max(a, b)) for a, b in zip(path[:-1], path[1:])]
 
 
 def tpca_class_sizes(n: int, k: int) -> np.ndarray:

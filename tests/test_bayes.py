@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     gss_counting_weights_mpmath,
     gss_exact_match_posterior_loop,
+    path_edges,
     psp_rejection_posterior,
     rlc_rejection_posterior,
     tpca_class_sizes,
@@ -29,7 +30,6 @@ from plantedlab.models import (
     RlcParams,
     TpcaParams,
     pair_ids,
-    path_edges,
     sample_instance,
     vertex_pairs,
 )

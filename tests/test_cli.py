@@ -1,12 +1,16 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from plantedlab.cli import COMMANDS, CSV_HEADER, ExperimentConfig, main, run
+from plantedlab.cli import COMMAND_TABLE, COMMANDS, CSV_HEADER, REQUIRED, ExperimentConfig, _build_parser, main, run
 from plantedlab.counting import sample_null_graph
+from plantedlab.models import MODEL_NAMES
 from plantedlab.rng import derive_seed
 
 
@@ -126,17 +130,39 @@ def test_budget_error_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_invalid_rho_grid_exits_2(tmp_path):
+@pytest.mark.parametrize("grid", ["0.5,1.5", "a"])
+def test_invalid_rho_grid_exits_2(tmp_path, grid):
     code = main(
         [
             "mmse-curve",
             "--model", "gss",
             "--params", '{"N":8,"k":2}',
-            "--rho-grid", "0.5,1.5",
+            "--rho-grid", grid,
             "--out", str(tmp_path / "bad"),
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"trials": "5"}, "'trials' must be an int"),
+        ({"trials": True}, "'trials' must be an int"),
+        ({"seed": True}, "'seed' must be an int"),
+        ({"params": [1]}, "'params' must be an object"),
+        ({"rho_grid": "0.5"}, "'rho_grid' must be a list of numbers"),
+        (None, "must hold a JSON object"),
+    ],
+    ids=["trials-string", "trials-bool", "seed-bool", "params-list", "rho_grid-string", "array-file"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, change, message):
+    # a --config file gets the type checks that flags get; None writes the config inside a JSON array
+    cfg = {"model": "gss", "params": {"N": 6, "k": 2}, "rho_grid": [0.5], "trials": 3}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([cfg] if change is None else {**cfg, **change}))
+    assert main(["mmse-curve", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_solve_command_psp(tmp_path):
@@ -414,9 +440,95 @@ def test_missing_output_exits_2(tmp_path, capsys):
 
 
 def test_all_commands_are_wired():
-    from plantedlab.cli import _COMMAND_IMPLS
+    # argparse offers exactly the table's commands, and each entry runs its own implementation
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMAND_TABLE) == list(COMMANDS)
+    for name, spec in COMMAND_TABLE.items():
+        assert spec.impl.__name__ == "_cmd_" + name.replace("-", "_")
 
-    assert set(_COMMAND_IMPLS) == set(COMMANDS)
+
+PARAMS = {
+    "psp": {"n": 6, "L": 2, "q": 0.3},
+    "rlc": {"m": 6, "n": 4},
+    "gss": {"N": 6, "k": 2},
+    "tpca": {"n": 5, "k": 2, "d": 2, "lambda": 1.0},
+}
+# a small valid config for every command; the table test breaks one part of it at a time
+VALID = {
+    "mmse-curve": {"model": "gss", "rho_grid": [0.5]},
+    "stability": {"model": "gss", "rho_grid": [0.5], "estimators": ["posterior_mean"]},
+    "barrier": {"model": "gss", "rho_grid": [0.5], "estimators": ["posterior_mean"]},
+    "solve": {"model": "gss"},
+    "count-paths": {"options": {"n": 8, "m": 3, "eps_m": 1, "q": 0.3}},
+    "hermite-check": {"options": {"n_specs": 1, "samples": 100}},
+    "lowdeg-stability": {"model": "gss", "rho_grid": [0.5], "options": {"n_polys": 1}},
+    "pca-window": {"model": "tpca", "options": {"lambdas": [1.0]}},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_table_contract(tmp_path, capsys, command):
+    spec = COMMAND_TABLE[command]
+    fields = VALID[command]
+    params = {"params": PARAMS[fields["model"]]} if "model" in fields else {}
+    base = ExperimentConfig(command, trials=3, output=str(tmp_path / "x"), **fields, **params)
+
+    def usage_error(config) -> str:
+        assert run(config) == 2
+        return capsys.readouterr().err
+
+    # validate fills in every fixed default, and keeps what was given
+    required = {key: base.options[key] for key, o in spec.options.items() if o[1] is REQUIRED}
+    filled = replace(base, options=required).validate()
+    assert filled == {key: o[1] for key, o in spec.options.items() if o[1] not in (None, REQUIRED)} | required
+    for key, (_, default, least) in spec.options.items():
+        if least is not None:
+            assert replace(base, options={**base.options, key: least}).validate()[key] == least
+            assert key in usage_error(replace(base, options={**base.options, key: least - 1}))
+        if default is REQUIRED:
+            options = {k: v for k, v in base.options.items() if k != key}
+            assert "needs" in usage_error(replace(base, options=options))
+    for key in spec.needs:
+        assert "needs" in usage_error(replace(base, **{key: [] if isinstance(getattr(base, key), list) else None}))
+    for model in (*MODEL_NAMES, "nope") if spec.models else ():
+        if model not in spec.models:
+            assert repr(model) in usage_error(replace(base, model=model, params=PARAMS.get(model, {})))
+
+
+def test_readme_cli_table_matches_command_table():
+    # README "CLI" documents COMMAND_TABLE row by row; a default in backquotes is worked out by the command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    type_names = {int: "int", float: "number", bool: "bool", list: "list of numbers"}
+    option = re.compile(r"`(\w+)` (int|number|bool|list of numbers)(?: ≥ (-?\d+))?, (required|default (.+))")
+
+    def names(cell: str) -> tuple:
+        return () if cell == "none" else tuple(cell.split(", "))
+
+    def typed(default) -> tuple:  # so that a documented 0 never matches a fixed false
+        return type(default), default
+
+    documented = {}
+    for row in re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", section, flags=re.M):
+        needs, models, options = (cell.strip() for cell in row[1].split("|"))
+        parsed = {}
+        for text in () if options == "none" else options.split("; "):
+            key, kind, least, default, value = option.fullmatch(text).groups()
+            if default == "required":
+                value = REQUIRED
+            else:
+                value = None if value.startswith("`") else json.loads(value)
+            parsed[key] = (kind, typed(value), None if least is None else int(least))
+        documented[row[0]] = (names(needs), names(models), parsed)
+    expected = {
+        name: (
+            spec.needs,
+            spec.models,
+            {key: (type_names[kind], typed(default), least) for key, (kind, default, least) in spec.options.items()},
+        )
+        for name, spec in COMMAND_TABLE.items()
+    }
+    assert documented == expected
 
 
 def test_traced_barrier_run_with_threads_flag(tmp_path):

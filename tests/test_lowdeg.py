@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     gss_poly_evaluate_loop,
+    path_edges,
     psp_poly_evaluate_loop,
     rlc_character_expectation_loop,
     rlc_poly_evaluate_loop,
@@ -501,7 +502,6 @@ def test_planted_measure_permutation_invariance():
     trials = 4000
     a = np.empty(trials)
     b = np.empty(trials)
-    from plantedlab.models import path_edges
     from plantedlab.rng import derive_seed
 
     relabeled_target = tuple(sorted((int(perm[3]), int(perm[4]))))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import path_edge_indices_loop, psp_adjacency_loop, psp_edge_vector_loop, shape_maps_loop
+from oracles import path_edge_indices_loop, path_edges, psp_adjacency_loop, psp_edge_vector_loop, shape_maps_loop
 from plantedlab import models
 from plantedlab.errors import ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import PSP_SHAPE_LIBRARY, _character_sign_tables
@@ -74,7 +74,7 @@ def test_psp_pair_conversions_match_loop_oracle(n, seed):
 def test_psp_path_edges_always_present():
     for seed in range(200):
         inst = sample_instance(PspParams(n=10, L=4, q=0.2), seed=seed)
-        for i, j in models.path_edges(inst.path):
+        for i, j in path_edges(inst.path):
             assert inst.adjacency[i, j]
         assert len(set(inst.path)) == len(inst.path) == inst.params.L + 1
 
