@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InconsistentInputError, ParameterError, ResourceBudgetError
-from .mc import mean_stderr, run_trials
+from .mc import mean_stderr
 from .models import (
     GssParams,
     PspParams,
@@ -238,6 +238,16 @@ def posterior_mean_for(params, observation, rho: float) -> PosteriorMean:
     return _POSTERIORS[model_name(params)](params, observation, rho)
 
 
+def stack_rows(run: Callable, observations: Sequence) -> np.ndarray:
+    """run(observation) for each observation, stacked as one float row per observation."""
+    return np.array([run(obs) for obs in observations], dtype=float)
+
+
+def posterior_means(params, observations: Sequence, rho: float) -> np.ndarray:
+    """Posterior-mean estimates of a batch of observations at rho, one row per observation."""
+    return stack_rows(lambda obs: posterior_mean_for(params, obs, rho).estimate, observations)
+
+
 @dataclass(frozen=True)
 class MmseReport:
     model: str
@@ -279,15 +289,11 @@ def estimate_mmse_curve(
     norm = signal_norm(params)
     out = []
     for j, rho in enumerate(rho_grid):
-        batch = CoupledTrials(params, rho, seed, trials, grid_point=j, draw=draw)
+        def chunk(start: int, instances: list, noisy: list) -> list:
+            diffs = posterior_means(params, noisy, rho) - [inst.signal_vector() for inst in instances]
+            return [float(d @ d) for d in diffs]
 
-        def trial(t: int, _batch=batch, _rho=rho) -> float:
-            inst, noisy = _batch[t]
-            pm = posterior_mean_for(params, noisy, _rho)
-            diff = pm.estimate - inst.signal_vector()
-            return float(diff @ diff)
-
-        errs = run_trials(trials, trial)
+        errs = CoupledTrials(params, rho, seed, trials, grid_point=j, draw=draw).map(chunk)
         mmse_hat, stderr = mean_stderr(errs)
         out.append(
             MmseReport(

@@ -31,9 +31,10 @@ from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 from .stability import ESTIMATORS, measure_stability, verify_barrier
 
 CSV_HEADER = ["model", "params_json", "rho", "trials", "metric", "value", "stderr"]
-# config field -> its JSON type (models.check_json_types); params may also be null
+# config field -> its JSON type (models.check_json_types); model, params and output may also be null
 _FIELD_TYPES = {
-    "trials": int, "seed": int, "rho_grid": list, "svg": bool, "deterministic": bool, "params": dict, "options": dict
+    "model": str, "trials": int, "seed": int, "rho_grid": list, "estimators": list[str], "output": str,
+    "svg": bool, "deterministic": bool, "params": dict, "options": dict,
 }
 REQUIRED = object()  # the default of an option that must be given (and not as an empty list)
 
@@ -79,7 +80,8 @@ class ExperimentConfig:
         spec = COMMAND_TABLE.get(self.command)
         if spec is None:
             raise UsageError(f"unknown command {self.command!r}; choose from {COMMANDS}")
-        typed = {key: getattr(self, key) for key in _FIELD_TYPES if key != "params" or self.params is not None}
+        nullable = ("model", "params", "output")
+        typed = {k: getattr(self, k) for k in _FIELD_TYPES if k not in nullable or getattr(self, k) is not None}
         check_json_types("config field", typed, _FIELD_TYPES)
         for key in spec.needs:
             if getattr(self, key) in (None, []):
@@ -171,20 +173,12 @@ def nmmse_svg(points: list[tuple[float, float]], title: str) -> str:
         f'<text x="{W // 2}" y="20" text-anchor="middle" font-size="13">{title}</text>',
     ]
     if points:
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        y_hi = max(1.0, max(ys))
-        coords = []
-        for x, y in points:
-            px = pad + (W - 2 * pad) * (x - 0.0) / 1.0
-            py = H - pad - (H - 2 * pad) * (y / y_hi)
-            coords.append(f"{px:.2f},{py:.2f}")
-        parts.append(
-            f'<polyline points="{" ".join(coords)}" fill="none" stroke="steelblue" stroke-width="2"/>'
-        )
-        for c in coords:
-            x, y = c.split(",")
-            parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="steelblue"/>')
+        y_hi = max(1.0, max(y for _, y in points))
+        # pixel coordinates, formatted once for both the polyline and the markers
+        coords = [(f"{pad + (W - 2 * pad) * x:.2f}", f"{H - pad - (H - 2 * pad) * (y / y_hi):.2f}") for x, y in points]
+        polyline = " ".join(f"{x},{y}" for x, y in coords)
+        parts.append(f'<polyline points="{polyline}" fill="none" stroke="steelblue" stroke-width="2"/>')
+        parts += [f'<circle cx="{x}" cy="{y}" r="3" fill="steelblue"/>' for x, y in coords]
     for frac, label in ((0.0, "0"), (0.5, "0.5"), (1.0, "1")):
         px = pad + (W - 2 * pad) * frac
         parts.append(f'<text x="{px:.2f}" y="{H - pad + 16}" text-anchor="middle" font-size="10">{label}</text>')
@@ -276,9 +270,7 @@ _FAST_SOLVERS = {
 def _cmd_solve(config: ExperimentConfig, opts: dict):
     params = config.model_params()
     recovers = _FAST_SOLVERS[config.model]
-    hits = 0
-    for seed in _trial_seeds(config.seed, config.trials):
-        hits += recovers(sample_instance(params, seed), opts)
+    hits = sum(recovers(sample_instance(params, seed), opts) for seed in _trial_seeds(config.seed, config.trials))
     rate = hits / config.trials
     se = math.sqrt(rate * (1 - rate) / config.trials)
     rows = [Row(config.model, _params_blob(params), "", config.trials, "exact_recovery_rate", rate, se)]

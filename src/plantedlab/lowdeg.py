@@ -33,8 +33,6 @@ from .rng import generator
 
 DIAGRAM_DEGREE_CAP = 10
 CHARACTER_ENUM_BUDGET = 2**24
-# stability_ratio evaluates its two arms this many trials at a time
-EVAL_CHUNK = 256
 # PspSymmetricPoly.evaluate_many gathers at most this many float64s at once
 PSP_GATHER_ELEMENTS = 2**16
 
@@ -224,8 +222,14 @@ def rlc_character_expectation(idx1: CharacterIndex, idx2: CharacterIndex, params
 # polynomial specifications
 
 
+class _OneObservation:
+    def evaluate(self, observation, params) -> float:
+        """evaluate_many's one-observation case."""
+        return float(self.evaluate_many([observation], params)[0])
+
+
 @dataclass(frozen=True)
-class RlcPoly:
+class RlcPoly(_OneObservation):
     """Polynomial over (A, y) bits in the +-1 character basis."""
 
     terms: tuple  # ((CharacterIndex, coeff), ...)
@@ -233,9 +237,6 @@ class RlcPoly:
     @property
     def degree(self) -> int:
         return max((idx.degree for idx, _ in self.terms), default=0)
-
-    def evaluate(self, observation, params: RlcParams) -> float:
-        return float(self.evaluate_many([observation], params)[0])
 
     def evaluate_many(self, observations, params: RlcParams) -> np.ndarray:
         """evaluate at each (A, y); terms accumulate in order, as for one observation."""
@@ -263,7 +264,7 @@ class RlcPoly:
 
 
 @dataclass(frozen=True)
-class GssPoly:
+class GssPoly(_OneObservation):
     """Polynomial in the Hermite basis over (X, y) with y = Y / sqrt(k)."""
 
     terms: tuple  # (((coord, deg), ...) sorted, t, coeff)
@@ -271,9 +272,6 @@ class GssPoly:
     @property
     def degree(self) -> int:
         return max((sum(d for _, d in alpha) + t for alpha, t, _ in self.terms), default=0)
-
-    def evaluate(self, observation, params: GssParams) -> float:
-        return float(self.evaluate_many([observation], params)[0])
 
     def evaluate_many(self, observations, params: GssParams) -> np.ndarray:
         """evaluate at each (X, Y); every product and sum keeps the one-observation order."""
@@ -308,7 +306,7 @@ Shape = tuple
 
 
 @dataclass(frozen=True)
-class PspSymmetricPoly:
+class PspSymmetricPoly(_OneObservation):
     """Vertex-permutation-invariant polynomial over centered edge indicators.
 
     Each term is a shape (edge list over placeholder vertices) summed over all
@@ -320,9 +318,6 @@ class PspSymmetricPoly:
     @property
     def degree(self) -> int:
         return max((len(shape) for shape, _ in self.terms), default=0)
-
-    def evaluate(self, adjacency: np.ndarray, params: PspParams) -> float:
-        return float(self.evaluate_many([adjacency], params)[0])
 
     def evaluate_many(self, adjacencies, params: PspParams) -> np.ndarray:
         """evaluate at each adjacency matrix.
@@ -386,16 +381,14 @@ def stability_ratio(
     The same noise realization couples the two arms of every trial.
     """
     _degree_regime_warning(poly, params)
-    batch = CoupledTrials(params, rho, seed, trials)
-    num, den = [], []
-    for start in range(0, trials, EVAL_CHUNK):
-        pairs = [batch[t] for t in range(start, min(start + EVAL_CHUNK, trials))]
-        v0 = poly.evaluate_many([inst.observation for inst, _ in pairs], params).tolist()
-        v1 = poly.evaluate_many([noisy for _, noisy in pairs], params).tolist()
+
+    def chunk(start: int, instances: list, noisy: list) -> list:
+        v0 = poly.evaluate_many([inst.observation for inst in instances], params).tolist()
+        v1 = poly.evaluate_many(noisy, params).tolist()
         # Python float arithmetic, as one trial at a time
-        num += [(a - b) ** 2 for a, b in zip(v0, v1)]
-        den += [a**2 for a in v0]
-    num, den = np.array(num), np.array(den)
+        return [((a - b) ** 2, a**2) for a, b in zip(v0, v1)]
+
+    num, den = np.array(CoupledTrials(params, rho, seed, trials).map(chunk)).T
     den_mean, den_se = mean_stderr(den)
     if den_mean <= 10 * den_se:
         raise IllConditionedError(

@@ -12,10 +12,7 @@ from .errors import IllConditionedError, ParameterError
 
 # The third parameter is ignored: perfbench/tracing.py calls run_trials with three positional arguments.
 def run_trials(n: int, fn: Callable[[int], object], _ignored=None) -> list:
-    """Evaluate fn(0..n-1) serially; results are returned in index order.
-
-    Per-trial work derives its own randomness from the trial index.
-    """
+    """Evaluate fn(0..n-1) serially; results are returned in index order."""
     return [fn(t) for t in range(n)]
 
 

@@ -377,22 +377,27 @@ def params_to_json(params) -> dict:
 
 
 _JSON_TYPE_NAMES = {
-    int: "an int", float: "a number", bool: "true or false", list: "a list of numbers", dict: "an object"
+    int: "an int", float: "a number", bool: "true or false", str: "a string", dict: "an object",
+    list: "a list of numbers", list[str]: "a list of strings",
 }
+# kind -> the Python classes of a value of that kind, or of each item of a list kind
+_JSON_CLASSES = {float: (int, float), list: (int, float), list[str]: str}
 
 
 def check_json_types(what: str, obj: dict, types: dict) -> None:
     """ParameterError unless every obj[key] has the JSON type types[key].
 
-    int takes an integer, float any number, bool only true or false, list a
-    list of numbers, and dict any object; a bool is never a number.
+    int takes an integer, float any number, bool only true or false, str a
+    string, dict any object, list a list of numbers and list[str] a list of
+    strings; a bool is never a number.
     """
     for key, value in obj.items():
         kind = types[key]
-        want = (int, float) if kind in (float, list) else kind
-        if (kind is list) != isinstance(value, list) or not all(
+        is_list = kind in (list, list[str])
+        want = _JSON_CLASSES.get(kind, kind)
+        if is_list != isinstance(value, list) or not all(
             isinstance(v, want) and (kind is bool) == isinstance(v, bool)
-            for v in (value if kind is list else [value])
+            for v in (value if is_list else [value])
         ):
             raise ParameterError(f"{what} {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
 

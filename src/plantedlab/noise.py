@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
+from .mc import run_trials
 from .models import (
     PspInstance,
     adjacency_from_edge_vector,
@@ -23,6 +24,10 @@ from .models import (
     model_name,
 )
 from .rng import INSTANCE_STREAM, NOISE_STREAM, derive_seeds, generator, keyed_generator, philox_keys, rekey
+
+# bounds on the run of consecutive trials that CoupledTrials.map hands its function
+EVAL_CHUNK = 256
+EVAL_CHUNK_BYTES = 2**22
 
 
 def check_rho(rho: float) -> None:
@@ -103,6 +108,8 @@ class CoupledTrials:
     """
 
     def __init__(self, params, rho: float, seed: int, n: int, *, grid_point=None, draw=None):
+        if n < 1:
+            raise ParameterError(f"no values to average; need at least one trial, got {n}")
         check_rho(rho)
         ts = np.arange(n)
         path = () if grid_point is None else (grid_point,)
@@ -123,3 +130,20 @@ class CoupledTrials:
             inst = self._draw(self._params, self._seed, t)
         return inst, draw_noisy_observation(inst, self._rho, rekey(self._rng, self._noise_keys[t]))
 
+    def map(self, fn) -> list:
+        """fn(start, instances, noisy observations) on runs of consecutive trials; its results in trial order.
+
+        A run holds at most EVAL_CHUNK trials and at most EVAL_CHUNK_BYTES of
+        observation arrays, but at least one trial.  Each arm of a trial is
+        counted at the size of its instance's arrays, which bounds it.
+        """
+        head = [self[0]]  # trial 0 sizes the runs; the first run takes it over, so it is not held after
+        trial_bytes = 2 * sum(v.nbytes for v in vars(head[0][0]).values() if isinstance(v, np.ndarray))
+        size = min(EVAL_CHUNK, max(1, EVAL_CHUNK_BYTES // trial_bytes))
+        runs = [range(start, min(start + size, len(self))) for start in range(0, len(self), size)]
+
+        def chunk(c: int) -> list:
+            pairs = [self[t] if t else head.pop() for t in runs[c]]
+            return fn(runs[c].start, *[list(arm) for arm in zip(*pairs)])
+
+        return [row for rows in run_trials(len(runs), chunk) for row in rows]

@@ -11,14 +11,15 @@ mmse_rho - 2 sqrt(2 (7 + 4 eta) eta) * E||signal||^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .bayes import MmseReport, posterior_mean_for
+from .bayes import MmseReport, posterior_means, stack_rows
 from .errors import EstimatorTrialError, ParameterError
-from .mc import mean_stderr, ratio_with_stderr, run_trials
+from .mc import mean_stderr, ratio_with_stderr
 from .models import PspParams, model_name, pair_ids, path_indicator, vertex_pairs
 from .noise import CoupledTrials
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
@@ -58,19 +59,9 @@ def prior_mean_vector(params) -> np.ndarray:
     return _PRIOR_MEANS[model_name(params)](params)
 
 
-def _posterior_mean_estimator(params, rho: float) -> Callable:
-    def run(observation) -> np.ndarray:
-        return posterior_mean_for(params, observation, rho).estimate
-
-    return run
-
-
 def _shortest_path_indicator(params, rho: float) -> Callable:
-    def run(adjacency) -> np.ndarray:
-        # an unreachable target gives the all-zero vector
-        return path_indicator(shortest_path(adjacency) or (), params.n)
-
-    return run
+    # an unreachable target gives the all-zero vector
+    return partial(stack_rows, lambda adjacency: path_indicator(shortest_path(adjacency) or (), params.n))
 
 
 def _f2_round_estimator(params, rho: float) -> Callable:
@@ -84,7 +75,7 @@ def _f2_round_estimator(params, rho: float) -> Callable:
             out[basis_vec.astype(bool)] = 0.5
         return out
 
-    return run
+    return partial(stack_rows, run)
 
 
 def _lll_subset_indicator(params, rho: float) -> Callable:
@@ -99,23 +90,19 @@ def _lll_subset_indicator(params, rho: float) -> Callable:
         out[list(subset)] = 1.0
         return out
 
-    return run
+    return partial(stack_rows, run)
 
 
 def _constant_prior_mean(params, rho: float) -> Callable:
     const = prior_mean_vector(params)
-
-    def run(observation) -> np.ndarray:
-        return const.copy()
-
-    return run
+    return partial(stack_rows, lambda observation: const)
 
 
-# name -> factory(params, rho) -> callable(observation) -> vector.
+# name -> factory(params, rho) -> batch estimator: T observations in, a T x dim array out.
 # "posterior_mean" is the Bayes estimator matched to the measurement noise
 # level, so both arms of a stability trial stay inside its support.
 ESTIMATORS: dict[str, Callable] = {
-    "posterior_mean": _posterior_mean_estimator,
+    "posterior_mean": lambda params, rho: partial(posterior_means, params, rho=rho),
     "shortest_path_indicator": _shortest_path_indicator,
     "f2_round": _f2_round_estimator,
     "lll_subset_indicator": _lll_subset_indicator,
@@ -170,31 +157,32 @@ def measure_stability(
 ) -> StabilityReport:
     """Measure (rho, eta)-stability and clean-arm MSE of an estimator.
 
-    estimator is a registry name or a callable observation -> vector.  Each
-    trial replays one coupled noise draw against both arms; the output-norm
-    denominator uses the clean arm only.
+    estimator is a registry name or a batch estimator like those of ESTIMATORS.
+    Each trial replays one coupled noise draw against both arms; the
+    output-norm denominator uses the clean arm only.
     """
     name = estimator if isinstance(estimator, str) else getattr(estimator, "__name__", "custom")
     fn = resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator
-    batch = CoupledTrials(params, rho, seed, trials)
 
-    def trial(t: int):
+    def chunk(start: int, instances: list, noisy: list) -> list:
+        clean = [inst.observation for inst in instances]
         try:
-            inst, noisy = batch[t]
-            a = np.asarray(fn(inst.observation), dtype=float)
-            b = np.asarray(fn(noisy), dtype=float)
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            out = np.asarray(fn(clean + noisy), dtype=float)
+            if out.ndim != 2 or len(out) != 2 * len(clean):
+                raise ValueError(f"estimator gave shape {out.shape} for {2 * len(clean)} observations")
+            if not np.isfinite(out).all():
                 raise ValueError("non-finite estimator output")
-        except Exception as exc:  # noqa: BLE001 - abort with the trial index
-            raise EstimatorTrialError(t, exc) from exc
+        except Exception as exc:  # noqa: BLE001 - abort with the index of the first trial that fails
+            if len(clean) > 1:  # re-run the chunk one trial at a time, in trial order
+                for i in range(len(clean)):
+                    chunk(start + i, instances[i:i + 1], noisy[i:i + 1])
+            raise EstimatorTrialError(start, exc) from exc
+        a, b = np.split(out, 2)
         d = a - b
-        e = a - inst.signal_vector()
-        return (float(d @ d), float(e @ e), float(a @ a))
+        e = a - [inst.signal_vector() for inst in instances]
+        return [(float(x @ x), float(y @ y), float(z @ z)) for x, y, z in zip(d, e, a)]
 
-    rows = run_trials(trials, trial)
-    diffs = np.array([r[0] for r in rows])
-    errs = np.array([r[1] for r in rows])
-    norms = np.array([r[2] for r in rows])
+    diffs, errs, norms = np.array(CoupledTrials(params, rho, seed, trials).map(chunk)).T
     eta_hat, eta_stderr = ratio_with_stderr(diffs, norms)
     mse_hat, mse_stderr = mean_stderr(errs)
     norm_hat, norm_stderr = mean_stderr(norms)
@@ -272,7 +260,5 @@ def verify_barrier(stab: StabilityReport, mmse_rho: MmseReport, *, alpha: Option
     )
     if alpha is not None:
         threshold = min(alpha**2 / 400.0, 1.0)
-        return BarrierCheck(
-            **{**check.__dict__, "eta_threshold": threshold, "eta_within_threshold": eta <= threshold}
-        )
+        return replace(check, eta_threshold=threshold, eta_within_threshold=eta <= threshold)
     return check

@@ -7,12 +7,13 @@ edge-vector conversions and its path and shape placements, the row-by-row
 subset scans and the per-path census weights check the cached enumerations
 in models, and the (A, x, mask) loop checks the closed-form RLC character
 correlation.  numpy's own SeedSequence checks the batch seed
-derivation, and the per-trial polynomial evaluations and stability loop
-check the batched ones.  The exhaustive oracles at the end (all simple
-paths, the full GF(2) solution set, exact lattice coordinates) check the
-fast solvers.  The helpers in the last section are test-only API built on
-the library: canonical path edges, overlap class sizes, OU composition and a
-symmetrization check.
+derivation, and the per-trial polynomial evaluations and the per-trial
+MMSE, estimator-stability and polynomial-stability loops check the batched
+ones, which CoupledTrials.map runs EVAL_CHUNK trials at a time.  The
+exhaustive oracles at the end (all simple paths, the full GF(2) solution
+set, exact lattice coordinates) check the fast solvers.  The helpers in
+the last section are test-only API built on the library: canonical path
+edges, overlap class sizes, OU composition and a symmetrization check.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from plantedlab.bayes import posterior_mean_for
 from plantedlab.lowdeg import hermite_eval
 from plantedlab.mc import mean_stderr, ratio_with_stderr
 from plantedlab.models import PspParams, sample_instance, subset_sum_value
@@ -284,9 +286,33 @@ def seed_sequence_philox_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
 
 
-def coupled_trial_scalar(params, rho: float, seed: int, t: int, grid_point=None):
+def f2_rank_loop(A: np.ndarray) -> int:
+    """GF(2) rank of a 0/1 matrix: xor elimination of its rows read as integers."""
+    basis: list[int] = []
+    for row in A:
+        r = int("".join(str(int(v)) for v in row), 2)
+        for b in sorted(basis, reverse=True):  # distinct leading bits, highest first
+            r = min(r, r ^ b)
+        if r:
+            basis.append(r)
+    return len(basis)
+
+
+def full_rank_rlc_loop(params, seed: int, t: int):
+    """The first of attempts 0..255 at seed path (seed, INSTANCE_STREAM, t, attempt) with full-column-rank A."""
+    for attempt in range(256):
+        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t, attempt))
+        if f2_rank_loop(inst.A) == params.n:
+            return inst
+    raise AssertionError(f"no full-column-rank draw for trial {t} in 256 attempts")
+
+
+def coupled_trial_scalar(params, rho: float, seed: int, t: int, grid_point=None, full_rank_only: bool = False):
     """Trial t of a coupled experiment from two scalar seeds, one per stream."""
-    inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
+    if full_rank_only:
+        inst = full_rank_rlc_loop(params, seed, t)
+    else:
+        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
     path = (t,) if grid_point is None else (grid_point, t)
     return inst, noise_instance_observation(inst, rho, derive_seed(seed, NOISE_STREAM, *path))
 
@@ -338,6 +364,34 @@ def stability_ratio_loop(evaluate: Callable, params, rho: float, trials: int, se
         num.append((v0 - v1) ** 2)
         den.append(v0**2)
     return ratio_with_stderr(np.array(num), np.array(den))
+
+
+def mmse_curve_loop(params, rho_grid: Sequence[float], trials: int, seed: int,
+                    full_rank_only: bool = False) -> list[tuple[float, float]]:
+    """(mmse, stderr) at each grid point, one trial and one posterior_mean_for call at a time."""
+    out = []
+    for j, rho in enumerate(rho_grid):
+        errs = []
+        for t in range(trials):
+            inst, noisy = coupled_trial_scalar(params, rho, seed, t, grid_point=j, full_rank_only=full_rank_only)
+            diff = posterior_mean_for(params, noisy, rho).estimate - inst.signal_vector()
+            errs.append(float(diff @ diff))
+        out.append(mean_stderr(errs))
+    return out
+
+
+def measure_stability_loop(run: Callable, params, rho: float, trials: int, seed: int) -> tuple[float, ...]:
+    """(eta, its stderr, mse, its stderr, norm, its stderr), one trial and one run(observation) at a time."""
+    diffs, errs, norms = [], [], []
+    for t in range(trials):
+        inst, noisy = coupled_trial_scalar(params, rho, seed, t)
+        a = np.asarray(run(inst.observation), dtype=float)
+        b = np.asarray(run(noisy), dtype=float)
+        d, e = a - b, a - inst.signal_vector()
+        diffs.append(float(d @ d))
+        errs.append(float(e @ e))
+        norms.append(float(a @ a))
+    return (*ratio_with_stderr(np.array(diffs), np.array(norms)), *mean_stderr(errs), *mean_stderr(norms))
 
 
 def all_simple_paths(adjacency: np.ndarray, source: int = 1, target: int = 2):

@@ -153,15 +153,23 @@ def test_invalid_rho_grid_exits_2(tmp_path, grid):
         ({"params": [1]}, "'params' must be an object"),
         ({"rho_grid": "0.5"}, "'rho_grid' must be a list of numbers"),
         (None, "must hold a JSON object"),
+        ({"output": 5}, "'output' must be a string"),
+        ({"model": 5}, "'model' must be a string"),
+        ({"estimators": 5}, "'estimators' must be a list of strings"),
+        ({"estimators": "posterior_mean"}, "'estimators' must be a list of strings"),
+        ({"estimators": ["posterior_mean", 5]}, "'estimators' must be a list of strings"),
     ],
-    ids=["trials-string", "trials-bool", "seed-bool", "params-list", "rho_grid-string", "array-file"],
+    ids=[
+        "trials-string", "trials-bool", "seed-bool", "params-list", "rho_grid-string", "array-file",
+        "output-int", "model-int", "estimators-int", "estimators-string", "estimators-int-item",
+    ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, change, message):
     # a --config file gets the type checks that flags get; None writes the config inside a JSON array
-    cfg = {"model": "gss", "params": {"N": 6, "k": 2}, "rho_grid": [0.5], "trials": 3}
+    cfg = {"model": "gss", "params": {"N": 6, "k": 2}, "rho_grid": [0.5], "trials": 3, "output": str(tmp_path / "x")}
     path = tmp_path / "c.json"
     path.write_text(json.dumps([cfg] if change is None else {**cfg, **change}))
-    assert main(["mmse-curve", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert main(["mmse-curve", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -555,4 +563,4 @@ def test_traced_barrier_run_with_threads_flag(tmp_path):
     assert proc.returncode == 0, proc.stderr
     code, names = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    assert {"mc.run_trials", "stability.trial"} <= set(names)
+    assert {"mc.run_trials", "noise.trial"} <= set(names)

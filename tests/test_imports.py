@@ -1,4 +1,7 @@
-"""No module imports a name it never uses (src, tests and demos), checked with the stdlib ast."""
+"""Import checks with the stdlib ast.
+
+No module in src, tests or demos imports a name it never uses, and only noise drives mc.run_trials.
+"""
 
 from __future__ import annotations
 
@@ -45,3 +48,14 @@ def test_no_unused_imports():
     assert len(FILES) > 20
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text(encoding="utf-8")) for p in FILES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_only_noise_drives_run_trials():
+    # CoupledTrials.map is the one coupled-trial loop; no other src module may import or call mc.run_trials
+    users = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = isinstance(node, ast.ImportFrom) and any(alias.name == "run_trials" for alias in node.names)
+            if named or (isinstance(node, ast.Attribute) and node.attr == "run_trials"):
+                users.add(path.stem)
+    assert users == {"noise"}

@@ -17,7 +17,6 @@ from oracles import (
 )
 from plantedlab.errors import IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import (
-    EVAL_CHUNK,
     PSP_GATHER_ELEMENTS,
     CharacterIndex,
     DiagramSpec,
@@ -36,7 +35,7 @@ from plantedlab.lowdeg import (
     stability_ratio,
 )
 from plantedlab.models import GssParams, PspParams, RlcParams, placements, sample_instance
-from plantedlab.noise import CoupledTrials
+from plantedlab.noise import EVAL_CHUNK, CoupledTrials
 from plantedlab.rng import generator
 
 

@@ -1,12 +1,19 @@
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from oracles import measure_stability_loop, mmse_curve_loop
 from plantedlab.bayes import estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
-from plantedlab.models import GssParams, PspParams, RlcParams, path_edge_indices, sample_instance
+from plantedlab.lowdeg import random_rlc_poly, stability_ratio
+from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, path_edge_indices, sample_instance
+from plantedlab.noise import EVAL_CHUNK, EVAL_CHUNK_BYTES, CoupledTrials
+from plantedlab.rng import generator
 from plantedlab.stability import (
+    ESTIMATORS,
     barrier_penalty,
     measure_stability,
     prior_mean_vector,
@@ -40,8 +47,8 @@ def test_scale_equivariance_exact():
     params = GssParams(N=12, k=2)
     base = resolve_estimator("posterior_mean", params, 0.4)
 
-    def scaled(obs):
-        return 2.0 * base(obs)
+    def scaled(observations):
+        return 2.0 * base(observations)
 
     r1 = measure_stability(base, params, rho=0.4, trials=60, seed=5)
     r2 = measure_stability(scaled, params, rho=0.4, trials=60, seed=5)
@@ -74,29 +81,69 @@ def test_estimator_failure_carries_trial_index():
 
 @pytest.mark.parametrize("bad_call, bad", [(2, math.inf), (3, math.nan)])
 def test_non_finite_estimator_output_carries_trial_index(bad_call, bad):
-    # calls alternate clean arm, noisy arm: calls 2 and 3 are trial 1's two arms
-    calls = []
+    # bad_call counts the arms in trial order, clean arm first: 2 and 3 are trial 1's two arms
+    params = RlcParams(m=8, n=5)
+    inst, noisy = CoupledTrials(params, 0.5, 1, 4)[1]
+    A, y = (inst.observation, noisy)[bad_call - 2]
 
-    def flaky(obs):
-        calls.append(None)
-        out = np.ones(5)
-        if len(calls) - 1 == bad_call:
-            out[0] = bad
+    def flaky(observations):
+        out = np.ones((len(observations), 5))
+        for row, (obs_A, obs_y) in zip(out, observations):
+            if np.array_equal(obs_A, A) and np.array_equal(obs_y, y):
+                row[0] = bad
         return out
 
     with pytest.raises(EstimatorTrialError) as err:
-        measure_stability(flaky, RlcParams(m=8, n=5), rho=0.5, trials=4, seed=1)
+        measure_stability(flaky, params, rho=0.5, trials=4, seed=1)
     assert err.value.trial == 1
     assert "non-finite" in str(err.value)
 
 
+@pytest.mark.parametrize("how", ["raise", "nan"])
+def test_failure_past_the_first_chunk_names_its_trial(how):
+    # only the clean arm of trial EVAL_CHUNK + 3 fails; the chunk is re-run one trial at a time
+    params, bad_trial = GssParams(N=8, k=2), EVAL_CHUNK + 3
+    inst, _ = CoupledTrials(params, 0.3, 6, bad_trial + 10)[bad_trial]
+    bad_Y = inst.observation[1]
+
+    def flaky(observations):
+        out = np.ones((len(observations), params.N))
+        for row, (_, Y) in zip(out, observations):
+            if Y == bad_Y:
+                if how == "raise":
+                    raise ValueError("boom")
+                row[0] = math.nan
+        return out
+
+    with pytest.raises(EstimatorTrialError) as err:
+        measure_stability(flaky, params, rho=0.3, trials=bad_trial + 10, seed=6)
+    assert err.value.trial == bad_trial
+    assert ("boom" if how == "raise" else "non-finite") in str(err.value)
+
+
 def test_all_zero_estimator_is_ill_conditioned():
     # eta divides by the mean output norm, which is 0 here: an error, not NaN
-    def zero(obs):
-        return np.zeros(5)
+    def zero(observations):
+        return np.zeros((len(observations), 5))
 
     with pytest.raises(IllConditionedError):
         measure_stability(zero, RlcParams(m=8, n=5), rho=0.5, trials=20, seed=1)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("entry", ["estimate_mmse_curve", "measure_stability", "stability_ratio"])
+def test_no_trials_is_a_parameter_error_without_warnings(entry, trials):
+    params = RlcParams(m=6, n=4)
+    run = {
+        "estimate_mmse_curve": lambda: estimate_mmse_curve(params, [0.5], trials, 1),
+        "measure_stability": lambda: measure_stability("constant_prior_mean", params, 0.5, trials, 1),
+        "stability_ratio": lambda: stability_ratio(random_rlc_poly(params, 2, generator(0)), params, 0.5, trials, 1),
+    }[entry]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match="no values"):
+            run()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_barrier_penalty_values():
@@ -160,15 +207,13 @@ def test_bayes_optimality_among_registered_estimators():
     rho = 0.4
     trials = 500
     names = ("posterior_mean", "f2_round", "constant_prior_mean")
-    estimators = {name: resolve_estimator(name, params, rho) for name in names}
-    errs = {name: [] for name in names}
-    for t in range(trials):
-        inst = sample_instance(params, derive_seed(8, 0, t))
-        noisy = noise_instance_observation(inst, rho, derive_seed(8, 1, t))
-        signal = inst.signal_vector()
-        for name, fn in estimators.items():
-            diff = np.asarray(fn(noisy)) - signal
-            errs[name].append(float(diff @ diff))
+    instances = [sample_instance(params, derive_seed(8, 0, t)) for t in range(trials)]
+    noisy = [noise_instance_observation(inst, rho, derive_seed(8, 1, t)) for t, inst in enumerate(instances)]
+    signals = np.array([inst.signal_vector() for inst in instances])
+    errs = {}
+    for name in names:
+        diffs = resolve_estimator(name, params, rho)(noisy) - signals
+        errs[name] = [float(d @ d) for d in diffs]
     best, best_se = mean_stderr(errs["posterior_mean"])
     for name in names:
         mse, se = mean_stderr(errs[name])
@@ -179,8 +224,75 @@ def test_shortest_path_indicator_is_zero_when_vertex_2_is_unreachable():
     params = PspParams(n=7, L=3, q=0.5)
     adjacency = sample_instance(params, seed=3).adjacency.copy()
     adjacency[2, :] = adjacency[:, 2] = False
-    out = resolve_estimator("shortest_path_indicator", params, 0.0)(adjacency)
-    assert out.shape == (21,) and not out.any()
+    out = resolve_estimator("shortest_path_indicator", params, 0.0)([adjacency])
+    assert out.shape == (1, 21) and not out.any()
+
+
+# every registered estimator on each model it accepts, over a chunk boundary
+DIFFERENTIAL_PARAMS = {
+    "psp": PspParams(n=8, L=3, q=0.3),
+    "rlc": RlcParams(m=8, n=5),
+    "gss": GssParams(N=7, k=2),
+    "tpca": TpcaParams(n=6, k=2, d=3, lam=2.0),
+}
+
+
+def _accepts(name: str, model: str) -> bool:
+    try:
+        resolve_estimator(name, DIFFERENTIAL_PARAMS[model], 0.5)
+    except ParameterError:
+        return False
+    return True
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "model, name", [(m, name) for m in DIFFERENTIAL_PARAMS for name in ESTIMATORS if _accepts(name, m)]
+)
+def test_measure_stability_bit_identical_to_trial_loop(model, name):
+    params, trials = DIFFERENTIAL_PARAMS[model], EVAL_CHUNK + 37  # a partial last chunk
+    fn = resolve_estimator(name, params, 0.5)
+    r = measure_stability(name, params, 0.5, trials, seed=9)
+    got = (r.eta_hat, r.eta_stderr, r.mse_hat, r.mse_stderr, r.estimator_norm_hat, r.norm_stderr)
+    assert _hex(got) == _hex(measure_stability_loop(lambda obs: fn([obs])[0], params, 0.5, trials, 9))
+
+
+@pytest.mark.parametrize("model", [*DIFFERENTIAL_PARAMS, "rlc-full-rank"])
+def test_mmse_curve_bit_identical_to_trial_loop(model):
+    full_rank_only = model == "rlc-full-rank"
+    params, trials = DIFFERENTIAL_PARAMS[model.split("-")[0]], EVAL_CHUNK + 37
+    reports = estimate_mmse_curve(params, [0.0, 0.5], trials, seed=10, full_rank_only=full_rank_only)
+    want = mmse_curve_loop(params, [0.0, 0.5], trials, 10, full_rank_only=full_rank_only)
+    assert [_hex((r.mmse_hat, r.stderr)) for r in reports] == [_hex(w) for w in want]
+
+
+@pytest.mark.parametrize(
+    "params, trials, runs",
+    [
+        (TpcaParams(n=100, k=2, d=3, lam=1.0), 3, [(0, 1), (1, 1), (2, 1)]),  # 16 MB a trial: one at a time
+        (TpcaParams(n=40, k=2, d=3, lam=1.0), 10, [(0, 4), (4, 4), (8, 2)]),  # 1.024 MB a trial
+        (TpcaParams(n=6, k=2, d=3, lam=1.0), EVAL_CHUNK + 2, [(0, EVAL_CHUNK), (EVAL_CHUNK, 2)]),
+    ],
+)
+def test_map_caps_a_run_by_observation_bytes(params, trials, runs):
+    # a run's clean and noisy tensors stay within EVAL_CHUNK_BYTES, no earlier run's tensor is held,
+    # and rows come back in trial order
+    batch = CoupledTrials(params, 0.5, 4, trials)
+    seen, refs = [], []
+
+    def corner(start, instances, noisy):
+        assert all(ref() is None for ref in refs)
+        refs.extend(weakref.ref(arm) for arm in [*(inst.Y for inst in instances), *noisy])
+        seen.append((start, len(instances), len(noisy)))
+        assert 2 * sum(inst.Y.nbytes for inst in instances) <= max(EVAL_CHUNK_BYTES, 2 * instances[0].Y.nbytes)
+        return [(inst.Y[0, 0, 0], obs[0, 0, 0]) for inst, obs in zip(instances, noisy)]
+
+    rows = batch.map(corner)
+    assert [(start, size, size) for start, size in runs] == seen
+    assert rows == [(batch[t][0].Y[0, 0, 0], batch[t][1][0, 0, 0]) for t in range(trials)]
 
 
 @pytest.mark.parametrize("n, L", [(5, 2), (7, 3), (9, 4), (8, 5)])
