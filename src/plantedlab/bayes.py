@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .models import (
     subset_sums,
     subsets,
 )
-from .noise import CoupledTrials, check_rho
+from .noise import EVAL_CHUNK_BYTES, CoupledTrials, check_rho, check_trials
 from .rng import INSTANCE_STREAM, derive_seed
 from .solvers import f2_rank
 
@@ -42,30 +43,40 @@ class PosteriorMean:
     log_partition: float
 
 
+def _blocks(total: int, unit_bytes: int) -> list[slice]:
+    """Consecutive slices of range(total), each as many units of unit_bytes as fit EVAL_CHUNK_BYTES (at least one)."""
+    size = max(1, EVAL_CHUNK_BYTES // max(unit_bytes, 1))
+    return [slice(start, start + size) for start in range(0, total, size)]
+
+
 def _finite_or_inconsistent(log_weights: np.ndarray, what: str) -> None:
-    if not np.any(log_weights > -np.inf):
+    if not np.all(np.any(log_weights > -np.inf, axis=-1)):
         raise InconsistentInputError(f"no {what} supports the observation at this noise level")
 
 
-def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int) -> PosteriorMean:
-    """Posterior mass on each of size coordinates; configuration r holds members[r].
+def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int) -> tuple[np.ndarray, list]:
+    """Posterior mass on each of size coordinates, one row per trial; configuration r holds members[r].
 
-    The maximum log-weight is subtracted before exponentiation.
+    log_weights is trials x configurations.  The maximum log-weight of each
+    trial is subtracted before exponentiation.  Each trial's total is one
+    contiguous row sum, so it keeps numpy's pairwise order, and each
+    coordinate's mass accumulates in configuration order.
     """
-    hi = log_weights.max()
-    w = np.exp(log_weights - hi)
-    Z = w.sum()
-    est = np.zeros(size)
-    np.add.at(est, members.ravel(), np.repeat(w, members.shape[1]))
-    return PosteriorMean(estimate=est / Z, log_partition=float(hi + math.log(Z)))
+    log_weights = np.ascontiguousarray(log_weights)
+    hi = log_weights.max(axis=1)
+    w = np.exp(log_weights - hi[:, None])
+    Z = w.sum(axis=1)
+    flat = members.ravel()
+    est = np.array([np.bincount(flat, weights=np.repeat(row, members.shape[1]), minlength=size) for row in w])
+    return est / Z[:, None], [float(h + math.log(z)) for h, z in zip(hi, Z)]
 
 
 # ---------------------------------------------------------------------------
 # PSP
 
 
-def posterior_mean_psp(noisy_adjacency: np.ndarray, params: PspParams, rho: float) -> PosteriorMean:
-    """Posterior mean of the path's edge indicators given the noisy graph.
+def _psp_posteriors(params: PspParams, adjacencies: Sequence[np.ndarray], rho: float) -> tuple[np.ndarray, list]:
+    """Posterior means of the path's edge indicators given each noisy graph.
 
     A candidate path H gets weight ((1 - rho(1-q))/q)^{|E(H) & G|} * rho^{L - |E(H) & G|}:
     a planted edge survives the resampling channel as a 1 with probability
@@ -74,9 +85,9 @@ def posterior_mean_psp(noisy_adjacency: np.ndarray, params: PspParams, rho: floa
     """
     n, L, q = params.n, params.L, params.q
     check_rho(rho)
-    edge_present = edge_vector_from_adjacency(noisy_adjacency).astype(float)
+    edge_present = edge_vector_from_adjacency(np.stack(adjacencies)).astype(float)
     path_idx = path_edge_indices(n, L)
-    m_in = edge_present[path_idx].sum(axis=1)  # edges of H present in the graph
+    m_in = edge_present[:, path_idx].sum(axis=2)  # edges of each H present in each graph
     p1 = 1.0 - rho * (1.0 - q)
 
     def coef_log(coef: np.ndarray, p: float) -> np.ndarray:
@@ -87,8 +98,8 @@ def posterior_mean_psp(noisy_adjacency: np.ndarray, params: PspParams, rho: floa
     if 0.0 < q < 1.0:
         lw = coef_log(m_in, p1 / q) + coef_log(L - m_in, rho)
     else:
-        total_present = edge_present.sum()
-        n_pairs = edge_present.size
+        total_present = edge_present.sum(axis=1, keepdims=True)
+        n_pairs = edge_present.shape[1]
         lw = (
             coef_log(m_in, p1)
             + coef_log(L - m_in, rho * (1.0 - q))
@@ -96,66 +107,95 @@ def posterior_mean_psp(noisy_adjacency: np.ndarray, params: PspParams, rho: floa
             + coef_log(n_pairs - L - (total_present - m_in), 1.0 - q)
         )
     _finite_or_inconsistent(lw, "length-L path")
-    return _weighted_marginals(lw, path_idx, edge_present.size)
+    return _weighted_marginals(lw, path_idx, edge_present.shape[1])
 
 
 # ---------------------------------------------------------------------------
 # RLC
 
 
-def _rlc_hamming_profile(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """count[h] and per-coordinate ones-count[h, i] over all messages x.
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """0/1 vectors along the last axis packed into ceil(len/64) uint64 words."""
+    packed = np.packbits(bits, axis=-1)
+    words = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view(np.uint64)
 
-    count[h] = #{x : w(Ax - y_hat) = h}; ones[h, i] = #{x : w(Ax - y_hat) = h, x_i = 1}.
+
+def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer count[t, h] and ones[t, h, i] over all messages x, for a stack of trials t.
+
+    count[t, h] = #{x : w(A_t x - y_hat_t) = h}; ones[t, h, i] = #{x : w(A_t x - y_hat_t) = h, x_i = 1}.
+    Message x has index sum_j x_j 2^j.  Messages are enumerated 2^16 at a
+    time: the low bits' codewords minus y_hat, built by XOR-doubling over the
+    bit-packed columns, are XORed with each codeword of the high bits.
     """
-    m, n = A.shape
-    if 2**n > RLC_ENUM_BUDGET:
-        raise ResourceBudgetError(f"2^{n} messages exceed budget {RLC_ENUM_BUDGET}")
-    count = np.zeros(m + 1, dtype=float)
-    ones = np.zeros((m + 1, n), dtype=float)
-    chunk = 1 << 16
-    y_hat = np.asarray(y_hat, dtype=np.uint8)
-    for start in range(0, 2**n, chunk):
-        stop = min(start + chunk, 2**n)
-        xs = ((np.arange(start, stop)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
-        ham = ((xs @ A.T % 2) != y_hat).sum(axis=1)
-        count += np.bincount(ham, minlength=m + 1)
-        for h in np.unique(ham):
-            ones[h] += xs[ham == h].sum(axis=0)
-    return count, ones
+    T, m, n = A.shape
+    low = min(n, 16)
+    cols = _pack_words(A.transpose(0, 2, 1))  # cols[t, j] is column j of A_t
+    table = np.empty((T, 1 << low, cols.shape[2]), dtype=np.uint64)
+    table[:, 0] = _pack_words(y_hat)
+    high = np.zeros((T, 1 << (n - low), cols.shape[2]), dtype=np.uint64)
+    for j in range(n):
+        codes, at = (table, j) if j < low else (high, j - low)
+        np.bitwise_xor(codes[:, :1 << at], cols[:, j, None], out=codes[:, 1 << at:2 << at])
+    bins = T * (m + 1)
+    keys_base = (m + 1) * np.arange(T)[:, None]
+    count = np.zeros(bins, dtype=np.int64)
+    ones = np.zeros((n, bins), dtype=np.int64)
+    for prefix in range(1 << (n - low)):
+        codes = table ^ high[:, prefix, None] if prefix else table
+        keys = np.bitwise_count(codes).sum(axis=2, dtype=np.intp)
+        keys += keys_base
+        block = np.bincount(keys.ravel(), minlength=bins)
+        count += block
+        for i in range(low):
+            ones[i] += np.bincount(keys.reshape(T, -1, 2, 1 << i)[:, :, 1].ravel(), minlength=bins)
+        for i in range(low, n):
+            if prefix >> (i - low) & 1:
+                ones[i] += block
+    return count.reshape(T, m + 1), np.stack([row.reshape(T, m + 1) for row in ones], axis=-1)
 
 
-def posterior_mean_rlc(A: np.ndarray, y_hat: np.ndarray, rho: float) -> PosteriorMean:
-    """Posterior mean of the message bits; weight (rho/(2-rho))^{w(Ax - y_hat)}.
+def _rlc_posteriors(observations: Sequence, rho: float) -> tuple[np.ndarray, list]:
+    """Posterior means of the message bits; weight (rho/(2-rho))^{w(Ax - y_hat)}.
 
     The estimate coordinate i is the marginal P(x_i = 1 | A, y_hat); the
     complementary ratio L0/(L0+L1) is 1 - estimate[i].
     """
-    m, n = A.shape
-    if y_hat.shape != (m,):
-        raise ParameterError(f"y_hat has shape {y_hat.shape}, expected ({m},)")
+    A = np.stack([obs[0] for obs in observations])
+    T, m, n = A.shape
+    for _, y_hat in observations:
+        if y_hat.shape != (m,):
+            raise ParameterError(f"y_hat has shape {y_hat.shape}, expected ({m},)")
     check_rho(rho)
-    count, ones = _rlc_hamming_profile(A, y_hat)
+    if 2**n > RLC_ENUM_BUDGET:
+        raise ResourceBudgetError(f"2^{n} messages exceed budget {RLC_ENUM_BUDGET}")
+    y_hat = np.stack([np.asarray(obs[1], dtype=np.uint8) for obs in observations])
+    counts, ones = (profile.astype(float) for profile in _rlc_profiles(A, y_hat))
     if rho == 0.0:
-        if count[0] == 0:
+        if not counts[:, 0].all():
             raise InconsistentInputError("no message reproduces y_hat exactly at rho=0")
-        return PosteriorMean(estimate=ones[0] / count[0], log_partition=float(math.log(count[0])))
+        return ones[:, 0] / counts[:, :1], [float(math.log(c)) for c in counts[:, 0]]
     log_r = math.log(rho / (2.0 - rho))
     hs = np.arange(m + 1, dtype=float)
-    occupied = count > 0
-    hi = (hs * log_r)[occupied].max()
-    phi = np.where(occupied, np.exp(hs * log_r - hi), 0.0)
-    den = float(phi @ count)
-    est = (phi @ ones) / den
-    return PosteriorMean(estimate=est, log_partition=float(hi + math.log(den)))
+    est, log_z = np.empty((T, n)), []
+    for t, (count, one) in enumerate(zip(counts, ones)):
+        occupied = count > 0
+        hi = (hs * log_r)[occupied].max()
+        phi = np.where(occupied, np.exp(hs * log_r - hi), 0.0)
+        den = float(phi @ count)
+        est[t] = (phi @ one) / den
+        log_z.append(float(hi + math.log(den)))
+    return est, log_z
 
 
 # ---------------------------------------------------------------------------
 # GSS
 
 
-def posterior_mean_gss(X: np.ndarray, y_hat: float, params: GssParams, rho: float) -> PosteriorMean:
-    """Posterior mean of subset membership given the noisy sum.
+def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> tuple[np.ndarray, list]:
+    """Posterior means of subset membership given each noisy sum.
 
     For rho > 0, subset S has Gaussian log-weight
     -(y_hat - sqrt(1-rho^2) * sum_S)^2 / (2 rho^2).  rho = 0 is the exact-match
@@ -165,13 +205,17 @@ def posterior_mean_gss(X: np.ndarray, y_hat: float, params: GssParams, rho: floa
     N, k = params.N, params.k
     check_rho(rho)
     combos = subsets(N, k)
+    X = np.stack([np.asarray(obs[0], dtype=float) for obs in observations])
+    y_hat = np.array([obs[1] for obs in observations], dtype=float)[:, None]
     if rho == 0.0:
-        matches = combos[subset_sums(X, combos) == y_hat]
-        if not len(matches):
+        hits = subset_sums(X, combos) == y_hat
+        found = hits.sum(axis=1)
+        if not found.all():
             raise InconsistentInputError("no k-subset reproduces y_hat exactly at rho=0")
-        est = np.bincount(matches.ravel(), minlength=N) / len(matches)
-        return PosteriorMean(estimate=est, log_partition=float(math.log(len(matches))))
-    sums = np.asarray(X, dtype=float)[combos].sum(axis=1)
+        est = np.array([np.bincount(combos[row].ravel(), minlength=N) / c for row, c in zip(hits, found)])
+        return est, [float(math.log(c)) for c in found]
+    # a C-ordered block keeps numpy's pairwise order in each row sum
+    sums = np.ascontiguousarray(np.take(X, combos, axis=1)).sum(axis=2)
     shrink = math.sqrt(1.0 - rho * rho)
     lw = -((y_hat - shrink * sums) ** 2) / (2.0 * rho * rho)
     return _weighted_marginals(lw, combos, N)
@@ -182,26 +226,36 @@ def posterior_mean_gss(X: np.ndarray, y_hat: float, params: GssParams, rho: floa
 
 
 def _tpca_log_weights(Y: np.ndarray, params: TpcaParams) -> tuple[np.ndarray, np.ndarray]:
-    combos = subsets(params.n, params.k)
-    scale = math.sqrt(params.lam) * params.k ** (-params.d / 2.0)
-    lw = np.empty(combos.shape[0])
-    for r, row in enumerate(combos):
-        block = Y[np.ix_(*([row] * params.d))]
-        lw[r] = scale * float(block.sum())
+    """Every k-subset S, and log-weight sqrt(lam) k^(-d/2) <Y_t, 1_S^d> of each tensor Y_t of the stack Y.
+
+    The k^d entries of each support's block are gathered in C order and
+    summed as one contiguous row, so each sum keeps numpy's pairwise order
+    over the block.
+    """
+    n, k, d = params.n, params.k, params.d
+    combos = subsets(n, k)
+    scale = math.sqrt(params.lam) * k ** (-d / 2.0)
+    corners = np.indices((k,) * d).reshape(d, -1).T  # positions in a support's block, C order
+    flat = Y.reshape(len(Y), -1)
+    lw = np.empty((len(Y), len(combos)))
+    for b in _blocks(len(combos), 8 * k**d * (len(Y) + d)):
+        entries = combos[b][:, corners] @ n ** np.arange(d - 1, -1, -1)
+        lw[:, b] = scale * np.ascontiguousarray(np.take(flat, entries, axis=1)).sum(axis=2)
     return combos, lw
 
 
-def posterior_mean_tpca(Y: np.ndarray, params: TpcaParams) -> PosteriorMean:
-    """Posterior mean of the sparse spike; support weight exp(sqrt(lam) <Y, x'^d>).
+def _tpca_posteriors(params: TpcaParams, tensors: Sequence[np.ndarray], rho: float) -> tuple[np.ndarray, list]:
+    """Posterior means of the sparse spike; support weight exp(sqrt(lam) <Y, x'^d>).
 
     The quadratic term of the Gaussian log-likelihood is constant across
     candidate supports (all candidates have unit norm) and is dropped.  An
     observation that went through the OU operator at rho is the same model at
-    lam * (1 - rho^2); pass params with that lam.
+    lam * (1 - rho^2).
     """
-    combos, lw = _tpca_log_weights(Y, params)
-    pm = _weighted_marginals(lw, combos, params.n)
-    return PosteriorMean(estimate=pm.estimate / math.sqrt(params.k), log_partition=pm.log_partition)
+    params = replace(params, lam=params.lam * (1.0 - rho * rho))
+    combos, lw = _tpca_log_weights(np.stack(tensors), params)
+    est, log_z = _weighted_marginals(lw, combos, params.n)
+    return est / math.sqrt(params.k), log_z
 
 
 def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], params: TpcaParams) -> np.ndarray:
@@ -210,7 +264,7 @@ def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], par
     Returns (p_0, ..., p_k) with p_i the posterior probability that the drawn
     support shares exactly i indices with the planted one; sums to 1.
     """
-    combos, lw = _tpca_log_weights(Y, params)
+    combos, (lw,) = _tpca_log_weights(Y[None], params)
     member = np.zeros(params.n, dtype=bool)
     member[list(planted_support)] = True
     overlap = member[combos].sum(axis=1)
@@ -223,19 +277,44 @@ def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], par
 # dispatch + MMSE curves
 
 
-# model -> (params, observation, rho) -> PosteriorMean.  A TPCA
-# observation at rho is the same model at lam * (1 - rho^2).
+# model -> (kernel(params, observations, rho) -> (T x dim estimates, T log-partitions),
+#           params -> bytes of the arrays the kernel enumerates for one observation)
 _POSTERIORS = {
-    "psp": lambda params, obs, rho: posterior_mean_psp(obs, params, rho),
-    "rlc": lambda params, obs, rho: posterior_mean_rlc(*obs, rho),
-    "gss": lambda params, obs, rho: posterior_mean_gss(*obs, params, rho),
-    "tpca": lambda params, obs, rho: posterior_mean_tpca(obs, replace(params, lam=params.lam * (1.0 - rho * rho))),
+    "psp": (_psp_posteriors, lambda p: 8 * p.L * math.perm(p.n - 2, p.L - 1)),
+    "rlc": (lambda params, obs, rho: _rlc_posteriors(obs, rho), lambda p: 8 * 2 ** min(p.n, 16) * -(-p.m // 64)),
+    "gss": (_gss_posteriors, lambda p: 8 * p.k * math.comb(p.N, p.k)),
+    "tpca": (_tpca_posteriors, lambda p: 8 * p.k**p.d * math.comb(p.n, p.k)),
 }
+
+
+def _one(result: tuple[np.ndarray, list]) -> PosteriorMean:
+    est, log_z = result
+    return PosteriorMean(estimate=est[0], log_partition=log_z[0])
+
+
+def posterior_mean_psp(noisy_adjacency: np.ndarray, params: PspParams, rho: float) -> PosteriorMean:
+    """The one-graph case of _psp_posteriors."""
+    return _one(_psp_posteriors(params, [noisy_adjacency], rho))
+
+
+def posterior_mean_rlc(A: np.ndarray, y_hat: np.ndarray, rho: float) -> PosteriorMean:
+    """The one-observation case of _rlc_posteriors."""
+    return _one(_rlc_posteriors([(A, y_hat)], rho))
+
+
+def posterior_mean_gss(X: np.ndarray, y_hat: float, params: GssParams, rho: float) -> PosteriorMean:
+    """The one-observation case of _gss_posteriors."""
+    return _one(_gss_posteriors(params, [(X, y_hat)], rho))
+
+
+def posterior_mean_tpca(Y: np.ndarray, params: TpcaParams) -> PosteriorMean:
+    """The one-tensor case of _tpca_posteriors, at the lam of params."""
+    return _one(_tpca_posteriors(params, [Y], 0.0))
 
 
 def posterior_mean_for(params, observation, rho: float) -> PosteriorMean:
     """Bayes-optimal estimate from an observation that passed through noise at rho."""
-    return _POSTERIORS[model_name(params)](params, observation, rho)
+    return _one(_POSTERIORS[model_name(params)][0](params, [observation], rho))
 
 
 def stack_rows(run: Callable, observations: Sequence) -> np.ndarray:
@@ -244,8 +323,13 @@ def stack_rows(run: Callable, observations: Sequence) -> np.ndarray:
 
 
 def posterior_means(params, observations: Sequence, rho: float) -> np.ndarray:
-    """Posterior-mean estimates of a batch of observations at rho, one row per observation."""
-    return stack_rows(lambda obs: posterior_mean_for(params, obs, rho).estimate, observations)
+    """Posterior-mean estimates of a batch of observations at rho, one row per observation.
+
+    The batch runs in blocks of trials whose enumeration arrays fit EVAL_CHUNK_BYTES.
+    """
+    kernel, trial_bytes = _POSTERIORS[model_name(params)]
+    runs = [kernel(params, observations[b], rho)[0] for b in _blocks(len(observations), trial_bytes(params))]
+    return np.concatenate(runs) if runs else np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -285,7 +369,9 @@ def estimate_mmse_curve(
     name = model_name(params)
     if full_rank_only and name != "rlc":
         raise ParameterError("full_rank_only applies to the linear-code model only")
-    draw = _sample_full_rank_rlc if full_rank_only else None
+    check_trials(trials)  # also when the grid is empty
+    # trial t's full-rank instance is the same at every grid point, so it is drawn once
+    draw = lru_cache(maxsize=None)(_sample_full_rank_rlc) if full_rank_only else None
     norm = signal_norm(params)
     out = []
     for j, rho in enumerate(rho_grid):

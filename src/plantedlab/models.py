@@ -110,10 +110,14 @@ def subsets(N: int, k: int) -> np.ndarray:
 
 
 def subset_sums(X: np.ndarray, combos: np.ndarray) -> np.ndarray:
-    """subset_sum_value of every row of combos: from 0.0, the columns added left to right."""
-    sums = np.zeros(len(combos))
+    """subset_sum_value of every row of combos: from 0.0, the columns added left to right.
+
+    X may be a stack of vectors along its last axis; leading axes are kept.
+    """
+    X = np.asarray(X, dtype=float)
+    sums = np.zeros(X.shape[:-1] + (len(combos),))
     for col in combos.T:
-        sums += np.asarray(X, dtype=float)[col]
+        sums += X[..., col]
     return sums
 
 

@@ -35,6 +35,11 @@ def check_rho(rho: float) -> None:
         raise ParameterError(f"need rho in [0,1], got {rho}")
 
 
+def check_trials(n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"no values to average; need at least one trial, got {n}")
+
+
 def draw_noise_psp(instance: PspInstance, rho: float, rng: np.random.Generator) -> np.ndarray:
     """Resample every unordered pair from Bern(q) with probability rho."""
     check_rho(rho)
@@ -108,8 +113,7 @@ class CoupledTrials:
     """
 
     def __init__(self, params, rho: float, seed: int, n: int, *, grid_point=None, draw=None):
-        if n < 1:
-            raise ParameterError(f"no values to average; need at least one trial, got {n}")
+        check_trials(n)
         check_rho(rho)
         ts = np.arange(n)
         path = () if grid_point is None else (grid_point,)

@@ -56,8 +56,7 @@ def shortest_path(adjacency: np.ndarray) -> Optional[tuple[int, ...]]:
 
 
 def _pack_rows(A: np.ndarray) -> list[int]:
-    m, n = A.shape
-    return [int(sum(int(A[i, j]) << j for j in range(n))) for i in range(m)]
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(A, axis=1, bitorder="little")]
 
 
 def _f2_eliminate(rows: list[int], n_cols: int) -> list[int]:

@@ -6,7 +6,10 @@ samplers/noise/posteriors.  The PSP pair loops check the library's indexed
 edge-vector conversions and its path and shape placements, the row-by-row
 subset scans and the per-path census weights check the cached enumerations
 in models, and the (A, x, mask) loop checks the closed-form RLC character
-correlation.  numpy's own SeedSequence checks the batch seed
+correlation.  The per-observation posterior enumerations (the RLC message
+profile 65,536 messages at a time, the TPCA np.ix_ block per support)
+check the batched posterior kernels, and the per-bit row packing checks
+the GF(2) solvers' packing.  numpy's own SeedSequence checks the batch seed
 derivation, and the per-trial polynomial evaluations and the per-trial
 MMSE, estimator-stability and polynomial-stability loops check the batched
 ones, which CoupledTrials.map runs EVAL_CHUNK trials at a time.  The
@@ -20,16 +23,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from plantedlab.bayes import posterior_mean_for
 from plantedlab.lowdeg import hermite_eval
 from plantedlab.mc import mean_stderr, ratio_with_stderr
-from plantedlab.models import PspParams, sample_instance, subset_sum_value
+from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, sample_instance, subset_sum_value
 from plantedlab.noise import check_rho, noise_instance_observation
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
 
@@ -286,6 +288,12 @@ def seed_sequence_philox_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
 
 
+def pack_rows_loop(A: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as the integer with bit j = column j, one bit at a time."""
+    m, n = A.shape
+    return [int(sum(int(A[i, j]) << j for j in range(n))) for i in range(m)]
+
+
 def f2_rank_loop(A: np.ndarray) -> int:
     """GF(2) rank of a 0/1 matrix: xor elimination of its rows read as integers."""
     basis: list[int] = []
@@ -368,13 +376,13 @@ def stability_ratio_loop(evaluate: Callable, params, rho: float, trials: int, se
 
 def mmse_curve_loop(params, rho_grid: Sequence[float], trials: int, seed: int,
                     full_rank_only: bool = False) -> list[tuple[float, float]]:
-    """(mmse, stderr) at each grid point, one trial and one posterior_mean_for call at a time."""
+    """(mmse, stderr) at each grid point, one trial and one posterior_mean_loop call at a time."""
     out = []
     for j, rho in enumerate(rho_grid):
         errs = []
         for t in range(trials):
             inst, noisy = coupled_trial_scalar(params, rho, seed, t, grid_point=j, full_rank_only=full_rank_only)
-            diff = posterior_mean_for(params, noisy, rho).estimate - inst.signal_vector()
+            diff = posterior_mean_loop(params, noisy, rho)[0] - inst.signal_vector()
             errs.append(float(diff @ diff))
         out.append(mean_stderr(errs))
     return out
@@ -392,6 +400,119 @@ def measure_stability_loop(run: Callable, params, rho: float, trials: int, seed:
         errs.append(float(e @ e))
         norms.append(float(a @ a))
     return (*ratio_with_stderr(np.array(diffs), np.array(norms)), *mean_stderr(errs), *mean_stderr(norms))
+
+
+def rlc_hamming_profile_loop(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """count[h] and ones[h, i] over all messages x, 65,536 messages at a time.
+
+    count[h] = #{x : w(Ax - y_hat) = h}; ones[h, i] = #{x : w(Ax - y_hat) = h, x_i = 1}.
+    """
+    m, n = A.shape
+    count = np.zeros(m + 1, dtype=float)
+    ones = np.zeros((m + 1, n), dtype=float)
+    chunk = 1 << 16
+    y_hat = np.asarray(y_hat, dtype=np.uint8)
+    for start in range(0, 2**n, chunk):
+        stop = min(start + chunk, 2**n)
+        xs = ((np.arange(start, stop)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
+        ham = ((xs @ A.T % 2) != y_hat).sum(axis=1)
+        count += np.bincount(ham, minlength=m + 1)
+        for h in np.unique(ham):
+            ones[h] += xs[ham == h].sum(axis=0)
+    return count, ones
+
+
+def tpca_log_weights_loop(Y: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-subset and its log-weight, one np.ix_ block sum per support."""
+    combos = np.array(list(itertools.combinations(range(params.n), params.k)), dtype=np.int64)
+    scale = math.sqrt(params.lam) * params.k ** (-params.d / 2.0)
+    lw = np.empty(combos.shape[0])
+    for r, row in enumerate(combos):
+        block = Y[np.ix_(*([row] * params.d))]
+        lw[r] = scale * float(block.sum())
+    return combos, lw
+
+
+def tpca_overlap_distribution_loop(Y: np.ndarray, planted_support: Sequence[int], params) -> np.ndarray:
+    """Posterior mass by overlap with the planted support, from tpca_log_weights_loop."""
+    combos, lw = tpca_log_weights_loop(Y, params)
+    member = np.zeros(params.n, dtype=bool)
+    member[list(planted_support)] = True
+    overlap = member[combos].sum(axis=1)
+    w = np.exp(lw - lw.max())
+    mass = np.bincount(overlap, weights=w, minlength=params.k + 1)
+    return mass / w.sum()
+
+
+def _weighted_marginals_loop(log_weights: np.ndarray, members: np.ndarray, size: int) -> tuple[np.ndarray, float]:
+    hi = log_weights.max()
+    w = np.exp(log_weights - hi)
+    Z = w.sum()
+    est = np.zeros(size)
+    np.add.at(est, members.ravel(), np.repeat(w, members.shape[1]))
+    return est / Z, float(hi + math.log(Z))
+
+
+def _coef_log(coef: np.ndarray, p: float) -> np.ndarray:
+    lp = math.log(p) if p > 0.0 else -math.inf
+    with np.errstate(invalid="ignore"):
+        return np.where(coef > 0, coef * lp, 0.0)
+
+
+def posterior_mean_loop(params, observation, rho: float) -> tuple[np.ndarray, float]:
+    """(estimate, log-partition) of one observation: the per-observation enumeration of each model.
+
+    PSP, GSS and TPCA weigh each configuration and accumulate its mass with
+    np.add.at; RLC runs rlc_hamming_profile_loop.  Inconsistent input at
+    rho = 0 raises AssertionError.
+    """
+    check_rho(rho)
+    if isinstance(params, PspParams):
+        n, L, q = params.n, params.L, params.q
+        edge_present = psp_edge_vector_loop(observation, n).astype(float)
+        path_idx = path_edge_indices_loop(n, L)
+        m_in = edge_present[path_idx].sum(axis=1)
+        p1 = 1.0 - rho * (1.0 - q)
+        if 0.0 < q < 1.0:
+            lw = _coef_log(m_in, p1 / q) + _coef_log(L - m_in, rho)
+        else:
+            total_present = edge_present.sum()
+            lw = (
+                _coef_log(m_in, p1)
+                + _coef_log(L - m_in, rho * (1.0 - q))
+                + _coef_log(total_present - m_in, q)
+                + _coef_log(edge_present.size - L - (total_present - m_in), 1.0 - q)
+            )
+        assert np.any(lw > -np.inf)
+        return _weighted_marginals_loop(lw, path_idx, edge_present.size)
+    if isinstance(params, RlcParams):
+        A, y_hat = observation
+        count, ones = rlc_hamming_profile_loop(A, y_hat)
+        if rho == 0.0:
+            assert count[0] > 0
+            return ones[0] / count[0], float(math.log(count[0]))
+        log_r = math.log(rho / (2.0 - rho))
+        hs = np.arange(A.shape[0] + 1, dtype=float)
+        occupied = count > 0
+        hi = (hs * log_r)[occupied].max()
+        phi = np.where(occupied, np.exp(hs * log_r - hi), 0.0)
+        den = float(phi @ count)
+        return (phi @ ones) / den, float(hi + math.log(den))
+    if isinstance(params, GssParams):
+        X, y_hat = observation
+        if rho == 0.0:
+            est, count = gss_exact_match_posterior_loop(X, y_hat, params.k)
+            assert count > 0
+            return est, float(math.log(count))
+        combos = np.array(list(itertools.combinations(range(params.N), params.k)), dtype=np.int64)
+        sums = np.asarray(X, dtype=float)[combos].sum(axis=1)
+        shrink = math.sqrt(1.0 - rho * rho)
+        lw = -((y_hat - shrink * sums) ** 2) / (2.0 * rho * rho)
+        return _weighted_marginals_loop(lw, combos, params.N)
+    assert isinstance(params, TpcaParams)
+    combos, lw = tpca_log_weights_loop(observation, replace(params, lam=params.lam * (1.0 - rho * rho)))
+    est, log_z = _weighted_marginals_loop(lw, combos, params.n)
+    return est / math.sqrt(params.k), log_z
 
 
 def all_simple_paths(adjacency: np.ndarray, source: int = 1, target: int = 2):

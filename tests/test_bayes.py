@@ -1,18 +1,27 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     gss_counting_weights_mpmath,
     gss_exact_match_posterior_loop,
     path_edges,
+    posterior_mean_loop,
     psp_rejection_posterior,
+    rlc_hamming_profile_loop,
     rlc_rejection_posterior,
     tpca_class_sizes,
     tpca_full_density_posterior,
+    tpca_log_weights_loop,
+    tpca_overlap_distribution_loop,
     tpca_resampling_posterior,
 )
+from plantedlab import bayes
 from plantedlab.bayes import (
     estimate_mmse_curve,
     posterior_mean_for,
@@ -20,22 +29,25 @@ from plantedlab.bayes import (
     posterior_mean_psp,
     posterior_mean_rlc,
     posterior_mean_tpca,
+    posterior_means,
     tpca_overlap_distribution,
 )
 from plantedlab.counting import count_approx_paths, count_overlap_pairs
-from plantedlab.errors import InconsistentInputError, ParameterError, ResourceBudgetError
+from plantedlab.errors import EstimatorTrialError, InconsistentInputError, ParameterError, ResourceBudgetError
 from plantedlab.models import (
     GssParams,
     PspParams,
     RlcParams,
     TpcaParams,
+    model_name,
     pair_ids,
     sample_instance,
     vertex_pairs,
 )
-from plantedlab.noise import draw_noise_gss, draw_noise_psp, draw_noise_rlc, draw_noise_tpca
+from plantedlab.noise import CoupledTrials, draw_noise_gss, draw_noise_psp, draw_noise_rlc, draw_noise_tpca
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import f2_rank
+from plantedlab.stability import measure_stability
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +334,24 @@ def test_mmse_curve_without_trials_raises():
         estimate_mmse_curve(RlcParams(m=6, n=4), [0.5], 0, 1)
 
 
+def test_mmse_curve_without_trials_raises_on_an_empty_grid():
+    with pytest.raises(ParameterError, match="no values"):
+        estimate_mmse_curve(RlcParams(m=6, n=4), [], -3, 1)
+
+
+def test_full_rank_instances_are_drawn_once_per_curve(monkeypatch):
+    # trial t's full-rank instance does not depend on the grid point: a 5-point grid
+    # draws trials plus rejections instances, as one pass over the trials does
+    params, trials, draws = RlcParams(m=5, n=5), 12, []
+    real = bayes.sample_instance
+    monkeypatch.setattr(bayes, "sample_instance", lambda p, seed: draws.append(seed) or real(p, seed))
+    for t in range(trials):
+        bayes._sample_full_rank_rlc(params, 3, t)
+    one_pass, draws[:] = list(draws), []
+    estimate_mmse_curve(params, [0.0, 0.25, 0.5, 0.75, 1.0], trials, seed=3, full_rank_only=True)
+    assert draws == one_pass and len(one_pass) > trials
+
+
 def test_nishimori_identity():
     # E||E[x|y]||^2 == E<x, E[x|y]> under the correct model
     params = RlcParams(m=8, n=6)
@@ -337,3 +367,142 @@ def test_nishimori_identity():
         inners[t] = pm.estimate @ inst.x
     se = math.sqrt(norms.var(ddof=1) / trials + inners.var(ddof=1) / trials)
     assert abs(norms.mean() - inners.mean()) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# batched posteriors against the per-observation enumerations
+
+
+_BATCH_PARAMS = {
+    "psp": st.builds(PspParams, n=st.integers(5, 8), L=st.integers(2, 3), q=st.sampled_from([0.0, 0.3, 1.0])),
+    "rlc": st.integers(1, 8).flatmap(
+        lambda n: st.builds(RlcParams, m=st.sampled_from([n, n + 5, 64, 70, 130]), n=st.just(n))
+    ),
+    "gss": st.integers(8, 13).flatmap(lambda N: st.builds(GssParams, N=st.just(N), k=st.integers(1, N))),
+    "tpca": st.builds(TpcaParams, n=st.integers(4, 8), k=st.integers(1, 3), d=st.integers(2, 4), lam=st.floats(0.0, 20.0)),
+}
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _observations(params, rho: float, seed: int, size: int) -> list:
+    batch = CoupledTrials(params, rho, seed, size)
+    return [batch[t][1] for t in range(size)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.sampled_from(sorted(_BATCH_PARAMS)).flatmap(_BATCH_PARAMS.get),
+    rho=st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95),
+    size=st.sampled_from([1, 7]),
+    split=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_means_hex_equal_to_the_per_observation_enumeration(params, rho, size, split, seed):
+    # split: runs of 3 trials, so a batch of 7 ends in a partial run (and TPCA splits its supports too)
+    observations = _observations(params, rho, seed, size)
+    run_bytes = 3 * bayes._POSTERIORS[model_name(params)][1](params)
+    with mock.patch.object(bayes, "EVAL_CHUNK_BYTES", run_bytes if split else bayes.EVAL_CHUNK_BYTES):
+        got = posterior_means(params, observations, rho)
+        one = [posterior_mean_for(params, obs, rho) for obs in observations]
+    want = [posterior_mean_loop(params, obs, rho) for obs in observations]
+    assert got.shape == (size, len(want[0][0]))
+    assert _hex(got) == _hex([est for est, _ in want]) == _hex([pm.estimate for pm in one])
+    assert _hex([pm.log_partition for pm in one]) == _hex([log_z for _, log_z in want])
+
+
+@pytest.mark.parametrize(
+    "params, rho",
+    [
+        (PspParams(n=10, L=3, q=0.3), 0.25),
+        (RlcParams(m=14, n=10), 0.3),
+        (GssParams(N=16, k=3), 0.3),
+        (GssParams(N=14, k=9), 0.6),
+        (TpcaParams(n=10, k=2, d=3, lam=8.0), 0.4),
+        (TpcaParams(n=9, k=3, d=3, lam=8.0), 0.4),
+    ],
+)
+def test_posterior_means_hex_equal_at_barrier_sizes(params, rho):
+    observations = _observations(params, rho, 7, 37)
+    want = [posterior_mean_loop(params, obs, rho)[0] for obs in observations]
+    assert _hex(posterior_means(params, observations, rho)) == _hex(want)
+
+
+@pytest.mark.parametrize("m, n", [(20, 17), (70, 17)])
+def test_rlc_posterior_over_message_blocks(m, n):
+    # n > 16 enumerates the messages 2^16 at a time; two trials share each block
+    params = RlcParams(m=m, n=n)
+    for rho in (0.0, 0.4):
+        observations = _observations(params, rho, 12, 2)
+        got = posterior_means(params, observations, rho)
+        assert _hex(got) == _hex([posterior_mean_loop(params, obs, rho)[0] for obs in observations])
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (14, 10), (64, 6), (65, 6), (130, 5), (20, 17)])
+def test_rlc_profiles_equal_the_message_loop(m, n):
+    A, y_hat = sample_instance(RlcParams(m=m, n=n), seed=m * n).A, generator(n).integers(0, 2, m, dtype=np.uint8)
+    count, ones = bayes._rlc_profiles(A[None], y_hat[None])
+    want_count, want_ones = rlc_hamming_profile_loop(A, y_hat)
+    assert np.array_equal(count[0], want_count) and np.array_equal(ones[0], want_ones)
+
+
+@pytest.mark.parametrize("n, k, d", [(10, 2, 3), (12, 2, 3), (8, 3, 2), (7, 2, 4), (9, 3, 3), (10, 3, 3)])
+def test_tpca_log_weights_and_overlaps_equal_the_support_loop(n, k, d):
+    params = TpcaParams(n=n, k=k, d=d, lam=5.0)
+    tensors = [sample_instance(params, seed=n + k + d + t).Y for t in range(5)]
+    combos, lw = bayes._tpca_log_weights(np.stack(tensors), params)
+    for Y, row in zip(tensors, lw):
+        want_combos, want_lw = tpca_log_weights_loop(Y, params)
+        assert np.array_equal(combos, want_combos) and _hex(row) == _hex(want_lw)
+    inst = sample_instance(params, seed=n)
+    got = tpca_overlap_distribution(inst.Y, inst.support, params)
+    assert _hex(got) == _hex(tpca_overlap_distribution_loop(inst.Y, inst.support, params))
+
+
+def _inconsistent(params):
+    """An observation with no support at rho = 0."""
+    if isinstance(params, PspParams):
+        return np.zeros((params.n + 1, params.n + 1), dtype=bool)
+    if isinstance(params, RlcParams):
+        return np.zeros((params.m, params.n), dtype=np.uint8), np.ones(params.m, dtype=np.uint8)
+    inst = sample_instance(params, seed=2)
+    return inst.X, inst.Y + 0.5
+
+
+@pytest.mark.parametrize("params", [PspParams(n=7, L=3, q=0.3), RlcParams(m=8, n=5), GssParams(N=9, k=3)])
+def test_inconsistent_trial_in_a_batch_raises(params):
+    observations = _observations(params, 0.0, 4, 7)
+    posterior_means(params, observations, 0.0)
+    observations[4] = _inconsistent(params)
+    with pytest.raises(InconsistentInputError, match="rho=0|noise level"):
+        posterior_means(params, observations, 0.0)
+    with pytest.raises(InconsistentInputError):
+        posterior_mean_for(params, observations[4], 0.0)
+
+
+def test_inconsistent_posterior_names_its_trial():
+    # the rho=0 posterior of trial 5 has no support; the chunk is re-run one trial at a time
+    params, bad = GssParams(N=8, k=2), 5
+    bad_Y = CoupledTrials(params, 0.0, 6, 9)[bad][0].Y
+
+    def exact(observations):
+        return posterior_means(params, [(X, Y + 0.5 if Y == bad_Y else Y) for X, Y in observations], 0.0)
+
+    with pytest.raises(EstimatorTrialError) as err:
+        measure_stability(exact, params, rho=0.0, trials=9, seed=6)
+    assert err.value.trial == bad and isinstance(err.value.cause, InconsistentInputError)
+
+
+def test_rlc_posterior_at_n20_peaks_below_the_message_chunks():
+    # 13,637,424 bytes is the traced peak of one m=30, n=20 posterior enumerated
+    # 65,536 messages at a time (rlc_hamming_profile_loop's chunks)
+    inst = sample_instance(RlcParams(m=30, n=20), seed=3)
+    tracemalloc.start()
+    try:
+        posterior_mean_rlc(inst.A, inst.y, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13_637_424

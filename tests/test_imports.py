@@ -1,11 +1,14 @@
 """Import checks with the stdlib ast.
 
-No module in src, tests or demos imports a name it never uses, and only noise drives mc.run_trials.
+No module in src, tests or demos imports a name it never uses, only noise
+drives mc.run_trials, and src calls no numpy function newer than the numpy
+floor in pyproject.toml.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +62,20 @@ def test_only_noise_drives_run_trials():
             if named or (isinstance(node, ast.Attribute) and node.attr == "run_trials"):
                 users.add(path.stem)
     assert users == {"noise"}
+
+
+# numpy functions src may call only when the pyproject floor is at least the version that added them
+NUMPY_ADDED = {"bitwise_count": (2, 0)}
+
+
+def test_numpy_floor_covers_the_functions_src_calls():
+    floor = re.search(r'"numpy>=([0-9.]+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert floor is not None, "pyproject.toml names no numpy floor"
+    have = tuple(int(part) for part in floor.group(1).split("."))
+    used = {
+        node.attr
+        for path in (ROOT / "src").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_ADDED
+    }
+    assert {name: NUMPY_ADDED[name] for name in used if have < NUMPY_ADDED[name]} == {}

@@ -10,13 +10,14 @@ from plantedlab.solvers import (
     LllConfig,
     exhaustive_subset_sum,
     f2_rank,
+    _pack_rows,
     f2_solve,
     lll_reduce,
     lll_subset_sum,
     shortest_path,
 )
 
-from oracles import all_simple_paths, exhaustive_subset_sum_loop, f2_solution_set, lattice_coordinates
+from oracles import all_simple_paths, exhaustive_subset_sum_loop, f2_solution_set, lattice_coordinates, pack_rows_loop
 
 
 def adjacency_from_edges(n, edges):
@@ -132,6 +133,14 @@ def test_f2_rank_matches_numpy_oracle(seed):
     for row in packed:
         span |= {v ^ row for v in span}
     assert 2 ** f2_rank(A) == len(span)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 10, 63, 64, 65, 130])
+@pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
+def test_pack_rows_equals_the_bit_loop(n, dtype):
+    A = generator(n).integers(0, 2, size=(9, n)).astype(dtype)
+    A[0] = 1  # a row of all ones sets every bit, the highest included
+    assert _pack_rows(A) == pack_rows_loop(A)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,13 @@ def test_measure_stability_bit_identical_to_trial_loop(model, name):
     assert _hex(got) == _hex(measure_stability_loop(lambda obs: fn([obs])[0], params, 0.5, trials, 9))
 
 
+@pytest.mark.parametrize(
+    "model, name", [(m, name) for m in DIFFERENTIAL_PARAMS for name in ESTIMATORS if _accepts(name, m)]
+)
+def test_every_estimator_gives_one_shape_on_an_empty_batch(model, name):
+    assert resolve_estimator(name, DIFFERENTIAL_PARAMS[model], 0.5)([]).shape == (0,)
+
+
 @pytest.mark.parametrize("model", [*DIFFERENTIAL_PARAMS, "rlc-full-rank"])
 def test_mmse_curve_bit_identical_to_trial_loop(model):
     full_rank_only = model == "rlc-full-rank"
