@@ -37,16 +37,15 @@ from .solvers import f2_rank
 RLC_ENUM_BUDGET = 2**24
 
 
-@dataclass(frozen=True)
-class PosteriorMean:
-    estimate: np.ndarray
-    log_partition: float
-
-
 def _blocks(total: int, unit_bytes: int) -> list[slice]:
     """Consecutive slices of range(total), each as many units of unit_bytes as fit EVAL_CHUNK_BYTES (at least one)."""
     size = max(1, EVAL_CHUNK_BYTES // max(unit_bytes, 1))
     return [slice(start, start + size) for start in range(0, total, size)]
+
+
+def _check_shape(name: str, array, shape: tuple) -> None:
+    if np.shape(array) != shape:
+        raise ParameterError(f"{name} has shape {np.shape(array)}, expected {shape}")
 
 
 def _finite_or_inconsistent(log_weights: np.ndarray, what: str) -> None:
@@ -54,7 +53,7 @@ def _finite_or_inconsistent(log_weights: np.ndarray, what: str) -> None:
         raise InconsistentInputError(f"no {what} supports the observation at this noise level")
 
 
-def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int) -> tuple[np.ndarray, list]:
+def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int) -> np.ndarray:
     """Posterior mass on each of size coordinates, one row per trial; configuration r holds members[r].
 
     log_weights is trials x configurations.  The maximum log-weight of each
@@ -63,19 +62,18 @@ def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int)
     coordinate's mass accumulates in configuration order.
     """
     log_weights = np.ascontiguousarray(log_weights)
-    hi = log_weights.max(axis=1)
-    w = np.exp(log_weights - hi[:, None])
+    w = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
     Z = w.sum(axis=1)
     flat = members.ravel()
     est = np.array([np.bincount(flat, weights=np.repeat(row, members.shape[1]), minlength=size) for row in w])
-    return est / Z[:, None], [float(h + math.log(z)) for h, z in zip(hi, Z)]
+    return est / Z[:, None]
 
 
 # ---------------------------------------------------------------------------
 # PSP
 
 
-def _psp_posteriors(params: PspParams, adjacencies: Sequence[np.ndarray], rho: float) -> tuple[np.ndarray, list]:
+def _psp_posteriors(params: PspParams, adjacencies: Sequence[np.ndarray], rho: float) -> np.ndarray:
     """Posterior means of the path's edge indicators given each noisy graph.
 
     A candidate path H gets weight ((1 - rho(1-q))/q)^{|E(H) & G|} * rho^{L - |E(H) & G|}:
@@ -84,7 +82,8 @@ def _psp_posteriors(params: PspParams, adjacencies: Sequence[np.ndarray], rho: f
     corners the full likelihood is used instead of the ratio form.
     """
     n, L, q = params.n, params.L, params.q
-    check_rho(rho)
+    for adjacency in adjacencies:
+        _check_shape("adjacency", adjacency, (n + 1, n + 1))
     edge_present = edge_vector_from_adjacency(np.stack(adjacencies)).astype(float)
     path_idx = path_edge_indices(n, L)
     m_in = edge_present[:, path_idx].sum(axis=2)  # edges of each H present in each graph
@@ -157,44 +156,41 @@ def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndar
     return count.reshape(T, m + 1), np.stack([row.reshape(T, m + 1) for row in ones], axis=-1)
 
 
-def _rlc_posteriors(observations: Sequence, rho: float) -> tuple[np.ndarray, list]:
+def _rlc_posteriors(params: RlcParams, observations: Sequence, rho: float) -> np.ndarray:
     """Posterior means of the message bits; weight (rho/(2-rho))^{w(Ax - y_hat)}.
 
     The estimate coordinate i is the marginal P(x_i = 1 | A, y_hat); the
     complementary ratio L0/(L0+L1) is 1 - estimate[i].
     """
-    A = np.stack([obs[0] for obs in observations])
-    T, m, n = A.shape
-    for _, y_hat in observations:
-        if y_hat.shape != (m,):
-            raise ParameterError(f"y_hat has shape {y_hat.shape}, expected ({m},)")
-    check_rho(rho)
+    m, n = params.m, params.n
+    for A_t, y_hat_t in observations:
+        _check_shape("A", A_t, (m, n))
+        _check_shape("y_hat", y_hat_t, (m,))
     if 2**n > RLC_ENUM_BUDGET:
         raise ResourceBudgetError(f"2^{n} messages exceed budget {RLC_ENUM_BUDGET}")
+    A = np.stack([obs[0] for obs in observations])
     y_hat = np.stack([np.asarray(obs[1], dtype=np.uint8) for obs in observations])
     counts, ones = (profile.astype(float) for profile in _rlc_profiles(A, y_hat))
     if rho == 0.0:
         if not counts[:, 0].all():
             raise InconsistentInputError("no message reproduces y_hat exactly at rho=0")
-        return ones[:, 0] / counts[:, :1], [float(math.log(c)) for c in counts[:, 0]]
+        return ones[:, 0] / counts[:, :1]
     log_r = math.log(rho / (2.0 - rho))
     hs = np.arange(m + 1, dtype=float)
-    est, log_z = np.empty((T, n)), []
+    est = np.empty((len(A), n))
     for t, (count, one) in enumerate(zip(counts, ones)):
         occupied = count > 0
         hi = (hs * log_r)[occupied].max()
         phi = np.where(occupied, np.exp(hs * log_r - hi), 0.0)
-        den = float(phi @ count)
-        est[t] = (phi @ one) / den
-        log_z.append(float(hi + math.log(den)))
-    return est, log_z
+        est[t] = (phi @ one) / float(phi @ count)
+    return est
 
 
 # ---------------------------------------------------------------------------
 # GSS
 
 
-def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> tuple[np.ndarray, list]:
+def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> np.ndarray:
     """Posterior means of subset membership given each noisy sum.
 
     For rho > 0, subset S has Gaussian log-weight
@@ -203,7 +199,8 @@ def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> tu
     over sorted indices) reproduces y_hat bit-exactly.
     """
     N, k = params.N, params.k
-    check_rho(rho)
+    for X_t, _ in observations:
+        _check_shape("X", X_t, (N,))
     combos = subsets(N, k)
     X = np.stack([np.asarray(obs[0], dtype=float) for obs in observations])
     y_hat = np.array([obs[1] for obs in observations], dtype=float)[:, None]
@@ -212,8 +209,7 @@ def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> tu
         found = hits.sum(axis=1)
         if not found.all():
             raise InconsistentInputError("no k-subset reproduces y_hat exactly at rho=0")
-        est = np.array([np.bincount(combos[row].ravel(), minlength=N) / c for row, c in zip(hits, found)])
-        return est, [float(math.log(c)) for c in found]
+        return np.array([np.bincount(combos[row].ravel(), minlength=N) / c for row, c in zip(hits, found)])
     # a C-ordered block keeps numpy's pairwise order in each row sum
     sums = np.ascontiguousarray(np.take(X, combos, axis=1)).sum(axis=2)
     shrink = math.sqrt(1.0 - rho * rho)
@@ -225,26 +221,28 @@ def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> tu
 # Sparse tensor PCA
 
 
-def _tpca_log_weights(Y: np.ndarray, params: TpcaParams) -> tuple[np.ndarray, np.ndarray]:
-    """Every k-subset S, and log-weight sqrt(lam) k^(-d/2) <Y_t, 1_S^d> of each tensor Y_t of the stack Y.
+def _tpca_log_weights(tensors: Sequence[np.ndarray], params: TpcaParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-subset S, and log-weight sqrt(lam) k^(-d/2) <Y_t, 1_S^d> of each tensor Y_t.
 
     The k^d entries of each support's block are gathered in C order and
     summed as one contiguous row, so each sum keeps numpy's pairwise order
     over the block.
     """
     n, k, d = params.n, params.k, params.d
+    for Y in tensors:
+        _check_shape("Y", Y, (n,) * d)
     combos = subsets(n, k)
     scale = math.sqrt(params.lam) * k ** (-d / 2.0)
     corners = np.indices((k,) * d).reshape(d, -1).T  # positions in a support's block, C order
-    flat = Y.reshape(len(Y), -1)
-    lw = np.empty((len(Y), len(combos)))
-    for b in _blocks(len(combos), 8 * k**d * (len(Y) + d)):
+    flat = np.stack(tensors).reshape(len(tensors), -1)
+    lw = np.empty((len(tensors), len(combos)))
+    for b in _blocks(len(combos), 8 * k**d * (len(tensors) + d)):
         entries = combos[b][:, corners] @ n ** np.arange(d - 1, -1, -1)
         lw[:, b] = scale * np.ascontiguousarray(np.take(flat, entries, axis=1)).sum(axis=2)
     return combos, lw
 
 
-def _tpca_posteriors(params: TpcaParams, tensors: Sequence[np.ndarray], rho: float) -> tuple[np.ndarray, list]:
+def _tpca_posteriors(params: TpcaParams, tensors: Sequence[np.ndarray], rho: float) -> np.ndarray:
     """Posterior means of the sparse spike; support weight exp(sqrt(lam) <Y, x'^d>).
 
     The quadratic term of the Gaussian log-likelihood is constant across
@@ -253,9 +251,8 @@ def _tpca_posteriors(params: TpcaParams, tensors: Sequence[np.ndarray], rho: flo
     lam * (1 - rho^2).
     """
     params = replace(params, lam=params.lam * (1.0 - rho * rho))
-    combos, lw = _tpca_log_weights(np.stack(tensors), params)
-    est, log_z = _weighted_marginals(lw, combos, params.n)
-    return est / math.sqrt(params.k), log_z
+    combos, lw = _tpca_log_weights(tensors, params)
+    return _weighted_marginals(lw, combos, params.n) / math.sqrt(params.k)
 
 
 def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], params: TpcaParams) -> np.ndarray:
@@ -264,7 +261,7 @@ def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], par
     Returns (p_0, ..., p_k) with p_i the posterior probability that the drawn
     support shares exactly i indices with the planted one; sums to 1.
     """
-    combos, (lw,) = _tpca_log_weights(Y[None], params)
+    combos, (lw,) = _tpca_log_weights([Y], params)
     member = np.zeros(params.n, dtype=bool)
     member[list(planted_support)] = True
     overlap = member[combos].sum(axis=1)
@@ -277,44 +274,14 @@ def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], par
 # dispatch + MMSE curves
 
 
-# model -> (kernel(params, observations, rho) -> (T x dim estimates, T log-partitions),
+# model -> (kernel(params, observations, rho) -> T x dim estimates,
 #           params -> bytes of the arrays the kernel enumerates for one observation)
 _POSTERIORS = {
     "psp": (_psp_posteriors, lambda p: 8 * p.L * math.perm(p.n - 2, p.L - 1)),
-    "rlc": (lambda params, obs, rho: _rlc_posteriors(obs, rho), lambda p: 8 * 2 ** min(p.n, 16) * -(-p.m // 64)),
+    "rlc": (_rlc_posteriors, lambda p: 8 * 2 ** min(p.n, 16) * -(-p.m // 64)),
     "gss": (_gss_posteriors, lambda p: 8 * p.k * math.comb(p.N, p.k)),
     "tpca": (_tpca_posteriors, lambda p: 8 * p.k**p.d * math.comb(p.n, p.k)),
 }
-
-
-def _one(result: tuple[np.ndarray, list]) -> PosteriorMean:
-    est, log_z = result
-    return PosteriorMean(estimate=est[0], log_partition=log_z[0])
-
-
-def posterior_mean_psp(noisy_adjacency: np.ndarray, params: PspParams, rho: float) -> PosteriorMean:
-    """The one-graph case of _psp_posteriors."""
-    return _one(_psp_posteriors(params, [noisy_adjacency], rho))
-
-
-def posterior_mean_rlc(A: np.ndarray, y_hat: np.ndarray, rho: float) -> PosteriorMean:
-    """The one-observation case of _rlc_posteriors."""
-    return _one(_rlc_posteriors([(A, y_hat)], rho))
-
-
-def posterior_mean_gss(X: np.ndarray, y_hat: float, params: GssParams, rho: float) -> PosteriorMean:
-    """The one-observation case of _gss_posteriors."""
-    return _one(_gss_posteriors(params, [(X, y_hat)], rho))
-
-
-def posterior_mean_tpca(Y: np.ndarray, params: TpcaParams) -> PosteriorMean:
-    """The one-tensor case of _tpca_posteriors, at the lam of params."""
-    return _one(_tpca_posteriors(params, [Y], 0.0))
-
-
-def posterior_mean_for(params, observation, rho: float) -> PosteriorMean:
-    """Bayes-optimal estimate from an observation that passed through noise at rho."""
-    return _one(_POSTERIORS[model_name(params)][0](params, [observation], rho))
 
 
 def stack_rows(run: Callable, observations: Sequence) -> np.ndarray:
@@ -325,11 +292,18 @@ def stack_rows(run: Callable, observations: Sequence) -> np.ndarray:
 def posterior_means(params, observations: Sequence, rho: float) -> np.ndarray:
     """Posterior-mean estimates of a batch of observations at rho, one row per observation.
 
-    The batch runs in blocks of trials whose enumeration arrays fit EVAL_CHUNK_BYTES.
+    The one way into the kernels.  The batch runs in blocks of trials whose
+    enumeration arrays fit EVAL_CHUNK_BYTES.
     """
+    check_rho(rho)  # also when the batch is empty
     kernel, trial_bytes = _POSTERIORS[model_name(params)]
-    runs = [kernel(params, observations[b], rho)[0] for b in _blocks(len(observations), trial_bytes(params))]
+    runs = [kernel(params, observations[b], rho) for b in _blocks(len(observations), trial_bytes(params))]
     return np.concatenate(runs) if runs else np.zeros(0)
+
+
+def posterior_mean_for(params, observation, rho: float) -> np.ndarray:
+    """Bayes-optimal estimate from one observation that passed through noise at rho."""
+    return posterior_means(params, [observation], rho)[0]
 
 
 @dataclass(frozen=True)

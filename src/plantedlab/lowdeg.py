@@ -247,21 +247,6 @@ class RlcPoly(_OneObservation):
             total += c * character_value(idx, A, y)
         return total
 
-    def to_json(self) -> list:
-        return [
-            {"S": sorted(map(list, idx.S)), "T": sorted(idx.T), "coeff": c}
-            for idx, c in self.terms
-        ]
-
-    @classmethod
-    def from_json(cls, items: list) -> "RlcPoly":
-        return cls(
-            terms=tuple(
-                (CharacterIndex.make([tuple(e) for e in item["S"]], item["T"]), float(item["coeff"]))
-                for item in items
-            )
-        )
-
 
 @dataclass(frozen=True)
 class GssPoly(_OneObservation):
@@ -284,20 +269,6 @@ class GssPoly(_OneObservation):
                 val *= hermite_eval(deg, X[:, coord])
             total += val
         return total
-
-    def to_json(self) -> list:
-        return [
-            {"alpha": sorted(map(list, alpha)), "t": t, "coeff": c} for alpha, t, c in self.terms
-        ]
-
-    @classmethod
-    def from_json(cls, items: list) -> "GssPoly":
-        return cls(
-            terms=tuple(
-                (tuple((int(i), int(d)) for i, d in item["alpha"]), int(item["t"]), float(item["coeff"]))
-                for item in items
-            )
-        )
 
 
 # shapes: edges over vertex labels; 1 and 2 are the pinned endpoints, labels
@@ -337,17 +308,6 @@ class PspSymmetricPoly(_OneObservation):
                     for row in centered[start:start + step, maps].prod(axis=2)]
             total += c * np.array(sums)
         return total
-
-    def to_json(self) -> list:
-        return [{"shape": sorted(map(list, shape)), "coeff": c} for shape, c in self.terms]
-
-    @classmethod
-    def from_json(cls, items: list) -> "PspSymmetricPoly":
-        return cls(
-            terms=tuple(
-                (tuple(tuple(e) for e in item["shape"]), float(item["coeff"])) for item in items
-            )
-        )
 
 
 # ---------------------------------------------------------------------------

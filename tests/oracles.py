@@ -382,7 +382,7 @@ def mmse_curve_loop(params, rho_grid: Sequence[float], trials: int, seed: int,
         errs = []
         for t in range(trials):
             inst, noisy = coupled_trial_scalar(params, rho, seed, t, grid_point=j, full_rank_only=full_rank_only)
-            diff = posterior_mean_loop(params, noisy, rho)[0] - inst.signal_vector()
+            diff = posterior_mean_loop(params, noisy, rho) - inst.signal_vector()
             errs.append(float(diff @ diff))
         out.append(mean_stderr(errs))
     return out
@@ -444,13 +444,11 @@ def tpca_overlap_distribution_loop(Y: np.ndarray, planted_support: Sequence[int]
     return mass / w.sum()
 
 
-def _weighted_marginals_loop(log_weights: np.ndarray, members: np.ndarray, size: int) -> tuple[np.ndarray, float]:
-    hi = log_weights.max()
-    w = np.exp(log_weights - hi)
-    Z = w.sum()
+def _weighted_marginals_loop(log_weights: np.ndarray, members: np.ndarray, size: int) -> np.ndarray:
+    w = np.exp(log_weights - log_weights.max())
     est = np.zeros(size)
     np.add.at(est, members.ravel(), np.repeat(w, members.shape[1]))
-    return est / Z, float(hi + math.log(Z))
+    return est / w.sum()
 
 
 def _coef_log(coef: np.ndarray, p: float) -> np.ndarray:
@@ -459,8 +457,8 @@ def _coef_log(coef: np.ndarray, p: float) -> np.ndarray:
         return np.where(coef > 0, coef * lp, 0.0)
 
 
-def posterior_mean_loop(params, observation, rho: float) -> tuple[np.ndarray, float]:
-    """(estimate, log-partition) of one observation: the per-observation enumeration of each model.
+def posterior_mean_loop(params, observation, rho: float) -> np.ndarray:
+    """Posterior-mean estimate of one observation: the per-observation enumeration of each model.
 
     PSP, GSS and TPCA weigh each configuration and accumulate its mass with
     np.add.at; RLC runs rlc_hamming_profile_loop.  Inconsistent input at
@@ -490,20 +488,19 @@ def posterior_mean_loop(params, observation, rho: float) -> tuple[np.ndarray, fl
         count, ones = rlc_hamming_profile_loop(A, y_hat)
         if rho == 0.0:
             assert count[0] > 0
-            return ones[0] / count[0], float(math.log(count[0]))
+            return ones[0] / count[0]
         log_r = math.log(rho / (2.0 - rho))
         hs = np.arange(A.shape[0] + 1, dtype=float)
         occupied = count > 0
         hi = (hs * log_r)[occupied].max()
         phi = np.where(occupied, np.exp(hs * log_r - hi), 0.0)
-        den = float(phi @ count)
-        return (phi @ ones) / den, float(hi + math.log(den))
+        return (phi @ ones) / float(phi @ count)
     if isinstance(params, GssParams):
         X, y_hat = observation
         if rho == 0.0:
             est, count = gss_exact_match_posterior_loop(X, y_hat, params.k)
             assert count > 0
-            return est, float(math.log(count))
+            return est
         combos = np.array(list(itertools.combinations(range(params.N), params.k)), dtype=np.int64)
         sums = np.asarray(X, dtype=float)[combos].sum(axis=1)
         shrink = math.sqrt(1.0 - rho * rho)
@@ -511,8 +508,7 @@ def posterior_mean_loop(params, observation, rho: float) -> tuple[np.ndarray, fl
         return _weighted_marginals_loop(lw, combos, params.N)
     assert isinstance(params, TpcaParams)
     combos, lw = tpca_log_weights_loop(observation, replace(params, lam=params.lam * (1.0 - rho * rho)))
-    est, log_z = _weighted_marginals_loop(lw, combos, params.n)
-    return est / math.sqrt(params.k), log_z
+    return _weighted_marginals_loop(lw, combos, params.n) / math.sqrt(params.k)
 
 
 def all_simple_paths(adjacency: np.ndarray, source: int = 1, target: int = 2):

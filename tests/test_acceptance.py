@@ -15,7 +15,7 @@ import pytest
 
 from plantedlab.bayes import (
     estimate_mmse_curve,
-    posterior_mean_gss,
+    posterior_mean_for,
     tpca_overlap_distribution,
 )
 from plantedlab.counting import count_approx_paths, expected_count, sample_null_graph
@@ -113,15 +113,15 @@ def test_criterion_03_gss_endpoints_exact():
     for t in range(50):
         inst = sample_instance(params, seed=derive_seed(23, 0, t))
         y1 = draw_noise_gss(inst.Y, 1.0, generator(derive_seed(23, 1, t)))
-        pm = posterior_mean_gss(inst.X, y1, params, rho=1.0)
-        assert np.all(pm.estimate == exact_marginal)
-        diff = pm.estimate - inst.signal_vector()
+        pm = posterior_mean_for(params, (inst.X, y1), 1.0)
+        assert np.all(pm == exact_marginal)
+        diff = pm - inst.signal_vector()
         assert float(diff @ diff) == expected_err
     recovered = 0
     for t in range(200):
         inst = sample_instance(params, seed=derive_seed(29, 0, t))
-        pm = posterior_mean_gss(inst.X, inst.Y, params, rho=0.0)
-        recovered += bool(np.array_equal(pm.estimate, inst.signal_vector()))
+        pm = posterior_mean_for(params, (inst.X, inst.Y), 0.0)
+        recovered += bool(np.array_equal(pm, inst.signal_vector()))
     report(3, recovered == 200, f"rho=1 exact, rho=0 recovery {recovered}/200")
     assert recovered == 200
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -25,10 +26,6 @@ from plantedlab import bayes
 from plantedlab.bayes import (
     estimate_mmse_curve,
     posterior_mean_for,
-    posterior_mean_gss,
-    posterior_mean_psp,
-    posterior_mean_rlc,
-    posterior_mean_tpca,
     posterior_means,
     tpca_overlap_distribution,
 )
@@ -57,13 +54,13 @@ from plantedlab.stability import measure_stability
 def test_psp_noiseless_posterior_is_point_mass():
     params = PspParams(n=7, L=3, q=0.15)
     inst = sample_instance(params, seed=3)
-    pm = posterior_mean_psp(inst.adjacency, params, rho=0.0)
+    pm = posterior_mean_for(params, inst.adjacency, 0.0)
     # the planted path must get posterior 1 on each of its edges unless a
     # second length-L path appeared by chance; verify via the path census
     planted = inst.signal_vector()
-    on_path = pm.estimate[planted > 0]
+    on_path = pm[planted > 0]
     assert np.all(on_path > 0)
-    if np.allclose(pm.estimate, planted):
+    if np.allclose(pm, planted):
         assert np.all(on_path == 1.0)
 
 
@@ -71,14 +68,14 @@ def test_psp_uniform_posterior_hand_count():
     # rho=1: n=4, L=2: both 1-x-2 paths weigh equally
     params = PspParams(n=4, L=2, q=0.3)
     inst = sample_instance(params, seed=0)
-    pm = posterior_mean_psp(inst.adjacency, params, rho=1.0)
+    pm = posterior_mean_for(params, inst.adjacency, 1.0)
     idx = pair_ids(4)
-    assert pm.estimate[idx[1, 3]] == 0.5
-    assert pm.estimate[idx[2, 3]] == 0.5
-    assert pm.estimate[idx[1, 4]] == 0.5
-    assert pm.estimate[idx[2, 4]] == 0.5
-    assert pm.estimate[idx[1, 2]] == 0.0
-    assert pm.estimate[idx[3, 4]] == 0.0
+    assert pm[idx[1, 3]] == 0.5
+    assert pm[idx[2, 3]] == 0.5
+    assert pm[idx[1, 4]] == 0.5
+    assert pm[idx[2, 4]] == 0.5
+    assert pm[idx[1, 2]] == 0.0
+    assert pm[idx[3, 4]] == 0.0
 
 
 def test_psp_posterior_matches_rejection_oracle():
@@ -86,13 +83,13 @@ def test_psp_posterior_matches_rejection_oracle():
     rho = 0.4
     inst = sample_instance(params, seed=12)
     noisy = draw_noise_psp(inst, rho, generator(13))
-    pm = posterior_mean_psp(noisy, params, rho)
+    pm = posterior_mean_for(params, noisy, rho)
     pairs = vertex_pairs(6)
     target = np.array([noisy[i, j] for (i, j) in pairs])
     oracle, hits = psp_rejection_posterior(target, 6, 3, 0.35, rho, samples=40_000_000, seed=99)
     assert hits > 200
-    se = np.sqrt(np.maximum(pm.estimate * (1 - pm.estimate), 1e-12) / hits)
-    assert np.all(np.abs(oracle - pm.estimate) <= 3 * np.maximum(se, 1e-9))
+    se = np.sqrt(np.maximum(pm * (1 - pm), 1e-12) / hits)
+    assert np.all(np.abs(oracle - pm) <= 3 * np.maximum(se, 1e-9))
 
 
 def test_psp_inconsistent_at_rho_zero():
@@ -102,14 +99,14 @@ def test_psp_inconsistent_at_rho_zero():
     e = path_edges(inst.path)[1]
     broken[e[0], e[1]] = broken[e[1], e[0]] = False
     with pytest.raises(InconsistentInputError):
-        posterior_mean_psp(broken, params, rho=0.0)
+        posterior_mean_for(params, broken, 0.0)
 
 
 def test_psp_budget_error():
     params = PspParams(n=40, L=8, q=0.2)
     inst = sample_instance(params, seed=1)
     with pytest.raises(ResourceBudgetError):
-        posterior_mean_psp(inst.adjacency, params, rho=0.5)
+        posterior_mean_for(params, inst.adjacency, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +115,8 @@ def test_psp_budget_error():
 
 def test_rlc_uniform_posterior_at_full_noise():
     inst = sample_instance(RlcParams(m=9, n=6), seed=8)
-    pm = posterior_mean_rlc(inst.A, inst.y, rho=1.0)
-    assert np.all(pm.estimate == 0.5)
+    pm = posterior_mean_for(inst.params, (inst.A, inst.y), 1.0)
+    assert np.all(pm == 0.5)
 
 
 def test_rlc_noiseless_full_rank_recovers_message():
@@ -130,41 +127,41 @@ def test_rlc_noiseless_full_rank_recovers_message():
         if f2_rank(inst.A) < params.n:
             continue
         found += 1
-        pm = posterior_mean_rlc(inst.A, inst.y, rho=0.0)
-        assert np.array_equal(pm.estimate, inst.x.astype(float))
+        pm = posterior_mean_for(params, (inst.A, inst.y), 0.0)
+        assert np.array_equal(pm, inst.x.astype(float))
     assert found >= 15
 
 
 def test_rlc_posterior_matches_rejection_oracle():
     inst = sample_instance(RlcParams(m=10, n=8), seed=21)
     yh = draw_noise_rlc(inst.y, 0.3, generator(22))
-    pm = posterior_mean_rlc(inst.A, yh, 0.3)
+    pm = posterior_mean_for(inst.params, (inst.A, yh), 0.3)
     oracle, hits = rlc_rejection_posterior(inst.A, yh, 0.3, samples=20_000_000, seed=5)
     assert hits > 2000
-    se = np.sqrt(np.maximum(pm.estimate * (1 - pm.estimate), 1e-12) / hits)
-    assert np.all(np.abs(oracle - pm.estimate) <= 3 * np.maximum(se, 1e-9))
+    se = np.sqrt(np.maximum(pm * (1 - pm), 1e-12) / hits)
+    assert np.all(np.abs(oracle - pm) <= 3 * np.maximum(se, 1e-9))
 
 
 def test_rlc_marginal_ratio_complement():
     inst = sample_instance(RlcParams(m=8, n=5), seed=2)
     yh = draw_noise_rlc(inst.y, 0.4, generator(3))
-    pm = posterior_mean_rlc(inst.A, yh, 0.4)
+    pm = posterior_mean_for(inst.params, (inst.A, yh), 0.4)
     # estimate is P(x_i = 1); the zero-side ratio L0/(L0+L1) is its complement
-    assert np.all((1 - pm.estimate) >= 0) and np.all(pm.estimate >= 0)
+    assert np.all((1 - pm) >= 0) and np.all(pm >= 0)
 
 
 def test_rlc_budget_error():
-    A = np.zeros((4, 30), dtype=np.uint8)
+    A = np.zeros((30, 30), dtype=np.uint8)
     with pytest.raises(ResourceBudgetError):
-        posterior_mean_rlc(A, np.zeros(4, dtype=np.uint8), rho=0.5)
+        posterior_mean_for(RlcParams(m=30, n=30), (A, np.zeros(30, dtype=np.uint8)), 0.5)
 
 
 @pytest.mark.parametrize(
     "enumerate_, message",
     [
         # C(60, 5) = 5,461,512 subsets
-        (lambda: posterior_mean_gss(np.zeros(60), 0.0, GssParams(N=60, k=5), 0.5), "subsets exceed budget"),
-        (lambda: posterior_mean_tpca(np.zeros((60, 60)), TpcaParams(n=60, k=5, d=2, lam=1.0)), "subsets exceed budget"),
+        (lambda: posterior_mean_for(GssParams(N=60, k=5), (np.zeros(60), 0.0), 0.5), "subsets exceed budget"),
+        (lambda: posterior_mean_for(TpcaParams(n=60, k=5, d=2, lam=1.0), np.zeros((60, 60)), 0.0), "subsets exceed budget"),
         # (12)_4 = 11,880 paths, so 11,880^2 pairs
         (lambda: count_overlap_pairs(np.zeros((15, 15), dtype=bool), 5, 1), "path pairs exceed budget"),
         # (18)_5 = 1,028,160 paths
@@ -185,16 +182,16 @@ def test_gss_uniform_posterior_at_full_noise():
     params = GssParams(N=16, k=3)
     inst = sample_instance(params, seed=9)
     yh = draw_noise_gss(inst.Y, 1.0, generator(10))
-    pm = posterior_mean_gss(inst.X, yh, params, rho=1.0)
-    assert np.all(pm.estimate == params.k / params.N)
+    pm = posterior_mean_for(params, (inst.X, yh), 1.0)
+    assert np.all(pm == params.k / params.N)
 
 
 def test_gss_noiseless_recovers_planted_subset():
     params = GssParams(N=16, k=3)
     for t in range(50):
         inst = sample_instance(params, seed=derive_seed(77, 0, t))
-        pm = posterior_mean_gss(inst.X, inst.Y, params, rho=0.0)
-        assert np.array_equal(pm.estimate, inst.signal_vector())
+        pm = posterior_mean_for(params, (inst.X, inst.Y), 0.0)
+        assert np.array_equal(pm, inst.signal_vector())
 
 
 def test_gss_noiseless_posterior_matches_the_row_scan():
@@ -203,26 +200,25 @@ def test_gss_noiseless_posterior_matches_the_row_scan():
         inst = sample_instance(GssParams(N=11, k=3 + t % 3), seed=derive_seed(41, 0, t))
         cases.append((inst.X, inst.Y, inst.params.k))
     for X, y_hat, k in cases:
-        pm = posterior_mean_gss(X, y_hat, GssParams(N=len(X), k=k), rho=0.0)
-        est, count = gss_exact_match_posterior_loop(X, y_hat, k)
-        assert [v.hex() for v in pm.estimate] == [v.hex() for v in est]
-        assert pm.log_partition == math.log(count)
+        pm = posterior_mean_for(GssParams(N=len(X), k=k), (X, y_hat), 0.0)
+        est, _ = gss_exact_match_posterior_loop(X, y_hat, k)
+        assert [v.hex() for v in pm] == [v.hex() for v in est]
 
 
 def test_gss_noiseless_inconsistent_input():
     params = GssParams(N=10, k=2)
     inst = sample_instance(params, seed=1)
     with pytest.raises(InconsistentInputError):
-        posterior_mean_gss(inst.X, inst.Y + 0.5, params, rho=0.0)
+        posterior_mean_for(params, (inst.X, inst.Y + 0.5), 0.0)
 
 
 def test_gss_posterior_matches_extended_precision_oracle():
     params = GssParams(N=14, k=3)
     inst = sample_instance(params, seed=31)
     yh = draw_noise_gss(inst.Y, 0.2, generator(32))
-    pm = posterior_mean_gss(inst.X, yh, params, rho=0.2)
+    pm = posterior_mean_for(params, (inst.X, yh), 0.2)
     oracle = gss_counting_weights_mpmath(inst.X, yh, 3, 0.2)
-    assert np.max(np.abs(oracle - pm.estimate)) <= 1e-10
+    assert np.max(np.abs(oracle - pm)) <= 1e-10
 
 
 def test_gss_log_space_robust_in_far_tail():
@@ -230,11 +226,11 @@ def test_gss_log_space_robust_in_far_tail():
     params = GssParams(N=12, k=3)
     inst = sample_instance(params, seed=6)
     far = 60.0
-    pm = posterior_mean_gss(inst.X, far, params, rho=0.25)
-    assert np.all(np.isfinite(pm.estimate))
-    assert math.isclose(pm.estimate.sum(), params.k, rel_tol=1e-9)
+    pm = posterior_mean_for(params, (inst.X, far), 0.25)
+    assert np.all(np.isfinite(pm))
+    assert math.isclose(pm.sum(), params.k, rel_tol=1e-9)
     oracle = gss_counting_weights_mpmath(inst.X, far, 3, 0.25)
-    assert np.max(np.abs(oracle - pm.estimate)) <= 1e-10
+    assert np.max(np.abs(oracle - pm)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +240,18 @@ def test_gss_log_space_robust_in_far_tail():
 def test_tpca_uniform_posterior_at_lambda_zero():
     params = TpcaParams(n=8, k=2, d=3, lam=0.0)
     inst = sample_instance(params, seed=11)
-    pm = posterior_mean_tpca(inst.Y, params)
+    pm = posterior_mean_for(params, inst.Y, 0.0)
     expected = (params.k / params.n) / math.sqrt(params.k)
-    assert np.allclose(pm.estimate, expected, atol=1e-12)
+    assert np.allclose(pm, expected, atol=1e-12)
 
 
 def test_tpca_posterior_matches_full_density_oracle():
     # the fast path drops the constant quadratic term; the oracle keeps it
     params = TpcaParams(n=9, k=2, d=3, lam=6.0)
     inst = sample_instance(params, seed=42)
-    pm = posterior_mean_tpca(inst.Y, params)
+    pm = posterior_mean_for(params, inst.Y, 0.0)
     oracle = tpca_full_density_posterior(inst.Y, 9, 2, 3, 6.0)
-    assert np.max(np.abs(oracle - pm.estimate)) <= 1e-10
+    assert np.max(np.abs(oracle - pm)) <= 1e-10
 
 
 def test_tpca_noisy_observation_equals_rescaled_model():
@@ -267,16 +263,16 @@ def test_tpca_noisy_observation_equals_rescaled_model():
     via_dispatch = posterior_mean_for(params, noisy, rho)
     lam_tilde = params.lam * (1 - rho**2)
     oracle = tpca_full_density_posterior(noisy, 8, 2, 3, lam_tilde)
-    assert np.max(np.abs(oracle - via_dispatch.estimate)) <= 1e-10
+    assert np.max(np.abs(oracle - via_dispatch)) <= 1e-10
 
 
 def test_tpca_posterior_matches_resampling_oracle():
     params = TpcaParams(n=10, k=2, d=3, lam=30.0)
     inst = sample_instance(params, seed=41)
-    pm = posterior_mean_tpca(inst.Y, params)
+    pm = posterior_mean_for(params, inst.Y, 0.0)
     oracle = tpca_resampling_posterior(inst.Y, 10, 2, 3, 30.0, samples=100_000, seed=6)
     # at this SNR both concentrate; compare with a loose Monte-Carlo allowance
-    assert np.max(np.abs(oracle - pm.estimate)) <= 0.05
+    assert np.max(np.abs(oracle - pm)) <= 0.05
 
 
 def test_tpca_overlap_distribution_uniform_case():
@@ -362,9 +358,9 @@ def test_nishimori_identity():
     for t in range(trials):
         inst = sample_instance(params, seed=derive_seed(10, 0, t))
         yh = draw_noise_rlc(inst.y, rho, generator(derive_seed(10, 1, t)))
-        pm = posterior_mean_rlc(inst.A, yh, rho)
-        norms[t] = pm.estimate @ pm.estimate
-        inners[t] = pm.estimate @ inst.x
+        pm = posterior_mean_for(params, (inst.A, yh), rho)
+        norms[t] = pm @ pm
+        inners[t] = pm @ inst.x
     se = math.sqrt(norms.var(ddof=1) / trials + inners.var(ddof=1) / trials)
     assert abs(norms.mean() - inners.mean()) <= 3 * se
 
@@ -408,9 +404,8 @@ def test_posterior_means_hex_equal_to_the_per_observation_enumeration(params, rh
         got = posterior_means(params, observations, rho)
         one = [posterior_mean_for(params, obs, rho) for obs in observations]
     want = [posterior_mean_loop(params, obs, rho) for obs in observations]
-    assert got.shape == (size, len(want[0][0]))
-    assert _hex(got) == _hex([est for est, _ in want]) == _hex([pm.estimate for pm in one])
-    assert _hex([pm.log_partition for pm in one]) == _hex([log_z for _, log_z in want])
+    assert got.shape == (size, len(want[0]))
+    assert _hex(got) == _hex(want) == _hex(one)
 
 
 @pytest.mark.parametrize(
@@ -426,7 +421,7 @@ def test_posterior_means_hex_equal_to_the_per_observation_enumeration(params, rh
 )
 def test_posterior_means_hex_equal_at_barrier_sizes(params, rho):
     observations = _observations(params, rho, 7, 37)
-    want = [posterior_mean_loop(params, obs, rho)[0] for obs in observations]
+    want = [posterior_mean_loop(params, obs, rho) for obs in observations]
     assert _hex(posterior_means(params, observations, rho)) == _hex(want)
 
 
@@ -437,7 +432,7 @@ def test_rlc_posterior_over_message_blocks(m, n):
     for rho in (0.0, 0.4):
         observations = _observations(params, rho, 12, 2)
         got = posterior_means(params, observations, rho)
-        assert _hex(got) == _hex([posterior_mean_loop(params, obs, rho)[0] for obs in observations])
+        assert _hex(got) == _hex([posterior_mean_loop(params, obs, rho) for obs in observations])
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (14, 10), (64, 6), (65, 6), (130, 5), (20, 17)])
@@ -482,6 +477,50 @@ def test_inconsistent_trial_in_a_batch_raises(params):
         posterior_mean_for(params, observations[4], 0.0)
 
 
+@pytest.mark.parametrize("size", [0, 1])
+@pytest.mark.parametrize("rho", [-0.5, 1.5, math.nan])
+@pytest.mark.parametrize(
+    "params",
+    [PspParams(n=6, L=3, q=0.3), RlcParams(m=6, n=4), GssParams(N=9, k=3), TpcaParams(n=8, k=2, d=3, lam=4.0)],
+    ids=model_name,
+)
+def test_posterior_rejects_rho_outside_the_unit_interval(params, rho, size):
+    # checked once at the entry, so also for an empty batch and for TPCA
+    observations = _observations(params, 0.5, 5, 1)[:size]
+    with pytest.raises(ParameterError, match=r"need rho in \[0,1\]"):
+        posterior_means(params, observations, rho)
+
+
+# (params, the mismatched observation made from a matching one, the shape params expect)
+_MISMATCHED = {
+    "psp-10-vertices": (PspParams(n=8, L=3, q=0.3), lambda obs: np.zeros((11, 11), dtype=bool), (9, 9)),
+    "psp-6-vertices": (PspParams(n=8, L=3, q=0.3), lambda obs: obs[:7, :7], (9, 9)),
+    "rlc-8x4": (RlcParams(m=6, n=4), lambda obs: (np.zeros((8, 4), dtype=np.uint8), obs[1]), (6, 4)),
+    "rlc-6x3": (RlcParams(m=6, n=4), lambda obs: (obs[0][:, :3], obs[1]), (6, 4)),
+    "rlc-y-hat": (RlcParams(m=6, n=4), lambda obs: (obs[0], obs[1][:5]), (6,)),
+    "gss-12": (GssParams(N=10, k=3), lambda obs: (np.zeros(12), obs[1]), (10,)),
+    "gss-8": (GssParams(N=10, k=3), lambda obs: (obs[0][:8], obs[1]), (10,)),
+    "tpca-n8": (TpcaParams(n=6, k=2, d=3, lam=4.0), lambda obs: np.zeros((8, 8, 8)), (6, 6, 6)),
+    "tpca-n5": (TpcaParams(n=6, k=2, d=3, lam=4.0), lambda obs: obs[:5, :5, :5], (6, 6, 6)),
+    "tpca-d3": (TpcaParams(n=6, k=2, d=2, lam=4.0), lambda obs: np.zeros((6, 6, 6)), (6, 6)),
+}
+
+
+@pytest.mark.parametrize("params, mismatch, shape", _MISMATCHED.values(), ids=_MISMATCHED)
+def test_observation_not_matching_params_raises(params, mismatch, shape):
+    # alone, and as trial 4 of a batch of 7, before the batch is stacked
+    observations = _observations(params, 0.5, 3, 7)
+    observations[4] = mismatch(observations[4])
+    expected = re.escape(f"expected {shape}")
+    with pytest.raises(ParameterError, match=expected):
+        posterior_mean_for(params, observations[4], 0.5)
+    with pytest.raises(ParameterError, match=expected):
+        posterior_means(params, observations, 0.5)
+    if isinstance(params, TpcaParams):
+        with pytest.raises(ParameterError, match=expected):
+            tpca_overlap_distribution(observations[4], [0, 1], params)
+
+
 def test_inconsistent_posterior_names_its_trial():
     # the rho=0 posterior of trial 5 has no support; the chunk is re-run one trial at a time
     params, bad = GssParams(N=8, k=2), 5
@@ -501,7 +540,7 @@ def test_rlc_posterior_at_n20_peaks_below_the_message_chunks():
     inst = sample_instance(RlcParams(m=30, n=20), seed=3)
     tracemalloc.start()
     try:
-        posterior_mean_rlc(inst.A, inst.y, 0.3)
+        posterior_mean_for(inst.params, (inst.A, inst.y), 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,7 +1,8 @@
 """Import checks with the stdlib ast.
 
 No module in src, tests or demos imports a name it never uses, only noise
-drives mc.run_trials, and src calls no numpy function newer than the numpy
+drives mc.run_trials, the posterior kernels are reached only through
+bayes._POSTERIORS, and src calls no numpy function newer than the numpy
 floor in pyproject.toml.
 """
 
@@ -62,6 +63,40 @@ def test_only_noise_drives_run_trials():
             if named or (isinstance(node, ast.Attribute) and node.attr == "run_trials"):
                 users.add(path.stem)
     assert users == {"noise"}
+
+
+# the posterior kernels; bayes.posterior_means is the one way into them, through bayes._POSTERIORS
+KERNELS = {"_psp_posteriors", "_rlc_posteriors", "_gss_posteriors", "_tpca_posteriors"}
+
+
+def kernel_references(source: str) -> list[int]:
+    """Lines that name a posterior kernel outside its definition and the _POSTERIORS table."""
+    tree = ast.parse(source)
+    table = {
+        id(node)
+        for assign in ast.walk(tree)
+        if isinstance(assign, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_POSTERIORS" for t in assign.targets)
+        for node in ast.walk(assign.value)
+    }
+    named = (
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in KERNELS) or (isinstance(node, ast.Attribute) and node.attr in KERNELS)
+    )
+    return sorted(node.lineno for node in named if id(node) not in table)
+
+
+def test_kernel_scan_finds_a_call_outside_the_table():
+    source = "def _gss_posteriors(p, o, r):\n    pass\n_POSTERIORS = {'gss': (_gss_posteriors, len)}\n"
+    assert kernel_references(source) == []
+    assert kernel_references(source + "x = _gss_posteriors(1, 2, 3)\ny = bayes._psp_posteriors\n") == [4, 5]
+
+
+def test_posterior_kernels_are_reached_only_through_the_table():
+    found = {str(p.relative_to(ROOT)): kernel_references(p.read_text(encoding="utf-8")) for p in FILES}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+    bayes = (ROOT / "src" / "plantedlab" / "bayes.py").read_text(encoding="utf-8")
+    assert {node.id for node in ast.walk(ast.parse(bayes)) if isinstance(node, ast.Name)} >= KERNELS
 
 
 # numpy functions src may call only when the pyproject floor is at least the version that added them

@@ -445,16 +445,6 @@ def test_random_rlc_polys_respect_bound():
         assert r.ratio <= rlc_stability_bound(poly.degree, rho) + 3 * r.stderr
 
 
-def test_poly_json_round_trips():
-    rng = generator(9)
-    rl = random_rlc_poly(RlcParams(m=5, n=4), 2, rng)
-    assert RlcPoly.from_json(rl.to_json()) == rl
-    gs = random_gss_poly(GssParams(N=8, k=2), 2, rng)
-    assert GssPoly.from_json(gs.to_json()) == gs
-    ps = random_psp_symmetric_poly(PspParams(n=8, L=3, q=0.3), 2, rng)
-    assert PspSymmetricPoly.from_json(ps.to_json()) == ps
-
-
 def test_degree_regime_warning():
     params = RlcParams(m=6, n=2)
     poly = RlcPoly(terms=((CharacterIndex.make(coords=[0, 1]), 1.0),))
