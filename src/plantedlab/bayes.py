@@ -48,6 +48,16 @@ def _check_shape(name: str, array, shape: tuple) -> None:
         raise ParameterError(f"{name} has shape {np.shape(array)}, expected {shape}")
 
 
+def _check_bits(name: str, array: np.ndarray) -> None:
+    if not ((array == 0) | (array == 1)).all():
+        raise ParameterError(f"{name} entries must be 0 or 1")
+
+
+def _check_finite(name: str, array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{name} must be finite")
+
+
 def _finite_or_inconsistent(log_weights: np.ndarray, what: str) -> None:
     if not np.all(np.any(log_weights > -np.inf, axis=-1)):
         raise InconsistentInputError(f"no {what} supports the observation at this noise level")
@@ -84,7 +94,9 @@ def _psp_posteriors(params: PspParams, adjacencies: Sequence[np.ndarray], rho: f
     n, L, q = params.n, params.L, params.q
     for adjacency in adjacencies:
         _check_shape("adjacency", adjacency, (n + 1, n + 1))
-    edge_present = edge_vector_from_adjacency(np.stack(adjacencies)).astype(float)
+    stacked = np.stack(adjacencies)
+    _check_bits("adjacency", stacked)
+    edge_present = edge_vector_from_adjacency(stacked).astype(float)
     path_idx = path_edge_indices(n, L)
     m_in = edge_present[:, path_idx].sum(axis=2)  # edges of each H present in each graph
     p1 = 1.0 - rho * (1.0 - q)
@@ -169,7 +181,10 @@ def _rlc_posteriors(params: RlcParams, observations: Sequence, rho: float) -> np
     if 2**n > RLC_ENUM_BUDGET:
         raise ResourceBudgetError(f"2^{n} messages exceed budget {RLC_ENUM_BUDGET}")
     A = np.stack([obs[0] for obs in observations])
-    y_hat = np.stack([np.asarray(obs[1], dtype=np.uint8) for obs in observations])
+    y_hat = np.stack([obs[1] for obs in observations])
+    _check_bits("A", A)
+    _check_bits("y_hat", y_hat)
+    y_hat = y_hat.astype(np.uint8)
     counts, ones = (profile.astype(float) for profile in _rlc_profiles(A, y_hat))
     if rho == 0.0:
         if not counts[:, 0].all():
@@ -199,11 +214,14 @@ def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> np
     over sorted indices) reproduces y_hat bit-exactly.
     """
     N, k = params.N, params.k
-    for X_t, _ in observations:
+    for X_t, y_hat_t in observations:
         _check_shape("X", X_t, (N,))
+        _check_shape("y_hat", y_hat_t, ())
     combos = subsets(N, k)
     X = np.stack([np.asarray(obs[0], dtype=float) for obs in observations])
     y_hat = np.array([obs[1] for obs in observations], dtype=float)[:, None]
+    _check_finite("X", X)
+    _check_finite("y_hat", y_hat)
     if rho == 0.0:
         hits = subset_sums(X, combos) == y_hat
         found = hits.sum(axis=1)
@@ -235,6 +253,7 @@ def _tpca_log_weights(tensors: Sequence[np.ndarray], params: TpcaParams) -> tupl
     scale = math.sqrt(params.lam) * k ** (-d / 2.0)
     corners = np.indices((k,) * d).reshape(d, -1).T  # positions in a support's block, C order
     flat = np.stack(tensors).reshape(len(tensors), -1)
+    _check_finite("Y", flat)
     lw = np.empty((len(tensors), len(combos)))
     for b in _blocks(len(combos), 8 * k**d * (len(tensors) + d)):
         entries = combos[b][:, corners] @ n ** np.arange(d - 1, -1, -1)

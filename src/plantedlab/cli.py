@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -28,7 +29,7 @@ from .mc import mean_stderr
 from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_json, sample_instance
 from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, derive_seeds, generator
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
-from .stability import ESTIMATORS, measure_stability, verify_barrier
+from .stability import ESTIMATORS, measure_stabilities, stability_outcomes, verify_barrier
 
 CSV_HEADER = ["model", "params_json", "rho", "trials", "metric", "value", "stderr"]
 # config field -> its JSON type (models.check_json_types); model, params and output may also be null
@@ -226,10 +227,13 @@ def _estimator_rows(rep, blob: str, rho, *extra: tuple) -> list[Row]:
 def _cmd_stability(config: ExperimentConfig, opts: dict):
     params = config.model_params()
     blob = _params_blob(params)
+    outcomes = [stability_outcomes(config.estimators, params, rho, config.trials, config.seed) for rho in config.rho_grid]
     rows = []
-    for name in config.estimators:
-        for rho in config.rho_grid:
-            rep = measure_stability(name, params, rho, config.trials, config.seed)
+    for i in range(len(config.estimators)):  # estimator-major, so the first failure in that order is raised
+        for rho, per_rho in zip(config.rho_grid, outcomes):
+            rep = per_rho[i]  # present: a shorter list ends in the failure of an earlier estimator
+            if isinstance(rep, Exception):
+                raise rep
             rows += _estimator_rows(rep, blob, rho, ("estimator_norm", rep.estimator_norm_hat, rep.norm_stderr))
     return rows, None
 
@@ -241,8 +245,7 @@ def _cmd_barrier(config: ExperimentConfig, opts: dict):
     for rho in config.rho_grid:
         (mmse,) = estimate_mmse_curve(params, [rho], config.trials, config.seed)
         rows.append(Row(mmse.model, blob, rho, mmse.trials, "mmse_rho", mmse.mmse_hat, mmse.stderr))
-        for name in config.estimators:
-            stab = measure_stability(name, params, rho, config.trials, config.seed)
+        for stab in measure_stabilities(config.estimators, params, rho, config.trials, config.seed):
             check = verify_barrier(stab, mmse)
             margin = ("barrier_margin", check.margin, check.combined_stderr)
             rows += _estimator_rows(stab, blob, rho, margin, ("barrier_holds", float(check.holds), 0.0))
@@ -419,6 +422,7 @@ def run(config: ExperimentConfig) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=None)  # parse_args leaves the parser as it was, so one serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plantedlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

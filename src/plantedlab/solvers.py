@@ -135,24 +135,29 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _gram_det(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of the Gram matrix."""
-    n = len(rows)
-    g = [[_dot(rows[i], rows[j]) for j in range(n)] for i in range(n)]
-    denom = 1
+def _bareiss_det(g: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free (Bareiss) elimination; g is overwritten."""
+    n = len(g)
+    sign, denom = 1, 1
     for k in range(n - 1):
         if g[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if g[r][k] != 0), None)
             if swap is None:
                 return 0
             g[k], g[swap] = g[swap], g[k]
-            for r in range(n):
-                g[r][k], g[r][swap] = g[r][swap], g[r][k]
+            sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 g[i][j] = _exact_div(g[i][j] * g[k][k] - g[i][k] * g[k][j], denom)
         denom = g[k][k]
-    return g[n - 1][n - 1]
+    return sign * g[n - 1][n - 1]
+
+
+def _gram_det(rows: list[list[int]]) -> int:
+    """det(B B^T) of the basis rows B: det(B)^2 when B is square, else the determinant of the Gram matrix."""
+    if all(len(row) == len(rows) for row in rows):
+        return _bareiss_det([list(row) for row in rows]) ** 2
+    return _bareiss_det([[_dot(u, v) for v in rows] for u in rows])
 
 
 def lll_reduce(basis: Sequence[Sequence[int]], delta: float = 0.75) -> list[list[int]]:

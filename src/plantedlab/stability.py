@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .bayes import MmseReport, posterior_means, stack_rows
-from .errors import EstimatorTrialError, ParameterError
+from .errors import EstimatorTrialError, IllConditionedError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
 from .models import PspParams, model_name, pair_ids, path_indicator, vertex_pairs
 from .noise import CoupledTrials
@@ -148,6 +148,112 @@ class StabilityReport:
     norm_stderr: float
 
 
+def _second_moments(fn: Callable, start: int, clean: list, noisy: list, signals: list) -> list:
+    """(|a - b|^2, |a - x|^2, |a|^2) of each trial from a = fn(clean), b = fn(noisy), x the signal.
+
+    Both arms go through fn in one call.  When that call raises or gives
+    non-finite output, the run is re-run one trial at a time, in trial order,
+    and EstimatorTrialError names the first trial that fails.
+    """
+    try:
+        out = np.asarray(fn(clean + noisy), dtype=float)
+        if out.ndim != 2 or len(out) != 2 * len(clean):
+            raise ValueError(f"estimator gave shape {out.shape} for {2 * len(clean)} observations")
+        if not np.isfinite(out).all():
+            raise ValueError("non-finite estimator output")
+    except Exception as exc:  # noqa: BLE001 - abort with the index of the first trial that fails
+        if len(clean) > 1:  # re-run the run one trial at a time, in trial order
+            for i in range(len(clean)):
+                _second_moments(fn, start + i, clean[i:i + 1], noisy[i:i + 1], signals[i:i + 1])
+        raise EstimatorTrialError(start, exc) from exc
+    a, b = np.split(out, 2)
+    d = a - b
+    e = a - signals
+    return [(float(x @ x), float(y @ y), float(z @ z)) for x, y, z in zip(d, e, a)]
+
+
+def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list:
+    """measure_stability of each estimator in order, from one coupled pass, up to the first that fails.
+
+    Each entry is a StabilityReport, except that the last may be the
+    exception that measure_stability raises for that estimator; the
+    estimators after it are not run.
+    """
+    names = [e if isinstance(e, str) else getattr(e, "__name__", "custom") for e in estimators]
+    fns, failed = [], []
+    for estimator in estimators:
+        try:
+            fns.append(resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator)
+        except ParameterError as err:  # raised in estimator order, after the earlier estimators' errors
+            failed.append(err)
+            break
+    if not fns:
+        return failed
+    moments = [[] for _ in fns]
+
+    def chunk(start: int, instances: list, noisy: list) -> list:
+        clean = [inst.observation for inst in instances]
+        signals = [inst.signal_vector() for inst in instances]
+        for i, fn in enumerate(fns):
+            try:
+                moments[i] += _second_moments(fn, start, clean, noisy, signals)
+            except EstimatorTrialError as err:
+                # only the first estimator that fails can be reported, so the later ones stop too
+                del fns[i:], moments[i:]
+                failed[:] = [err]
+                if not fns:
+                    raise
+                break
+        return []
+
+    try:
+        CoupledTrials(params, rho, seed, trials).map(chunk)
+    except EstimatorTrialError as err:  # the first estimator failed, and nothing is left to run
+        return [err]
+    out = []
+    for name, rows in zip(names, moments):
+        diffs, errs, norms = np.array(rows).T
+        try:
+            eta_hat, eta_stderr = ratio_with_stderr(diffs, norms)
+        except IllConditionedError as err:  # e.g. an all-zero estimator
+            return out + [err]
+        mse_hat, mse_stderr = mean_stderr(errs)
+        norm_hat, norm_stderr = mean_stderr(norms)
+        out.append(
+            StabilityReport(
+                model=model_name(params),
+                params=params,
+                estimator=name,
+                rho=float(rho),
+                trials=trials,
+                eta_hat=eta_hat,
+                eta_stderr=eta_stderr,
+                mse_hat=mse_hat,
+                mse_stderr=mse_stderr,
+                estimator_norm_hat=norm_hat,
+                norm_stderr=norm_stderr,
+            )
+        )
+    return out + failed
+
+
+def measure_stabilities(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list[StabilityReport]:
+    """measure_stability of each estimator, all scored on one pass over the coupled trials.
+
+    Each chunk of trials is drawn once and every estimator runs on it, so each
+    report equals measure_stability(estimator, params, rho, trials, seed) bit
+    for bit.  Raises what the per-estimator loop raises first: the error of
+    the first estimator, in the given order, that fails (at its first failing
+    trial) or whose reduction is ill-conditioned.  An estimator that fails is
+    not run on later chunks.
+    """
+    outcomes = stability_outcomes(estimators, params, rho, trials, seed)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
 def measure_stability(
     estimator,
     params,
@@ -159,46 +265,11 @@ def measure_stability(
 
     estimator is a registry name or a batch estimator like those of ESTIMATORS.
     Each trial replays one coupled noise draw against both arms; the
-    output-norm denominator uses the clean arm only.
+    output-norm denominator uses the clean arm only.  The one-estimator case
+    of measure_stabilities.
     """
-    name = estimator if isinstance(estimator, str) else getattr(estimator, "__name__", "custom")
-    fn = resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator
-
-    def chunk(start: int, instances: list, noisy: list) -> list:
-        clean = [inst.observation for inst in instances]
-        try:
-            out = np.asarray(fn(clean + noisy), dtype=float)
-            if out.ndim != 2 or len(out) != 2 * len(clean):
-                raise ValueError(f"estimator gave shape {out.shape} for {2 * len(clean)} observations")
-            if not np.isfinite(out).all():
-                raise ValueError("non-finite estimator output")
-        except Exception as exc:  # noqa: BLE001 - abort with the index of the first trial that fails
-            if len(clean) > 1:  # re-run the chunk one trial at a time, in trial order
-                for i in range(len(clean)):
-                    chunk(start + i, instances[i:i + 1], noisy[i:i + 1])
-            raise EstimatorTrialError(start, exc) from exc
-        a, b = np.split(out, 2)
-        d = a - b
-        e = a - [inst.signal_vector() for inst in instances]
-        return [(float(x @ x), float(y @ y), float(z @ z)) for x, y, z in zip(d, e, a)]
-
-    diffs, errs, norms = np.array(CoupledTrials(params, rho, seed, trials).map(chunk)).T
-    eta_hat, eta_stderr = ratio_with_stderr(diffs, norms)
-    mse_hat, mse_stderr = mean_stderr(errs)
-    norm_hat, norm_stderr = mean_stderr(norms)
-    return StabilityReport(
-        model=model_name(params),
-        params=params,
-        estimator=name,
-        rho=float(rho),
-        trials=trials,
-        eta_hat=eta_hat,
-        eta_stderr=eta_stderr,
-        mse_hat=mse_hat,
-        mse_stderr=mse_stderr,
-        estimator_norm_hat=norm_hat,
-        norm_stderr=norm_stderr,
-    )
+    (report,) = measure_stabilities([estimator], params, rho, trials, seed)
+    return report
 
 
 # ---------------------------------------------------------------------------

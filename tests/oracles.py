@@ -8,8 +8,9 @@ subset scans and the per-path census weights check the cached enumerations
 in models, and the (A, x, mask) loop checks the closed-form RLC character
 correlation.  The per-observation posterior enumerations (the RLC message
 profile 65,536 messages at a time, the TPCA np.ix_ block per support)
-check the batched posterior kernels, and the per-bit row packing checks
-the GF(2) solvers' packing.  numpy's own SeedSequence checks the batch seed
+check the batched posterior kernels, the per-bit row packing checks
+the GF(2) solvers' packing, and the Gram-matrix Bareiss determinant checks
+the LLL input determinant.  numpy's own SeedSequence checks the batch seed
 derivation, and the per-trial polynomial evaluations and the per-trial
 MMSE, estimator-stability and polynomial-stability loops check the batched
 ones, which CoupledTrials.map runs EVAL_CHUNK trials at a time.  The
@@ -304,6 +305,28 @@ def f2_rank_loop(A: np.ndarray) -> int:
         if r:
             basis.append(r)
     return len(basis)
+
+
+def gram_det_loop(rows: list[list[int]]) -> int:
+    """det(B B^T) by fraction-free (Bareiss) elimination of the Gram matrix, pivoting rows and columns together."""
+    n = len(rows)
+    g = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(n)] for i in range(n)]
+    denom = 1
+    for k in range(n - 1):
+        if g[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if g[r][k] != 0), None)
+            if swap is None:
+                return 0
+            g[k], g[swap] = g[swap], g[k]
+            for r in range(n):
+                g[r][k], g[r][swap] = g[r][swap], g[r][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = divmod(g[i][j] * g[k][k] - g[i][k] * g[k][j], denom)
+                assert r == 0, "inexact Bareiss division"
+                g[i][j] = q
+        denom = g[k][k]
+    return g[n - 1][n - 1]
 
 
 def full_rank_rlc_loop(params, seed: int, t: int):

@@ -49,7 +49,7 @@ from plantedlab.solvers import (
     lll_subset_sum,
     shortest_path,
 )
-from plantedlab.stability import measure_stability, verify_barrier
+from plantedlab.stability import measure_stabilities, verify_barrier
 
 from oracles import all_simple_paths, f2_solution_set
 
@@ -76,12 +76,11 @@ def test_criterion_01_barrier_inequality_grid():
     for params, estimators, rhos in grid:
         for rho in rhos:
             (mmse,) = estimate_mmse_curve(params, [rho], trials, seed=101)
-            for name in estimators:
-                stab = measure_stability(name, params, rho, trials, seed=202)
+            for stab in measure_stabilities(estimators, params, rho, trials, seed=202):
                 check = verify_barrier(stab, mmse)
                 cells += 1
                 if not check.holds:
-                    failures.append((type(params).__name__, name, rho, check.margin, check.combined_stderr))
+                    failures.append((type(params).__name__, stab.estimator, rho, check.margin, check.combined_stderr))
     elapsed = time.time() - t0
     ok = cells >= 12 and not failures and elapsed <= 600
     report(1, ok, f"{cells} cells, 0 violations, {elapsed:.0f}s" if ok else f"failures={failures}, {elapsed:.0f}s")

@@ -521,6 +521,45 @@ def test_observation_not_matching_params_raises(params, mismatch, shape):
             tpca_overlap_distribution(observations[4], [0, 1], params)
 
 
+def _with_entry(array, index, value):
+    out = np.array(array, dtype=float)
+    out[index] = value
+    return out
+
+
+# (params, the out-of-model observation made from a valid one, the error it raises)
+_OUT_OF_MODEL = {
+    "psp-twice-the-adjacency": (PspParams(n=6, L=3, q=0.3), lambda obs: 2 * obs, "adjacency entries must be 0 or 1"),
+    "rlc-three-times-y-hat": (RlcParams(m=6, n=4), lambda obs: (obs[0], 3 * obs[1]), "y_hat entries must be 0 or 1"),
+    "rlc-A-entry-2": (RlcParams(m=6, n=4), lambda obs: (_with_entry(obs[0], (0, 0), 2), obs[1]), "A entries"),
+    "rlc-y-hat-entry-half": (RlcParams(m=6, n=4), lambda obs: (obs[0], _with_entry(obs[1], 2, 0.5)), "y_hat entries"),
+    "gss-nan-y-hat": (GssParams(N=10, k=3), lambda obs: (obs[0], math.nan), "y_hat must be finite"),
+    "gss-inf-y-hat": (GssParams(N=10, k=3), lambda obs: (obs[0], -math.inf), "y_hat must be finite"),
+    "gss-inf-X": (GssParams(N=10, k=3), lambda obs: (_with_entry(obs[0], 3, math.inf), obs[1]), "X must be finite"),
+    "gss-nan-X": (GssParams(N=10, k=3), lambda obs: (_with_entry(obs[0], 0, math.nan), obs[1]), "X must be finite"),
+    "gss-one-element-y-hat": (GssParams(N=10, k=3), lambda obs: (obs[0], np.array([obs[1]])), re.escape("expected ()")),
+    "tpca-nan-Y": (TpcaParams(n=6, k=2, d=3, lam=4.0), lambda obs: _with_entry(obs, (1, 2, 3), math.nan), "Y must be finite"),
+    "tpca-inf-Y": (TpcaParams(n=6, k=2, d=3, lam=4.0), lambda obs: _with_entry(obs, (0, 0, 0), math.inf), "Y must be finite"),
+}
+
+
+@pytest.mark.parametrize("params, corrupt, message", _OUT_OF_MODEL.values(), ids=_OUT_OF_MODEL)
+def test_observation_outside_the_model_raises(params, corrupt, message):
+    # alone, and as trial 4 of a batch of 7: a typed error, not a NaN or a silently misread estimate
+    observations = _observations(params, 0.5, 3, 7)
+    posterior_mean_for(params, observations[4], 0.5)
+    bad = corrupt(observations[4])
+    assert repr(bad) != repr(observations[4])
+    observations[4] = bad
+    with pytest.raises(ParameterError, match=message):
+        posterior_mean_for(params, bad, 0.5)
+    with pytest.raises(ParameterError, match=message):
+        posterior_means(params, observations, 0.5)
+    if isinstance(params, TpcaParams):
+        with pytest.raises(ParameterError, match=message):
+            tpca_overlap_distribution(bad, [0, 1], params)
+
+
 def test_inconsistent_posterior_names_its_trial():
     # the rho=0 posterior of trial 5 has no support; the chunk is re-run one trial at a time
     params, bad = GssParams(N=8, k=2), 5

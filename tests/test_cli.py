@@ -1,4 +1,5 @@
 import argparse
+import collections
 import json
 import re
 import subprocess
@@ -6,12 +7,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plantedlab.cli import COMMAND_TABLE, COMMANDS, CSV_HEADER, REQUIRED, ExperimentConfig, _build_parser, main, run
 from plantedlab.counting import sample_null_graph
 from plantedlab.models import MODEL_NAMES
+from plantedlab.noise import CoupledTrials
 from plantedlab.rng import derive_seed
+from plantedlab.stability import ESTIMATORS
 
 
 def read(path):
@@ -250,6 +254,61 @@ def test_barrier_command(tmp_path):
     for row in csvmod.DictReader(io.StringIO(text)):
         if row["metric"].startswith("barrier_holds"):
             assert row["value"] == "1.0"
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    assert main(["mmse-curve", "--model", "nope"]) == 2
+    first = capsys.readouterr().err
+    assert main(["mmse-curve", "--model", "nope"]) == 2
+    assert capsys.readouterr().err == first and "invalid choice" in first
+    out = tmp_path / "m"
+    argv = ["mmse-curve", "--model", "gss", "--params", '{"N":6,"k":2}', "--rho-grid", "0.5", "--trials", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*argv[:1], *argv[3:], "--out", str(out)]) == 2  # no --model left over from the call before
+    assert main(["--help"]) == 0
+
+
+def test_barrier_draws_each_trial_twice_per_rho(tmp_path, monkeypatch):
+    # per rho, one MMSE pass and one stability pass that scores all three estimators
+    drawn = collections.Counter()
+    draw = CoupledTrials.__getitem__
+
+    def counted(self, t):
+        drawn[t] += 1
+        return draw(self, t)
+
+    monkeypatch.setattr(CoupledTrials, "__getitem__", counted)
+    argv = [
+        "barrier", "--model", "rlc", "--params", '{"m":8,"n":5}', "--rho-grid", "0.3,0.6", "--trials", "20",
+        "--estimators", "posterior_mean,f2_round,constant_prior_mean", "--out", str(tmp_path / "b"),
+    ]
+    assert main(argv) == 0
+    assert drawn == {t: 2 * 2 for t in range(20)}
+
+
+def test_stability_command_raises_the_first_failure_in_estimator_order(tmp_path, monkeypatch, capsys):
+    # rows are estimator-major, and so is the failure reported: "late" fails at the second rho only and
+    # "early" at the first only, and "late" comes first in the list
+    def failing_at(bad_rho, message):
+        def factory(params, rho):
+            def run(observations):
+                if rho == bad_rho:
+                    raise ValueError(message)
+                return np.ones((len(observations), params.N))
+
+            return run
+
+        return factory
+
+    monkeypatch.setitem(ESTIMATORS, "late", failing_at(0.6, "late fails at rho 0.6"))
+    monkeypatch.setitem(ESTIMATORS, "early", failing_at(0.3, "early fails at rho 0.3"))
+    argv = [
+        "stability", "--model", "gss", "--params", '{"N":6,"k":2}', "--rho-grid", "0.3,0.6", "--trials", "5",
+        "--estimators", "late,early", "--out", str(tmp_path / "s"),
+    ]
+    assert main(argv) == 1
+    assert "late fails at rho 0.6" in capsys.readouterr().err
 
 
 def test_pca_window_command(tmp_path):

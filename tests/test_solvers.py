@@ -8,16 +8,25 @@ from plantedlab.models import GssParams, sample_instance
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import (
     LllConfig,
+    _gram_det,
+    _pack_rows,
+    _truncate,
     exhaustive_subset_sum,
     f2_rank,
-    _pack_rows,
     f2_solve,
     lll_reduce,
     lll_subset_sum,
     shortest_path,
 )
 
-from oracles import all_simple_paths, exhaustive_subset_sum_loop, f2_solution_set, lattice_coordinates, pack_rows_loop
+from oracles import (
+    all_simple_paths,
+    exhaustive_subset_sum_loop,
+    f2_solution_set,
+    gram_det_loop,
+    lattice_coordinates,
+    pack_rows_loop,
+)
 
 
 def adjacency_from_edges(n, edges):
@@ -164,6 +173,36 @@ def test_lll_dependent_rows_raise():
 def test_lll_bad_delta():
     with pytest.raises(ParameterError):
         lll_reduce([[1, 0], [0, 1]], delta=0.2)
+
+
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda n: st.integers(1, 7).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(-(2**60), 2**60) | st.integers(-3, 3), min_size=m, max_size=m),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    ),
+    repeat=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_gram_det_equals_the_gram_matrix_bareiss(rows, repeat):
+    # square bases take det(B)^2, the others the Gram matrix; repeat makes a dependent basis
+    if repeat:
+        rows = rows + [list(rows[0])]
+    assert _gram_det(rows) == gram_det_loop(rows)
+
+
+def test_gram_det_of_subset_sum_bases():
+    # the square Lagarias-Odlyzko bases that lll_subset_sum reduces at N=20, 48 fractional bits
+    for seed in range(40):
+        inst = sample_instance(GssParams(N=20, k=3), derive_seed(seed, 0))
+        values = [_truncate(v, 48) for v in (*inst.X, inst.Y)]
+        rows = [[int(i == j) for j in range(20)] + [2**24 * values[i]] for i in range(20)]
+        rows.append([0] * 20 + [2**24 * values[20]])
+        assert _gram_det(rows) == gram_det_loop(rows) > 0
 
 
 @given(st.integers(min_value=0, max_value=10**9))

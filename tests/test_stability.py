@@ -15,6 +15,7 @@ from plantedlab.rng import generator
 from plantedlab.stability import (
     ESTIMATORS,
     barrier_penalty,
+    measure_stabilities,
     measure_stability,
     prior_mean_vector,
     resolve_estimator,
@@ -258,6 +259,85 @@ def test_measure_stability_bit_identical_to_trial_loop(model, name):
     r = measure_stability(name, params, 0.5, trials, seed=9)
     got = (r.eta_hat, r.eta_stderr, r.mse_hat, r.mse_stderr, r.estimator_norm_hat, r.norm_stderr)
     assert _hex(got) == _hex(measure_stability_loop(lambda obs: fn([obs])[0], params, 0.5, trials, 9))
+
+
+# the estimators of each model's criterion-01 cells
+CRITERION_01_ESTIMATORS = {
+    "psp": ["posterior_mean", "shortest_path_indicator", "constant_prior_mean"],
+    "rlc": ["posterior_mean", "f2_round", "constant_prior_mean"],
+    "gss": ["posterior_mean", "constant_prior_mean"],
+    "tpca": ["posterior_mean", "constant_prior_mean"],
+}
+
+
+@pytest.mark.parametrize("model", DIFFERENTIAL_PARAMS)
+def test_measure_stabilities_bit_identical_to_trial_loop(model):
+    # one shared pass scores every estimator of a cell as the per-estimator trial loop does
+    params, trials, names = DIFFERENTIAL_PARAMS[model], EVAL_CHUNK + 37, CRITERION_01_ESTIMATORS[model]
+    reports = measure_stabilities(names, params, 0.5, trials, seed=9)
+    assert [r.estimator for r in reports] == names
+    for r, name in zip(reports, names):
+        fn = resolve_estimator(name, params, 0.5)
+        got = (r.eta_hat, r.eta_stderr, r.mse_hat, r.mse_stderr, r.estimator_norm_hat, r.norm_stderr)
+        assert _hex(got) == _hex(measure_stability_loop(lambda obs: fn([obs])[0], params, 0.5, trials, 9))
+        assert r == measure_stability(name, params, 0.5, trials, seed=9)
+
+
+def _failing_at(params, rho: float, seed: int, trials: int, bad_trial: int, calls: list):
+    """A batch estimator of ones that raises on trial bad_trial's clean arm, logging each batch size in calls."""
+    bad_Y = CoupledTrials(params, rho, seed, trials)[bad_trial][0].Y
+
+    def flaky(observations):
+        calls.append(len(observations))
+        if any(Y == bad_Y for _, Y in observations):
+            raise ValueError(f"trial {bad_trial}")
+        return np.ones((len(observations), params.N))
+
+    return flaky
+
+
+def test_measure_stabilities_raises_the_first_estimator_failure_in_order():
+    # estimator 2 fails at an earlier trial than estimator 1; estimator 1's error is raised, with its own trial
+    params, trials = GssParams(N=8, k=2), EVAL_CHUNK + 37
+    second_calls = []
+    first = _failing_at(params, 0.3, 6, trials, EVAL_CHUNK + 5, [])
+    second = _failing_at(params, 0.3, 6, trials, 3, second_calls)
+    with pytest.raises(EstimatorTrialError) as err:
+        measure_stabilities([first, "constant_prior_mean", second], params, 0.3, trials, seed=6)
+    assert err.value.trial == EVAL_CHUNK + 5 and f"ValueError('trial {EVAL_CHUNK + 5}')" in str(err.value)
+    with pytest.raises(EstimatorTrialError) as err:
+        measure_stability(first, params, 0.3, trials, seed=6)
+    assert err.value.trial == EVAL_CHUNK + 5
+    # estimator 2 ran on the first chunk (one batch, then one trial at a time up to trial 3) and not after
+    assert second_calls == [2 * EVAL_CHUNK, 2, 2, 2, 2]
+    with pytest.raises(EstimatorTrialError) as err:
+        measure_stabilities(["constant_prior_mean", second, first], params, 0.3, trials, seed=6)
+    assert err.value.trial == 3
+
+
+def test_measure_stabilities_raises_ill_conditioned_before_a_later_trial_failure():
+    # an all-zero estimator 1 is ill-conditioned; estimator 2's trial failure comes after it in order
+    params, trials = GssParams(N=8, k=2), 30
+
+    def zero(observations):
+        return np.zeros((len(observations), params.N))
+
+    second = _failing_at(params, 0.3, 6, trials, 3, [])
+    with pytest.raises(IllConditionedError):
+        measure_stabilities([zero, second], params, 0.3, trials, seed=6)
+    with pytest.raises(EstimatorTrialError):
+        measure_stabilities([second, zero], params, 0.3, trials, seed=6)
+
+
+def test_measure_stabilities_reports_an_estimator_of_another_model_in_order():
+    # f2_round is a linear-code estimator: its ParameterError comes after an earlier estimator's failure,
+    # and ahead of the reports of the estimators before it
+    params = GssParams(N=8, k=2)
+    flaky = _failing_at(params, 0.3, 6, 20, 4, [])
+    with pytest.raises(EstimatorTrialError):
+        measure_stabilities([flaky, "f2_round"], params, 0.3, 20, seed=6)
+    with pytest.raises(ParameterError, match="linear-code"):
+        measure_stabilities(["constant_prior_mean", "f2_round", flaky], params, 0.3, 20, seed=6)
 
 
 @pytest.mark.parametrize(
