@@ -7,21 +7,21 @@ against the planted truth on a handful of draws.
 
 from plantedlab.models import GssParams, PspParams, RlcParams, sample_instance
 from plantedlab.rng import derive_seed
-from plantedlab.solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
+from plantedlab.solvers import LllConfig
+from plantedlab.stability import solver_recovers
 
 print("shortest path on the planted-path model (n=12, L=3, q=0.1):")
 hits = 0
 for t in range(20):
     inst = sample_instance(PspParams(n=12, L=3, q=0.1), seed=derive_seed(1, 0, t))
-    hits += shortest_path(inst.adjacency) == inst.path
+    hits += solver_recovers(inst)
 print(f"  exact path recovery: {hits}/20")
 
 print("\nGF(2) elimination on the linear-code model (m=14, n=10):")
 hits = 0
 for t in range(20):
     inst = sample_instance(RlcParams(m=14, n=10), seed=derive_seed(2, 0, t))
-    sol = f2_solve(inst.A, inst.y)
-    hits += sol.kind == "unique" and (sol.particular == inst.x).all()
+    hits += solver_recovers(inst)
 print(f"  exact message recovery: {hits}/20")
 
 print("\nlattice reduction on the subset-sum model (N=20, k=3, 128-bit tolerance):")
@@ -29,5 +29,5 @@ cfg = LllConfig(bits=128)
 hits = 0
 for t in range(20):
     inst = sample_instance(GssParams(N=20, k=3), seed=derive_seed(3, 0, t))
-    hits += lll_subset_sum(inst.X, inst.Y, 3, cfg) == inst.S
+    hits += solver_recovers(inst, cfg)
 print(f"  exact subset recovery: {hits}/20")

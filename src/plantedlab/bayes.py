@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    check_bits,
+    check_finite,
+    check_shape,
     edge_vector_from_adjacency,
     model_name,
     path_edge_indices,
@@ -41,21 +44,6 @@ def _blocks(total: int, unit_bytes: int) -> list[slice]:
     """Consecutive slices of range(total), each as many units of unit_bytes as fit EVAL_CHUNK_BYTES (at least one)."""
     size = max(1, EVAL_CHUNK_BYTES // max(unit_bytes, 1))
     return [slice(start, start + size) for start in range(0, total, size)]
-
-
-def _check_shape(name: str, array, shape: tuple) -> None:
-    if np.shape(array) != shape:
-        raise ParameterError(f"{name} has shape {np.shape(array)}, expected {shape}")
-
-
-def _check_bits(name: str, array: np.ndarray) -> None:
-    if not ((array == 0) | (array == 1)).all():
-        raise ParameterError(f"{name} entries must be 0 or 1")
-
-
-def _check_finite(name: str, array: np.ndarray) -> None:
-    if not np.isfinite(array).all():
-        raise ParameterError(f"{name} must be finite")
 
 
 def _finite_or_inconsistent(log_weights: np.ndarray, what: str) -> None:
@@ -93,9 +81,9 @@ def _psp_posteriors(params: PspParams, adjacencies: Sequence[np.ndarray], rho: f
     """
     n, L, q = params.n, params.L, params.q
     for adjacency in adjacencies:
-        _check_shape("adjacency", adjacency, (n + 1, n + 1))
+        check_shape("adjacency", adjacency, (n + 1, n + 1))
     stacked = np.stack(adjacencies)
-    _check_bits("adjacency", stacked)
+    check_bits("adjacency", stacked)
     edge_present = edge_vector_from_adjacency(stacked).astype(float)
     path_idx = path_edge_indices(n, L)
     m_in = edge_present[:, path_idx].sum(axis=2)  # edges of each H present in each graph
@@ -176,14 +164,14 @@ def _rlc_posteriors(params: RlcParams, observations: Sequence, rho: float) -> np
     """
     m, n = params.m, params.n
     for A_t, y_hat_t in observations:
-        _check_shape("A", A_t, (m, n))
-        _check_shape("y_hat", y_hat_t, (m,))
+        check_shape("A", A_t, (m, n))
+        check_shape("y_hat", y_hat_t, (m,))
     if 2**n > RLC_ENUM_BUDGET:
         raise ResourceBudgetError(f"2^{n} messages exceed budget {RLC_ENUM_BUDGET}")
     A = np.stack([obs[0] for obs in observations])
     y_hat = np.stack([obs[1] for obs in observations])
-    _check_bits("A", A)
-    _check_bits("y_hat", y_hat)
+    check_bits("A", A)
+    check_bits("y_hat", y_hat)
     y_hat = y_hat.astype(np.uint8)
     counts, ones = (profile.astype(float) for profile in _rlc_profiles(A, y_hat))
     if rho == 0.0:
@@ -215,13 +203,13 @@ def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> np
     """
     N, k = params.N, params.k
     for X_t, y_hat_t in observations:
-        _check_shape("X", X_t, (N,))
-        _check_shape("y_hat", y_hat_t, ())
+        check_shape("X", X_t, (N,))
+        check_shape("y_hat", y_hat_t, ())
     combos = subsets(N, k)
     X = np.stack([np.asarray(obs[0], dtype=float) for obs in observations])
     y_hat = np.array([obs[1] for obs in observations], dtype=float)[:, None]
-    _check_finite("X", X)
-    _check_finite("y_hat", y_hat)
+    check_finite("X", X)
+    check_finite("y_hat", y_hat)
     if rho == 0.0:
         hits = subset_sums(X, combos) == y_hat
         found = hits.sum(axis=1)
@@ -248,12 +236,12 @@ def _tpca_log_weights(tensors: Sequence[np.ndarray], params: TpcaParams) -> tupl
     """
     n, k, d = params.n, params.k, params.d
     for Y in tensors:
-        _check_shape("Y", Y, (n,) * d)
+        check_shape("Y", Y, (n,) * d)
     combos = subsets(n, k)
     scale = math.sqrt(params.lam) * k ** (-d / 2.0)
     corners = np.indices((k,) * d).reshape(d, -1).T  # positions in a support's block, C order
     flat = np.stack(tensors).reshape(len(tensors), -1)
-    _check_finite("Y", flat)
+    check_finite("Y", flat)
     lw = np.empty((len(tensors), len(combos)))
     for b in _blocks(len(combos), 8 * k**d * (len(tensors) + d)):
         entries = combos[b][:, corners] @ n ** np.arange(d - 1, -1, -1)
@@ -301,11 +289,6 @@ _POSTERIORS = {
     "gss": (_gss_posteriors, lambda p: 8 * p.k * math.comb(p.N, p.k)),
     "tpca": (_tpca_posteriors, lambda p: 8 * p.k**p.d * math.comb(p.n, p.k)),
 }
-
-
-def stack_rows(run: Callable, observations: Sequence) -> np.ndarray:
-    """run(observation) for each observation, stacked as one float row per observation."""
-    return np.array([run(obs) for obs in observations], dtype=float)
 
 
 def posterior_means(params, observations: Sequence, rho: float) -> np.ndarray:

@@ -28,8 +28,8 @@ from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_
 from .mc import mean_stderr
 from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_json, sample_instance
 from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, derive_seeds, generator
-from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
-from .stability import ESTIMATORS, measure_stabilities, stability_outcomes, verify_barrier
+from .solvers import LllConfig
+from .stability import SOLVERS, check_estimator, measure_stabilities, solver_recovers, stability_outcomes, verify_barrier
 
 CSV_HEADER = ["model", "params_json", "rho", "trials", "metric", "value", "stderr"]
 # config field -> its JSON type (models.check_json_types); model, params and output may also be null
@@ -98,10 +98,7 @@ class ExperimentConfig:
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
         for name in self.estimators:
-            if name not in ESTIMATORS:
-                raise UsageError(
-                    f"unknown estimator {name!r}; registered: {sorted(ESTIMATORS)}"
-                )
+            check_estimator(name)
         unknown = sorted(set(self.options) - set(spec.options))
         if unknown:
             raise UsageError(f"{self.command} reads options {sorted(spec.options)}, not {unknown}")
@@ -252,28 +249,10 @@ def _cmd_barrier(config: ExperimentConfig, opts: dict):
     return rows, None
 
 
-def _f2_recovers(inst, options) -> bool:
-    sol = f2_solve(inst.A, inst.y)
-    return sol.kind == "unique" and bool(np.array_equal(sol.particular, inst.x))
-
-
-def _lll_recovers(inst, options) -> bool:
-    cfg = LllConfig(bits=options["bits"])
-    return lll_subset_sum(inst.X, inst.Y, inst.params.k, cfg) == inst.S
-
-
-# model -> (instance, options) -> whether the model's fast solver recovers the signal
-_FAST_SOLVERS = {
-    "psp": lambda inst, options: shortest_path(inst.adjacency) == inst.path,
-    "rlc": _f2_recovers,
-    "gss": _lll_recovers,
-}
-
-
 def _cmd_solve(config: ExperimentConfig, opts: dict):
     params = config.model_params()
-    recovers = _FAST_SOLVERS[config.model]
-    hits = sum(recovers(sample_instance(params, seed), opts) for seed in _trial_seeds(config.seed, config.trials))
+    cfg = LllConfig(bits=opts["bits"])
+    hits = sum(solver_recovers(sample_instance(params, seed), cfg) for seed in _trial_seeds(config.seed, config.trials))
     rate = hits / config.trials
     se = math.sqrt(rate * (1 - rate) / config.trials)
     rows = [Row(config.model, _params_blob(params), "", config.trials, "exact_recovery_rate", rate, se)]
@@ -379,7 +358,7 @@ COMMAND_TABLE = {
     "mmse-curve": Command(_cmd_mmse_curve, _GRID, MODEL_NAMES, {"full_rank_only": (bool, False, None)}),
     "stability": Command(_cmd_stability, (*_GRID, "estimators"), MODEL_NAMES),
     "barrier": Command(_cmd_barrier, (*_GRID, "estimators"), MODEL_NAMES),
-    "solve": Command(_cmd_solve, ("model", "params"), tuple(_FAST_SOLVERS), {"bits": (int, 128, None)}),
+    "solve": Command(_cmd_solve, ("model", "params"), tuple(s.model for s in SOLVERS.values()), {"bits": (int, 128, None)}),
     "count-paths": Command(
         _cmd_count_paths,
         (),

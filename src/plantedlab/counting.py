@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError
-from .models import adjacency_from_edge_vector, edge_vector_from_adjacency, path_edge_indices, vertex_pairs
+from .models import adjacency_from_edge_vector, check_bits, edge_vector_from_adjacency, path_edge_indices, vertex_pairs
 from .rng import generator
 
 PAIR_BUDGET = 10**8
@@ -46,7 +46,9 @@ def _path_weights(adjacency: np.ndarray, m: int, eps_m: int) -> tuple[np.ndarray
     n = adjacency.shape[0] - 1
     _check_args(n, m, eps_m)
     paths = path_edge_indices(n, m)
-    present = edge_vector_from_adjacency(adjacency).astype(np.int64)
+    edges = edge_vector_from_adjacency(adjacency)
+    check_bits("adjacency", edges)
+    present = edges.astype(np.int64)
     comb_table = np.array([math.comb(a, m - eps_m) for a in range(m + 1)], dtype=np.int64)
     return paths, comb_table[present[paths].sum(axis=1)]
 

@@ -24,6 +24,9 @@ from .models import (
     GssParams,
     PspParams,
     RlcParams,
+    check_bits,
+    check_finite,
+    check_shape,
     edge_vector_from_adjacency,
     model_name,
     placements,
@@ -242,6 +245,10 @@ class RlcPoly(_OneObservation):
         """evaluate at each (A, y); terms accumulate in order, as for one observation."""
         A = np.stack([obs[0] for obs in observations])
         y = np.stack([obs[1] for obs in observations])
+        check_shape("A", A, (len(A), params.m, params.n))
+        check_shape("y", y, (len(A), params.m))
+        check_bits("A", A)
+        check_bits("y", y)
         total = np.zeros(len(A))
         for idx, c in self.terms:
             total += c * character_value(idx, A, y)
@@ -262,6 +269,10 @@ class GssPoly(_OneObservation):
         """evaluate at each (X, Y); every product and sum keeps the one-observation order."""
         X = np.stack([obs[0] for obs in observations])
         y = np.array([obs[1] for obs in observations], dtype=float) / math.sqrt(params.k)
+        check_shape("X", X, (len(X), params.N))
+        check_shape("Y", y, (len(X),))
+        check_finite("X", X)
+        check_finite("Y", y)
         total = np.zeros(len(X))
         for alpha, t, c in self.terms:
             val = c * hermite_eval(t, y)  # h_0 = 1 exactly
@@ -298,8 +309,11 @@ class PspSymmetricPoly(_OneObservation):
         PSP_GATHER_ELEMENTS floats.
         """
         n, q = params.n, params.q
-        present = edge_vector_from_adjacency(np.stack(adjacencies)).astype(float)
-        centered = (present - q) / math.sqrt(q * (1.0 - q))
+        stacked = np.stack(adjacencies)
+        check_shape("adjacency", stacked, (len(stacked), n + 1, n + 1))
+        present = edge_vector_from_adjacency(stacked)
+        check_bits("adjacency", present)
+        centered = (present.astype(float) - q) / math.sqrt(q * (1.0 - q))
         total = np.zeros(len(centered))
         for shape, c in self.terms:
             maps = placements(shape, n)

@@ -141,6 +141,25 @@ def edge_vector_from_adjacency(adj: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# checks on observations from outside the samplers
+
+
+def check_shape(name: str, array, shape: tuple) -> None:
+    if np.shape(array) != shape:
+        raise ParameterError(f"{name} has shape {np.shape(array)}, expected {shape}")
+
+
+def check_bits(name: str, array: np.ndarray) -> None:
+    if not ((array == 0) | (array == 1)).all():
+        raise ParameterError(f"{name} entries must be 0 or 1")
+
+
+def check_finite(name: str, array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{name} must be finite")
+
+
+# ---------------------------------------------------------------------------
 # parameter types
 
 

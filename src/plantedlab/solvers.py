@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .models import SUBSET_BUDGET, subset_sum_value, subset_sums, subsets
+from .models import SUBSET_BUDGET, check_bits, check_finite, subset_sum_value, subset_sums, subsets
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,7 @@ def _f2_eliminate(rows: list[int], n_cols: int) -> list[int]:
 
 
 def f2_rank(A: np.ndarray) -> int:
+    check_bits("A", A)
     return len(_f2_eliminate(_pack_rows(A), A.shape[1]))
 
 
@@ -98,6 +99,8 @@ def f2_solve(A: np.ndarray, y: np.ndarray) -> F2Solution:
     m, n = A.shape
     if y.shape != (m,):
         raise ParameterError(f"y has shape {y.shape}, expected ({m},)")
+    check_bits("A", A)
+    check_bits("y", y)
     rows = [row | (int(y[i]) << n) for i, row in enumerate(_pack_rows(A))]
     pivot_cols = _f2_eliminate(rows, n)
     rank = len(pivot_cols)
@@ -295,6 +298,8 @@ def lll_subset_sum(
     (left-to-right over sorted indices) is within slack * 2^(2-bits) of Y.
     """
     N = len(X)
+    check_finite("X", X)
+    check_finite("Y", Y)
     if not (1 <= k <= N):
         raise ParameterError(f"need 1 <= k <= N, got k={k}, N={N}")
     slack = config.slack if config.slack is not None else N

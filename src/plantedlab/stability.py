@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bayes import MmseReport, posterior_means, stack_rows
+from .bayes import MmseReport, posterior_means
 from .errors import EstimatorTrialError, IllConditionedError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
 from .models import PspParams, model_name, pair_ids, path_indicator, vertex_pairs
@@ -59,36 +59,68 @@ def prior_mean_vector(params) -> np.ndarray:
     return _PRIOR_MEANS[model_name(params)](params)
 
 
-def _shortest_path_indicator(params, rho: float) -> Callable:
+def stack_rows(run: Callable, observations: Sequence) -> np.ndarray:
+    """run(observation) for each observation, stacked as one float row per observation."""
+    return np.array([run(obs) for obs in observations], dtype=float)
+
+
+class Solver(NamedTuple):
+    model: str  # the one model the solver accepts
+    what: str  # that model's description
+    solve: Callable  # (params, observation, LllConfig) -> the recovered signal vector, or None
+    fallback: Callable  # params -> the estimate when solve finds nothing
+
+
+def _solve_psp(params, adjacency, cfg: LllConfig) -> Optional[np.ndarray]:
+    path = shortest_path(adjacency)
+    return None if path is None else path_indicator(path, params.n)
+
+
+def _solve_rlc(params, observation, cfg: LllConfig) -> Optional[np.ndarray]:
+    # an affine solution set gives 0.5 on every free coordinate, so it never equals a 0/1 signal
+    sol = f2_solve(*observation)
+    if sol.kind == "inconsistent":
+        return None
+    out = sol.particular.astype(float)
+    for basis_vec in sol.nullspace_basis:
+        out[basis_vec.astype(bool)] = 0.5
+    return out
+
+
+def _solve_gss(params, observation, cfg: LllConfig) -> Optional[np.ndarray]:
+    subset = lll_subset_sum(*observation, params.k, cfg)
+    if subset is None:
+        return None
+    out = np.zeros(params.N)
+    out[list(subset)] = 1.0
+    return out
+
+
+# solver estimator name -> the fast polynomial-time solver of its model; the
+# solve command recovers a trial when solve returns exactly its signal vector
+SOLVERS = {
     # an unreachable target gives the all-zero vector
-    return partial(stack_rows, lambda adjacency: path_indicator(shortest_path(adjacency) or (), params.n))
+    "shortest_path_indicator": Solver("psp", "planted-path", _solve_psp, lambda p: np.zeros(len(vertex_pairs(p.n)))),
+    "f2_round": Solver("rlc", "linear-code", _solve_rlc, lambda p: np.full(p.n, 0.5)),
+    "lll_subset_indicator": Solver("gss", "subset-sum", _solve_gss, lambda p: np.full(p.N, p.k / p.N)),
+}
 
 
-def _f2_round_estimator(params, rho: float) -> Callable:
-    def run(observation) -> np.ndarray:
-        A, y = observation
-        sol = f2_solve(A, y)
-        if sol.kind == "inconsistent":
-            return np.full(params.n, 0.5)
-        out = sol.particular.astype(float)
-        for basis_vec in sol.nullspace_basis:
-            out[basis_vec.astype(bool)] = 0.5
-        return out
-
-    return partial(stack_rows, run)
+def solver_recovers(inst, cfg: LllConfig = LllConfig()) -> bool:
+    """Whether the fast solver of the instance's model returns exactly its signal vector."""
+    solver = next((s for s in SOLVERS.values() if s.model == model_name(inst.params)), None)
+    if solver is None:
+        raise ParameterError(f"no fast solver for the {model_name(inst.params)} model")
+    found = solver.solve(inst.params, inst.observation, cfg)
+    return found is not None and np.array_equal(found, inst.signal_vector())
 
 
-def _lll_subset_indicator(params, rho: float) -> Callable:
-    cfg = LllConfig()
+def _solver_estimator(solver: Solver, params, rho: float) -> Callable:
+    cfg, fallback = LllConfig(), solver.fallback(params)
 
     def run(observation) -> np.ndarray:
-        X, Y = observation
-        subset = lll_subset_sum(X, Y, params.k, cfg)
-        if subset is None:
-            return np.full(params.N, params.k / params.N)
-        out = np.zeros(params.N)
-        out[list(subset)] = 1.0
-        return out
+        found = solver.solve(params, observation, cfg)
+        return fallback if found is None else found
 
     return partial(stack_rows, run)
 
@@ -103,29 +135,22 @@ def _constant_prior_mean(params, rho: float) -> Callable:
 # level, so both arms of a stability trial stay inside its support.
 ESTIMATORS: dict[str, Callable] = {
     "posterior_mean": lambda params, rho: partial(posterior_means, params, rho=rho),
-    "shortest_path_indicator": _shortest_path_indicator,
-    "f2_round": _f2_round_estimator,
-    "lll_subset_indicator": _lll_subset_indicator,
+    **{name: partial(_solver_estimator, solver) for name, solver in SOLVERS.items()},
     "constant_prior_mean": _constant_prior_mean,
 }
-# estimator -> (the one model it accepts, that model's description); the
-# others accept every model
-_ESTIMATOR_MODELS = {
-    "shortest_path_indicator": ("psp", "planted-path"),
-    "f2_round": ("rlc", "linear-code"),
-    "lll_subset_indicator": ("gss", "subset-sum"),
-}
 
 
-def resolve_estimator(name: str, params, rho: float) -> Callable:
+def check_estimator(name: str) -> None:
     if name not in ESTIMATORS:
         raise ParameterError(
             f"unknown estimator {name!r}; registered: {sorted(ESTIMATORS)}"
         )
-    if name in _ESTIMATOR_MODELS:
-        model, what = _ESTIMATOR_MODELS[name]
-        if model_name(params) != model:
-            raise ParameterError(f"{name} is a {what} estimator")
+
+
+def resolve_estimator(name: str, params, rho: float) -> Callable:
+    check_estimator(name)
+    if name in SOLVERS and model_name(params) != SOLVERS[name].model:
+        raise ParameterError(f"{name} is a {SOLVERS[name].what} estimator")
     return ESTIMATORS[name](params, rho)
 
 

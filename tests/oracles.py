@@ -15,9 +15,11 @@ derivation, and the per-trial polynomial evaluations and the per-trial
 MMSE, estimator-stability and polynomial-stability loops check the batched
 ones, which CoupledTrials.map runs EVAL_CHUNK trials at a time.  The
 exhaustive oracles at the end (all simple paths, the full GF(2) solution
-set, exact lattice coordinates) check the fast solvers.  The helpers in
-the last section are test-only API built on the library: canonical path
-edges, overlap class sizes, OU composition and a symmetrization check.
+set, exact lattice coordinates) check the fast solvers, and the recovery
+rules on each solver's own output check stability.solver_recovers.  The
+helpers in the last section are test-only API built on the library:
+canonical path edges, overlap class sizes, OU composition and a
+symmetrization check.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from plantedlab.mc import mean_stderr, ratio_with_stderr
 from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, sample_instance, subset_sum_value
 from plantedlab.noise import check_rho, noise_instance_observation
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
+from plantedlab.solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 
 
 def psp_rejection_posterior(target_edges: np.ndarray, n: int, L: int, q: float, rho: float,
@@ -606,6 +609,20 @@ def lattice_coordinates(basis: Sequence[Sequence[int]], vector: Sequence[int]) -
     if any(v.denominator != 1 for v in coords):
         return None
     return [int(v) for v in coords]
+
+
+def _f2_recovers(inst, cfg: LllConfig) -> bool:
+    sol = f2_solve(inst.A, inst.y)
+    return sol.kind == "unique" and bool(np.array_equal(sol.particular, inst.x))
+
+
+# model -> (instance, LllConfig) -> whether the model's fast solver recovers the planted signal,
+# compared on the solver's own output (path, unique message, subset) rather than on a signal vector
+SOLVER_RECOVERS_RULES = {
+    "psp": lambda inst, cfg: shortest_path(inst.adjacency) == inst.path,
+    "rlc": _f2_recovers,
+    "gss": lambda inst, cfg: lll_subset_sum(inst.X, inst.Y, inst.params.k, cfg) == inst.S,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,11 @@ def test_hermite_check_command(tmp_path):
             "option 'bits' must be an int",
             id="solve-bits",
         ),
+        pytest.param(  # every model's solve builds the LllConfig, not only gss
+            ["solve", "--model", "psp", "--params", '{"n":6,"L":3,"q":0.3}', "--trials", "3", "--options", '{"bits":8}'],
+            "need bits >= 16, got 8",
+            id="solve-bits-below-16",
+        ),
         pytest.param(
             ["mmse-curve", "--model", "rlc", "--params", '{"m":8,"n":5}', "--rho-grid", "0.5", "--trials", "3",
              "--options", '{"full_rank_only":"false"}'],

@@ -156,6 +156,23 @@ def test_invalid_arguments():
         count_approx_paths(complete_adjacency(4), m=4, eps_m=1)
 
 
+def _doubled_edge(adj):
+    out = adj.astype(int)
+    out[1, 3] = out[3, 1] = 2  # a present edge; the census once read 24 here instead of 17
+    return out
+
+
+@pytest.mark.parametrize(
+    "change", [_doubled_edge, lambda adj: 0.5 * adj, lambda adj: 2 * adj.astype(int)], ids=["one-two", "halves", "twos"]
+)
+def test_census_rejects_a_non_binary_adjacency(change):
+    adj = sample_null_graph(8, 0.3, 1)
+    assert adj[1, 3] and count_approx_paths(adj, 3, 1) == 17
+    for census in (count_approx_paths, count_overlap_pairs):
+        with pytest.raises(ParameterError, match="adjacency entries must be 0 or 1"):
+            census(change(adj), 3, 1)
+
+
 @pytest.mark.parametrize("q", [1.5, -0.1, math.nan, math.inf])
 def test_q_outside_unit_interval_raises(q):
     with pytest.raises(ParameterError, match="q in"):

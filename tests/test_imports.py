@@ -2,8 +2,9 @@
 
 No module in src, tests or demos imports a name it never uses, only noise
 drives mc.run_trials, the posterior kernels are reached only through
-bayes._POSTERIORS, and src calls no numpy function newer than the numpy
-floor in pyproject.toml.
+bayes._POSTERIORS, src and demos reach the fast solvers only through the
+wrappers of stability.SOLVERS, and src calls no numpy function newer than
+the numpy floor in pyproject.toml.
 """
 
 from __future__ import annotations
@@ -97,6 +98,56 @@ def test_posterior_kernels_are_reached_only_through_the_table():
     assert {path: lines for path, lines in found.items() if lines} == {}
     bayes = (ROOT / "src" / "plantedlab" / "bayes.py").read_text(encoding="utf-8")
     assert {node.id for node in ast.walk(ast.parse(bayes)) if isinstance(node, ast.Name)} >= KERNELS
+
+
+# the fast solvers; src and demos reach them only through stability.SOLVERS, whose wrappers call them
+SOLVER_CALLS = {"shortest_path", "f2_solve", "lll_subset_sum"}
+SOLVER_WRAPPERS = {"_solve_psp", "_solve_rlc", "_solve_gss"}
+
+
+def solver_references(source: str, wrappers: frozenset = frozenset()) -> list[int]:
+    """Lines that name a fast solver, by use or import, outside the functions in wrappers.
+
+    A source that defines wrappers may also import the solvers they call.
+    """
+    tree = ast.parse(source)
+    excused = {
+        id(node)
+        for scope in ast.walk(tree)
+        if (isinstance(scope, ast.FunctionDef) and scope.name in wrappers)
+        or (isinstance(scope, ast.ImportFrom) and wrappers and scope.module == "solvers")
+        for node in ast.walk(scope)
+    }
+    named = (
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in SOLVER_CALLS)
+        or (isinstance(node, ast.Attribute) and node.attr in SOLVER_CALLS)
+        or (isinstance(node, ast.alias) and node.name in SOLVER_CALLS)
+    )
+    return sorted(node.lineno for node in named if id(node) not in excused)
+
+
+def test_solver_scan_finds_a_call_outside_the_wrappers():
+    source = "from .solvers import f2_solve\ndef _solve_rlc(p, o, c):\n    return f2_solve(*o)\n"
+    assert solver_references(source, frozenset({"_solve_rlc"})) == []
+    assert solver_references(source) == [1, 3]
+    planted = "from plantedlab.solvers import lll_subset_sum as lll\nx = solvers.shortest_path(adj)\n"
+    assert solver_references(source + planted, frozenset({"_solve_rlc"})) == [4, 5]
+
+
+def test_fast_solvers_are_reached_only_through_the_table():
+    scanned = [p for p in FILES if p.parts[-2] != "tests" and p.name != "solvers.py"]
+    found = {
+        str(p.relative_to(ROOT)): solver_references(
+            p.read_text(encoding="utf-8"), frozenset(SOLVER_WRAPPERS) if p.name == "stability.py" else frozenset()
+        )
+        for p in scanned
+    }
+    assert len(scanned) > 15 and {path: lines for path, lines in found.items() if lines} == {}
+    stability = (ROOT / "src" / "plantedlab" / "stability.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(stability)) if isinstance(node, ast.FunctionDef)}
+    assert defined >= SOLVER_WRAPPERS
 
 
 # numpy functions src may call only when the pyproject floor is at least the version that added them

@@ -34,7 +34,7 @@ from plantedlab.lowdeg import (
     rlc_stability_bound,
     stability_ratio,
 )
-from plantedlab.models import GssParams, PspParams, RlcParams, placements, sample_instance
+from plantedlab.models import GssParams, PspParams, RlcParams, model_name, placements, sample_instance
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials
 from plantedlab.rng import generator
 
@@ -389,6 +389,34 @@ def test_evaluate_many_of_empty_poly_is_zero(model):
     observations = _clean_and_noisy(params, 0.5, 3, 4)
     assert _hex(poly.evaluate_many(observations, params)) == _hex(loop(poly, obs, params) for obs in observations)
     assert _hex(poly.evaluate_many(observations, params)) == [(0.0).hex()] * 8
+
+
+def _psp_twos(obs):
+    return 2 * obs.astype(int)
+
+
+def _gss_nan_y(obs):
+    return obs[0], math.nan
+
+
+# (params of the polynomial, params of the observation, change to the observation, error);
+# each observation was once evaluated to a number
+OUTSIDE_CASES = {
+    "psp-larger-n": (PspParams(n=8, L=3, q=0.3), PspParams(n=10, L=3, q=0.3), None, "adjacency has shape"),
+    "rlc-smaller-code": (RlcParams(m=8, n=5), RlcParams(m=6, n=4), None, "A has shape"),
+    "gss-smaller-N": (GssParams(N=12, k=3), GssParams(N=8, k=3), None, "X has shape"),
+    "psp-twos": (PspParams(n=8, L=3, q=0.3), PspParams(n=8, L=3, q=0.3), _psp_twos, "adjacency entries must be 0 or 1"),
+    "gss-nan-y": (GssParams(N=12, k=3), GssParams(N=12, k=3), _gss_nan_y, "Y must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_CASES)
+def test_evaluate_many_rejects_observations_outside_the_model(case):
+    params, observed, change, message = OUTSIDE_CASES[case]
+    poly = POLY_CASES[model_name(params)][1](params, 2, generator(5))
+    obs = sample_instance(observed, seed=6).observation
+    with pytest.raises(ParameterError, match=message):
+        poly.evaluate_many([change(obs) if change else obs], params)
 
 
 def test_psp_evaluate_many_splits_the_largest_shape_across_gathers():

@@ -260,6 +260,27 @@ def test_subset_sum_invalid_k():
         lll_subset_sum(np.ones(4), 1.0, 5)
 
 
+# y = A x over GF(2) with x = [1, 1]; each call below was once read as other bits, as zeros, or raised a bare error
+_A = np.array([[1, 0], [0, 1], [1, 1]])
+_Y = _A @ np.ones(2, dtype=int) % 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: f2_solve(_A, 2 * _Y), "y entries must be 0 or 1"),
+        (lambda: f2_solve(_A, 0.5 * _Y), "y entries must be 0 or 1"),
+        (lambda: f2_rank(2 * _A), "A entries must be 0 or 1"),
+        (lambda: lll_subset_sum(np.array([0.3, np.nan, 0.5]), 0.8, 2), "X must be finite"),
+        (lambda: lll_subset_sum(np.array([0.3, 0.2, 0.5]), np.inf, 2), "Y must be finite"),
+    ],
+    ids=["f2-solve-y-twos", "f2-solve-y-halves", "f2-rank-a-twos", "lll-x-nan", "lll-y-inf"],
+)
+def test_solver_input_outside_the_model_raises(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 def test_lll_config_validation():
     with pytest.raises(ParameterError):
         LllConfig(delta=1.5)

@@ -4,14 +4,17 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import measure_stability_loop, mmse_curve_loop
+from oracles import SOLVER_RECOVERS_RULES, measure_stability_loop, mmse_curve_loop
 from plantedlab.bayes import estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
-from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, path_edge_indices, sample_instance
+from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, model_name, path_edge_indices, sample_instance
 from plantedlab.noise import EVAL_CHUNK, EVAL_CHUNK_BYTES, CoupledTrials
 from plantedlab.rng import generator
+from plantedlab.solvers import LllConfig
 from plantedlab.stability import (
     ESTIMATORS,
     barrier_penalty,
@@ -19,6 +22,7 @@ from plantedlab.stability import (
     measure_stability,
     prior_mean_vector,
     resolve_estimator,
+    solver_recovers,
     verify_barrier,
 )
 
@@ -345,6 +349,40 @@ def test_measure_stabilities_reports_an_estimator_of_another_model_in_order():
 )
 def test_every_estimator_gives_one_shape_on_an_empty_batch(model, name):
     assert resolve_estimator(name, DIFFERENTIAL_PARAMS[model], 0.5)([]).shape == (0,)
+
+
+# rank-deficient RLC (m = n = 3 is mostly affine), LLL misses at 16 bits, and GSS at k = N, where the
+# lll_subset_indicator fallback k/N is the signal itself
+SOLVER_PARAMS = [
+    PspParams(n=7, L=3, q=0.3),
+    RlcParams(m=3, n=3),
+    RlcParams(m=9, n=5),
+    GssParams(N=10, k=3),
+    GssParams(N=6, k=6),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=st.sampled_from(SOLVER_PARAMS), seed=st.integers(0, 2**32), bits=st.sampled_from([16, 128]))
+@example(params=RlcParams(m=3, n=3), seed=0, bits=128)  # an affine solution set
+@example(params=GssParams(N=10, k=3), seed=37, bits=16)  # an LLL miss
+@example(params=GssParams(N=6, k=6), seed=27, bits=128)  # an LLL miss at k = N
+def test_solver_recovery_equals_the_rule_on_the_solver_output(params, seed, bits):
+    inst, cfg = sample_instance(params, seed), LllConfig(bits=bits)
+    assert solver_recovers(inst, cfg) == SOLVER_RECOVERS_RULES[model_name(params)](inst, cfg)
+
+
+def test_a_solver_miss_is_no_recovery_when_the_fallback_is_the_signal():
+    params = GssParams(N=6, k=6)
+    inst = sample_instance(params, 27)
+    estimate = resolve_estimator("lll_subset_indicator", params, 0.0)([inst.observation])[0]
+    assert np.array_equal(estimate, inst.signal_vector())
+    assert not solver_recovers(inst)
+
+
+def test_solver_recovers_names_a_model_without_a_solver():
+    with pytest.raises(ParameterError, match="no fast solver for the tpca model"):
+        solver_recovers(sample_instance(DIFFERENTIAL_PARAMS["tpca"], 0))
 
 
 @pytest.mark.parametrize("model", [*DIFFERENTIAL_PARAMS, "rlc-full-rank"])
