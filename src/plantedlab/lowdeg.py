@@ -26,7 +26,7 @@ from .models import (
     RlcParams,
     check_bits,
     check_finite,
-    check_shape,
+    check_stack,
     edge_vector_from_adjacency,
     model_name,
     placements,
@@ -243,10 +243,8 @@ class RlcPoly(_OneObservation):
 
     def evaluate_many(self, observations, params: RlcParams) -> np.ndarray:
         """evaluate at each (A, y); terms accumulate in order, as for one observation."""
-        A = np.stack([obs[0] for obs in observations])
-        y = np.stack([obs[1] for obs in observations])
-        check_shape("A", A, (len(A), params.m, params.n))
-        check_shape("y", y, (len(A), params.m))
+        A = check_stack("A", [obs[0] for obs in observations], (params.m, params.n))
+        y = check_stack("y", [obs[1] for obs in observations], (params.m,))
         check_bits("A", A)
         check_bits("y", y)
         total = np.zeros(len(A))
@@ -267,10 +265,8 @@ class GssPoly(_OneObservation):
 
     def evaluate_many(self, observations, params: GssParams) -> np.ndarray:
         """evaluate at each (X, Y); every product and sum keeps the one-observation order."""
-        X = np.stack([obs[0] for obs in observations])
-        y = np.array([obs[1] for obs in observations], dtype=float) / math.sqrt(params.k)
-        check_shape("X", X, (len(X), params.N))
-        check_shape("Y", y, (len(X),))
+        X = check_stack("X", [obs[0] for obs in observations], (params.N,))
+        y = check_stack("Y", [obs[1] for obs in observations], ()).astype(float) / math.sqrt(params.k)
         check_finite("X", X)
         check_finite("Y", y)
         total = np.zeros(len(X))
@@ -309,9 +305,7 @@ class PspSymmetricPoly(_OneObservation):
         PSP_GATHER_ELEMENTS floats.
         """
         n, q = params.n, params.q
-        stacked = np.stack(adjacencies)
-        check_shape("adjacency", stacked, (len(stacked), n + 1, n + 1))
-        present = edge_vector_from_adjacency(stacked)
+        present = edge_vector_from_adjacency(check_stack("adjacency", adjacencies, (n + 1, n + 1)))
         check_bits("adjacency", present)
         centered = (present.astype(float) - q) / math.sqrt(q * (1.0 - q))
         total = np.zeros(len(centered))

@@ -7,10 +7,14 @@ Conventions
   laid out in lexicographic pair order (1,2), (1,3), ..., (n-1,n).
 * RLC/GSS/TPCA indices are 0-based.
 * Samplers are pure functions of (params, seed): identical arguments produce
-  bit-identical instances.  sample_instance(params, seed) draws from
-  generator(seed) through the model's draw_<model>(params, rng), which batch
-  callers feed a re-keyed generator.  Within a sampler the signal is drawn
-  first, the ambient randomness second.
+  bit-identical instances.  chunk_sampler(params) draws a run of trials,
+  each from its own generator at its fresh state: the few draws that are
+  not cheap to decode (PSP's permutation, GSS's normals, all of TPCA) are
+  Generator calls, and the rest are raw Philox words that the run decodes
+  in one numpy pass with numpy's own draw rules (rng.uniforms, coin_bits,
+  lemire_draws).  sample_instance(params, seed) is its one-trial run on
+  generator(seed).  Within a sampler the signal is drawn first, the ambient
+  randomness second.
 
 JSON schema (stable field names)
 --------------------------------
@@ -27,13 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError
-from .rng import generator
+from .rng import coin_bits, generator, lemire_draws, uint32_stream, uniforms
 
 PATH_BUDGET = 10**6
 SUBSET_BUDGET = 10**6
@@ -122,12 +126,15 @@ def subset_sums(X: np.ndarray, combos: np.ndarray) -> np.ndarray:
 
 
 def adjacency_from_edge_vector(edge_vec: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric (n+1)x(n+1) boolean adjacency; row/column 0 unused."""
+    """Symmetric (n+1)x(n+1) boolean adjacency; row/column 0 unused.
+
+    Leading axes of a stack of edge vectors are kept.
+    """
     rows, cols = _pair_arrays(n)
     present = np.asarray(edge_vec, dtype=bool)
-    adj = np.zeros((n + 1, n + 1), dtype=bool)
-    adj[rows, cols] = present
-    adj[cols, rows] = present
+    adj = np.zeros(present.shape[:-1] + (n + 1, n + 1), dtype=bool)
+    adj[..., rows, cols] = present
+    adj[..., cols, rows] = present
     return adj
 
 
@@ -147,6 +154,23 @@ def edge_vector_from_adjacency(adj: np.ndarray) -> np.ndarray:
 def check_shape(name: str, array, shape: tuple) -> None:
     if np.shape(array) != shape:
         raise ParameterError(f"{name} has shape {np.shape(array)}, expected {shape}")
+
+
+def check_stack(name: str, arrays, shape: tuple) -> np.ndarray:
+    """arrays stacked along a new first axis; ParameterError unless each has the given shape.
+
+    An empty batch stacks to shape (0, *shape).
+    """
+    if not len(arrays):
+        return np.zeros((0, *shape))
+    try:
+        stacked = np.stack(arrays)
+    except ValueError:  # the shapes differ: name the first that is not shape
+        for array in arrays:
+            check_shape(name, array, shape)
+        raise
+    check_shape(name, stacked, (len(stacked), *shape))
+    return stacked
 
 
 def check_bits(name: str, array: np.ndarray) -> None:
@@ -289,24 +313,34 @@ class TpcaInstance:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: each draws a run of trials, reading every trial's draws from its
+# own generator fresh(i) and decoding the stacked words once per run
 
 
-def draw_psp(params: PspParams, rng: np.random.Generator) -> PspInstance:
+def _sample_psp(params: PspParams, count: int, fresh) -> list:
     """Plant a uniform path from 1 to 2, then union an independent G(n, q)."""
     n, L, q = params.n, params.L, params.q
-    interior = rng.permutation(np.arange(3, n + 1))[: L - 1]
-    path = (1, *map(int, interior), 2)
-    edge_vec = rng.random(len(vertex_pairs(n))) < q
-    edge_vec[pair_ids(n)[path[:-1], path[1:]]] = True
-    return PspInstance(params=params, path=path, adjacency=adjacency_from_edge_vector(edge_vec, n))
+    rest, pairs = np.arange(3, n + 1), len(vertex_pairs(n))
+    reads = [(g.permutation(rest)[: L - 1], g.bit_generator.random_raw(pairs)) for g in map(fresh, range(count))]
+    paths = np.ones((count, L + 1), dtype=np.intp)
+    paths[:, 1:-1] = [interior for interior, _ in reads]
+    paths[:, -1] = 2
+    edges = uniforms(np.stack([words for _, words in reads])) < q
+    edges[np.arange(count)[:, None], pair_ids(n)[paths[:, :-1], paths[:, 1:]]] = True
+    adjacency = adjacency_from_edge_vector(edges, n)
+    return [PspInstance(params=params, path=tuple(path), adjacency=adj) for path, adj in zip(paths.tolist(), adjacency)]
 
 
-def draw_rlc(params: RlcParams, rng: np.random.Generator) -> RlcInstance:
-    A = rng.integers(0, 2, size=(params.m, params.n), dtype=np.uint8)
-    x = rng.integers(0, 2, size=params.n, dtype=np.uint8)
-    y = (A @ x) % 2
-    return RlcInstance(params=params, A=A, x=x, y=y.astype(np.uint8))
+def _sample_rlc(params: RlcParams, count: int, fresh) -> list:
+    """Uniform A, then uniform x, each one Generator.integers(0, 2) call of uint8 coin flips; y = Ax mod 2."""
+    m, n = params.m, params.n
+    a_draws = (m * n + 3) // 4  # uint32 draws of A; x starts on the next one
+    words = (a_draws + (n + 3) // 4 + 1) // 2
+    bits = coin_bits(np.stack([g.bit_generator.random_raw(words) for g in map(fresh, range(count))]))
+    A = bits[:, : m * n].reshape(count, m, n)
+    x = bits[:, 4 * a_draws : 4 * a_draws + n]
+    y = np.matmul(A, x[:, :, None])[:, :, 0] % 2
+    return [RlcInstance(params=params, A=a, x=xx, y=yy) for a, xx, yy in zip(A, x, y)]
 
 
 def subset_sum_value(X: np.ndarray, subset: Sequence[int]) -> float:
@@ -317,10 +351,48 @@ def subset_sum_value(X: np.ndarray, subset: Sequence[int]) -> float:
     return total
 
 
-def draw_gss(params: GssParams, rng: np.random.Generator) -> GssInstance:
-    X = rng.standard_normal(params.N)
-    S = tuple(sorted(int(i) for i in rng.choice(params.N, size=params.k, replace=False)))
-    return GssInstance(params=params, X=X, S=S, Y=subset_sum_value(X, S))
+# Generator.choice(N, k, replace=False) shuffles a tail of range(N) past this population
+# when k > N // 50, and runs Floyd's method otherwise
+_CHOICE_FLOYD_LIMIT = 10000
+
+
+def _floyd_supports(params: GssParams, count: int, fresh) -> tuple[np.ndarray, np.ndarray]:
+    """X and the sorted support of each trial, Generator.choice's Floyd method decoded from raw words.
+
+    For j = N-k..N-1, Floyd draws v in [0, j] (a bounded uint32 draw) and
+    takes v, or j when v was taken before.
+    """
+    N, k = params.N, params.k
+    ranges = range(N - k + 1, N + 1)
+    words = (sum(r > 1 for r in ranges) + 1) // 2  # a range of 1 draws nothing
+    reads = [(g.standard_normal(N), g.bit_generator.random_raw(words)) for g in map(fresh, range(count))]
+    draws, ok = lemire_draws(uint32_stream(np.stack([w for _, w in reads])), ranges)
+    for i in np.flatnonzero(~ok):  # rejections used up the words read: read the trial again, with more
+        spare = words
+        while not ok[i]:
+            g = fresh(i)
+            g.standard_normal(N)
+            row, row_ok = lemire_draws(uint32_stream(g.bit_generator.random_raw(words + spare))[None], ranges)
+            draws[i], ok[i], spare = row[0], row_ok[0], 2 * spare
+    chosen = np.empty((count, k), dtype=np.int64)
+    for i, j in enumerate(range(N - k, N)):
+        v = draws[:, i].astype(np.int64)
+        chosen[:, i] = np.where((chosen[:, :i] == v[:, None]).any(axis=1), j, v)
+    return np.stack([x for x, _ in reads]), np.sort(chosen, axis=1)
+
+
+def _sample_gss(params: GssParams, count: int, fresh) -> list:
+    """X ~ N(0, I_N), then a uniform k-subset S; Y is S's subset_sum_value."""
+    N, k = params.N, params.k
+    if N > _CHOICE_FLOYD_LIMIT and k > N // 50:
+        reads = [(g.standard_normal(N), g.choice(N, size=k, replace=False)) for g in map(fresh, range(count))]
+        X, S = np.stack([x for x, _ in reads]), np.sort([s for _, s in reads], axis=1)
+    else:
+        X, S = _floyd_supports(params, count, fresh)
+    Y = np.zeros(count)
+    for col in S.T:  # left to right over sorted indices, as subset_sum_value adds them
+        Y += X[np.arange(count), col]
+    return [GssInstance(params=params, X=x, S=tuple(s), Y=v) for x, s, v in zip(X, S.tolist(), Y.tolist())]
 
 
 def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray:
@@ -332,21 +404,32 @@ def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray
     return tensor
 
 
-def draw_tpca(params: TpcaParams, rng: np.random.Generator) -> TpcaInstance:
+def _sample_tpca(params: TpcaParams, count: int, fresh) -> list:
+    """A uniform k-support, then the noise tensor W; Y = sqrt(lambda) x^{(x)d} + W."""
     if params.n**params.d > TENSOR_ENTRY_BUDGET:
         raise ResourceBudgetError(
             f"tensor has {params.n**params.d} entries, budget is {TENSOR_ENTRY_BUDGET}"
         )
-    support = tuple(sorted(int(i) for i in rng.choice(params.n, size=params.k, replace=False)))
-    W = rng.standard_normal((params.n,) * params.d)
-    Y = math.sqrt(params.lam) * tpca_signal_tensor(params, support) + W
-    return TpcaInstance(params=params, support=support, Y=Y)
+    shape = (params.n,) * params.d
+    out = []
+    for g in map(fresh, range(count)):
+        support = tuple(sorted(int(i) for i in g.choice(params.n, size=params.k, replace=False)))
+        Y = math.sqrt(params.lam) * tpca_signal_tensor(params, support) + g.standard_normal(shape)
+        out.append(TpcaInstance(params=params, support=support, Y=Y))
+    return out
 
 
 MODEL_NAMES = ("psp", "rlc", "gss", "tpca")
 
 _PARAM_TYPES = {"psp": PspParams, "rlc": RlcParams, "gss": GssParams, "tpca": TpcaParams}
-_DRAWS = {"psp": draw_psp, "rlc": draw_rlc, "gss": draw_gss, "tpca": draw_tpca}
+_SAMPLERS = {"psp": _sample_psp, "rlc": _sample_rlc, "gss": _sample_gss, "tpca": _sample_tpca}
+# bytes of an instance's arrays
+_INSTANCE_BYTES = {
+    "psp": lambda p: (p.n + 1) ** 2,
+    "rlc": lambda p: p.m * p.n + p.n + p.m,
+    "gss": lambda p: 8 * p.N,
+    "tpca": lambda p: 8 * p.n**p.d,
+}
 # exact E||signal||^2
 _SIGNAL_NORMS = {
     "psp": lambda p: float(p.L),
@@ -363,13 +446,24 @@ def model_name(params) -> str:
     raise ParameterError(f"unknown params type {type(params)!r}")
 
 
-def draw_instance(params, rng: np.random.Generator):
-    """The model's sampler, drawing from rng."""
-    return _DRAWS[model_name(params)](params, rng)
+def chunk_sampler(params):
+    """The model's sampler over a run of trials: draw(count, fresh) -> the run's count instances.
+
+    fresh(i) returns trial i's generator at its fresh state.  Each trial's
+    draws are read from it before fresh(i + 1) is called, and fresh(i) may be
+    called again for a trial that needs more words.
+    """
+    return partial(_SAMPLERS[model_name(params)], params)
 
 
 def sample_instance(params, seed: int):
-    return draw_instance(params, generator(seed))
+    """The instance drawn from generator(seed): chunk_sampler's one-trial run."""
+    return chunk_sampler(params)(1, lambda _: generator(seed))[0]
+
+
+def instance_bytes(params) -> int:
+    """Bytes of the arrays of one instance of the model."""
+    return _INSTANCE_BYTES[model_name(params)](params)
 
 
 def signal_norm(params) -> float:

@@ -4,26 +4,41 @@ Discrete models use Bernoulli resampling: each coordinate is independently
 replaced by a fresh draw from its ambient distribution with probability rho.
 Gaussian models use the Ornstein-Uhlenbeck average sqrt(1-rho^2) * y + rho * Z.
 
-rho = 0 is a bit-exact identity that draws nothing.  Each operator
-draw_noise_<model> draws from a given generator; noise_instance_observation
-takes an explicit seed instead, so the same noise realization can be
-replayed against different estimators.
+rho = 0 is a bit-exact identity that draws nothing.  chunk_noise(params, rho)
+applies the model's operator to a run of instances, each trial's noise read
+from its own generator: PSP's and RLC's as raw Philox words decoded once per
+run (rng.uniforms, coin_bits), GSS's and TPCA's as Generator normals.
+noise_instance_observation takes an explicit seed instead, so the same noise
+realization can be replayed against different estimators.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from .errors import ParameterError
 from .mc import run_trials
 from .models import (
-    PspInstance,
     adjacency_from_edge_vector,
-    draw_instance,
+    chunk_sampler,
     edge_vector_from_adjacency,
+    instance_bytes,
     model_name,
+    vertex_pairs,
 )
-from .rng import INSTANCE_STREAM, NOISE_STREAM, derive_seeds, generator, keyed_generator, philox_keys, rekey
+from .rng import (
+    INSTANCE_STREAM,
+    NOISE_STREAM,
+    coin_bits,
+    derive_seeds,
+    generator,
+    keyed_generator,
+    philox_keys,
+    rekey,
+    uniforms,
+)
 
 # bounds on the run of consecutive trials that CoupledTrials.map hands its function
 EVAL_CHUNK = 256
@@ -40,63 +55,72 @@ def check_trials(n: int) -> None:
         raise ParameterError(f"no values to average; need at least one trial, got {n}")
 
 
-def draw_noise_psp(instance: PspInstance, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Resample every unordered pair from Bern(q) with probability rho."""
-    check_rho(rho)
-    adj = instance.adjacency
-    if rho == 0.0:
-        return adj.copy()
-    vec = edge_vector_from_adjacency(adj)
-    mask = rng.random(vec.shape) < rho
-    fresh = rng.random(vec.shape) < instance.params.q
-    return adjacency_from_edge_vector(np.where(mask, fresh, vec), instance.params.n)
+def _noise_psp(params, rho: float, instances: list, fresh) -> list:
+    """Resample every unordered pair from Bern(q) with probability rho.
+
+    The mask takes one uniform per pair, then the fresh edges one per pair.
+    """
+    pairs = len(vertex_pairs(params.n))
+    u = uniforms(np.stack([g.bit_generator.random_raw(2 * pairs) for g in map(fresh, range(len(instances)))]))
+    edges = edge_vector_from_adjacency(np.stack([inst.adjacency for inst in instances]))
+    return list(adjacency_from_edge_vector(np.where(u[:, :pairs] < rho, u[:, pairs:] < params.q, edges), params.n))
 
 
-def draw_noise_rlc(y: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Resample each codeword bit from Bern(1/2) with probability rho; A untouched."""
-    check_rho(rho)
-    if rho == 0.0:
-        return y.copy()
-    mask = rng.random(y.shape) < rho
-    fresh = rng.integers(0, 2, size=y.shape, dtype=y.dtype)
-    return np.where(mask, fresh, y)
+def _noise_rlc(params, rho: float, instances: list, fresh) -> list:
+    """Resample each codeword bit from Bern(1/2) with probability rho; A untouched.
+
+    The mask takes one uniform per bit, then the fresh bits one
+    Generator.integers(0, 2) call of uint8 coin flips.
+    """
+    m = params.m
+    words = m + ((m + 3) // 4 + 1) // 2  # m uniforms, then ceil(m/4) uint32 draws
+    raw = np.stack([g.bit_generator.random_raw(words) for g in map(fresh, range(len(instances)))])
+    y = np.stack([inst.y for inst in instances])
+    noisy = np.where(uniforms(raw[:, :m]) < rho, coin_bits(raw[:, m:])[:, :m], y)
+    return [(inst.A, yy) for inst, yy in zip(instances, noisy)]
 
 
-def draw_noise_gss(Y: float, rho: float, rng: np.random.Generator) -> float:
+def _noise_gss(params, rho: float, instances: list, fresh) -> list:
     """Ornstein-Uhlenbeck step on the scalar observation."""
-    check_rho(rho)
-    if rho == 0.0:
-        return float(Y)
-    z = rng.standard_normal()
-    return float(np.sqrt(1.0 - rho * rho) * Y + rho * z)
+    z = np.array([g.standard_normal() for g in map(fresh, range(len(instances)))])
+    Y = np.sqrt(1.0 - rho * rho) * np.array([inst.Y for inst in instances], dtype=float) + rho * z
+    return [(inst.X, v) for inst, v in zip(instances, Y.tolist())]
 
 
-def draw_noise_tpca(Y: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
+def _noise_tpca(params, rho: float, instances: list, fresh) -> list:
     """Entrywise Ornstein-Uhlenbeck step on the observed tensor."""
+    shape = (params.n,) * params.d
+    Z = np.stack([g.standard_normal(shape) for g in map(fresh, range(len(instances)))])
+    return list(np.sqrt(1.0 - rho * rho) * np.stack([inst.Y for inst in instances]) + rho * Z)
+
+
+_NOISE = {"psp": _noise_psp, "rlc": _noise_rlc, "gss": _noise_gss, "tpca": _noise_tpca}
+
+
+def _copied(observation):
+    """observation with every array in it copied."""
+    if isinstance(observation, tuple):
+        return tuple(map(_copied, observation))
+    return observation.copy() if isinstance(observation, np.ndarray) else observation
+
+
+def chunk_noise(params, rho: float):
+    """The model's noise operator at rho over a run: apply(instances, fresh) -> their noisy observations.
+
+    fresh(i) returns trial i's noise generator at its fresh state, and each
+    trial's draws are read from it before fresh(i + 1) is called.  At rho = 0
+    each observation is copied and fresh is never called.
+    """
     check_rho(rho)
     if rho == 0.0:
-        return Y.copy()
-    Z = rng.standard_normal(Y.shape)
-    return np.sqrt(1.0 - rho * rho) * Y + rho * Z
-
-
-# model -> (instance, rho, rng) -> the noisy observation, shaped like instance.observation
-_NOISE = {
-    "psp": draw_noise_psp,
-    "rlc": lambda inst, rho, rng: (inst.A, draw_noise_rlc(inst.y, rho, rng)),
-    "gss": lambda inst, rho, rng: (inst.X, draw_noise_gss(inst.Y, rho, rng)),
-    "tpca": lambda inst, rho, rng: draw_noise_tpca(inst.Y, rho, rng),
-}
-
-
-def draw_noisy_observation(instance, rho: float, rng: np.random.Generator):
-    """The instance's observation after the model's noise operator at rho, drawn from rng."""
-    return _NOISE[model_name(instance.params)](instance, rho, rng)
+        return lambda instances, fresh: [_copied(inst.observation) for inst in instances]
+    return partial(_NOISE[model_name(params)], params, rho)
 
 
 def noise_instance_observation(instance, rho: float, seed: int):
-    """The instance's observation after the model's noise operator at rho."""
-    return draw_noisy_observation(instance, rho, generator(seed))
+    """The instance's observation after the model's noise operator at rho, drawn from generator(seed)."""
+    rng = generator(seed)
+    return chunk_noise(instance.params, rho)([instance], lambda _: rng)[0]
 
 
 class CoupledTrials:
@@ -107,32 +131,40 @@ class CoupledTrials:
     (seed, NOISE_STREAM, t), or (seed, NOISE_STREAM, grid_point, t) for a
     point of a noise grid, so the same draw replays against any estimator.
 
-    Every instance and noise key is derived at construction, and trial t is
-    drawn when indexed.  Indexing re-keys one shared Philox, so trial t is
-    the same whichever trials were drawn before it.
+    Every instance and noise key, the model's chunk_sampler and its
+    chunk_noise are resolved at construction.  A run of trials is drawn with
+    one call of each, re-keying one shared Philox per trial, so trial t is
+    the same whichever trials were drawn before it; indexing draws the
+    one-trial run.
     """
 
     def __init__(self, params, rho: float, seed: int, n: int, *, grid_point=None, draw=None):
         check_trials(n)
-        check_rho(rho)
+        self._noise = chunk_noise(params, rho)
         ts = np.arange(n)
         path = () if grid_point is None else (grid_point,)
         self._noise_keys = philox_keys(derive_seeds(seed, NOISE_STREAM, *path, ts=ts))
         self._instance_keys = None if draw is not None else philox_keys(derive_seeds(seed, INSTANCE_STREAM, ts=ts))
-        self._params, self._rho, self._seed, self._draw = params, rho, seed, draw
+        self._sample = chunk_sampler(params) if draw is None else None
+        self._params, self._seed, self._draw = params, seed, draw
         self._rng = keyed_generator()
 
     def __len__(self) -> int:
         return len(self._noise_keys)
 
+    def _run(self, ts: range) -> tuple[list, list]:
+        """The instances of trials ts and their noisy observations."""
+        if self._draw is None:
+            instances = self._sample(len(ts), lambda i: rekey(self._rng, self._instance_keys[ts[i]]))
+        else:
+            instances = [self._draw(self._params, self._seed, t) for t in ts]
+        return instances, self._noise(instances, lambda i: rekey(self._rng, self._noise_keys[ts[i]]))
+
     def __getitem__(self, t: int):
         if not 0 <= t < len(self):
             raise IndexError(f"trial {t} outside 0..{len(self) - 1}")
-        if self._draw is None:
-            inst = draw_instance(self._params, rekey(self._rng, self._instance_keys[t]))
-        else:
-            inst = self._draw(self._params, self._seed, t)
-        return inst, draw_noisy_observation(inst, self._rho, rekey(self._rng, self._noise_keys[t]))
+        instances, noisy = self._run(range(t, t + 1))
+        return instances[0], noisy[0]
 
     def map(self, fn) -> list:
         """fn(start, instances, noisy observations) on runs of consecutive trials; its results in trial order.
@@ -141,13 +173,10 @@ class CoupledTrials:
         observation arrays, but at least one trial.  Each arm of a trial is
         counted at the size of its instance's arrays, which bounds it.
         """
-        head = [self[0]]  # trial 0 sizes the runs; the first run takes it over, so it is not held after
-        trial_bytes = 2 * sum(v.nbytes for v in vars(head[0][0]).values() if isinstance(v, np.ndarray))
-        size = min(EVAL_CHUNK, max(1, EVAL_CHUNK_BYTES // trial_bytes))
+        size = min(EVAL_CHUNK, max(1, EVAL_CHUNK_BYTES // (2 * instance_bytes(self._params))))
         runs = [range(start, min(start + size, len(self))) for start in range(0, len(self), size)]
 
         def chunk(c: int) -> list:
-            pairs = [self[t] if t else head.pop() for t in runs[c]]
-            return fn(runs[c].start, *[list(arm) for arm in zip(*pairs)])
+            return fn(runs[c].start, *self._run(runs[c]))
 
         return [row for rows in run_trials(len(runs), chunk) for row in rows]

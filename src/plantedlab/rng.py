@@ -10,6 +10,12 @@ Seeds and path words are non-negative integers; a negative one raises
 ParameterError.  The batch forms derive_seeds and philox_keys re-implement
 numpy's SeedSequence mixing over uint32 words, vectorized over the trial
 index, and give the same bits as derive_seed and generator trial by trial.
+
+A run of trials re-keys one generator per trial (keyed_generator, rekey) and
+reads each trial's raw Philox words with bit_generator.random_raw.  The
+decoders at the end turn stacked words into what numpy's Generator draws
+from them: uniforms (Generator.random), coin_bits (integers(0, 2) as uint8)
+and lemire_draws (bounded uint32 integers, rejections included).
 """
 
 from __future__ import annotations
@@ -162,3 +168,68 @@ def rekey(gen: np.random.Generator, key) -> np.random.Generator:
         "uinteger": 0,
     }
     return gen
+
+
+# ---------------------------------------------------------------------------
+# numpy's draw rules over raw Philox words
+#
+# A Generator reads uint64 words from its Philox.  A uint32 draw takes the low
+# half of a word and keeps the high half pending for the next uint32 draw;
+# a double draw takes a whole word and leaves a pending half alone.
+
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """Generator.random() of each uint64 word: its top 53 bits times 2**-53, exactly."""
+    return (words >> np.uint64(11)) * _DOUBLE_UNIT
+
+
+def uint32_stream(words: np.ndarray) -> np.ndarray:
+    """The uint32 draws of uint64 words along the last axis, low half of each word first."""
+    return np.asarray(words, dtype="<u8").view("<u4")
+
+
+def coin_bits(words: np.ndarray) -> np.ndarray:
+    """Generator.integers(0, 2, dtype=np.uint8) over the bytes of uint64 words: the top bit of each byte.
+
+    One such call reads fresh uint32 draws and takes their bytes low byte
+    first, so a call of c bits uses ceil(c/4) uint32 draws and drops the rest
+    of the last one; at range 2 Lemire's method never rejects.
+    """
+    return np.asarray(words, dtype="<u8").view(np.uint8) >> np.uint8(7)
+
+
+def lemire_draws(words: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded uint32 draws in [0, r) for each r in ranges, in order, from each row of a uint32 stream.
+
+    This is Lemire's multiply-and-reject rule, as in Generator.integers(0, r,
+    dtype=np.uint32): m = u * r, draw m >> 32, and read the next word while
+    m mod 2**32 < 2**32 mod r.  A range of 1 reads no word; ranges run up to
+    2**32.  Returns the draws, (rows, len(ranges)) uint64, and a boolean per
+    row that is False where the row's words ran out on rejections (its draws
+    from then on are not set).
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    ranges = np.asarray(ranges, dtype=np.uint64).reshape(-1)
+    out = np.zeros((len(words), len(ranges)), dtype=np.uint64)
+    # every row that rejects no word reads draw d from word d of those it reads
+    drawn = np.flatnonzero(ranges > 1)
+    width = min(len(drawn), words.shape[1])
+    m = words[:, :width] * ranges[drawn[:width]]
+    out[:, drawn[:width]] = m >> np.uint64(32)
+    redo = ((m & np.uint64(_MASK32)) < np.uint64(2**32) % ranges[drawn[:width]]).any(axis=1) | (width < len(drawn))
+    ok = np.ones(len(words), dtype=bool)
+    for i in np.flatnonzero(redo):  # a rejection, or too few words: the rule word by word
+        pos = 0
+        for d in drawn.tolist():
+            r = int(ranges[d])
+            while ok[i]:
+                if pos == words.shape[1]:
+                    ok[i] = False
+                    break
+                u, pos = int(words[i, pos]) * r, pos + 1
+                if u & _MASK32 >= 2**32 % r:
+                    out[i, d] = u >> 32
+                    break
+    return out, ok

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .models import SUBSET_BUDGET, check_bits, check_finite, subset_sum_value, subset_sums, subsets
+from .models import SUBSET_BUDGET, check_bits, check_finite, check_shape, subset_sum_value, subset_sums, subsets
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +96,10 @@ def f2_solve(A: np.ndarray, y: np.ndarray) -> F2Solution:
     """Exact solution classification of A x = y over GF(2)."""
     A = np.asarray(A)
     y = np.asarray(y)
+    if A.ndim != 2:
+        raise ParameterError(f"A has shape {A.shape}, expected a matrix (m, n)")
     m, n = A.shape
-    if y.shape != (m,):
-        raise ParameterError(f"y has shape {y.shape}, expected ({m},)")
+    check_shape("y", y, (m,))
     check_bits("A", A)
     check_bits("y", y)
     rows = [row | (int(y[i]) << n) for i, row in enumerate(_pack_rows(A))]
@@ -298,6 +299,8 @@ def lll_subset_sum(
     (left-to-right over sorted indices) is within slack * 2^(2-bits) of Y.
     """
     N = len(X)
+    check_shape("X", X, (N,))
+    check_shape("Y", Y, ())
     check_finite("X", X)
     check_finite("Y", Y)
     if not (1 <= k <= N):

@@ -11,7 +11,9 @@ profile 65,536 messages at a time, the TPCA np.ix_ block per support)
 check the batched posterior kernels, the per-bit row packing checks
 the GF(2) solvers' packing, and the Gram-matrix Bareiss determinant checks
 the LLL input determinant.  numpy's own SeedSequence checks the batch seed
-derivation, and the per-trial polynomial evaluations and the per-trial
+derivation, the per-trial Generator-call samplers and noise operators
+check the run samplers and noise operators that decode raw Philox words,
+and the per-trial polynomial evaluations and the per-trial
 MMSE, estimator-stability and polynomial-stability loops check the batched
 ones, which CoupledTrials.map runs EVAL_CHUNK trials at a time.  The
 exhaustive oracles at the end (all simple paths, the full GF(2) solution
@@ -34,8 +36,24 @@ import numpy as np
 
 from plantedlab.lowdeg import hermite_eval
 from plantedlab.mc import mean_stderr, ratio_with_stderr
-from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, sample_instance, subset_sum_value
-from plantedlab.noise import check_rho, noise_instance_observation
+from plantedlab.models import (
+    GssInstance,
+    GssParams,
+    PspInstance,
+    PspParams,
+    RlcInstance,
+    RlcParams,
+    TpcaInstance,
+    TpcaParams,
+    adjacency_from_edge_vector,
+    edge_vector_from_adjacency,
+    pair_ids,
+    sample_instance,
+    subset_sum_value,
+    tpca_signal_tensor,
+    vertex_pairs,
+)
+from plantedlab.noise import check_rho
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
 from plantedlab.solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 
@@ -332,23 +350,129 @@ def gram_det_loop(rows: list[list[int]]) -> int:
     return g[n - 1][n - 1]
 
 
+# ---------------------------------------------------------------------------
+# per-trial Generator-call samplers and noise operators: the references for
+# models.chunk_sampler and noise.chunk_noise, which decode raw Philox words
+
+
+def draw_psp(params: PspParams, rng: np.random.Generator) -> PspInstance:
+    """Plant a uniform path from 1 to 2, then union an independent G(n, q)."""
+    n, L, q = params.n, params.L, params.q
+    interior = rng.permutation(np.arange(3, n + 1))[: L - 1]
+    path = (1, *map(int, interior), 2)
+    edge_vec = rng.random(len(vertex_pairs(n))) < q
+    edge_vec[pair_ids(n)[path[:-1], path[1:]]] = True
+    return PspInstance(params=params, path=path, adjacency=adjacency_from_edge_vector(edge_vec, n))
+
+
+def draw_rlc(params: RlcParams, rng: np.random.Generator) -> RlcInstance:
+    A = rng.integers(0, 2, size=(params.m, params.n), dtype=np.uint8)
+    x = rng.integers(0, 2, size=params.n, dtype=np.uint8)
+    y = (A @ x) % 2
+    return RlcInstance(params=params, A=A, x=x, y=y.astype(np.uint8))
+
+
+def draw_gss(params: GssParams, rng: np.random.Generator) -> GssInstance:
+    X = rng.standard_normal(params.N)
+    S = tuple(sorted(int(i) for i in rng.choice(params.N, size=params.k, replace=False)))
+    return GssInstance(params=params, X=X, S=S, Y=subset_sum_value(X, S))
+
+
+def draw_tpca(params: TpcaParams, rng: np.random.Generator) -> TpcaInstance:
+    support = tuple(sorted(int(i) for i in rng.choice(params.n, size=params.k, replace=False)))
+    W = rng.standard_normal((params.n,) * params.d)
+    Y = math.sqrt(params.lam) * tpca_signal_tensor(params, support) + W
+    return TpcaInstance(params=params, support=support, Y=Y)
+
+
+def draw_noise_psp(instance: PspInstance, rho: float, rng: np.random.Generator) -> np.ndarray:
+    """Resample every unordered pair from Bern(q) with probability rho."""
+    check_rho(rho)
+    adj = instance.adjacency
+    if rho == 0.0:
+        return adj.copy()
+    vec = edge_vector_from_adjacency(adj)
+    mask = rng.random(vec.shape) < rho
+    fresh = rng.random(vec.shape) < instance.params.q
+    return adjacency_from_edge_vector(np.where(mask, fresh, vec), instance.params.n)
+
+
+def draw_noise_rlc(y: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
+    """Resample each codeword bit from Bern(1/2) with probability rho; A untouched."""
+    check_rho(rho)
+    if rho == 0.0:
+        return y.copy()
+    mask = rng.random(y.shape) < rho
+    fresh = rng.integers(0, 2, size=y.shape, dtype=y.dtype)
+    return np.where(mask, fresh, y)
+
+
+def draw_noise_gss(Y: float, rho: float, rng: np.random.Generator) -> float:
+    """Ornstein-Uhlenbeck step on the scalar observation."""
+    check_rho(rho)
+    if rho == 0.0:
+        return float(Y)
+    z = rng.standard_normal()
+    return float(np.sqrt(1.0 - rho * rho) * Y + rho * z)
+
+
+def draw_noise_tpca(Y: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
+    """Entrywise Ornstein-Uhlenbeck step on the observed tensor."""
+    check_rho(rho)
+    if rho == 0.0:
+        return Y.copy()
+    Z = rng.standard_normal(Y.shape)
+    return np.sqrt(1.0 - rho * rho) * Y + rho * Z
+
+
+DRAWS = {PspParams: draw_psp, RlcParams: draw_rlc, GssParams: draw_gss, TpcaParams: draw_tpca}
+# params type -> (instance, rho, rng) -> the noisy observation, shaped like instance.observation
+NOISE_DRAWS = {
+    PspParams: draw_noise_psp,
+    RlcParams: lambda inst, rho, rng: (inst.A, draw_noise_rlc(inst.y, rho, rng)),
+    GssParams: lambda inst, rho, rng: (inst.X, draw_noise_gss(inst.Y, rho, rng)),
+    TpcaParams: lambda inst, rho, rng: draw_noise_tpca(inst.Y, rho, rng),
+}
+
+
+def sample_instance_scalar(params, seed: int):
+    """The model's instance drawn from generator(seed) with Generator calls."""
+    return DRAWS[type(params)](params, generator(seed))
+
+
+def noise_scalar(instance, rho: float, seed: int):
+    """instance's observation after the model's noise at rho, drawn from generator(seed) with Generator calls."""
+    return NOISE_DRAWS[type(instance.params)](instance, rho, generator(seed))
+
+
+def hex_fields(value):
+    """value with every float as float.hex and every array as (dtype, shape, bytes hex), field by field."""
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: hex_fields(getattr(value, name)) for name in value.__dataclass_fields__}
+    if isinstance(value, (tuple, list)):
+        return [hex_fields(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes().hex())
+    return value.hex() if isinstance(value, float) else value
+
+
 def full_rank_rlc_loop(params, seed: int, t: int):
     """The first of attempts 0..255 at seed path (seed, INSTANCE_STREAM, t, attempt) with full-column-rank A."""
     for attempt in range(256):
-        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t, attempt))
+        inst = sample_instance_scalar(params, derive_seed(seed, INSTANCE_STREAM, t, attempt))
         if f2_rank_loop(inst.A) == params.n:
             return inst
     raise AssertionError(f"no full-column-rank draw for trial {t} in 256 attempts")
 
 
 def coupled_trial_scalar(params, rho: float, seed: int, t: int, grid_point=None, full_rank_only: bool = False):
-    """Trial t of a coupled experiment from two scalar seeds, one per stream."""
+    """Trial t of a coupled experiment from two scalar seeds, one per stream, with Generator calls."""
     if full_rank_only:
         inst = full_rank_rlc_loop(params, seed, t)
     else:
-        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
+        inst = sample_instance_scalar(params, derive_seed(seed, INSTANCE_STREAM, t))
     path = (t,) if grid_point is None else (grid_point, t)
-    return inst, noise_instance_observation(inst, rho, derive_seed(seed, NOISE_STREAM, *path))
+    return inst, noise_scalar(inst, rho, derive_seed(seed, NOISE_STREAM, *path))
 
 
 def rlc_poly_evaluate_loop(poly, observation) -> float:

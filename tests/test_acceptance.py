@@ -40,7 +40,7 @@ from plantedlab.models import (
     TpcaParams,
     sample_instance,
 )
-from plantedlab.noise import draw_noise_gss
+from plantedlab.noise import noise_instance_observation
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import (
     exhaustive_subset_sum,
@@ -111,7 +111,7 @@ def test_criterion_03_gss_endpoints_exact():
     expected_err = params.k * (1 - params.k / params.N)
     for t in range(50):
         inst = sample_instance(params, seed=derive_seed(23, 0, t))
-        y1 = draw_noise_gss(inst.Y, 1.0, generator(derive_seed(23, 1, t)))
+        y1 = noise_instance_observation(inst, 1.0, derive_seed(23, 1, t))[1]
         pm = posterior_mean_for(params, (inst.X, y1), 1.0)
         assert np.all(pm == exact_marginal)
         diff = pm - inst.signal_vector()

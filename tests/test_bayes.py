@@ -41,7 +41,7 @@ from plantedlab.models import (
     sample_instance,
     vertex_pairs,
 )
-from plantedlab.noise import CoupledTrials, draw_noise_gss, draw_noise_psp, draw_noise_rlc, draw_noise_tpca
+from plantedlab.noise import CoupledTrials, noise_instance_observation
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import f2_rank
 from plantedlab.stability import measure_stability
@@ -82,7 +82,7 @@ def test_psp_posterior_matches_rejection_oracle():
     params = PspParams(n=6, L=3, q=0.35)
     rho = 0.4
     inst = sample_instance(params, seed=12)
-    noisy = draw_noise_psp(inst, rho, generator(13))
+    noisy = noise_instance_observation(inst, rho, 13)
     pm = posterior_mean_for(params, noisy, rho)
     pairs = vertex_pairs(6)
     target = np.array([noisy[i, j] for (i, j) in pairs])
@@ -134,7 +134,7 @@ def test_rlc_noiseless_full_rank_recovers_message():
 
 def test_rlc_posterior_matches_rejection_oracle():
     inst = sample_instance(RlcParams(m=10, n=8), seed=21)
-    yh = draw_noise_rlc(inst.y, 0.3, generator(22))
+    yh = noise_instance_observation(inst, 0.3, 22)[1]
     pm = posterior_mean_for(inst.params, (inst.A, yh), 0.3)
     oracle, hits = rlc_rejection_posterior(inst.A, yh, 0.3, samples=20_000_000, seed=5)
     assert hits > 2000
@@ -144,7 +144,7 @@ def test_rlc_posterior_matches_rejection_oracle():
 
 def test_rlc_marginal_ratio_complement():
     inst = sample_instance(RlcParams(m=8, n=5), seed=2)
-    yh = draw_noise_rlc(inst.y, 0.4, generator(3))
+    yh = noise_instance_observation(inst, 0.4, 3)[1]
     pm = posterior_mean_for(inst.params, (inst.A, yh), 0.4)
     # estimate is P(x_i = 1); the zero-side ratio L0/(L0+L1) is its complement
     assert np.all((1 - pm) >= 0) and np.all(pm >= 0)
@@ -181,7 +181,7 @@ def test_enumeration_budget_errors(enumerate_, message):
 def test_gss_uniform_posterior_at_full_noise():
     params = GssParams(N=16, k=3)
     inst = sample_instance(params, seed=9)
-    yh = draw_noise_gss(inst.Y, 1.0, generator(10))
+    yh = noise_instance_observation(inst, 1.0, 10)[1]
     pm = posterior_mean_for(params, (inst.X, yh), 1.0)
     assert np.all(pm == params.k / params.N)
 
@@ -215,7 +215,7 @@ def test_gss_noiseless_inconsistent_input():
 def test_gss_posterior_matches_extended_precision_oracle():
     params = GssParams(N=14, k=3)
     inst = sample_instance(params, seed=31)
-    yh = draw_noise_gss(inst.Y, 0.2, generator(32))
+    yh = noise_instance_observation(inst, 0.2, 32)[1]
     pm = posterior_mean_for(params, (inst.X, yh), 0.2)
     oracle = gss_counting_weights_mpmath(inst.X, yh, 3, 0.2)
     assert np.max(np.abs(oracle - pm)) <= 1e-10
@@ -259,7 +259,7 @@ def test_tpca_noisy_observation_equals_rescaled_model():
     params = TpcaParams(n=8, k=2, d=3, lam=12.0)
     rho = 0.6
     inst = sample_instance(params, seed=51)
-    noisy = draw_noise_tpca(inst.Y, rho, generator(52))
+    noisy = noise_instance_observation(inst, rho, 52)
     via_dispatch = posterior_mean_for(params, noisy, rho)
     lam_tilde = params.lam * (1 - rho**2)
     oracle = tpca_full_density_posterior(noisy, 8, 2, 3, lam_tilde)
@@ -357,7 +357,7 @@ def test_nishimori_identity():
     inners = np.empty(trials)
     for t in range(trials):
         inst = sample_instance(params, seed=derive_seed(10, 0, t))
-        yh = draw_noise_rlc(inst.y, rho, generator(derive_seed(10, 1, t)))
+        yh = noise_instance_observation(inst, rho, derive_seed(10, 1, t))[1]
         pm = posterior_mean_for(params, (inst.A, yh), rho)
         norms[t] = pm @ pm
         inners[t] = pm @ inst.x

@@ -271,14 +271,15 @@ def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path, capsys):
 
 def test_barrier_draws_each_trial_twice_per_rho(tmp_path, monkeypatch):
     # per rho, one MMSE pass and one stability pass that scores all three estimators
+    # every coupled trial is drawn through CoupledTrials._run, one run of trials at a time
     drawn = collections.Counter()
-    draw = CoupledTrials.__getitem__
+    draw = CoupledTrials._run
 
-    def counted(self, t):
-        drawn[t] += 1
-        return draw(self, t)
+    def counted(self, ts):
+        drawn.update(ts)
+        return draw(self, ts)
 
-    monkeypatch.setattr(CoupledTrials, "__getitem__", counted)
+    monkeypatch.setattr(CoupledTrials, "_run", counted)
     argv = [
         "barrier", "--model", "rlc", "--params", '{"m":8,"n":5}', "--rho-grid", "0.3,0.6", "--trials", "20",
         "--estimators", "posterior_mean,f2_round,constant_prior_mean", "--out", str(tmp_path / "b"),

@@ -419,6 +419,32 @@ def test_evaluate_many_rejects_observations_outside_the_model(case):
         poly.evaluate_many([change(obs) if change else obs], params)
 
 
+@pytest.mark.parametrize("model", sorted(POLY_CASES))
+def test_evaluate_many_of_an_empty_batch_is_empty(model):
+    # numpy's np.stack raised a bare ValueError on no observations; every estimator returns shape (0,)
+    params, random_poly, _ = POLY_CASES[model]
+    out = random_poly(params, 2, generator(5)).evaluate_many([], params)
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
+# model -> (params of the polynomial, params of a second observation in the same batch, the error)
+MIXED_CASES = {
+    "rlc": (RlcParams(m=8, n=5), RlcParams(m=6, n=4), "A has shape \\(6, 4\\), expected \\(8, 5\\)"),
+    "gss": (GssParams(N=12, k=3), GssParams(N=8, k=3), "X has shape \\(8,\\), expected \\(12,\\)"),
+    "psp": (PspParams(n=8, L=3, q=0.3), PspParams(n=10, L=3, q=0.3), "adjacency has shape \\(11, 11\\), expected \\(9, 9\\)"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(MIXED_CASES))
+def test_evaluate_many_rejects_a_batch_of_mixed_shapes(model):
+    # numpy's np.stack raised a bare ValueError ("all input arrays must have the same shape")
+    params, other, message = MIXED_CASES[model]
+    poly = POLY_CASES[model][1](params, 2, generator(5))
+    batch = [sample_instance(params, seed=6).observation, sample_instance(other, seed=6).observation]
+    with pytest.raises(ParameterError, match=message):
+        poly.evaluate_many(batch, params)
+
+
 def test_psp_evaluate_many_splits_the_largest_shape_across_gathers():
     params = PspParams(n=10, L=3, q=0.3)
     shape = ((3, 4), (5, 6))

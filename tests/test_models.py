@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import path_edge_indices_loop, path_edges, psp_adjacency_loop, psp_edge_vector_loop, shape_maps_loop
+from oracles import (
+    hex_fields,
+    path_edge_indices_loop,
+    path_edges,
+    psp_adjacency_loop,
+    psp_edge_vector_loop,
+    sample_instance_scalar,
+    shape_maps_loop,
+)
 from plantedlab import models
 from plantedlab.errors import ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import PSP_SHAPE_LIBRARY, _character_sign_tables
@@ -15,7 +23,7 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
-    draw_instance,
+    chunk_sampler,
     instance_from_json,
     instance_to_json,
     pair_ids,
@@ -29,14 +37,28 @@ from plantedlab.models import (
     subset_sums,
     subsets,
 )
-from plantedlab.rng import INSTANCE_STREAM, derive_seeds, keyed_generator, philox_keys, rekey
+from plantedlab.noise import EVAL_CHUNK
+from plantedlab.rng import (
+    INSTANCE_STREAM,
+    coin_bits,
+    derive_seeds,
+    generator,
+    keyed_generator,
+    lemire_draws,
+    philox_keys,
+    rekey,
+    uint32_stream,
+    uniforms,
+)
 
 
 def _trial_draws(params, seed: int, trials: int):
-    """sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t)) for t < trials, one re-keyed Philox."""
-    rng = keyed_generator()
-    for key in philox_keys(derive_seeds(seed, INSTANCE_STREAM, ts=np.arange(trials))):
-        yield draw_instance(params, rekey(rng, key))
+    """sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t)) for t < trials: chunk_sampler runs on one re-keyed Philox."""
+    rng, draw = keyed_generator(), chunk_sampler(params)
+    keys = philox_keys(derive_seeds(seed, INSTANCE_STREAM, ts=np.arange(trials)))
+    for start in range(0, trials, EVAL_CHUNK):
+        run = keys[start : start + EVAL_CHUNK]
+        yield from draw(len(run), lambda i: rekey(rng, run[i]))
 
 
 def test_psp_forced_single_intermediate():
@@ -336,3 +358,97 @@ def test_shared_enumeration_caches_are_read_only():
     for arr in shared:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
+
+
+# ---------------------------------------------------------------------------
+# run samplers decoded from raw Philox words, against the Generator calls
+
+# odd uint32 and uint64 word counts (RLC A of 1, 15, 49, 45 and 512 bits), PSP at q = 0 and 1
+# and with one interior vertex, GSS at k = N and k = 1, TPCA
+SAMPLER_PARAMS = [
+    PspParams(n=3, L=2, q=0.5),
+    PspParams(n=7, L=3, q=0.35),
+    PspParams(n=6, L=5, q=1.0),
+    PspParams(n=9, L=2, q=0.0),
+    RlcParams(m=1, n=1),
+    RlcParams(m=5, n=3),
+    RlcParams(m=7, n=7),
+    RlcParams(m=9, n=5),
+    RlcParams(m=64, n=8),
+    RlcParams(m=12, n=8),
+    GssParams(N=1, k=1),
+    GssParams(N=6, k=6),
+    GssParams(N=20, k=3),
+    GssParams(N=9, k=1),
+    TpcaParams(n=4, k=2, d=3, lam=3.0),
+    TpcaParams(n=3, k=3, d=2, lam=0.0),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(params=st.sampled_from(SAMPLER_PARAMS), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+def test_chunk_sampler_equals_the_generator_call_oracle(params, seeds):
+    rng, keys = keyed_generator(), philox_keys(seeds)
+    run = chunk_sampler(params)(len(seeds), lambda i: rekey(rng, keys[i]))
+    want = [sample_instance_scalar(params, s) for s in seeds]
+    assert [hex_fields(inst) for inst in run] == [hex_fields(inst) for inst in want]
+    assert hex_fields(sample_instance(params, seeds[0])) == hex_fields(want[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), count=st.integers(1, 40))
+def test_word_decoders_equal_generator_draws(seed, count):
+    # each decoder reads the stream from the state a Generator call starts from
+    words = generator(seed).bit_generator.random_raw(2 * count)
+    assert np.array_equal(uniforms(words[:count]), generator(seed).random(count))
+    assert np.array_equal(coin_bits(words)[:count], generator(seed).integers(0, 2, count, dtype=np.uint8))
+    assert np.array_equal(uint32_stream(words), generator(seed).integers(0, 2**32, 4 * count, dtype=np.uint32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    r=st.one_of(st.integers(2**31 - 2**20, 2**31 + 2**20), st.integers(2, 2**32), st.just(1)),
+    size=st.integers(1, 60),
+)
+def test_lemire_draws_equal_bounded_uint32_integers(seed, r, size):
+    # near 2**31 about half of all words are rejected, so the rejection path runs
+    want = generator(seed).integers(0, r, size, dtype=np.uint32) if r < 2**32 else generator(seed).integers(0, 2**32, size, dtype=np.uint32)
+    words = uint32_stream(generator(seed).bit_generator.random_raw(4 * size))[None]
+    got, ok = lemire_draws(words, [r] * size)
+    assert ok.all() and np.array_equal(got[0], want)
+
+
+def test_lemire_draws_report_a_row_whose_words_run_out():
+    r, size = 2**31 + 1, 40
+    words = uint32_stream(np.stack([generator(s).bit_generator.random_raw(size // 2) for s in range(6)]))
+    got, ok = lemire_draws(words, [r] * size)
+    assert not ok.any()  # at r = 2**31 + 1 a rejection in 40 words is all but certain
+    full, full_ok = lemire_draws(uint32_stream(np.stack([generator(s).bit_generator.random_raw(4 * size) for s in range(6)])), [r] * size)
+    assert full_ok.all()
+    for s in range(6):
+        assert np.array_equal(full[s], generator(s).integers(0, r, size, dtype=np.uint32))
+    assert lemire_draws(words[:, :0], [1, 1])[1].all()  # a range of 1 reads no word
+
+
+def test_gss_sampler_reads_on_past_a_rejection():
+    # at N = 10000, k = 200, seed 837's Floyd draws reject a word, so its 100 words run out
+    params = GssParams(N=10000, k=200)
+    g = generator(837)
+    g.standard_normal(params.N)
+    assert not lemire_draws(uint32_stream(g.bit_generator.random_raw(100))[None], range(9801, 10001))[1].all()
+    rng, keys = keyed_generator(), philox_keys([836, 837, 838])
+    run = chunk_sampler(params)(3, lambda i: rekey(rng, keys[i]))
+    assert [hex_fields(inst) for inst in run] == [hex_fields(sample_instance_scalar(params, s)) for s in (836, 837, 838)]
+
+
+def test_gss_sampler_past_floyds_range_calls_choice():
+    # above N = 10000 with k > N // 50, Generator.choice shuffles a tail instead of running Floyd's method
+    params = GssParams(N=12000, k=241)
+    assert hex_fields(sample_instance(params, 5)) == hex_fields(sample_instance_scalar(params, 5))
+
+
+def test_instance_bytes_count_the_instance_arrays():
+    for params in SAMPLER_PARAMS:
+        inst = sample_instance(params, 1)
+        assert models.instance_bytes(params) == sum(v.nbytes for v in vars(inst).values() if isinstance(v, np.ndarray))

@@ -5,45 +5,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantedlab.models import (
+    GssInstance,
     GssParams,
     PspParams,
     RlcParams,
     TpcaParams,
     sample_instance,
 )
-from oracles import ou_compose
-from plantedlab.noise import draw_noise_gss, draw_noise_psp, draw_noise_rlc, draw_noise_tpca
-from plantedlab.rng import derive_seed, generator, keyed_generator, philox_keys, rekey
+from oracles import coupled_trial_scalar, hex_fields, noise_scalar, ou_compose
+from plantedlab.bayes import _sample_full_rank_rlc
+from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, noise_instance_observation
+from plantedlab.rng import derive_seed, keyed_generator, philox_keys, rekey
+
+
+def _gss_noise(Y: float, rho: float, seed: int) -> float:
+    """The GSS operator on the observed value Y, drawn from generator(seed)."""
+    inst = GssInstance(params=GssParams(N=1, k=1), X=np.zeros(1), S=(0,), Y=Y)
+    return noise_instance_observation(inst, rho, seed)[1]
 
 
 def test_rho_zero_is_identity_everywhere():
     psp = sample_instance(PspParams(n=8, L=3, q=0.4), seed=1)
-    assert np.array_equal(draw_noise_psp(psp, 0.0, generator(9)), psp.adjacency)
+    assert np.array_equal(noise_instance_observation(psp, 0.0, 9), psp.adjacency)
     rlc = sample_instance(RlcParams(m=7, n=4), seed=1)
-    assert np.array_equal(draw_noise_rlc(rlc.y, 0.0, generator(9)), rlc.y)
+    assert np.array_equal(noise_instance_observation(rlc, 0.0, 9)[1], rlc.y)
     gss = sample_instance(GssParams(N=10, k=3), seed=1)
-    assert draw_noise_gss(gss.Y, 0.0, generator(9)) == gss.Y
+    assert noise_instance_observation(gss, 0.0, 9)[1] == gss.Y
     tpca = sample_instance(TpcaParams(n=5, k=2, d=3, lam=2.0), seed=1)
-    assert np.array_equal(draw_noise_tpca(tpca.Y, 0.0, generator(9)), tpca.Y)
+    assert np.array_equal(noise_instance_observation(tpca, 0.0, 9), tpca.Y)
 
 
-# model -> (params, instance -> (operator input, the observation it stands for), operator(input, rho, rng))
+# model -> (params, observation -> the part of it that the operator resamples)
 NOISE_OPERATORS = {
-    "psp": (PspParams(n=7, L=3, q=0.35), lambda inst: (inst, inst.adjacency), draw_noise_psp),
-    "rlc": (RlcParams(m=9, n=4), lambda inst: (inst.y, inst.y), draw_noise_rlc),
-    "gss": (GssParams(N=8, k=3), lambda inst: (inst.Y, inst.Y), draw_noise_gss),
-    "tpca": (TpcaParams(n=4, k=2, d=3, lam=3.0), lambda inst: (inst.Y, inst.Y), draw_noise_tpca),
+    "psp": (PspParams(n=7, L=3, q=0.35), lambda obs: obs),
+    "rlc": (RlcParams(m=9, n=4), lambda obs: obs[1]),
+    "gss": (GssParams(N=8, k=3), lambda obs: obs[1]),
+    "tpca": (TpcaParams(n=4, k=2, d=3, lam=3.0), lambda obs: obs),
 }
 
 
 @settings(max_examples=40, deadline=None)
 @given(model=st.sampled_from(sorted(NOISE_OPERATORS)), seed=st.integers(0, 2**64 - 1), key_seed=st.integers(0, 2**64 - 1))
 def test_rho_zero_copies_the_input_and_draws_nothing(model, seed, key_seed):
-    params, operand, operator = NOISE_OPERATORS[model]
-    x, observed = operand(sample_instance(params, seed))
+    params, part = NOISE_OPERATORS[model]
+    inst = sample_instance(params, seed)
+    observed = part(inst.observation)
     rng = rekey(keyed_generator(), philox_keys([key_seed])[0])
     before = rng.bit_generator.state
-    out = operator(x, 0.0, rng)
+    out = part(chunk_noise(params, 0.0)([inst], lambda _: rng)[0])
     assert np.array_equal(out, observed)
     if isinstance(out, np.ndarray):
         assert not np.shares_memory(out, observed)
@@ -56,11 +65,10 @@ def test_rho_zero_copies_the_input_and_draws_nothing(model, seed, key_seed):
 @settings(max_examples=40, deadline=None)
 @given(model=st.sampled_from(sorted(NOISE_OPERATORS)), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2, unique=True), key_seed=st.integers(0, 2**64 - 1))
 def test_rho_one_forgets_the_input(model, seeds, key_seed):
-    params, operand, operator = NOISE_OPERATORS[model]
+    params, part = NOISE_OPERATORS[model]
     gen, key = keyed_generator(), philox_keys([key_seed])[0]
-    a, b = (operand(sample_instance(params, s))[0] for s in seeds)
-    out_a = operator(a, 1.0, rekey(gen, key))
-    out_b = operator(b, 1.0, rekey(gen, key))
+    noise = chunk_noise(params, 1.0)
+    out_a, out_b = (part(noise([sample_instance(params, s)], lambda _: rekey(gen, key))[0]) for s in seeds)
     assert np.array_equal(out_a, out_b)
     if model in ("gss", "tpca"):
         # sqrt(1 - 1) * Y + 1 * Z is exactly Z
@@ -70,11 +78,11 @@ def test_rho_one_forgets_the_input(model, seeds, key_seed):
 
 def test_noise_is_replayable():
     psp = sample_instance(PspParams(n=8, L=3, q=0.4), seed=3)
-    a = draw_noise_psp(psp, 0.6, generator(42))
-    b = draw_noise_psp(psp, 0.6, generator(42))
+    a = noise_instance_observation(psp, 0.6, 42)
+    b = noise_instance_observation(psp, 0.6, 42)
     assert np.array_equal(a, b)
     gss = sample_instance(GssParams(N=10, k=3), seed=3)
-    assert draw_noise_gss(gss.Y, 0.6, generator(42)) == draw_noise_gss(gss.Y, 0.6, generator(42))
+    assert noise_instance_observation(gss, 0.6, 42)[1] == noise_instance_observation(gss, 0.6, 42)[1]
 
 
 def test_psp_full_noise_fixed_pair_frequency():
@@ -83,7 +91,7 @@ def test_psp_full_noise_fixed_pair_frequency():
     inst = sample_instance(params, seed=5)
     pair = (inst.path[0], inst.path[1])  # a planted edge, always present in input
     trials = 10**4
-    hits = sum(draw_noise_psp(inst, 1.0, generator(derive_seed(0, 1, t)))[pair] for t in range(trials))
+    hits = sum(noise_instance_observation(inst, 1.0, derive_seed(0, 1, t))[pair] for t in range(trials))
     freq = hits / trials
     stderr = math.sqrt(0.35 * 0.65 / trials)
     assert abs(freq - params.q) <= 3 * stderr
@@ -96,7 +104,7 @@ def test_psp_planted_edge_survival_at_q_zero():
     pair = (inst.path[1], inst.path[2])
     pair = (min(pair), max(pair))
     trials = 10**4
-    hits = sum(draw_noise_psp(inst, 0.5, generator(derive_seed(1, 1, t)))[pair] for t in range(trials))
+    hits = sum(noise_instance_observation(inst, 0.5, derive_seed(1, 1, t))[pair] for t in range(trials))
     freq = hits / trials
     stderr = math.sqrt(0.25 / trials)
     assert abs(freq - 0.5) <= 3 * stderr
@@ -107,7 +115,7 @@ def test_rlc_full_noise_uniform():
     trials = 10**4
     counts = np.zeros(6)
     for t in range(trials):
-        counts += draw_noise_rlc(rlc.y, 1.0, generator(derive_seed(2, 1, t)))
+        counts += noise_instance_observation(rlc, 1.0, derive_seed(2, 1, t))[1]
     freq = counts / trials
     stderr = math.sqrt(0.25 / trials)
     assert np.all(np.abs(freq - 0.5) <= 4 * stderr)
@@ -119,7 +127,7 @@ def test_rlc_flip_probability_is_half_rho():
     trials = 10**4
     flips = 0
     for t in range(trials):
-        flips += int((draw_noise_rlc(rlc.y, rho, generator(derive_seed(3, 1, t))) != rlc.y).sum())
+        flips += int((noise_instance_observation(rlc, rho, derive_seed(3, 1, t))[1] != rlc.y).sum())
     freq = flips / (trials * 10)
     stderr = math.sqrt(0.2 * 0.8 / (trials * 10))
     assert abs(freq - rho / 2) <= 3 * stderr
@@ -128,7 +136,7 @@ def test_rlc_flip_probability_is_half_rho():
 def test_gss_full_noise_standard_normal():
     Y = 7.3
     trials = 2 * 10**4
-    draws = np.array([draw_noise_gss(Y, 1.0, generator(derive_seed(4, 1, t))) for t in range(trials)])
+    draws = np.array([_gss_noise(Y, 1.0, derive_seed(4, 1, t)) for t in range(trials)])
     assert abs(draws.mean()) <= 3 * draws.std(ddof=1) / math.sqrt(trials)
     var = draws.var(ddof=1)
     assert abs(var - 1.0) <= 3 * var * math.sqrt(2 / (trials - 1))
@@ -142,7 +150,7 @@ def test_gss_variance_preserved_under_ou():
     out = np.empty(trials)
     for t in range(trials):
         inst = sample_instance(params, seed=derive_seed(5, 0, t))
-        out[t] = draw_noise_gss(inst.Y, rho, generator(derive_seed(5, 1, t)))
+        out[t] = noise_instance_observation(inst, rho, derive_seed(5, 1, t))[1]
     target = (1 - rho**2) * params.k + rho**2
     var = out.var(ddof=1)
     assert abs(var - target) <= 3 * var * math.sqrt(2 / (trials - 1))
@@ -159,9 +167,9 @@ def test_ou_semigroup_two_sample():
     two_step = np.empty(trials)
     one_step = np.empty(trials)
     for t in range(trials):
-        mid = draw_noise_gss(Y, rho1, generator(derive_seed(6, 1, t)))
-        two_step[t] = draw_noise_gss(mid, rho2, generator(derive_seed(6, 2, t)))
-        one_step[t] = draw_noise_gss(Y, rho3, generator(derive_seed(6, 3, t)))
+        mid = _gss_noise(Y, rho1, derive_seed(6, 1, t))
+        two_step[t] = _gss_noise(mid, rho2, derive_seed(6, 2, t))
+        one_step[t] = _gss_noise(Y, rho3, derive_seed(6, 3, t))
     # both arms are Gaussian with the same mean/variance; two-sample z-tests
     se_mean = math.sqrt(two_step.var(ddof=1) / trials + one_step.var(ddof=1) / trials)
     assert abs(two_step.mean() - one_step.mean()) <= 3 * se_mean
@@ -172,7 +180,7 @@ def test_ou_semigroup_two_sample():
 
 def test_tpca_full_noise_fresh_normal():
     inst = sample_instance(TpcaParams(n=5, k=2, d=3, lam=9.0), seed=8)
-    out = draw_noise_tpca(inst.Y, 1.0, generator(99))
+    out = noise_instance_observation(inst, 1.0, 99)
     flat = out.ravel()
     assert abs(flat.mean()) <= 3 * flat.std(ddof=1) / math.sqrt(flat.size)
     var = flat.var(ddof=1)
@@ -190,7 +198,7 @@ def test_tpca_noise_matches_rescaled_model():
     fresh_means = np.empty(trials)
     for t in range(trials):
         inst = sample_instance(params, seed=derive_seed(7, 0, t))
-        noisy = draw_noise_tpca(inst.Y, rho, generator(derive_seed(7, 1, t)))
+        noisy = noise_instance_observation(inst, rho, derive_seed(7, 1, t))
         s = list(inst.support)
         noisy_means[t] = noisy[np.ix_(s, s, s)].mean()
         fresh = sample_instance(params_tilde, seed=derive_seed(8, 0, t))
@@ -198,3 +206,68 @@ def test_tpca_noise_matches_rescaled_model():
         fresh_means[t] = fresh.Y[np.ix_(sf, sf, sf)].mean()
     se = math.sqrt(noisy_means.var(ddof=1) / trials + fresh_means.var(ddof=1) / trials)
     assert abs(noisy_means.mean() - fresh_means.mean()) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# coupled runs decoded from raw Philox words, against the Generator-call oracles
+
+# odd uint32 and uint64 word counts (RLC A of 1, 15, 49, 45 and 512 bits, y of 1, 5, 7, 9 and 64 bits),
+# PSP at q = 0 and 1 and with one interior vertex, GSS at k = N, TPCA
+COUPLED_PARAMS = [
+    PspParams(n=3, L=2, q=0.5),
+    PspParams(n=7, L=3, q=0.35),
+    PspParams(n=6, L=5, q=1.0),
+    PspParams(n=9, L=2, q=0.0),
+    RlcParams(m=1, n=1),
+    RlcParams(m=5, n=3),
+    RlcParams(m=7, n=7),
+    RlcParams(m=9, n=5),
+    RlcParams(m=64, n=8),
+    GssParams(N=1, k=1),
+    GssParams(N=6, k=6),
+    GssParams(N=20, k=3),
+    TpcaParams(n=4, k=2, d=3, lam=3.0),
+]
+rhos = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+grid_points = st.one_of(st.none(), st.integers(0, 2**40))
+
+
+def _pairs(start, instances, noisy):
+    return list(zip(instances, noisy))
+
+
+@settings(max_examples=120, deadline=None)
+@given(params=st.sampled_from(COUPLED_PARAMS), seed=st.integers(0, 2**64 - 1), rho=rhos, grid_point=grid_points,
+       trials=st.integers(1, 30))
+def test_coupled_runs_equal_the_generator_call_oracles(params, seed, rho, grid_point, trials):
+    batch = CoupledTrials(params, rho, seed, trials, grid_point=grid_point)
+    want = [hex_fields(coupled_trial_scalar(params, rho, seed, t, grid_point=grid_point)) for t in range(trials)]
+    assert [hex_fields(pair) for pair in batch.map(_pairs)] == want
+    assert hex_fields(batch[trials - 1]) == want[-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=st.sampled_from([RlcParams(m=3, n=3), RlcParams(m=5, n=3), RlcParams(m=9, n=5)]),
+       seed=st.integers(0, 2**32), rho=rhos, grid_point=st.integers(0, 6), trials=st.integers(1, 12))
+def test_full_rank_draws_take_the_run_noise(params, seed, rho, grid_point, trials):
+    # draw= instances keep their scalar (seed, 0, t, attempt) seeds; their noise is the run's
+    batch = CoupledTrials(params, rho, seed, trials, grid_point=grid_point, draw=_sample_full_rank_rlc)
+    got = batch.map(_pairs)
+    for t in range(trials):
+        want = coupled_trial_scalar(params, rho, seed, t, grid_point=grid_point, full_rank_only=True)
+        assert hex_fields(got[t]) == hex_fields(want)
+
+
+def test_coupled_runs_cross_run_boundaries():
+    for params in (RlcParams(m=7, n=7), GssParams(N=6, k=6), PspParams(n=7, L=3, q=0.35)):
+        trials = EVAL_CHUNK + 5
+        got = CoupledTrials(params, 0.3, 8, trials).map(_pairs)
+        for t in (0, EVAL_CHUNK - 1, EVAL_CHUNK, trials - 1):
+            assert hex_fields(got[t]) == hex_fields(coupled_trial_scalar(params, 0.3, 8, t))
+
+
+def test_noise_instance_observation_equals_the_oracle():
+    for params in COUPLED_PARAMS:
+        inst = sample_instance(params, 4)
+        for rho in (0.0, 0.45, 1.0):
+            assert hex_fields(noise_instance_observation(inst, rho, 77)) == hex_fields(noise_scalar(inst, rho, 77))

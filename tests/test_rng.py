@@ -12,11 +12,11 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
-    draw_instance,
+    chunk_sampler,
     instance_to_json,
     sample_instance,
 )
-from plantedlab.noise import CoupledTrials, draw_noisy_observation, noise_instance_observation
+from plantedlab.noise import CoupledTrials, chunk_noise, noise_instance_observation
 from plantedlab.rng import derive_seed, derive_seeds, generator, keyed_generator, philox_keys, rekey
 
 seeds = st.one_of(st.just(0), st.integers(0, 2**64 - 1), st.integers(2**64, 2**130))
@@ -102,14 +102,16 @@ def _same(a, b) -> bool:
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), rho=st.sampled_from([0.0, 0.3, 1.0]))
 def test_rekeyed_generator_draws_the_seeded_stream(seed, rho):
-    # one generator, re-keyed after every draw, against a fresh generator(seed) per call
+    # one generator, re-keyed for every trial of a run, against a fresh generator(seed) per call
     gen = keyed_generator()
     key = philox_keys([seed])[0]
     for params in MODEL_PARAMS:
         inst = sample_instance(params, seed)
-        assert instance_to_json(draw_instance(params, rekey(gen, key))) == instance_to_json(inst)
+        run = chunk_sampler(params)(2, lambda i: rekey(gen, key))
+        assert [instance_to_json(i) for i in run] == [instance_to_json(inst)] * 2
         want = noise_instance_observation(inst, rho, seed)
-        assert _same(draw_noisy_observation(inst, rho, rekey(gen, key)), want)
+        noisy = chunk_noise(params, rho)([inst, inst], lambda i: rekey(gen, key))
+        assert _same(noisy[0], want) and _same(noisy[1], want)
     # the generator draws the same stream as generator(seed) for the basic draws too
     for draw in (
         lambda g: g.standard_normal(5),

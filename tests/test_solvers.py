@@ -281,6 +281,18 @@ def test_solver_input_outside_the_model_raises(call, message):
         call()
 
 
+def test_f2_solve_rejects_a_matrix_that_is_not_2d():
+    # m, n = A.shape raised a bare ValueError ("not enough values to unpack")
+    with pytest.raises(ParameterError, match="A has shape \\(3,\\), expected a matrix"):
+        f2_solve(np.array([1, 0, 1]), np.array([1]))
+
+
+def test_lll_subset_sum_rejects_x_that_is_not_a_vector():
+    # float() of a row of X raised a bare TypeError
+    with pytest.raises(ParameterError, match="X has shape \\(2, 3\\), expected \\(2,\\)"):
+        lll_subset_sum(np.ones((2, 3)), 1.0, 2)
+
+
 def test_lll_config_validation():
     with pytest.raises(ParameterError):
         LllConfig(delta=1.5)
