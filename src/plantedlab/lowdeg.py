@@ -36,7 +36,7 @@ from .rng import generator
 
 DIAGRAM_DEGREE_CAP = 10
 CHARACTER_ENUM_BUDGET = 2**24
-# PspSymmetricPoly.evaluate_many gathers at most this many float64s at once
+# PspSymmetricPoly.evaluate_many gathers row blocks of at most this many float64s
 PSP_GATHER_ELEMENTS = 2**16
 
 
@@ -298,13 +298,19 @@ class PspSymmetricPoly(_OneObservation):
         return max((len(shape) for shape, _ in self.terms), default=0)
 
     def evaluate_many(self, adjacencies, params: PspParams) -> np.ndarray:
-        """evaluate at each adjacency matrix.
+        """evaluate at each adjacency matrix, bit-identical to one evaluation at a time.
 
-        Each trial's placement products are summed as one 1-D row, so the sum
-        is the pairwise sum of a single evaluation; a gather holds at most
-        PSP_GATHER_ELEMENTS floats.
+        Trials go in blocks of rows whose placement columns hold at most
+        PSP_GATHER_ELEMENTS floats.  Each edge column is gathered with np.take
+        into C-ordered rows and multiplied in edge order, so one sum along the
+        block's rows sums each row pairwise, as a 1-D placement sum does; the
+        strided rows of a fancy gather would sum in another order.  The shape
+        () is one placement with the empty product 1; a shape with no
+        placements adds 0.  Raises ParameterError unless 0 < q < 1.
         """
         n, q = params.n, params.q
+        if not 0.0 < q < 1.0:
+            raise ParameterError(f"the centered edge basis needs 0 < q < 1, got q={q}")
         present = edge_vector_from_adjacency(check_stack("adjacency", adjacencies, (n + 1, n + 1)))
         check_bits("adjacency", present)
         centered = (present.astype(float) - q) / math.sqrt(q * (1.0 - q))
@@ -312,9 +318,14 @@ class PspSymmetricPoly(_OneObservation):
         for shape, c in self.terms:
             maps = placements(shape, n)
             step = max(1, PSP_GATHER_ELEMENTS // max(maps.size, 1))
-            sums = [row.sum() for start in range(0, len(centered), step)
-                    for row in centered[start:start + step, maps].prod(axis=2)]
-            total += c * np.array(sums)
+            sums = np.empty(len(centered))
+            for start in range(0, len(centered), step):
+                block = centered[start:start + step]
+                prods = np.take(block, maps[:, 0], axis=1) if maps.shape[1] else np.ones((len(block), len(maps)))
+                for col in maps.T[1:]:
+                    prods *= np.take(block, col, axis=1)
+                sums[start:start + step] = prods.sum(axis=1)
+            total += c * sums
         return total
 
 

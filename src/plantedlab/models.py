@@ -85,14 +85,20 @@ def placements(shape: tuple, n: int) -> np.ndarray:
 
     Labels 1 and 2 stay pinned.  The labels >= 3, in ascending order, take
     distinct vertices of 3..n in itertools.permutations order, so a shape with
-    more of them than there are such vertices has no placement (0 rows).
+    more of them than there are such vertices has no placement (0 rows).  The
+    empty shape () has one placement with no edges, a (1, 0) array.  Raises
+    ParameterError on a loop edge or a label below 1, which would otherwise
+    read pair_ids' -1 as the last vertex pair.
     """
+    for a, b in shape:
+        if a == b or min(a, b) < 1:
+            raise ParameterError(f"shape edge {(a, b)} needs two distinct labels >= 1")
     holders = sorted({v for e in shape for v in e if v >= 3})
     count = math.perm(n - 2, len(holders))
     perms = itertools.chain.from_iterable(itertools.permutations(range(3, n + 1), len(holders)))
-    vertex = np.tile(np.arange(max(map(max, shape)) + 1), (count, 1))  # each label is its own vertex
+    vertex = np.tile(np.arange(max(map(max, shape), default=0) + 1), (count, 1))  # each label is its own vertex
     vertex[:, holders] = np.fromiter(perms, dtype=np.intp, count=count * len(holders)).reshape(count, len(holders))
-    a, b = np.array(shape).T
+    a, b = np.array(shape, dtype=np.intp).reshape(-1, 2).T
     out = np.ascontiguousarray(pair_ids(n)[vertex[:, a], vertex[:, b]])
     out.flags.writeable = False
     return out

@@ -228,7 +228,7 @@ def shape_maps_loop(shape, n: int) -> np.ndarray:
     for assign in itertools.permutations(range(3, n + 1), len(placeholders)):
         table = {1: 1, 2: 2, **dict(zip(placeholders, assign))}
         rows.append([idx[tuple(sorted((table[a], table[b])))] for a, b in shape])
-    return np.array(rows, dtype=np.int64).reshape(-1, len(shape))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
 
 
 def gss_exact_match_posterior_loop(X: np.ndarray, y_hat: float, k: int) -> tuple[np.ndarray, int]:

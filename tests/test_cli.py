@@ -457,6 +457,12 @@ def test_hermite_check_command(tmp_path):
             id="stability-any-option",
         ),
         pytest.param(
+            ["lowdeg-stability", "--model", "psp", "--params", '{"n":8,"L":3,"q":0.0}', "--rho-grid", "0.5",
+             "--trials", "3", "--options", '{"n_polys":1}'],
+            "the centered edge basis needs 0 < q < 1, got q=0.0",
+            id="lowdeg-stability-psp-q0",
+        ),
+        pytest.param(
             ["count-paths", "--options", '{"n":8,"m":3,"eps_m":1,"q":1.5,"graphs":3}'],
             "need q in [0, 1], got 1.5",
             id="count-paths-q",

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     stability_ratio_loop,
     symmetrize_check,
 )
+from plantedlab import lowdeg
 from plantedlab.errors import IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import (
     PSP_GATHER_ELEMENTS,
@@ -34,7 +36,15 @@ from plantedlab.lowdeg import (
     rlc_stability_bound,
     stability_ratio,
 )
-from plantedlab.models import GssParams, PspParams, RlcParams, model_name, placements, sample_instance
+from plantedlab.models import (
+    GssParams,
+    PspParams,
+    RlcParams,
+    adjacency_from_edge_vector,
+    model_name,
+    placements,
+    sample_instance,
+)
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials
 from plantedlab.rng import generator
 
@@ -464,6 +474,70 @@ def test_psp_shape_without_placements_contributes_zero():
     both = PspSymmetricPoly(terms=((((3, 4), (5, 6)), 1.0), (((1, 3),), 2.0)))
     single = PspSymmetricPoly(terms=((((1, 3),), 2.0),))
     assert both.evaluate(adjacency, params) == single.evaluate(adjacency, params)
+
+
+# edges over labels 1..7: paths, stars, triangles, disjoint edges and the pinned (1, 2) all occur,
+# and at small n many shapes have no placement
+_psp_edges = st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda e: e[0] != e[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(st.lists(_psp_edges, max_size=3).map(tuple), min_size=1, max_size=3),
+    n=st.integers(3, 11),
+    q=st.floats(0.01, 0.99),
+    blocks=st.integers(1, 3),
+    trials=st.integers(1, 9),
+    seed=st.integers(0, 2**32),
+)
+def test_psp_evaluate_many_matches_the_placement_loop(shapes, n, q, blocks, trials, seed):
+    params = PspParams(n=n, L=2, q=q)
+    rng = generator(seed)
+    poly = PspSymmetricPoly(terms=tuple((shape, float(rng.standard_normal())) for shape in shapes))
+    pairs = n * (n - 1) // 2
+    observations = [adjacency_from_edge_vector(rng.random(pairs) < q, n) for _ in range(trials)]
+    want = _hex(psp_poly_evaluate_loop(poly, obs, params) for obs in observations)
+    # a block holds gather // (placement indices per trial) rows, so the widest shape spans up to `blocks` blocks
+    widest = max(placements(shape, n).size for shape in shapes)
+    gather = max(widest, 1) * -(-trials // blocks)
+    with mock.patch.object(lowdeg, "PSP_GATHER_ELEMENTS", gather):
+        assert _hex(poly.evaluate_many(observations, params)) == want
+
+
+@pytest.mark.parametrize("P", [1, 7, 8, 9, 127, 128, 129, 336, 1680])
+def test_row_sums_of_a_c_ordered_block_are_the_1d_pairwise_sums(P):
+    # evaluate_many relies on numpy summing each contiguous row of a (T, P)
+    # block as a 1-D sum does; the strided rows of a fancy gather are not
+    rng = np.random.default_rng(P)
+    centered = rng.standard_normal((37, 45)) * 10.0 ** rng.integers(-6, 7, size=(37, 45))
+    maps = rng.integers(0, 45, size=(P, 2))
+    prods = np.take(centered, maps[:, 0], axis=1)
+    prods *= np.take(centered, maps[:, 1], axis=1)
+    gathered = centered[:, maps].prod(axis=2)
+    assert prods.flags.c_contiguous and gathered.flags.f_contiguous and np.array_equal(prods, gathered)
+    rows = _hex(np.array(row).sum() for row in prods)
+    assert _hex(prods.sum(axis=1)) == rows
+    if P >= 8:
+        assert _hex(gathered.sum(axis=1)) != rows
+
+
+def test_psp_constant_shape_is_the_constant_term():
+    params = PspParams(n=8, L=3, q=0.3)
+    adjacency = sample_instance(params, seed=3).adjacency
+    poly = PspSymmetricPoly(terms=(((), 1.5), (((1, 3),), 2.0)))
+    want = psp_poly_evaluate_loop(poly, adjacency, params)
+    assert poly.evaluate(adjacency, params).hex() == want.hex()
+    assert poly.evaluate(adjacency, params) == 1.5 + PspSymmetricPoly(terms=((((1, 3),), 2.0),)).evaluate(adjacency, params)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_psp_poly_rejects_q_without_a_centered_basis(q):
+    # sqrt(q(1-q)) = 0: the edge basis once divided by it and returned nan
+    params = PspParams(n=8, L=3, q=q)
+    adjacency = sample_instance(params, seed=3).adjacency
+    poly = PspSymmetricPoly(terms=((((1, 3),), 1.0),))
+    with pytest.raises(ParameterError, match="0 < q < 1"):
+        poly.evaluate_many([adjacency], params)
 
 
 @pytest.mark.parametrize("model", sorted(POLY_CASES))

@@ -319,6 +319,20 @@ def test_placements_match_the_permutation_loops(n):
         assert got.shape == want.shape and np.array_equal(got, want), L
 
 
+def test_placements_of_the_empty_shape_is_one_empty_placement():
+    # the constant term: one placement with an empty product, as in the oracle
+    got = placements((), 8)
+    assert got.shape == (1, 0) and np.array_equal(got, shape_maps_loop((), 8))
+
+
+@pytest.mark.parametrize("shape", [((3, 3),), ((1, 1),), ((0, 3),), ((1, 3), (-1, 2))])
+def test_placements_reject_loops_and_labels_below_one(shape):
+    # each once read pair_ids' -1 entry, the index of the last vertex pair: at n = 8 a
+    # PspSymmetricPoly of ((3, 3),) evaluated the seed-3 graph to -3.93 with no error
+    with pytest.raises(ParameterError, match="needs two distinct labels >= 1"):
+        placements(shape, 8)
+
+
 def test_pair_ids_index_both_orientations():
     n = 7
     ids = pair_ids(n)

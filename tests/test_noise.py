@@ -15,7 +15,7 @@ from plantedlab.models import (
 from oracles import coupled_trial_scalar, hex_fields, noise_scalar, ou_compose
 from plantedlab.bayes import _sample_full_rank_rlc
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, noise_instance_observation
-from plantedlab.rng import derive_seed, keyed_generator, philox_keys, rekey
+from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, derive_seeds, keyed_generator, philox_keys, rekey
 
 
 def _gss_noise(Y: float, rho: float, seed: int) -> float:
@@ -147,10 +147,9 @@ def test_gss_variance_preserved_under_ou():
     params = GssParams(N=40, k=5)
     rho = 0.6
     trials = 2 * 10**4
-    out = np.empty(trials)
-    for t in range(trials):
-        inst = sample_instance(params, seed=derive_seed(5, 0, t))
-        out[t] = noise_instance_observation(inst, rho, derive_seed(5, 1, t))[1]
+    # trial t: the instance at seed path (5, 0, t), its noise at (5, 1, t)
+    assert (INSTANCE_STREAM, NOISE_STREAM) == (0, 1)
+    out = np.array([obs[1] for obs in CoupledTrials(params, rho, 5, trials).map(lambda start, insts, noisy: noisy)])
     target = (1 - rho**2) * params.k + rho**2
     var = out.var(ddof=1)
     assert abs(var - target) <= 3 * var * math.sqrt(2 / (trials - 1))
@@ -164,12 +163,16 @@ def test_ou_semigroup_two_sample():
     assert math.isclose(rho3**2, rho1**2 + rho2**2 - rho1**2 * rho2**2, rel_tol=1e-12)
     Y = 3.7
     trials = 2 * 10**4
-    two_step = np.empty(trials)
-    one_step = np.empty(trials)
-    for t in range(trials):
-        mid = _gss_noise(Y, rho1, derive_seed(6, 1, t))
-        two_step[t] = _gss_noise(mid, rho2, derive_seed(6, 2, t))
-        one_step[t] = _gss_noise(Y, rho3, derive_seed(6, 3, t))
+    params, gen = GssParams(N=1, k=1), keyed_generator()
+
+    def arm(Ys, rho, stream):
+        # _gss_noise(Y, rho, derive_seed(6, stream, t)) at every trial t, as one run
+        keys = philox_keys(derive_seeds(6, stream, ts=np.arange(trials)))
+        instances = [GssInstance(params=params, X=np.zeros(1), S=(0,), Y=y) for y in Ys]
+        return np.array([obs[1] for obs in chunk_noise(params, rho)(instances, lambda i: rekey(gen, keys[i]))])
+
+    two_step = arm(arm([Y] * trials, rho1, 1), rho2, 2)
+    one_step = arm([Y] * trials, rho3, 3)
     # both arms are Gaussian with the same mean/variance; two-sample z-tests
     se_mean = math.sqrt(two_step.var(ddof=1) / trials + one_step.var(ddof=1) / trials)
     assert abs(two_step.mean() - one_step.mean()) <= 3 * se_mean
