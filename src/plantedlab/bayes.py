@@ -25,13 +25,14 @@ from .models import (
     check_bits,
     check_finite,
     check_shape,
-    edge_vector_from_adjacency,
+    check_stack,
     model_name,
     path_edge_indices,
     sample_instance,
     signal_norm,
     subset_sums,
     subsets,
+    vertex_pairs,
 )
 from .noise import EVAL_CHUNK_BYTES, CoupledTrials, check_rho, check_trials
 from .rng import INSTANCE_STREAM, derive_seed
@@ -71,7 +72,7 @@ def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int)
 # PSP
 
 
-def _psp_posteriors(params: PspParams, adjacencies: Sequence[np.ndarray], rho: float) -> np.ndarray:
+def _psp_posteriors(params: PspParams, observations: Sequence[np.ndarray], rho: float) -> np.ndarray:
     """Posterior means of the path's edge indicators given each noisy graph.
 
     A candidate path H gets weight ((1 - rho(1-q))/q)^{|E(H) & G|} * rho^{L - |E(H) & G|}:
@@ -80,11 +81,9 @@ def _psp_posteriors(params: PspParams, adjacencies: Sequence[np.ndarray], rho: f
     corners the full likelihood is used instead of the ratio form.
     """
     n, L, q = params.n, params.L, params.q
-    for adjacency in adjacencies:
-        check_shape("adjacency", adjacency, (n + 1, n + 1))
-    stacked = np.stack(adjacencies)
-    check_bits("adjacency", stacked)
-    edge_present = edge_vector_from_adjacency(stacked).astype(float)
+    stacked = check_stack("edges", observations, (len(vertex_pairs(n)),))
+    check_bits("edges", stacked)
+    edge_present = stacked.astype(float)
     path_idx = path_edge_indices(n, L)
     m_in = edge_present[:, path_idx].sum(axis=2)  # edges of each H present in each graph
     p1 = 1.0 - rho * (1.0 - q)

@@ -27,9 +27,9 @@ from .models import (
     check_bits,
     check_finite,
     check_stack,
-    edge_vector_from_adjacency,
     model_name,
     placements,
+    vertex_pairs,
 )
 from .noise import CoupledTrials, check_rho
 from .rng import generator
@@ -297,8 +297,8 @@ class PspSymmetricPoly(_OneObservation):
     def degree(self) -> int:
         return max((len(shape) for shape, _ in self.terms), default=0)
 
-    def evaluate_many(self, adjacencies, params: PspParams) -> np.ndarray:
-        """evaluate at each adjacency matrix, bit-identical to one evaluation at a time.
+    def evaluate_many(self, observations, params: PspParams) -> np.ndarray:
+        """evaluate at each edge vector, bit-identical to one evaluation at a time.
 
         Trials go in blocks of rows whose placement columns hold at most
         PSP_GATHER_ELEMENTS floats.  Each edge column is gathered with np.take
@@ -311,8 +311,8 @@ class PspSymmetricPoly(_OneObservation):
         n, q = params.n, params.q
         if not 0.0 < q < 1.0:
             raise ParameterError(f"the centered edge basis needs 0 < q < 1, got q={q}")
-        present = edge_vector_from_adjacency(check_stack("adjacency", adjacencies, (n + 1, n + 1)))
-        check_bits("adjacency", present)
+        present = check_stack("edges", observations, (len(vertex_pairs(n)),))
+        check_bits("edges", present)
         centered = (present.astype(float) - q) / math.sqrt(q * (1.0 - q))
         total = np.zeros(len(centered))
         for shape, c in self.terms:

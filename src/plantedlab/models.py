@@ -4,7 +4,9 @@ Conventions
 -----------
 * PSP vertices are 1-indexed; the planted path runs from vertex 1 to vertex 2.
   Unordered pairs are stored canonically as (min, max), and edge vectors are
-  laid out in lexicographic pair order (1,2), (1,3), ..., (n-1,n).
+  laid out in lexicographic pair order (1,2), (1,3), ..., (n-1,n).  A PSP
+  observation is the graph's boolean edge vector over vertex_pairs(n); only
+  the path census (counting) reads an (n+1)x(n+1) adjacency matrix.
 * RLC/GSS/TPCA indices are 0-based.
 * Samplers are pure functions of (params, seed): identical arguments produce
   bit-identical instances.  chunk_sampler(params) draws a run of trials,
@@ -165,7 +167,7 @@ def check_shape(name: str, array, shape: tuple) -> None:
 def check_stack(name: str, arrays, shape: tuple) -> np.ndarray:
     """arrays stacked along a new first axis; ParameterError unless each has the given shape.
 
-    An empty batch stacks to shape (0, *shape).
+    An empty batch stacks to shape (0, *shape); an error names one array's shape.
     """
     if not len(arrays):
         return np.zeros((0, *shape))
@@ -175,7 +177,7 @@ def check_stack(name: str, arrays, shape: tuple) -> np.ndarray:
         for array in arrays:
             check_shape(name, array, shape)
         raise
-    check_shape(name, stacked, (len(stacked), *shape))
+    check_shape(name, stacked[0], shape)  # they stacked, so each has the shape of the first
     return stacked
 
 
@@ -259,11 +261,11 @@ class TpcaParams:
 class PspInstance:
     params: PspParams
     path: tuple[int, ...]
-    adjacency: np.ndarray  # (n+1, n+1) bool, symmetric, 1-indexed
+    edges: np.ndarray  # (n(n-1)/2,) bool over vertex_pairs(n)
 
     @property
     def observation(self) -> np.ndarray:
-        return self.adjacency
+        return self.edges
 
     def signal_vector(self) -> np.ndarray:
         """Edge-indicator vector of the planted path over canonical pairs."""
@@ -333,8 +335,7 @@ def _sample_psp(params: PspParams, count: int, fresh) -> list:
     paths[:, -1] = 2
     edges = uniforms(np.stack([words for _, words in reads])) < q
     edges[np.arange(count)[:, None], pair_ids(n)[paths[:, :-1], paths[:, 1:]]] = True
-    adjacency = adjacency_from_edge_vector(edges, n)
-    return [PspInstance(params=params, path=tuple(path), adjacency=adj) for path, adj in zip(paths.tolist(), adjacency)]
+    return [PspInstance(params=params, path=tuple(path), edges=e) for path, e in zip(paths.tolist(), edges)]
 
 
 def _sample_rlc(params: RlcParams, count: int, fresh) -> list:
@@ -431,7 +432,7 @@ _PARAM_TYPES = {"psp": PspParams, "rlc": RlcParams, "gss": GssParams, "tpca": Tp
 _SAMPLERS = {"psp": _sample_psp, "rlc": _sample_rlc, "gss": _sample_gss, "tpca": _sample_tpca}
 # bytes of an instance's arrays
 _INSTANCE_BYTES = {
-    "psp": lambda p: (p.n + 1) ** 2,
+    "psp": lambda p: p.n * (p.n - 1) // 2,
     "rlc": lambda p: p.m * p.n + p.n + p.m,
     "gss": lambda p: 8 * p.N,
     "tpca": lambda p: 8 * p.n**p.d,
@@ -547,15 +548,31 @@ def params_from_json(obj: dict):
 
 
 def _psp_to_json(inst: PspInstance) -> dict:
-    edges = [[i, j] for (i, j) in vertex_pairs(inst.params.n) if inst.adjacency[i, j]]
+    edges = [[i, j] for (i, j), present in zip(vertex_pairs(inst.params.n), inst.edges.tolist()) if present]
     return {"path": list(inst.path), "edges": edges}
 
 
+def _check_labels(what: str, labels, n: int) -> None:
+    if not isinstance(labels, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n for v in labels
+    ):
+        raise ParameterError(f"PSP {what} {labels!r} needs a list of integer vertex labels in 1..{n}")
+
+
 def _psp_from_json(params: PspParams, obj: dict) -> PspInstance:
-    adj = np.zeros((params.n + 1, params.n + 1), dtype=bool)
-    for i, j in obj["edges"]:
-        adj[i, j] = adj[j, i] = True
-    return PspInstance(params=params, path=tuple(obj["path"]), adjacency=adj)
+    """ParameterError unless each edge is two distinct labels in 1..n and the path
+    runs from 1 to 2 over L+1 distinct labels in 1..n."""
+    n, path = params.n, obj["path"]
+    edges = np.zeros(len(vertex_pairs(n)), dtype=bool)
+    for edge in obj["edges"]:
+        _check_labels("edge", edge, n)
+        if len(edge) != 2 or edge[0] == edge[1]:
+            raise ParameterError(f"PSP edge {edge!r} needs two distinct vertex labels")
+        edges[pair_ids(n)[edge[0], edge[1]]] = True
+    _check_labels("path", path, n)
+    if len(set(path)) != len(path) or len(path) != params.L + 1 or path[0] != 1 or path[-1] != 2:
+        raise ParameterError(f"PSP path {path!r} needs {params.L + 1} distinct vertices from 1 to 2")
+    return PspInstance(params=params, path=tuple(path), edges=edges)
 
 
 def _rlc_to_json(inst: RlcInstance) -> dict:

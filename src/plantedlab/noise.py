@@ -20,14 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mc import run_trials
-from .models import (
-    adjacency_from_edge_vector,
-    chunk_sampler,
-    edge_vector_from_adjacency,
-    instance_bytes,
-    model_name,
-    vertex_pairs,
-)
+from .models import chunk_sampler, instance_bytes, model_name, vertex_pairs
 from .rng import (
     INSTANCE_STREAM,
     NOISE_STREAM,
@@ -62,8 +55,8 @@ def _noise_psp(params, rho: float, instances: list, fresh) -> list:
     """
     pairs = len(vertex_pairs(params.n))
     u = uniforms(np.stack([g.bit_generator.random_raw(2 * pairs) for g in map(fresh, range(len(instances)))]))
-    edges = edge_vector_from_adjacency(np.stack([inst.adjacency for inst in instances]))
-    return list(adjacency_from_edge_vector(np.where(u[:, :pairs] < rho, u[:, pairs:] < params.q, edges), params.n))
+    edges = np.stack([inst.edges for inst in instances])
+    return list(np.where(u[:, :pairs] < rho, u[:, pairs:] < params.q, edges))
 
 
 def _noise_rlc(params, rho: float, instances: list, fresh) -> list:

@@ -16,38 +16,40 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .models import SUBSET_BUDGET, check_bits, check_finite, check_shape, subset_sum_value, subset_sums, subsets
+from .models import SUBSET_BUDGET, check_bits, check_finite, check_shape, subset_sum_value, subset_sums, subsets, vertex_pairs
 
 
 # ---------------------------------------------------------------------------
 # shortest path
 
 
-def shortest_path(adjacency: np.ndarray) -> Optional[tuple[int, ...]]:
+def shortest_path(edges: np.ndarray, n: int) -> Optional[tuple[int, ...]]:
     """Minimum-edge path from vertex 1 to vertex 2, lexicographically smallest.
 
-    Vertices are 1-indexed; returns None when vertex 2 is unreachable.
+    edges is the graph's 0/1 edge vector over vertex_pairs(n); vertices are
+    1-indexed.  Returns None when vertex 2 is unreachable.
     """
-    n = adjacency.shape[0] - 1
-    source, target = 1, 2
-    dist = {target: 0}
-    frontier = [target]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in range(1, n + 1):
-                if adjacency[u, v] and v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    if source not in dist:
+    if n < 2:
+        raise ParameterError(f"need n >= 2 for the vertices 1 and 2, got n={n}")
+    edges = np.asarray(edges)
+    pairs = vertex_pairs(n)
+    check_shape("edges", edges, (len(pairs),))
+    check_bits("edges", edges)
+    neighbours: list[list[int]] = [[] for _ in range(n + 1)]  # ascending: the pairs run in lexicographic order
+    for i, j in (pairs[e] for e in np.flatnonzero(edges).tolist()):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    dist, queue = {2: 0}, [2]
+    for u in queue:  # breadth first from vertex 2: the loop reaches what it appends
+        for v in neighbours[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    if 1 not in dist:
         return None
-    path = [source]
-    cur = source
-    while cur != target:
-        step = dist[cur] - 1
-        cur = min(v for v in range(1, n + 1) if adjacency[cur, v] and dist.get(v, -1) == step)
-        path.append(cur)
+    path = [1]
+    while path[-1] != 2:  # the smallest neighbour one step closer to vertex 2
+        path.append(next(v for v in neighbours[path[-1]] if dist.get(v) == dist[path[-1]] - 1))
     return tuple(path)
 
 

@@ -71,8 +71,8 @@ class Solver(NamedTuple):
     fallback: Callable  # params -> the estimate when solve finds nothing
 
 
-def _solve_psp(params, adjacency, cfg: LllConfig) -> Optional[np.ndarray]:
-    path = shortest_path(adjacency)
+def _solve_psp(params, edges, cfg: LllConfig) -> Optional[np.ndarray]:
+    path = shortest_path(edges, params.n)
     return None if path is None else path_indicator(path, params.n)
 
 

@@ -3,7 +3,8 @@
 The Monte-Carlo posterior oracles are written straight from the generative
 descriptions in plain numpy, on purpose sharing no code with the library's
 samplers/noise/posteriors.  The PSP pair loops check the library's indexed
-edge-vector conversions and its path and shape placements, the row-by-row
+edge-vector conversions and its path and shape placements, the matrix BFS
+checks the shortest path's neighbour lists, the row-by-row
 subset scans and the per-path census weights check the cached enumerations
 in models, and the (A, x, mask) loop checks the closed-form RLC character
 correlation.  The per-observation posterior enumerations (the RLC message
@@ -45,9 +46,6 @@ from plantedlab.models import (
     RlcParams,
     TpcaInstance,
     TpcaParams,
-    adjacency_from_edge_vector,
-    edge_vector_from_adjacency,
-    pair_ids,
     sample_instance,
     subset_sum_value,
     tpca_signal_tensor,
@@ -205,6 +203,35 @@ def psp_adjacency_loop(edge_vec: np.ndarray, n: int) -> np.ndarray:
     return adj
 
 
+def shortest_path_loop(adjacency: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Minimum-edge path from vertex 1 to vertex 2 of an (n+1)x(n+1) adjacency, lexicographically smallest.
+
+    Breadth-first distances to vertex 2 by a scan of every row, then from
+    vertex 1 the smallest neighbour one step closer; None when 2 is unreachable.
+    """
+    n = adjacency.shape[0] - 1
+    source, target = 1, 2
+    dist = {target: 0}
+    frontier = [target]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in range(1, n + 1):
+                if adjacency[u, v] and v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    if source not in dist:
+        return None
+    path = [source]
+    cur = source
+    while cur != target:
+        step = dist[cur] - 1
+        cur = min(v for v in range(1, n + 1) if adjacency[cur, v] and dist.get(v, -1) == step)
+        path.append(cur)
+    return tuple(path)
+
+
 def _pair_index(n: int) -> dict:
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return {p: t for t, p in enumerate(pairs)}
@@ -360,9 +387,10 @@ def draw_psp(params: PspParams, rng: np.random.Generator) -> PspInstance:
     n, L, q = params.n, params.L, params.q
     interior = rng.permutation(np.arange(3, n + 1))[: L - 1]
     path = (1, *map(int, interior), 2)
-    edge_vec = rng.random(len(vertex_pairs(n))) < q
-    edge_vec[pair_ids(n)[path[:-1], path[1:]]] = True
-    return PspInstance(params=params, path=path, adjacency=adjacency_from_edge_vector(edge_vec, n))
+    adj = psp_adjacency_loop(rng.random(len(vertex_pairs(n))) < q, n)
+    for a, b in zip(path[:-1], path[1:]):
+        adj[a, b] = adj[b, a] = True
+    return PspInstance(params=params, path=path, edges=psp_edge_vector_loop(adj, n))
 
 
 def draw_rlc(params: RlcParams, rng: np.random.Generator) -> RlcInstance:
@@ -386,15 +414,19 @@ def draw_tpca(params: TpcaParams, rng: np.random.Generator) -> TpcaInstance:
 
 
 def draw_noise_psp(instance: PspInstance, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Resample every unordered pair from Bern(q) with probability rho."""
+    """Resample every unordered pair from Bern(q) with probability rho, on the adjacency matrix; its edge vector."""
     check_rho(rho)
-    adj = instance.adjacency
+    n = instance.params.n
     if rho == 0.0:
-        return adj.copy()
-    vec = edge_vector_from_adjacency(adj)
-    mask = rng.random(vec.shape) < rho
-    fresh = rng.random(vec.shape) < instance.params.q
-    return adjacency_from_edge_vector(np.where(mask, fresh, vec), instance.params.n)
+        return instance.edges.copy()
+    adj = psp_adjacency_loop(instance.edges, n)
+    mask = rng.random(instance.edges.shape) < rho
+    fresh = rng.random(instance.edges.shape) < instance.params.q
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for (i, j), resampled, bit in zip(pairs, mask, fresh):
+        if resampled:
+            adj[i, j] = adj[j, i] = bit
+    return psp_edge_vector_loop(adj, n)
 
 
 def draw_noise_rlc(y: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
@@ -502,10 +534,10 @@ def gss_poly_evaluate_loop(poly, observation, params) -> float:
     return total
 
 
-def psp_poly_evaluate_loop(poly, adjacency: np.ndarray, params) -> float:
-    """Symmetric PSP polynomial at one graph: one placement sum per term."""
+def psp_poly_evaluate_loop(poly, edges: np.ndarray, params) -> float:
+    """Symmetric PSP polynomial at one graph's edge vector: one placement sum per term."""
     n, q = params.n, params.q
-    centered = (psp_edge_vector_loop(adjacency, n).astype(float) - q) / math.sqrt(q * (1.0 - q))
+    centered = (np.asarray(edges, dtype=float) - q) / math.sqrt(q * (1.0 - q))
     total = 0.0
     for shape, c in poly.terms:
         total += c * float(centered[shape_maps_loop(shape, n)].prod(axis=1).sum())
@@ -617,7 +649,7 @@ def posterior_mean_loop(params, observation, rho: float) -> np.ndarray:
     check_rho(rho)
     if isinstance(params, PspParams):
         n, L, q = params.n, params.L, params.q
-        edge_present = psp_edge_vector_loop(observation, n).astype(float)
+        edge_present = np.asarray(observation, dtype=float)
         path_idx = path_edge_indices_loop(n, L)
         m_in = edge_present[path_idx].sum(axis=1)
         p1 = 1.0 - rho * (1.0 - q)
@@ -743,7 +775,7 @@ def _f2_recovers(inst, cfg: LllConfig) -> bool:
 # model -> (instance, LllConfig) -> whether the model's fast solver recovers the planted signal,
 # compared on the solver's own output (path, unique message, subset) rather than on a signal vector
 SOLVER_RECOVERS_RULES = {
-    "psp": lambda inst, cfg: shortest_path(inst.adjacency) == inst.path,
+    "psp": lambda inst, cfg: shortest_path(inst.edges, inst.params.n) == inst.path,
     "rlc": _f2_recovers,
     "gss": lambda inst, cfg: lll_subset_sum(inst.X, inst.Y, inst.params.k, cfg) == inst.S,
 }
@@ -809,7 +841,7 @@ def symmetrize_check(
     for t in range(trials):
         inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
         truth = float(tp in path_edges(inst.path))
-        adj = inst.adjacency
+        adj = psp_adjacency_loop(inst.edges, n)
         raw[t] = (g(adj) - truth) ** 2
         acc = 0.0
         for r in range(n_perms):

@@ -51,7 +51,7 @@ from plantedlab.solvers import (
 )
 from plantedlab.stability import measure_stabilities, verify_barrier
 
-from oracles import all_simple_paths, f2_solution_set
+from oracles import all_simple_paths, f2_solution_set, psp_edge_vector_loop
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -280,7 +280,7 @@ def test_criterion_07_solver_correctness():
             for j in range(i + 1, n + 1):
                 if rng.random() < p:
                     adj[i, j] = adj[j, i] = True
-        got = shortest_path(adj)
+        got = shortest_path(psp_edge_vector_loop(adj, n), n)
         everything = all_simple_paths(adj)
         if not everything:
             assert got is None

@@ -39,7 +39,6 @@ from plantedlab.models import (
     model_name,
     pair_ids,
     sample_instance,
-    vertex_pairs,
 )
 from plantedlab.noise import CoupledTrials, noise_instance_observation
 from plantedlab.rng import derive_seed, generator
@@ -54,7 +53,7 @@ from plantedlab.stability import measure_stability
 def test_psp_noiseless_posterior_is_point_mass():
     params = PspParams(n=7, L=3, q=0.15)
     inst = sample_instance(params, seed=3)
-    pm = posterior_mean_for(params, inst.adjacency, 0.0)
+    pm = posterior_mean_for(params, inst.edges, 0.0)
     # the planted path must get posterior 1 on each of its edges unless a
     # second length-L path appeared by chance; verify via the path census
     planted = inst.signal_vector()
@@ -68,7 +67,7 @@ def test_psp_uniform_posterior_hand_count():
     # rho=1: n=4, L=2: both 1-x-2 paths weigh equally
     params = PspParams(n=4, L=2, q=0.3)
     inst = sample_instance(params, seed=0)
-    pm = posterior_mean_for(params, inst.adjacency, 1.0)
+    pm = posterior_mean_for(params, inst.edges, 1.0)
     idx = pair_ids(4)
     assert pm[idx[1, 3]] == 0.5
     assert pm[idx[2, 3]] == 0.5
@@ -84,8 +83,7 @@ def test_psp_posterior_matches_rejection_oracle():
     inst = sample_instance(params, seed=12)
     noisy = noise_instance_observation(inst, rho, 13)
     pm = posterior_mean_for(params, noisy, rho)
-    pairs = vertex_pairs(6)
-    target = np.array([noisy[i, j] for (i, j) in pairs])
+    target = noisy
     oracle, hits = psp_rejection_posterior(target, 6, 3, 0.35, rho, samples=40_000_000, seed=99)
     assert hits > 200
     se = np.sqrt(np.maximum(pm * (1 - pm), 1e-12) / hits)
@@ -95,9 +93,9 @@ def test_psp_posterior_matches_rejection_oracle():
 def test_psp_inconsistent_at_rho_zero():
     params = PspParams(n=6, L=3, q=0.0)
     inst = sample_instance(params, seed=4)
-    broken = inst.adjacency.copy()
+    broken = inst.edges.copy()
     e = path_edges(inst.path)[1]
-    broken[e[0], e[1]] = broken[e[1], e[0]] = False
+    broken[pair_ids(params.n)[e]] = False
     with pytest.raises(InconsistentInputError):
         posterior_mean_for(params, broken, 0.0)
 
@@ -106,7 +104,7 @@ def test_psp_budget_error():
     params = PspParams(n=40, L=8, q=0.2)
     inst = sample_instance(params, seed=1)
     with pytest.raises(ResourceBudgetError):
-        posterior_mean_for(params, inst.adjacency, 0.5)
+        posterior_mean_for(params, inst.edges, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +457,7 @@ def test_tpca_log_weights_and_overlaps_equal_the_support_loop(n, k, d):
 def _inconsistent(params):
     """An observation with no support at rho = 0."""
     if isinstance(params, PspParams):
-        return np.zeros((params.n + 1, params.n + 1), dtype=bool)
+        return np.zeros(params.n * (params.n - 1) // 2, dtype=bool)
     if isinstance(params, RlcParams):
         return np.zeros((params.m, params.n), dtype=np.uint8), np.ones(params.m, dtype=np.uint8)
     inst = sample_instance(params, seed=2)
@@ -493,8 +491,8 @@ def test_posterior_rejects_rho_outside_the_unit_interval(params, rho, size):
 
 # (params, the mismatched observation made from a matching one, the shape params expect)
 _MISMATCHED = {
-    "psp-10-vertices": (PspParams(n=8, L=3, q=0.3), lambda obs: np.zeros((11, 11), dtype=bool), (9, 9)),
-    "psp-6-vertices": (PspParams(n=8, L=3, q=0.3), lambda obs: obs[:7, :7], (9, 9)),
+    "psp-10-vertices": (PspParams(n=8, L=3, q=0.3), lambda obs: np.zeros(45, dtype=bool), (28,)),
+    "psp-6-vertices": (PspParams(n=8, L=3, q=0.3), lambda obs: obs[:15], (28,)),
     "rlc-8x4": (RlcParams(m=6, n=4), lambda obs: (np.zeros((8, 4), dtype=np.uint8), obs[1]), (6, 4)),
     "rlc-6x3": (RlcParams(m=6, n=4), lambda obs: (obs[0][:, :3], obs[1]), (6, 4)),
     "rlc-y-hat": (RlcParams(m=6, n=4), lambda obs: (obs[0], obs[1][:5]), (6,)),
@@ -529,7 +527,7 @@ def _with_entry(array, index, value):
 
 # (params, the out-of-model observation made from a valid one, the error it raises)
 _OUT_OF_MODEL = {
-    "psp-twice-the-adjacency": (PspParams(n=6, L=3, q=0.3), lambda obs: 2 * obs, "adjacency entries must be 0 or 1"),
+    "psp-twice-the-adjacency": (PspParams(n=6, L=3, q=0.3), lambda obs: 2 * obs, "edges entries must be 0 or 1"),
     "rlc-three-times-y-hat": (RlcParams(m=6, n=4), lambda obs: (obs[0], 3 * obs[1]), "y_hat entries must be 0 or 1"),
     "rlc-A-entry-2": (RlcParams(m=6, n=4), lambda obs: (_with_entry(obs[0], (0, 0), 2), obs[1]), "A entries"),
     "rlc-y-hat-entry-half": (RlcParams(m=6, n=4), lambda obs: (obs[0], _with_entry(obs[1], 2, 0.5)), "y_hat entries"),

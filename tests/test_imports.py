@@ -3,7 +3,8 @@
 No module in src, tests or demos imports a name it never uses, only noise
 drives mc.run_trials, the posterior kernels are reached only through
 bayes._POSTERIORS, src and demos reach the fast solvers only through the
-wrappers of stability.SOLVERS, and src calls no numpy function newer than
+wrappers of stability.SOLVERS, only models and counting name the PSP
+adjacency-matrix conversions, and src calls no numpy function newer than
 the numpy floor in pyproject.toml.
 """
 
@@ -148,6 +149,41 @@ def test_fast_solvers_are_reached_only_through_the_table():
     stability = (ROOT / "src" / "plantedlab" / "stability.py").read_text(encoding="utf-8")
     defined = {node.name for node in ast.walk(ast.parse(stability)) if isinstance(node, ast.FunctionDef)}
     assert defined >= SOLVER_WRAPPERS
+
+
+# a PSP observation is its edge vector; in src only models (which defines them) and the
+# path census in counting, which reads an adjacency matrix, name the matrix conversions
+CONVERSIONS = {"adjacency_from_edge_vector", "edge_vector_from_adjacency"}
+
+
+def conversion_references(source: str) -> list[int]:
+    """Lines that name an adjacency conversion, by definition, use or import."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.FunctionDef) and node.name in CONVERSIONS)
+        or (isinstance(node, ast.Name) and node.id in CONVERSIONS)
+        or (isinstance(node, ast.Attribute) and node.attr in CONVERSIONS)
+        or (isinstance(node, ast.alias) and node.name in CONVERSIONS)
+    )
+
+
+def test_conversion_scan_finds_a_planted_conversion():
+    planted = (
+        "from .models import edge_vector_from_adjacency as ev, pair_ids\n"
+        "def _noise_psp(p, r, instances, fresh):\n"
+        "    return models.adjacency_from_edge_vector(ev(instances[0].observation), p.n)\n"
+        "def adjacency_from_edge_vector(v, n):\n"
+        "    pass\n"
+    )
+    assert conversion_references(planted) == [1, 3, 4]
+    assert conversion_references("adjacency = pair_ids(n)\nedges = inst.edges\n") == []
+
+
+def test_only_models_and_counting_name_the_adjacency_conversions():
+    src = sorted((ROOT / "src" / "plantedlab").glob("*.py"))
+    found = {p.name: conversion_references(p.read_text(encoding="utf-8")) for p in src}
+    assert len(src) > 10 and {name for name, lines in found.items() if lines} == {"models.py", "counting.py"}
 
 
 # numpy functions src may call only when the pyproject floor is at least the version that added them

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     gss_poly_evaluate_loop,
     path_edges,
+    psp_adjacency_loop,
     psp_poly_evaluate_loop,
     rlc_character_expectation_loop,
     rlc_poly_evaluate_loop,
@@ -40,7 +41,6 @@ from plantedlab.models import (
     GssParams,
     PspParams,
     RlcParams,
-    adjacency_from_edge_vector,
     model_name,
     placements,
     sample_instance,
@@ -412,10 +412,10 @@ def _gss_nan_y(obs):
 # (params of the polynomial, params of the observation, change to the observation, error);
 # each observation was once evaluated to a number
 OUTSIDE_CASES = {
-    "psp-larger-n": (PspParams(n=8, L=3, q=0.3), PspParams(n=10, L=3, q=0.3), None, "adjacency has shape"),
+    "psp-larger-n": (PspParams(n=8, L=3, q=0.3), PspParams(n=10, L=3, q=0.3), None, "edges has shape"),
     "rlc-smaller-code": (RlcParams(m=8, n=5), RlcParams(m=6, n=4), None, "A has shape"),
     "gss-smaller-N": (GssParams(N=12, k=3), GssParams(N=8, k=3), None, "X has shape"),
-    "psp-twos": (PspParams(n=8, L=3, q=0.3), PspParams(n=8, L=3, q=0.3), _psp_twos, "adjacency entries must be 0 or 1"),
+    "psp-twos": (PspParams(n=8, L=3, q=0.3), PspParams(n=8, L=3, q=0.3), _psp_twos, "edges entries must be 0 or 1"),
     "gss-nan-y": (GssParams(N=12, k=3), GssParams(N=12, k=3), _gss_nan_y, "Y must be finite"),
 }
 
@@ -441,7 +441,7 @@ def test_evaluate_many_of_an_empty_batch_is_empty(model):
 MIXED_CASES = {
     "rlc": (RlcParams(m=8, n=5), RlcParams(m=6, n=4), "A has shape \\(6, 4\\), expected \\(8, 5\\)"),
     "gss": (GssParams(N=12, k=3), GssParams(N=8, k=3), "X has shape \\(8,\\), expected \\(12,\\)"),
-    "psp": (PspParams(n=8, L=3, q=0.3), PspParams(n=10, L=3, q=0.3), "adjacency has shape \\(11, 11\\), expected \\(9, 9\\)"),
+    "psp": (PspParams(n=8, L=3, q=0.3), PspParams(n=10, L=3, q=0.3), "edges has shape \\(45,\\), expected \\(28,\\)"),
 }
 
 
@@ -470,10 +470,10 @@ def test_psp_evaluate_many_splits_the_largest_shape_across_gathers():
 def test_psp_shape_without_placements_contributes_zero():
     # ((3,4),(5,6)) needs four non-endpoint vertices; n = 5 has three
     params = PspParams(n=5, L=3, q=0.3)
-    adjacency = sample_instance(params, seed=4).adjacency
+    edges = sample_instance(params, seed=4).edges
     both = PspSymmetricPoly(terms=((((3, 4), (5, 6)), 1.0), (((1, 3),), 2.0)))
     single = PspSymmetricPoly(terms=((((1, 3),), 2.0),))
-    assert both.evaluate(adjacency, params) == single.evaluate(adjacency, params)
+    assert both.evaluate(edges, params) == single.evaluate(edges, params)
 
 
 # edges over labels 1..7: paths, stars, triangles, disjoint edges and the pinned (1, 2) all occur,
@@ -495,7 +495,7 @@ def test_psp_evaluate_many_matches_the_placement_loop(shapes, n, q, blocks, tria
     rng = generator(seed)
     poly = PspSymmetricPoly(terms=tuple((shape, float(rng.standard_normal())) for shape in shapes))
     pairs = n * (n - 1) // 2
-    observations = [adjacency_from_edge_vector(rng.random(pairs) < q, n) for _ in range(trials)]
+    observations = [rng.random(pairs) < q for _ in range(trials)]
     want = _hex(psp_poly_evaluate_loop(poly, obs, params) for obs in observations)
     # a block holds gather // (placement indices per trial) rows, so the widest shape spans up to `blocks` blocks
     widest = max(placements(shape, n).size for shape in shapes)
@@ -523,21 +523,21 @@ def test_row_sums_of_a_c_ordered_block_are_the_1d_pairwise_sums(P):
 
 def test_psp_constant_shape_is_the_constant_term():
     params = PspParams(n=8, L=3, q=0.3)
-    adjacency = sample_instance(params, seed=3).adjacency
+    edges = sample_instance(params, seed=3).edges
     poly = PspSymmetricPoly(terms=(((), 1.5), (((1, 3),), 2.0)))
-    want = psp_poly_evaluate_loop(poly, adjacency, params)
-    assert poly.evaluate(adjacency, params).hex() == want.hex()
-    assert poly.evaluate(adjacency, params) == 1.5 + PspSymmetricPoly(terms=((((1, 3),), 2.0),)).evaluate(adjacency, params)
+    want = psp_poly_evaluate_loop(poly, edges, params)
+    assert poly.evaluate(edges, params).hex() == want.hex()
+    assert poly.evaluate(edges, params) == 1.5 + PspSymmetricPoly(terms=((((1, 3),), 2.0),)).evaluate(edges, params)
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0])
 def test_psp_poly_rejects_q_without_a_centered_basis(q):
     # sqrt(q(1-q)) = 0: the edge basis once divided by it and returned nan
     params = PspParams(n=8, L=3, q=q)
-    adjacency = sample_instance(params, seed=3).adjacency
+    edges = sample_instance(params, seed=3).edges
     poly = PspSymmetricPoly(terms=((((1, 3),), 1.0),))
     with pytest.raises(ParameterError, match="0 < q < 1"):
-        poly.evaluate_many([adjacency], params)
+        poly.evaluate_many([edges], params)
 
 
 @pytest.mark.parametrize("model", sorted(POLY_CASES))
@@ -625,9 +625,9 @@ def test_planted_measure_permutation_invariance():
     for t in range(trials):
         inst = sample_instance(params, derive_seed(8, 0, t))
         truth = float((3, 4) in path_edges(inst.path))
-        a[t] = (g(inst.adjacency) - truth) ** 2
+        a[t] = (g(psp_adjacency_loop(inst.edges, params.n)) - truth) ** 2
         inst2 = sample_instance(params, derive_seed(8, 1, t))
         truth2 = float(relabeled_target in path_edges(inst2.path))
-        b[t] = (g(inst2.adjacency[np.ix_(perm, perm)]) - truth2) ** 2
+        b[t] = (g(psp_adjacency_loop(inst2.edges, params.n)[np.ix_(perm, perm)]) - truth2) ** 2
     se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
     assert abs(a.mean() - b.mean()) <= 3 * se

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,14 +66,15 @@ def test_psp_forced_single_intermediate():
     # n=3, L=2, q=0: the only graph is the path 1-3-2
     inst = sample_instance(PspParams(n=3, L=2, q=0.0), seed=0)
     assert inst.path == (1, 3, 2)
-    edges = {(i, j) for (i, j) in models.vertex_pairs(3) if inst.adjacency[i, j]}
+    edges = {pair for pair, present in zip(models.vertex_pairs(3), inst.edges) if present}
     assert edges == {(1, 3), (2, 3)}
 
 
 def test_psp_complete_graph_at_q_one():
     inst = sample_instance(PspParams(n=5, L=2, q=1.0), seed=11)
+    adjacency = psp_adjacency_loop(inst.edges, 5)
     for i, j in models.vertex_pairs(5):
-        assert inst.adjacency[i, j]
+        assert adjacency[i, j]
     assert inst.path[0] == 1 and inst.path[-1] == 2
     assert inst.path[1] in (3, 4, 5)
 
@@ -96,8 +98,9 @@ def test_psp_pair_conversions_match_loop_oracle(n, seed):
 def test_psp_path_edges_always_present():
     for seed in range(200):
         inst = sample_instance(PspParams(n=10, L=4, q=0.2), seed=seed)
+        adjacency = psp_adjacency_loop(inst.edges, 10)
         for i, j in path_edges(inst.path):
-            assert inst.adjacency[i, j]
+            assert adjacency[i, j]
         assert len(set(inst.path)) == len(inst.path) == inst.params.L + 1
 
 
@@ -105,7 +108,7 @@ def test_psp_nonpath_edge_frequency_matches_q():
     # {1,2} is never a path edge when L >= 2, so its marginal is exactly q.
     params = PspParams(n=10, L=3, q=0.3)
     trials = 10**5
-    hits = sum(bool(inst.adjacency[1, 2]) for inst in _trial_draws(params, 7, trials))
+    hits = sum(bool(inst.edges[pair_ids(10)[1, 2]]) for inst in _trial_draws(params, 7, trials))
     freq = hits / trials
     stderr = math.sqrt(0.3 * 0.7 / trials)
     assert abs(freq - 0.3) <= 3 * stderr
@@ -210,7 +213,7 @@ def test_tpca_budget_error():
 def test_samplers_deterministic(seed):
     p1 = sample_instance(PspParams(n=8, L=3, q=0.4), seed)
     p2 = sample_instance(PspParams(n=8, L=3, q=0.4), seed)
-    assert p1.path == p2.path and np.array_equal(p1.adjacency, p2.adjacency)
+    assert p1.path == p2.path and np.array_equal(p1.edges, p2.edges)
     r1 = sample_instance(RlcParams(m=7, n=4), seed)
     r2 = sample_instance(RlcParams(m=7, n=4), seed)
     assert np.array_equal(r1.A, r2.A) and np.array_equal(r1.x, r2.x)
@@ -273,8 +276,8 @@ def test_json_round_trip_all_models(seed):
         for back in (instance_from_json(blob), instance_from_json(json.loads(json.dumps(blob, sort_keys=True)))):
             assert type(back) is type(inst)
             assert back.params == inst.params
-            if hasattr(inst, "adjacency"):
-                assert np.array_equal(back.adjacency, inst.adjacency)
+            if hasattr(inst, "edges"):
+                assert np.array_equal(back.edges, inst.edges)
                 assert back.path == inst.path
             if hasattr(inst, "A"):
                 assert np.array_equal(back.A, inst.A)
@@ -286,6 +289,34 @@ def test_json_round_trip_all_models(seed):
             if hasattr(inst, "support"):
                 assert back.support == inst.support
                 assert np.array_equal(back.Y, inst.Y)
+
+
+# a malformed PSP instance field -> the error it raises; each once loaded, then vanished on a
+# round trip, moved to another pair, or raised a bare IndexError
+BAD_PSP_JSON = {
+    "loop-edge": ("edges", [[3, 3]], "two distinct vertex labels"),
+    "label-0": ("edges", [[0, 4]], "labels in 1..5"),
+    "label-below-0": ("edges", [[-1, 2]], "labels in 1..5"),
+    "label-above-n": ("edges", [[2, 9]], "labels in 1..5"),
+    "non-integer-label": ("edges", [[1.5, 2]], "integer vertex labels"),
+    "bool-label": ("edges", [[True, 2]], "integer vertex labels"),
+    "three-labels": ("edges", [[1, 3, 4]], "two distinct vertex labels"),
+    "path-not-from-1": ("path", [3, 1, 2], "from 1 to 2"),
+    "path-not-to-2": ("path", [1, 2, 3], "from 1 to 2"),
+    "path-repeats-a-vertex": ("path", [1, 1, 2], "3 distinct vertices"),
+    "path-of-another-length": ("path", [1, 3, 4, 2], "3 distinct vertices"),
+    "path-label-above-n": ("path", [1, 6, 2], "labels in 1..5"),
+    "path-non-integer-label": ("path", [1, 3.0, 2], "integer vertex labels"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PSP_JSON)
+def test_psp_instance_json_rejects_malformed_fields(case):
+    key, value, message = BAD_PSP_JSON[case]
+    blob = instance_to_json(sample_instance(PspParams(n=5, L=2, q=0.3), seed=1))
+    instance_from_json(blob)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        instance_from_json({**blob, key: value})
 
 
 def test_params_from_json_names_missing_and_unknown_fields():

@@ -10,6 +10,7 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    pair_ids,
     sample_instance,
 )
 from oracles import coupled_trial_scalar, hex_fields, noise_scalar, ou_compose
@@ -26,7 +27,7 @@ def _gss_noise(Y: float, rho: float, seed: int) -> float:
 
 def test_rho_zero_is_identity_everywhere():
     psp = sample_instance(PspParams(n=8, L=3, q=0.4), seed=1)
-    assert np.array_equal(noise_instance_observation(psp, 0.0, 9), psp.adjacency)
+    assert np.array_equal(noise_instance_observation(psp, 0.0, 9), psp.edges)
     rlc = sample_instance(RlcParams(m=7, n=4), seed=1)
     assert np.array_equal(noise_instance_observation(rlc, 0.0, 9)[1], rlc.y)
     gss = sample_instance(GssParams(N=10, k=3), seed=1)
@@ -89,7 +90,7 @@ def test_psp_full_noise_fixed_pair_frequency():
     # rho = 1: output is a fresh G(n, q) regardless of input
     params = PspParams(n=8, L=3, q=0.35)
     inst = sample_instance(params, seed=5)
-    pair = (inst.path[0], inst.path[1])  # a planted edge, always present in input
+    pair = pair_ids(params.n)[inst.path[0], inst.path[1]]  # a planted edge, always present in input
     trials = 10**4
     hits = sum(noise_instance_observation(inst, 1.0, derive_seed(0, 1, t))[pair] for t in range(trials))
     freq = hits / trials
@@ -101,8 +102,7 @@ def test_psp_planted_edge_survival_at_q_zero():
     # q = 0: survival probability of an existing edge is exactly 1 - rho
     params = PspParams(n=8, L=3, q=0.0)
     inst = sample_instance(params, seed=6)
-    pair = (inst.path[1], inst.path[2])
-    pair = (min(pair), max(pair))
+    pair = pair_ids(params.n)[inst.path[1], inst.path[2]]
     trials = 10**4
     hits = sum(noise_instance_observation(inst, 0.5, derive_seed(1, 1, t))[pair] for t in range(trials))
     freq = hits / trials

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantedlab.errors import DegenerateInputError, ParameterError
-from plantedlab.models import GssParams, sample_instance
+from plantedlab.models import GssParams, PspParams, sample_instance
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import (
     LllConfig,
@@ -26,14 +28,18 @@ from oracles import (
     gram_det_loop,
     lattice_coordinates,
     pack_rows_loop,
+    psp_adjacency_loop,
+    psp_edge_vector_loop,
+    shortest_path_loop,
 )
 
 
-def adjacency_from_edges(n, edges):
+def edge_vector(n, edges):
+    """The edge vector over the pairs of [n] of a graph given by its edge list."""
     adj = np.zeros((n + 1, n + 1), dtype=bool)
     for i, j in edges:
         adj[i, j] = adj[j, i] = True
-    return adj
+    return psp_edge_vector_loop(adj, n)
 
 
 # ---------------------------------------------------------------------------
@@ -41,24 +47,20 @@ def adjacency_from_edges(n, edges):
 
 
 def test_shortest_path_trivial_path():
-    adj = adjacency_from_edges(3, [(1, 3), (3, 2)])
-    assert shortest_path(adj) == (1, 3, 2)
+    assert shortest_path(edge_vector(3, [(1, 3), (3, 2)]), 3) == (1, 3, 2)
 
 
 def test_shortest_path_disconnected():
-    adj = adjacency_from_edges(4, [(1, 3), (2, 4)])
-    assert shortest_path(adj) is None
+    assert shortest_path(edge_vector(4, [(1, 3), (2, 4)]), 4) is None
 
 
 def test_shortest_path_complete_graph_direct_edge():
-    adj = adjacency_from_edges(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
-    assert shortest_path(adj) == (1, 2)
+    assert shortest_path(edge_vector(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]), 4) == (1, 2)
 
 
 def test_shortest_path_lexicographic_tie_break():
     # two shortest 1-x-2 paths; x in {3, 4}: pick 3
-    adj = adjacency_from_edges(4, [(1, 3), (3, 2), (1, 4), (4, 2)])
-    assert shortest_path(adj) == (1, 3, 2)
+    assert shortest_path(edge_vector(4, [(1, 3), (3, 2), (1, 4), (4, 2)]), 4) == (1, 3, 2)
 
 
 def test_shortest_path_against_exhaustive_enumeration():
@@ -71,7 +73,7 @@ def test_shortest_path_against_exhaustive_enumeration():
             for j in range(i + 1, n + 1):
                 if rng.random() < p:
                     adj[i, j] = adj[j, i] = True
-        got = shortest_path(adj)
+        got = shortest_path(psp_edge_vector_loop(adj, n), n)
         everything = all_simple_paths(adj)
         if not everything:
             assert got is None
@@ -79,6 +81,43 @@ def test_shortest_path_against_exhaustive_enumeration():
         best_len = min(len(p) for p in everything)
         shortest = sorted(p for p in everything if len(p) == best_len)
         assert got == shortest[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 9), q=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32))
+def test_shortest_path_equals_the_matrix_bfs(n, q, seed):
+    # q = 0 leaves 1 and 2 apart, q = 0.3 often does, and q = 1 gives K_n
+    edges = generator(seed).random(n * (n - 1) // 2) < q
+    adj = psp_adjacency_loop(edges, n)
+    got = shortest_path(edges, n)
+    assert got == shortest_path_loop(adj)
+    everything = all_simple_paths(adj)
+    best = min(map(len, everything), default=None)
+    assert got == min((p for p in everything if len(p) == best), default=None)
+
+
+# the n=10, L=3, q=0.3 instance at seed 3, whose shortest path is (1, 4, 3, 2)
+_SEED3 = sample_instance(PspParams(n=10, L=3, q=0.3), seed=3).edges
+# input the adjacency-matrix form once read without a check -> the error it now raises
+BAD_EDGES = {
+    "half-the-edges": (0.5 * _SEED3, 10, "edges entries must be 0 or 1"),
+    "twice-the-edges": (2 * _SEED3.astype(int), 10, "edges entries must be 0 or 1"),
+    "too-few-pairs-for-n": (_SEED3[:28], 10, re.escape("edges has shape (28,), expected (45,)")),
+    "an-adjacency-matrix": (psp_adjacency_loop(_SEED3, 10), 10, re.escape("edges has shape (11, 11), expected (45,)")),
+    "n-below-2": (np.zeros(0, dtype=bool), 1, "need n >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_EDGES)
+def test_shortest_path_rejects_input_outside_the_model(case):
+    edges, n, message = BAD_EDGES[case]
+    with pytest.raises(ParameterError, match=message):
+        shortest_path(edges, n)
+
+
+def test_shortest_path_walks_the_undirected_graph():
+    # the upper triangle of the adjacency, walked as directed arcs, found no path
+    assert shortest_path(_SEED3, 10) == shortest_path_loop(psp_adjacency_loop(_SEED3, 10)) == (1, 4, 3, 2)
 
 
 # ---------------------------------------------------------------------------

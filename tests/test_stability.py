@@ -11,7 +11,7 @@ from oracles import SOLVER_RECOVERS_RULES, measure_stability_loop, mmse_curve_lo
 from plantedlab.bayes import estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
-from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, model_name, path_edge_indices, sample_instance
+from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, model_name, path_edge_indices, sample_instance, vertex_pairs
 from plantedlab.noise import EVAL_CHUNK, EVAL_CHUNK_BYTES, CoupledTrials
 from plantedlab.rng import generator
 from plantedlab.solvers import LllConfig
@@ -227,9 +227,9 @@ def test_bayes_optimality_among_registered_estimators():
 
 def test_shortest_path_indicator_is_zero_when_vertex_2_is_unreachable():
     params = PspParams(n=7, L=3, q=0.5)
-    adjacency = sample_instance(params, seed=3).adjacency.copy()
-    adjacency[2, :] = adjacency[:, 2] = False
-    out = resolve_estimator("shortest_path_indicator", params, 0.0)([adjacency])
+    edges = sample_instance(params, seed=3).edges.copy()
+    edges[[e for e, pair in enumerate(vertex_pairs(7)) if 2 in pair]] = False
+    out = resolve_estimator("shortest_path_indicator", params, 0.0)([edges])
     assert out.shape == (1, 21) and not out.any()
 
 
