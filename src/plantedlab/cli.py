@@ -15,19 +15,20 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .bayes import estimate_mmse_curve, tpca_overlap_distribution
-from .counting import count_approx_paths, count_overlap_pairs, expected_count, sample_null_graph
+from .counting import approx_path_counts, census_bytes, count_overlap_pairs, expected_count, null_graphs
 from .errors import ParameterError
 from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_oracle, stability_ratio
 from .mc import mean_stderr
-from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_json, sample_instance
-from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, derive_seeds, generator
+from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_json
+from .noise import instance_runs, trial_runs
+from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, generator, keyed_runs, trial_keys
 from .solvers import LllConfig
 from .stability import SOLVERS, check_estimator, measure_stabilities, solver_recovers, stability_outcomes, verify_barrier
 
@@ -188,11 +189,6 @@ def nmmse_svg(points: list[tuple[float, float]], title: str) -> str:
 # command implementations
 
 
-def _trial_seeds(seed: int, n: int) -> list[int]:
-    """derive_seed(seed, INSTANCE_STREAM, t) for t in 0..n-1, derived in one batch."""
-    return derive_seeds(seed, INSTANCE_STREAM, ts=np.arange(n)).tolist()
-
-
 def _cmd_mmse_curve(config: ExperimentConfig, opts: dict):
     params = config.model_params()
     reports = estimate_mmse_curve(
@@ -252,7 +248,7 @@ def _cmd_barrier(config: ExperimentConfig, opts: dict):
 def _cmd_solve(config: ExperimentConfig, opts: dict):
     params = config.model_params()
     cfg = LllConfig(bits=opts["bits"])
-    hits = sum(solver_recovers(sample_instance(params, seed), cfg) for seed in _trial_seeds(config.seed, config.trials))
+    hits = sum(solver_recovers(inst, cfg) for run in instance_runs(params, config.seed, config.trials) for inst in run)
     rate = hits / config.trials
     se = math.sqrt(rate * (1 - rate) / config.trials)
     rows = [Row(config.model, _params_blob(params), "", config.trials, "exact_recovery_rate", rate, se)]
@@ -264,21 +260,22 @@ def _cmd_count_paths(config: ExperimentConfig, opts: dict):
     graphs = opts.get("graphs", config.trials)
     pairs = opts["pairs"]
     pair_graphs = opts.get("pair_graphs", min(graphs, 100)) if pairs else 0
-    counts = np.empty(graphs)
+    target = expected_count(n, m, eps_m, q)  # checks n, m, eps_m and q before any draw
+    total = max(graphs, pair_graphs)
+    runs = trial_runs(total, census_bytes(n, m))
+    adjacency_runs = keyed_runs(partial(null_graphs, n, q), trial_keys(config.seed, INSTANCE_STREAM, n=total), runs)
+    counts = np.empty(total, dtype=np.int64)
     totals: dict[int, float] = {}
     pair_total = 0.0
     # graph t serves both the count (t < graphs) and the pair census (t < pair_graphs)
-    for t, seed in enumerate(_trial_seeds(config.seed, max(graphs, pair_graphs))):
-        adj = sample_null_graph(n, q, seed)
-        if t < graphs:
-            counts[t] = count_approx_paths(adj, m, eps_m)
-        if t < pair_graphs:
-            census = count_overlap_pairs(adj, m, eps_m)
+    for ts, adjacency in zip(runs, adjacency_runs):
+        counts[ts.start : ts.stop] = approx_path_counts(adjacency, m, eps_m)
+        for t in ts[: max(0, pair_graphs - ts.start)]:
+            census = count_overlap_pairs(adjacency[t - ts.start], m, eps_m)
             pair_total += census.pair_count
             for shared, c in census.histogram.items():
                 totals[shared] = totals.get(shared, 0.0) + c
-    mean, se = mean_stderr(counts)
-    target = expected_count(n, m, eps_m, q)
+    mean, se = mean_stderr(counts[:graphs])
     blob = json.dumps({"eps_m": eps_m, "m": m, "n": n, "q": q}, sort_keys=True, separators=(",", ":"))
     rows = [
         Row("gnq", blob, "", graphs, "empirical_mean_count", mean, se),
@@ -336,15 +333,16 @@ def _cmd_lowdeg_stability(config: ExperimentConfig, opts: dict):
 
 def _cmd_pca_window(config: ExperimentConfig, opts: dict):
     params = config.model_params()
-    seeds = _trial_seeds(config.seed, config.trials)
     rows = []
     for lam in opts["lambdas"]:
         p_lam = replace(params, lam=float(lam))
-        top_mass = np.empty(config.trials)
-        for t, seed in enumerate(seeds):
-            inst = sample_instance(p_lam, seed)
-            p = tpca_overlap_distribution(inst.Y, inst.support, p_lam)
-            top_mass[t] = p[params.k]
+        top_mass = np.array(
+            [
+                tpca_overlap_distribution(inst.Y, inst.support, p_lam)[params.k]
+                for run in instance_runs(p_lam, config.seed, config.trials)
+                for inst in run
+            ]
+        )
         frac = float((top_mass > 0.5).mean())
         se = math.sqrt(frac * (1 - frac) / config.trials)
         blob = _params_blob(p_lam)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError
 from .models import adjacency_from_edge_vector, check_bits, edge_vector_from_adjacency, path_edge_indices, vertex_pairs
-from .rng import generator
+from .rng import generator, uniforms
 
 PAIR_BUDGET = 10**8
 
@@ -40,22 +40,45 @@ def expected_count(n: int, m: int, eps_m: int, q: float) -> float:
     return math.perm(n - 2, m - 1) * math.comb(m, eps_m) * q ** (m - eps_m)
 
 
-def _path_weights(adjacency: np.ndarray, m: int, eps_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(paths, weights): the edge indices of every length-m path, and how many
-    approximate paths it carries, C(present edges, m - eps_m)."""
-    n = adjacency.shape[0] - 1
+def _graph_edges(adjacency) -> tuple[np.ndarray, int]:
+    """The boolean edge vectors of a (stack of) adjacency matrices, and n.
+
+    Raises unless each matrix is a PSP graph: 0/1 entries, square and
+    symmetric, with an empty diagonal and an empty row and column 0.
+    """
+    adjacency = np.asarray(adjacency)
+    check_bits("adjacency", adjacency)
+    if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
+        raise ParameterError(f"adjacency has shape {adjacency.shape}, expected a square matrix")
+    if (adjacency != np.swapaxes(adjacency, -1, -2)).any():
+        raise ParameterError("adjacency must be symmetric")
+    if np.diagonal(adjacency, axis1=-2, axis2=-1).any() or adjacency[..., 0, :].any():
+        raise ParameterError("adjacency must have an empty diagonal and an empty row and column 0")
+    return edge_vector_from_adjacency(adjacency).astype(bool), adjacency.shape[-1] - 1
+
+
+def _path_weights(edges: np.ndarray, n: int, m: int, eps_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(paths, weights): the edge indices of every length-m path, and how many approximate
+    paths it carries in each graph of a stack of 0/1 edge vectors, C(present edges, m - eps_m)."""
     _check_args(n, m, eps_m)
     paths = path_edge_indices(n, m)
-    edges = edge_vector_from_adjacency(adjacency)
-    check_bits("adjacency", edges)
-    present = edges.astype(np.int64)
     comb_table = np.array([math.comb(a, m - eps_m) for a in range(m + 1)], dtype=np.int64)
-    return paths, comb_table[present[paths].sum(axis=1)]
+    return paths, comb_table[edges[..., paths].sum(axis=-1)]
+
+
+def census_bytes(n: int, m: int) -> int:
+    """Bytes approx_path_counts holds per graph: each path's gathered edges and its weight."""
+    return len(path_edge_indices(n, m)) * (m + 16)
+
+
+def approx_path_counts(adjacency: np.ndarray, m: int, eps_m: int) -> np.ndarray:
+    """count_approx_paths of each matrix in a stack of adjacency matrices, as int64."""
+    return _path_weights(*_graph_edges(adjacency), m, eps_m)[1].sum(axis=-1)
 
 
 def count_approx_paths(adjacency: np.ndarray, m: int, eps_m: int) -> int:
     """Number of approximate paths of length m with eps_m missing edges."""
-    return int(_path_weights(adjacency, m, eps_m)[1].sum())
+    return int(approx_path_counts(adjacency, m, eps_m))
 
 
 @dataclass(frozen=True)
@@ -70,7 +93,7 @@ def count_overlap_pairs(adjacency: np.ndarray, m: int, eps_m: int) -> OverlapPai
     The histogram keys are the number of shared path edges; diagonal pairs
     (identical underlying path) land at k = m.
     """
-    paths, weights = _path_weights(adjacency, m, eps_m)
+    paths, weights = _path_weights(*_graph_edges(adjacency), m, eps_m)
     count = paths.shape[0]
     if count * count > PAIR_BUDGET:
         raise ResourceBudgetError(f"{count}^2 path pairs exceed budget {PAIR_BUDGET}")
@@ -95,9 +118,18 @@ def count_overlap_pairs(adjacency: np.ndarray, m: int, eps_m: int) -> OverlapPai
     return OverlapPairCount(pair_count=total, histogram=histogram)
 
 
-def sample_null_graph(n: int, q: float, seed: int) -> np.ndarray:
-    """Adjacency of a plain G(n, q) draw (no planting); 1-indexed like the models."""
+def null_graphs(n: int, q: float, count: int, fresh) -> np.ndarray:
+    """Adjacency matrices of count plain G(n, q) draws (no planting), 1-indexed like the models.
+
+    Graph i is fresh(i).random(P) < q over the P vertex pairs, read as raw
+    Philox words and decoded in one pass for the run.
+    """
     _check_q(q)
-    rng = generator(seed)
-    vec = rng.random(len(vertex_pairs(n))) < q
-    return adjacency_from_edge_vector(vec, n)
+    pairs = len(vertex_pairs(n))
+    words = np.stack([fresh(i).bit_generator.random_raw(pairs) for i in range(count)]).reshape(count, pairs)
+    return adjacency_from_edge_vector(uniforms(words) < q, n)
+
+
+def sample_null_graph(n: int, q: float, seed: int) -> np.ndarray:
+    """Adjacency of a plain G(n, q) draw from generator(seed): null_graphs' one-graph run."""
+    return null_graphs(n, q, 1, lambda _: generator(seed))[0]

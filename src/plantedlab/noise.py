@@ -25,11 +25,11 @@ from .rng import (
     INSTANCE_STREAM,
     NOISE_STREAM,
     coin_bits,
-    derive_seeds,
     generator,
+    keyed_fresh,
     keyed_generator,
-    philox_keys,
-    rekey,
+    keyed_runs,
+    trial_keys,
     uniforms,
 )
 
@@ -46,6 +46,20 @@ def check_rho(rho: float) -> None:
 def check_trials(n: int) -> None:
     if n < 1:
         raise ParameterError(f"no values to average; need at least one trial, got {n}")
+
+
+def trial_runs(n: int, trial_bytes: int) -> list[range]:
+    """range(n) in consecutive runs of at most EVAL_CHUNK trials and EVAL_CHUNK_BYTES
+    at trial_bytes a trial, but of at least one trial."""
+    size = min(EVAL_CHUNK, max(1, EVAL_CHUNK_BYTES // trial_bytes))
+    return [range(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def instance_runs(params, seed: int, n: int):
+    """The instances of trials 0..n-1 in runs of trial_runs, trial t being
+    sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))."""
+    keys = trial_keys(seed, INSTANCE_STREAM, n=n)
+    return keyed_runs(chunk_sampler(params), keys, trial_runs(n, instance_bytes(params)))
 
 
 def _noise_psp(params, rho: float, instances: list, fresh) -> list:
@@ -134,10 +148,9 @@ class CoupledTrials:
     def __init__(self, params, rho: float, seed: int, n: int, *, grid_point=None, draw=None):
         check_trials(n)
         self._noise = chunk_noise(params, rho)
-        ts = np.arange(n)
         path = () if grid_point is None else (grid_point,)
-        self._noise_keys = philox_keys(derive_seeds(seed, NOISE_STREAM, *path, ts=ts))
-        self._instance_keys = None if draw is not None else philox_keys(derive_seeds(seed, INSTANCE_STREAM, ts=ts))
+        self._noise_keys = trial_keys(seed, NOISE_STREAM, *path, n=n)
+        self._instance_keys = None if draw is not None else trial_keys(seed, INSTANCE_STREAM, n=n)
         self._sample = chunk_sampler(params) if draw is None else None
         self._params, self._seed, self._draw = params, seed, draw
         self._rng = keyed_generator()
@@ -148,10 +161,10 @@ class CoupledTrials:
     def _run(self, ts: range) -> tuple[list, list]:
         """The instances of trials ts and their noisy observations."""
         if self._draw is None:
-            instances = self._sample(len(ts), lambda i: rekey(self._rng, self._instance_keys[ts[i]]))
+            instances = self._sample(len(ts), keyed_fresh(self._rng, self._instance_keys[ts.start : ts.stop]))
         else:
             instances = [self._draw(self._params, self._seed, t) for t in ts]
-        return instances, self._noise(instances, lambda i: rekey(self._rng, self._noise_keys[ts[i]]))
+        return instances, self._noise(instances, keyed_fresh(self._rng, self._noise_keys[ts.start : ts.stop]))
 
     def __getitem__(self, t: int):
         if not 0 <= t < len(self):
@@ -162,12 +175,10 @@ class CoupledTrials:
     def map(self, fn) -> list:
         """fn(start, instances, noisy observations) on runs of consecutive trials; its results in trial order.
 
-        A run holds at most EVAL_CHUNK trials and at most EVAL_CHUNK_BYTES of
-        observation arrays, but at least one trial.  Each arm of a trial is
-        counted at the size of its instance's arrays, which bounds it.
+        The runs are trial_runs of the trials, each arm of a trial counted at
+        the size of its instance's arrays, which bounds it.
         """
-        size = min(EVAL_CHUNK, max(1, EVAL_CHUNK_BYTES // (2 * instance_bytes(self._params))))
-        runs = [range(start, min(start + size, len(self))) for start in range(0, len(self), size)]
+        runs = trial_runs(len(self), 2 * instance_bytes(self._params))
 
         def chunk(c: int) -> list:
             return fn(runs[c].start, *self._run(runs[c]))

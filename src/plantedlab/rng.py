@@ -8,14 +8,17 @@ the same noise realization against several estimators.
 
 Seeds and path words are non-negative integers; a negative one raises
 ParameterError.  The batch forms derive_seeds and philox_keys re-implement
-numpy's SeedSequence mixing over uint32 words, vectorized over the trial
-index, and give the same bits as derive_seed and generator trial by trial.
+numpy's SeedSequence mixing over uint32 words and give the same bits as
+derive_seed and generator trial by trial.  derive_seeds folds the words all
+trials share once and mixes only the trial words per row; philox_keys mixes
+a (4, B) pool one source row at a time.
 
-A run of trials re-keys one generator per trial (keyed_generator, rekey) and
-reads each trial's raw Philox words with bit_generator.random_raw.  The
-decoders at the end turn stacked words into what numpy's Generator draws
-from them: uniforms (Generator.random), coin_bits (integers(0, 2) as uint8)
-and lemire_draws (bounded uint32 integers, rejections included).
+A run of trials re-keys one generator per trial (keyed_generator, rekey,
+keyed_fresh; keyed_runs draws run after run) and reads each trial's raw
+Philox words with bit_generator.random_raw.  The decoders at the end turn
+stacked words into what numpy's Generator draws from them: uniforms
+(Generator.random), coin_bits (integers(0, 2) as uint8) and lemire_draws
+(bounded uint32 integers, rejections included).
 """
 
 from __future__ import annotations
@@ -77,17 +80,27 @@ def _words(value: int) -> list[int]:
     return out
 
 
-class _Hash:
-    """One SeedSequence hash-constant sequence, applied column-wise to uint32 arrays."""
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """c_0..c_(count-1) of a SeedSequence hash-constant sequence, as a uint32 column.
 
-    def __init__(self, init: int, mult: int):
-        self.const, self.mult = init, mult
+    c_0 = init and c_(k+1) = c_k * mult mod 2**32; hash call k xors with c_k
+    and multiplies by c_(k+1).
+    """
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
 
-    def __call__(self, value: np.ndarray) -> np.ndarray:
-        value = value ^ np.uint32(self.const)
-        self.const = (self.const * self.mult) & _MASK32
-        value = value * np.uint32(self.const)
-        return value ^ (value >> np.uint32(16))
+
+# every hash call of philox_keys: 4 to fill the pool and 12 to mix it, then 4 output words
+_MIX_CONST = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 1)
+_OUT_CONST = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE + 1)
+
+
+def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Consecutive hash calls, one per row of value: row i takes const[i] and const[i + 1]."""
+    value = (value ^ const[:-1]) * const[1:]
+    return value ^ (value >> np.uint32(16))
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -95,33 +108,19 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _state_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """SeedSequence(entropy row).generate_state(n_words, uint32) for every row of a (B, L) array."""
-    hashmix = _Hash(_INIT_A, _MULT_A)
-    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, entropy.shape[1]):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
-    out = _Hash(_INIT_B, _MULT_B)
-    return np.stack([out(pool[i % _POOL_SIZE]) for i in range(n_words)], axis=1)
-
-
 def _join64(words: np.ndarray) -> np.ndarray:
-    """(B, 2k) uint32 little-endian word pairs -> (B, k) uint64."""
+    """(2k, B) uint32 little-endian word pairs -> (k, B) uint64."""
     w = words.astype(np.uint64)
-    return w[:, 0::2] | (w[:, 1::2] << np.uint64(32))
+    return w[0::2] | (w[1::2] << np.uint64(32))
 
 
 def derive_seeds(seed: int, *prefix: int, ts) -> np.ndarray:
     """derive_seed(seed, *prefix, t) for every t in ts, as a uint64 array.
 
     ts holds non-negative integers below 2**64; a t of 2**32 or more takes two
-    uint32 words, as it does in SeedSequence, and is mixed in its own group.
+    uint32 words, as it does in SeedSequence.  Every row shares its head (the
+    seed padded to the pool size, then the prefix), so the pool after the head
+    is mixed once, and each row mixes in only its trial words.
     """
     seed, prefix = _checked(seed, prefix)
     ts = np.asarray(ts)
@@ -131,16 +130,18 @@ def derive_seeds(seed: int, *prefix: int, ts) -> np.ndarray:
     run = _words(seed)
     run += [0] * (_POOL_SIZE - len(run))  # a spawn key is present: pad the run entropy
     head = run + [w for p in prefix for w in _words(p)]
-    out = np.empty(ts.size, dtype=np.uint64)
+    # the pool after the head is SeedSequence's own pool for the head as entropy; mixing it took
+    # 4 calls to fill the pool, 12 to mix it and 4 for each head word past the pool: the trial
+    # words start at hash call 4 * len(head)
+    pool = np.random.SeedSequence(np.array(head, dtype=np.uint32)).pool[:, None]
+    k = _POOL_SIZE * len(head)
+    const = _hash_constants(_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32, _MULT_A, 2 * _POOL_SIZE + 1)
+    pool = _mix(pool, _hashmix(ts.astype(np.uint32), const[: _POOL_SIZE + 1]))  # a low trial word
     wide = ts > np.uint64(_MASK32)
-    for rows, t_words in ((~wide, [ts]), (wide, [ts & np.uint64(_MASK32), ts >> np.uint64(32)])):
-        if rows.any():
-            entropy = np.empty((int(rows.sum()), len(head) + len(t_words)), dtype=np.uint32)
-            entropy[:, : len(head)] = head
-            for j, col in enumerate(t_words):
-                entropy[:, len(head) + j] = col[rows]
-            out[rows] = _join64(_state_words(entropy, 2))[:, 0]
-    return out
+    if wide.any():
+        high = (ts[wide] >> np.uint64(32)).astype(np.uint32)
+        pool[:, wide] = _mix(pool[:, wide], _hashmix(high, const[_POOL_SIZE:]))
+    return _join64(_hashmix(pool[:2], _OUT_CONST[:3]))[0]
 
 
 def philox_keys(seeds) -> np.ndarray:
@@ -148,8 +149,19 @@ def philox_keys(seeds) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     # no spawn key, no padding; a missing word and a zero word hash alike, so
     # a seed below 2**32 may take two words as well
-    entropy = np.stack([seeds & np.uint64(_MASK32), seeds >> np.uint64(32)], axis=1).astype(np.uint32)
-    return _join64(_state_words(entropy, 4))
+    entropy = np.zeros((_POOL_SIZE, seeds.size), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
+    pool = _hashmix(entropy, _MIX_CONST[: _POOL_SIZE + 1])
+    for src in range(_POOL_SIZE):  # row src hashes into the other rows in turn, by calls k..k+2
+        k = _POOL_SIZE + (_POOL_SIZE - 1) * src
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _MIX_CONST[k : k + _POOL_SIZE]))
+    return _join64(_hashmix(pool, _OUT_CONST)).T
+
+
+def trial_keys(seed: int, *prefix: int, n: int) -> np.ndarray:
+    """Philox keys of generator(derive_seed(seed, *prefix, t)) for t in 0..n-1, shape (n, 2) uint64."""
+    return philox_keys(derive_seeds(seed, *prefix, ts=np.arange(n)))
 
 
 def keyed_generator() -> np.random.Generator:
@@ -168,6 +180,27 @@ def rekey(gen: np.random.Generator, key) -> np.random.Generator:
         "uinteger": 0,
     }
     return gen
+
+
+def keyed_fresh(gen: np.random.Generator, keys: np.ndarray):
+    """fresh(i) over a run's Philox keys, rows of philox_keys: gen re-keyed to keys[i].
+
+    The keys become Python ints once per run: the state setter takes them
+    faster than it takes a numpy row.
+    """
+    keys = keys.tolist()
+    return lambda i: rekey(gen, keys[i])
+
+
+def keyed_runs(draw, keys: np.ndarray, runs):
+    """draw(len(ts), fresh) for each run ts of consecutive trial indices, in order.
+
+    fresh(i) re-keys one shared generator to keys[ts[i]], so trial t draws
+    what generator(s) would for the seed s that keys[t] belongs to.
+    """
+    gen = keyed_generator()
+    for ts in runs:
+        yield draw(len(ts), keyed_fresh(gen, keys[ts.start : ts.stop]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ correlation.  The per-observation posterior enumerations (the RLC message
 profile 65,536 messages at a time, the TPCA np.ix_ block per support)
 check the batched posterior kernels, the per-bit row packing checks
 the GF(2) solvers' packing, and the Gram-matrix Bareiss determinant checks
-the LLL input determinant.  numpy's own SeedSequence checks the batch seed
-derivation, the per-trial Generator-call samplers and noise operators
-check the run samplers and noise operators that decode raw Philox words,
-and the per-trial polynomial evaluations and the per-trial
-MMSE, estimator-stability and polynomial-stability loops check the batched
-ones, which CoupledTrials.map runs EVAL_CHUNK trials at a time.  The
+the LLL input determinant.  numpy's own SeedSequence, and its mixing loops
+as written (state_words_loop), check the folded batch seed derivation; the
+per-trial Generator-call samplers and noise operators check the run
+samplers and noise operators that decode raw Philox words, and the
+per-trial polynomial evaluations and the per-trial MMSE,
+estimator-stability and polynomial-stability loops check the batched ones,
+which CoupledTrials.map runs EVAL_CHUNK trials at a time.  The per-seed
+count-paths loop checks the census drawn as keyed runs.  The
 exhaustive oracles at the end (all simple paths, the full GF(2) solution
 set, exact lattice coordinates) check the fast solvers, and the recovery
 rules on each solver's own output check stability.solver_recovers.  The
@@ -35,6 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from plantedlab.counting import count_approx_paths, count_overlap_pairs, expected_count
 from plantedlab.lowdeg import hermite_eval
 from plantedlab.mc import mean_stderr, ratio_with_stderr
 from plantedlab.models import (
@@ -335,6 +338,91 @@ def seed_sequence_seed(seed: int, *path: int) -> int:
 def seed_sequence_philox_key(seed: int) -> np.ndarray:
     """The key that Philox(SeedSequence(seed)) runs on."""
     return np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+class _Hash:
+    """One SeedSequence hash-constant sequence, applied column-wise to uint32 arrays."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = (self.const * self.mult) & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> np.uint32(16))
+
+
+def _mix32(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def state_words_loop(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(entropy row).generate_state(n_words, uint32) for every row of a (B, L) uint32 array.
+
+    numpy's mixing loops as written, one pool column of B words per hash call.
+    """
+    hashmix = _Hash(0x43B0D7E5, 0x931E8875)
+    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix32(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = _mix32(pool[dst], hashmix(entropy[:, src]))
+    out = _Hash(0x8B51F9DD, 0x58F38DED)
+    return np.stack([out(pool[i % 4]) for i in range(n_words)], axis=1)
+
+
+def uint32_words(value: int) -> list[int]:
+    """value as little-endian uint32 words, as SeedSequence reads an int; 0 is one word."""
+    out = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        out.append(value & _MASK32)
+    return out
+
+
+def seed_path_entropy(seed: int, *path: int) -> list[int]:
+    """The entropy words of SeedSequence(seed, spawn_key=path): the seed padded to 4 words when a path follows."""
+    run = uint32_words(seed)
+    if path:
+        run += [0] * (4 - len(run))
+    return run + [w for p in path for w in uint32_words(p)]
+
+
+def count_paths_rows_loop(seed: int, n: int, m: int, eps_m: int, q: float, graphs: int, pair_graphs: int) -> list:
+    """(trials, metric, value, stderr) of each count-paths CSV row, from one G(n, q) draw per scalar seed.
+
+    Graph t is generator(derive_seed(seed, INSTANCE_STREAM, t)).random(P) < q
+    over the vertex pairs, counted with count_approx_paths and, for t below
+    pair_graphs, count_overlap_pairs.
+    """
+    pairs = n * (n - 1) // 2
+    counts, pair_total, totals = [], 0.0, {}
+    for t in range(max(graphs, pair_graphs)):
+        adj = psp_adjacency_loop(generator(derive_seed(seed, INSTANCE_STREAM, t)).random(pairs) < q, n)
+        if t < graphs:
+            counts.append(count_approx_paths(adj, m, eps_m))
+        if t < pair_graphs:
+            census = count_overlap_pairs(adj, m, eps_m)
+            pair_total += census.pair_count
+            for shared, c in census.histogram.items():
+                totals[shared] = totals.get(shared, 0.0) + c
+    rows = [
+        (graphs, "empirical_mean_count", *mean_stderr(counts)),
+        (graphs, "expected_count", expected_count(n, m, eps_m, q), 0.0),
+    ]
+    if pair_graphs:
+        rows.append((pair_graphs, "mean_pair_count", pair_total / pair_graphs, 0.0))
+        rows += [(pair_graphs, f"mean_pair_overlap[{k}]", totals[k] / pair_graphs, 0.0) for k in sorted(totals)]
+    return rows
 
 
 def pack_rows_loop(A: np.ndarray) -> list[int]:

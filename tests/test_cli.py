@@ -1,5 +1,7 @@
 import argparse
 import collections
+import csv
+import io
 import json
 import re
 import subprocess
@@ -10,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import count_paths_rows_loop, hex_fields, seed_sequence_philox_key
 from plantedlab.cli import COMMAND_TABLE, COMMANDS, CSV_HEADER, REQUIRED, ExperimentConfig, _build_parser, main, run
-from plantedlab.counting import sample_null_graph
-from plantedlab.models import MODEL_NAMES
-from plantedlab.noise import CoupledTrials
-from plantedlab.rng import derive_seed
+from plantedlab.models import MODEL_NAMES, PspParams, TpcaParams, sample_instance
+from plantedlab.noise import EVAL_CHUNK, CoupledTrials
+from plantedlab.rng import derive_seed, rekey
 from plantedlab.stability import ESTIMATORS
 
 
@@ -211,17 +213,80 @@ def test_count_paths_command(tmp_path):
 
 
 def test_count_paths_draws_each_graph_once(tmp_path, monkeypatch):
-    # the pair census reuses the first pair_graphs graphs of the count
-    seeds = []
+    # the pair census reuses the first pair_graphs graphs of the count: max(graphs, pair_graphs)
+    # Philox keys are read, each once and in trial order
+    keys = []
 
-    def counted(n, q, seed):
-        seeds.append(seed)
-        return sample_null_graph(n, q, seed)
+    def recorded(gen, key):
+        keys.append(list(key))
+        return rekey(gen, key)
 
-    monkeypatch.setattr("plantedlab.cli.sample_null_graph", counted)
-    options = '{"n":9,"m":3,"eps_m":1,"q":0.3,"graphs":6,"pairs":true,"pair_graphs":4}'
-    assert main(["count-paths", "--seed", "5", "--options", options, "--out", str(tmp_path / "x")]) == 0
-    assert seeds == [derive_seed(5, 0, t) for t in range(6)]
+    monkeypatch.setattr("plantedlab.rng.rekey", recorded)
+    for graphs, pair_graphs in ((6, 4), (3, 5)):
+        keys.clear()
+        options = '{"n":9,"m":3,"eps_m":1,"q":0.3,"graphs":%d,"pairs":true,"pair_graphs":%d}' % (graphs, pair_graphs)
+        assert main(["count-paths", "--seed", "5", "--options", options, "--out", str(tmp_path / "x")]) == 0
+        want = [seed_sequence_philox_key(derive_seed(5, 0, t)).tolist() for t in range(max(graphs, pair_graphs))]
+        assert keys == want
+
+
+def _csv_rows(out) -> list:
+    """(trials, metric, value, stderr) of each row of a CLI CSV."""
+    text = read(out.with_suffix(".csv")).decode()
+    return [(int(r["trials"]), r["metric"], float(r["value"]), float(r["stderr"])) for r in csv.DictReader(io.StringIO(text))]
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"n": 9, "m": 3, "eps_m": 1, "q": 0.4, "graphs": 6, "pairs": True, "pair_graphs": 4},
+        {"n": 7, "m": 3, "eps_m": 1, "q": 0.3, "graphs": 3, "pairs": True, "pair_graphs": 5},
+        {"n": 7, "m": 3, "eps_m": 2, "q": 0.4, "graphs": EVAL_CHUNK + 3, "pairs": False},
+        {"n": 6, "m": 2, "eps_m": 0, "q": 0.5, "graphs": EVAL_CHUNK + 3, "pairs": True, "pair_graphs": EVAL_CHUNK + 5},
+    ],
+    ids=["pairs-within-graphs", "pairs-beyond-graphs", "run-boundary", "pairs-beyond-a-run-boundary"],
+)
+def test_count_paths_matches_the_per_seed_loop(tmp_path, options):
+    out = tmp_path / "census"
+    assert main(["count-paths", "--seed", "11", "--options", json.dumps(options), "--out", str(out)]) == 0
+    pair_graphs = options["pair_graphs"] if options["pairs"] else 0
+    args = (options["n"], options["m"], options["eps_m"], options["q"], options["graphs"], pair_graphs)
+    assert _csv_rows(out) == count_paths_rows_loop(11, *args)
+
+
+def test_solve_and_pca_window_instances_across_a_run_boundary(tmp_path, monkeypatch):
+    # both commands draw keyed runs; trial t is still sample_instance at seed path (seed, INSTANCE_STREAM, t)
+    trials = EVAL_CHUNK + 2
+    seen = []
+
+    def recovers(inst, cfg):
+        seen.append(inst)
+        return True
+
+    monkeypatch.setattr("plantedlab.cli.solver_recovers", recovers)
+    params = PspParams(n=7, L=3, q=0.3)
+    argv = ["solve", "--model", "psp", "--params", '{"n":7,"L":3,"q":0.3}', "--trials", str(trials), "--seed", "4"]
+    assert main([*argv, "--out", str(tmp_path / "solve")]) == 0
+    assert [hex_fields(inst) for inst in seen] == [
+        hex_fields(sample_instance(params, derive_seed(4, 0, t))) for t in range(trials)
+    ]
+
+    overlaps = []
+
+    def overlap(Y, support, p):
+        overlaps.append((Y, support, p.lam))
+        return np.zeros(p.k + 1)
+
+    monkeypatch.setattr("plantedlab.cli.tpca_overlap_distribution", overlap)
+    argv = ["pca-window", "--model", "tpca", "--params", '{"n":4,"k":2,"d":2,"lambda":1.0}', "--trials", str(trials)]
+    options = ["--options", '{"lambdas":[1.0,6.0]}', "--seed", "9"]
+    assert main([*argv, *options, "--out", str(tmp_path / "window")]) == 0
+    want = []
+    for lam in (1.0, 6.0):
+        for t in range(trials):
+            inst = sample_instance(TpcaParams(n=4, k=2, d=2, lam=lam), derive_seed(9, 0, t))
+            want.append((hex_fields(inst.Y), inst.support, lam))
+    assert [(hex_fields(Y), support, lam) for Y, support, lam in overlaps] == want
 
 
 @pytest.mark.parametrize("graphs", ['"graphs":0', '"pairs":true,"pair_graphs":0'], ids=["graphs", "pair_graphs"])

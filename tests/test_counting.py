@@ -7,12 +7,14 @@ import pytest
 from oracles import census_weights_loop
 from plantedlab.counting import (
     _path_weights,
+    approx_path_counts,
     count_approx_paths,
     count_overlap_pairs,
     expected_count,
     sample_null_graph,
 )
 from plantedlab.errors import ParameterError
+from plantedlab.models import edge_vector_from_adjacency
 from plantedlab.rng import derive_seed
 
 
@@ -173,6 +175,62 @@ def test_census_rejects_a_non_binary_adjacency(change):
             census(change(adj), 3, 1)
 
 
+def _diagonal_and_row_zero(adj):
+    out = adj.copy()
+    np.fill_diagonal(out, True)
+    out[0, :] = True
+    return out
+
+
+def _float_seven(adj):
+    out = adj.astype(float)
+    out[3, 1] = 7.0  # a present edge, in the lower triangle the census once never read
+    return out
+
+
+def _diagonal(adj):
+    out = adj.copy()
+    out[4, 4] = True
+    return out
+
+
+def _row_and_column_zero(adj):
+    out = adj.copy()
+    out[0, 5] = out[5, 0] = True
+    return out
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (np.triu, "symmetric"),
+        (_diagonal_and_row_zero, "symmetric"),
+        (_float_seven, "entries must be 0 or 1"),
+        (_diagonal, "empty diagonal"),
+        (_row_and_column_zero, "row and column 0"),
+        (lambda adj: adj[:, 1:], "square"),
+    ],
+    ids=["triu", "diagonal-and-row-0", "float-seven", "diagonal", "row-and-column-0", "not-square"],
+)
+def test_census_rejects_a_matrix_that_is_no_psp_graph(change, message):
+    # each of these once counted the graph's own 8 paths and 40 pairs
+    adj = sample_null_graph(8, 0.4, 3)
+    assert count_approx_paths(adj, 3, 1) == 8 and count_overlap_pairs(adj, 3, 1).pair_count == 40
+    for census in (count_approx_paths, count_overlap_pairs):
+        with pytest.raises(ParameterError, match=message):
+            census(change(adj), 3, 1)
+    with pytest.raises(ParameterError, match=message):
+        approx_path_counts(change(adj)[None], 3, 1)  # a run of one
+
+
+def test_approx_path_counts_of_a_stack_match_each_matrix():
+    stack = np.stack([sample_null_graph(9, 0.35, derive_seed(6, 0, t)) for t in range(12)])
+    for m, eps_m in ((2, 0), (3, 1), (4, 4)):
+        counts = approx_path_counts(stack, m, eps_m)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [count_approx_paths(adj, m, eps_m) for adj in stack]
+
+
 @pytest.mark.parametrize("q", [1.5, -0.1, math.nan, math.inf])
 def test_q_outside_unit_interval_raises(q):
     with pytest.raises(ParameterError, match="q in"):
@@ -184,6 +242,6 @@ def test_q_outside_unit_interval_raises(q):
 def test_census_weights_match_the_per_path_loop():
     for n, m, eps_m, q, seed in [(6, 2, 1, 0.5, 1), (8, 3, 1, 0.3, 2), (8, 3, 0, 0.7, 3), (9, 4, 2, 0.4, 4), (7, 3, 3, 0.0, 5)]:
         adj = sample_null_graph(n, q, derive_seed(seed, 0))
-        paths, weights = _path_weights(adj, m, eps_m)
+        paths, weights = _path_weights(edge_vector_from_adjacency(adj), n, m, eps_m)
         assert weights.tolist() == census_weights_loop(adj, m, eps_m)
         assert len(paths) == math.perm(n - 2, m - 1)

@@ -4,8 +4,9 @@ No module in src, tests or demos imports a name it never uses, only noise
 drives mc.run_trials, the posterior kernels are reached only through
 bayes._POSTERIORS, src and demos reach the fast solvers only through the
 wrappers of stability.SOLVERS, only models and counting name the PSP
-adjacency-matrix conversions, and src calls no numpy function newer than
-the numpy floor in pyproject.toml.
+adjacency-matrix conversions, cli draws no instance or null graph one seed
+at a time, and src calls no numpy function newer than the numpy floor in
+pyproject.toml.
 """
 
 from __future__ import annotations
@@ -201,3 +202,33 @@ def test_numpy_floor_covers_the_functions_src_calls():
         if isinstance(node, ast.Attribute) and node.attr in NUMPY_ADDED
     }
     assert {name: NUMPY_ADDED[name] for name in used if have < NUMPY_ADDED[name]} == {}
+
+
+# cli draws its instances and null graphs as keyed runs (noise.instance_runs, rng.keyed_runs);
+# a per-seed one-trial draw there would pay the run decoder's fixed cost once per trial
+PER_SEED_DRAWS = {"sample_instance", "sample_null_graph"}
+
+
+def per_seed_draws(source: str) -> list[int]:
+    """Lines that name a per-seed draw, by use or import."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id in PER_SEED_DRAWS)
+        or (isinstance(node, ast.Attribute) and node.attr in PER_SEED_DRAWS)
+        or (isinstance(node, ast.alias) and node.name in PER_SEED_DRAWS)
+    )
+
+
+def test_per_seed_draw_scan_finds_a_planted_loop():
+    planted = (
+        "from .models import sample_instance as draw, params_from_json\n"
+        "hits = [solve(draw(p, s)) for s in seeds]\n"
+        "adj = counting.sample_null_graph(n, q, seed)\n"
+    )
+    assert per_seed_draws(planted) == [1, 3]
+    assert per_seed_draws("runs = instance_runs(params, seed, n)\nsample = chunk_sampler(params)\n") == []
+
+
+def test_cli_draws_no_per_seed_instances():
+    assert per_seed_draws((ROOT / "src" / "plantedlab" / "cli.py").read_text(encoding="utf-8")) == []

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coupled_trial_scalar, seed_sequence_philox_key, seed_sequence_seed
+from oracles import (
+    coupled_trial_scalar,
+    hex_fields,
+    seed_path_entropy,
+    seed_sequence_philox_key,
+    seed_sequence_seed,
+    state_words_loop,
+)
 from plantedlab.errors import ParameterError
 from plantedlab.models import (
     GssParams,
@@ -16,8 +23,8 @@ from plantedlab.models import (
     instance_to_json,
     sample_instance,
 )
-from plantedlab.noise import CoupledTrials, chunk_noise, noise_instance_observation
-from plantedlab.rng import derive_seed, derive_seeds, generator, keyed_generator, philox_keys, rekey
+from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, instance_runs, noise_instance_observation
+from plantedlab.rng import derive_seed, derive_seeds, generator, keyed_generator, philox_keys, rekey, trial_keys
 
 seeds = st.one_of(st.just(0), st.integers(0, 2**64 - 1), st.integers(2**64, 2**130))
 # path words: 0 is one uint32 word; 2**32 and above take two
@@ -60,6 +67,40 @@ def test_philox_keys_match_seed_sequence(batch):
     for s, key in zip(batch, keys):
         assert key.tolist() == seed_sequence_philox_key(s).tolist()
         assert key.tolist() == np.random.Philox(s).state["state"]["key"].tolist()
+
+
+def _joined(words: np.ndarray) -> np.ndarray:
+    """(B, 2k) uint32 words -> (B, k) uint64, low word first."""
+    w = words.astype(np.uint64)
+    return w[:, 0::2] | (w[:, 1::2] << np.uint64(32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    prefix=st.lists(words, max_size=3),
+    n=st.integers(1, 600),
+    wide=st.sampled_from([0.0, 0.3, 1.0]),
+    edges=st.lists(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), max_size=4),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_folded_key_derivation_matches_the_mixing_loops(seed, prefix, n, wide, edges, draw_seed):
+    # narrow and wide trial indices mixed in one call; a seed above 2**128 makes a head longer than the pool
+    rng = np.random.default_rng(draw_seed)
+    ts = np.where(rng.random(n) < wide, rng.integers(2**32, 2**64, n, dtype=np.uint64), rng.integers(0, 2**32, n))
+    ts = np.concatenate([ts.astype(np.uint64), np.array(edges, dtype=np.uint64)])
+    got = derive_seeds(seed, *prefix, ts=ts)
+    rows = [seed_path_entropy(seed, *prefix, int(t)) for t in ts]
+    want = np.zeros(len(ts), dtype=np.uint64)
+    for length in {len(row) for row in rows}:  # rows of one entropy length share a loop call
+        at = [i for i, row in enumerate(rows) if len(row) == length]
+        want[at] = _joined(state_words_loop(np.array([rows[i] for i in at], dtype=np.uint32), 2))[:, 0]
+    assert got.tobytes().hex() == want.tobytes().hex()
+    assert got.tolist() == [seed_sequence_seed(seed, *prefix, int(t)) for t in ts]
+    keys = philox_keys(got)
+    entropy = np.stack([got & np.uint64(0xFFFFFFFF), got >> np.uint64(32)], axis=1).astype(np.uint32)
+    assert keys.tobytes().hex() == _joined(state_words_loop(entropy, 4)).tobytes().hex()
+    assert keys.tolist() == [seed_sequence_philox_key(int(s)).tolist() for s in got]
 
 
 def test_empty_batch():
@@ -152,3 +193,14 @@ def test_coupled_trials_custom_draw_keeps_noise_seeds():
     assert calls == [2]
     assert instance_to_json(inst) == instance_to_json(sample_instance(params, derive_seed(4, 9, 2)))
     assert _same(noisy, noise_instance_observation(inst, 0.5, derive_seed(4, 1, 1, 2)))
+
+
+@pytest.mark.parametrize("params", MODEL_PARAMS, ids=lambda p: type(p).__name__)
+def test_instance_runs_match_sample_instance_across_a_run_boundary(params):
+    # the runs solve and pca-window draw: trial t is sample_instance at seed path (seed, INSTANCE_STREAM, t)
+    runs = list(instance_runs(params, 13, EVAL_CHUNK + 2))
+    assert [len(run) for run in runs] == [EVAL_CHUNK, 2]
+    got = [inst for run in runs for inst in run]
+    for t, inst in enumerate(got):
+        assert hex_fields(inst) == hex_fields(sample_instance(params, derive_seed(13, 0, t)))
+    assert trial_keys(13, 0, n=3).tolist() == [seed_sequence_philox_key(derive_seed(13, 0, t)).tolist() for t in range(3)]
