@@ -267,9 +267,13 @@ def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], par
     Returns (p_0, ..., p_k) with p_i the posterior probability that the drawn
     support shares exactly i indices with the planted one; sums to 1.
     """
+    support = np.asarray(planted_support)
+    valid = support.dtype.kind in "iu" and support.shape == (params.k,) and len(set(support.tolist())) == params.k
+    if not (valid and 0 <= support.min() and support.max() < params.n):
+        raise ParameterError(f"planted support {planted_support!r} needs {params.k} distinct integers in 0..{params.n - 1}")
     combos, (lw,) = _tpca_log_weights([Y], params)
     member = np.zeros(params.n, dtype=bool)
-    member[list(planted_support)] = True
+    member[support] = True
     overlap = member[combos].sum(axis=1)
     w = np.exp(lw - lw.max())
     mass = np.bincount(overlap, weights=w, minlength=params.k + 1)

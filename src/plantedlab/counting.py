@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError
 from .models import adjacency_from_edge_vector, check_bits, edge_vector_from_adjacency, path_edge_indices, vertex_pairs
+from .noise import EVAL_CHUNK_BYTES
 from .rng import generator, uniforms
 
 PAIR_BUDGET = 10**8
@@ -91,31 +92,25 @@ def count_overlap_pairs(adjacency: np.ndarray, m: int, eps_m: int) -> OverlapPai
     """Ordered pairs of approximate paths whose paths share >= 1 edge.
 
     The histogram keys are the number of shared path edges; diagonal pairs
-    (identical underlying path) land at k = m.
+    (identical underlying path) land at k = m.  Among the paths that carry
+    an approximate path, the shared edges of a pair are the matches of its
+    two edge lists (a path's edges are distinct), counted for row blocks of
+    pairs that fit EVAL_CHUNK_BYTES; the weight products add up in int64,
+    exactly (at most 2**(2m) * PAIR_BUDGET).
     """
     paths, weights = _path_weights(*_graph_edges(adjacency), m, eps_m)
     count = paths.shape[0]
     if count * count > PAIR_BUDGET:
         raise ResourceBudgetError(f"{count}^2 path pairs exceed budget {PAIR_BUDGET}")
-    weights = weights.tolist()
-    masks = [sum(1 << e for e in row) for row in paths.tolist()]  # a path's edges are distinct
-    histogram: dict[int, int] = {}
-    total = 0
-    for i in range(count):
-        wi = weights[i]
-        if wi == 0:
-            continue
-        mi = masks[i]
-        for j in range(count):
-            wj = weights[j]
-            if wj == 0:
-                continue
-            shared = (mi & masks[j]).bit_count()
-            if shared >= 1:
-                c = wi * wj
-                total += c
-                histogram[shared] = histogram.get(shared, 0) + c
-    return OverlapPairCount(pair_count=total, histogram=histogram)
+    paths, weights = paths[weights > 0], weights[weights > 0]
+    totals = np.zeros(m + 1, dtype=np.int64)
+    rows = max(1, EVAL_CHUNK_BYTES // (24 * max(len(paths), 1)))  # shared counts, matches, weight products
+    for start in range(0, len(paths), rows):
+        block = paths[start : start + rows]
+        shared = sum(block[:, None, a] == paths[None, :, b] for a in range(m) for b in range(m))
+        np.add.at(totals, shared, np.outer(weights[start : start + rows], weights))
+    histogram = {k: c for k, c in enumerate(totals.tolist()) if k >= 1 and c}
+    return OverlapPairCount(pair_count=sum(histogram.values()), histogram=histogram)
 
 
 def null_graphs(n: int, q: float, count: int, fresh) -> np.ndarray:

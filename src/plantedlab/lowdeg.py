@@ -76,6 +76,8 @@ class DiagramSpec:
             raise ParameterError("R must be a symmetric k x k matrix")
         if not np.allclose(np.diag(R), 1.0):
             raise ParameterError("R must have unit diagonal")
+        if not (np.abs(R[~np.eye(k, dtype=bool)]) <= 1.0).all():  # false for nan and inf too
+            raise ParameterError("R must have off-diagonal entries in [-1, 1]")
         if any(a < 0 for a in self.alpha):
             raise ParameterError("alpha entries must be nonnegative")
         object.__setattr__(self, "R", R)
@@ -83,6 +85,7 @@ class DiagramSpec:
             mu = np.asarray(self.mu, dtype=float)
             if mu.shape != (k,):
                 raise ParameterError("mu must have one entry per variable")
+            check_finite("mu", mu)
             object.__setattr__(self, "mu", mu)
 
     @property

@@ -363,39 +363,30 @@ def subset_sum_value(X: np.ndarray, subset: Sequence[int]) -> float:
 _CHOICE_FLOYD_LIMIT = 10000
 
 
-def _floyd_supports(params: GssParams, count: int, fresh) -> tuple[np.ndarray, np.ndarray]:
-    """X and the sorted support of each trial, Generator.choice's Floyd method decoded from raw words.
+def _sample_gss(params: GssParams, count: int, fresh) -> list:
+    """X ~ N(0, I_N), then a uniform k-subset S; Y is S's subset_sum_value.
 
-    For j = N-k..N-1, Floyd draws v in [0, j] (a bounded uint32 draw) and
-    takes v, or j when v was taken before.
+    S is Generator.choice(N, k, replace=False).  Its Floyd method draws v in
+    [0, j] (a bounded uint32 draw) for j = N-k..N-1 and takes v, or j when v
+    was taken before; the run decodes those draws from raw words.  A trial
+    that rejects a word, or that choice draws past Floyd's range (no word is
+    read then), is drawn again from fresh(i) with choice itself.
     """
     N, k = params.N, params.k
     ranges = range(N - k + 1, N + 1)
-    words = (sum(r > 1 for r in ranges) + 1) // 2  # a range of 1 draws nothing
+    # a range of 1 draws nothing; past Floyd's range no word is read, so lemire_draws flags every row
+    words = 0 if N > _CHOICE_FLOYD_LIMIT and k > N // 50 else (sum(r > 1 for r in ranges) + 1) // 2
     reads = [(g.standard_normal(N), g.bit_generator.random_raw(words)) for g in map(fresh, range(count))]
     draws, ok = lemire_draws(uint32_stream(np.stack([w for _, w in reads])), ranges)
-    for i in np.flatnonzero(~ok):  # rejections used up the words read: read the trial again, with more
-        spare = words
-        while not ok[i]:
-            g = fresh(i)
-            g.standard_normal(N)
-            row, row_ok = lemire_draws(uint32_stream(g.bit_generator.random_raw(words + spare))[None], ranges)
-            draws[i], ok[i], spare = row[0], row_ok[0], 2 * spare
     chosen = np.empty((count, k), dtype=np.int64)
     for i, j in enumerate(range(N - k, N)):
         v = draws[:, i].astype(np.int64)
         chosen[:, i] = np.where((chosen[:, :i] == v[:, None]).any(axis=1), j, v)
-    return np.stack([x for x, _ in reads]), np.sort(chosen, axis=1)
-
-
-def _sample_gss(params: GssParams, count: int, fresh) -> list:
-    """X ~ N(0, I_N), then a uniform k-subset S; Y is S's subset_sum_value."""
-    N, k = params.N, params.k
-    if N > _CHOICE_FLOYD_LIMIT and k > N // 50:
-        reads = [(g.standard_normal(N), g.choice(N, size=k, replace=False)) for g in map(fresh, range(count))]
-        X, S = np.stack([x for x, _ in reads]), np.sort([s for _, s in reads], axis=1)
-    else:
-        X, S = _floyd_supports(params, count, fresh)
+    for i in np.flatnonzero(~ok):
+        g = fresh(i)
+        g.standard_normal(N)
+        chosen[i] = g.choice(N, size=k, replace=False)
+    X, S = np.stack([x for x, _ in reads]), np.sort(chosen, axis=1)
     Y = np.zeros(count)
     for col in S.T:  # left to right over sorted indices, as subset_sum_value adds them
         Y += X[np.arange(count), col]
@@ -458,7 +449,7 @@ def chunk_sampler(params):
 
     fresh(i) returns trial i's generator at its fresh state.  Each trial's
     draws are read from it before fresh(i + 1) is called, and fresh(i) may be
-    called again for a trial that needs more words.
+    called again for a GSS trial whose support numpy's own choice draws.
     """
     return partial(_SAMPLERS[model_name(params)], params)
 

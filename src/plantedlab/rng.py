@@ -18,7 +18,7 @@ keyed_fresh; keyed_runs draws run after run) and reads each trial's raw
 Philox words with bit_generator.random_raw.  The decoders at the end turn
 stacked words into what numpy's Generator draws from them: uniforms
 (Generator.random), coin_bits (integers(0, 2) as uint8) and lemire_draws
-(bounded uint32 integers, rejections included).
+(bounded uint32 integers, flagging a row that rejects a word).
 """
 
 from __future__ import annotations
@@ -239,30 +239,16 @@ def lemire_draws(words: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
     This is Lemire's multiply-and-reject rule, as in Generator.integers(0, r,
     dtype=np.uint32): m = u * r, draw m >> 32, and read the next word while
     m mod 2**32 < 2**32 mod r.  A range of 1 reads no word; ranges run up to
-    2**32.  Returns the draws, (rows, len(ranges)) uint64, and a boolean per
-    row that is False where the row's words ran out on rejections (its draws
-    from then on are not set).
+    2**32.  Draw d of a row is read from word d of those it reads.  Returns
+    the draws, (rows, len(ranges)) uint64, and a boolean per row that is False
+    where the row rejects a word or has too few words (its draws are not numpy's).
     """
     words = np.asarray(words, dtype=np.uint32)
     ranges = np.asarray(ranges, dtype=np.uint64).reshape(-1)
     out = np.zeros((len(words), len(ranges)), dtype=np.uint64)
-    # every row that rejects no word reads draw d from word d of those it reads
     drawn = np.flatnonzero(ranges > 1)
     width = min(len(drawn), words.shape[1])
     m = words[:, :width] * ranges[drawn[:width]]
     out[:, drawn[:width]] = m >> np.uint64(32)
-    redo = ((m & np.uint64(_MASK32)) < np.uint64(2**32) % ranges[drawn[:width]]).any(axis=1) | (width < len(drawn))
-    ok = np.ones(len(words), dtype=bool)
-    for i in np.flatnonzero(redo):  # a rejection, or too few words: the rule word by word
-        pos = 0
-        for d in drawn.tolist():
-            r = int(ranges[d])
-            while ok[i]:
-                if pos == words.shape[1]:
-                    ok[i] = False
-                    break
-                u, pos = int(words[i, pos]) * r, pos + 1
-                if u & _MASK32 >= 2**32 % r:
-                    out[i, d] = u >> 32
-                    break
-    return out, ok
+    rejected = ((m & np.uint64(_MASK32)) < np.uint64(2**32) % ranges[drawn[:width]]).any(axis=1)
+    return out, ~rejected & (width == len(drawn))

@@ -173,9 +173,9 @@ def lll_reduce(basis: Sequence[Sequence[int]], delta: float = 0.75) -> list[list
     satisfies the Lovasz condition with the given delta.  Both properties and
     Gram-determinant preservation are verified before returning.
     """
-    frac = Fraction(delta)
-    if not (Fraction(1, 4) < frac < 1):
+    if not (0.25 < delta < 1.0):  # false for nan too; Fraction would raise on nan and inf
         raise ParameterError(f"need delta in (1/4, 1), got {delta}")
+    frac = Fraction(delta)
     p_num, q_den = frac.numerator, frac.denominator
 
     b = [[int(v) for v in row] for row in basis]

@@ -6,7 +6,8 @@ samplers/noise/posteriors.  The PSP pair loops check the library's indexed
 edge-vector conversions and its path and shape placements, the matrix BFS
 checks the shortest path's neighbour lists, the row-by-row
 subset scans and the per-path census weights check the cached enumerations
-in models, and the (A, x, mask) loop checks the closed-form RLC character
+in models, the double loop over path edge bitmasks checks the census's
+blocked pair count, and the (A, x, mask) loop checks the closed-form RLC character
 correlation.  The per-observation posterior enumerations (the RLC message
 profile 65,536 messages at a time, the TPCA np.ix_ block per support)
 check the batched posterior kernels, the per-bit row packing checks
@@ -291,6 +292,28 @@ def census_weights_loop(adjacency: np.ndarray, m: int, eps_m: int) -> list[int]:
         pres = sum(bool(adjacency[a, b]) for a, b in zip(seq[:-1], seq[1:]))
         weights.append(math.comb(pres, keep) if pres >= keep else 0)
     return weights
+
+
+def overlap_pairs_loop(adjacency: np.ndarray, m: int, eps_m: int) -> tuple[int, dict]:
+    """(pair_count, histogram) of count_overlap_pairs: a double loop over the paths' edge bitmasks."""
+    n = adjacency.shape[0] - 1
+    index = _pair_index(n)
+    masks = []
+    for interior in itertools.permutations(range(3, n + 1), m - 1):
+        seq = (1, *interior, 2)
+        masks.append(sum(1 << index[(min(a, b), max(a, b))] for a, b in zip(seq[:-1], seq[1:])))
+    weights = census_weights_loop(adjacency, m, eps_m)
+    histogram: dict[int, int] = {}
+    total = 0
+    for mi, wi in zip(masks, weights):
+        if wi == 0:
+            continue
+        for mj, wj in zip(masks, weights):
+            shared = (mi & mj).bit_count()
+            if wj and shared >= 1:
+                total += wi * wj
+                histogram[shared] = histogram.get(shared, 0) + wi * wj
+    return total, histogram
 
 
 def rlc_character_expectation_loop(idx1, idx2, params, rho: float) -> float:

@@ -289,6 +289,15 @@ def test_tpca_overlap_sums_to_one():
     assert abs(p.sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("support", [[0, 1, 2], [-1, 0], [7], [1, 1], [0.0, 1.0]], ids=["three", "negative", "past-n", "repeated", "floats"])
+def test_tpca_overlap_distribution_rejects_a_malformed_support(support):
+    # at n = 5, k = 2 the first once returned a distribution, the second read -1 as vertex 4, the third raised IndexError
+    params = TpcaParams(n=5, k=2, d=3, lam=2.0)
+    inst = sample_instance(params, seed=1)
+    with pytest.raises(ParameterError, match="2 distinct integers in 0..4"):
+        tpca_overlap_distribution(inst.Y, support, params)
+
+
 def test_tpca_high_snr_posterior_concentrates():
     # lam = 20 log C(n-k, k): posterior mass on the planted support > 0.9
     # in at least 80 of 100 trials

@@ -1,10 +1,14 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from oracles import census_weights_loop
+from oracles import census_weights_loop, overlap_pairs_loop
+from plantedlab import counting
 from plantedlab.counting import (
     _path_weights,
     approx_path_counts,
@@ -245,3 +249,25 @@ def test_census_weights_match_the_per_path_loop():
         paths, weights = _path_weights(edge_vector_from_adjacency(adj), n, m, eps_m)
         assert weights.tolist() == census_weights_loop(adj, m, eps_m)
         assert len(paths) == math.perm(n - 2, m - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 9),
+    m=st.integers(1, 8),
+    eps_m=st.integers(0, 8),
+    q=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32),
+    bytes_per_path=st.one_of(st.none(), st.integers(1, 200)),
+)
+@example(n=9, m=3, eps_m=1, q=1.0, seed=0, bytes_per_path=100)  # 42 paths in blocks of a few rows, the last one short
+def test_overlap_pairs_match_the_double_loop(n, m, eps_m, q, seed, bytes_per_path):
+    # every path length whose pair loop stays small; a block budget of a few bytes per path that
+    # carries an approximate path spreads the pairs over row blocks of a few rows each
+    assume(m < n and eps_m <= m and math.perm(n - 2, m - 1) <= 360)
+    adj = sample_null_graph(n, q, seed)
+    live = sum(w > 0 for w in census_weights_loop(adj, m, eps_m))
+    block_bytes = live * bytes_per_path if bytes_per_path else counting.EVAL_CHUNK_BYTES
+    with mock.patch.object(counting, "EVAL_CHUNK_BYTES", block_bytes):
+        census = count_overlap_pairs(adj, m, eps_m)
+    assert (census.pair_count, census.histogram) == overlap_pairs_loop(adj, m, eps_m)

@@ -144,6 +144,25 @@ def test_diagram_validates_R():
         DiagramSpec((1, 1), np.array([[2.0, 0.2], [0.2, 1.0]]))
 
 
+def test_diagram_rejects_a_nan_mean():
+    # once gave an expectation of nan and a Monte-Carlo estimate of (nan, nan)
+    with pytest.raises(ParameterError, match="mu must be finite"):
+        DiagramSpec((1, 1), np.eye(2), [math.nan, 0.0])
+
+
+def test_diagram_rejects_an_infinite_correlation():
+    # once gave an expectation of inf
+    with pytest.raises(ParameterError, match=r"off-diagonal entries in \[-1, 1\]"):
+        DiagramSpec((1, 1), [[1.0, math.inf], [math.inf, 1.0]])
+
+
+def test_diagram_rejects_a_correlation_above_one():
+    # once gave an exact 3.0 while diagram_mc_oracle raised a bare LinAlgError
+    with pytest.raises(ParameterError, match=r"off-diagonal entries in \[-1, 1\]"):
+        DiagramSpec((1, 1), [[1.0, 3.0], [3.0, 1.0]])
+    assert diagram_expectation(DiagramSpec((1, 1), [[1.0, -1.0], [-1.0, 1.0]])) == -1.0
+
+
 def test_diagram_matches_mc_oracle_with_means():
     rng = generator(5150)
     for trial in range(3):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -457,23 +458,43 @@ def test_word_decoders_equal_generator_draws(seed, count):
     size=st.integers(1, 60),
 )
 def test_lemire_draws_equal_bounded_uint32_integers(seed, r, size):
-    # near 2**31 about half of all words are rejected, so the rejection path runs
-    want = generator(seed).integers(0, r, size, dtype=np.uint32) if r < 2**32 else generator(seed).integers(0, 2**32, size, dtype=np.uint32)
-    words = uint32_stream(generator(seed).bit_generator.random_raw(4 * size))[None]
+    # near 2**31 about half of all words are rejected, so a row is flagged; at small r almost none is
+    seeds = [seed ^ j for j in range(4)]
+    words = uint32_stream(np.stack([generator(s).bit_generator.random_raw((size + 1) // 2) for s in seeds]))
     got, ok = lemire_draws(words, [r] * size)
-    assert ok.all() and np.array_equal(got[0], want)
+    for row, s in enumerate(seeds):
+        read = words[row, : size if r > 1 else 0].tolist()  # draw d reads word d; a range of 1 reads none
+        assert ok[row] == (not any(u * r % 2**32 < 2**32 % r for u in read))
+        if ok[row]:
+            assert np.array_equal(got[row], generator(s).integers(0, r, size, dtype=np.uint32))
 
 
 def test_lemire_draws_report_a_row_whose_words_run_out():
-    r, size = 2**31 + 1, 40
+    size = 40
     words = uint32_stream(np.stack([generator(s).bit_generator.random_raw(size // 2) for s in range(6)]))
-    got, ok = lemire_draws(words, [r] * size)
-    assert not ok.any()  # at r = 2**31 + 1 a rejection in 40 words is all but certain
-    full, full_ok = lemire_draws(uint32_stream(np.stack([generator(s).bit_generator.random_raw(4 * size) for s in range(6)])), [r] * size)
-    assert full_ok.all()
+    assert not lemire_draws(words, [2**31 + 1] * size)[1].any()  # at r = 2**31 + 1 a rejection in 40 words is all but certain
+    got, ok = lemire_draws(words, [2] * size)  # at r = 2 no word is rejected
+    assert ok.all()
     for s in range(6):
-        assert np.array_equal(full[s], generator(s).integers(0, r, size, dtype=np.uint32))
+        assert np.array_equal(got[s], generator(s).integers(0, 2, size, dtype=np.uint32))
+    assert not lemire_draws(words[:, :-1], [2] * size)[1].any()  # 39 words for 40 draws
     assert lemire_draws(words[:, :0], [1, 1])[1].all()  # a range of 1 reads no word
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), N=st.integers(1, 30), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+def test_gss_sampler_draws_every_flagged_trial_with_choice(data, N, seeds):
+    # flag every row and zero its draws: only numpy's own choice gives the right support
+    params = GssParams(N=N, k=data.draw(st.integers(1, N)))
+
+    def flag_all(words, ranges):
+        draws, ok = lemire_draws(words, ranges)
+        return np.zeros_like(draws), np.zeros_like(ok)
+
+    rng, keys = keyed_generator(), philox_keys(seeds)
+    with mock.patch.object(models, "lemire_draws", flag_all):
+        run = chunk_sampler(params)(len(seeds), lambda i: rekey(rng, keys[i]))
+    assert [hex_fields(inst) for inst in run] == [hex_fields(sample_instance_scalar(params, s)) for s in seeds]
 
 
 def test_gss_sampler_reads_on_past_a_rejection():

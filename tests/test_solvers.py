@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -212,6 +213,15 @@ def test_lll_dependent_rows_raise():
 def test_lll_bad_delta():
     with pytest.raises(ParameterError):
         lll_reduce([[1, 0], [0, 1]], delta=0.2)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_lll_non_finite_delta_raises_a_parameter_error(delta):
+    # once a bare ValueError or OverflowError from Fraction; LllConfig rejects the same delta
+    with pytest.raises(ParameterError, match="delta"):
+        lll_reduce([[1, 0], [0, 1]], delta=delta)
+    with pytest.raises(ParameterError, match="delta"):
+        LllConfig(delta=delta)
 
 
 @given(
