@@ -22,9 +22,11 @@ from .models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    batch_fields,
+    batch_rows,
+    batch_size,
     check_bits,
     check_finite,
-    check_shape,
     check_stack,
     model_name,
     path_edge_indices,
@@ -72,7 +74,7 @@ def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int)
 # PSP
 
 
-def _psp_posteriors(params: PspParams, observations: Sequence[np.ndarray], rho: float) -> np.ndarray:
+def _psp_posteriors(params: PspParams, observations, rho: float) -> np.ndarray:
     """Posterior means of the path's edge indicators given each noisy graph.
 
     A candidate path H gets weight ((1 - rho(1-q))/q)^{|E(H) & G|} * rho^{L - |E(H) & G|}:
@@ -155,20 +157,18 @@ def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndar
     return count.reshape(T, m + 1), np.stack([row.reshape(T, m + 1) for row in ones], axis=-1)
 
 
-def _rlc_posteriors(params: RlcParams, observations: Sequence, rho: float) -> np.ndarray:
+def _rlc_posteriors(params: RlcParams, observations, rho: float) -> np.ndarray:
     """Posterior means of the message bits; weight (rho/(2-rho))^{w(Ax - y_hat)}.
 
     The estimate coordinate i is the marginal P(x_i = 1 | A, y_hat); the
     complementary ratio L0/(L0+L1) is 1 - estimate[i].
     """
     m, n = params.m, params.n
-    for A_t, y_hat_t in observations:
-        check_shape("A", A_t, (m, n))
-        check_shape("y_hat", y_hat_t, (m,))
+    A, y_hat = batch_fields(observations, 2)
+    A = check_stack("A", A, (m, n))
+    y_hat = check_stack("y_hat", y_hat, (m,))
     if 2**n > RLC_ENUM_BUDGET:
         raise ResourceBudgetError(f"2^{n} messages exceed budget {RLC_ENUM_BUDGET}")
-    A = np.stack([obs[0] for obs in observations])
-    y_hat = np.stack([obs[1] for obs in observations])
     check_bits("A", A)
     check_bits("y_hat", y_hat)
     y_hat = y_hat.astype(np.uint8)
@@ -192,7 +192,7 @@ def _rlc_posteriors(params: RlcParams, observations: Sequence, rho: float) -> np
 # GSS
 
 
-def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> np.ndarray:
+def _gss_posteriors(params: GssParams, observations, rho: float) -> np.ndarray:
     """Posterior means of subset membership given each noisy sum.
 
     For rho > 0, subset S has Gaussian log-weight
@@ -201,12 +201,10 @@ def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> np
     over sorted indices) reproduces y_hat bit-exactly.
     """
     N, k = params.N, params.k
-    for X_t, y_hat_t in observations:
-        check_shape("X", X_t, (N,))
-        check_shape("y_hat", y_hat_t, ())
+    X, y_hat = batch_fields(observations, 2)
+    X = np.asarray(check_stack("X", X, (N,)), dtype=float)
+    y_hat = np.asarray(check_stack("y_hat", y_hat, ()), dtype=float)[:, None]
     combos = subsets(N, k)
-    X = np.stack([np.asarray(obs[0], dtype=float) for obs in observations])
-    y_hat = np.array([obs[1] for obs in observations], dtype=float)[:, None]
     check_finite("X", X)
     check_finite("y_hat", y_hat)
     if rho == 0.0:
@@ -226,7 +224,7 @@ def _gss_posteriors(params: GssParams, observations: Sequence, rho: float) -> np
 # Sparse tensor PCA
 
 
-def _tpca_log_weights(tensors: Sequence[np.ndarray], params: TpcaParams) -> tuple[np.ndarray, np.ndarray]:
+def _tpca_log_weights(tensors, params: TpcaParams) -> tuple[np.ndarray, np.ndarray]:
     """Every k-subset S, and log-weight sqrt(lam) k^(-d/2) <Y_t, 1_S^d> of each tensor Y_t.
 
     The k^d entries of each support's block are gathered in C order and
@@ -234,12 +232,10 @@ def _tpca_log_weights(tensors: Sequence[np.ndarray], params: TpcaParams) -> tupl
     over the block.
     """
     n, k, d = params.n, params.k, params.d
-    for Y in tensors:
-        check_shape("Y", Y, (n,) * d)
+    flat = check_stack("Y", tensors, (n,) * d).reshape(len(tensors), -1)
     combos = subsets(n, k)
     scale = math.sqrt(params.lam) * k ** (-d / 2.0)
     corners = np.indices((k,) * d).reshape(d, -1).T  # positions in a support's block, C order
-    flat = np.stack(tensors).reshape(len(tensors), -1)
     check_finite("Y", flat)
     lw = np.empty((len(tensors), len(combos)))
     for b in _blocks(len(combos), 8 * k**d * (len(tensors) + d)):
@@ -248,7 +244,7 @@ def _tpca_log_weights(tensors: Sequence[np.ndarray], params: TpcaParams) -> tupl
     return combos, lw
 
 
-def _tpca_posteriors(params: TpcaParams, tensors: Sequence[np.ndarray], rho: float) -> np.ndarray:
+def _tpca_posteriors(params: TpcaParams, tensors, rho: float) -> np.ndarray:
     """Posterior means of the sparse spike; support weight exp(sqrt(lam) <Y, x'^d>).
 
     The quadratic term of the Gaussian log-likelihood is constant across
@@ -294,15 +290,17 @@ _POSTERIORS = {
 }
 
 
-def posterior_means(params, observations: Sequence, rho: float) -> np.ndarray:
+def posterior_means(params, observations, rho: float) -> np.ndarray:
     """Posterior-mean estimates of a batch of observations at rho, one row per observation.
 
-    The one way into the kernels.  The batch runs in blocks of trials whose
-    enumeration arrays fit EVAL_CHUNK_BYTES.
+    The batch is a list of observations or a run's stacked observation
+    (models.batch_fields).  The one way into the kernels.  The batch runs in
+    blocks of trials whose enumeration arrays fit EVAL_CHUNK_BYTES.
     """
     check_rho(rho)  # also when the batch is empty
     kernel, trial_bytes = _POSTERIORS[model_name(params)]
-    runs = [kernel(params, observations[b], rho) for b in _blocks(len(observations), trial_bytes(params))]
+    blocks = _blocks(batch_size(observations), trial_bytes(params))
+    runs = [kernel(params, batch_rows(observations, b), rho) for b in blocks]
     return np.concatenate(runs) if runs else np.zeros(0)
 
 
@@ -354,9 +352,9 @@ def estimate_mmse_curve(
     norm = signal_norm(params)
     out = []
     for j, rho in enumerate(rho_grid):
-        def chunk(start: int, instances: list, noisy: list) -> list:
-            diffs = posterior_means(params, noisy, rho) - [inst.signal_vector() for inst in instances]
-            return [float(d @ d) for d in diffs]
+        def chunk(start: int, run, noisy) -> list:
+            diffs = posterior_means(params, noisy, rho) - run.signal_vectors()
+            return [float(d @ d) for d in diffs]  # one dot a row, as one trial at a time
 
         errs = CoupledTrials(params, rho, seed, trials, grid_point=j, draw=draw).map(chunk)
         mmse_hat, stderr = mean_stderr(errs)

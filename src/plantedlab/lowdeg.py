@@ -24,6 +24,7 @@ from .models import (
     GssParams,
     PspParams,
     RlcParams,
+    batch_fields,
     check_bits,
     check_finite,
     check_stack,
@@ -35,6 +36,10 @@ from .noise import CoupledTrials, check_rho
 from .rng import generator
 
 DIAGRAM_DEGREE_CAP = 10
+# a DiagramSpec's R may have a least eigenvalue this far below 0 (the rounding
+# of a singular correlation matrix); diagram_mc_oracle's 1e-12 diagonal jitter
+# still leaves such an R positive definite
+DIAGRAM_PSD_TOL = 1e-13
 CHARACTER_ENUM_BUDGET = 2**24
 # PspSymmetricPoly.evaluate_many gathers row blocks of at most this many float64s
 PSP_GATHER_ELEMENTS = 2**16
@@ -78,8 +83,13 @@ class DiagramSpec:
             raise ParameterError("R must have unit diagonal")
         if not (np.abs(R[~np.eye(k, dtype=bool)]) <= 1.0).all():  # false for nan and inf too
             raise ParameterError("R must have off-diagonal entries in [-1, 1]")
+        least = float(np.linalg.eigvalsh(R)[0])
+        if least < -DIAGRAM_PSD_TOL:
+            raise ParameterError(f"R must be positive semidefinite; its least eigenvalue is {least:.6g}")
         if any(a < 0 for a in self.alpha):
             raise ParameterError("alpha entries must be nonnegative")
+        R = R.copy()  # a read-only copy: no later write can undo the checks
+        R.flags.writeable = False
         object.__setattr__(self, "R", R)
         if self.mu is not None:
             mu = np.asarray(self.mu, dtype=float)
@@ -245,9 +255,10 @@ class RlcPoly(_OneObservation):
         return max((idx.degree for idx, _ in self.terms), default=0)
 
     def evaluate_many(self, observations, params: RlcParams) -> np.ndarray:
-        """evaluate at each (A, y); terms accumulate in order, as for one observation."""
-        A = check_stack("A", [obs[0] for obs in observations], (params.m, params.n))
-        y = check_stack("y", [obs[1] for obs in observations], (params.m,))
+        """evaluate at each (A, y) of a batch (models.batch_fields); terms accumulate in order, as for one observation."""
+        A, y = batch_fields(observations, 2)
+        A = check_stack("A", A, (params.m, params.n))
+        y = check_stack("y", y, (params.m,))
         check_bits("A", A)
         check_bits("y", y)
         total = np.zeros(len(A))
@@ -267,9 +278,10 @@ class GssPoly(_OneObservation):
         return max((sum(d for _, d in alpha) + t for alpha, t, _ in self.terms), default=0)
 
     def evaluate_many(self, observations, params: GssParams) -> np.ndarray:
-        """evaluate at each (X, Y); every product and sum keeps the one-observation order."""
-        X = check_stack("X", [obs[0] for obs in observations], (params.N,))
-        y = check_stack("Y", [obs[1] for obs in observations], ()).astype(float) / math.sqrt(params.k)
+        """evaluate at each (X, Y) of a batch (models.batch_fields); every product and sum keeps the one-observation order."""
+        X, Y = batch_fields(observations, 2)
+        X = check_stack("X", X, (params.N,))
+        y = check_stack("Y", Y, ()).astype(float) / math.sqrt(params.k)
         check_finite("X", X)
         check_finite("Y", y)
         total = np.zeros(len(X))
@@ -301,7 +313,7 @@ class PspSymmetricPoly(_OneObservation):
         return max((len(shape) for shape, _ in self.terms), default=0)
 
     def evaluate_many(self, observations, params: PspParams) -> np.ndarray:
-        """evaluate at each edge vector, bit-identical to one evaluation at a time.
+        """evaluate at each edge vector of a batch (models.batch_fields), bit-identical to one evaluation at a time.
 
         Trials go in blocks of rows whose placement columns hold at most
         PSP_GATHER_ELEMENTS floats.  Each edge column is gathered with np.take
@@ -364,10 +376,11 @@ def stability_ratio(
     """
     _degree_regime_warning(poly, params)
 
-    def chunk(start: int, instances: list, noisy: list) -> list:
-        v0 = poly.evaluate_many([inst.observation for inst in instances], params).tolist()
+    def chunk(start: int, run, noisy) -> list:
+        v0 = poly.evaluate_many(run.observation, params).tolist()
         v1 = poly.evaluate_many(noisy, params).tolist()
-        # Python float arithmetic, as one trial at a time
+        # Python float arithmetic, as one trial at a time: float ** 2 is libm's pow, which can
+        # differ in the last bit from numpy's x * x
         return [((a - b) ** 2, a**2) for a, b in zip(v0, v1)]
 
     num, den = np.array(CoupledTrials(params, rho, seed, trials).map(chunk)).T

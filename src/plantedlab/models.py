@@ -17,6 +17,15 @@ Conventions
   lemire_draws).  sample_instance(params, seed) is its one-trial run on
   generator(seed).  Within a sampler the signal is drawn first, the ambient
   randomness second.
+* A run of T trials is one run record (PspRun, RlcRun, GssRun, TpcaRun):
+  the fields of the model's instance, each stacked along a new first axis
+  (PSP path (T, L+1) and edges (T, P); RLC A (T, m, n), x and y; GSS X
+  (T, N), S (T, k) and Y (T,); TPCA support (T, k) and Y (T, n, ...)).
+  run.observation stacks the observations, run.signal_vectors() the signal
+  vectors, run[i] builds trial i's instance, and run_of stacks instances
+  into a record.  The estimators take a batch of observations as a run's
+  stacked observation or as a list of per-trial observations (batch_fields,
+  batch_rows, check_stack).
 
 JSON schema (stable field names)
 --------------------------------
@@ -167,8 +176,13 @@ def check_shape(name: str, array, shape: tuple) -> None:
 def check_stack(name: str, arrays, shape: tuple) -> np.ndarray:
     """arrays stacked along a new first axis; ParameterError unless each has the given shape.
 
-    An empty batch stacks to shape (0, *shape); an error names one array's shape.
+    An array that is already stacked is returned as it is, not copied.  An
+    empty batch stacks to shape (0, *shape); an error names one array's shape.
     """
+    if isinstance(arrays, np.ndarray) and arrays.ndim:
+        if arrays.shape[1:] != shape:
+            raise ParameterError(f"{name} has shape {arrays.shape[1:]}, expected {shape}")
+        return arrays
     if not len(arrays):
         return np.zeros((0, *shape))
     try:
@@ -179,6 +193,37 @@ def check_stack(name: str, arrays, shape: tuple) -> np.ndarray:
         raise
     check_shape(name, stacked[0], shape)  # they stacked, so each has the shape of the first
     return stacked
+
+
+def batch_size(observations) -> int:
+    """The number of observations in a batch (see batch_fields)."""
+    return len(observations[0] if isinstance(observations, tuple) else observations)
+
+
+def batch_fields(observations, count: int) -> tuple:
+    """A batch of observations of count fields each, as one batch per field.
+
+    A batch is a list of per-trial observations or a run's stacked
+    observation (run.observation, or what the noise operator returns).  A
+    list becomes count per-field lists; a stacked observation is its tuple of
+    stacked arrays already.
+    """
+    if not isinstance(observations, list):
+        return observations
+    return tuple(map(list, zip(*observations))) if observations else ([],) * count
+
+
+def batch_rows(observations, rows):
+    """The observations of a batch at rows, a slice or one trial's index.
+
+    A list gives its items; a stacked observation gives each array's rows,
+    and one trial's entry of a 1-D array as a Python float.
+    """
+    if isinstance(observations, list):
+        return observations[rows]
+    if isinstance(observations, tuple):
+        return tuple(batch_rows(o, rows) for o in observations)
+    return observations[rows].item() if observations.ndim == 1 and not isinstance(rows, slice) else observations[rows]
 
 
 def check_bits(name: str, array: np.ndarray) -> None:
@@ -257,8 +302,14 @@ class TpcaParams:
 # instance types
 
 
+class _Instance:
+    def signal_vector(self) -> np.ndarray:
+        """The planted signal as a vector: its one-trial run's (run_of, signal_vectors)."""
+        return run_of([self]).signal_vectors()[0]
+
+
 @dataclass(frozen=True)
-class PspInstance:
+class PspInstance(_Instance):
     params: PspParams
     path: tuple[int, ...]
     edges: np.ndarray  # (n(n-1)/2,) bool over vertex_pairs(n)
@@ -267,13 +318,9 @@ class PspInstance:
     def observation(self) -> np.ndarray:
         return self.edges
 
-    def signal_vector(self) -> np.ndarray:
-        """Edge-indicator vector of the planted path over canonical pairs."""
-        return path_indicator(self.path, self.params.n)
-
 
 @dataclass(frozen=True)
-class RlcInstance:
+class RlcInstance(_Instance):
     params: RlcParams
     A: np.ndarray  # (m, n) uint8
     x: np.ndarray  # (n,) uint8
@@ -283,12 +330,9 @@ class RlcInstance:
     def observation(self) -> tuple[np.ndarray, np.ndarray]:
         return (self.A, self.y)
 
-    def signal_vector(self) -> np.ndarray:
-        return self.x.astype(float)
-
 
 @dataclass(frozen=True)
-class GssInstance:
+class GssInstance(_Instance):
     params: GssParams
     X: np.ndarray  # (N,) float64
     S: tuple[int, ...]  # sorted 0-based indices
@@ -298,14 +342,9 @@ class GssInstance:
     def observation(self) -> tuple[np.ndarray, float]:
         return (self.X, self.Y)
 
-    def signal_vector(self) -> np.ndarray:
-        vec = np.zeros(self.params.N, dtype=float)
-        vec[list(self.S)] = 1.0
-        return vec
-
 
 @dataclass(frozen=True)
-class TpcaInstance:
+class TpcaInstance(_Instance):
     params: TpcaParams
     support: tuple[int, ...]  # sorted 0-based indices
     Y: np.ndarray  # (n,)*d float64
@@ -314,10 +353,99 @@ class TpcaInstance:
     def observation(self) -> np.ndarray:
         return self.Y
 
-    def signal_vector(self) -> np.ndarray:
-        vec = np.zeros(self.params.n, dtype=float)
-        vec[list(self.support)] = 1.0 / math.sqrt(self.params.k)
-        return vec
+
+# ---------------------------------------------------------------------------
+# run records: a run of trials with each instance field stacked along a new
+# first axis, as the samplers draw it and the estimators read it
+
+
+class _Run:
+    """A run of trials of one model: run[i] builds trial i's instance, and iterating a run builds each in turn."""
+
+    def __len__(self) -> int:
+        return batch_size(self.observation)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _indicator_rows(width: int, index_rows: np.ndarray, value: float = 1.0) -> np.ndarray:
+    """One row of width zeros per row of indices, with value at those indices."""
+    out = np.zeros((len(index_rows), width))
+    out[np.arange(len(index_rows))[:, None], index_rows] = value
+    return out
+
+
+@dataclass(frozen=True)
+class PspRun(_Run):
+    params: PspParams
+    path: np.ndarray  # (T, L+1) intp
+    edges: np.ndarray  # (T, n(n-1)/2) bool over vertex_pairs(n)
+
+    @property
+    def observation(self) -> np.ndarray:
+        return self.edges
+
+    def __getitem__(self, i: int) -> PspInstance:
+        return PspInstance(self.params, tuple(self.path[i].tolist()), self.edges[i])
+
+    def signal_vectors(self) -> np.ndarray:
+        """Edge-indicator vectors of the planted paths over vertex_pairs(n)."""
+        ids = pair_ids(self.params.n)[self.path[:, :-1], self.path[:, 1:]]
+        return _indicator_rows(self.edges.shape[1], ids)
+
+
+@dataclass(frozen=True)
+class RlcRun(_Run):
+    params: RlcParams
+    A: np.ndarray  # (T, m, n) uint8
+    x: np.ndarray  # (T, n) uint8
+    y: np.ndarray  # (T, m) uint8
+
+    @property
+    def observation(self) -> tuple[np.ndarray, np.ndarray]:
+        return (self.A, self.y)
+
+    def __getitem__(self, i: int) -> RlcInstance:
+        return RlcInstance(self.params, self.A[i], self.x[i], self.y[i])
+
+    def signal_vectors(self) -> np.ndarray:
+        return self.x.astype(float)
+
+
+@dataclass(frozen=True)
+class GssRun(_Run):
+    params: GssParams
+    X: np.ndarray  # (T, N) float64
+    S: np.ndarray  # (T, k) int64, each row ascending
+    Y: np.ndarray  # (T,) float64
+
+    @property
+    def observation(self) -> tuple[np.ndarray, np.ndarray]:
+        return (self.X, self.Y)
+
+    def __getitem__(self, i: int) -> GssInstance:
+        return GssInstance(self.params, self.X[i], tuple(self.S[i].tolist()), float(self.Y[i]))
+
+    def signal_vectors(self) -> np.ndarray:
+        return _indicator_rows(self.params.N, self.S)
+
+
+@dataclass(frozen=True)
+class TpcaRun(_Run):
+    params: TpcaParams
+    support: np.ndarray  # (T, k) int64, each row ascending
+    Y: np.ndarray  # (T, n, ..., n) float64
+
+    @property
+    def observation(self) -> np.ndarray:
+        return self.Y
+
+    def __getitem__(self, i: int) -> TpcaInstance:
+        return TpcaInstance(self.params, tuple(self.support[i].tolist()), self.Y[i])
+
+    def signal_vectors(self) -> np.ndarray:
+        return _indicator_rows(self.params.n, self.support, 1.0 / math.sqrt(self.params.k))
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +453,30 @@ class TpcaInstance:
 # own generator fresh(i) and decoding the stacked words once per run
 
 
-def _sample_psp(params: PspParams, count: int, fresh) -> list:
+def _sample_psp(params: PspParams, count: int, fresh) -> PspRun:
     """Plant a uniform path from 1 to 2, then union an independent G(n, q)."""
     n, L, q = params.n, params.L, params.q
     rest, pairs = np.arange(3, n + 1), len(vertex_pairs(n))
-    reads = [(g.permutation(rest)[: L - 1], g.bit_generator.random_raw(pairs)) for g in map(fresh, range(count))]
     paths = np.ones((count, L + 1), dtype=np.intp)
-    paths[:, 1:-1] = [interior for interior, _ in reads]
+    words = np.empty((count, pairs), dtype=np.uint64)
+    for i, g in enumerate(map(fresh, range(count))):
+        paths[i, 1:-1] = g.permutation(rest)[: L - 1]
+        words[i] = g.bit_generator.random_raw(pairs)
     paths[:, -1] = 2
-    edges = uniforms(np.stack([words for _, words in reads])) < q
+    edges = uniforms(words) < q
     edges[np.arange(count)[:, None], pair_ids(n)[paths[:, :-1], paths[:, 1:]]] = True
-    return [PspInstance(params=params, path=tuple(path), edges=e) for path, e in zip(paths.tolist(), edges)]
+    return PspRun(params, paths, edges)
 
 
-def _sample_rlc(params: RlcParams, count: int, fresh) -> list:
+def _sample_rlc(params: RlcParams, count: int, fresh) -> RlcRun:
     """Uniform A, then uniform x, each one Generator.integers(0, 2) call of uint8 coin flips; y = Ax mod 2."""
     m, n = params.m, params.n
     a_draws = (m * n + 3) // 4  # uint32 draws of A; x starts on the next one
     words = (a_draws + (n + 3) // 4 + 1) // 2
-    bits = coin_bits(np.stack([g.bit_generator.random_raw(words) for g in map(fresh, range(count))]))
+    bits = coin_bits(np.array([g.bit_generator.random_raw(words) for g in map(fresh, range(count))]))
     A = bits[:, : m * n].reshape(count, m, n)
     x = bits[:, 4 * a_draws : 4 * a_draws + n]
-    y = np.matmul(A, x[:, :, None])[:, :, 0] % 2
-    return [RlcInstance(params=params, A=a, x=xx, y=yy) for a, xx, yy in zip(A, x, y)]
+    return RlcRun(params, A, x, np.matmul(A, x[:, :, None])[:, :, 0] % 2)
 
 
 def subset_sum_value(X: np.ndarray, subset: Sequence[int]) -> float:
@@ -363,34 +492,42 @@ def subset_sum_value(X: np.ndarray, subset: Sequence[int]) -> float:
 _CHOICE_FLOYD_LIMIT = 10000
 
 
-def _sample_gss(params: GssParams, count: int, fresh) -> list:
+def _sample_gss(params: GssParams, count: int, fresh) -> GssRun:
     """X ~ N(0, I_N), then a uniform k-subset S; Y is S's subset_sum_value.
 
     S is Generator.choice(N, k, replace=False).  Its Floyd method draws v in
     [0, j] (a bounded uint32 draw) for j = N-k..N-1 and takes v, or j when v
-    was taken before; the run decodes those draws from raw words.  A trial
-    that rejects a word, or that choice draws past Floyd's range (no word is
-    read then), is drawn again from fresh(i) with choice itself.
+    was taken before; a run of more than one trial decodes those draws from
+    raw words, and a trial that rejects a word is drawn again from fresh(i)
+    with choice itself.  A run of one trial, which would pay the decoder's
+    fixed cost for one row, and every trial past Floyd's range (choice reads
+    no word there) call choice directly.
     """
     N, k = params.N, params.k
     ranges = range(N - k + 1, N + 1)
-    # a range of 1 draws nothing; past Floyd's range no word is read, so lemire_draws flags every row
-    words = 0 if N > _CHOICE_FLOYD_LIMIT and k > N // 50 else (sum(r > 1 for r in ranges) + 1) // 2
-    reads = [(g.standard_normal(N), g.bit_generator.random_raw(words)) for g in map(fresh, range(count))]
-    draws, ok = lemire_draws(uint32_stream(np.stack([w for _, w in reads])), ranges)
-    chosen = np.empty((count, k), dtype=np.int64)
-    for i, j in enumerate(range(N - k, N)):
-        v = draws[:, i].astype(np.int64)
-        chosen[:, i] = np.where((chosen[:, :i] == v[:, None]).any(axis=1), j, v)
-    for i in np.flatnonzero(~ok):
-        g = fresh(i)
-        g.standard_normal(N)
-        chosen[i] = g.choice(N, size=k, replace=False)
-    X, S = np.stack([x for x, _ in reads]), np.sort(chosen, axis=1)
+    decode = count > 1 and not (N > _CHOICE_FLOYD_LIMIT and k > N // 50)
+    words = (sum(r > 1 for r in ranges) + 1) // 2 if decode else 0  # a range of 1 draws nothing
+    X, raw, chosen = np.empty((count, N)), np.empty((count, words), dtype=np.uint64), np.empty((count, k), dtype=np.int64)
+    for x, w, c, g in zip(X, raw, chosen, map(fresh, range(count))):
+        g.standard_normal(out=x)
+        if decode:
+            w[:] = g.bit_generator.random_raw(words)
+        else:
+            c[:] = g.choice(N, size=k, replace=False)
+    if decode:
+        draws, ok = lemire_draws(uint32_stream(raw), ranges)
+        for i, j in enumerate(range(N - k, N)):
+            v = draws[:, i].astype(np.int64)
+            chosen[:, i] = np.where((chosen[:, :i] == v[:, None]).any(axis=1), j, v)
+        for i in np.flatnonzero(~ok):
+            g = fresh(i)
+            g.standard_normal(N)
+            chosen[i] = g.choice(N, size=k, replace=False)
+    S = np.sort(chosen, axis=1)
     Y = np.zeros(count)
     for col in S.T:  # left to right over sorted indices, as subset_sum_value adds them
         Y += X[np.arange(count), col]
-    return [GssInstance(params=params, X=x, S=tuple(s), Y=v) for x, s, v in zip(X, S.tolist(), Y.tolist())]
+    return GssRun(params, X, S, Y)
 
 
 def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray:
@@ -402,25 +539,25 @@ def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray
     return tensor
 
 
-def _sample_tpca(params: TpcaParams, count: int, fresh) -> list:
+def _sample_tpca(params: TpcaParams, count: int, fresh) -> TpcaRun:
     """A uniform k-support, then the noise tensor W; Y = sqrt(lambda) x^{(x)d} + W."""
     if params.n**params.d > TENSOR_ENTRY_BUDGET:
         raise ResourceBudgetError(
             f"tensor has {params.n**params.d} entries, budget is {TENSOR_ENTRY_BUDGET}"
         )
     shape = (params.n,) * params.d
-    out = []
-    for g in map(fresh, range(count)):
-        support = tuple(sorted(int(i) for i in g.choice(params.n, size=params.k, replace=False)))
-        Y = math.sqrt(params.lam) * tpca_signal_tensor(params, support) + g.standard_normal(shape)
-        out.append(TpcaInstance(params=params, support=support, Y=Y))
-    return out
+    supports, Y = np.empty((count, params.k), dtype=np.int64), np.empty((count, *shape))
+    for support, y, g in zip(supports, Y, map(fresh, range(count))):
+        support[:] = np.sort(g.choice(params.n, size=params.k, replace=False))
+        y[...] = math.sqrt(params.lam) * tpca_signal_tensor(params, support) + g.standard_normal(shape)
+    return TpcaRun(params, supports, Y)
 
 
 MODEL_NAMES = ("psp", "rlc", "gss", "tpca")
 
 _PARAM_TYPES = {"psp": PspParams, "rlc": RlcParams, "gss": GssParams, "tpca": TpcaParams}
 _SAMPLERS = {"psp": _sample_psp, "rlc": _sample_rlc, "gss": _sample_gss, "tpca": _sample_tpca}
+_RUN_TYPES = {"psp": PspRun, "rlc": RlcRun, "gss": GssRun, "tpca": TpcaRun}
 # bytes of an instance's arrays
 _INSTANCE_BYTES = {
     "psp": lambda p: p.n * (p.n - 1) // 2,
@@ -445,13 +582,20 @@ def model_name(params) -> str:
 
 
 def chunk_sampler(params):
-    """The model's sampler over a run of trials: draw(count, fresh) -> the run's count instances.
+    """The model's sampler over a run of trials: draw(count, fresh) -> the run record of its count trials.
 
     fresh(i) returns trial i's generator at its fresh state.  Each trial's
     draws are read from it before fresh(i + 1) is called, and fresh(i) may be
     called again for a GSS trial whose support numpy's own choice draws.
     """
     return partial(_SAMPLERS[model_name(params)], params)
+
+
+def run_of(instances: Sequence):
+    """The run record of one model's instances, in order: each field stacked along a new first axis."""
+    params = instances[0].params
+    run_type = _RUN_TYPES[model_name(params)]
+    return run_type(params, *(np.array([getattr(inst, f.name) for inst in instances]) for f in fields(run_type)[1:]))
 
 
 def sample_instance(params, seed: int):

@@ -5,9 +5,12 @@ replaced by a fresh draw from its ambient distribution with probability rho.
 Gaussian models use the Ornstein-Uhlenbeck average sqrt(1-rho^2) * y + rho * Z.
 
 rho = 0 is a bit-exact identity that draws nothing.  chunk_noise(params, rho)
-applies the model's operator to a run of instances, each trial's noise read
-from its own generator: PSP's and RLC's as raw Philox words decoded once per
-run (rng.uniforms, coin_bits), GSS's and TPCA's as Generator normals.
+applies the model's operator to a run record (models.chunk_sampler), each
+trial's noise read from its own generator: PSP's and RLC's as raw Philox
+words decoded once per run (rng.uniforms, coin_bits), GSS's and TPCA's as
+Generator normals.  It returns the run's noisy observation stacked as
+run.observation is: PSP's edges (T, P), RLC's (A, y), GSS's (X, Y) and TPCA's
+Y, each array with the trials along its first axis.
 noise_instance_observation takes an explicit seed instead, so the same noise
 realization can be replayed against different estimators.
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mc import run_trials
-from .models import chunk_sampler, instance_bytes, model_name, vertex_pairs
+from .models import batch_rows, chunk_sampler, instance_bytes, model_name, run_of, vertex_pairs
 from .rng import (
     INSTANCE_STREAM,
     NOISE_STREAM,
@@ -56,24 +59,23 @@ def trial_runs(n: int, trial_bytes: int) -> list[range]:
 
 
 def instance_runs(params, seed: int, n: int):
-    """The instances of trials 0..n-1 in runs of trial_runs, trial t being
-    sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))."""
+    """The run records of trials 0..n-1 in runs of trial_runs, trial t's instance
+    being sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))."""
     keys = trial_keys(seed, INSTANCE_STREAM, n=n)
     return keyed_runs(chunk_sampler(params), keys, trial_runs(n, instance_bytes(params)))
 
 
-def _noise_psp(params, rho: float, instances: list, fresh) -> list:
+def _noise_psp(params, rho: float, run, fresh) -> np.ndarray:
     """Resample every unordered pair from Bern(q) with probability rho.
 
     The mask takes one uniform per pair, then the fresh edges one per pair.
     """
     pairs = len(vertex_pairs(params.n))
-    u = uniforms(np.stack([g.bit_generator.random_raw(2 * pairs) for g in map(fresh, range(len(instances)))]))
-    edges = np.stack([inst.edges for inst in instances])
-    return list(np.where(u[:, :pairs] < rho, u[:, pairs:] < params.q, edges))
+    u = uniforms(np.array([g.bit_generator.random_raw(2 * pairs) for g in map(fresh, range(len(run)))]))
+    return np.where(u[:, :pairs] < rho, u[:, pairs:] < params.q, run.edges)
 
 
-def _noise_rlc(params, rho: float, instances: list, fresh) -> list:
+def _noise_rlc(params, rho: float, run, fresh) -> tuple[np.ndarray, np.ndarray]:
     """Resample each codeword bit from Bern(1/2) with probability rho; A untouched.
 
     The mask takes one uniform per bit, then the fresh bits one
@@ -81,24 +83,22 @@ def _noise_rlc(params, rho: float, instances: list, fresh) -> list:
     """
     m = params.m
     words = m + ((m + 3) // 4 + 1) // 2  # m uniforms, then ceil(m/4) uint32 draws
-    raw = np.stack([g.bit_generator.random_raw(words) for g in map(fresh, range(len(instances)))])
-    y = np.stack([inst.y for inst in instances])
-    noisy = np.where(uniforms(raw[:, :m]) < rho, coin_bits(raw[:, m:])[:, :m], y)
-    return [(inst.A, yy) for inst, yy in zip(instances, noisy)]
+    raw = np.array([g.bit_generator.random_raw(words) for g in map(fresh, range(len(run)))])
+    return run.A, np.where(uniforms(raw[:, :m]) < rho, coin_bits(raw[:, m:])[:, :m], run.y)
 
 
-def _noise_gss(params, rho: float, instances: list, fresh) -> list:
+def _noise_gss(params, rho: float, run, fresh) -> tuple[np.ndarray, np.ndarray]:
     """Ornstein-Uhlenbeck step on the scalar observation."""
-    z = np.array([g.standard_normal() for g in map(fresh, range(len(instances)))])
-    Y = np.sqrt(1.0 - rho * rho) * np.array([inst.Y for inst in instances], dtype=float) + rho * z
-    return [(inst.X, v) for inst, v in zip(instances, Y.tolist())]
+    z = np.array([g.standard_normal() for g in map(fresh, range(len(run)))])
+    return run.X, np.sqrt(1.0 - rho * rho) * run.Y + rho * z
 
 
-def _noise_tpca(params, rho: float, instances: list, fresh) -> list:
+def _noise_tpca(params, rho: float, run, fresh) -> np.ndarray:
     """Entrywise Ornstein-Uhlenbeck step on the observed tensor."""
-    shape = (params.n,) * params.d
-    Z = np.stack([g.standard_normal(shape) for g in map(fresh, range(len(instances)))])
-    return list(np.sqrt(1.0 - rho * rho) * np.stack([inst.Y for inst in instances]) + rho * Z)
+    Z = np.empty(run.Y.shape)
+    for z, g in zip(Z, map(fresh, range(len(run)))):
+        g.standard_normal(out=z)
+    return np.sqrt(1.0 - rho * rho) * run.Y + rho * Z
 
 
 _NOISE = {"psp": _noise_psp, "rlc": _noise_rlc, "gss": _noise_gss, "tpca": _noise_tpca}
@@ -108,26 +108,27 @@ def _copied(observation):
     """observation with every array in it copied."""
     if isinstance(observation, tuple):
         return tuple(map(_copied, observation))
-    return observation.copy() if isinstance(observation, np.ndarray) else observation
+    return observation.copy()
 
 
 def chunk_noise(params, rho: float):
-    """The model's noise operator at rho over a run: apply(instances, fresh) -> their noisy observations.
+    """The model's noise operator at rho over a run: apply(run, fresh) -> the run's stacked noisy observation.
 
-    fresh(i) returns trial i's noise generator at its fresh state, and each
-    trial's draws are read from it before fresh(i + 1) is called.  At rho = 0
-    each observation is copied and fresh is never called.
+    The noisy observation is stacked as run.observation is.  fresh(i)
+    returns trial i's noise generator at its fresh state, and each trial's
+    draws are read from it before fresh(i + 1) is called.  At rho = 0 the
+    observation is copied and fresh is never called.
     """
     check_rho(rho)
     if rho == 0.0:
-        return lambda instances, fresh: [_copied(inst.observation) for inst in instances]
+        return lambda run, fresh: _copied(run.observation)
     return partial(_NOISE[model_name(params)], params, rho)
 
 
 def noise_instance_observation(instance, rho: float, seed: int):
     """The instance's observation after the model's noise operator at rho, drawn from generator(seed)."""
     rng = generator(seed)
-    return chunk_noise(instance.params, rho)([instance], lambda _: rng)[0]
+    return batch_rows(chunk_noise(instance.params, rho)(run_of([instance]), lambda _: rng), 0)
 
 
 class CoupledTrials:
@@ -158,23 +159,25 @@ class CoupledTrials:
     def __len__(self) -> int:
         return len(self._noise_keys)
 
-    def _run(self, ts: range) -> tuple[list, list]:
-        """The instances of trials ts and their noisy observations."""
+    def _run(self, ts: range) -> tuple:
+        """The run record of trials ts and its stacked noisy observation."""
         if self._draw is None:
-            instances = self._sample(len(ts), keyed_fresh(self._rng, self._instance_keys[ts.start : ts.stop]))
+            run = self._sample(len(ts), keyed_fresh(self._rng, self._instance_keys[ts.start : ts.stop]))
         else:
-            instances = [self._draw(self._params, self._seed, t) for t in ts]
-        return instances, self._noise(instances, keyed_fresh(self._rng, self._noise_keys[ts.start : ts.stop]))
+            run = run_of([self._draw(self._params, self._seed, t) for t in ts])
+        return run, self._noise(run, keyed_fresh(self._rng, self._noise_keys[ts.start : ts.stop]))
 
     def __getitem__(self, t: int):
         if not 0 <= t < len(self):
             raise IndexError(f"trial {t} outside 0..{len(self) - 1}")
-        instances, noisy = self._run(range(t, t + 1))
-        return instances[0], noisy[0]
+        run, noisy = self._run(range(t, t + 1))
+        return run[0], batch_rows(noisy, 0)
 
     def map(self, fn) -> list:
-        """fn(start, instances, noisy observations) on runs of consecutive trials; its results in trial order.
+        """fn(start, run, noisy) on runs of consecutive trials; its results in trial order.
 
+        run is the run record of trials start, start + 1, ... and noisy their
+        noisy observation, stacked as run.observation is (see chunk_noise).
         The runs are trial_runs of the trials, each arm of a trial counted at
         the size of its instance's arrays, which bounds it.
         """

@@ -20,7 +20,7 @@ import numpy as np
 from .bayes import MmseReport, posterior_means
 from .errors import EstimatorTrialError, IllConditionedError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
-from .models import PspParams, model_name, pair_ids, path_indicator, vertex_pairs
+from .models import PspParams, batch_rows, batch_size, model_name, pair_ids, path_indicator, vertex_pairs
 from .noise import CoupledTrials
 from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
 
@@ -59,9 +59,9 @@ def prior_mean_vector(params) -> np.ndarray:
     return _PRIOR_MEANS[model_name(params)](params)
 
 
-def stack_rows(run: Callable, observations: Sequence) -> np.ndarray:
-    """run(observation) for each observation, stacked as one float row per observation."""
-    return np.array([run(obs) for obs in observations], dtype=float)
+def stack_rows(run: Callable, observations) -> np.ndarray:
+    """run(observation) for each observation of a batch (models.batch_rows), stacked as one float row per observation."""
+    return np.array([run(batch_rows(observations, i)) for i in range(batch_size(observations))], dtype=float)
 
 
 class Solver(NamedTuple):
@@ -130,7 +130,8 @@ def _constant_prior_mean(params, rho: float) -> Callable:
     return partial(stack_rows, lambda observation: const)
 
 
-# name -> factory(params, rho) -> batch estimator: T observations in, a T x dim array out.
+# name -> factory(params, rho) -> batch estimator: a batch of T observations in (a run's
+# stacked observation or a list, see models.batch_fields), a T x dim array out.
 # "posterior_mean" is the Bayes estimator matched to the measurement noise
 # level, so both arms of a stability trial stay inside its support.
 ESTIMATORS: dict[str, Callable] = {
@@ -173,28 +174,39 @@ class StabilityReport:
     norm_stderr: float
 
 
-def _second_moments(fn: Callable, start: int, clean: list, noisy: list, signals: list) -> list:
+def _both_arms(clean, noisy):
+    """The stacked observation of both arms: the clean trials, then the noisy ones."""
+    if isinstance(clean, tuple):
+        return tuple(map(_both_arms, clean, noisy))
+    return np.concatenate([clean, noisy])
+
+
+def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray) -> list:
     """(|a - b|^2, |a - x|^2, |a|^2) of each trial from a = fn(clean), b = fn(noisy), x the signal.
 
-    Both arms go through fn in one call.  When that call raises or gives
-    non-finite output, the run is re-run one trial at a time, in trial order,
-    and EstimatorTrialError names the first trial that fails.
+    clean and noisy are a run's stacked observations, and signals its stacked
+    signal vectors.  Both arms go through fn in one call, as one stacked
+    observation.  When that call raises or gives non-finite output, the run
+    is re-run one trial at a time, in trial order, and EstimatorTrialError
+    names the first trial that fails.
     """
+    count = len(signals)
     try:
-        out = np.asarray(fn(clean + noisy), dtype=float)
-        if out.ndim != 2 or len(out) != 2 * len(clean):
-            raise ValueError(f"estimator gave shape {out.shape} for {2 * len(clean)} observations")
+        out = np.asarray(fn(_both_arms(clean, noisy)), dtype=float)
+        if out.ndim != 2 or len(out) != 2 * count:
+            raise ValueError(f"estimator gave shape {out.shape} for {2 * count} observations")
         if not np.isfinite(out).all():
             raise ValueError("non-finite estimator output")
     except Exception as exc:  # noqa: BLE001 - abort with the index of the first trial that fails
-        if len(clean) > 1:  # re-run the run one trial at a time, in trial order
-            for i in range(len(clean)):
-                _second_moments(fn, start + i, clean[i:i + 1], noisy[i:i + 1], signals[i:i + 1])
+        if count > 1:  # re-run the run one trial at a time, in trial order
+            for i in range(count):
+                one = slice(i, i + 1)
+                _second_moments(fn, start + i, batch_rows(clean, one), batch_rows(noisy, one), signals[one])
         raise EstimatorTrialError(start, exc) from exc
     a, b = np.split(out, 2)
     d = a - b
     e = a - signals
-    return [(float(x @ x), float(y @ y), float(z @ z)) for x, y, z in zip(d, e, a)]
+    return [(float(x @ x), float(y @ y), float(z @ z)) for x, y, z in zip(d, e, a)]  # one dot a row
 
 
 def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list:
@@ -216,12 +228,11 @@ def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, se
         return failed
     moments = [[] for _ in fns]
 
-    def chunk(start: int, instances: list, noisy: list) -> list:
-        clean = [inst.observation for inst in instances]
-        signals = [inst.signal_vector() for inst in instances]
+    def chunk(start: int, run, noisy) -> list:
+        signals = run.signal_vectors()
         for i, fn in enumerate(fns):
             try:
-                moments[i] += _second_moments(fn, start, clean, noisy, signals)
+                moments[i] += _second_moments(fn, start, run.observation, noisy, signals)
             except EstimatorTrialError as err:
                 # only the first estimator that fails can be reported, so the later ones stop too
                 del fns[i:], moments[i:]

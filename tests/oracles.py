@@ -599,6 +599,13 @@ def hex_fields(value):
     return value.hex() if isinstance(value, float) else value
 
 
+def stack_observations(observations: list):
+    """Per-trial observations stacked as a run's observation: each array, or each field of a tuple, along a new first axis."""
+    if isinstance(observations[0], tuple):
+        return tuple(np.array(field) for field in zip(*observations))
+    return np.array(observations)
+
+
 def full_rank_rlc_loop(params, seed: int, t: int):
     """The first of attempts 0..255 at seed path (seed, INSTANCE_STREAM, t, attempt) with full-column-rank A."""
     for attempt in range(256):
@@ -655,16 +662,21 @@ def psp_poly_evaluate_loop(poly, edges: np.ndarray, params) -> float:
     return total
 
 
-def stability_ratio_loop(evaluate: Callable, params, rho: float, trials: int, seed: int) -> tuple[float, float]:
-    """(ratio, stderr) of E[(f - f o T_rho)^2] / E[f^2], one trial and one evaluate(observation) at a time."""
+def stability_moments_loop(evaluate: Callable, params, rho: float, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (f - f o T_rho)^2 and f^2, one trial and one evaluate(observation) at a time, in Python floats."""
     num, den = [], []
     for t in range(trials):
         inst, noisy = coupled_trial_scalar(params, rho, seed, t)
-        v0 = evaluate(inst.observation)
-        v1 = evaluate(noisy)
+        v0 = float(evaluate(inst.observation))
+        v1 = float(evaluate(noisy))
         num.append((v0 - v1) ** 2)
         den.append(v0**2)
-    return ratio_with_stderr(np.array(num), np.array(den))
+    return np.array(num), np.array(den)
+
+
+def stability_ratio_loop(evaluate: Callable, params, rho: float, trials: int, seed: int) -> tuple[float, float]:
+    """(ratio, stderr) of E[(f - f o T_rho)^2] / E[f^2] over stability_moments_loop's per-trial values."""
+    return ratio_with_stderr(*stability_moments_loop(evaluate, params, rho, trials, seed))
 
 
 def mmse_curve_loop(params, rho_grid: Sequence[float], trials: int, seed: int,

@@ -395,6 +395,12 @@ def _observations(params, rho: float, seed: int, size: int) -> list:
     return [batch[t][1] for t in range(size)]
 
 
+def _stacked_observations(params, rho: float, seed: int, size: int):
+    """The same noisy observations as _observations, as the one run's stacked observation (size <= EVAL_CHUNK)."""
+    (noisy,) = CoupledTrials(params, rho, seed, size).map(lambda start, run, noisy: [noisy])
+    return noisy
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     params=st.sampled_from(sorted(_BATCH_PARAMS)).flatmap(_BATCH_PARAMS.get),
@@ -409,10 +415,11 @@ def test_posterior_means_hex_equal_to_the_per_observation_enumeration(params, rh
     run_bytes = 3 * bayes._POSTERIORS[model_name(params)][1](params)
     with mock.patch.object(bayes, "EVAL_CHUNK_BYTES", run_bytes if split else bayes.EVAL_CHUNK_BYTES):
         got = posterior_means(params, observations, rho)
+        stacked = posterior_means(params, _stacked_observations(params, rho, seed, size), rho)
         one = [posterior_mean_for(params, obs, rho) for obs in observations]
     want = [posterior_mean_loop(params, obs, rho) for obs in observations]
-    assert got.shape == (size, len(want[0]))
-    assert _hex(got) == _hex(want) == _hex(one)
+    assert got.shape == stacked.shape == (size, len(want[0]))
+    assert _hex(got) == _hex(want) == _hex(one) == _hex(stacked)
 
 
 @pytest.mark.parametrize(
@@ -430,6 +437,7 @@ def test_posterior_means_hex_equal_at_barrier_sizes(params, rho):
     observations = _observations(params, rho, 7, 37)
     want = [posterior_mean_loop(params, obs, rho) for obs in observations]
     assert _hex(posterior_means(params, observations, rho)) == _hex(want)
+    assert _hex(posterior_means(params, _stacked_observations(params, rho, 7, 37), rho)) == _hex(want)
 
 
 @pytest.mark.parametrize("m, n", [(20, 17), (70, 17)])
@@ -572,8 +580,9 @@ def test_inconsistent_posterior_names_its_trial():
     params, bad = GssParams(N=8, k=2), 5
     bad_Y = CoupledTrials(params, 0.0, 6, 9)[bad][0].Y
 
-    def exact(observations):
-        return posterior_means(params, [(X, Y + 0.5 if Y == bad_Y else Y) for X, Y in observations], 0.0)
+    def exact(observations):  # a stacked (X, Y) of both arms
+        X, Y = observations
+        return posterior_means(params, (X, np.where(Y == bad_Y, Y + 0.5, Y)), 0.0)
 
     with pytest.raises(EstimatorTrialError) as err:
         measure_stability(exact, params, rho=0.0, trials=9, seed=6)

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import count_paths_rows_loop, hex_fields, seed_sequence_philox_key
 from plantedlab.cli import COMMAND_TABLE, COMMANDS, CSV_HEADER, REQUIRED, ExperimentConfig, _build_parser, main, run
-from plantedlab.models import MODEL_NAMES, PspParams, TpcaParams, sample_instance
+from plantedlab.models import MODEL_NAMES, PspParams, TpcaParams, batch_size, sample_instance
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials
 from plantedlab.rng import derive_seed, rekey
 from plantedlab.stability import ESTIMATORS
@@ -341,8 +341,10 @@ def test_barrier_draws_each_trial_twice_per_rho(tmp_path, monkeypatch):
     draw = CoupledTrials._run
 
     def counted(self, ts):
+        run, noisy = draw(self, ts)  # one run record of the trials ts, and their stacked noisy observation
+        assert len(run) == batch_size(noisy) == len(ts)
         drawn.update(ts)
-        return draw(self, ts)
+        return run, noisy
 
     monkeypatch.setattr(CoupledTrials, "_run", counted)
     argv = [
@@ -361,7 +363,7 @@ def test_stability_command_raises_the_first_failure_in_estimator_order(tmp_path,
             def run(observations):
                 if rho == bad_rho:
                     raise ValueError(message)
-                return np.ones((len(observations), params.N))
+                return np.ones((batch_size(observations), params.N))
 
             return run
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,11 +15,13 @@ from oracles import (
     psp_poly_evaluate_loop,
     rlc_character_expectation_loop,
     rlc_poly_evaluate_loop,
+    stability_moments_loop,
     stability_ratio_loop,
     symmetrize_check,
 )
 from plantedlab import lowdeg
 from plantedlab.errors import IllConditionedError, ParameterError, ResourceBudgetError
+from plantedlab.mc import ratio_with_stderr
 from plantedlab.lowdeg import (
     PSP_GATHER_ELEMENTS,
     CharacterIndex,
@@ -161,6 +164,50 @@ def test_diagram_rejects_a_correlation_above_one():
     with pytest.raises(ParameterError, match=r"off-diagonal entries in \[-1, 1\]"):
         DiagramSpec((1, 1), [[1.0, 3.0], [3.0, 1.0]])
     assert diagram_expectation(DiagramSpec((1, 1), [[1.0, -1.0], [-1.0, 1.0]])) == -1.0
+
+
+# eigenvalues -0.8, 1.9 and 1.9: every check but positive semidefiniteness passes, and the
+# exact formula once gave -1.1455 for alpha (1, 1, 2), a moment that no Gaussian vector has
+_INDEFINITE_R = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+_PSD_MESSAGE = "R must be positive semidefinite; its least eigenvalue is -0.8"
+
+
+def test_diagram_spec_rejects_an_indefinite_correlation_matrix():
+    with pytest.raises(ParameterError, match=_PSD_MESSAGE):
+        DiagramSpec((1, 1, 2), _INDEFINITE_R)
+    # the singular limits stay: a perfect anticorrelation, and its rounding a few ulp below 0
+    assert np.linalg.eigvalsh(np.array([[1.0, -1.0], [-1.0, 1.0]]))[0] <= 0.0
+    DiagramSpec((1, 1), [[1.0, -1.0], [-1.0, 1.0]])
+    DiagramSpec((1, 1), [[1.0, -1.0 + 2**-52], [-1.0 + 2**-52, 1.0]])
+
+
+def test_diagram_expectation_rejects_an_indefinite_correlation_matrix():
+    spec = DiagramSpec((1, 1, 2), np.eye(3))
+    with pytest.raises(ParameterError, match=_PSD_MESSAGE):
+        diagram_expectation(replace(spec, R=_INDEFINITE_R))
+    with pytest.raises(ValueError, match="read-only"):  # nor can a checked spec's R be changed after the check
+        spec.R[0, 2] = spec.R[2, 0] = -0.9
+    assert diagram_expectation(DiagramSpec((1, 1), [[1.0, -1.0], [-1.0, 1.0]])) == -1.0
+
+
+def test_diagram_mc_oracle_rejects_an_indefinite_correlation_matrix():
+    # the oracle once raised a bare numpy LinAlgError ("Matrix is not positive definite")
+    spec = DiagramSpec((1, 1, 2), np.eye(3))
+    with pytest.raises(ParameterError, match=_PSD_MESSAGE):
+        diagram_mc_oracle(replace(spec, R=_INDEFINITE_R), samples=1000, seed=3)
+    mc, se = diagram_mc_oracle(DiagramSpec((1, 1), [[1.0, -1.0], [-1.0, 1.0]]), samples=1000, seed=3)
+    assert abs(mc + 1.0) <= 4 * se  # x * y = -x^2 there, of mean -1
+
+
+def test_hermite_check_correlation_matrices_pass_the_semidefinite_check():
+    # R = cov / outer(sd, sd), as hermite-check builds it, over many draws
+    rng = generator(11)
+    for _ in range(500):
+        k = int(rng.integers(2, 4))
+        G = rng.standard_normal((k, k + 1))
+        cov = G @ G.T
+        dd = np.sqrt(np.diag(cov))
+        DiagramSpec((1,) * k, cov / np.outer(dd, dd))
 
 
 def test_diagram_matches_mc_oracle_with_means():
@@ -390,6 +437,12 @@ def _clean_and_noisy(params, rho, seed, trials) -> list:
     return [inst.observation for inst, _ in pairs] + [noisy for _, noisy in pairs]
 
 
+def _stacked_clean_and_noisy(params, rho, seed, trials) -> list:
+    """The two stacked observations of the one run of trials (trials <= EVAL_CHUNK): clean, then noisy."""
+    (arms,) = CoupledTrials(params, rho, seed, trials).map(lambda start, run, noisy: [(run.observation, noisy)])
+    return list(arms)
+
+
 def _hex(values) -> list[str]:
     return [float(v).hex() for v in values]
 
@@ -407,6 +460,8 @@ def test_evaluate_many_bit_identical_to_one_observation_loop(model, seed, degree
     observations = _clean_and_noisy(params, 0.4, seed, trials)
     want = _hex(loop(poly, obs, params) for obs in observations)
     assert _hex(poly.evaluate_many(observations, params)) == want
+    # the run record's stacked clean and noisy observations, read with no restacking
+    assert [v for arm in _stacked_clean_and_noisy(params, 0.4, seed, trials) for v in _hex(poly.evaluate_many(arm, params))] == want
     values = [poly.evaluate(obs, params) for obs in observations]
     assert all(type(v) is float for v in values) and _hex(values) == want
 
@@ -521,6 +576,7 @@ def test_psp_evaluate_many_matches_the_placement_loop(shapes, n, q, blocks, tria
     gather = max(widest, 1) * -(-trials // blocks)
     with mock.patch.object(lowdeg, "PSP_GATHER_ELEMENTS", gather):
         assert _hex(poly.evaluate_many(observations, params)) == want
+        assert _hex(poly.evaluate_many(np.array(observations), params)) == want  # as a run's stacked edges
 
 
 @pytest.mark.parametrize("P", [1, 7, 8, 9, 127, 128, 129, 336, 1680])
@@ -571,6 +627,29 @@ def test_stability_ratio_bit_identical_to_trial_loop(model):
         r = stability_ratio(poly, params, 0.3, trials, seed=8)
     ratio, stderr = stability_ratio_loop(lambda obs: loop(poly, obs, params), params, 0.3, trials, 8)
     assert (r.ratio.hex(), r.stderr.hex()) == (ratio.hex(), stderr.hex())
+
+
+@pytest.mark.parametrize("model", sorted(POLY_CASES))
+def test_stability_ratio_takes_the_trial_loops_moments_elementwise(model, monkeypatch):
+    # (a - b) ** 2 and a ** 2 of Python floats call libm's pow, which differs in the last bit from
+    # numpy's x * x on about one pair in a thousand; equal sums alone could hide such a pair
+    params, make, loop = POLY_CASES[model]
+    poly = make(params, 2, generator(13))
+    trials = EVAL_CHUNK + 37
+    seen = []
+
+    def capture(num, den):
+        seen.append((num, den))
+        return ratio_with_stderr(num, den)
+
+    monkeypatch.setattr(lowdeg, "ratio_with_stderr", capture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stability_ratio(poly, params, 0.3, trials, seed=8)
+    ((num, den),) = seen
+    want_num, want_den = stability_moments_loop(lambda obs: loop(poly, obs, params), params, 0.3, trials, 8)
+    assert len(num) == len(den) == trials
+    assert _hex(num) == _hex(want_num) and _hex(den) == _hex(want_den)
 
 
 def test_rlc_pure_codeword_character_sits_at_bound():

@@ -437,6 +437,7 @@ def test_chunk_sampler_equals_the_generator_call_oracle(params, seeds):
     rng, keys = keyed_generator(), philox_keys(seeds)
     run = chunk_sampler(params)(len(seeds), lambda i: rekey(rng, keys[i]))
     want = [sample_instance_scalar(params, s) for s in seeds]
+    assert hex_fields(run) == hex_fields(models.run_of(want))  # the stacked fields, dtype and shape included
     assert [hex_fields(inst) for inst in run] == [hex_fields(inst) for inst in want]
     assert hex_fields(sample_instance(params, seeds[0])) == hex_fields(want[0])
 
@@ -518,3 +519,50 @@ def test_instance_bytes_count_the_instance_arrays():
     for params in SAMPLER_PARAMS:
         inst = sample_instance(params, 1)
         assert models.instance_bytes(params) == sum(v.nbytes for v in vars(inst).values() if isinstance(v, np.ndarray))
+
+
+# ---------------------------------------------------------------------------
+# batches of observations: a list of per-trial observations or a run's stacked observation
+
+
+def test_check_stack_returns_a_stacked_array_without_a_copy():
+    stacked = sample_instance_scalar(GssParams(N=6, k=2), 3).X[None].repeat(4, axis=0)
+    out = models.check_stack("X", stacked, (6,))
+    assert out is stacked and np.shares_memory(out, stacked)
+    listed = models.check_stack("X", list(stacked), (6,))
+    assert not np.shares_memory(listed, stacked) and np.array_equal(listed, stacked)
+
+
+def test_check_stack_names_the_wrong_shape():
+    rows = [np.zeros(6), np.zeros(6), np.zeros(5), np.zeros(4)]
+    with pytest.raises(ParameterError, match=re.escape("X has shape (5,), expected (6,)")):
+        models.check_stack("X", rows, (6,))
+    with pytest.raises(ParameterError, match=re.escape("X has shape (5,), expected (6,)")):
+        models.check_stack("X", [np.zeros(5)] * 3, (6,))
+    with pytest.raises(ParameterError, match=re.escape("X has shape (5,), expected (6,)")):
+        models.check_stack("X", np.zeros((3, 5)), (6,))
+    with pytest.raises(ParameterError, match=re.escape("Y has shape (1,), expected ()")):
+        models.check_stack("Y", np.zeros((3, 1)), ())
+
+
+def test_check_stack_of_an_empty_batch():
+    for empty in ([], np.zeros((0, 6))):
+        out = models.check_stack("X", empty, (6,))
+        assert out.shape == (0, 6) and out.dtype == np.float64
+    assert models.check_stack("Y", [], ()).shape == (0,)
+
+
+@pytest.mark.parametrize("params", SAMPLER_PARAMS, ids=repr)
+def test_batch_helpers_read_a_run_and_a_list_alike(params):
+    rng, keys = keyed_generator(), philox_keys([5, 6, 7])
+    run = chunk_sampler(params)(3, lambda i: rekey(rng, keys[i]))
+    stacked, listed = run.observation, [inst.observation for inst in run]
+    assert models.batch_size(stacked) == models.batch_size(listed) == len(run) == 3
+    for i in range(3):
+        assert hex_fields(models.batch_rows(stacked, i)) == hex_fields(listed[i])
+    assert hex_fields(models.batch_rows(stacked, slice(1, 3))) == hex_fields(models.run_of([run[1], run[2]]).observation)
+    assert models.batch_fields(stacked, 2) is stacked
+    if isinstance(stacked, tuple):
+        assert all(np.array_equal(np.array(f), s) for f, s in zip(models.batch_fields(listed, 2), stacked))
+        assert models.batch_fields([], 2) == ([], [])
+    assert hex_fields(run.signal_vectors()) == hex_fields(np.array([inst.signal_vector() for inst in run]))

@@ -10,10 +10,12 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    batch_rows,
     pair_ids,
+    run_of,
     sample_instance,
 )
-from oracles import coupled_trial_scalar, hex_fields, noise_scalar, ou_compose
+from oracles import coupled_trial_scalar, hex_fields, noise_scalar, ou_compose, stack_observations
 from plantedlab.bayes import _sample_full_rank_rlc
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, noise_instance_observation
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, derive_seeds, keyed_generator, philox_keys, rekey
@@ -49,14 +51,13 @@ NOISE_OPERATORS = {
 @given(model=st.sampled_from(sorted(NOISE_OPERATORS)), seed=st.integers(0, 2**64 - 1), key_seed=st.integers(0, 2**64 - 1))
 def test_rho_zero_copies_the_input_and_draws_nothing(model, seed, key_seed):
     params, part = NOISE_OPERATORS[model]
-    inst = sample_instance(params, seed)
-    observed = part(inst.observation)
+    run = run_of([sample_instance(params, seed)])
+    observed = part(run.observation)
     rng = rekey(keyed_generator(), philox_keys([key_seed])[0])
     before = rng.bit_generator.state
-    out = part(chunk_noise(params, 0.0)([inst], lambda _: rng)[0])
-    assert np.array_equal(out, observed)
-    if isinstance(out, np.ndarray):
-        assert not np.shares_memory(out, observed)
+    out = part(chunk_noise(params, 0.0)(run, lambda _: rng))
+    assert np.array_equal(out, observed) and out.dtype == observed.dtype
+    assert not np.shares_memory(out, observed)
     after = rng.bit_generator.state
     assert after["state"]["key"].tolist() == before["state"]["key"].tolist()
     assert after["state"]["counter"].tolist() == before["state"]["counter"].tolist()
@@ -69,7 +70,7 @@ def test_rho_one_forgets_the_input(model, seeds, key_seed):
     params, part = NOISE_OPERATORS[model]
     gen, key = keyed_generator(), philox_keys([key_seed])[0]
     noise = chunk_noise(params, 1.0)
-    out_a, out_b = (part(noise([sample_instance(params, s)], lambda _: rekey(gen, key))[0]) for s in seeds)
+    out_a, out_b = (part(noise(run_of([sample_instance(params, s)]), lambda _: rekey(gen, key)))[0] for s in seeds)
     assert np.array_equal(out_a, out_b)
     if model in ("gss", "tpca"):
         # sqrt(1 - 1) * Y + 1 * Z is exactly Z
@@ -149,7 +150,7 @@ def test_gss_variance_preserved_under_ou():
     trials = 2 * 10**4
     # trial t: the instance at seed path (5, 0, t), its noise at (5, 1, t)
     assert (INSTANCE_STREAM, NOISE_STREAM) == (0, 1)
-    out = np.array([obs[1] for obs in CoupledTrials(params, rho, 5, trials).map(lambda start, insts, noisy: noisy)])
+    out = np.array(CoupledTrials(params, rho, 5, trials).map(lambda start, run, noisy: noisy[1]))
     target = (1 - rho**2) * params.k + rho**2
     var = out.var(ddof=1)
     assert abs(var - target) <= 3 * var * math.sqrt(2 / (trials - 1))
@@ -168,8 +169,8 @@ def test_ou_semigroup_two_sample():
     def arm(Ys, rho, stream):
         # _gss_noise(Y, rho, derive_seed(6, stream, t)) at every trial t, as one run
         keys = philox_keys(derive_seeds(6, stream, ts=np.arange(trials)))
-        instances = [GssInstance(params=params, X=np.zeros(1), S=(0,), Y=y) for y in Ys]
-        return np.array([obs[1] for obs in chunk_noise(params, rho)(instances, lambda i: rekey(gen, keys[i]))])
+        run = run_of([GssInstance(params=params, X=np.zeros(1), S=(0,), Y=y) for y in Ys])
+        return chunk_noise(params, rho)(run, lambda i: rekey(gen, keys[i]))[1]
 
     two_step = arm(arm([Y] * trials, rho1, 1), rho2, 2)
     one_step = arm([Y] * trials, rho3, 3)
@@ -235,8 +236,8 @@ rhos = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 grid_points = st.one_of(st.none(), st.integers(0, 2**40))
 
 
-def _pairs(start, instances, noisy):
-    return list(zip(instances, noisy))
+def _pairs(start, run, noisy):
+    return [(run[i], batch_rows(noisy, i)) for i in range(len(run))]
 
 
 @settings(max_examples=120, deadline=None)
@@ -244,9 +245,13 @@ def _pairs(start, instances, noisy):
        trials=st.integers(1, 30))
 def test_coupled_runs_equal_the_generator_call_oracles(params, seed, rho, grid_point, trials):
     batch = CoupledTrials(params, rho, seed, trials, grid_point=grid_point)
-    want = [hex_fields(coupled_trial_scalar(params, rho, seed, t, grid_point=grid_point)) for t in range(trials)]
-    assert [hex_fields(pair) for pair in batch.map(_pairs)] == want
-    assert hex_fields(batch[trials - 1]) == want[-1]
+    want = [coupled_trial_scalar(params, rho, seed, t, grid_point=grid_point) for t in range(trials)]
+    assert [hex_fields(pair) for pair in batch.map(_pairs)] == [hex_fields(pair) for pair in want]
+    assert hex_fields(batch[trials - 1]) == hex_fields(want[-1])
+    # the run record and the stacked noisy observation themselves (trials <= 30 make one run)
+    ((run, noisy),) = batch.map(lambda start, run, noisy: [(run, noisy)])
+    assert hex_fields(run) == hex_fields(run_of([inst for inst, _ in want]))
+    assert hex_fields(noisy) == hex_fields(stack_observations([obs for _, obs in want]))
 
 
 @settings(max_examples=30, deadline=None)

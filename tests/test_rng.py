@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     coupled_trial_scalar,
     hex_fields,
+    stack_observations,
     seed_path_entropy,
     seed_sequence_philox_key,
     seed_sequence_seed,
@@ -19,8 +20,10 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    batch_rows,
     chunk_sampler,
     instance_to_json,
+    run_of,
     sample_instance,
 )
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, instance_runs, noise_instance_observation
@@ -150,9 +153,11 @@ def test_rekeyed_generator_draws_the_seeded_stream(seed, rho):
         inst = sample_instance(params, seed)
         run = chunk_sampler(params)(2, lambda i: rekey(gen, key))
         assert [instance_to_json(i) for i in run] == [instance_to_json(inst)] * 2
+        assert hex_fields(run) == hex_fields(run_of([inst, inst]))
         want = noise_instance_observation(inst, rho, seed)
-        noisy = chunk_noise(params, rho)([inst, inst], lambda i: rekey(gen, key))
-        assert _same(noisy[0], want) and _same(noisy[1], want)
+        noisy = chunk_noise(params, rho)(run, lambda i: rekey(gen, key))
+        assert _same(batch_rows(noisy, 0), want) and _same(batch_rows(noisy, 1), want)
+        assert _same(noisy, stack_observations([want, want]))
     # the generator draws the same stream as generator(seed) for the basic draws too
     for draw in (
         lambda g: g.standard_normal(5),

@@ -11,7 +11,17 @@ from oracles import SOLVER_RECOVERS_RULES, measure_stability_loop, mmse_curve_lo
 from plantedlab.bayes import estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
-from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, model_name, path_edge_indices, sample_instance, vertex_pairs
+from plantedlab.models import (
+    GssParams,
+    PspParams,
+    RlcParams,
+    TpcaParams,
+    batch_size,
+    model_name,
+    path_edge_indices,
+    sample_instance,
+    vertex_pairs,
+)
 from plantedlab.noise import EVAL_CHUNK, EVAL_CHUNK_BYTES, CoupledTrials
 from plantedlab.rng import generator
 from plantedlab.solvers import LllConfig
@@ -91,9 +101,9 @@ def test_non_finite_estimator_output_carries_trial_index(bad_call, bad):
     inst, noisy = CoupledTrials(params, 0.5, 1, 4)[1]
     A, y = (inst.observation, noisy)[bad_call - 2]
 
-    def flaky(observations):
-        out = np.ones((len(observations), 5))
-        for row, (obs_A, obs_y) in zip(out, observations):
+    def flaky(observations):  # a stacked (A, y) of both arms
+        out = np.ones((batch_size(observations), 5))
+        for row, obs_A, obs_y in zip(out, *observations):
             if np.array_equal(obs_A, A) and np.array_equal(obs_y, y):
                 row[0] = bad
         return out
@@ -111,9 +121,9 @@ def test_failure_past_the_first_chunk_names_its_trial(how):
     inst, _ = CoupledTrials(params, 0.3, 6, bad_trial + 10)[bad_trial]
     bad_Y = inst.observation[1]
 
-    def flaky(observations):
-        out = np.ones((len(observations), params.N))
-        for row, (_, Y) in zip(out, observations):
+    def flaky(observations):  # a stacked (X, Y) of both arms
+        out = np.ones((batch_size(observations), params.N))
+        for row, Y in zip(out, observations[1]):
             if Y == bad_Y:
                 if how == "raise":
                     raise ValueError("boom")
@@ -129,7 +139,7 @@ def test_failure_past_the_first_chunk_names_its_trial(how):
 def test_all_zero_estimator_is_ill_conditioned():
     # eta divides by the mean output norm, which is 0 here: an error, not NaN
     def zero(observations):
-        return np.zeros((len(observations), 5))
+        return np.zeros((batch_size(observations), 5))
 
     with pytest.raises(IllConditionedError):
         measure_stability(zero, RlcParams(m=8, n=5), rho=0.5, trials=20, seed=1)
@@ -291,11 +301,11 @@ def _failing_at(params, rho: float, seed: int, trials: int, bad_trial: int, call
     """A batch estimator of ones that raises on trial bad_trial's clean arm, logging each batch size in calls."""
     bad_Y = CoupledTrials(params, rho, seed, trials)[bad_trial][0].Y
 
-    def flaky(observations):
-        calls.append(len(observations))
-        if any(Y == bad_Y for _, Y in observations):
+    def flaky(observations):  # a stacked (X, Y) of both arms
+        calls.append(batch_size(observations))
+        if any(Y == bad_Y for Y in observations[1]):
             raise ValueError(f"trial {bad_trial}")
-        return np.ones((len(observations), params.N))
+        return np.ones((batch_size(observations), params.N))
 
     return flaky
 
@@ -324,7 +334,7 @@ def test_measure_stabilities_raises_ill_conditioned_before_a_later_trial_failure
     params, trials = GssParams(N=8, k=2), 30
 
     def zero(observations):
-        return np.zeros((len(observations), params.N))
+        return np.zeros((batch_size(observations), params.N))
 
     second = _failing_at(params, 0.3, 6, trials, 3, [])
     with pytest.raises(IllConditionedError):
@@ -408,12 +418,12 @@ def test_map_caps_a_run_by_observation_bytes(params, trials, runs):
     batch = CoupledTrials(params, 0.5, 4, trials)
     seen, refs = [], []
 
-    def corner(start, instances, noisy):
+    def corner(start, run, noisy):
         assert all(ref() is None for ref in refs)
-        refs.extend(weakref.ref(arm) for arm in [*(inst.Y for inst in instances), *noisy])
-        seen.append((start, len(instances), len(noisy)))
-        assert 2 * sum(inst.Y.nbytes for inst in instances) <= max(EVAL_CHUNK_BYTES, 2 * instances[0].Y.nbytes)
-        return [(inst.Y[0, 0, 0], obs[0, 0, 0]) for inst, obs in zip(instances, noisy)]
+        refs.extend(weakref.ref(arm) for arm in (run.Y, noisy))
+        seen.append((start, len(run), batch_size(noisy)))
+        assert run.Y.nbytes + noisy.nbytes <= max(EVAL_CHUNK_BYTES, 2 * run.Y[0].nbytes)
+        return [(y[0, 0, 0], obs[0, 0, 0]) for y, obs in zip(run.Y, noisy)]
 
     rows = batch.map(corner)
     assert [(start, size, size) for start, size in runs] == seen
