@@ -36,10 +36,10 @@ from .noise import CoupledTrials, check_rho
 from .rng import generator
 
 DIAGRAM_DEGREE_CAP = 10
-# a DiagramSpec's R may have a least eigenvalue this far below 0 (the rounding
-# of a singular correlation matrix); diagram_mc_oracle's 1e-12 diagonal jitter
-# still leaves such an R positive definite
-DIAGRAM_PSD_TOL = 1e-13
+# a DiagramSpec's R + DIAGRAM_PSD_TOL * I must have a Cholesky factor, so the least
+# eigenvalue of R may fall about this far below 0 (the rounding of a singular
+# correlation matrix); diagram_mc_oracle samples through that same factor
+DIAGRAM_PSD_TOL = 1e-12
 CHARACTER_ENUM_BUDGET = 2**24
 # PspSymmetricPoly.evaluate_many gathers row blocks of at most this many float64s
 PSP_GATHER_ELEMENTS = 2**16
@@ -83,9 +83,11 @@ class DiagramSpec:
             raise ParameterError("R must have unit diagonal")
         if not (np.abs(R[~np.eye(k, dtype=bool)]) <= 1.0).all():  # false for nan and inf too
             raise ParameterError("R must have off-diagonal entries in [-1, 1]")
-        least = float(np.linalg.eigvalsh(R)[0])
-        if least < -DIAGRAM_PSD_TOL:
-            raise ParameterError(f"R must be positive semidefinite; its least eigenvalue is {least:.6g}")
+        try:
+            np.linalg.cholesky(R + DIAGRAM_PSD_TOL * np.eye(k))
+        except np.linalg.LinAlgError:
+            least = np.linalg.eigvalsh(R)[0]
+            raise ParameterError(f"R must be positive semidefinite; its least eigenvalue is {least:.6g}") from None
         if any(a < 0 for a in self.alpha):
             raise ParameterError("alpha entries must be nonnegative")
         R = R.copy()  # a read-only copy: no later write can undo the checks
@@ -139,7 +141,7 @@ def diagram_expectation(spec: DiagramSpec) -> float:
 def diagram_mc_oracle(spec: DiagramSpec, samples: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate of the same expectation from correlated Gaussians."""
     rng = generator(seed)
-    chol = np.linalg.cholesky(spec.R + 1e-12 * np.eye(len(spec.alpha)))
+    chol = np.linalg.cholesky(spec.R + DIAGRAM_PSD_TOL * np.eye(len(spec.alpha)))
     Z = rng.standard_normal((samples, len(spec.alpha))) @ chol.T
     if spec.mu is not None:
         Z = Z + spec.mu

@@ -175,10 +175,14 @@ _PSD_MESSAGE = "R must be positive semidefinite; its least eigenvalue is -0.8"
 def test_diagram_spec_rejects_an_indefinite_correlation_matrix():
     with pytest.raises(ParameterError, match=_PSD_MESSAGE):
         DiagramSpec((1, 1, 2), _INDEFINITE_R)
-    # the singular limits stay: a perfect anticorrelation, and its rounding a few ulp below 0
-    assert np.linalg.eigvalsh(np.array([[1.0, -1.0], [-1.0, 1.0]]))[0] <= 0.0
+    # the singular limits stay: a perfect anticorrelation, and a rank-2 cov / outer(sd, sd)
+    # whose least eigenvalue rounds below 0
     DiagramSpec((1, 1), [[1.0, -1.0], [-1.0, 1.0]])
-    DiagramSpec((1, 1), [[1.0, -1.0 + 2**-52], [-1.0 + 2**-52, 1.0]])
+    G = np.array([[-2.33, -0.22], [-1.25, -0.73], [-0.54, -0.32]])
+    cov = G @ G.T
+    R = cov / np.outer(np.sqrt(np.diag(cov)), np.sqrt(np.diag(cov)))
+    assert -1e-15 < np.linalg.eigvalsh(R)[0] < 0.0
+    DiagramSpec((1, 1, 2), R)
 
 
 def test_diagram_expectation_rejects_an_indefinite_correlation_matrix():
