@@ -257,7 +257,10 @@ class RlcPoly(_OneObservation):
         return max((idx.degree for idx, _ in self.terms), default=0)
 
     def evaluate_many(self, observations, params: RlcParams) -> np.ndarray:
-        """evaluate at each (A, y) of a batch (models.batch_fields); terms accumulate in order, as for one observation."""
+        """evaluate at each (A, y) of a batch (models.batch_fields).
+
+        Terms accumulate in order, as for one observation.
+        """
         A, y = batch_fields(observations, 2)
         A = check_stack("A", A, (params.m, params.n))
         y = check_stack("y", y, (params.m,))
@@ -280,7 +283,10 @@ class GssPoly(_OneObservation):
         return max((sum(d for _, d in alpha) + t for alpha, t, _ in self.terms), default=0)
 
     def evaluate_many(self, observations, params: GssParams) -> np.ndarray:
-        """evaluate at each (X, Y) of a batch (models.batch_fields); every product and sum keeps the one-observation order."""
+        """evaluate at each (X, Y) of a batch (models.batch_fields).
+
+        Every product and sum keeps the one-observation order.
+        """
         X, Y = batch_fields(observations, 2)
         X = check_stack("X", X, (params.N,))
         y = check_stack("Y", Y, ()).astype(float) / math.sqrt(params.k)

@@ -507,7 +507,8 @@ def _sample_gss(params: GssParams, count: int, fresh) -> GssRun:
     ranges = range(N - k + 1, N + 1)
     decode = count > 1 and not (N > _CHOICE_FLOYD_LIMIT and k > N // 50)
     words = (sum(r > 1 for r in ranges) + 1) // 2 if decode else 0  # a range of 1 draws nothing
-    X, raw, chosen = np.empty((count, N)), np.empty((count, words), dtype=np.uint64), np.empty((count, k), dtype=np.int64)
+    X, chosen = np.empty((count, N)), np.empty((count, k), dtype=np.int64)
+    raw = np.empty((count, words), dtype=np.uint64)
     for x, w, c, g in zip(X, raw, chosen, map(fresh, range(count))):
         g.standard_normal(out=x)
         if decode:

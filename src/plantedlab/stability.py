@@ -60,7 +60,7 @@ def prior_mean_vector(params) -> np.ndarray:
 
 
 def stack_rows(run: Callable, observations) -> np.ndarray:
-    """run(observation) for each observation of a batch (models.batch_rows), stacked as one float row per observation."""
+    """run(observation) for each observation of a batch (models.batch_rows), as one float row per observation."""
     return np.array([run(batch_rows(observations, i)) for i in range(batch_size(observations))], dtype=float)
 
 
