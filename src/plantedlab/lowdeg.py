@@ -306,6 +306,38 @@ class GssPoly(_OneObservation):
 Shape = tuple
 
 
+@lru_cache(maxsize=256)
+def product_table(shape: Shape, n: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The distinct edge products of shape's placements at n: (factors, expand); read-only.
+
+    factors holds one edge-vector column per shape edge, (edges, products),
+    and a product multiplies its factors in edge order.  Two placements share
+    a product only when their edge lists are equal up to a swap of the first
+    two edges, since x * y == y * x exactly; any other reordering can round
+    differently.  expand maps each placement, in placements order, to its
+    product.  It is None when the placements are the products, which holds
+    for a shape of fewer than two edges, and also when sharing saves too
+    little to pay for the gather back to placement order.
+    """
+    maps = placements(shape, n)
+    count, width = maps.shape
+    keys, expand = maps, None
+    if width >= 2 and count:
+        swapped = maps.copy()
+        swapped[:, :2].sort(axis=1)
+        distinct, inverse = np.unique(swapped, axis=0, return_inverse=True)
+        # sharing saves width gathers and width - 1 products per shared placement, and the gather
+        # back to placement order costs about two of them per placement: at n = 10 a two-edge shape
+        # with half as many products as placements ran no faster with the table, a three-edge one
+        # with half 11% faster and ((3, 4), (5, 6)), one product in eight, 30% faster
+        if (2 * width - 1) * (count - len(distinct)) > 2 * count:
+            keys, expand = distinct, inverse.reshape(-1)
+            expand.flags.writeable = False
+    factors = np.ascontiguousarray(keys.T)
+    factors.flags.writeable = False
+    return factors, expand
+
+
 @dataclass(frozen=True)
 class PspSymmetricPoly(_OneObservation):
     """Vertex-permutation-invariant polynomial over centered edge indicators.
@@ -324,8 +356,10 @@ class PspSymmetricPoly(_OneObservation):
         """evaluate at each edge vector of a batch (models.batch_fields), bit-identical to one evaluation at a time.
 
         Trials go in blocks of rows whose placement columns hold at most
-        PSP_GATHER_ELEMENTS floats.  Each edge column is gathered with np.take
-        into C-ordered rows and multiplied in edge order, so one sum along the
+        PSP_GATHER_ELEMENTS floats.  Each distinct product of product_table is
+        computed once per block: its edge columns are gathered with np.take
+        into C-ordered rows and multiplied in edge order, and the products
+        are gathered back to one column per placement.  So one sum along the
         block's rows sums each row pairwise, as a 1-D placement sum does; the
         strided rows of a fancy gather would sum in another order.  The shape
         () is one placement with the empty product 1; a shape with no
@@ -339,14 +373,16 @@ class PspSymmetricPoly(_OneObservation):
         centered = (present.astype(float) - q) / math.sqrt(q * (1.0 - q))
         total = np.zeros(len(centered))
         for shape, c in self.terms:
-            maps = placements(shape, n)
-            step = max(1, PSP_GATHER_ELEMENTS // max(maps.size, 1))
+            factors, expand = product_table(shape, n)
+            step = max(1, PSP_GATHER_ELEMENTS // max(placements(shape, n).size, 1))
             sums = np.empty(len(centered))
             for start in range(0, len(centered), step):
                 block = centered[start:start + step]
-                prods = np.take(block, maps[:, 0], axis=1) if maps.shape[1] else np.ones((len(block), len(maps)))
-                for col in maps.T[1:]:
+                prods = np.take(block, factors[0], axis=1) if len(factors) else np.ones((len(block), factors.shape[1]))
+                for col in factors[1:]:
                     prods *= np.take(block, col, axis=1)
+                if expand is not None:
+                    prods = np.take(prods, expand, axis=1)
                 sums[start:start + step] = prods.sum(axis=1)
             total += c * sums
         return total

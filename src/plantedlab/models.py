@@ -454,14 +454,21 @@ class TpcaRun(_Run):
 
 
 def _sample_psp(params: PspParams, count: int, fresh) -> PspRun:
-    """Plant a uniform path from 1 to 2, then union an independent G(n, q)."""
+    """Plant a uniform path from 1 to 2, then union an independent G(n, q).
+
+    Each trial shuffles its own row of 3..n in place, which draws what
+    Generator.permutation(3..n) draws, and takes the path's interior from it.
+    """
     n, L, q = params.n, params.L, params.q
-    rest, pairs = np.arange(3, n + 1), len(vertex_pairs(n))
-    paths = np.ones((count, L + 1), dtype=np.intp)
+    pairs = len(vertex_pairs(n))
+    rest = np.empty((count, n - 2), dtype=np.intp)
+    rest[:] = np.arange(3, n + 1)
     words = np.empty((count, pairs), dtype=np.uint64)
     for i, g in enumerate(map(fresh, range(count))):
-        paths[i, 1:-1] = g.permutation(rest)[: L - 1]
+        g.shuffle(rest[i])
         words[i] = g.bit_generator.random_raw(pairs)
+    paths = np.ones((count, L + 1), dtype=np.intp)
+    paths[:, 1:-1] = rest[:, : L - 1]
     paths[:, -1] = 2
     edges = uniforms(words) < q
     edges[np.arange(count)[:, None], pair_ids(n)[paths[:, :-1], paths[:, 1:]]] = True

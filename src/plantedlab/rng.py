@@ -169,9 +169,9 @@ def keyed_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=0))
 
 
-def rekey(gen: np.random.Generator, key) -> np.random.Generator:
-    """Reset gen's Philox to the fresh state for key; then gen draws what Philox(key=key) would."""
-    gen.bit_generator.state = {
+def _fresh_state(key) -> dict:
+    """The Philox state dict of a fresh generator for key: counter 0, empty buffer, no pending uint32."""
+    return {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
@@ -179,6 +179,11 @@ def rekey(gen: np.random.Generator, key) -> np.random.Generator:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def rekey(gen: np.random.Generator, key) -> np.random.Generator:
+    """Reset gen's Philox to the fresh state for key; then gen draws what Philox(key=key) would."""
+    gen.bit_generator.state = _fresh_state(key)
     return gen
 
 
@@ -186,10 +191,19 @@ def keyed_fresh(gen: np.random.Generator, keys: np.ndarray):
     """fresh(i) over a run's Philox keys, rows of philox_keys: gen re-keyed to keys[i].
 
     The keys become Python ints once per run: the state setter takes them
-    faster than it takes a numpy row.
+    faster than it takes a numpy row.  The run builds one fresh state dict
+    and sets only its key per trial; the setter copies every field, so the
+    dict is never shared with gen.
     """
     keys = keys.tolist()
-    return lambda i: rekey(gen, keys[i])
+    bit_generator, state = gen.bit_generator, _fresh_state(None)
+
+    def fresh(i: int) -> np.random.Generator:
+        state["state"]["key"] = keys[i]
+        bit_generator.state = state
+        return gen
+
+    return fresh
 
 
 def keyed_runs(draw, keys: np.ndarray, runs):

@@ -160,8 +160,15 @@ def _bareiss_det(g: list[list[int]]) -> int:
 
 
 def _gram_det(rows: list[list[int]]) -> int:
-    """det(B B^T) of the basis rows B: det(B)^2 when B is square, else the determinant of the Gram matrix."""
+    """det(B B^T) of the basis rows B: det(B)^2 when B is square, else the determinant of the Gram matrix.
+
+    A triangular square B (every lll_subset_sum basis is upper triangular)
+    takes det(B) as the product of its diagonal.
+    """
     if all(len(row) == len(rows) for row in rows):
+        upper = all(not any(row[:i]) for i, row in enumerate(rows))
+        if upper or all(not any(row[i + 1 :]) for i, row in enumerate(rows)):
+            return math.prod(row[i] for i, row in enumerate(rows)) ** 2
         return _bareiss_det([list(row) for row in rows]) ** 2
     return _bareiss_det([[_dot(u, v) for v in rows] for u in rows])
 

@@ -16,7 +16,7 @@ from oracles import count_paths_rows_loop, hex_fields, seed_sequence_philox_key
 from plantedlab.cli import COMMAND_TABLE, COMMANDS, CSV_HEADER, REQUIRED, ExperimentConfig, _build_parser, main, run
 from plantedlab.models import MODEL_NAMES, PspParams, TpcaParams, batch_size, sample_instance
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials
-from plantedlab.rng import derive_seed, rekey
+from plantedlab.rng import derive_seed, keyed_fresh
 from plantedlab.stability import ESTIMATORS
 
 
@@ -217,11 +217,16 @@ def test_count_paths_draws_each_graph_once(tmp_path, monkeypatch):
     # Philox keys are read, each once and in trial order
     keys = []
 
-    def recorded(gen, key):
-        keys.append(list(key))
-        return rekey(gen, key)
+    def recorded(gen, run_keys):
+        fresh = keyed_fresh(gen, run_keys)
 
-    monkeypatch.setattr("plantedlab.rng.rekey", recorded)
+        def record(i):
+            keys.append(run_keys[i].tolist())
+            return fresh(i)
+
+        return record
+
+    monkeypatch.setattr("plantedlab.rng.keyed_fresh", recorded)
     for graphs, pair_graphs in ((6, 4), (3, 5)):
         keys.clear()
         options = '{"n":9,"m":3,"eps_m":1,"q":0.3,"graphs":%d,"pairs":true,"pair_graphs":%d}' % (graphs, pair_graphs)

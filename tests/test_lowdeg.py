@@ -24,6 +24,7 @@ from plantedlab.errors import IllConditionedError, ParameterError, ResourceBudge
 from plantedlab.mc import ratio_with_stderr
 from plantedlab.lowdeg import (
     PSP_GATHER_ELEMENTS,
+    PSP_SHAPE_LIBRARY,
     CharacterIndex,
     DiagramSpec,
     GssPoly,
@@ -33,6 +34,7 @@ from plantedlab.lowdeg import (
     diagram_mc_oracle,
     enumerate_character_indices,
     hermite_eval,
+    product_table,
     random_gss_poly,
     random_psp_symmetric_poly,
     random_rlc_poly,
@@ -598,6 +600,60 @@ def test_row_sums_of_a_c_ordered_block_are_the_1d_pairwise_sums(P):
     assert _hex(prods.sum(axis=1)) == rows
     if P >= 8:
         assert _hex(gathered.sum(axis=1)) != rows
+
+
+# every library shape, and hand-made ones: three disjoint edges, a triangle, a star on a pinned
+# vertex, a repeated edge, and the empty shape
+_TABLE_SHAPES = [shape for shapes in PSP_SHAPE_LIBRARY.values() for shape in shapes] + [
+    ((3, 4), (5, 6), (7, 8)),
+    ((3, 4), (4, 5), (5, 3)),
+    ((1, 3), (1, 4), (1, 5)),
+    ((3, 4), (4, 3), (5, 6)),
+    (),
+]
+
+
+@pytest.mark.parametrize("shape", _TABLE_SHAPES, ids=repr)
+def test_product_table_expands_to_the_placement_products(shape):
+    rng = np.random.default_rng(len(shape))
+    for n in range(3, 12):
+        maps = placements(shape, n)
+        factors, expand = product_table(shape, n)
+        assert not factors.flags.writeable and (expand is None or not expand.flags.writeable)
+        # placement p multiplies the factors of its product up to a swap of the first two, the
+        # only reordering that cannot change the last bit, so placements that share a product
+        # have equal products
+        rows = factors.T[np.arange(len(maps)) if expand is None else expand]
+        swapped = rows.copy()
+        swapped[:, :2] = rows[:, 1::-1]
+        assert ((rows == maps).all(axis=1) | (swapped == maps).all(axis=1)).all()
+        # and no product is computed twice where the table expands
+        if expand is not None:
+            canonical = factors.T.copy()
+            canonical[:, :2].sort(axis=1)
+            assert len(np.unique(canonical, axis=0)) == factors.shape[1] < len(maps)
+        # the expanded products, in edge order, are the per-placement products hex for hex
+        centered = rng.standard_normal((5, n * (n - 1) // 2)) * 10.0 ** rng.integers(-6, 7, size=(5, n * (n - 1) // 2))
+        want = np.ones((5, len(maps)))
+        for col in maps.T:
+            want = want * centered[:, col]
+        got = np.ones((5, factors.shape[1]))
+        for col in factors:
+            got = got * centered[:, col]
+        got = got if expand is None else got[:, expand]
+        assert _hex(got.ravel()) == _hex(want.ravel())
+
+
+def test_product_table_shares_the_symmetric_placements_at_the_benchmark_size():
+    # n = 10: eight free vertices; a shape's products are its placements over the swaps it allows
+    sizes = {shape: product_table(shape, 10)[0].shape[1] for shape in _TABLE_SHAPES}
+    assert sizes[((3, 4), (5, 6))] == 1680 // 8  # each edge reversed, the two edges swapped
+    assert sizes[((3, 4), (5, 6), (7, 8))] == 20160 // 16  # the third edge is not swapped
+    assert sizes[((3, 4), (4, 5), (5, 3))] == 336 // 2  # the triangle's first two edges swapped
+    # two edges with half as many products as placements: the gather back costs what sharing saves
+    assert sizes[((3, 4), (4, 5))] == 336 and product_table(((3, 4), (4, 5)), 10)[1] is None
+    assert sizes[((1, 3), (1, 4))] == 56
+    assert sizes[((1, 3), (3, 4))] == 56 and sizes[((3, 4),)] == 56  # no swap, and a one-factor product
 
 
 def test_psp_constant_shape_is_the_constant_term():

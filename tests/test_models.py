@@ -416,6 +416,8 @@ SAMPLER_PARAMS = [
     PspParams(n=7, L=3, q=0.35),
     PspParams(n=6, L=5, q=1.0),
     PspParams(n=9, L=2, q=0.0),
+    PspParams(n=10, L=3, q=0.3),  # the lowdeg benchmark cell
+    PspParams(n=40, L=4, q=0.1),  # 38 candidates: the in-place shuffle rejects bounded draws often
     RlcParams(m=1, n=1),
     RlcParams(m=5, n=3),
     RlcParams(m=7, n=7),

@@ -27,7 +27,16 @@ from plantedlab.models import (
     sample_instance,
 )
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, instance_runs, noise_instance_observation
-from plantedlab.rng import derive_seed, derive_seeds, generator, keyed_generator, philox_keys, rekey, trial_keys
+from plantedlab.rng import (
+    derive_seed,
+    derive_seeds,
+    generator,
+    keyed_fresh,
+    keyed_generator,
+    philox_keys,
+    rekey,
+    trial_keys,
+)
 
 seeds = st.one_of(st.just(0), st.integers(0, 2**64 - 1), st.integers(2**64, 2**130))
 # path words: 0 is one uint32 word; 2**32 and above take two
@@ -166,6 +175,41 @@ def test_rekeyed_generator_draws_the_seeded_stream(seed, rho):
         lambda g: g.choice(11, size=4, replace=False),
     ):
         assert np.array_equal(draw(rekey(gen, key)), draw(generator(seed)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4, unique=True))
+def test_keyed_fresh_runs_on_two_generators_interleave(seeds):
+    # each run keeps its own state dict and generator: calls in turn draw each seed's own stream
+    keys = philox_keys(seeds)
+    first, second = keyed_fresh(keyed_generator(), keys[:2]), keyed_fresh(keyed_generator(), keys[2:])
+    for fresh, i, seed in ((first, 0, seeds[0]), (second, 0, seeds[2]), (first, 1, seeds[1]), (second, 1, seeds[3]), (first, 0, seeds[0])):
+        assert np.array_equal(fresh(i).random(3), generator(seed).random(3))
+        assert fresh(i) is fresh(i)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2), odd=st.sampled_from([1, 3, 7]))
+def test_keyed_fresh_resets_a_pending_uint32_and_a_partly_used_buffer(seeds, odd):
+    # an odd count of uint32 draws leaves half a word pending, and random() then reads one more
+    # word: 2, 3 or 5 words leave part of Philox's four-word buffer unread; the re-keyed
+    # generator draws what Philox(key=k) draws
+    keys = philox_keys(seeds)
+    fresh = keyed_fresh(keyed_generator(), keys)
+    for i in (0, 1, 0):
+        gen = fresh(i)
+        gen.integers(0, 2**32, size=odd, dtype=np.uint32)
+        gen.random()
+        state = gen.bit_generator.state
+        assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+        gen = fresh(1 - i)
+        want = np.random.Generator(np.random.Philox(key=keys[1 - i]))
+        got_state, want_state = gen.bit_generator.state, want.bit_generator.state
+        for field in ("counter", "key"):
+            assert np.array_equal(got_state["state"][field], want_state["state"][field])
+        assert [got_state[f] for f in ("buffer_pos", "has_uint32")] == [want_state[f] for f in ("buffer_pos", "has_uint32")]
+        assert np.array_equal(gen.integers(0, 2**32, size=3, dtype=np.uint32), want.integers(0, 2**32, size=3, dtype=np.uint32))
+        assert np.array_equal(gen.random(5), want.random(5))
 
 
 @pytest.mark.parametrize("params", MODEL_PARAMS, ids=lambda p: type(p).__name__)

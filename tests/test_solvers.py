@@ -1,11 +1,13 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plantedlab import solvers
 from plantedlab.errors import DegenerateInputError, ParameterError
 from plantedlab.models import GssParams, PspParams, sample_instance
 from plantedlab.rng import derive_seed, generator
@@ -242,6 +244,38 @@ def test_gram_det_equals_the_gram_matrix_bareiss(rows, repeat):
     if repeat:
         rows = rows + [list(rows[0])]
     assert _gram_det(rows) == gram_det_loop(rows)
+
+
+@given(
+    rows=st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-(2**60), 2**60) | st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    lower=st.booleans(),
+    zero=st.one_of(st.none(), st.integers(0, 6)),
+    across=st.integers(1, 2**40),
+)
+@settings(max_examples=300, deadline=None)
+def test_gram_det_of_triangular_bases(rows, lower, zero, across):
+    # square triangular bases take the diagonal product, with no elimination; a zero on the
+    # diagonal makes a dependent basis
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if (j > i) if lower else (j < i):
+                row[j] = 0
+    if zero is not None:
+        rows[zero % n][zero % n] = 0
+    with mock.patch.object(solvers, "_bareiss_det", side_effect=AssertionError("eliminated a triangular basis")):
+        assert _gram_det(rows) == gram_det_loop(rows)
+        assert _gram_det(rows) == math.prod(row[i] for i, row in enumerate(rows)) ** 2
+    # one entry just across the diagonal: no longer triangular
+    if n > 1:
+        rows[0 if lower else 1][1 if lower else 0] = across
+        assert _gram_det(rows) == gram_det_loop(rows)
 
 
 def test_gram_det_of_subset_sum_bases():
