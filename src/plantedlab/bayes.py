@@ -26,6 +26,7 @@ from .models import (
     batch_rows,
     batch_size,
     check_bits,
+    chunk_sampler,
     check_finite,
     check_stack,
     model_name,
@@ -37,8 +38,8 @@ from .models import (
     vertex_pairs,
 )
 from .noise import EVAL_CHUNK_BYTES, CoupledTrials, check_rho, check_trials
-from .rng import INSTANCE_STREAM, derive_seed
-from .solvers import f2_rank
+from .rng import INSTANCE_STREAM, derive_seed, keyed_fresh, keyed_generator, philox_keys
+from .solvers import f2_rank, f2_ranks, pack_words
 
 RLC_ENUM_BUDGET = 2**24
 
@@ -114,14 +115,6 @@ def _psp_posteriors(params: PspParams, observations, rho: float) -> np.ndarray:
 # RLC
 
 
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """0/1 vectors along the last axis packed into ceil(len/64) uint64 words."""
-    packed = np.packbits(bits, axis=-1)
-    words = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
-    words[..., :packed.shape[-1]] = packed
-    return words.view(np.uint64)
-
-
 def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer count[t, h] and ones[t, h, i] over all messages x, for a stack of trials t.
 
@@ -132,9 +125,9 @@ def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     T, m, n = A.shape
     low = min(n, 16)
-    cols = _pack_words(A.transpose(0, 2, 1))  # cols[t, j] is column j of A_t
+    cols = pack_words(A.transpose(0, 2, 1))  # cols[t, j] is column j of A_t
     table = np.empty((T, 1 << low, cols.shape[2]), dtype=np.uint64)
-    table[:, 0] = _pack_words(y_hat)
+    table[:, 0] = pack_words(y_hat)
     high = np.zeros((T, 1 << (n - low), cols.shape[2]), dtype=np.uint64)
     for j in range(n):
         codes, at = (table, j) if j < low else (high, j - low)
@@ -171,7 +164,7 @@ def _rlc_posteriors(params: RlcParams, observations, rho: float) -> np.ndarray:
         raise ResourceBudgetError(f"2^{n} messages exceed budget {RLC_ENUM_BUDGET}")
     check_bits("A", A)
     check_bits("y_hat", y_hat)
-    y_hat = y_hat.astype(np.uint8)
+    A, y_hat = A.astype(np.uint8), y_hat.astype(np.uint8)
     counts, ones = (profile.astype(float) for profile in _rlc_profiles(A, y_hat))
     if rho == 0.0:
         if not counts[:, 0].all():
@@ -321,12 +314,28 @@ class MmseReport:
     nmmse_hat: float
 
 
-def _sample_full_rank_rlc(params: RlcParams, seed: int, t: int):
-    for attempt in range(256):
+def _sample_full_rank_rlc(params: RlcParams, seed: int, t: int, first: int = 0):
+    """Trial t's first full-column-rank draw among attempts first, first + 1, ..., 255."""
+    for attempt in range(first, 256):
         inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t, attempt))
         if f2_rank(inst.A) == params.n:
             return inst
     raise ParameterError("could not sample a full-column-rank matrix in 256 attempts")
+
+
+def full_rank_run(params: RlcParams, seed: int, ts: range):
+    """The run record of trials ts, each _sample_full_rank_rlc(params, seed, t).
+
+    Attempt 0 of every trial, at its scalar seed derive_seed(seed,
+    INSTANCE_STREAM, t, 0), is drawn as one keyed run and ranked in one
+    batch; only the trials it rejects go on to attempts 1, 2, ...
+    """
+    keys = philox_keys([derive_seed(seed, INSTANCE_STREAM, t, 0) for t in ts])
+    run = chunk_sampler(params)(len(ts), keyed_fresh(keyed_generator(), keys))
+    for i in np.flatnonzero(f2_ranks(run.A) < params.n).tolist():
+        inst = _sample_full_rank_rlc(params, seed, ts[i], 1)
+        run.A[i], run.x[i], run.y[i] = inst.A, inst.x, inst.y
+    return run
 
 
 def estimate_mmse_curve(
@@ -347,8 +356,8 @@ def estimate_mmse_curve(
     if full_rank_only and name != "rlc":
         raise ParameterError("full_rank_only applies to the linear-code model only")
     check_trials(trials)  # also when the grid is empty
-    # trial t's full-rank instance is the same at every grid point, so it is drawn once
-    draw = lru_cache(maxsize=None)(_sample_full_rank_rlc) if full_rank_only else None
+    # a run's full-rank instances are the same at every grid point, so each run is drawn once
+    draw = lru_cache(maxsize=None)(full_rank_run) if full_rank_only else None
     norm = signal_norm(params)
     out = []
     for j, rho in enumerate(rho_grid):

@@ -30,7 +30,7 @@ from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_j
 from .noise import instance_runs, trial_runs
 from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, generator, keyed_runs, trial_keys
 from .solvers import LllConfig
-from .stability import SOLVERS, check_estimator, measure_stabilities, solver_recovers, stability_outcomes, verify_barrier
+from .stability import SOLVERS, check_estimator, measure_stabilities, solver_recoveries, stability_outcomes, verify_barrier
 
 CSV_HEADER = ["model", "params_json", "rho", "trials", "metric", "value", "stderr"]
 # config field -> its JSON type (models.check_json_types); model, params and output may also be null
@@ -248,7 +248,7 @@ def _cmd_barrier(config: ExperimentConfig, opts: dict):
 def _cmd_solve(config: ExperimentConfig, opts: dict):
     params = config.model_params()
     cfg = LllConfig(bits=opts["bits"])
-    hits = sum(solver_recovers(inst, cfg) for run in instance_runs(params, config.seed, config.trials) for inst in run)
+    hits = sum(int(solver_recoveries(run, cfg).sum()) for run in instance_runs(params, config.seed, config.trials))
     rate = hits / config.trials
     se = math.sqrt(rate * (1 - rate) / config.trials)
     rows = [Row(config.model, _params_blob(params), "", config.trials, "exact_recovery_rate", rate, se)]

@@ -65,13 +65,6 @@ def vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-def path_indicator(path: Sequence[int], n: int) -> np.ndarray:
-    """Edge-indicator vector of a vertex sequence over the canonical pairs of [n]."""
-    vec = np.zeros(len(vertex_pairs(n)))
-    vec[pair_ids(n)[path[:-1], path[1:]]] = 1.0
-    return vec
-
-
 @lru_cache(maxsize=None)
 def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) index arrays of vertex_pairs(n), read-only."""

@@ -135,7 +135,8 @@ class CoupledTrials:
     """Trials 0..n-1 of a coupled experiment: trial t is (instance, its observation after T_rho).
 
     The instance is sample_instance at seed path (seed, INSTANCE_STREAM, t),
-    or draw(params, seed, t) when given.  The noise seed path is
+    or, when draw is given, trial t's instance in the run record draw(params,
+    seed, ts) of a range of trials ts holding t.  The noise seed path is
     (seed, NOISE_STREAM, t), or (seed, NOISE_STREAM, grid_point, t) for a
     point of a noise grid, so the same draw replays against any estimator.
 
@@ -164,7 +165,7 @@ class CoupledTrials:
         if self._draw is None:
             run = self._sample(len(ts), keyed_fresh(self._rng, self._instance_keys[ts.start : ts.stop]))
         else:
-            run = run_of([self._draw(self._params, self._seed, t) for t in ts])
+            run = self._draw(self._params, self._seed, ts)
         return run, self._noise(run, keyed_fresh(self._rng, self._noise_keys[ts.start : ts.stop]))
 
     def __getitem__(self, t: int):

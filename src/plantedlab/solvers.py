@@ -1,9 +1,10 @@
 """Polynomial-time recovery routines: shortest path, GF(2) solve, LLL subset sum.
 
-GF(2) rows are packed into Python ints (bit j = column j).  LLL runs entirely
-in exact integer arithmetic: the Gram-Schmidt state is kept as the classical
-integral (lambda, d) tables, so size-reduction and the Lovasz condition are
-checked without floating point.
+The shortest path and the GF(2) elimination run a batch of instances in one
+vectorised pass, and their one-instance forms are batches of one.  LLL runs
+one instance at a time, entirely in exact integer arithmetic: the
+Gram-Schmidt state is kept as the classical integral (lambda, d) tables, so
+size-reduction and the Lovasz condition are checked without floating point.
 """
 
 from __future__ import annotations
@@ -11,79 +12,141 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .models import SUBSET_BUDGET, check_bits, check_finite, check_shape, subset_sum_value, subset_sums, subsets, vertex_pairs
+from .models import SUBSET_BUDGET, check_bits, check_finite, check_shape, check_stack, pair_ids, subset_sum_value
+from .models import subset_sums, subsets, vertex_pairs
+from .noise import trial_runs
 
 
 # ---------------------------------------------------------------------------
 # shortest path
 
 
+def _bfs_paths(edges: np.ndarray, n: int) -> np.ndarray:
+    """shortest_paths of a block of bool edge vectors, one breadth-first level at a time for every graph."""
+    count = len(edges)
+    padded = np.zeros((count, edges.shape[1] + 1), dtype=bool)
+    padded[:, :-1] = edges
+    adj = padded[:, pair_ids(n)]  # a -1 of pair_ids, no vertex pair, reads the False pad
+    dist = np.full((count, n + 1), -1)
+    dist[:, 2] = 0
+    frontier = dist == 0
+    for level in range(1, n):  # breadth first from vertex 2
+        frontier = (adj & frontier[:, :, None]).any(axis=1) & (dist < 0)
+        if not frontier.any():
+            break
+        dist[frontier] = level
+    paths = np.zeros((count, n), dtype=np.intp)
+    hops = dist[:, 1]
+    paths[hops >= 0, 0] = 1
+    for step in range(1, hops.max() + 1):  # the smallest neighbour one step closer to vertex 2
+        live = np.flatnonzero(hops >= step)
+        closer = adj[live, paths[live, step - 1]] & (dist[live] == (hops[live] - step)[:, None])
+        paths[live, step] = closer.argmax(axis=1)
+    return paths
+
+
+def shortest_paths(edges, n: int) -> np.ndarray:
+    """shortest_path of each graph of a batch, as a (T, n) array of vertex rows.
+
+    edges is a stack (T, n(n-1)/2) or a list of edge vectors.  Row t holds
+    graph t's path from vertex 1 to vertex 2 followed by zeros, or only zeros
+    when vertex 2 is unreachable.  The adjacency matrices are built for runs
+    of graphs that fit EVAL_CHUNK_BYTES (noise.trial_runs).
+    """
+    if n < 2:
+        raise ParameterError(f"need n >= 2 for the vertices 1 and 2, got n={n}")
+    edges = check_stack("edges", edges, (len(vertex_pairs(n)),))
+    check_bits("edges", edges)
+    paths = np.zeros((len(edges), n), dtype=np.intp)
+    for run in trial_runs(len(edges), (n + 1) ** 2):
+        paths[run.start : run.stop] = _bfs_paths(edges[run.start : run.stop].astype(bool), n)
+    return paths
+
+
 def shortest_path(edges: np.ndarray, n: int) -> Optional[tuple[int, ...]]:
     """Minimum-edge path from vertex 1 to vertex 2, lexicographically smallest.
 
     edges is the graph's 0/1 edge vector over vertex_pairs(n); vertices are
-    1-indexed.  Returns None when vertex 2 is unreachable.
+    1-indexed.  Returns None when vertex 2 is unreachable.  The batch of one
+    of shortest_paths.
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2 for the vertices 1 and 2, got n={n}")
-    edges = np.asarray(edges)
-    pairs = vertex_pairs(n)
-    check_shape("edges", edges, (len(pairs),))
-    check_bits("edges", edges)
-    neighbours: list[list[int]] = [[] for _ in range(n + 1)]  # ascending: the pairs run in lexicographic order
-    for i, j in (pairs[e] for e in np.flatnonzero(edges).tolist()):
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    dist, queue = {2: 0}, [2]
-    for u in queue:  # breadth first from vertex 2: the loop reaches what it appends
-        for v in neighbours[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    if 1 not in dist:
-        return None
-    path = [1]
-    while path[-1] != 2:  # the smallest neighbour one step closer to vertex 2
-        path.append(next(v for v in neighbours[path[-1]] if dist.get(v) == dist[path[-1]] - 1))
-    return tuple(path)
+    (path,) = shortest_paths(np.asarray(edges)[None], n)
+    return tuple(path[path > 0].tolist()) if path[0] else None
 
 
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra
 
 
-def _pack_rows(A: np.ndarray) -> list[int]:
-    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(A, axis=1, bitorder="little")]
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """0/1 vectors along the last axis packed into ceil(len/64) uint64 words; bit j of word w is entry 64 w + j."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    words = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view("<u8")
 
 
-def _f2_eliminate(rows: list[int], n_cols: int) -> list[int]:
-    """Gauss-Jordan elimination of packed rows, in place, over columns 0..n_cols-1.
-
-    Returns the pivot columns; pivot r ends up alone in its column, in row r.
-    Bits at n_cols and above ride along (an augmented right-hand side).
-    """
-    pivot_cols: list[int] = []
-    for col in range(n_cols):
-        rank = len(pivot_cols)
-        pivot = next((r for r in range(rank, len(rows)) if (rows[r] >> col) & 1), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and (rows[r] >> col) & 1:
-                rows[r] ^= rows[rank]
-        pivot_cols.append(col)
-    return pivot_cols
-
-
-def f2_rank(A: np.ndarray) -> int:
+def _f2_matrices(A, ndim: int) -> np.ndarray:
+    """A as uint8, ParameterError unless it has ndim axes (a matrix, or a stack of them) of 0/1 entries."""
+    A = np.asarray(A)
+    if A.ndim != ndim:
+        raise ParameterError(f"A has shape {A.shape}, expected a {'matrix (m, n)' if ndim == 2 else 'stack (T, m, n)'}")
     check_bits("A", A)
-    return len(_f2_eliminate(_pack_rows(A), A.shape[1]))
+    return A.astype(np.uint8)
+
+
+class F2Rref(NamedTuple):
+    rows: np.ndarray  # (T, m, n) uint8: each matrix's reduced row echelon form
+    rhs: np.ndarray  # (T, m) uint8: y through the same row operations
+    pivots: np.ndarray  # (T, n) bool: the pivot columns; pivot r is alone in its column, in row r
+    rank: np.ndarray  # (T,) intp
+
+
+def f2_rref(A, y=None) -> F2Rref:
+    """Gauss-Jordan elimination over GF(2) of each matrix of a stack (T, m, n), with a right-hand side y (T, m).
+
+    y is zero by default.  Each row of [A | y] is packed into uint64 words
+    (pack_words), and every matrix is eliminated at once, one column at a
+    time.  The reduced row echelon form of a matrix is unique, so each
+    matrix's result is that of eliminating it alone.
+    """
+    A = _f2_matrices(A, 3)
+    T, m, n = A.shape
+    y = np.zeros((T, m), dtype=np.uint8) if y is None else np.asarray(y)
+    check_shape("y", y, (T, m))
+    check_bits("y", y)
+    words = pack_words(np.concatenate([A, y[:, :, None].astype(np.uint8)], axis=2))
+    trials, row_ids = np.arange(T), np.arange(m)
+    pivots = np.zeros((T, n), dtype=bool)
+    rank = np.zeros(T, dtype=np.intp)
+    for col in range(n if m else 0):
+        bit = (words[:, :, col >> 6] >> np.uint64(col & 63)) & np.uint64(1) == 1
+        candidates = bit & (row_ids >= rank[:, None])
+        found = candidates.any(axis=1)
+        top = np.minimum(rank, m - 1)  # a trial without a pivot swaps row top with itself
+        pivot = np.where(found, candidates.argmax(axis=1), top)
+        words[trials, top], words[trials, pivot] = words[trials, pivot], words[trials, top]
+        bit[trials, pivot], bit[trials, top] = bit[trials, top], False
+        words ^= np.where((bit & found[:, None])[:, :, None], words[trials, top][:, None, :], np.uint64(0))
+        pivots[:, col] = found
+        rank += found
+    out = np.unpackbits(words.view(np.uint8), axis=2, count=n + 1, bitorder="little")
+    return F2Rref(out[:, :, :n], out[:, :, n], pivots, rank)
+
+
+def f2_ranks(A) -> np.ndarray:
+    """GF(2) rank of each matrix of a stack (T, m, n)."""
+    return f2_rref(A).rank
+
+
+def f2_rank(A) -> int:
+    """GF(2) rank of a matrix (m, n): f2_ranks of the batch of one."""
+    return int(f2_ranks(_f2_matrices(A, 2)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -94,36 +157,21 @@ class F2Solution:
     rank: int
 
 
-def f2_solve(A: np.ndarray, y: np.ndarray) -> F2Solution:
-    """Exact solution classification of A x = y over GF(2)."""
-    A = np.asarray(A)
-    y = np.asarray(y)
-    if A.ndim != 2:
-        raise ParameterError(f"A has shape {A.shape}, expected a matrix (m, n)")
+def f2_solve(A, y) -> F2Solution:
+    """Exact solution classification of A x = y over GF(2): f2_rref of the batch of one."""
+    A, y = _f2_matrices(A, 2), np.asarray(y)
     m, n = A.shape
     check_shape("y", y, (m,))
-    check_bits("A", A)
-    check_bits("y", y)
-    rows = [row | (int(y[i]) << n) for i, row in enumerate(_pack_rows(A))]
-    pivot_cols = _f2_eliminate(rows, n)
-    rank = len(pivot_cols)
-    var_mask = (1 << n) - 1
-    for r in range(rank, m):
-        if rows[r] & var_mask == 0 and (rows[r] >> n) & 1:
-            return F2Solution(kind="inconsistent", particular=None, nullspace_basis=[], rank=rank)
+    rows, rhs, pivots, rank = (field[0] for field in f2_rref(A[None], y[None]))
+    if rhs[rank:].any():  # a zero row of the reduced A with a 1 on the right
+        return F2Solution(kind="inconsistent", particular=None, nullspace_basis=[], rank=int(rank))
     particular = np.zeros(n, dtype=np.uint8)
-    for r, col in enumerate(pivot_cols):
-        particular[col] = (rows[r] >> n) & 1
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        vec = np.zeros(n, dtype=np.uint8)
-        vec[f] = 1
-        for r, col in enumerate(pivot_cols):
-            vec[col] = (rows[r] >> f) & 1
-        basis.append(vec)
-    kind = "unique" if not free_cols else "affine"
-    return F2Solution(kind=kind, particular=particular, nullspace_basis=basis, rank=rank)
+    particular[pivots] = rhs[:rank]
+    # free column f's basis vector: 1 at f, and pivot r's coordinate row r's entry at f
+    basis = np.zeros((n - rank, n), dtype=np.uint8)
+    basis[:, ~pivots] = np.eye(n - rank, dtype=np.uint8)
+    basis[:, pivots] = rows[:rank, ~pivots].T
+    return F2Solution("unique" if rank == n else "affine", particular, list(basis), int(rank))
 
 
 # ---------------------------------------------------------------------------

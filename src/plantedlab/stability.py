@@ -20,9 +20,9 @@ import numpy as np
 from .bayes import MmseReport, posterior_means
 from .errors import EstimatorTrialError, IllConditionedError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
-from .models import PspParams, batch_rows, batch_size, model_name, pair_ids, path_indicator, vertex_pairs
+from .models import PspParams, batch_fields, batch_rows, batch_size, check_stack, model_name, pair_ids, run_of, vertex_pairs
 from .noise import CoupledTrials
-from .solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
+from .solvers import LllConfig, f2_rref, lll_subset_sum, shortest_paths
 
 # a barrier cell holds when its margin is above -BARRIER_SIGMAS combined standard errors
 BARRIER_SIGMAS = 3.0
@@ -59,45 +59,47 @@ def prior_mean_vector(params) -> np.ndarray:
     return _PRIOR_MEANS[model_name(params)](params)
 
 
-def stack_rows(run: Callable, observations) -> np.ndarray:
-    """run(observation) for each observation of a batch (models.batch_rows), as one float row per observation."""
-    return np.array([run(batch_rows(observations, i)) for i in range(batch_size(observations))], dtype=float)
-
-
 class Solver(NamedTuple):
     model: str  # the one model the solver accepts
     what: str  # that model's description
-    solve: Callable  # (params, observation, LllConfig) -> the recovered signal vector, or None
-    fallback: Callable  # params -> the estimate when solve finds nothing
+    solve: Callable  # (params, batch of observations, LllConfig) -> (T x dim estimates, T found flags)
+    fallback: Callable  # params -> the estimate of a trial where solve finds nothing
 
 
-def _solve_psp(params, edges, cfg: LllConfig) -> Optional[np.ndarray]:
-    path = shortest_path(edges, params.n)
-    return None if path is None else path_indicator(path, params.n)
+def _solve_psp(params, observations, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
+    paths = shortest_paths(observations, params.n)
+    ids = pair_ids(params.n)[paths[:, :-1], paths[:, 1:]]
+    out = np.zeros((len(paths), len(vertex_pairs(params.n)) + 1))
+    out[np.arange(len(paths))[:, None], ids] = 1.0  # a step past vertex 2 has pair id -1, the spare last column
+    return out[:, :-1], paths[:, 0] == 1
 
 
-def _solve_rlc(params, observation, cfg: LllConfig) -> Optional[np.ndarray]:
+def _solve_rlc(params, observations, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
     # an affine solution set gives 0.5 on every free coordinate, so it never equals a 0/1 signal
-    sol = f2_solve(*observation)
-    if sol.kind == "inconsistent":
-        return None
-    out = sol.particular.astype(float)
-    for basis_vec in sol.nullspace_basis:
-        out[basis_vec.astype(bool)] = 0.5
-    return out
+    A, y = batch_fields(observations, 2)
+    reduced = f2_rref(check_stack("A", A, (params.m, params.n)), check_stack("y", y, (params.m,)))
+    lead = reduced.rank[:, None] > np.arange(params.m)  # the rows that hold a pivot
+    out = np.full((len(lead), params.n), 0.5)
+    # pivot r's coordinate is row r's right-hand side, unless row r reaches a free column
+    settled = lead & ~(reduced.rows & ~reduced.pivots[:, None, :]).any(axis=2)
+    t, r = np.nonzero(settled)
+    out[t, reduced.rows[t, r].argmax(axis=1)] = reduced.rhs[t, r]  # row r's first 1 is its pivot
+    return out, ~(reduced.rhs.astype(bool) & ~lead).any(axis=1)
 
 
-def _solve_gss(params, observation, cfg: LllConfig) -> Optional[np.ndarray]:
-    subset = lll_subset_sum(*observation, params.k, cfg)
-    if subset is None:
-        return None
-    out = np.zeros(params.N)
-    out[list(subset)] = 1.0
-    return out
+def _solve_gss(params, observations, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
+    # one exact LLL reduction per instance
+    out = np.zeros((batch_size(observations), params.N))
+    found = np.zeros(len(out), dtype=bool)
+    for i in range(len(out)):
+        subset = lll_subset_sum(*batch_rows(observations, i), params.k, cfg)
+        if subset is not None:
+            out[i, list(subset)], found[i] = 1.0, True
+    return out, found
 
 
 # solver estimator name -> the fast polynomial-time solver of its model; the
-# solve command recovers a trial when solve returns exactly its signal vector
+# solve command recovers a trial when solve finds it and returns exactly its signal vector
 SOLVERS = {
     # an unreachable target gives the all-zero vector
     "shortest_path_indicator": Solver("psp", "planted-path", _solve_psp, lambda p: np.zeros(len(vertex_pairs(p.n)))),
@@ -106,28 +108,40 @@ SOLVERS = {
 }
 
 
-def solver_recovers(inst, cfg: LllConfig = LllConfig()) -> bool:
-    """Whether the fast solver of the instance's model returns exactly its signal vector."""
-    solver = next((s for s in SOLVERS.values() if s.model == model_name(inst.params)), None)
+def solver_recoveries(run, cfg: LllConfig = LllConfig()) -> np.ndarray:
+    """Whether the fast solver of the run's model finds each trial and returns exactly its signal vector.
+
+    A trial the solver misses is not recovered, even where the fallback
+    estimate equals the signal.
+    """
+    solver = next((s for s in SOLVERS.values() if s.model == model_name(run.params)), None)
     if solver is None:
-        raise ParameterError(f"no fast solver for the {model_name(inst.params)} model")
-    found = solver.solve(inst.params, inst.observation, cfg)
-    return found is not None and np.array_equal(found, inst.signal_vector())
+        raise ParameterError(f"no fast solver for the {model_name(run.params)} model")
+    estimates, found = solver.solve(run.params, run.observation, cfg)
+    return found & (estimates == run.signal_vectors()).all(axis=1)
+
+
+def solver_recovers(inst, cfg: LllConfig = LllConfig()) -> bool:
+    """Whether the fast solver of the instance's model returns exactly its signal vector: solver_recoveries of one."""
+    return bool(solver_recoveries(run_of([inst]), cfg)[0])
 
 
 def _solver_estimator(solver: Solver, params, rho: float) -> Callable:
     cfg, fallback = LllConfig(), solver.fallback(params)
 
-    def run(observation) -> np.ndarray:
-        found = solver.solve(params, observation, cfg)
-        return fallback if found is None else found
+    def run(observations) -> np.ndarray:
+        if not batch_size(observations):
+            return np.zeros(0)
+        estimates, found = solver.solve(params, observations, cfg)
+        estimates[~found] = fallback
+        return estimates
 
-    return partial(stack_rows, run)
+    return run
 
 
 def _constant_prior_mean(params, rho: float) -> Callable:
     const = prior_mean_vector(params)
-    return partial(stack_rows, lambda observation: const)
+    return lambda observations: np.tile(const, (batch_size(observations), 1)) if batch_size(observations) else np.zeros(0)
 
 
 # name -> factory(params, rho) -> batch estimator: a batch of T observations in (a run's

@@ -4,14 +4,18 @@ The Monte-Carlo posterior oracles are written straight from the generative
 descriptions in plain numpy, on purpose sharing no code with the library's
 samplers/noise/posteriors.  The PSP pair loops check the library's indexed
 edge-vector conversions and its path and shape placements, the matrix BFS
-checks the shortest path's neighbour lists, the row-by-row
+and the neighbour-list BFS (shortest_path_lists) check the batched
+breadth-first search, the row-by-row
 subset scans and the per-path census weights check the cached enumerations
 in models, the double loop over path edge bitmasks checks the census's
 blocked pair count, and the (A, x, mask) loop checks the closed-form RLC character
 correlation.  The per-observation posterior enumerations (the RLC message
 profile 65,536 messages at a time, the TPCA np.ix_ block per support)
 check the batched posterior kernels, the per-bit row packing checks
-the GF(2) solvers' packing, and the Gram-matrix Bareiss determinant checks
+solvers.pack_words, the elimination of rows as Python ints
+(f2_eliminate_loop, f2_solve_loop) checks the batched GF(2) elimination,
+the per-trial full-rank RLC loop checks the run-level full-rank draw, and
+the Gram-matrix Bareiss determinant checks
 the LLL input determinant.  numpy's own SeedSequence, and its mixing loops
 as written (state_words_loop), check the folded batch seed derivation; the
 per-trial Generator-call samplers and noise operators check the run
@@ -57,7 +61,7 @@ from plantedlab.models import (
 )
 from plantedlab.noise import check_rho
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
-from plantedlab.solvers import LllConfig, f2_solve, lll_subset_sum, shortest_path
+from plantedlab.solvers import F2Solution, LllConfig, f2_solve, lll_subset_sum, shortest_path
 
 
 def psp_rejection_posterior(target_edges: np.ndarray, n: int, L: int, q: float, rho: float,
@@ -233,6 +237,27 @@ def shortest_path_loop(adjacency: np.ndarray) -> Optional[tuple[int, ...]]:
         step = dist[cur] - 1
         cur = min(v for v in range(1, n + 1) if adjacency[cur, v] and dist.get(v, -1) == step)
         path.append(cur)
+    return tuple(path)
+
+
+def shortest_path_lists(edges: np.ndarray, n: int) -> Optional[tuple[int, ...]]:
+    """shortest_path of one edge vector by a breadth-first search over neighbour lists."""
+    neighbours: list[list[int]] = [[] for _ in range(n + 1)]  # ascending: the pairs run in lexicographic order
+    pairs = vertex_pairs(n)
+    for i, j in (pairs[e] for e in np.flatnonzero(edges).tolist()):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    dist, queue = {2: 0}, [2]
+    for u in queue:  # breadth first from vertex 2: the loop reaches what it appends
+        for v in neighbours[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    if 1 not in dist:
+        return None
+    path = [1]
+    while path[-1] != 2:  # the smallest neighbour one step closer to vertex 2
+        path.append(next(v for v in neighbours[path[-1]] if dist.get(v) == dist[path[-1]] - 1))
     return tuple(path)
 
 
@@ -464,6 +489,51 @@ def f2_rank_loop(A: np.ndarray) -> int:
         if r:
             basis.append(r)
     return len(basis)
+
+
+def f2_eliminate_loop(rows: list[int], n_cols: int) -> list[int]:
+    """Gauss-Jordan elimination of packed rows, in place, over columns 0..n_cols-1.
+
+    Returns the pivot columns; pivot r ends up alone in its column, in row r.
+    Bits at n_cols and above ride along (an augmented right-hand side).
+    """
+    pivot_cols: list[int] = []
+    for col in range(n_cols):
+        rank = len(pivot_cols)
+        pivot = next((r for r in range(rank, len(rows)) if (rows[r] >> col) & 1), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and (rows[r] >> col) & 1:
+                rows[r] ^= rows[rank]
+        pivot_cols.append(col)
+    return pivot_cols
+
+
+def f2_solve_loop(A: np.ndarray, y: np.ndarray) -> F2Solution:
+    """f2_solve by elimination of the rows of [A | y] as Python ints, one matrix at a time."""
+    m, n = A.shape
+    rows = [row | (int(y[i]) << n) for i, row in enumerate(pack_rows_loop(A))]
+    pivot_cols = f2_eliminate_loop(rows, n)
+    rank = len(pivot_cols)
+    var_mask = (1 << n) - 1
+    for r in range(rank, m):
+        if rows[r] & var_mask == 0 and (rows[r] >> n) & 1:
+            return F2Solution(kind="inconsistent", particular=None, nullspace_basis=[], rank=rank)
+    particular = np.zeros(n, dtype=np.uint8)
+    for r, col in enumerate(pivot_cols):
+        particular[col] = (rows[r] >> n) & 1
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    basis = []
+    for f in free_cols:
+        vec = np.zeros(n, dtype=np.uint8)
+        vec[f] = 1
+        for r, col in enumerate(pivot_cols):
+            vec[col] = (rows[r] >> f) & 1
+        basis.append(vec)
+    kind = "unique" if not free_cols else "affine"
+    return F2Solution(kind=kind, particular=particular, nullspace_basis=basis, rank=rank)
 
 
 def gram_det_loop(rows: list[list[int]]) -> int:

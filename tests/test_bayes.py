@@ -148,6 +148,18 @@ def test_rlc_marginal_ratio_complement():
     assert np.all((1 - pm) >= 0) and np.all(pm >= 0)
 
 
+def test_rlc_posterior_takes_float_and_listed_bits():
+    # a float 0/1 A passed check_bits, then raised a bare TypeError from np.packbits
+    inst = sample_instance(RlcParams(m=8, n=5), seed=2)
+    yh = noise_instance_observation(inst, 0.4, 3)[1]
+    want = posterior_means(inst.params, (inst.A[None], yh[None]), 0.4)
+    got_float = posterior_means(inst.params, (inst.A[None].astype(float), yh[None].astype(float)), 0.4)
+    got_list = posterior_means(inst.params, [(inst.A.tolist(), yh.tolist())], 0.4)
+    assert want.tolist() == got_float.tolist() == got_list.tolist()
+    with pytest.raises(ParameterError, match="A has shape \\(40,\\), expected \\(8, 5\\)"):
+        posterior_means(inst.params, [(inst.A.ravel(), yh)], 0.4)
+
+
 def test_rlc_budget_error():
     A = np.zeros((30, 30), dtype=np.uint8)
     with pytest.raises(ResourceBudgetError):
@@ -346,10 +358,14 @@ def test_full_rank_instances_are_drawn_once_per_curve(monkeypatch):
     # trial t's full-rank instance does not depend on the grid point: a 5-point grid
     # draws trials plus rejections instances, as one pass over the trials does
     params, trials, draws = RlcParams(m=5, n=5), 12, []
-    real = bayes.sample_instance
-    monkeypatch.setattr(bayes, "sample_instance", lambda p, seed: draws.append(seed) or real(p, seed))
-    for t in range(trials):
-        bayes._sample_full_rank_rlc(params, 3, t)
+    real_run, real_sample = bayes.chunk_sampler(params), bayes.sample_instance
+
+    def run_sampler(p):
+        return lambda count, fresh: draws.extend(["attempt 0"] * count) or real_run(count, fresh)
+
+    monkeypatch.setattr(bayes, "chunk_sampler", run_sampler)
+    monkeypatch.setattr(bayes, "sample_instance", lambda p, seed: draws.append(seed) or real_sample(p, seed))
+    bayes.full_rank_run(params, 3, range(trials))
     one_pass, draws[:] = list(draws), []
     estimate_mmse_curve(params, [0.0, 0.25, 0.5, 0.75, 1.0], trials, seed=3, full_rank_only=True)
     assert draws == one_pass and len(one_pass) > trials

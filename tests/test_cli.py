@@ -264,11 +264,11 @@ def test_solve_and_pca_window_instances_across_a_run_boundary(tmp_path, monkeypa
     trials = EVAL_CHUNK + 2
     seen = []
 
-    def recovers(inst, cfg):
-        seen.append(inst)
-        return True
+    def recoveries(run, cfg):
+        seen.extend(run)
+        return np.ones(len(run), dtype=bool)
 
-    monkeypatch.setattr("plantedlab.cli.solver_recovers", recovers)
+    monkeypatch.setattr("plantedlab.cli.solver_recoveries", recoveries)
     params = PspParams(n=7, L=3, q=0.3)
     argv = ["solve", "--model", "psp", "--params", '{"n":7,"L":3,"q":0.3}', "--trials", str(trials), "--seed", "4"]
     assert main([*argv, "--out", str(tmp_path / "solve")]) == 0

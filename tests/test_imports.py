@@ -103,7 +103,7 @@ def test_posterior_kernels_are_reached_only_through_the_table():
 
 
 # the fast solvers; src and demos reach them only through stability.SOLVERS, whose wrappers call them
-SOLVER_CALLS = {"shortest_path", "f2_solve", "lll_subset_sum"}
+SOLVER_CALLS = {"shortest_path", "shortest_paths", "f2_solve", "f2_rref", "lll_subset_sum"}
 SOLVER_WRAPPERS = {"_solve_psp", "_solve_rlc", "_solve_gss"}
 
 

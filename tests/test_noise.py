@@ -15,8 +15,9 @@ from plantedlab.models import (
     run_of,
     sample_instance,
 )
-from oracles import coupled_trial_scalar, hex_fields, noise_scalar, ou_compose, stack_observations
-from plantedlab.bayes import _sample_full_rank_rlc
+from oracles import coupled_trial_scalar, f2_rank_loop, full_rank_rlc_loop, hex_fields, noise_scalar, ou_compose, stack_observations
+from plantedlab import bayes
+from plantedlab.bayes import _sample_full_rank_rlc, full_rank_run
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, noise_instance_observation
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, derive_seeds, keyed_generator, philox_keys, rekey
 
@@ -259,11 +260,34 @@ def test_coupled_runs_equal_the_generator_call_oracles(params, seed, rho, grid_p
        seed=st.integers(0, 2**32), rho=rhos, grid_point=st.integers(0, 6), trials=st.integers(1, 12))
 def test_full_rank_draws_take_the_run_noise(params, seed, rho, grid_point, trials):
     # draw= instances keep their scalar (seed, 0, t, attempt) seeds; their noise is the run's
-    batch = CoupledTrials(params, rho, seed, trials, grid_point=grid_point, draw=_sample_full_rank_rlc)
+    batch = CoupledTrials(params, rho, seed, trials, grid_point=grid_point, draw=full_rank_run)
     got = batch.map(_pairs)
     for t in range(trials):
         want = coupled_trial_scalar(params, rho, seed, t, grid_point=grid_point, full_rank_only=True)
         assert hex_fields(got[t]) == hex_fields(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.sampled_from([RlcParams(m=4, n=4), RlcParams(m=3, n=3), RlcParams(m=9, n=5)]),
+       seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**32), trials=st.integers(1, 30))
+def test_full_rank_run_equals_the_per_trial_draws(params, seed, start, trials):
+    # at m = n = 4 about 70% of first attempts are rejected and redrawn
+    ts = range(start, start + trials)
+    run = full_rank_run(params, seed, ts)
+    want = [_sample_full_rank_rlc(params, seed, t) for t in ts]
+    assert hex_fields(run) == hex_fields(run_of(want))
+    assert hex_fields(run) == hex_fields(run_of([full_rank_rlc_loop(params, seed, t) for t in ts]))
+
+
+def test_full_rank_run_redraws_only_rejected_trials(monkeypatch):
+    params, redrawn = RlcParams(m=4, n=4), []
+    real = bayes._sample_full_rank_rlc
+    monkeypatch.setattr(bayes, "_sample_full_rank_rlc", lambda p, s, t, first: redrawn.append((t, first)) or real(p, s, t, first))
+    run = full_rank_run(params, 5, range(40))
+    first = [sample_instance(params, derive_seed(5, INSTANCE_STREAM, t, 0)) for t in range(40)]
+    rejected = [t for t, inst in enumerate(first) if f2_rank_loop(inst.A) < 4]
+    assert redrawn == [(t, 1) for t in rejected] and 20 <= len(rejected) < 40
+    assert all(f2_rank_loop(A) == 4 for A in run.A)
 
 
 def test_coupled_runs_cross_run_boundaries():

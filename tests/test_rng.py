@@ -233,13 +233,13 @@ def test_coupled_trials_custom_draw_keeps_noise_seeds():
     params = RlcParams(m=6, n=3)
     calls = []
 
-    def draw(p, seed, t):
-        calls.append(t)
-        return sample_instance(p, derive_seed(seed, 9, t))
+    def draw(p, seed, ts):
+        calls.append(ts)
+        return run_of([sample_instance(p, derive_seed(seed, 9, t)) for t in ts])
 
     batch = CoupledTrials(params, 0.5, 4, 3, grid_point=1, draw=draw)
     inst, noisy = batch[2]
-    assert calls == [2]
+    assert calls == [range(2, 3)]
     assert instance_to_json(inst) == instance_to_json(sample_instance(params, derive_seed(4, 9, 2)))
     assert _same(noisy, noise_instance_observation(inst, 0.5, derive_seed(4, 1, 1, 2)))
 

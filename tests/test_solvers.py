@@ -9,30 +9,36 @@ from hypothesis import strategies as st
 
 from plantedlab import solvers
 from plantedlab.errors import DegenerateInputError, ParameterError
-from plantedlab.models import GssParams, PspParams, sample_instance
+from plantedlab.models import GssParams, PspParams, sample_instance, vertex_pairs
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import (
     LllConfig,
     _gram_det,
-    _pack_rows,
     _truncate,
     exhaustive_subset_sum,
     f2_rank,
+    f2_ranks,
+    f2_rref,
     f2_solve,
     lll_reduce,
     lll_subset_sum,
+    pack_words,
     shortest_path,
+    shortest_paths,
 )
 
 from oracles import (
     all_simple_paths,
     exhaustive_subset_sum_loop,
+    f2_eliminate_loop,
     f2_solution_set,
+    f2_solve_loop,
     gram_det_loop,
     lattice_coordinates,
     pack_rows_loop,
     psp_adjacency_loop,
     psp_edge_vector_loop,
+    shortest_path_lists,
     shortest_path_loop,
 )
 
@@ -123,6 +129,41 @@ def test_shortest_path_walks_the_undirected_graph():
     assert shortest_path(_SEED3, 10) == shortest_path_loop(psp_adjacency_loop(_SEED3, 10)) == (1, 4, 3, 2)
 
 
+def _path_rows(paths) -> list:
+    """shortest_paths rows as shortest_path results: the vertices before the zero pad, or None."""
+    return [tuple(row[row > 0].tolist()) if row[0] else None for row in paths]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    q=st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0]),
+    cut=st.booleans(),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+)
+def test_batched_bfs_equals_the_neighbour_list_bfs(n, q, cut, count, seed):
+    # sparse to complete graphs, n = 2 included; cut removes every edge at vertex 2, which leaves it unreachable
+    edges = generator(seed).random((count, n * (n - 1) // 2)) < q
+    if cut:
+        edges[:, [e for e, pair in enumerate(vertex_pairs(n)) if 2 in pair]] = False
+    want = [shortest_path_lists(row, n) for row in edges]
+    assert _path_rows(shortest_paths(edges, n)) == want
+    assert _path_rows(shortest_paths(list(edges.astype(np.uint8)), n)) == want
+    assert [shortest_path(row, n) for row in edges] == want
+    if cut:
+        assert want == [None] * count
+
+
+def test_batched_bfs_blocks_fit_the_byte_bound(monkeypatch):
+    # one graph's adjacency per block still gives every path, in order
+    edges = generator(3).random((9, 45)) < 0.3
+    want = shortest_paths(edges, 10)
+    monkeypatch.setattr(solvers, "trial_runs", lambda total, unit: [range(t, t + 1) for t in range(total)])
+    assert np.array_equal(shortest_paths(edges, 10), want)
+    assert shortest_paths(np.zeros((0, 45), dtype=bool), 10).shape == (0, 10)
+
+
 # ---------------------------------------------------------------------------
 # GF(2)
 
@@ -191,7 +232,91 @@ def test_f2_rank_matches_numpy_oracle(seed):
 def test_pack_rows_equals_the_bit_loop(n, dtype):
     A = generator(n).integers(0, 2, size=(9, n)).astype(dtype)
     A[0] = 1  # a row of all ones sets every bit, the highest included
-    assert _pack_rows(A) == pack_rows_loop(A)
+    assert [int.from_bytes(row.tobytes(), "little") for row in pack_words(A)] == pack_rows_loop(A)
+
+
+def _gf2_stacks(draw_n):
+    """(A, y) stacks of 1..5 matrices: m from 0 to 9, n from draw_n, zero rows and columns, y consistent or not."""
+    return st.tuples(st.integers(1, 5), st.integers(0, 9), draw_n, st.integers(0, 2**32), st.booleans()).map(_gf2_stack)
+
+
+def _gf2_stack(args):
+    count, m, n, seed, consistent = args
+    rng = generator(seed)
+    A = (rng.random((count, m, n)) < rng.random()).astype(np.uint8)
+    A[:, rng.random(m) < 0.2] = 0  # zero rows
+    A[:, :, rng.random(n) < 0.2] = 0  # zero columns
+    x = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
+    y = np.matmul(A, x[:, :, None])[:, :, 0] % 2 if consistent else rng.integers(0, 2, size=(count, m), dtype=np.uint8)
+    return A, y
+
+
+def _solution_fields(sol):
+    return sol.kind, sol.rank, None if sol.particular is None else sol.particular.tolist(), [v.tolist() for v in sol.nullspace_basis]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=_gf2_stacks(st.integers(0, 9)) | _gf2_stacks(st.integers(60, 140)))
+def test_batched_gf2_equals_the_scalar_elimination(stack):
+    # n from 60 to 140 packs a row of [A | y] into two or three words
+    A, y = stack
+    count, m, n = A.shape
+    reduced, ranks = f2_rref(A, y), f2_ranks(A)
+    for t in range(count):
+        rows = [row | (int(y[t, i]) << n) for i, row in enumerate(pack_rows_loop(A[t]))]
+        pivot_cols = f2_eliminate_loop(rows, n)
+        bits = [[(row >> j) & 1 for j in range(n + 1)] for row in rows]
+        assert reduced.rows[t].tolist() == [b[:n] for b in bits]
+        assert reduced.rhs[t].tolist() == [b[n] for b in bits]
+        assert np.flatnonzero(reduced.pivots[t]).tolist() == pivot_cols
+        assert reduced.rank[t] == ranks[t] == f2_rank(A[t]) == len(pivot_cols)
+        assert _solution_fields(f2_solve(A[t], y[t])) == _solution_fields(f2_solve_loop(A[t], y[t]))
+
+
+# a GF(2) entry point given a list, a float 0/1 array, or an array that is not a matrix or a stack of them
+_LISTED = [[1, 0], [1, 1]]
+
+
+@pytest.mark.parametrize(
+    "entry, matrix, want",
+    [
+        ("f2_rank", _LISTED, 2),
+        ("f2_rank", np.array(_LISTED, dtype=float), 2),
+        ("f2_solve", _LISTED, (1, 0)),
+        ("f2_solve", np.array(_LISTED, dtype=float), (1, 0)),
+        ("f2_ranks", [_LISTED], [2]),
+        ("f2_ranks", np.array([_LISTED], dtype=float), [2]),
+        ("f2_rref", [_LISTED], [2]),
+        ("f2_rref", np.array([_LISTED], dtype=float), [2]),
+    ],
+    ids=["rank-list", "rank-float", "solve-list", "solve-float", "ranks-list", "ranks-float", "rref-list", "rref-float"],
+)
+def test_gf2_entry_points_take_array_likes(entry, matrix, want):
+    # a list raised AttributeError ('bool' object has no attribute 'all'), a float array a TypeError from packbits
+    if entry == "f2_solve":
+        assert tuple(f2_solve(matrix, [1, 1]).particular.tolist()) == want
+    elif entry == "f2_rref":
+        assert f2_rref(matrix, [[1, 1]]).rank.tolist() == want
+    else:
+        got = getattr(solvers, entry)(matrix)
+        assert (got.tolist() if entry == "f2_ranks" else got) == want
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: f2_rank(np.array([1, 0, 1])), "A has shape \\(3,\\), expected a matrix"),
+        (lambda: f2_rank(np.ones((2, 2, 2))), "A has shape \\(2, 2, 2\\), expected a matrix"),
+        (lambda: f2_ranks(np.ones((2, 2))), "A has shape \\(2, 2\\), expected a stack"),
+        (lambda: f2_rref([1, 0], [1]), "A has shape \\(2,\\), expected a stack"),
+        (lambda: f2_rref(np.ones((1, 2, 2)), np.ones((1, 3))), "y has shape \\(1, 3\\), expected \\(1, 2\\)"),
+    ],
+    ids=["rank-vector", "rank-stack", "ranks-matrix", "rref-vector", "rref-y-shape"],
+)
+def test_gf2_entry_points_reject_a_non_matrix(call, message):
+    # f2_rank of a vector raised numpy's AxisError
+    with pytest.raises(ParameterError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

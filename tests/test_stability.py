@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import SOLVER_RECOVERS_RULES, measure_stability_loop, mmse_curve_loop
+from oracles import SOLVER_RECOVERS_RULES, f2_solve_loop, measure_stability_loop, mmse_curve_loop, shortest_path_lists
 from plantedlab.bayes import estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
@@ -16,6 +16,7 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    batch_rows,
     batch_size,
     model_name,
     path_edge_indices,
@@ -24,7 +25,7 @@ from plantedlab.models import (
 )
 from plantedlab.noise import EVAL_CHUNK, EVAL_CHUNK_BYTES, CoupledTrials
 from plantedlab.rng import generator
-from plantedlab.solvers import LllConfig
+from plantedlab.solvers import LllConfig, lll_subset_sum
 from plantedlab.stability import (
     ESTIMATORS,
     barrier_penalty,
@@ -388,6 +389,44 @@ def test_a_solver_miss_is_no_recovery_when_the_fallback_is_the_signal():
     estimate = resolve_estimator("lll_subset_indicator", params, 0.0)([inst.observation])[0]
     assert np.array_equal(estimate, inst.signal_vector())
     assert not solver_recovers(inst)
+
+
+def _solver_estimate_loop(params, observation) -> np.ndarray:
+    """A solver estimator's output on one observation, from the per-instance oracle solvers."""
+    if model_name(params) == "psp":
+        path = shortest_path_lists(observation, params.n)
+        out = np.zeros(len(vertex_pairs(params.n)))
+        if path is not None:
+            out[[vertex_pairs(params.n).index(tuple(sorted(e))) for e in zip(path, path[1:])]] = 1.0
+        return out
+    if model_name(params) == "rlc":
+        sol = f2_solve_loop(*observation)
+        if sol.kind == "inconsistent":
+            return np.full(params.n, 0.5)
+        out = sol.particular.astype(float)
+        for basis_vec in sol.nullspace_basis:
+            out[basis_vec.astype(bool)] = 0.5
+        return out
+    subset = lll_subset_sum(*observation, params.k)
+    if subset is None:
+        return np.full(params.N, params.k / params.N)
+    out = np.zeros(params.N)
+    out[list(subset)] = 1.0
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.sampled_from(SOLVER_PARAMS), seed=st.integers(0, 2**32), rho=st.sampled_from([0.0, 0.3, 1.0]),
+       trials=st.integers(1, 12))
+def test_solver_estimators_equal_the_per_instance_solvers(params, seed, rho, trials):
+    # both arms of a coupled run in one batch; rho = 1 leaves many RLC systems inconsistent and many PSP targets apart
+    name = next(name for name in ("shortest_path_indicator", "f2_round", "lll_subset_indicator") if _accepts(name, model_name(params)))
+    estimator = resolve_estimator(name, params, rho)
+    ((run, noisy),) = CoupledTrials(params, rho, seed, trials).map(lambda start, run, noisy: [(run, noisy)])
+    for batch in (run.observation, noisy):
+        got = estimator(batch)
+        want = [_solver_estimate_loop(params, batch_rows(batch, i)) for i in range(trials)]
+        assert [row.tolist() for row in got] == [row.tolist() for row in want]
 
 
 def test_solver_recovers_names_a_model_without_a_solver():
