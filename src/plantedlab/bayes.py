@@ -31,15 +31,14 @@ from .models import (
     check_stack,
     model_name,
     path_edge_indices,
-    sample_instance,
     signal_norm,
     subset_sums,
     subsets,
     vertex_pairs,
 )
 from .noise import EVAL_CHUNK_BYTES, CoupledTrials, check_rho, check_trials
-from .rng import INSTANCE_STREAM, derive_seed, keyed_fresh, keyed_generator, philox_keys
-from .solvers import f2_rank, f2_ranks, pack_words
+from .rng import INSTANCE_STREAM, derive_seeds, keyed_fresh, keyed_generator, philox_keys
+from .solvers import f2_ranks, pack_words
 
 RLC_ENUM_BUDGET = 2**24
 
@@ -61,14 +60,19 @@ def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int)
     log_weights is trials x configurations.  The maximum log-weight of each
     trial is subtracted before exponentiation.  Each trial's total is one
     contiguous row sum, so it keeps numpy's pairwise order, and each
-    coordinate's mass accumulates in configuration order.
+    coordinate's mass accumulates in configuration order: one bincount over
+    (trial, coordinate) bins takes a block of trials, and it adds each bin's
+    weights in input order.
     """
     log_weights = np.ascontiguousarray(log_weights)
     w = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
     Z = w.sum(axis=1)
     flat = members.ravel()
-    est = np.array([np.bincount(flat, weights=np.repeat(row, members.shape[1]), minlength=size) for row in w])
-    return est / Z[:, None]
+    rows = max(1, min(len(w), 2**14 // flat.size))  # trials a bincount takes, bounding its key and weight arrays
+    keys = (size * np.arange(rows)[:, None] + flat).ravel()
+    blocks = (np.repeat(w[b : b + rows], members.shape[1], axis=1).ravel() for b in range(0, len(w), rows))
+    est = np.concatenate([np.bincount(keys[: v.size], v, minlength=v.size // flat.size * size) for v in blocks])
+    return est.reshape(len(w), size) / Z[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +120,15 @@ def _psp_posteriors(params: PspParams, observations, rho: float) -> np.ndarray:
 
 
 def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer count[t, h] and ones[t, h, i] over all messages x, for a stack of trials t.
+    """count[t, h] and ones[t, h, i] over all messages x, for a stack of trials t, as whole floats.
 
     count[t, h] = #{x : w(A_t x - y_hat_t) = h}; ones[t, h, i] = #{x : w(A_t x - y_hat_t) = h, x_i = 1}.
     Message x has index sum_j x_j 2^j.  Messages are enumerated 2^16 at a
     time: the low bits' codewords minus y_hat, built by XOR-doubling over the
-    bit-packed columns, are XORed with each codeword of the high bits.
+    bit-packed columns, are XORed with each codeword of the high bits.  Each
+    block's weights are counted twice, by (trial, half of the low bits,
+    weight); a 0/1 matrix of each half's bits folds its histogram into ones
+    by a float32 matmul, exact because a block's counts stay below 2^24.
     """
     T, m, n = A.shape
     low = min(n, 16)
@@ -132,22 +139,27 @@ def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndar
     for j in range(n):
         codes, at = (table, j) if j < low else (high, j - low)
         np.bitwise_xor(codes[:, :1 << at], cols[:, j, None], out=codes[:, 1 << at:2 << at])
-    bins = T * (m + 1)
-    keys_base = (m + 1) * np.arange(T)[:, None]
-    count = np.zeros(bins, dtype=np.int64)
-    ones = np.zeros((n, bins), dtype=np.int64)
+    a = low // 2  # messages are counted by (trial, value of index bits 0..a-1 or a..low-1, weight)
+    index = np.arange(1 << low)
+    lo = (index & (1 << a) - 1) * (m + 1)
+    bits = (np.arange(1 << low - a) >> np.arange(low - a)[:, None] & 1).astype(np.float32)  # bit i of each value
+    halves = ((0, bits[:a], lo), (a, bits, (index >> a) * (m + 1) - lo))  # (first bit, its bits, key offset)
+    count = np.zeros((T, m + 1))
+    ones = np.zeros((T, m + 1, n))
     for prefix in range(1 << (n - low)):
         codes = table ^ high[:, prefix, None] if prefix else table
         keys = np.bitwise_count(codes).sum(axis=2, dtype=np.intp)
-        keys += keys_base
-        block = np.bincount(keys.ravel(), minlength=bins)
+        keys += (np.arange(T)[:, None] << low - a) * (m + 1)
+        for at, half_bits, offset in halves:  # the offset turns a weight, or the key of the half before, into a key
+            keys += offset
+            hist = np.bincount(keys.ravel(), minlength=T * bits.shape[1] * (m + 1)).reshape(T, -1, m + 1)
+            ones[:, :, at : at + len(half_bits)] += hist.transpose(0, 2, 1).astype(np.float32) @ half_bits.T
+        block = hist.sum(axis=1)  # the block's counts, summed over either half
         count += block
-        for i in range(low):
-            ones[i] += np.bincount(keys.reshape(T, -1, 2, 1 << i)[:, :, 1].ravel(), minlength=bins)
         for i in range(low, n):
             if prefix >> (i - low) & 1:
-                ones[i] += block
-    return count.reshape(T, m + 1), np.stack([row.reshape(T, m + 1) for row in ones], axis=-1)
+                ones[:, :, i] += block
+    return count, ones
 
 
 def _rlc_posteriors(params: RlcParams, observations, rho: float) -> np.ndarray:
@@ -165,20 +177,18 @@ def _rlc_posteriors(params: RlcParams, observations, rho: float) -> np.ndarray:
     check_bits("A", A)
     check_bits("y_hat", y_hat)
     A, y_hat = A.astype(np.uint8), y_hat.astype(np.uint8)
-    counts, ones = (profile.astype(float) for profile in _rlc_profiles(A, y_hat))
+    counts, ones = _rlc_profiles(A, y_hat)
     if rho == 0.0:
         if not counts[:, 0].all():
             raise InconsistentInputError("no message reproduces y_hat exactly at rho=0")
         return ones[:, 0] / counts[:, :1]
     log_r = math.log(rho / (2.0 - rho))
-    hs = np.arange(m + 1, dtype=float)
-    est = np.empty((len(A), n))
-    for t, (count, one) in enumerate(zip(counts, ones)):
-        occupied = count > 0
-        hi = (hs * log_r)[occupied].max()
-        phi = np.where(occupied, np.exp(hs * log_r - hi), 0.0)
-        est[t] = (phi @ one) / float(phi @ count)
-    return est
+    scaled = np.arange(m + 1, dtype=float) * log_r
+    occupied = counts > 0
+    hi = np.where(occupied, scaled, -np.inf).max(axis=1, keepdims=True)
+    phi = np.where(occupied, np.exp(scaled - hi), 0.0)[:, None, :]
+    # a stacked matmul makes each trial's own BLAS call: a gemv over ones[t], a dot with counts[t]
+    return (phi @ ones)[:, 0] / (phi @ counts[:, :, None])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +324,28 @@ class MmseReport:
     nmmse_hat: float
 
 
-def _sample_full_rank_rlc(params: RlcParams, seed: int, t: int, first: int = 0):
-    """Trial t's first full-column-rank draw among attempts first, first + 1, ..., 255."""
-    for attempt in range(first, 256):
-        inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t, attempt))
-        if f2_rank(inst.A) == params.n:
-            return inst
+def full_rank_run(params: RlcParams, seed: int, ts: range):
+    """The run record of trials ts, each trial's first full-column-rank draw among attempts 0, 1, ..., 255.
+
+    Attempt a of trial t is drawn at derive_seed(seed, INSTANCE_STREAM, t, a).
+    Attempt a of every trial that attempts 0..a-1 rejected is drawn as one
+    keyed run and ranked in one batch.
+    """
+    run, todo = None, np.arange(len(ts))
+    for attempt in range(256):
+        keys = philox_keys(derive_seeds(seed, INSTANCE_STREAM, ts=np.asarray(ts)[todo], suffix=(attempt,)))
+        drawn = chunk_sampler(params)(len(todo), keyed_fresh(keyed_generator(), keys))
+        run = drawn if run is None else run
+        run.A[todo], run.x[todo], run.y[todo] = drawn.A, drawn.x, drawn.y
+        todo = todo[f2_ranks(drawn.A) < params.n]
+        if not len(todo):
+            return run
     raise ParameterError("could not sample a full-column-rank matrix in 256 attempts")
 
 
-def full_rank_run(params: RlcParams, seed: int, ts: range):
-    """The run record of trials ts, each _sample_full_rank_rlc(params, seed, t).
-
-    Attempt 0 of every trial, at its scalar seed derive_seed(seed,
-    INSTANCE_STREAM, t, 0), is drawn as one keyed run and ranked in one
-    batch; only the trials it rejects go on to attempts 1, 2, ...
-    """
-    keys = philox_keys([derive_seed(seed, INSTANCE_STREAM, t, 0) for t in ts])
-    run = chunk_sampler(params)(len(ts), keyed_fresh(keyed_generator(), keys))
-    for i in np.flatnonzero(f2_ranks(run.A) < params.n).tolist():
-        inst = _sample_full_rank_rlc(params, seed, ts[i], 1)
-        run.A[i], run.x[i], run.y[i] = inst.A, inst.x, inst.y
-    return run
+def _sample_full_rank_rlc(params: RlcParams, seed: int, t: int):
+    """Trial t's first full-column-rank draw: full_rank_run of the one trial."""
+    return full_rank_run(params, seed, range(t, t + 1))[0]
 
 
 def estimate_mmse_curve(
@@ -362,8 +372,8 @@ def estimate_mmse_curve(
     out = []
     for j, rho in enumerate(rho_grid):
         def chunk(start: int, run, noisy) -> list:
-            diffs = posterior_means(params, noisy, rho) - run.signal_vectors()
-            return [float(d @ d) for d in diffs]  # one dot a row, as one trial at a time
+            diffs = (posterior_means(params, noisy, rho) - run.signal_vectors())[:, None, :]
+            return (diffs @ diffs.transpose(0, 2, 1)).ravel().tolist()  # one dot a row, as one trial at a time
 
         errs = CoupledTrials(params, rho, seed, trials, grid_point=j, draw=draw).map(chunk)
         mmse_hat, stderr = mean_stderr(errs)

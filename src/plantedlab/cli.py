@@ -402,24 +402,22 @@ def run(config: ExperimentConfig) -> int:
 @lru_cache(maxsize=None)  # parse_args leaves the parser as it was, so one serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plantedlab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--model", choices=MODEL_NAMES)
-        p.add_argument("--params", type=json.loads, help="model parameters as a JSON object")
-        p.add_argument("--rho-grid", type=float_list, help="comma-separated noise levels")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument(
-            "--estimators", type=lambda text: [v for v in text.split(",") if v], help="comma-separated registry names"
-        )
-        p.add_argument("--out", dest="output", help="output path stem (.csv/.json/.svg appended)")
-        p.add_argument("--svg", action="store_true", default=None)
-        p.add_argument("--deterministic", dest="deterministic", action="store_true", default=None)
-        p.add_argument("--no-deterministic", dest="deterministic", action="store_false")
-        p.add_argument("--threads", type=int, help="accepted and ignored: trials run serially")
-        p.add_argument("--options", type=json.loads, help="command-specific options as a JSON object")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON config file; flags override its fields")
+    parser.add_argument("--model", choices=MODEL_NAMES)
+    parser.add_argument("--params", type=json.loads, help="model parameters as a JSON object")
+    parser.add_argument("--rho-grid", type=float_list, help="comma-separated noise levels")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument(
+        "--estimators", type=lambda text: [v for v in text.split(",") if v], help="comma-separated registry names"
+    )
+    parser.add_argument("--out", dest="output", help="output path stem (.csv/.json/.svg appended)")
+    parser.add_argument("--svg", action="store_true", default=None)
+    parser.add_argument("--deterministic", dest="deterministic", action="store_true", default=None)
+    parser.add_argument("--no-deterministic", dest="deterministic", action="store_false")
+    parser.add_argument("--threads", type=int, help="accepted and ignored: trials run serially")
+    parser.add_argument("--options", type=json.loads, help="command-specific options as a JSON object")
     return parser
 
 

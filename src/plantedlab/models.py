@@ -546,11 +546,14 @@ def _sample_tpca(params: TpcaParams, count: int, fresh) -> TpcaRun:
         raise ResourceBudgetError(
             f"tensor has {params.n**params.d} entries, budget is {TENSOR_ENTRY_BUDGET}"
         )
-    shape = (params.n,) * params.d
-    supports, Y = np.empty((count, params.k), dtype=np.int64), np.empty((count, *shape))
+    supports, Y = np.empty((count, params.k), dtype=np.int64), np.empty((count,) + (params.n,) * params.d)
     for support, y, g in zip(supports, Y, map(fresh, range(count))):
         support[:] = np.sort(g.choice(params.n, size=params.k, replace=False))
-        y[...] = math.sqrt(params.lam) * tpca_signal_tensor(params, support) + g.standard_normal(shape)
+        g.standard_normal(out=y)
+    x = signal = _indicator_rows(params.n, supports, 1.0 / math.sqrt(params.k))
+    for axis in range(1, params.d):  # x (x) x (x) ... one factor at a time, as tpca_signal_tensor multiplies
+        signal = signal[..., None] * x.reshape((count,) + (1,) * axis + (params.n,))
+    Y += np.multiply(signal, math.sqrt(params.lam), out=signal)
     return TpcaRun(params, supports, Y)
 
 

@@ -114,33 +114,38 @@ def _join64(words: np.ndarray) -> np.ndarray:
     return w[0::2] | (w[1::2] << np.uint64(32))
 
 
-def derive_seeds(seed: int, *prefix: int, ts) -> np.ndarray:
-    """derive_seed(seed, *prefix, t) for every t in ts, as a uint64 array.
+def derive_seeds(seed: int, *prefix: int, ts, suffix=()) -> np.ndarray:
+    """derive_seed(seed, *prefix, t, *suffix) for every t in ts, as a uint64 array.
 
     ts holds non-negative integers below 2**64; a t of 2**32 or more takes two
     uint32 words, as it does in SeedSequence.  Every row shares its head (the
     seed padded to the pool size, then the prefix), so the pool after the head
-    is mixed once, and each row mixes in only its trial words.
+    is mixed once, and each row mixes in only its trial and suffix words.
     """
-    seed, prefix = _checked(seed, prefix)
+    seed, path = _checked(seed, (*prefix, *suffix))
     ts = np.asarray(ts)
     if ts.size and (ts.dtype.kind not in "iu" or ts.min() < 0):
         raise ParameterError("trial indices must be non-negative integers")
     ts = ts.astype(np.uint64).ravel()
     run = _words(seed)
     run += [0] * (_POOL_SIZE - len(run))  # a spawn key is present: pad the run entropy
-    head = run + [w for p in prefix for w in _words(p)]
+    head = run + [w for p in path[: len(prefix)] for w in _words(p)]
+    tail = [w for p in path[len(prefix) :] for w in _words(p)]
     # the pool after the head is SeedSequence's own pool for the head as entropy; mixing it took
     # 4 calls to fill the pool, 12 to mix it and 4 for each head word past the pool: the trial
-    # words start at hash call 4 * len(head)
+    # words start at hash call 4 * len(head), and each word takes the next 4 calls
     pool = np.random.SeedSequence(np.array(head, dtype=np.uint32)).pool[:, None]
     k = _POOL_SIZE * len(head)
-    const = _hash_constants(_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32, _MULT_A, 2 * _POOL_SIZE + 1)
+    const = _hash_constants(_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32, _MULT_A, _POOL_SIZE * (2 + len(tail)) + 1)
     pool = _mix(pool, _hashmix(ts.astype(np.uint32), const[: _POOL_SIZE + 1]))  # a low trial word
     wide = ts > np.uint64(_MASK32)
     if wide.any():
         high = (ts[wide] >> np.uint64(32)).astype(np.uint32)
-        pool[:, wide] = _mix(pool[:, wide], _hashmix(high, const[_POOL_SIZE:]))
+        pool[:, wide] = _mix(pool[:, wide], _hashmix(high, const[_POOL_SIZE : 2 * _POOL_SIZE + 1]))
+    calls = _POOL_SIZE * (1 + wide) + np.arange(_POOL_SIZE + 1)[:, None]  # each row's next hash calls
+    for word in tail:
+        pool = _mix(pool, _hashmix(np.uint32(word), const[calls, 0]))
+        calls += _POOL_SIZE
     return _join64(_hashmix(pool[:2], _OUT_CONST[:3]))[0]
 
 

@@ -195,8 +195,8 @@ def _both_arms(clean, noisy):
     return np.concatenate([clean, noisy])
 
 
-def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray) -> list:
-    """(|a - b|^2, |a - x|^2, |a|^2) of each trial from a = fn(clean), b = fn(noisy), x the signal.
+def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray) -> np.ndarray:
+    """Rows (|a - b|^2, |a - x|^2, |a|^2), one a trial, from a = fn(clean), b = fn(noisy), x the signal.
 
     clean and noisy are a run's stacked observations, and signals its stacked
     signal vectors.  Both arms go through fn in one call, as one stacked
@@ -218,9 +218,8 @@ def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray)
                 _second_moments(fn, start + i, batch_rows(clean, one), batch_rows(noisy, one), signals[one])
         raise EstimatorTrialError(start, exc) from exc
     a, b = np.split(out, 2)
-    d = a - b
-    e = a - signals
-    return [(float(x @ x), float(y @ y), float(z @ z)) for x, y, z in zip(d, e, a)]  # one dot a row
+    # a stacked matmul makes each row's own BLAS dot, as one trial at a time would
+    return np.stack([(v[:, None, :] @ v[:, :, None]).ravel() for v in (a - b, a - signals, a)], axis=1)
 
 
 def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list:
@@ -246,7 +245,7 @@ def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, se
         signals = run.signal_vectors()
         for i, fn in enumerate(fns):
             try:
-                moments[i] += _second_moments(fn, start, run.observation, noisy, signals)
+                moments[i].append(_second_moments(fn, start, run.observation, noisy, signals))
             except EstimatorTrialError as err:
                 # only the first estimator that fails can be reported, so the later ones stop too
                 del fns[i:], moments[i:]
@@ -262,7 +261,7 @@ def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, se
         return [err]
     out = []
     for name, rows in zip(names, moments):
-        diffs, errs, norms = np.array(rows).T
+        diffs, errs, norms = np.concatenate(rows).T
         try:
             eta_hat, eta_stderr = ratio_with_stderr(diffs, norms)
         except IllConditionedError as err:  # e.g. an all-zero estimator

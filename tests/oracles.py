@@ -11,7 +11,9 @@ in models, the double loop over path edge bitmasks checks the census's
 blocked pair count, and the (A, x, mask) loop checks the closed-form RLC character
 correlation.  The per-observation posterior enumerations (the RLC message
 profile 65,536 messages at a time, the TPCA np.ix_ block per support)
-check the batched posterior kernels, the per-bit row packing checks
+check the batched posterior kernels, the strided per-bit bincounts of the
+RLC profiles, the per-trial RLC finish and the one-dot-a-row squared norms
+check the histogram folds and stacked matmuls that replaced them, the per-bit row packing checks
 solvers.pack_words, the elimination of rows as Python ints
 (f2_eliminate_loop, f2_solve_loop) checks the batched GF(2) elimination,
 the per-trial full-rank RLC loop checks the run-level full-rank draw, and
@@ -61,7 +63,7 @@ from plantedlab.models import (
 )
 from plantedlab.noise import check_rho
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, generator
-from plantedlab.solvers import F2Solution, LllConfig, f2_solve, lll_subset_sum, shortest_path
+from plantedlab.solvers import F2Solution, LllConfig, f2_solve, lll_subset_sum, pack_words, shortest_path
 
 
 def psp_rejection_posterior(target_edges: np.ndarray, n: int, L: int, q: float, rho: float,
@@ -795,6 +797,57 @@ def rlc_hamming_profile_loop(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarr
         for h in np.unique(ham):
             ones[h] += xs[ham == h].sum(axis=0)
     return count, ones
+
+
+def rlc_profiles_strided(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer count[t, h] and ones[t, h, i] of a stack of trials, one bincount per low bit and block.
+
+    The message enumeration of bayes._rlc_profiles, with ones[i] of a low bit
+    i counted from a strided copy of the keys of the messages that set it.
+    """
+    T, m, n = A.shape
+    low = min(n, 16)
+    cols = pack_words(A.transpose(0, 2, 1))
+    table = np.empty((T, 1 << low, cols.shape[2]), dtype=np.uint64)
+    table[:, 0] = pack_words(y_hat)
+    high = np.zeros((T, 1 << (n - low), cols.shape[2]), dtype=np.uint64)
+    for j in range(n):
+        codes, at = (table, j) if j < low else (high, j - low)
+        np.bitwise_xor(codes[:, :1 << at], cols[:, j, None], out=codes[:, 1 << at:2 << at])
+    bins = T * (m + 1)
+    keys_base = (m + 1) * np.arange(T)[:, None]
+    count = np.zeros(bins, dtype=np.int64)
+    ones = np.zeros((n, bins), dtype=np.int64)
+    for prefix in range(1 << (n - low)):
+        codes = table ^ high[:, prefix, None] if prefix else table
+        keys = np.bitwise_count(codes).sum(axis=2, dtype=np.intp)
+        keys += keys_base
+        block = np.bincount(keys.ravel(), minlength=bins)
+        count += block
+        for i in range(low):
+            ones[i] += np.bincount(keys.reshape(T, -1, 2, 1 << i)[:, :, 1].ravel(), minlength=bins)
+        for i in range(low, n):
+            if prefix >> (i - low) & 1:
+                ones[i] += block
+    return count.reshape(T, m + 1), np.stack([row.reshape(T, m + 1) for row in ones], axis=-1)
+
+
+def rlc_finish_loop(counts: np.ndarray, ones: np.ndarray, rho: float) -> np.ndarray:
+    """RLC posterior means from float profiles (count[t, h], ones[t, h, i]) at rho > 0, one trial at a time."""
+    log_r = math.log(rho / (2.0 - rho))
+    hs = np.arange(counts.shape[1], dtype=float)
+    est = np.empty((len(counts), ones.shape[2]))
+    for t, (count, one) in enumerate(zip(counts, ones)):
+        occupied = count > 0
+        hi = (hs * log_r)[occupied].max()
+        phi = np.where(occupied, np.exp(hs * log_r - hi), 0.0)
+        est[t] = (phi @ one) / float(phi @ count)
+    return est
+
+
+def row_dots_loop(rows: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, one 1-D dot a row."""
+    return np.array([float(x @ x) for x in rows])
 
 
 def tpca_log_weights_loop(Y: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,3 @@
-import argparse
 import collections
 import csv
 import io
@@ -592,8 +591,8 @@ def test_missing_output_exits_2(tmp_path, capsys):
 
 def test_all_commands_are_wired():
     # argparse offers exactly the table's commands, and each entry runs its own implementation
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(COMMAND_TABLE) == list(COMMANDS)
+    command = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert list(command.choices) == list(COMMAND_TABLE) == list(COMMANDS)
     for name, spec in COMMAND_TABLE.items():
         assert spec.impl.__name__ == "_cmd_" + name.replace("-", "_")
 

@@ -280,13 +280,16 @@ def test_full_rank_run_equals_the_per_trial_draws(params, seed, start, trials):
 
 
 def test_full_rank_run_redraws_only_rejected_trials(monkeypatch):
-    params, redrawn = RlcParams(m=4, n=4), []
-    real = bayes._sample_full_rank_rlc
-    monkeypatch.setattr(bayes, "_sample_full_rank_rlc", lambda p, s, t, first: redrawn.append((t, first)) or real(p, s, t, first))
+    # attempt a of a run draws, as one batch, only the trials that attempts 0..a-1 rejected
+    params, drawn = RlcParams(m=4, n=4), []
+    real = bayes.derive_seeds
+    monkeypatch.setattr(bayes, "derive_seeds", lambda *a, ts, suffix: drawn.append((ts.tolist(), suffix)) or real(*a, ts=ts, suffix=suffix))
     run = full_rank_run(params, 5, range(40))
     first = [sample_instance(params, derive_seed(5, INSTANCE_STREAM, t, 0)) for t in range(40)]
     rejected = [t for t, inst in enumerate(first) if f2_rank_loop(inst.A) < 4]
-    assert redrawn == [(t, 1) for t in rejected] and 20 <= len(rejected) < 40
+    assert drawn[:2] == [(list(range(40)), (0,)), (rejected, (1,))] and 20 <= len(rejected) < 40
+    for a, ((ts, _), (later, suffix)) in enumerate(zip(drawn[1:], drawn[2:]), start=2):
+        assert suffix == (a,) and set(later) <= set(ts)
     assert all(f2_rank_loop(A) == 4 for A in run.A)
 
 

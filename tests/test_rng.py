@@ -52,6 +52,20 @@ def test_derive_seeds_match_seed_sequence(seed, prefix, ts):
     assert [int(v) for v in got] == [seed_sequence_seed(seed, *prefix, t) for t in ts]
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, prefix=st.lists(words, max_size=2), suffix=st.lists(words, min_size=1, max_size=3),
+       ts=st.lists(trial_indices, min_size=1, max_size=8))
+def test_derive_seeds_with_a_suffix_match_derive_seed(seed, prefix, suffix, ts):
+    # words after the trial index hash in at a row's own call count, which a t >= 2**32 moves on by 4
+    got = derive_seeds(seed, *prefix, ts=np.array(ts, dtype=np.uint64), suffix=suffix)
+    assert [hex(v) for v in got.tolist()] == [hex(derive_seed(seed, *prefix, t, *suffix)) for t in ts]
+
+
+def test_derive_seeds_rejects_a_negative_suffix_word():
+    with pytest.raises(ParameterError, match="non-negative"):
+        derive_seeds(1, 0, ts=[0], suffix=(2, -1))
+
+
 def test_derive_seeds_over_a_long_batch():
     ts = np.arange(3000)
     for seed, prefix in ((7, (1,)), (71 * 10**12 + 5, (0,)), (2**64 - 1, (1, 3)), (2**64, (4, 2**40))):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import SOLVER_RECOVERS_RULES, f2_solve_loop, measure_stability_loop, mmse_curve_loop, shortest_path_lists
+from oracles import SOLVER_RECOVERS_RULES, f2_solve_loop, measure_stability_loop, mmse_curve_loop, row_dots_loop, shortest_path_lists
 from plantedlab.bayes import estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
@@ -28,6 +28,7 @@ from plantedlab.rng import generator
 from plantedlab.solvers import LllConfig, lll_subset_sum
 from plantedlab.stability import (
     ESTIMATORS,
+    _second_moments,
     barrier_penalty,
     measure_stabilities,
     measure_stability,
@@ -263,6 +264,20 @@ def _accepts(name: str, model: str) -> bool:
 
 def _hex(values) -> list[str]:
     return [float(v).hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 70), dim=st.integers(1, 200), order=st.sampled_from("CF"), seed=st.integers(0, 2**32))
+def test_second_moments_equal_the_per_row_dots(T, dim, order, seed):
+    # a stacked matmul makes the BLAS dot that x @ x makes on each row, at the row's own stride;
+    # einsum and a batched row sum of squares add in other orders
+    rng = generator(seed)
+    out = np.asarray(rng.standard_normal((2 * T, dim)), order=order)
+    signals = rng.standard_normal((T, dim))
+    got = _second_moments(lambda observations: out, 0, np.zeros((T, 1)), np.zeros((T, 1)), signals)
+    a, b = np.split(out, 2)
+    want = np.stack([row_dots_loop(v) for v in (a - b, a - signals, a)], axis=1)
+    assert _hex(got.ravel()) == _hex(want.ravel())
 
 
 @pytest.mark.parametrize(
