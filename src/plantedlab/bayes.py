@@ -22,19 +22,13 @@ from .models import (
     PspParams,
     RlcParams,
     TpcaParams,
-    batch_fields,
-    batch_rows,
-    batch_size,
-    check_bits,
     chunk_sampler,
-    check_finite,
-    check_stack,
     model_name,
     path_edge_indices,
     signal_norm,
+    stack_observations,
     subset_sums,
     subsets,
-    vertex_pairs,
 )
 from .noise import EVAL_CHUNK_BYTES, CoupledTrials, check_rho, check_trials
 from .rng import INSTANCE_STREAM, derive_seeds, keyed_fresh, keyed_generator, philox_keys
@@ -79,8 +73,8 @@ def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int)
 # PSP
 
 
-def _psp_posteriors(params: PspParams, observations, rho: float) -> np.ndarray:
-    """Posterior means of the path's edge indicators given each noisy graph.
+def _psp_posteriors(params: PspParams, rho: float, edges: np.ndarray) -> np.ndarray:
+    """Posterior means of the path's edge indicators given each noisy graph, a row of edges.
 
     A candidate path H gets weight ((1 - rho(1-q))/q)^{|E(H) & G|} * rho^{L - |E(H) & G|}:
     a planted edge survives the resampling channel as a 1 with probability
@@ -88,9 +82,7 @@ def _psp_posteriors(params: PspParams, observations, rho: float) -> np.ndarray:
     corners the full likelihood is used instead of the ratio form.
     """
     n, L, q = params.n, params.L, params.q
-    stacked = check_stack("edges", observations, (len(vertex_pairs(n)),))
-    check_bits("edges", stacked)
-    edge_present = stacked.astype(float)
+    edge_present = edges.astype(float)
     path_idx = path_edge_indices(n, L)
     m_in = edge_present[:, path_idx].sum(axis=2)  # edges of each H present in each graph
     p1 = 1.0 - rho * (1.0 - q)
@@ -152,6 +144,7 @@ def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndar
         keys += (np.arange(T)[:, None] << low - a) * (m + 1)
         for at, half_bits, offset in halves:  # the offset turns a weight, or the key of the half before, into a key
             keys += offset
+            hist = None  # the histogram before is freed before this one is counted
             hist = np.bincount(keys.ravel(), minlength=T * bits.shape[1] * (m + 1)).reshape(T, -1, m + 1)
             ones[:, :, at : at + len(half_bits)] += hist.transpose(0, 2, 1).astype(np.float32) @ half_bits.T
         block = hist.sum(axis=1)  # the block's counts, summed over either half
@@ -162,20 +155,15 @@ def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndar
     return count, ones
 
 
-def _rlc_posteriors(params: RlcParams, observations, rho: float) -> np.ndarray:
+def _rlc_posteriors(params: RlcParams, rho: float, A: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     """Posterior means of the message bits; weight (rho/(2-rho))^{w(Ax - y_hat)}.
 
     The estimate coordinate i is the marginal P(x_i = 1 | A, y_hat); the
     complementary ratio L0/(L0+L1) is 1 - estimate[i].
     """
     m, n = params.m, params.n
-    A, y_hat = batch_fields(observations, 2)
-    A = check_stack("A", A, (m, n))
-    y_hat = check_stack("y_hat", y_hat, (m,))
     if 2**n > RLC_ENUM_BUDGET:
         raise ResourceBudgetError(f"2^{n} messages exceed budget {RLC_ENUM_BUDGET}")
-    check_bits("A", A)
-    check_bits("y_hat", y_hat)
     A, y_hat = A.astype(np.uint8), y_hat.astype(np.uint8)
     counts, ones = _rlc_profiles(A, y_hat)
     if rho == 0.0:
@@ -195,7 +183,7 @@ def _rlc_posteriors(params: RlcParams, observations, rho: float) -> np.ndarray:
 # GSS
 
 
-def _gss_posteriors(params: GssParams, observations, rho: float) -> np.ndarray:
+def _gss_posteriors(params: GssParams, rho: float, X: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     """Posterior means of subset membership given each noisy sum.
 
     For rho > 0, subset S has Gaussian log-weight
@@ -204,12 +192,8 @@ def _gss_posteriors(params: GssParams, observations, rho: float) -> np.ndarray:
     over sorted indices) reproduces y_hat bit-exactly.
     """
     N, k = params.N, params.k
-    X, y_hat = batch_fields(observations, 2)
-    X = np.asarray(check_stack("X", X, (N,)), dtype=float)
-    y_hat = np.asarray(check_stack("y_hat", y_hat, ()), dtype=float)[:, None]
+    X, y_hat = np.asarray(X, dtype=float), np.asarray(y_hat, dtype=float)[:, None]
     combos = subsets(N, k)
-    check_finite("X", X)
-    check_finite("y_hat", y_hat)
     if rho == 0.0:
         hits = subset_sums(X, combos) == y_hat
         found = hits.sum(axis=1)
@@ -227,19 +211,18 @@ def _gss_posteriors(params: GssParams, observations, rho: float) -> np.ndarray:
 # Sparse tensor PCA
 
 
-def _tpca_log_weights(tensors, params: TpcaParams) -> tuple[np.ndarray, np.ndarray]:
-    """Every k-subset S, and log-weight sqrt(lam) k^(-d/2) <Y_t, 1_S^d> of each tensor Y_t.
+def _tpca_log_weights(tensors: np.ndarray, params: TpcaParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-subset S, and log-weight sqrt(lam) k^(-d/2) <Y_t, 1_S^d> of each tensor Y_t of a stack.
 
     The k^d entries of each support's block are gathered in C order and
     summed as one contiguous row, so each sum keeps numpy's pairwise order
     over the block.
     """
     n, k, d = params.n, params.k, params.d
-    flat = check_stack("Y", tensors, (n,) * d).reshape(len(tensors), -1)
+    flat = tensors.reshape(len(tensors), -1)
     combos = subsets(n, k)
     scale = math.sqrt(params.lam) * k ** (-d / 2.0)
     corners = np.indices((k,) * d).reshape(d, -1).T  # positions in a support's block, C order
-    check_finite("Y", flat)
     lw = np.empty((len(tensors), len(combos)))
     for b in _blocks(len(combos), 8 * k**d * (len(tensors) + d)):
         entries = combos[b][:, corners] @ n ** np.arange(d - 1, -1, -1)
@@ -247,7 +230,7 @@ def _tpca_log_weights(tensors, params: TpcaParams) -> tuple[np.ndarray, np.ndarr
     return combos, lw
 
 
-def _tpca_posteriors(params: TpcaParams, tensors, rho: float) -> np.ndarray:
+def _tpca_posteriors(params: TpcaParams, rho: float, tensors: np.ndarray) -> np.ndarray:
     """Posterior means of the sparse spike; support weight exp(sqrt(lam) <Y, x'^d>).
 
     The quadratic term of the Gaussian log-likelihood is constant across
@@ -270,7 +253,7 @@ def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], par
     valid = support.dtype.kind in "iu" and support.shape == (params.k,) and len(set(support.tolist())) == params.k
     if not (valid and 0 <= support.min() and support.max() < params.n):
         raise ParameterError(f"planted support {planted_support!r} needs {params.k} distinct integers in 0..{params.n - 1}")
-    combos, (lw,) = _tpca_log_weights([Y], params)
+    combos, (lw,) = _tpca_log_weights(*stack_observations(params, [Y]), params)
     member = np.zeros(params.n, dtype=bool)
     member[support] = True
     overlap = member[combos].sum(axis=1)
@@ -283,7 +266,7 @@ def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], par
 # dispatch + MMSE curves
 
 
-# model -> (kernel(params, observations, rho) -> T x dim estimates,
+# model -> (kernel(params, rho, *stacked fields) -> T x dim estimates,
 #           params -> bytes of the arrays the kernel enumerates for one observation)
 _POSTERIORS = {
     "psp": (_psp_posteriors, lambda p: 8 * p.L * math.perm(p.n - 2, p.L - 1)),
@@ -296,14 +279,15 @@ _POSTERIORS = {
 def posterior_means(params, observations, rho: float) -> np.ndarray:
     """Posterior-mean estimates of a batch of observations at rho, one row per observation.
 
-    The batch is a list of observations or a run's stacked observation
-    (models.batch_fields).  The one way into the kernels.  The batch runs in
-    blocks of trials whose enumeration arrays fit EVAL_CHUNK_BYTES.
+    The batch is a list of observations or a run's stacked observation,
+    which models.stack_observations stacks and checks.  The one way into the
+    kernels.  The batch runs in blocks of trials whose enumeration arrays fit
+    EVAL_CHUNK_BYTES.
     """
     check_rho(rho)  # also when the batch is empty
     kernel, trial_bytes = _POSTERIORS[model_name(params)]
-    blocks = _blocks(batch_size(observations), trial_bytes(params))
-    runs = [kernel(params, batch_rows(observations, b), rho) for b in blocks]
+    fields = stack_observations(params, observations)
+    runs = [kernel(params, rho, *(f[b] for f in fields)) for b in _blocks(len(fields[0]), trial_bytes(params))]
     return np.concatenate(runs) if runs else np.zeros(0)
 
 

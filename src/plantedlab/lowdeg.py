@@ -24,13 +24,10 @@ from .models import (
     GssParams,
     PspParams,
     RlcParams,
-    batch_fields,
-    check_bits,
     check_finite,
-    check_stack,
     model_name,
     placements,
-    vertex_pairs,
+    stack_observations,
 )
 from .noise import CoupledTrials, check_rho
 from .rng import generator
@@ -257,15 +254,11 @@ class RlcPoly(_OneObservation):
         return max((idx.degree for idx, _ in self.terms), default=0)
 
     def evaluate_many(self, observations, params: RlcParams) -> np.ndarray:
-        """evaluate at each (A, y) of a batch (models.batch_fields).
+        """evaluate at each (A, y) of a batch (models.stack_observations).
 
         Terms accumulate in order, as for one observation.
         """
-        A, y = batch_fields(observations, 2)
-        A = check_stack("A", A, (params.m, params.n))
-        y = check_stack("y", y, (params.m,))
-        check_bits("A", A)
-        check_bits("y", y)
+        A, y = stack_observations(params, observations)
         total = np.zeros(len(A))
         for idx, c in self.terms:
             total += c * character_value(idx, A, y)
@@ -283,15 +276,12 @@ class GssPoly(_OneObservation):
         return max((sum(d for _, d in alpha) + t for alpha, t, _ in self.terms), default=0)
 
     def evaluate_many(self, observations, params: GssParams) -> np.ndarray:
-        """evaluate at each (X, Y) of a batch (models.batch_fields).
+        """evaluate at each (X, Y) of a batch (models.stack_observations).
 
         Every product and sum keeps the one-observation order.
         """
-        X, Y = batch_fields(observations, 2)
-        X = check_stack("X", X, (params.N,))
-        y = check_stack("Y", Y, ()).astype(float) / math.sqrt(params.k)
-        check_finite("X", X)
-        check_finite("Y", y)
+        X, Y = stack_observations(params, observations)
+        y = Y.astype(float) / math.sqrt(params.k)
         total = np.zeros(len(X))
         for alpha, t, c in self.terms:
             val = c * hermite_eval(t, y)  # h_0 = 1 exactly
@@ -353,7 +343,7 @@ class PspSymmetricPoly(_OneObservation):
         return max((len(shape) for shape, _ in self.terms), default=0)
 
     def evaluate_many(self, observations, params: PspParams) -> np.ndarray:
-        """evaluate at each edge vector of a batch (models.batch_fields), bit-identical to one evaluation at a time.
+        """evaluate at each edge vector of a batch (models.stack_observations), bit-identical to one evaluation at a time.
 
         Trials go in blocks of rows whose placement columns hold at most
         PSP_GATHER_ELEMENTS floats.  Each distinct product of product_table is
@@ -368,8 +358,7 @@ class PspSymmetricPoly(_OneObservation):
         n, q = params.n, params.q
         if not 0.0 < q < 1.0:
             raise ParameterError(f"the centered edge basis needs 0 < q < 1, got q={q}")
-        present = check_stack("edges", observations, (len(vertex_pairs(n)),))
-        check_bits("edges", present)
+        (present,) = stack_observations(params, observations)
         centered = (present.astype(float) - q) / math.sqrt(q * (1.0 - q))
         total = np.zeros(len(centered))
         for shape, c in self.terms:

@@ -23,9 +23,12 @@ Conventions
   (T, N), S (T, k) and Y (T,); TPCA support (T, k) and Y (T, n, ...)).
   run.observation stacks the observations, run.signal_vectors() the signal
   vectors, run[i] builds trial i's instance, and run_of stacks instances
-  into a record.  The estimators take a batch of observations as a run's
-  stacked observation or as a list of per-trial observations (batch_fields,
-  batch_rows, check_stack).
+  into a record.
+* An observation is the fields _OBSERVED names for its model (PSP edges,
+  RLC (A, y), GSS (X, Y), TPCA Y), a tuple when there are several.  A batch
+  of observations is a run's stacked observation or a list of per-trial
+  observations, and every estimator reads its batch through
+  stack_observations, the one check of a field's shape and entries.
 
 JSON schema (stable field names)
 --------------------------------
@@ -188,22 +191,68 @@ def check_stack(name: str, arrays, shape: tuple) -> np.ndarray:
     return stacked
 
 
-def batch_size(observations) -> int:
-    """The number of observations in a batch (see batch_fields)."""
-    return len(observations[0] if isinstance(observations, tuple) else observations)
+def check_bits(name: str, array: np.ndarray) -> None:
+    if not ((array == 0) | (array == 1)).all():
+        raise ParameterError(f"{name} entries must be 0 or 1")
 
 
-def batch_fields(observations, count: int) -> tuple:
-    """A batch of observations of count fields each, as one batch per field.
+def check_finite(name: str, array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{name} must be finite")
 
-    A batch is a list of per-trial observations or a run's stacked
-    observation (run.observation, or what the noise operator returns).  A
-    list becomes count per-field lists; a stacked observation is its tuple of
-    stacked arrays already.
+
+# model -> the fields of its observation, in order: (name, params -> one trial's shape, entry check)
+_OBSERVED = {
+    "psp": (("edges", lambda p: (len(vertex_pairs(p.n)),), check_bits),),
+    "rlc": (("A", lambda p: (p.m, p.n), check_bits), ("y", lambda p: (p.m,), check_bits)),
+    "gss": (("X", lambda p: (p.N,), check_finite), ("Y", lambda p: (), check_finite)),
+    "tpca": (("Y", lambda p: (p.n,) * p.d, check_finite),),
+}
+
+
+def per_field(fn, *observations):
+    """fn over the fields of observations of one model: fn of each field's arrays, a tuple when there are several."""
+    return tuple(map(fn, *observations)) if isinstance(observations[0], tuple) else fn(*observations)
+
+
+def stack_observations(params, observations) -> tuple:
+    """A batch of observations of params' model as the tuple of its fields, each stacked and checked.
+
+    The batch is a list of per-trial observations or a run's stacked
+    observation (run.observation, or what the noise operator returns), whose
+    fields are arrays with the trials along their first axis.  Each field is
+    stacked by check_stack, then checked to hold real numbers (numpy dtype
+    kind b, i, u or f) and to pass its entry check in _OBSERVED.  Raises
+    ParameterError on an observation of the wrong number of fields and on a
+    stacked field that is not an array of at least one axis.
     """
-    if not isinstance(observations, list):
-        return observations
-    return tuple(map(list, zip(*observations))) if observations else ([],) * count
+    model = model_name(params)
+    spec = _OBSERVED[model]
+    names = ", ".join(name for name, _, _ in spec)
+    listed = isinstance(observations, list)
+    if len(spec) == 1:
+        columns = (observations,)
+    else:
+        for observation in observations if listed else [observations]:
+            if not (isinstance(observation, tuple) and len(observation) == len(spec)):
+                got = f"{len(observation)} fields" if isinstance(observation, tuple) else f"a {type(observation).__name__}"
+                raise ParameterError(f"a {model} observation is ({names}), got {got}")
+        columns = (tuple(zip(*observations)) or ((),) * len(spec)) if listed else observations
+    fields = []
+    for (name, shape, check), column in zip(spec, columns):
+        if not listed and not (isinstance(column, np.ndarray) and column.ndim):
+            raise ParameterError(f"{name} is not stacked: a stacked {model} batch holds ({names}) as arrays of one row a trial")
+        stacked = check_stack(name, column, shape(params))
+        if stacked.dtype.kind not in "biuf":
+            raise ParameterError(f"{name} entries must be real numbers, got dtype {stacked.dtype}")
+        check(name, stacked)
+        fields.append(stacked)
+    return tuple(fields)
+
+
+def batch_size(observations) -> int:
+    """The number of observations in a batch (see stack_observations)."""
+    return len(observations[0] if isinstance(observations, tuple) else observations)
 
 
 def batch_rows(observations, rows):
@@ -214,19 +263,8 @@ def batch_rows(observations, rows):
     """
     if isinstance(observations, list):
         return observations[rows]
-    if isinstance(observations, tuple):
-        return tuple(batch_rows(o, rows) for o in observations)
-    return observations[rows].item() if observations.ndim == 1 and not isinstance(rows, slice) else observations[rows]
-
-
-def check_bits(name: str, array: np.ndarray) -> None:
-    if not ((array == 0) | (array == 1)).all():
-        raise ParameterError(f"{name} entries must be 0 or 1")
-
-
-def check_finite(name: str, array: np.ndarray) -> None:
-    if not np.isfinite(array).all():
-        raise ParameterError(f"{name} must be finite")
+    one = not isinstance(rows, slice)
+    return per_field(lambda a: a[rows].item() if one and a.ndim == 1 else a[rows], observations)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +333,15 @@ class TpcaParams:
 # instance types
 
 
-class _Instance:
+class _Observed:
+    @property
+    def observation(self):
+        """The fields _OBSERVED names for the model, in a tuple when there are several."""
+        values = tuple(getattr(self, name) for name, _, _ in _OBSERVED[model_name(self.params)])
+        return values if len(values) > 1 else values[0]
+
+
+class _Instance(_Observed):
     def signal_vector(self) -> np.ndarray:
         """The planted signal as a vector: its one-trial run's (run_of, signal_vectors)."""
         return run_of([self]).signal_vectors()[0]
@@ -307,10 +353,6 @@ class PspInstance(_Instance):
     path: tuple[int, ...]
     edges: np.ndarray  # (n(n-1)/2,) bool over vertex_pairs(n)
 
-    @property
-    def observation(self) -> np.ndarray:
-        return self.edges
-
 
 @dataclass(frozen=True)
 class RlcInstance(_Instance):
@@ -318,10 +360,6 @@ class RlcInstance(_Instance):
     A: np.ndarray  # (m, n) uint8
     x: np.ndarray  # (n,) uint8
     y: np.ndarray  # (m,) uint8
-
-    @property
-    def observation(self) -> tuple[np.ndarray, np.ndarray]:
-        return (self.A, self.y)
 
 
 @dataclass(frozen=True)
@@ -331,10 +369,6 @@ class GssInstance(_Instance):
     S: tuple[int, ...]  # sorted 0-based indices
     Y: float
 
-    @property
-    def observation(self) -> tuple[np.ndarray, float]:
-        return (self.X, self.Y)
-
 
 @dataclass(frozen=True)
 class TpcaInstance(_Instance):
@@ -342,17 +376,13 @@ class TpcaInstance(_Instance):
     support: tuple[int, ...]  # sorted 0-based indices
     Y: np.ndarray  # (n,)*d float64
 
-    @property
-    def observation(self) -> np.ndarray:
-        return self.Y
-
 
 # ---------------------------------------------------------------------------
 # run records: a run of trials with each instance field stacked along a new
 # first axis, as the samplers draw it and the estimators read it
 
 
-class _Run:
+class _Run(_Observed):
     """A run of trials of one model: run[i] builds trial i's instance, and iterating a run builds each in turn."""
 
     def __len__(self) -> int:
@@ -375,10 +405,6 @@ class PspRun(_Run):
     path: np.ndarray  # (T, L+1) intp
     edges: np.ndarray  # (T, n(n-1)/2) bool over vertex_pairs(n)
 
-    @property
-    def observation(self) -> np.ndarray:
-        return self.edges
-
     def __getitem__(self, i: int) -> PspInstance:
         return PspInstance(self.params, tuple(self.path[i].tolist()), self.edges[i])
 
@@ -395,10 +421,6 @@ class RlcRun(_Run):
     x: np.ndarray  # (T, n) uint8
     y: np.ndarray  # (T, m) uint8
 
-    @property
-    def observation(self) -> tuple[np.ndarray, np.ndarray]:
-        return (self.A, self.y)
-
     def __getitem__(self, i: int) -> RlcInstance:
         return RlcInstance(self.params, self.A[i], self.x[i], self.y[i])
 
@@ -413,10 +435,6 @@ class GssRun(_Run):
     S: np.ndarray  # (T, k) int64, each row ascending
     Y: np.ndarray  # (T,) float64
 
-    @property
-    def observation(self) -> tuple[np.ndarray, np.ndarray]:
-        return (self.X, self.Y)
-
     def __getitem__(self, i: int) -> GssInstance:
         return GssInstance(self.params, self.X[i], tuple(self.S[i].tolist()), float(self.Y[i]))
 
@@ -429,10 +447,6 @@ class TpcaRun(_Run):
     params: TpcaParams
     support: np.ndarray  # (T, k) int64, each row ascending
     Y: np.ndarray  # (T, n, ..., n) float64
-
-    @property
-    def observation(self) -> np.ndarray:
-        return self.Y
 
     def __getitem__(self, i: int) -> TpcaInstance:
         return TpcaInstance(self.params, tuple(self.support[i].tolist()), self.Y[i])
@@ -531,15 +545,6 @@ def _sample_gss(params: GssParams, count: int, fresh) -> GssRun:
     return GssRun(params, X, S, Y)
 
 
-def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray:
-    x = np.zeros(params.n, dtype=float)
-    x[list(support)] = 1.0 / math.sqrt(params.k)
-    tensor = x
-    for _ in range(params.d - 1):
-        tensor = np.multiply.outer(tensor, x)
-    return tensor
-
-
 def _sample_tpca(params: TpcaParams, count: int, fresh) -> TpcaRun:
     """A uniform k-support, then the noise tensor W; Y = sqrt(lambda) x^{(x)d} + W."""
     if params.n**params.d > TENSOR_ENTRY_BUDGET:
@@ -551,7 +556,7 @@ def _sample_tpca(params: TpcaParams, count: int, fresh) -> TpcaRun:
         support[:] = np.sort(g.choice(params.n, size=params.k, replace=False))
         g.standard_normal(out=y)
     x = signal = _indicator_rows(params.n, supports, 1.0 / math.sqrt(params.k))
-    for axis in range(1, params.d):  # x (x) x (x) ... one factor at a time, as tpca_signal_tensor multiplies
+    for axis in range(1, params.d):  # x (x) x (x) ... one factor at a time, left to right
         signal = signal[..., None] * x.reshape((count,) + (1,) * axis + (params.n,))
     Y += np.multiply(signal, math.sqrt(params.lam), out=signal)
     return TpcaRun(params, supports, Y)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mc import run_trials
-from .models import batch_rows, chunk_sampler, instance_bytes, model_name, run_of, vertex_pairs
+from .models import batch_rows, chunk_sampler, instance_bytes, model_name, per_field, run_of, vertex_pairs
 from .rng import (
     INSTANCE_STREAM,
     NOISE_STREAM,
@@ -104,13 +104,6 @@ def _noise_tpca(params, rho: float, run, fresh) -> np.ndarray:
 _NOISE = {"psp": _noise_psp, "rlc": _noise_rlc, "gss": _noise_gss, "tpca": _noise_tpca}
 
 
-def _copied(observation):
-    """observation with every array in it copied."""
-    if isinstance(observation, tuple):
-        return tuple(map(_copied, observation))
-    return observation.copy()
-
-
 def chunk_noise(params, rho: float):
     """The model's noise operator at rho over a run: apply(run, fresh) -> the run's stacked noisy observation.
 
@@ -121,7 +114,7 @@ def chunk_noise(params, rho: float):
     """
     check_rho(rho)
     if rho == 0.0:
-        return lambda run, fresh: _copied(run.observation)
+        return lambda run, fresh: per_field(np.copy, run.observation)
     return partial(_NOISE[model_name(params)], params, rho)
 
 

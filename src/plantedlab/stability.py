@@ -20,7 +20,7 @@ import numpy as np
 from .bayes import MmseReport, posterior_means
 from .errors import EstimatorTrialError, IllConditionedError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
-from .models import PspParams, batch_fields, batch_rows, batch_size, check_stack, model_name, pair_ids, run_of, vertex_pairs
+from .models import PspParams, batch_rows, batch_size, model_name, pair_ids, per_field, run_of, stack_observations, vertex_pairs
 from .noise import CoupledTrials
 from .solvers import LllConfig, f2_rref, lll_subset_sum, shortest_paths
 
@@ -62,22 +62,21 @@ def prior_mean_vector(params) -> np.ndarray:
 class Solver(NamedTuple):
     model: str  # the one model the solver accepts
     what: str  # that model's description
-    solve: Callable  # (params, batch of observations, LllConfig) -> (T x dim estimates, T found flags)
+    solve: Callable  # (params, stacked fields of models.stack_observations, LllConfig) -> (T x dim estimates, T found flags)
     fallback: Callable  # params -> the estimate of a trial where solve finds nothing
 
 
-def _solve_psp(params, observations, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
-    paths = shortest_paths(observations, params.n)
+def _solve_psp(params, fields, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
+    paths = shortest_paths(*fields, params.n)
     ids = pair_ids(params.n)[paths[:, :-1], paths[:, 1:]]
     out = np.zeros((len(paths), len(vertex_pairs(params.n)) + 1))
     out[np.arange(len(paths))[:, None], ids] = 1.0  # a step past vertex 2 has pair id -1, the spare last column
     return out[:, :-1], paths[:, 0] == 1
 
 
-def _solve_rlc(params, observations, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
+def _solve_rlc(params, fields, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
     # an affine solution set gives 0.5 on every free coordinate, so it never equals a 0/1 signal
-    A, y = batch_fields(observations, 2)
-    reduced = f2_rref(check_stack("A", A, (params.m, params.n)), check_stack("y", y, (params.m,)))
+    reduced = f2_rref(*fields)
     lead = reduced.rank[:, None] > np.arange(params.m)  # the rows that hold a pivot
     out = np.full((len(lead), params.n), 0.5)
     # pivot r's coordinate is row r's right-hand side, unless row r reaches a free column
@@ -87,12 +86,12 @@ def _solve_rlc(params, observations, cfg: LllConfig) -> tuple[np.ndarray, np.nda
     return out, ~(reduced.rhs.astype(bool) & ~lead).any(axis=1)
 
 
-def _solve_gss(params, observations, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
+def _solve_gss(params, fields, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
     # one exact LLL reduction per instance
-    out = np.zeros((batch_size(observations), params.N))
+    out = np.zeros((len(fields[0]), params.N))
     found = np.zeros(len(out), dtype=bool)
     for i in range(len(out)):
-        subset = lll_subset_sum(*batch_rows(observations, i), params.k, cfg)
+        subset = lll_subset_sum(*batch_rows(fields, i), params.k, cfg)
         if subset is not None:
             out[i, list(subset)], found[i] = 1.0, True
     return out, found
@@ -117,7 +116,7 @@ def solver_recoveries(run, cfg: LllConfig = LllConfig()) -> np.ndarray:
     solver = next((s for s in SOLVERS.values() if s.model == model_name(run.params)), None)
     if solver is None:
         raise ParameterError(f"no fast solver for the {model_name(run.params)} model")
-    estimates, found = solver.solve(run.params, run.observation, cfg)
+    estimates, found = solver.solve(run.params, stack_observations(run.params, run.observation), cfg)
     return found & (estimates == run.signal_vectors()).all(axis=1)
 
 
@@ -130,9 +129,10 @@ def _solver_estimator(solver: Solver, params, rho: float) -> Callable:
     cfg, fallback = LllConfig(), solver.fallback(params)
 
     def run(observations) -> np.ndarray:
-        if not batch_size(observations):
+        fields = stack_observations(params, observations)
+        if not len(fields[0]):
             return np.zeros(0)
-        estimates, found = solver.solve(params, observations, cfg)
+        estimates, found = solver.solve(params, fields, cfg)
         estimates[~found] = fallback
         return estimates
 
@@ -145,7 +145,7 @@ def _constant_prior_mean(params, rho: float) -> Callable:
 
 
 # name -> factory(params, rho) -> batch estimator: a batch of T observations in (a run's
-# stacked observation or a list, see models.batch_fields), a T x dim array out.
+# stacked observation or a list, see models.stack_observations), a T x dim array out.
 # "posterior_mean" is the Bayes estimator matched to the measurement noise
 # level, so both arms of a stability trial stay inside its support.
 ESTIMATORS: dict[str, Callable] = {
@@ -188,13 +188,6 @@ class StabilityReport:
     norm_stderr: float
 
 
-def _both_arms(clean, noisy):
-    """The stacked observation of both arms: the clean trials, then the noisy ones."""
-    if isinstance(clean, tuple):
-        return tuple(map(_both_arms, clean, noisy))
-    return np.concatenate([clean, noisy])
-
-
 def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray) -> np.ndarray:
     """Rows (|a - b|^2, |a - x|^2, |a|^2), one a trial, from a = fn(clean), b = fn(noisy), x the signal.
 
@@ -206,7 +199,7 @@ def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray)
     """
     count = len(signals)
     try:
-        out = np.asarray(fn(_both_arms(clean, noisy)), dtype=float)
+        out = np.asarray(fn(per_field(lambda *arms: np.concatenate(arms), clean, noisy)), dtype=float)
         if out.ndim != 2 or len(out) != 2 * count:
             raise ValueError(f"estimator gave shape {out.shape} for {2 * count} observations")
         if not np.isfinite(out).all():

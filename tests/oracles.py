@@ -2,7 +2,8 @@
 
 The Monte-Carlo posterior oracles are written straight from the generative
 descriptions in plain numpy, on purpose sharing no code with the library's
-samplers/noise/posteriors.  The PSP pair loops check the library's indexed
+samplers/noise/posteriors; the TPCA draw builds its planted tensor by
+repeated outer products (tpca_signal_tensor).  The PSP pair loops check the library's indexed
 edge-vector conversions and its path and shape placements, the matrix BFS
 and the neighbour-list BFS (shortest_path_lists) check the batched
 breadth-first search, the row-by-row
@@ -58,7 +59,6 @@ from plantedlab.models import (
     TpcaParams,
     sample_instance,
     subset_sum_value,
-    tpca_signal_tensor,
     vertex_pairs,
 )
 from plantedlab.noise import check_rho
@@ -587,6 +587,16 @@ def draw_gss(params: GssParams, rng: np.random.Generator) -> GssInstance:
     X = rng.standard_normal(params.N)
     S = tuple(sorted(int(i) for i in rng.choice(params.N, size=params.k, replace=False)))
     return GssInstance(params=params, X=X, S=S, Y=subset_sum_value(X, S))
+
+
+def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray:
+    """The planted tensor x^{(x)d}, x = 1_support / sqrt(k), by repeated outer products."""
+    x = np.zeros(params.n, dtype=float)
+    x[list(support)] = 1.0 / math.sqrt(params.k)
+    tensor = x
+    for _ in range(params.d - 1):
+        tensor = np.multiply.outer(tensor, x)
+    return tensor
 
 
 def draw_tpca(params: TpcaParams, rng: np.random.Generator) -> TpcaInstance:

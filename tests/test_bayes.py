@@ -521,6 +521,25 @@ def test_weighted_marginals_peak_is_bounded_by_its_row_blocks():
     assert peak <= 1.5 * 2**20
 
 
+def test_rlc_profiles_peak_holds_one_histogram_at_a_time():
+    # 90 trials of RLC 14x10: the codeword table and the keys take 2 x 737,280 bytes, and each
+    # half of the low bits has a 345,600-byte int64 histogram (90 trials x 2^5 values x 15
+    # weights), folded through a float32 copy of half that size; with the histogram before
+    # still held while the next is counted, the peak would be about 2.31 MB
+    T, m, n = 90, 14, 10
+    rng = generator(9)
+    A, y_hat = rng.integers(0, 2, (T, m, n), dtype=np.uint8), rng.integers(0, 2, (T, m), dtype=np.uint8)
+    hist = T * 2**5 * (m + 1) * 8
+    bound = 2 * T * 2**n * 8 + hist + hist // 2 + T * (m + 1) * (n + 1) * 8 + 2**17
+    tracemalloc.start()
+    try:
+        bayes._rlc_profiles(A, y_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 @pytest.mark.parametrize("n, k, d", [(10, 2, 3), (12, 2, 3), (8, 3, 2), (7, 2, 4), (9, 3, 3), (10, 3, 3)])
 def test_tpca_log_weights_and_overlaps_equal_the_support_loop(n, k, d):
     params = TpcaParams(n=n, k=k, d=d, lam=5.0)
@@ -608,11 +627,11 @@ def _with_entry(array, index, value):
 # (params, the out-of-model observation made from a valid one, the error it raises)
 _OUT_OF_MODEL = {
     "psp-twice-the-adjacency": (PspParams(n=6, L=3, q=0.3), lambda obs: 2 * obs, "edges entries must be 0 or 1"),
-    "rlc-three-times-y-hat": (RlcParams(m=6, n=4), lambda obs: (obs[0], 3 * obs[1]), "y_hat entries must be 0 or 1"),
+    "rlc-three-times-y-hat": (RlcParams(m=6, n=4), lambda obs: (obs[0], 3 * obs[1]), "y entries must be 0 or 1"),
     "rlc-A-entry-2": (RlcParams(m=6, n=4), lambda obs: (_with_entry(obs[0], (0, 0), 2), obs[1]), "A entries"),
-    "rlc-y-hat-entry-half": (RlcParams(m=6, n=4), lambda obs: (obs[0], _with_entry(obs[1], 2, 0.5)), "y_hat entries"),
-    "gss-nan-y-hat": (GssParams(N=10, k=3), lambda obs: (obs[0], math.nan), "y_hat must be finite"),
-    "gss-inf-y-hat": (GssParams(N=10, k=3), lambda obs: (obs[0], -math.inf), "y_hat must be finite"),
+    "rlc-y-hat-entry-half": (RlcParams(m=6, n=4), lambda obs: (obs[0], _with_entry(obs[1], 2, 0.5)), "y entries"),
+    "gss-nan-y-hat": (GssParams(N=10, k=3), lambda obs: (obs[0], math.nan), "Y must be finite"),
+    "gss-inf-y-hat": (GssParams(N=10, k=3), lambda obs: (obs[0], -math.inf), "Y must be finite"),
     "gss-inf-X": (GssParams(N=10, k=3), lambda obs: (_with_entry(obs[0], 3, math.inf), obs[1]), "X must be finite"),
     "gss-nan-X": (GssParams(N=10, k=3), lambda obs: (_with_entry(obs[0], 0, math.nan), obs[1]), "X must be finite"),
     "gss-one-element-y-hat": (GssParams(N=10, k=3), lambda obs: (obs[0], np.array([obs[1]])), re.escape("expected ()")),

@@ -4,9 +4,10 @@ No module in src, tests or demos imports a name it never uses, only noise
 drives mc.run_trials, the posterior kernels are reached only through
 bayes._POSTERIORS, src and demos reach the fast solvers only through the
 wrappers of stability.SOLVERS, only models and counting name the PSP
-adjacency-matrix conversions, cli draws no instance or null graph one seed
-at a time, and src calls no numpy function newer than the numpy floor in
-pyproject.toml.
+adjacency-matrix conversions, bayes, lowdeg and stability check
+observations only through models.stack_observations, cli draws no instance
+or null graph one seed at a time, and src calls no numpy function newer
+than the numpy floor in pyproject.toml.
 """
 
 from __future__ import annotations
@@ -185,6 +186,57 @@ def test_only_models_and_counting_name_the_adjacency_conversions():
     src = sorted((ROOT / "src" / "plantedlab").glob("*.py"))
     found = {p.name: conversion_references(p.read_text(encoding="utf-8")) for p in src}
     assert len(src) > 10 and {name for name, lines in found.items() if lines} == {"models.py", "counting.py"}
+
+
+# the checks on observations: bayes, lowdeg and stability reach them only through
+# models.stack_observations, check_stack stacks only there and in solvers.shortest_paths
+# (for its own array input), and the per-field batch split batch_fields is gone
+OBSERVATION_CHECKS = {"check_stack", "check_shape", "check_bits", "check_finite", "batch_fields"}
+
+
+def check_references(source: str, excused: frozenset = frozenset()) -> list[tuple[int, str]]:
+    """(line, name) of each observation check named, by use or import, outside the classes and functions in excused.
+
+    The import of a name that an excused scope uses is excused too.
+    """
+    tree = ast.parse(source)
+    scopes = [s for s in ast.walk(tree) if isinstance(s, (ast.FunctionDef, ast.ClassDef)) and s.name in excused]
+    inside = {id(node) for scope in scopes for node in ast.walk(scope)}
+    used_inside = {node.id for scope in scopes for node in ast.walk(scope) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or (node.name if isinstance(node, ast.alias) else None)
+        if name in OBSERVATION_CHECKS and id(node) not in inside and not (isinstance(node, ast.alias) and name in used_inside):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_check_scan_finds_a_planted_check():
+    source = (
+        "from .models import check_finite, check_stack, stack_observations\n"
+        "class DiagramSpec:\n"
+        "    def __post_init__(self):\n"
+        "        check_finite('mu', self.mu)\n"
+        "def evaluate_many(self, observations, params):\n"
+        "    A, y = stack_observations(params, observations)\n"
+    )
+    assert check_references(source, frozenset({"DiagramSpec"})) == [(1, "check_stack")]
+    assert check_references(source) == [(1, "check_finite"), (1, "check_stack"), (4, "check_finite")]
+    planted = "    models.check_bits('y', y)\nX, Y = batch_fields(observations, 2)\n"
+    assert check_references(source + planted, frozenset({"DiagramSpec"})) == [(1, "check_stack"), (7, "check_bits"), (8, "batch_fields")]
+
+
+def test_estimators_check_observations_only_through_stack_observations():
+    src = {p.stem: p.read_text(encoding="utf-8") for p in (ROOT / "src" / "plantedlab").glob("*.py")}
+    # lowdeg's DiagramSpec checks its own mu, a parameter, not an observation
+    for module, excused in (("bayes", ()), ("stability", ()), ("lowdeg", ("DiagramSpec",))):
+        assert (module, check_references(src[module], frozenset(excused))) == (module, [])
+    named = {str(p.relative_to(ROOT)): {name for _, name in check_references(p.read_text(encoding="utf-8"))} for p in FILES}
+    assert {path for path, names in named.items() if "check_stack" in names and path.startswith("src")} == {
+        "src/plantedlab/models.py",
+        "src/plantedlab/solvers.py",
+    }
+    assert {path for path, names in named.items() if "batch_fields" in names} == set()
 
 
 # numpy functions src may call only when the pyproject floor is at least the version that added them

@@ -16,10 +16,12 @@ from oracles import (
     psp_edge_vector_loop,
     sample_instance_scalar,
     shape_maps_loop,
+    tpca_signal_tensor,
 )
 from plantedlab import models
+from plantedlab.bayes import posterior_means, tpca_overlap_distribution
 from plantedlab.errors import ParameterError, ResourceBudgetError
-from plantedlab.lowdeg import PSP_SHAPE_LIBRARY, _character_sign_tables
+from plantedlab.lowdeg import PSP_SHAPE_LIBRARY, CharacterIndex, GssPoly, PspSymmetricPoly, RlcPoly, _character_sign_tables
 from plantedlab.models import (
     GssParams,
     PspParams,
@@ -52,6 +54,7 @@ from plantedlab.rng import (
     uint32_stream,
     uniforms,
 )
+from plantedlab.stability import SOLVERS, resolve_estimator
 
 
 def _trial_draws(params, seed: int, trials: int):
@@ -186,7 +189,7 @@ def test_tpca_signal_tensor_entries():
     lo = sample_instance(params_lo, seed=77)
     assert hi.support == lo.support
     diff = hi.Y - lo.Y
-    expected = models.tpca_signal_tensor(params_hi, hi.support)
+    expected = tpca_signal_tensor(params_hi, hi.support)
     assert np.allclose(diff, expected, atol=1e-12)
     on_support = expected[np.ix_(hi.support, hi.support, hi.support)]
     assert np.allclose(on_support, 2 ** (-3 / 2))
@@ -564,8 +567,74 @@ def test_batch_helpers_read_a_run_and_a_list_alike(params):
     for i in range(3):
         assert hex_fields(models.batch_rows(stacked, i)) == hex_fields(listed[i])
     assert hex_fields(models.batch_rows(stacked, slice(1, 3))) == hex_fields(models.run_of([run[1], run[2]]).observation)
-    assert models.batch_fields(stacked, 2) is stacked
-    if isinstance(stacked, tuple):
-        assert all(np.array_equal(np.array(f), s) for f, s in zip(models.batch_fields(listed, 2), stacked))
-        assert models.batch_fields([], 2) == ([], [])
+    fields = models.stack_observations(params, stacked)
+    assert all(f is s for f, s in zip(fields, stacked if isinstance(stacked, tuple) else (stacked,)))  # no copy
+    assert hex_fields(models.stack_observations(params, listed)) == hex_fields(fields)
+    empty = models.stack_observations(params, [])
+    assert [f.shape for f in empty] == [(0, *f.shape[1:]) for f in fields]
     assert hex_fields(run.signal_vectors()) == hex_fields(np.array([inst.signal_vector() for inst in run]))
+
+
+_PSP, _RLC, _GSS, _TPCA = PspParams(n=6, L=3, q=0.3), RlcParams(m=6, n=4), GssParams(N=10, k=3), TpcaParams(n=6, k=2, d=3, lam=4.0)
+_POLYS = {
+    "psp": PspSymmetricPoly(terms=((((1, 3),), 1.0),)),
+    "rlc": RlcPoly(terms=((CharacterIndex.make([(0, 0)], [1]), 1.0),)),
+    "gss": GssPoly(terms=((((0, 1),), 1, 1.0),)),
+}
+
+
+def _observation_consumers(params, listed: bool) -> dict:
+    """Every batch entry point that reads params' observations: name -> batch -> its output."""
+    name = models.model_name(params)
+    out = {"posterior_means": lambda batch: posterior_means(params, batch, 0.5)}
+    if name in _POLYS:
+        out["evaluate_many"] = lambda batch: _POLYS[name].evaluate_many(batch, params)
+    for solver, spec in SOLVERS.items():
+        if spec.model == name:
+            out[solver] = resolve_estimator(solver, params, 0.5)
+    if name == "tpca" and listed:  # it takes one observation, not a batch
+        out["tpca_overlap_distribution"] = lambda batch: tpca_overlap_distribution(batch[0], [0, 1], params)
+    return out
+
+
+def _with_field(listed, i, field, value):
+    """listed with trial i's field replaced by value (field None: the whole observation)."""
+    out = list(listed)
+    out[i] = value if field is None else tuple(value if j == field else f for j, f in enumerate(listed[i]))
+    return out
+
+
+# (params, the batch made from a valid (listed, stacked) one, the message every consumer raises)
+_OUTSIDE_THE_MODEL = {
+    "psp-complex-edges": (_PSP, lambda l, s: _with_field(l, 1, None, l[1].astype(complex)),
+                          "edges entries must be real numbers, got dtype complex128"),
+    "psp-0-d-batch": (_PSP, lambda l, s: np.array(True),
+                      "edges is not stacked: a stacked psp batch holds (edges) as arrays of one row a trial"),
+    "psp-tuple-batch": (_PSP, lambda l, s: (s,),
+                        "edges is not stacked: a stacked psp batch holds (edges) as arrays of one row a trial"),
+    "rlc-object-A": (_RLC, lambda l, s: _with_field(l, 2, 0, l[2][0].astype(object)),
+                     "A entries must be real numbers, got dtype object"),
+    "rlc-one-field": (_RLC, lambda l, s: s[:1], "a rlc observation is (A, y), got 1 fields"),
+    "rlc-bare-A": (_RLC, lambda l, s: _with_field(l, 0, None, l[0][0]), "a rlc observation is (A, y), got a ndarray"),
+    "gss-string-Y": (_GSS, lambda l, s: [(X, "a") for X, _ in l], "Y entries must be real numbers, got dtype <U1"),
+    "gss-complex-X": (_GSS, lambda l, s: _with_field(l, 1, 0, l[1][0] + 0j), "X entries must be real numbers, got dtype complex128"),
+    "gss-three-fields": (_GSS, lambda l, s: [(X, Y, 0) for X, Y in l], "a gss observation is (X, Y), got 3 fields"),
+    "gss-0-d-Y": (_GSS, lambda l, s: (s[0], s[1][0]), "Y is not stacked: a stacked gss batch holds (X, Y) as arrays of one row a trial"),
+    "gss-listed-Y": (_GSS, lambda l, s: (s[0], list(s[1])), "Y is not stacked: a stacked gss batch holds (X, Y) as arrays of one row a trial"),
+    "tpca-complex-Y": (_TPCA, lambda l, s: _with_field(l, 0, None, l[0] * (1 + 0j)), "Y entries must be real numbers, got dtype complex128"),
+    "tpca-0-d-batch": (_TPCA, lambda l, s: np.array(0.5), "Y is not stacked: a stacked tpca batch holds (Y) as arrays of one row a trial"),
+}
+
+
+@pytest.mark.parametrize("params, corrupt, message", _OUTSIDE_THE_MODEL.values(), ids=_OUTSIDE_THE_MODEL)
+def test_every_consumer_rejects_an_observation_outside_the_model_alike(params, corrupt, message):
+    # a typed error with one message from every entry point, where a bare ValueError, TypeError or
+    # IndexError, or a silently dropped imaginary part, came from some of them
+    run = models.run_of([sample_instance(params, seed) for seed in range(3)])
+    bad = corrupt([inst.observation for inst in run], run.observation)
+    consumers = _observation_consumers(params, isinstance(bad, list))
+    assert len(consumers) == 3 or isinstance(params, TpcaParams)  # the posterior, the polynomial and the solver
+    for name, consume in consumers.items():
+        with pytest.raises(ParameterError) as err:
+            consume(bad)
+        assert (name, str(err.value)) == (name, message)
