@@ -223,10 +223,10 @@ def _cmd_stability(config: ExperimentConfig, opts: dict):
     outcomes = [stability_outcomes(config.estimators, params, rho, config.trials, config.seed) for rho in config.rho_grid]
     rows = []
     for i in range(len(config.estimators)):  # estimator-major, so the first failure in that order is raised
-        for rho, per_rho in zip(config.rho_grid, outcomes):
-            rep = per_rho[i]  # present: a shorter list ends in the failure of an earlier estimator
-            if isinstance(rep, Exception):
-                raise rep
+        for rho, (reports, failure) in zip(config.rho_grid, outcomes):
+            if i == len(reports):  # estimator i failed at this rho (an earlier one would have been raised)
+                raise failure
+            rep = reports[i]
             rows += _estimator_rows(rep, blob, rho, ("estimator_norm", rep.estimator_norm_hat, rep.norm_stderr))
     return rows, None
 

@@ -38,12 +38,15 @@ JSON schema (stable field names)
   "y": bit string}.
 * GSS instance: {"params", "X": [floats], "S": sorted indices, "Y": float}.
 * TPCA instance: {"params", "support": sorted indices, "Y": row-major [floats]}.
+* instance_from_json checks each field's type, length and range (not the
+  planted relation) and raises ParameterError naming the key.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from typing import Sequence
@@ -511,33 +514,27 @@ def _sample_gss(params: GssParams, count: int, fresh) -> GssRun:
 
     S is Generator.choice(N, k, replace=False).  Its Floyd method draws v in
     [0, j] (a bounded uint32 draw) for j = N-k..N-1 and takes v, or j when v
-    was taken before; a run of more than one trial decodes those draws from
-    raw words, and a trial that rejects a word is drawn again from fresh(i)
-    with choice itself.  A run of one trial, which would pay the decoder's
-    fixed cost for one row, and every trial past Floyd's range (choice reads
-    no word there) call choice directly.
+    was taken before; the run decodes those draws from raw words.  A trial
+    the decoder cannot give (a rejected word, or past Floyd's range, where
+    it reads no word) is drawn again from fresh(i) with choice itself.
     """
     N, k = params.N, params.k
     ranges = range(N - k + 1, N + 1)
-    decode = count > 1 and not (N > _CHOICE_FLOYD_LIMIT and k > N // 50)
-    words = (sum(r > 1 for r in ranges) + 1) // 2 if decode else 0  # a range of 1 draws nothing
-    X, chosen = np.empty((count, N)), np.empty((count, k), dtype=np.int64)
-    raw = np.empty((count, words), dtype=np.uint64)
-    for x, w, c, g in zip(X, raw, chosen, map(fresh, range(count))):
+    # a range of 1 draws nothing, and past Floyd's range choice reads no word
+    words = 0 if N > _CHOICE_FLOYD_LIMIT and k > N // 50 else (sum(r > 1 for r in ranges) + 1) // 2
+    X, raw = np.empty((count, N)), np.empty((count, words), dtype=np.uint64)
+    for x, w, g in zip(X, raw, map(fresh, range(count))):
         g.standard_normal(out=x)
-        if decode:
-            w[:] = g.bit_generator.random_raw(words)
-        else:
-            c[:] = g.choice(N, size=k, replace=False)
-    if decode:
-        draws, ok = lemire_draws(uint32_stream(raw), ranges)
-        for i, j in enumerate(range(N - k, N)):
-            v = draws[:, i].astype(np.int64)
-            chosen[:, i] = np.where((chosen[:, :i] == v[:, None]).any(axis=1), j, v)
-        for i in np.flatnonzero(~ok):
-            g = fresh(i)
-            g.standard_normal(N)
-            chosen[i] = g.choice(N, size=k, replace=False)
+        w[:] = g.bit_generator.random_raw(words)
+    draws, ok = lemire_draws(uint32_stream(raw), ranges)
+    chosen = np.empty((count, k), dtype=np.int64)
+    for i, j in enumerate(range(N - k, N)):
+        v = draws[:, i].astype(np.int64)
+        chosen[:, i] = np.where((chosen[:, :i] == v[:, None]).any(axis=1), j, v)
+    for i in np.flatnonzero(~ok):
+        g = fresh(i)
+        g.standard_normal(N)
+        chosen[i] = g.choice(N, size=k, replace=False)
     S = np.sort(chosen, axis=1)
     Y = np.zeros(count)
     for col in S.T:  # left to right over sorted indices, as subset_sum_value adds them
@@ -633,8 +630,32 @@ def _bits_to_string(arr: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in np.asarray(arr).ravel())
 
 
-def _string_to_bits(s: str, shape) -> np.ndarray:
+def _string_to_bits(key: str, s, shape) -> np.ndarray:
+    """s as a 0/1 array of the given shape; ParameterError unless it is a string of that many characters 0 or 1."""
+    size = math.prod(shape)
+    if not (isinstance(s, str) and len(s) == size and set(s) <= {"0", "1"}):
+        raise ParameterError(f"RLC {key!r} must be a string of {size} characters 0 or 1, got {s!r}")
     return np.array([int(ch) for ch in s], dtype=np.uint8).reshape(shape)
+
+
+def _finite(v) -> bool:
+    """Whether v is a JSON number, not a bool, that is finite as a float; abs compares a large int exactly."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _numbers_from_json(what: str, values, size: int) -> np.ndarray:
+    """values as a float array; ParameterError unless they are a list of size finite numbers."""
+    if not (isinstance(values, list) and len(values) == size and all(map(_finite, values))):
+        raise ParameterError(f"{what} must be a list of {size} finite numbers")
+    return np.array(values, dtype=float)
+
+
+def _indices_from_json(what: str, values, k: int, n: int) -> tuple[int, ...]:
+    """values as a tuple; ParameterError unless they are k >= 1 strictly ascending integers in 0..n-1."""
+    ints = isinstance(values, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+    if not (ints and len(values) == k and values == sorted(set(values)) and 0 <= values[0] and values[-1] < n):
+        raise ParameterError(f"{what} must be {k} strictly ascending integers in 0..{n - 1}, got {values!r}")
+    return tuple(values)
 
 
 def params_to_json(params) -> dict:
@@ -724,11 +745,12 @@ def _rlc_to_json(inst: RlcInstance) -> dict:
 
 
 def _rlc_from_json(params: RlcParams, obj: dict) -> RlcInstance:
+    """ParameterError unless A, x and y are strings of m*n, n and m characters 0 or 1."""
     return RlcInstance(
         params=params,
-        A=_string_to_bits(obj["A"], (params.m, params.n)),
-        x=_string_to_bits(obj["x"], (params.n,)),
-        y=_string_to_bits(obj["y"], (params.m,)),
+        A=_string_to_bits("A", obj["A"], (params.m, params.n)),
+        x=_string_to_bits("x", obj["x"], (params.n,)),
+        y=_string_to_bits("y", obj["y"], (params.m,)),
     )
 
 
@@ -737,7 +759,12 @@ def _gss_to_json(inst: GssInstance) -> dict:
 
 
 def _gss_from_json(params: GssParams, obj: dict) -> GssInstance:
-    return GssInstance(params=params, X=np.array(obj["X"], dtype=float), S=tuple(obj["S"]), Y=float(obj["Y"]))
+    """ParameterError unless X is N finite numbers, S k ascending indices in 0..N-1 and Y a finite number."""
+    X = _numbers_from_json("GSS 'X'", obj["X"], params.N)
+    S = _indices_from_json("GSS 'S'", obj["S"], params.k, params.N)
+    if not _finite(obj["Y"]):
+        raise ParameterError(f"GSS 'Y' must be a finite number, got {obj['Y']!r}")
+    return GssInstance(params=params, X=X, S=S, Y=float(obj["Y"]))
 
 
 def _tpca_to_json(inst: TpcaInstance) -> dict:
@@ -745,8 +772,10 @@ def _tpca_to_json(inst: TpcaInstance) -> dict:
 
 
 def _tpca_from_json(params: TpcaParams, obj: dict) -> TpcaInstance:
-    Y = np.array(obj["Y"], dtype=float).reshape((params.n,) * params.d)
-    return TpcaInstance(params=params, support=tuple(obj["support"]), Y=Y)
+    """ParameterError unless support is k ascending indices in 0..n-1 and Y n^d finite numbers, row-major."""
+    support = _indices_from_json("TPCA 'support'", obj["support"], params.k, params.n)
+    Y = _numbers_from_json("TPCA 'Y'", obj["Y"], params.n**params.d).reshape((params.n,) * params.d)
+    return TpcaInstance(params=params, support=support, Y=Y)
 
 
 _INSTANCE_CODECS = {

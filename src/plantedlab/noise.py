@@ -133,11 +133,11 @@ class CoupledTrials:
     (seed, NOISE_STREAM, t), or (seed, NOISE_STREAM, grid_point, t) for a
     point of a noise grid, so the same draw replays against any estimator.
 
-    Every instance and noise key, the model's chunk_sampler and its
-    chunk_noise are resolved at construction.  A run of trials is drawn with
-    one call of each, re-keying one shared Philox per trial, so trial t is
-    the same whichever trials were drawn before it; indexing draws the
-    one-trial run.
+    Every instance and noise key, the one instance draw (the model's
+    chunk_sampler over the instance keys, or draw) and its chunk_noise are
+    resolved at construction.  A run of trials is drawn with one call of
+    each, re-keying one shared Philox per trial, so trial t is the same
+    whichever trials were drawn before it; indexing draws the one-trial run.
     """
 
     def __init__(self, params, rho: float, seed: int, n: int, *, grid_point=None, draw=None):
@@ -145,20 +145,19 @@ class CoupledTrials:
         self._noise = chunk_noise(params, rho)
         path = () if grid_point is None else (grid_point,)
         self._noise_keys = trial_keys(seed, NOISE_STREAM, *path, n=n)
-        self._instance_keys = None if draw is not None else trial_keys(seed, INSTANCE_STREAM, n=n)
-        self._sample = chunk_sampler(params) if draw is None else None
-        self._params, self._seed, self._draw = params, seed, draw
-        self._rng = keyed_generator()
+        self._params, self._rng = params, keyed_generator()
+        if draw is None:
+            sample, keys, rng = chunk_sampler(params), trial_keys(seed, INSTANCE_STREAM, n=n), self._rng
+            self._draw = lambda ts: sample(len(ts), keyed_fresh(rng, keys[ts.start : ts.stop]))
+        else:
+            self._draw = partial(draw, params, seed)
 
     def __len__(self) -> int:
         return len(self._noise_keys)
 
     def _run(self, ts: range) -> tuple:
         """The run record of trials ts and its stacked noisy observation."""
-        if self._draw is None:
-            run = self._sample(len(ts), keyed_fresh(self._rng, self._instance_keys[ts.start : ts.stop]))
-        else:
-            run = self._draw(self._params, self._seed, ts)
+        run = self._draw(ts)
         return run, self._noise(run, keyed_fresh(self._rng, self._noise_keys[ts.start : ts.stop]))
 
     def __getitem__(self, t: int):

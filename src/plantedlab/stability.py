@@ -20,7 +20,7 @@ import numpy as np
 from .bayes import MmseReport, posterior_means
 from .errors import EstimatorTrialError, IllConditionedError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
-from .models import PspParams, batch_rows, batch_size, model_name, pair_ids, per_field, run_of, stack_observations, vertex_pairs
+from .models import PspParams, batch_rows, model_name, pair_ids, per_field, run_of, stack_observations, vertex_pairs
 from .noise import CoupledTrials
 from .solvers import LllConfig, f2_rref, lll_subset_sum, shortest_paths
 
@@ -102,8 +102,8 @@ def _solve_gss(params, fields, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
 SOLVERS = {
     # an unreachable target gives the all-zero vector
     "shortest_path_indicator": Solver("psp", "planted-path", _solve_psp, lambda p: np.zeros(len(vertex_pairs(p.n)))),
-    "f2_round": Solver("rlc", "linear-code", _solve_rlc, lambda p: np.full(p.n, 0.5)),
-    "lll_subset_indicator": Solver("gss", "subset-sum", _solve_gss, lambda p: np.full(p.N, p.k / p.N)),
+    "f2_round": Solver("rlc", "linear-code", _solve_rlc, prior_mean_vector),
+    "lll_subset_indicator": Solver("gss", "subset-sum", _solve_gss, prior_mean_vector),
 }
 
 
@@ -141,7 +141,12 @@ def _solver_estimator(solver: Solver, params, rho: float) -> Callable:
 
 def _constant_prior_mean(params, rho: float) -> Callable:
     const = prior_mean_vector(params)
-    return lambda observations: np.tile(const, (batch_size(observations), 1)) if batch_size(observations) else np.zeros(0)
+
+    def run(observations) -> np.ndarray:
+        count = len(stack_observations(params, observations)[0])
+        return np.tile(const, (count, 1)) if count else np.zeros(0)
+
+    return run
 
 
 # name -> factory(params, rho) -> batch estimator: a batch of T observations in (a run's
@@ -215,26 +220,27 @@ def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray)
     return np.stack([(v[:, None, :] @ v[:, :, None]).ravel() for v in (a - b, a - signals, a)], axis=1)
 
 
-def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list:
+def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, seed: int) -> tuple[list, Optional[Exception]]:
     """measure_stability of each estimator in order, from one coupled pass, up to the first that fails.
 
-    Each entry is a StabilityReport, except that the last may be the
-    exception that measure_stability raises for that estimator; the
-    estimators after it are not run.
+    Returns (reports, failure): the StabilityReports of the estimators before
+    the first that fails, and what measure_stability raises for it (None when
+    none fails); the estimators after it are not run.
     """
     names = [e if isinstance(e, str) else getattr(e, "__name__", "custom") for e in estimators]
-    fns, failed = [], []
+    fns, failure = [], None
     for estimator in estimators:
         try:
             fns.append(resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator)
         except ParameterError as err:  # raised in estimator order, after the earlier estimators' errors
-            failed.append(err)
+            failure = err
             break
     if not fns:
-        return failed
+        return [], failure
     moments = [[] for _ in fns]
 
     def chunk(start: int, run, noisy) -> list:
+        nonlocal failure
         signals = run.signal_vectors()
         for i, fn in enumerate(fns):
             try:
@@ -242,7 +248,7 @@ def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, se
             except EstimatorTrialError as err:
                 # only the first estimator that fails can be reported, so the later ones stop too
                 del fns[i:], moments[i:]
-                failed[:] = [err]
+                failure = err
                 if not fns:
                     raise
                 break
@@ -251,17 +257,17 @@ def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, se
     try:
         CoupledTrials(params, rho, seed, trials).map(chunk)
     except EstimatorTrialError as err:  # the first estimator failed, and nothing is left to run
-        return [err]
-    out = []
+        return [], err
+    reports = []
     for name, rows in zip(names, moments):
         diffs, errs, norms = np.concatenate(rows).T
         try:
             eta_hat, eta_stderr = ratio_with_stderr(diffs, norms)
         except IllConditionedError as err:  # e.g. an all-zero estimator
-            return out + [err]
+            return reports, err
         mse_hat, mse_stderr = mean_stderr(errs)
         norm_hat, norm_stderr = mean_stderr(norms)
-        out.append(
+        reports.append(
             StabilityReport(
                 model=model_name(params),
                 params=params,
@@ -276,7 +282,7 @@ def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, se
                 norm_stderr=norm_stderr,
             )
         )
-    return out + failed
+    return reports, failure
 
 
 def measure_stabilities(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list[StabilityReport]:
@@ -289,11 +295,10 @@ def measure_stabilities(estimators: Sequence, params, rho: float, trials: int, s
     trial) or whose reduction is ill-conditioned.  An estimator that fails is
     not run on later chunks.
     """
-    outcomes = stability_outcomes(estimators, params, rho, trials, seed)
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+    reports, failure = stability_outcomes(estimators, params, rho, trials, seed)
+    if failure is not None:
+        raise failure
+    return reports
 
 
 def measure_stability(

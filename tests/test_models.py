@@ -323,6 +323,51 @@ def test_psp_instance_json_rejects_malformed_fields(case):
         instance_from_json({**blob, key: value})
 
 
+# a malformed RLC, GSS or TPCA instance field -> the error it raises; each once loaded (a bit string
+# of 2s, a repeated or out-of-range index) or raised a bare ValueError
+_JSON_PARAMS = {"rlc": RlcParams(m=4, n=2), "gss": GssParams(N=5, k=2), "tpca": TpcaParams(n=2, k=1, d=2, lam=1.0)}
+_RLC_BITS = "RLC 'A' must be a string of 8 characters 0 or 1"
+BAD_INSTANCE_JSON = {
+    "rlc-A-of-2s": ("rlc", "A", "2" * 8, f"{_RLC_BITS}, got '22222222'"),
+    "rlc-A-too-short": ("rlc", "A", "0101", f"{_RLC_BITS}, got '0101'"),
+    "rlc-A-too-long": ("rlc", "A", "0" * 9, f"{_RLC_BITS}, got '000000000'"),
+    "rlc-A-a-list": ("rlc", "A", [0] * 8, f"{_RLC_BITS}, got [0, 0, 0, 0, 0, 0, 0, 0]"),
+    "rlc-x-too-long": ("rlc", "x", "010", "RLC 'x' must be a string of 2 characters 0 or 1, got '010'"),
+    "rlc-y-a-letter": ("rlc", "y", "01a1", "RLC 'y' must be a string of 4 characters 0 or 1, got '01a1'"),
+    "gss-S-repeats": ("gss", "S", [3, 3], "GSS 'S' must be 2 strictly ascending integers in 0..4, got [3, 3]"),
+    "gss-S-descends": ("gss", "S", [3, 1], "GSS 'S' must be 2 strictly ascending integers in 0..4, got [3, 1]"),
+    "gss-S-above-N": ("gss", "S", [1, 5], "GSS 'S' must be 2 strictly ascending integers in 0..4, got [1, 5]"),
+    "gss-S-below-0": ("gss", "S", [-1, 2], "GSS 'S' must be 2 strictly ascending integers in 0..4, got [-1, 2]"),
+    "gss-S-too-short": ("gss", "S", [1], "GSS 'S' must be 2 strictly ascending integers in 0..4, got [1]"),
+    "gss-S-non-integer": ("gss", "S", [1.0, 2], "GSS 'S' must be 2 strictly ascending integers in 0..4, got [1.0, 2]"),
+    "gss-S-bool": ("gss", "S", [False, True], "GSS 'S' must be 2 strictly ascending integers in 0..4, got [False, True]"),
+    "gss-X-too-short": ("gss", "X", [0.5] * 4, "GSS 'X' must be a list of 5 finite numbers"),
+    "gss-X-non-numeric": ("gss", "X", ["a"] * 5, "GSS 'X' must be a list of 5 finite numbers"),
+    "gss-X-infinite": ("gss", "X", [math.inf] + [0.5] * 4, "GSS 'X' must be a list of 5 finite numbers"),
+    "gss-X-past-float": ("gss", "X", [10**400] + [0.5] * 4, "GSS 'X' must be a list of 5 finite numbers"),
+    "gss-X-a-number": ("gss", "X", 0.5, "GSS 'X' must be a list of 5 finite numbers"),
+    "gss-Y-non-numeric": ("gss", "Y", "a", "GSS 'Y' must be a finite number, got 'a'"),
+    "gss-Y-nan": ("gss", "Y", math.nan, "GSS 'Y' must be a finite number, got nan"),
+    "gss-Y-a-list": ("gss", "Y", [0.5], "GSS 'Y' must be a finite number, got [0.5]"),
+    "gss-Y-bool": ("gss", "Y", True, "GSS 'Y' must be a finite number, got True"),
+    "tpca-support-above-n": ("tpca", "support", [7], "TPCA 'support' must be 1 strictly ascending integers in 0..1, got [7]"),
+    "tpca-support-too-long": ("tpca", "support", [0, 1], "TPCA 'support' must be 1 strictly ascending integers in 0..1, got [0, 1]"),
+    "tpca-Y-too-long": ("tpca", "Y", [0.5] * 5, "TPCA 'Y' must be a list of 4 finite numbers"),
+    "tpca-Y-nested": ("tpca", "Y", [[0.5, 0.5], [0.5, 0.5]], "TPCA 'Y' must be a list of 4 finite numbers"),
+    "tpca-Y-infinite": ("tpca", "Y", [0.5, -math.inf, 0.5, 0.5], "TPCA 'Y' must be a list of 4 finite numbers"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INSTANCE_JSON)
+def test_instance_json_rejects_malformed_fields(case):
+    model, key, value, message = BAD_INSTANCE_JSON[case]
+    blob = instance_to_json(sample_instance(_JSON_PARAMS[model], seed=1))
+    instance_from_json(blob)
+    with pytest.raises(ParameterError) as err:
+        instance_from_json({**blob, key: value})
+    assert str(err.value) == message
+
+
 def test_params_from_json_names_missing_and_unknown_fields():
     with pytest.raises(ParameterError, match=r"missing \['n'\]"):
         params_from_json({"model": "rlc", "m": 8})
@@ -505,14 +550,17 @@ def test_gss_sampler_draws_every_flagged_trial_with_choice(data, N, seeds):
 
 
 def test_gss_sampler_reads_on_past_a_rejection():
-    # at N = 10000, k = 200, seed 837's Floyd draws reject a word, so its 100 words run out
+    # at N = 10000, k = 200, seed 837's Floyd draws reject a word, so its 100 words run out; a run of
+    # three trials and the one-trial run of seed 837 both take the decoder and then the redraw
     params = GssParams(N=10000, k=200)
     g = generator(837)
     g.standard_normal(params.N)
     assert not lemire_draws(uint32_stream(g.bit_generator.random_raw(100))[None], range(9801, 10001))[1].all()
-    rng, keys = keyed_generator(), philox_keys([836, 837, 838])
-    run = chunk_sampler(params)(3, lambda i: rekey(rng, keys[i]))
-    assert [hex_fields(inst) for inst in run] == [hex_fields(sample_instance_scalar(params, s)) for s in (836, 837, 838)]
+    for seeds in ((836, 837, 838), (837,)):
+        rng, keys = keyed_generator(), philox_keys(seeds)
+        run = chunk_sampler(params)(len(seeds), lambda i: rekey(rng, keys[i]))
+        assert [hex_fields(inst) for inst in run] == [hex_fields(sample_instance_scalar(params, s)) for s in seeds]
+    assert hex_fields(sample_instance(params, 837)) == hex_fields(sample_instance_scalar(params, 837))
 
 
 def test_gss_sampler_past_floyds_range_calls_choice():
@@ -586,7 +634,10 @@ _POLYS = {
 def _observation_consumers(params, listed: bool) -> dict:
     """Every batch entry point that reads params' observations: name -> batch -> its output."""
     name = models.model_name(params)
-    out = {"posterior_means": lambda batch: posterior_means(params, batch, 0.5)}
+    out = {
+        "posterior_means": lambda batch: posterior_means(params, batch, 0.5),
+        "constant_prior_mean": resolve_estimator("constant_prior_mean", params, 0.5),
+    }
     if name in _POLYS:
         out["evaluate_many"] = lambda batch: _POLYS[name].evaluate_many(batch, params)
     for solver, spec in SOLVERS.items():
@@ -633,7 +684,8 @@ def test_every_consumer_rejects_an_observation_outside_the_model_alike(params, c
     run = models.run_of([sample_instance(params, seed) for seed in range(3)])
     bad = corrupt([inst.observation for inst in run], run.observation)
     consumers = _observation_consumers(params, isinstance(bad, list))
-    assert len(consumers) == 3 or isinstance(params, TpcaParams)  # the posterior, the polynomial and the solver
+    # the posterior, the constant estimator, the polynomial and the solver
+    assert len(consumers) == 4 or isinstance(params, TpcaParams)
     for name, consume in consumers.items():
         with pytest.raises(ParameterError) as err:
             consume(bad)

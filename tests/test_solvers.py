@@ -365,7 +365,7 @@ def test_lll_non_finite_delta_raises_a_parameter_error(delta):
 )
 @settings(max_examples=300, deadline=None)
 def test_gram_det_equals_the_gram_matrix_bareiss(rows, repeat):
-    # square bases take det(B)^2, the others the Gram matrix; repeat makes a dependent basis
+    # triangular square bases take det(B)^2, the others the Gram matrix; repeat makes a dependent basis
     if repeat:
         rows = rows + [list(rows[0])]
     assert _gram_det(rows) == gram_det_loop(rows)

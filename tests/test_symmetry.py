@@ -1,0 +1,87 @@
+"""Symmetries of the models as checks on the fast kernels, with no oracle.
+
+Relabeling what the model does not tell apart (PSP vertices 3..n, RLC rows
+and columns, GSS coordinates, TPCA tensor indices) moves each posterior mean
+the same way, and so does the shift x -> x + x0, y -> y + A x0 over GF(2) for
+f2_round.  The RLC posterior and f2_round count whole numbers, so they must
+match exactly.  The other kernels sum floats in an order the relabeling
+changes, so they match to ULPS.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plantedlab.bayes import posterior_means
+from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, pair_ids, vertex_pairs
+from plantedlab.noise import CoupledTrials
+from plantedlab.stability import resolve_estimator
+
+RHO = 0.3
+ULPS = 8 * np.finfo(float).eps  # the float kernels' tolerance, absolute, on means of at most 1
+SEEDS = st.integers(0, 2**32)
+
+
+def _coupled(params, seed: int, trials: int = 16):
+    """The run record of trials 0..trials-1 at seed, and their noisy observation at RHO."""
+    ((run, noisy),) = CoupledTrials(params, RHO, seed, trials).map(lambda start, run, noisy: [(run, noisy)])
+    return run, noisy
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, labels=st.permutations(range(3, 9)))
+def test_psp_posterior_moves_with_a_relabeling_of_vertices_3_to_n(seed, labels):
+    params = PspParams(n=8, L=3, q=0.3)
+    _, edges = _coupled(params, seed)
+    relabel = np.array([0, 1, 2, *labels])
+    rows, cols = np.array(vertex_pairs(params.n)).T
+    moved = pair_ids(params.n)[relabel[rows], relabel[cols]]  # pair p of a graph is pair moved[p] of its relabeling
+    relabeled = np.empty_like(edges)
+    relabeled[:, moved] = edges
+    got = posterior_means(params, relabeled, RHO)[:, moved]
+    np.testing.assert_allclose(got, posterior_means(params, edges, RHO), rtol=0, atol=ULPS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, rows=st.permutations(range(12)), cols=st.permutations(range(8)))
+def test_rlc_posterior_moves_with_a_permutation_of_rows_and_columns_exactly(seed, rows, cols):
+    params = RlcParams(m=12, n=8)
+    _, (A, y) = _coupled(params, seed)
+    got = posterior_means(params, (A[:, rows][:, :, cols], y[:, rows]), RHO)
+    np.testing.assert_array_equal(got, posterior_means(params, (A, y), RHO)[:, cols])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, perm=st.permutations(range(16)))
+def test_gss_posterior_moves_with_a_permutation_of_coordinates(seed, perm):
+    params = GssParams(N=16, k=3)
+    _, (X, Y) = _coupled(params, seed)
+    got = posterior_means(params, (X[:, perm], Y), RHO)
+    np.testing.assert_allclose(got, posterior_means(params, (X, Y), RHO)[:, perm], rtol=0, atol=ULPS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, perm=st.permutations(range(8)))
+def test_tpca_posterior_moves_with_a_permutation_of_tensor_indices(seed, perm):
+    params = TpcaParams(n=8, k=2, d=3, lam=4.0)
+    _, Y = _coupled(params, seed)
+    got = posterior_means(params, Y[:, perm][:, :, perm][:, :, :, perm], RHO)
+    np.testing.assert_allclose(got, posterior_means(params, Y, RHO)[:, perm], rtol=0, atol=ULPS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=SEEDS)
+def test_f2_round_moves_with_permutations_and_a_shift_exactly(data, seed):
+    # square and near-square codes give unique, affine and (noisy arm) inconsistent systems alike
+    n = data.draw(st.integers(1, 7))
+    params = RlcParams(m=data.draw(st.integers(n, n + 3)), n=n)
+    run, (A_noisy, y_noisy) = _coupled(params, seed)
+    A, y = np.concatenate([run.A, A_noisy]), np.concatenate([run.y, y_noisy])
+    rows = data.draw(st.permutations(range(params.m)))
+    cols = data.draw(st.permutations(range(n)))
+    x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+    f2_round = resolve_estimator("f2_round", params, RHO)
+    shifted = (y + A @ x0) % 2  # the solutions of (A, shifted) are those of (A, y) plus x0
+    got = f2_round((A[:, rows][:, :, cols], shifted[:, rows]))
+    base = f2_round((A, y))
+    np.testing.assert_array_equal(got, np.where(x0 == 1, 1.0 - base, base)[:, cols])
