@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -332,6 +331,32 @@ def _sample_full_rank_rlc(params: RlcParams, seed: int, t: int):
     return full_rank_run(params, seed, range(t, t + 1))[0]
 
 
+def squared_errors(params, rho: float):
+    """The MMSE arm of a coupled pass at rho: fn(start, run, noisy) -> |E[x | noisy] - x|^2 of each trial of the run."""
+
+    def chunk(start: int, run, noisy) -> list:
+        diffs = (posterior_means(params, noisy, rho) - run.signal_vectors())[:, None, :]
+        return (diffs @ diffs.transpose(0, 2, 1)).ravel().tolist()  # one dot a row, as one trial at a time
+
+    return chunk
+
+
+def mmse_report(params, rho: float, errs: list) -> MmseReport:
+    """The MmseReport at rho of the squared errors of an MMSE arm."""
+    mmse_hat, stderr = mean_stderr(errs)
+    norm = signal_norm(params)
+    return MmseReport(
+        model=model_name(params),
+        params=params,
+        rho=float(rho),
+        trials=len(errs),
+        mmse_hat=mmse_hat,
+        stderr=stderr,
+        signal_norm=norm,
+        nmmse_hat=mmse_hat / norm,
+    )
+
+
 def estimate_mmse_curve(
     params,
     rho_grid: Sequence[float],
@@ -344,33 +369,16 @@ def estimate_mmse_curve(
 
     Instances are shared across grid points (trial t uses the same instance at
     every rho; noise draws are independent per grid point), which correlates
-    adjacent estimates without biasing them.
+    adjacent estimates without biasing them.  The grid is one coupled pass
+    with an arm per grid point, so each run of instances is drawn once.
     """
-    name = model_name(params)
-    if full_rank_only and name != "rlc":
+    if model_name(params) != "rlc" and full_rank_only:
         raise ParameterError("full_rank_only applies to the linear-code model only")
     check_trials(trials)  # also when the grid is empty
-    # a run's full-rank instances are the same at every grid point, so each run is drawn once
-    draw = lru_cache(maxsize=None)(full_rank_run) if full_rank_only else None
-    norm = signal_norm(params)
-    out = []
-    for j, rho in enumerate(rho_grid):
-        def chunk(start: int, run, noisy) -> list:
-            diffs = (posterior_means(params, noisy, rho) - run.signal_vectors())[:, None, :]
-            return (diffs @ diffs.transpose(0, 2, 1)).ravel().tolist()  # one dot a row, as one trial at a time
-
-        errs = CoupledTrials(params, rho, seed, trials, grid_point=j, draw=draw).map(chunk)
-        mmse_hat, stderr = mean_stderr(errs)
-        out.append(
-            MmseReport(
-                model=name,
-                params=params,
-                rho=float(rho),
-                trials=trials,
-                mmse_hat=mmse_hat,
-                stderr=stderr,
-                signal_norm=norm,
-                nmmse_hat=mmse_hat / norm,
-            )
-        )
-    return out
+    rho_grid = list(rho_grid)
+    if not rho_grid:
+        return []
+    arms = [(rho, j) for j, rho in enumerate(rho_grid)]
+    coupled = CoupledTrials(params, arms, seed, trials, draw=full_rank_run if full_rank_only else None)
+    errs = coupled.map_arms([squared_errors(params, rho) for rho in rho_grid])
+    return [mmse_report(params, rho, e) for rho, e in zip(rho_grid, errs)]

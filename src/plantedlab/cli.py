@@ -30,7 +30,7 @@ from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_j
 from .noise import instance_runs, trial_runs
 from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, generator, keyed_runs, trial_keys
 from .solvers import LllConfig
-from .stability import SOLVERS, check_estimator, measure_stabilities, solver_recoveries, stability_outcomes, verify_barrier
+from .stability import SOLVERS, barrier_cell, check_estimator, solver_recoveries, stability_outcomes, verify_barrier
 
 CSV_HEADER = ["model", "params_json", "rho", "trials", "metric", "value", "stderr"]
 # config field -> its JSON type (models.check_json_types); model, params and output may also be null
@@ -236,9 +236,9 @@ def _cmd_barrier(config: ExperimentConfig, opts: dict):
     blob = _params_blob(params)
     rows = []
     for rho in config.rho_grid:
-        (mmse,) = estimate_mmse_curve(params, [rho], config.trials, config.seed)
+        mmse, stabs = barrier_cell(config.estimators, params, rho, config.trials, config.seed)
         rows.append(Row(mmse.model, blob, rho, mmse.trials, "mmse_rho", mmse.mmse_hat, mmse.stderr))
-        for stab in measure_stabilities(config.estimators, params, rho, config.trials, config.seed):
+        for stab in stabs:
             check = verify_barrier(stab, mmse)
             margin = ("barrier_margin", check.margin, check.combined_stderr)
             rows += _estimator_rows(stab, blob, rho, margin, ("barrier_holds", float(check.holds), 0.0))

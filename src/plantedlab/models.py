@@ -778,22 +778,35 @@ def _tpca_from_json(params: TpcaParams, obj: dict) -> TpcaInstance:
     return TpcaInstance(params=params, support=support, Y=Y)
 
 
+# model -> (to_json, from_json, the keys of an instance beside "params")
 _INSTANCE_CODECS = {
-    "psp": (_psp_to_json, _psp_from_json),
-    "rlc": (_rlc_to_json, _rlc_from_json),
-    "gss": (_gss_to_json, _gss_from_json),
-    "tpca": (_tpca_to_json, _tpca_from_json),
+    "psp": (_psp_to_json, _psp_from_json, ("path", "edges")),
+    "rlc": (_rlc_to_json, _rlc_from_json, ("A", "x", "y")),
+    "gss": (_gss_to_json, _gss_from_json, ("X", "S", "Y")),
+    "tpca": (_tpca_to_json, _tpca_from_json, ("support", "Y")),
 }
 
 
 def instance_to_json(inst) -> dict:
-    to_json, _ = _INSTANCE_CODECS[model_name(inst.params)]
+    to_json, _, _ = _INSTANCE_CODECS[model_name(inst.params)]
     return {"params": params_to_json(inst.params), **to_json(inst)}
 
 
 def instance_from_json(obj: dict):
+    """Inverse of instance_to_json: ParameterError, naming the key, unless obj holds a params
+    object and exactly the fields of its model, each well formed."""
+    if "params" not in obj:
+        raise ParameterError(f"an instance needs the key 'params'; got keys {sorted(obj)}")
+    check_json_types("instance", {"params": obj["params"]}, {"params": dict})
     params = params_from_json(obj["params"])
-    _, from_json = _INSTANCE_CODECS[model_name(params)]
+    name = model_name(params)
+    _, from_json, keys = _INSTANCE_CODECS[name]
+    given = set(obj) - {"params"}
+    if given != set(keys):
+        raise ParameterError(
+            f"{name} instance needs fields {sorted(keys)}; "
+            f"missing {sorted(set(keys) - given)}, unknown {sorted(given - set(keys))}"
+        )
     return from_json(params, obj)
 
 

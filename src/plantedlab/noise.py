@@ -125,27 +125,40 @@ def noise_instance_observation(instance, rho: float, seed: int):
 
 
 class CoupledTrials:
-    """Trials 0..n-1 of a coupled experiment: trial t is (instance, its observation after T_rho).
+    """Trials 0..n-1 of a coupled experiment: trial t is an instance and its observation after T_rho in each noise arm.
 
+    rho is one noise level, whose noise seed path is (seed, NOISE_STREAM, t),
+    or (seed, NOISE_STREAM, grid_point, t) for a point of a noise grid; or
+    it is a list of noise arms (rho, grid_point), each with that seed path.
     The instance is sample_instance at seed path (seed, INSTANCE_STREAM, t),
     or, when draw is given, trial t's instance in the run record draw(params,
-    seed, ts) of a range of trials ts holding t.  The noise seed path is
-    (seed, NOISE_STREAM, t), or (seed, NOISE_STREAM, grid_point, t) for a
-    point of a noise grid, so the same draw replays against any estimator.
+    seed, ts) of a range of trials ts holding t.  So the same draw replays
+    against any estimator, and every arm noises the same instances.
 
-    Every instance and noise key, the one instance draw (the model's
-    chunk_sampler over the instance keys, or draw) and its chunk_noise are
-    resolved at construction.  A run of trials is drawn with one call of
-    each, re-keying one shared Philox per trial, so trial t is the same
-    whichever trials were drawn before it; indexing draws the one-trial run.
+    Each arm's noise keys, the instance keys, the one instance draw (the
+    model's chunk_sampler over the instance keys, or draw) and each arm's
+    chunk_noise are resolved at construction, arm by arm; an arm whose rho
+    is out of range ends the arms, and its error is raised after the arms
+    before it have run (at once for the first arm).  A run of trials is
+    drawn with one call, and each arm's noise with one call, re-keying one
+    shared Philox per trial, so trial t is the same whichever trials were
+    drawn before it; indexing draws the one-trial run.
     """
 
-    def __init__(self, params, rho: float, seed: int, n: int, *, grid_point=None, draw=None):
+    def __init__(self, params, rho, seed: int, n: int, *, grid_point=None, draw=None):
         check_trials(n)
-        self._noise = chunk_noise(params, rho)
-        path = () if grid_point is None else (grid_point,)
-        self._noise_keys = trial_keys(seed, NOISE_STREAM, *path, n=n)
-        self._params, self._rng = params, keyed_generator()
+        self._params, self._n, self._rng = params, n, keyed_generator()
+        self._arms, self._failure = [], None
+        for level, point in rho if isinstance(rho, list) else [(rho, grid_point)]:
+            try:
+                noise = chunk_noise(params, level)
+            except ParameterError as err:
+                if not self._arms:
+                    raise
+                self._failure = err
+                break
+            path = () if point is None else (point,)
+            self._arms.append((noise, trial_keys(seed, NOISE_STREAM, *path, n=n)))
         if draw is None:
             sample, keys, rng = chunk_sampler(params), trial_keys(seed, INSTANCE_STREAM, n=n), self._rng
             self._draw = lambda ts: sample(len(ts), keyed_fresh(rng, keys[ts.start : ts.stop]))
@@ -153,30 +166,61 @@ class CoupledTrials:
             self._draw = partial(draw, params, seed)
 
     def __len__(self) -> int:
-        return len(self._noise_keys)
+        return self._n
 
-    def _run(self, ts: range) -> tuple:
-        """The run record of trials ts and its stacked noisy observation."""
-        run = self._draw(ts)
-        return run, self._noise(run, keyed_fresh(self._rng, self._noise_keys[ts.start : ts.stop]))
+    def _noisy(self, arm: int, run, ts: range):
+        """The stacked noisy observation of the run record of trials ts in the given arm."""
+        noise, keys = self._arms[arm]
+        return noise(run, keyed_fresh(self._rng, keys[ts.start : ts.stop]))
 
-    def __getitem__(self, t: int):
+    def __getitem__(self, t: int) -> tuple:
+        """(instance, its noisy observation in each arm) of trial t."""
         if not 0 <= t < len(self):
             raise IndexError(f"trial {t} outside 0..{len(self) - 1}")
-        run, noisy = self._run(range(t, t + 1))
-        return run[0], batch_rows(noisy, 0)
+        ts = range(t, t + 1)
+        run = self._draw(ts)
+        out = (run[0], *(batch_rows(self._noisy(arm, run, ts), 0) for arm in range(len(self._arms))))
+        if self._failure is not None:
+            raise self._failure
+        return out
 
     def map(self, fn) -> list:
-        """fn(start, run, noisy) on runs of consecutive trials; its results in trial order.
+        """map_arms of one arm: fn(start, run, noisy) on runs of consecutive trials; its results in trial order."""
+        (rows,) = self.map_arms([fn])
+        return rows
+
+    def map_arms(self, fns) -> list[list]:
+        """fns[j](start, run, noisy) on runs of consecutive trials in arm j, one fn per arm; each fn's results in trial order.
 
         run is the run record of trials start, start + 1, ... and noisy their
-        noisy observation, stacked as run.observation is (see chunk_noise).
-        The runs are trial_runs of the trials, each arm of a trial counted at
-        the size of its instance's arrays, which bounds it.
+        noisy observation in arm j, stacked as run.observation is (see
+        chunk_noise).  Each run is drawn once, and then its arms one at a
+        time, in order, so a run holds its record and one arm.  The runs are
+        trial_runs of the trials, each trial counted at twice the size of
+        its instance's arrays, which bounds it.  Errors come as passes of
+        one arm at a time would raise them: when fns[j] raises, it and the
+        arms after it stop, the arms before it run to the end, and then the
+        error is raised (at once when j is 0).
         """
         runs = trial_runs(len(self), 2 * instance_bytes(self._params))
+        fns, failure = list(fns)[: len(self._arms)], self._failure
 
         def chunk(c: int) -> list:
-            return fn(runs[c].start, *self._run(runs[c]))
+            nonlocal failure
+            ts, rows = runs[c], []
+            run = self._draw(ts)
+            for arm, fn in enumerate(fns):
+                try:
+                    rows.append(fn(ts.start, run, self._noisy(arm, run, ts)))
+                except Exception as err:  # noqa: BLE001 - the arms before this one run on
+                    if not arm:
+                        raise
+                    del fns[arm:]
+                    failure = err
+                    break
+            return rows
 
-        return [row for rows in run_trials(len(runs), chunk) for row in rows]
+        done = run_trials(len(runs), chunk)
+        if failure is not None:
+            raise failure
+        return [[row for rows in done for row in rows[arm]] for arm in range(len(fns))]

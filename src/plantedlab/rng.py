@@ -11,7 +11,8 @@ ParameterError.  The batch forms derive_seeds and philox_keys re-implement
 numpy's SeedSequence mixing over uint32 words and give the same bits as
 derive_seed and generator trial by trial.  derive_seeds folds the words all
 trials share once and mixes only the trial words per row; philox_keys mixes
-a (4, B) pool one source row at a time.
+a (4, B) pool one source row at a time.  trial_keys chains the two and keeps
+its most recently used key sets, up to KEY_MEMO_BYTES, as read-only arrays.
 
 A run of trials re-keys one generator per trial (keyed_generator, rekey,
 keyed_fresh; keyed_runs draws run after run) and reads each trial's raw
@@ -164,9 +165,27 @@ def philox_keys(seeds) -> np.ndarray:
     return _join64(_hashmix(pool, _OUT_CONST)).T
 
 
+# trial_keys keeps its most recently used key sets, at most this many bytes of them
+KEY_MEMO_BYTES = 2**16
+_key_memo: dict = {}
+
+
 def trial_keys(seed: int, *prefix: int, n: int) -> np.ndarray:
-    """Philox keys of generator(derive_seed(seed, *prefix, t)) for t in 0..n-1, shape (n, 2) uint64."""
-    return philox_keys(derive_seeds(seed, *prefix, ts=np.arange(n)))
+    """Philox keys of generator(derive_seed(seed, *prefix, t)) for t in 0..n-1, shape (n, 2) uint64, read-only.
+
+    A key set is derived once and kept while the kept sets, most recently
+    used first, fit KEY_MEMO_BYTES; a set above that bound is never kept.
+    """
+    memo = (int(seed), tuple(int(p) for p in prefix), int(n))
+    keys = _key_memo.pop(memo, None)
+    if keys is None:
+        keys = philox_keys(derive_seeds(seed, *prefix, ts=np.arange(n)))
+        keys.flags.writeable = False
+    if keys.nbytes <= KEY_MEMO_BYTES:
+        _key_memo[memo] = keys  # the most recent set goes last, and the least recent are dropped first
+        while sum(kept.nbytes for kept in _key_memo.values()) > KEY_MEMO_BYTES:
+            del _key_memo[next(iter(_key_memo))]
+    return keys
 
 
 def keyed_generator() -> np.random.Generator:

@@ -5,7 +5,8 @@ evaluates the estimator on both the clean and the noisy observation, and
 accumulates three second moments: the squared output displacement, the
 squared error of the clean-arm output, and the clean-arm output norm.
 The barrier check compares the measured error against
-mmse_rho - 2 sqrt(2 (7 + 4 eta) eta) * E||signal||^2.
+mmse_rho - 2 sqrt(2 (7 + 4 eta) eta) * E||signal||^2; barrier_cell measures
+both sides on the same instances, in one coupled pass of two noise arms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bayes import MmseReport, posterior_means
+from .bayes import MmseReport, estimate_mmse_curve, mmse_report, posterior_means, squared_errors
 from .errors import EstimatorTrialError, IllConditionedError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
 from .models import PspParams, batch_rows, model_name, pair_ids, per_field, run_of, stack_observations, vertex_pairs
@@ -220,6 +221,70 @@ def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray)
     return np.stack([(v[:, None, :] @ v[:, :, None]).ravel() for v in (a - b, a - signals, a)], axis=1)
 
 
+class _StabilityArm:
+    """The stability arm of a coupled pass: each estimator's second moments, up to the first that fails.
+
+    Called as fn(start, run, noisy) on each run, it scores every estimator
+    still running, in order.  An estimator that fails is kept as failure
+    and stops with every estimator after it; when the first one fails, the
+    call raises.  Estimators are resolved at construction, up to the first
+    whose name does not resolve, which is the failure.
+    """
+
+    def __init__(self, estimators: Sequence, params, rho: float):
+        self.params, self.rho, self.fns, self.failure = params, rho, [], None
+        self.names = [e if isinstance(e, str) else getattr(e, "__name__", "custom") for e in estimators]
+        for estimator in estimators:
+            try:
+                self.fns.append(resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator)
+            except ParameterError as err:  # raised in estimator order, after the earlier estimators' errors
+                self.failure = err
+                break
+        self.moments = [[] for _ in self.fns]
+
+    def __call__(self, start: int, run, noisy) -> list:
+        signals = run.signal_vectors()
+        for i, fn in enumerate(self.fns):
+            try:
+                self.moments[i].append(_second_moments(fn, start, run.observation, noisy, signals))
+            except EstimatorTrialError as err:
+                # only the first estimator that fails can be reported, so the later ones stop too
+                del self.fns[i:], self.moments[i:]
+                self.failure = err
+                if not self.fns:
+                    raise
+                break
+        return []
+
+    def outcomes(self, trials: int) -> tuple[list, Optional[Exception]]:
+        """(reports, failure) of the estimators that ran the whole pass; see stability_outcomes."""
+        reports = []
+        for name, rows in zip(self.names, self.moments):
+            diffs, errs, norms = np.concatenate(rows).T
+            try:
+                eta_hat, eta_stderr = ratio_with_stderr(diffs, norms)
+            except IllConditionedError as err:  # e.g. an all-zero estimator
+                return reports, err
+            mse_hat, mse_stderr = mean_stderr(errs)
+            norm_hat, norm_stderr = mean_stderr(norms)
+            reports.append(
+                StabilityReport(
+                    model=model_name(self.params),
+                    params=self.params,
+                    estimator=name,
+                    rho=float(self.rho),
+                    trials=trials,
+                    eta_hat=eta_hat,
+                    eta_stderr=eta_stderr,
+                    mse_hat=mse_hat,
+                    mse_stderr=mse_stderr,
+                    estimator_norm_hat=norm_hat,
+                    norm_stderr=norm_stderr,
+                )
+            )
+        return reports, self.failure
+
+
 def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, seed: int) -> tuple[list, Optional[Exception]]:
     """measure_stability of each estimator in order, from one coupled pass, up to the first that fails.
 
@@ -227,62 +292,14 @@ def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, se
     the first that fails, and what measure_stability raises for it (None when
     none fails); the estimators after it are not run.
     """
-    names = [e if isinstance(e, str) else getattr(e, "__name__", "custom") for e in estimators]
-    fns, failure = [], None
-    for estimator in estimators:
-        try:
-            fns.append(resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator)
-        except ParameterError as err:  # raised in estimator order, after the earlier estimators' errors
-            failure = err
-            break
-    if not fns:
-        return [], failure
-    moments = [[] for _ in fns]
-
-    def chunk(start: int, run, noisy) -> list:
-        nonlocal failure
-        signals = run.signal_vectors()
-        for i, fn in enumerate(fns):
-            try:
-                moments[i].append(_second_moments(fn, start, run.observation, noisy, signals))
-            except EstimatorTrialError as err:
-                # only the first estimator that fails can be reported, so the later ones stop too
-                del fns[i:], moments[i:]
-                failure = err
-                if not fns:
-                    raise
-                break
-        return []
-
+    arm = _StabilityArm(estimators, params, rho)
+    if not arm.fns:
+        return [], arm.failure
     try:
-        CoupledTrials(params, rho, seed, trials).map(chunk)
+        CoupledTrials(params, rho, seed, trials).map(arm)
     except EstimatorTrialError as err:  # the first estimator failed, and nothing is left to run
         return [], err
-    reports = []
-    for name, rows in zip(names, moments):
-        diffs, errs, norms = np.concatenate(rows).T
-        try:
-            eta_hat, eta_stderr = ratio_with_stderr(diffs, norms)
-        except IllConditionedError as err:  # e.g. an all-zero estimator
-            return reports, err
-        mse_hat, mse_stderr = mean_stderr(errs)
-        norm_hat, norm_stderr = mean_stderr(norms)
-        reports.append(
-            StabilityReport(
-                model=model_name(params),
-                params=params,
-                estimator=name,
-                rho=float(rho),
-                trials=trials,
-                eta_hat=eta_hat,
-                eta_stderr=eta_stderr,
-                mse_hat=mse_hat,
-                mse_stderr=mse_stderr,
-                estimator_norm_hat=norm_hat,
-                norm_stderr=norm_stderr,
-            )
-        )
-    return reports, failure
+    return arm.outcomes(trials)
 
 
 def measure_stabilities(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list[StabilityReport]:
@@ -317,6 +334,28 @@ def measure_stability(
     """
     (report,) = measure_stabilities([estimator], params, rho, trials, seed)
     return report
+
+
+def barrier_cell(estimators: Sequence, params, rho: float, trials: int, seed: int) -> tuple[MmseReport, list[StabilityReport]]:
+    """estimate_mmse_curve(params, [rho], trials, seed) and measure_stabilities(estimators, params, rho, trials, seed), from one coupled pass.
+
+    The pass has two noise arms over the same runs of instances: the MMSE
+    arm at noise seed path (seed, NOISE_STREAM, 0, t), then the stability
+    arm at (seed, NOISE_STREAM, t).  Both reports are bit-identical to the
+    two calls', and so are the errors: the MMSE arm's error comes first,
+    then what measure_stabilities raises.
+    """
+    try:
+        arm = _StabilityArm(estimators, params, rho)
+    except Exception:  # noqa: BLE001 - raised after the MMSE pass, as the two calls would raise it
+        estimate_mmse_curve(params, [rho], trials, seed)
+        raise
+    coupled = CoupledTrials(params, [(rho, 0), (rho, None)], seed, trials)
+    errs, _ = coupled.map_arms([squared_errors(params, rho), arm])
+    reports, failure = arm.outcomes(trials)
+    if failure is not None:
+        raise failure
+    return mmse_report(params, rho, errs), reports
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -44,7 +45,7 @@ from plantedlab.models import (
     sample_instance,
     subsets,
 )
-from plantedlab.noise import CoupledTrials, noise_instance_observation
+from plantedlab.noise import EVAL_CHUNK, CoupledTrials, noise_instance_observation
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import f2_rank
 from plantedlab.stability import measure_stability
@@ -359,19 +360,52 @@ def test_mmse_curve_without_trials_raises_on_an_empty_grid():
 
 
 def test_full_rank_instances_are_drawn_once_per_curve(monkeypatch):
-    # trial t's full-rank instance does not depend on the grid point: a 5-point grid
-    # draws trials plus rejections instances, as one pass over the trials does
-    params, trials, draws = RlcParams(m=5, n=5), 12, []
-    real_run = bayes.chunk_sampler(params)
+    # trial t's full-rank instance does not depend on the grid point: a 5-point grid is one pass that draws
+    # each run of trials once, trials plus rejections instances, as one pass of full_rank_run over the runs does
+    params, trials, draws, drawn_runs = RlcParams(m=5, n=5), EVAL_CHUNK + 12, [], []
+    runs = [range(0, EVAL_CHUNK), range(EVAL_CHUNK, trials)]
+    real_run, real_draw = bayes.chunk_sampler(params), bayes.full_rank_run
 
     def run_sampler(p):
         return lambda count, fresh: draws.append(count) or real_run(count, fresh)
 
+    def draw(p, seed, ts):
+        drawn_runs.append(ts)
+        return real_draw(p, seed, ts)
+
     monkeypatch.setattr(bayes, "chunk_sampler", run_sampler)
-    bayes.full_rank_run(params, 3, range(trials))
+    for ts in runs:
+        real_draw(params, 3, ts)
     one_pass, draws[:] = list(draws), []
+    monkeypatch.setattr(bayes, "full_rank_run", draw)
     estimate_mmse_curve(params, [0.0, 0.25, 0.5, 0.75, 1.0], trials, seed=3, full_rank_only=True)
+    assert drawn_runs == runs
     assert draws == one_pass and sum(one_pass) > trials
+
+
+def test_full_rank_curve_holds_no_earlier_run(monkeypatch):
+    # each run record of a full-rank curve is released before the next run is drawn
+    params, refs = RlcParams(m=5, n=5), []
+    real_draw = bayes.full_rank_run
+
+    def draw(p, seed, ts):
+        assert all(ref() is None for ref in refs)
+        run = real_draw(p, seed, ts)
+        refs.extend(weakref.ref(field) for field in (run.A, run.x, run.y))
+        return run
+
+    monkeypatch.setattr(bayes, "full_rank_run", draw)
+    estimate_mmse_curve(params, [0.0, 0.5, 1.0], 2 * EVAL_CHUNK + 3, seed=3, full_rank_only=True)
+    assert len(refs) == 3 * 3
+
+
+
+def test_mmse_curve_raises_in_grid_order():
+    # the grid is one pass, but a grid point's error comes after those of the points before it
+    with pytest.raises(ResourceBudgetError):  # grid point 0 enumerates 2^25 messages
+        estimate_mmse_curve(RlcParams(m=25, n=25), [0.5, 1.5], 3, seed=1)
+    with pytest.raises(ParameterError, match="need rho in"):
+        estimate_mmse_curve(RlcParams(m=6, n=4), [0.5, 1.5], 3, seed=1)
 
 
 def test_nishimori_identity():

@@ -14,6 +14,7 @@ import pytest
 from oracles import count_paths_rows_loop, hex_fields, seed_sequence_philox_key
 from plantedlab.cli import COMMAND_TABLE, COMMANDS, CSV_HEADER, REQUIRED, ExperimentConfig, _build_parser, main, run
 from plantedlab.models import MODEL_NAMES, PspParams, TpcaParams, batch_size, sample_instance
+from plantedlab import noise
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials
 from plantedlab.rng import derive_seed, keyed_fresh
 from plantedlab.stability import ESTIMATORS
@@ -338,25 +339,32 @@ def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path, capsys):
     assert main(["--help"]) == 0
 
 
-def test_barrier_draws_each_trial_twice_per_rho(tmp_path, monkeypatch):
-    # per rho, one MMSE pass and one stability pass that scores all three estimators
-    # every coupled trial is drawn through CoupledTrials._run, one run of trials at a time
-    drawn = collections.Counter()
-    draw = CoupledTrials._run
+def test_barrier_draws_each_trial_once_per_rho(tmp_path, monkeypatch):
+    # per rho, one coupled pass: each run of trials is drawn once, then noised in the MMSE arm and
+    # in the stability arm that scores all three estimators
+    runs, noised, arms_of = [], collections.Counter(), collections.defaultdict(list)
+    sampler, noisy = noise.chunk_sampler, CoupledTrials._noisy
 
-    def counted(self, ts):
-        run, noisy = draw(self, ts)  # one run record of the trials ts, and their stacked noisy observation
-        assert len(run) == batch_size(noisy) == len(ts)
-        drawn.update(ts)
-        return run, noisy
+    def counted_sampler(params):
+        sample = sampler(params)
+        return lambda count, fresh: runs.append(sample(count, fresh)) or runs[-1]
 
-    monkeypatch.setattr(CoupledTrials, "_run", counted)
+    def counted_noisy(self, arm, run, ts):
+        assert any(run is drawn for drawn in runs) and len(run) == len(ts)
+        noised.update((arm, t) for t in ts)
+        arms_of[id(run)].append(arm)
+        return noisy(self, arm, run, ts)
+
+    monkeypatch.setattr(noise, "chunk_sampler", counted_sampler)
+    monkeypatch.setattr(CoupledTrials, "_noisy", counted_noisy)
     argv = [
         "barrier", "--model", "rlc", "--params", '{"m":8,"n":5}', "--rho-grid", "0.3,0.6", "--trials", "20",
         "--estimators", "posterior_mean,f2_round,constant_prior_mean", "--out", str(tmp_path / "b"),
     ]
     assert main(argv) == 0
-    assert drawn == {t: 2 * 2 for t in range(20)}
+    assert sum(map(len, runs)) == 2 * 20  # each trial's instance once per rho
+    assert noised == {(arm, t): 2 for arm in (0, 1) for t in range(20)}
+    assert sorted(arms_of.values()) == [[0, 1]] * len(runs)
 
 
 def test_stability_command_raises_the_first_failure_in_estimator_order(tmp_path, monkeypatch, capsys):

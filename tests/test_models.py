@@ -368,6 +368,35 @@ def test_instance_json_rejects_malformed_fields(case):
     assert str(err.value) == message
 
 
+
+# each model's instance blob and the first field its codec writes after "params"
+_ENVELOPE_BLOBS = {
+    "psp": (PspParams(n=5, L=2, q=0.3), "path"),
+    "rlc": (_JSON_PARAMS["rlc"], "A"),
+    "gss": (_JSON_PARAMS["gss"], "X"),
+    "tpca": (_JSON_PARAMS["tpca"], "support"),
+}
+# a malformed instance envelope -> (its blob from a well-formed one, the error it raises); each
+# raised a bare KeyError or AttributeError, or (the unknown key) loaded silently
+BAD_ENVELOPES = {
+    "missing-params": (lambda blob, field: {k: v for k, v in blob.items() if k != "params"}, "needs the key 'params'"),
+    "missing-field": (lambda blob, field: {k: v for k, v in blob.items() if k != field}, "missing ['{field}'], unknown []"),
+    "params-not-an-object": (lambda blob, field: {**blob, "params": "gss"}, "instance 'params' must be an object, got 'gss'"),
+    "unknown-key": (lambda blob, field: {**blob, "extra": 1}, "missing [], unknown ['extra']"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ENVELOPES)
+@pytest.mark.parametrize("model", _ENVELOPE_BLOBS)
+def test_instance_json_rejects_a_malformed_envelope(model, case):
+    params, field = _ENVELOPE_BLOBS[model]
+    blob = instance_to_json(sample_instance(params, seed=1))
+    instance_from_json(blob)
+    malformed, message = BAD_ENVELOPES[case]
+    with pytest.raises(ParameterError, match=re.escape(message.format(field=field))):
+        instance_from_json(malformed(blob, field))
+
+
 def test_params_from_json_names_missing_and_unknown_fields():
     with pytest.raises(ParameterError, match=r"missing \['n'\]"):
         params_from_json({"model": "rlc", "m": 8})

@@ -1,9 +1,13 @@
+import collections
 import math
+import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plantedlab.errors import ParameterError
 from plantedlab.models import (
     GssInstance,
     GssParams,
@@ -306,3 +310,63 @@ def test_noise_instance_observation_equals_the_oracle():
         inst = sample_instance(params, 4)
         for rho in (0.0, 0.45, 1.0):
             assert hex_fields(noise_instance_observation(inst, rho, 77)) == hex_fields(noise_scalar(inst, rho, 77))
+
+
+def _corners(start, run, noisy) -> list:
+    return [(y[0, 0, 0], obs[0, 0, 0]) for y, obs in zip(run.Y, noisy)]
+
+
+def test_map_arms_noises_each_run_in_every_arm_one_arm_at_a_time():
+    # each run is drawn once and noised in every arm in order, each arm at its own seed path, as one-arm
+    # passes do; an arm's noisy observation is released before the next one is drawn
+    params, trials, arms = TpcaParams(n=6, k=2, d=3, lam=1.0), EVAL_CHUNK + 2, [(0.3, 0), (0.7, None), (0.0, 4)]
+    refs, arms_of = [], collections.defaultdict(list)
+
+    def arm(j):
+        def fn(start, run, noisy):
+            assert all(ref() is None for ref in refs)
+            refs.append(weakref.ref(noisy))
+            arms_of[id(run), start].append(j)
+            return _corners(start, run, noisy)
+
+        return fn
+
+    got = CoupledTrials(params, arms, 5, trials).map_arms([arm(j) for j in range(3)])
+    assert list(arms_of.values()) == [[0, 1, 2]] * 2
+    for (rho, grid_point), rows in zip(arms, got):
+        assert rows == CoupledTrials(params, rho, 5, trials, grid_point=grid_point).map(_corners)
+
+
+def _failing(arm: int, bad_start: int, calls: list):
+    def fn(start, run, noisy):
+        calls.append((arm, start))
+        if start == bad_start:
+            raise ValueError(f"arm {arm}")
+        return []
+
+    return fn
+
+
+def test_map_arms_raises_in_arm_order():
+    # the error of the first arm that fails is raised, after the arms before it ran every run
+    params, trials, calls = GssParams(N=6, k=2), EVAL_CHUNK + 3, []
+    coupled = CoupledTrials(params, [(0.3, 0), (0.6, None), (0.9, 1)], 2, trials)
+    with pytest.raises(ValueError, match="arm 0"):
+        coupled.map_arms([_failing(0, EVAL_CHUNK, calls), _failing(1, 0, calls), _failing(2, -1, calls)])
+    assert calls == [(0, 0), (1, 0), (0, EVAL_CHUNK)]
+    calls.clear()
+    with pytest.raises(ValueError, match="arm 1"):
+        coupled.map_arms([_failing(0, -1, calls), _failing(1, EVAL_CHUNK, calls), _failing(2, 0, calls)])
+    assert calls == [(0, 0), (1, 0), (2, 0), (0, EVAL_CHUNK), (1, EVAL_CHUNK)]
+
+
+def test_an_arm_out_of_range_raises_after_the_arms_before_it():
+    params, calls = GssParams(N=6, k=2), []
+    with pytest.raises(ParameterError, match="need rho in"):
+        CoupledTrials(params, [(1.5, 0), (0.3, 1)], 2, 4)
+    coupled = CoupledTrials(params, [(0.3, 0), (1.5, 1), (0.6, 2)], 2, 4)
+    with pytest.raises(ParameterError, match="need rho in"):
+        coupled.map_arms([_failing(j, -1, calls) for j in range(3)])
+    assert calls == [(0, 0)]
+    with pytest.raises(ValueError, match="arm 0"):
+        coupled.map_arms([_failing(0, 0, calls)])

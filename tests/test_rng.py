@@ -1,5 +1,7 @@
 """Batch seed derivation and the re-keyed generator against numpy's SeedSequence."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from oracles import (
     seed_sequence_seed,
     state_words_loop,
 )
+from plantedlab import rng
 from plantedlab.errors import ParameterError
 from plantedlab.models import (
     GssParams,
@@ -28,6 +31,7 @@ from plantedlab.models import (
 )
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, instance_runs, noise_instance_observation
 from plantedlab.rng import (
+    KEY_MEMO_BYTES,
     derive_seed,
     derive_seeds,
     generator,
@@ -150,6 +154,37 @@ def test_negative_seed_words_raise_parameter_error(call):
     # a uint64 cast would wrap -1 to 2**64 - 1 silently
     with pytest.raises(ParameterError, match="non-negative"):
         call()
+
+
+
+def test_trial_keys_are_read_only():
+    for keys in (trial_keys(5, 1, n=4), trial_keys(5, 1, n=4)):  # derived, then kept
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0, 0] = 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, prefix=st.lists(words, max_size=2), n=st.integers(0, 300))
+def test_kept_trial_keys_equal_a_fresh_derivation(seed, prefix, n):
+    first = trial_keys(seed, *prefix, n=n)
+    kept = trial_keys(seed, *prefix, n=n)
+    assert kept is first  # 16 n bytes is within KEY_MEMO_BYTES
+    fresh = philox_keys(derive_seeds(seed, *prefix, ts=np.arange(n)))
+    assert kept.dtype == fresh.dtype and kept.tobytes().hex() == fresh.tobytes().hex()
+
+
+def test_trial_keys_above_the_memo_bound_are_not_kept():
+    at_bound = KEY_MEMO_BYTES // 16  # rows of two uint64 words
+    kept = trial_keys(6, 1, n=at_bound)
+    assert kept.nbytes == KEY_MEMO_BYTES and trial_keys(6, 1, n=at_bound) is kept
+    above = trial_keys(6, 1, n=at_bound + 1)
+    ref = weakref.ref(above)
+    assert trial_keys(6, 1, n=at_bound + 1) is not above
+    del above
+    assert ref() is None
+    for n in range(1, 200, 7):  # the kept sets never add up past the bound
+        trial_keys(6, 2, n=n)
+        assert sum(keys.nbytes for keys in rng._key_memo.values()) <= KEY_MEMO_BYTES
 
 
 MODEL_PARAMS = [

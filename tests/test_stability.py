@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import SOLVER_RECOVERS_RULES, f2_solve_loop, measure_stability_loop, mmse_curve_loop, row_dots_loop, shortest_path_lists
 from plantedlab.bayes import estimate_mmse_curve
-from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError
+from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
 from plantedlab.models import (
     GssParams,
@@ -21,6 +21,7 @@ from plantedlab.models import (
     model_name,
     path_edge_indices,
     sample_instance,
+    stack_observations,
     vertex_pairs,
 )
 from plantedlab.noise import EVAL_CHUNK, EVAL_CHUNK_BYTES, CoupledTrials
@@ -29,6 +30,7 @@ from plantedlab.solvers import LllConfig, lll_subset_sum
 from plantedlab.stability import (
     ESTIMATORS,
     _second_moments,
+    barrier_cell,
     barrier_penalty,
     measure_stabilities,
     measure_stability,
@@ -490,3 +492,69 @@ def test_psp_prior_mean_equals_path_enumeration(n, L):
     want = np.bincount(paths.ravel(), minlength=n * (n - 1) // 2) / len(paths)
     got = prior_mean_vector(PspParams(n=n, L=L, q=0.3))
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+# small params of each model for the barrier-cell differential test
+SMALL_PARAMS = {
+    "psp": st.builds(PspParams, n=st.integers(4, 7), L=st.integers(2, 3), q=st.sampled_from([0.0, 0.3, 1.0])),
+    "rlc": st.integers(1, 5).flatmap(lambda n: st.builds(RlcParams, m=st.integers(n, n + 3), n=st.just(n))),
+    "gss": st.integers(2, 7).flatmap(lambda N: st.builds(GssParams, N=st.just(N), k=st.integers(1, min(N, 3)))),
+    "tpca": st.builds(TpcaParams, n=st.integers(2, 5), k=st.integers(1, 2), d=st.integers(2, 3), lam=st.sampled_from([1.0, 4.0])),
+}
+
+
+def _fails_on_trial(params, rho: float, seed: int, trials: int, bad_trial: int):
+    """A batch estimator of ones that raises on any observation equal to trial bad_trial's clean one."""
+    bad = stack_observations(params, [CoupledTrials(params, rho, seed, trials)[bad_trial][0].observation])
+    dim = len(prior_mean_vector(params))
+
+    def failing(observations):
+        fields = stack_observations(params, observations)
+        hit = np.ones(len(fields[0]), dtype=bool)
+        for field, bad_field in zip(fields, bad):
+            hit &= (field == bad_field).reshape(len(field), -1).all(axis=1)
+        if hit.any():
+            raise ValueError(f"trial {bad_trial}")
+        return np.ones((len(fields[0]), dim))
+
+    return failing
+
+
+def _outcome(call) -> tuple | list:
+    """call()'s reports with every float as hex, or its error's type, message and trial."""
+    try:
+        reports = call()
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return type(err), str(err), getattr(err, "trial", None)
+    flat = [reports[0], *reports[1]]
+    return [[float(v).hex() if isinstance(v, float) else v for v in vars(r).values()] for r in flat]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), model=st.sampled_from(list(SMALL_PARAMS)), rho=st.sampled_from([0.0, 0.3, 1.0]),
+       trials=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_barrier_cell_is_hex_equal_to_the_mmse_curve_and_stability_calls(data, model, rho, trials, seed):
+    params = data.draw(SMALL_PARAMS[model])
+    failing = _fails_on_trial(params, rho, seed, trials, data.draw(st.integers(0, trials - 1)))
+
+    def zero(observations):  # ill-conditioned: its eta has a zero denominator
+        return np.zeros((batch_size(observations), len(prior_mean_vector(params))))
+
+    pool = [*ESTIMATORS, failing, zero]  # the registry holds estimators of other models, which raise in order
+    estimators = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique_by=id))
+    got = _outcome(lambda: barrier_cell(estimators, params, rho, trials, seed))
+    want = _outcome(lambda: (*estimate_mmse_curve(params, [rho], trials, seed),
+                             measure_stabilities(estimators, params, rho, trials, seed)))
+    assert got == want
+
+
+def test_barrier_cell_raises_a_resolution_error_after_the_mmse_arm(monkeypatch):
+    # measure_stabilities resolves its estimators after the MMSE pass of the cell has raised or returned
+    def broken(params, rho):
+        raise RuntimeError("factory fails")
+
+    monkeypatch.setitem(ESTIMATORS, "broken", broken)
+    with pytest.raises(ResourceBudgetError):  # 2^25 messages: the MMSE arm fails first
+        barrier_cell(["constant_prior_mean", "broken"], RlcParams(m=25, n=25), 0.5, 3, seed=1)
+    with pytest.raises(RuntimeError, match="factory fails"):
+        barrier_cell(["constant_prior_mean", "broken"], RlcParams(m=6, n=4), 0.5, 3, seed=1)

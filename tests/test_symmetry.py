@@ -3,18 +3,22 @@
 Relabeling what the model does not tell apart (PSP vertices 3..n, RLC rows
 and columns, GSS coordinates, TPCA tensor indices) moves each posterior mean
 the same way, and so does the shift x -> x + x0, y -> y + A x0 over GF(2) for
-f2_round.  The RLC posterior and f2_round count whole numbers, so they must
-match exactly.  The other kernels sum floats in an order the relabeling
-changes, so they match to ULPS.
+f2_round.  It leaves the length and the found flag of a shortest path from 1
+to 2 alone (the path itself breaks ties by label), and the TPCA posterior's
+distribution of overlaps with the support.  The RLC posterior, f2_round and
+the shortest paths count whole numbers, so they must match exactly.  The
+other kernels sum floats in an order the relabeling changes, so they match
+to ULPS.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plantedlab.bayes import posterior_means
+from plantedlab.bayes import posterior_means, tpca_overlap_distribution
 from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, pair_ids, vertex_pairs
 from plantedlab.noise import CoupledTrials
+from plantedlab.solvers import shortest_paths
 from plantedlab.stability import resolve_estimator
 
 RHO = 0.3
@@ -28,16 +32,22 @@ def _coupled(params, seed: int, trials: int = 16):
     return run, noisy
 
 
+def _relabeled(edges: np.ndarray, n: int, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(moved, the edge vectors with vertices 3..n relabeled to labels): pair p of a graph is pair moved[p] of its relabeling."""
+    relabel = np.array([0, 1, 2, *labels])
+    rows, cols = np.array(vertex_pairs(n)).T
+    moved = pair_ids(n)[relabel[rows], relabel[cols]]
+    relabeled = np.empty_like(edges)
+    relabeled[:, moved] = edges
+    return moved, relabeled
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, labels=st.permutations(range(3, 9)))
 def test_psp_posterior_moves_with_a_relabeling_of_vertices_3_to_n(seed, labels):
     params = PspParams(n=8, L=3, q=0.3)
     _, edges = _coupled(params, seed)
-    relabel = np.array([0, 1, 2, *labels])
-    rows, cols = np.array(vertex_pairs(params.n)).T
-    moved = pair_ids(params.n)[relabel[rows], relabel[cols]]  # pair p of a graph is pair moved[p] of its relabeling
-    relabeled = np.empty_like(edges)
-    relabeled[:, moved] = edges
+    moved, relabeled = _relabeled(edges, params.n, labels)
     got = posterior_means(params, relabeled, RHO)[:, moved]
     np.testing.assert_allclose(got, posterior_means(params, edges, RHO), rtol=0, atol=ULPS)
 
@@ -85,3 +95,28 @@ def test_f2_round_moves_with_permutations_and_a_shift_exactly(data, seed):
     got = f2_round((A[:, rows][:, :, cols], shifted[:, rows]))
     base = f2_round((A, y))
     np.testing.assert_array_equal(got, np.where(x0 == 1, 1.0 - base, base)[:, cols])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, q=st.sampled_from([0.1, 0.2, 0.4]), labels=st.permutations(range(3, 9)))
+def test_shortest_path_length_and_found_flag_stay_under_a_relabeling_of_vertices_3_to_n_exactly(seed, q, labels):
+    # the noisy arms of a sparse graph lose the planted path now and then, so both flags occur
+    params = PspParams(n=8, L=3, q=q)
+    run, noisy = _coupled(params, seed)
+    edges = np.concatenate([run.edges, noisy])
+    got = shortest_paths(_relabeled(edges, params.n, labels)[1], params.n)
+    want = shortest_paths(edges, params.n)
+    np.testing.assert_array_equal(got[:, 0] == 1, want[:, 0] == 1)
+    np.testing.assert_array_equal((got > 0).sum(axis=1), (want > 0).sum(axis=1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, perm=st.permutations(range(8)))
+def test_tpca_overlap_distribution_stays_under_a_permutation_of_tensor_indices(seed, perm):
+    params = TpcaParams(n=8, k=2, d=3, lam=4.0)
+    run, Y = _coupled(params, seed, trials=4)
+    inverse = np.argsort(perm)  # index i of the permuted tensor is index perm[i] of Y
+    for t, inst in enumerate(run):
+        got = tpca_overlap_distribution(Y[t][perm][:, perm][:, :, perm], inverse[list(inst.support)], params)
+        want = tpca_overlap_distribution(Y[t], inst.support, params)
+        np.testing.assert_allclose(got, want, rtol=0, atol=ULPS)
