@@ -10,10 +10,11 @@ breadth-first search, the row-by-row
 subset scans and the per-path census weights check the cached enumerations
 in models, the double loop over path edge bitmasks checks the census's
 blocked pair count, and the (A, x, mask) loop checks the closed-form RLC character
-correlation.  The per-observation posterior enumerations (the RLC message
-profile 65,536 messages at a time, the TPCA np.ix_ block per support)
-check the batched posterior kernels, the strided per-bit bincounts of the
-RLC profiles, the per-trial RLC finish and the one-dot-a-row squared norms
+correlation.  The one-shot draw of every sample at once checks the diagram
+Monte-Carlo oracle, which streams blocks of rows.  The per-observation
+posterior enumerations (the RLC message profile 65,536 messages at a time,
+the TPCA np.ix_ block per support) check the batched posterior kernels,
+the strided per-bit bincounts of the RLC profiles, the per-trial RLC finish and the one-dot-a-row squared norms
 check the histogram folds and stacked matmuls that replaced them, the per-bit row packing checks
 solvers.pack_words, the elimination of rows as Python ints
 (f2_eliminate_loop, f2_solve_loop) checks the batched GF(2) elimination,
@@ -46,7 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from plantedlab.counting import count_approx_paths, count_overlap_pairs, expected_count
-from plantedlab.lowdeg import hermite_eval
+from plantedlab.lowdeg import DIAGRAM_PSD_TOL, hermite_eval
 from plantedlab.mc import mean_stderr, ratio_with_stderr
 from plantedlab.models import (
     GssInstance,
@@ -378,6 +379,20 @@ def rlc_character_expectation_loop(idx1, idx2, params, rho: float) -> float:
                     val *= 2.0 * y[i] - 1.0
                 total += p_mask * val
     return total / 2 ** (m * n + n)
+
+
+def diagram_mc_oracle_oneshot(spec, samples: int, seed: int) -> tuple[float, float]:
+    """lowdeg.diagram_mc_oracle as one (samples, k) draw, the whole run's arrays at once."""
+    rng = generator(seed)
+    chol = np.linalg.cholesky(spec.R + DIAGRAM_PSD_TOL * np.eye(len(spec.alpha)))
+    Z = rng.standard_normal((samples, len(spec.alpha))) @ chol.T
+    if spec.mu is not None:
+        Z = Z + spec.mu
+    vals = np.ones(samples)
+    for i, a in enumerate(spec.alpha):
+        if a > 0:
+            vals = vals * hermite_eval(a, Z[:, i])
+    return mean_stderr(vals)
 
 
 def seed_sequence_seed(seed: int, *path: int) -> int:

@@ -473,6 +473,11 @@ def test_hermite_check_command(tmp_path):
             "needs a non-negative sample count",
             id="hermite-check-samples",
         ),
+        pytest.param(
+            ["hermite-check", "--options", '{"n_specs":1,"samples":2.5}'],
+            "option 'samples' must be an int",
+            id="hermite-check-samples-float",
+        ),
         # a wrongly typed option, a string where a bool belongs, a misspelt key, an out-of-range q
         pytest.param(
             ["pca-window", "--model", "tpca", "--params", '{"n":5,"k":2,"d":2,"lambda":1.0}', "--trials", "3",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    diagram_mc_oracle_oneshot,
     gss_poly_evaluate_loop,
     path_edges,
     psp_adjacency_loop,
@@ -21,8 +23,9 @@ from oracles import (
 )
 from plantedlab import lowdeg
 from plantedlab.errors import IllConditionedError, ParameterError, ResourceBudgetError
-from plantedlab.mc import ratio_with_stderr
+from plantedlab.mc import mean_stderr, ratio_with_stderr
 from plantedlab.lowdeg import (
+    DIAGRAM_BLOCK_BYTES,
     PSP_GATHER_ELEMENTS,
     PSP_SHAPE_LIBRARY,
     CharacterIndex,
@@ -232,6 +235,84 @@ def test_diagram_matches_mc_oracle_with_means():
         exact = diagram_expectation(spec)
         mc, se = diagram_mc_oracle(spec, samples=400_000, seed=60 + trial)
         assert abs(mc - exact) <= 4 * max(se, 1e-9), (alpha, exact, mc, se)
+
+
+def _hermite_check_spec(alpha: tuple, seed: int, shifted: bool) -> DiagramSpec:
+    """A spec drawn as hermite-check draws one: R from a random (k, k+1) factor, mu of scale 0.5."""
+    rng = generator(seed)
+    k = len(alpha)
+    G = rng.standard_normal((k, k + 1))
+    cov = G @ G.T
+    dd = np.sqrt(np.diag(cov))
+    return DiagramSpec(alpha, cov / np.outer(dd, dd), rng.standard_normal(k) * 0.5 if shifted else None)
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+@pytest.mark.parametrize("block_rows", [None, 2, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(alpha=st.tuples(*[st.integers(0, 2)] * 3), shifted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_diagram_mc_oracle_streamed_equals_one_shot_bit_for_bit(blocks, extra, block_rows, k, alpha, shifted, seed):
+    # samples = blocks * B + extra at the edges of the block's row count B; zero degrees and both mean
+    # settings.  Blocks of a few rows (block_rows) let one row's last bit show in the mean: a last block
+    # of one row once went through numpy's gemv and differed from the one-shot draw
+    block_bytes = DIAGRAM_BLOCK_BYTES if block_rows is None else 8 * k * block_rows
+    spec = _hermite_check_spec(alpha[:k], seed, shifted)
+    samples = blocks * (block_bytes // (8 * k)) + extra
+    with mock.patch.object(lowdeg, "DIAGRAM_BLOCK_BYTES", block_bytes):
+        streamed = diagram_mc_oracle(spec, samples, seed)
+    assert streamed == diagram_mc_oracle_oneshot(spec, samples, seed)
+
+
+def test_diagram_mc_oracle_memory_is_one_float_a_sample_plus_blocks():
+    # numpy reports its buffers to tracemalloc; drawn at once, k = 3 and 10^6 samples take 24 MB of normals
+    # and 24 MB more for their correlated copy
+    samples, blocks = 10**6, 4 * DIAGRAM_BLOCK_BYTES
+    spec = _hermite_check_spec((2, 1, 2), seed=5, shifted=True)
+    at_average = []
+
+    def traced_mean_stderr(vals):
+        at_average.append(tracemalloc.get_traced_memory()[1] - base)
+        return mean_stderr(vals)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with mock.patch.object(lowdeg, "mean_stderr", traced_mean_stderr):
+            diagram_mc_oracle(spec, samples, seed=5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert at_average[0] <= 8 * samples + blocks  # the product, then the work of one block
+    assert peak <= 16 * samples + blocks  # the standard deviation takes one more float a sample
+
+
+@pytest.mark.parametrize("samples", [-3, 2.5, 1e3, True, "10", np.float64(4.0), None])
+def test_diagram_mc_oracle_rejects_a_bad_sample_count(samples):
+    # a negative count once raised numpy's "negative dimensions" ValueError, a float a bare TypeError
+    with pytest.raises(ParameterError, match="samples"):
+        diagram_mc_oracle(DiagramSpec((1, 1), R_pair(0.3)), samples, seed=1)
+
+
+def test_diagram_mc_oracle_sample_count_forms():
+    spec = DiagramSpec((1, 1), R_pair(0.3))
+    assert diagram_mc_oracle(spec, np.int64(1000), seed=1) == diagram_mc_oracle(spec, 1000, seed=1)
+    with pytest.raises(ParameterError, match="no values to average"):
+        diagram_mc_oracle(spec, 0, seed=1)
+
+
+@pytest.mark.parametrize("alpha", [(1.5, 1), (1.0, 1), (True, 1), (1, np.bool_(True)), (1, np.float64(2.0)),
+                                   (1, "2"), (1, None)])
+def test_diagram_spec_rejects_a_non_integer_degree(alpha):
+    # (1.5, 1) and (1.0, 1) once failed later with a bare TypeError, and (True, 1) passed as degree 1
+    with pytest.raises(ParameterError, match="alpha entries must be integers"):
+        DiagramSpec(alpha, R_pair(0.3))
+
+
+def test_diagram_spec_takes_numpy_integer_degrees():
+    spec = DiagramSpec((np.int64(1), np.int32(1)), R_pair(0.3))
+    assert diagram_expectation(spec) == 0.3
+    assert diagram_mc_oracle(spec, 1000, seed=1) == diagram_mc_oracle(DiagramSpec((1, 1), R_pair(0.3)), 1000, seed=1)
 
 
 # ---------------------------------------------------------------------------
