@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .models import (
     subset_sums,
     subsets,
 )
-from .noise import EVAL_CHUNK_BYTES, CoupledTrials, check_rho, check_trials
+from .noise import EVAL_CHUNK_BYTES, CoupledTrials, check_rho
 from .rng import INSTANCE_STREAM, derive_seeds, keyed_fresh, keyed_generator, philox_keys
 from .solvers import f2_ranks, pack_words
 
@@ -332,17 +333,18 @@ def _sample_full_rank_rlc(params: RlcParams, seed: int, t: int):
 
 
 def squared_errors(params, rho: float):
-    """The MMSE arm of a coupled pass at rho: fn(start, run, noisy) -> |E[x | noisy] - x|^2 of each trial of the run."""
+    """The MMSE lane of a coupled pass at rho: fn(start, run, noisy) -> |E[x | noisy] - x|^2 of each trial of the run."""
 
-    def chunk(start: int, run, noisy) -> list:
+    def chunk(start: int, run, noisy) -> np.ndarray:
         diffs = (posterior_means(params, noisy, rho) - run.signal_vectors())[:, None, :]
-        return (diffs @ diffs.transpose(0, 2, 1)).ravel().tolist()  # one dot a row, as one trial at a time
+        return (diffs @ diffs.transpose(0, 2, 1)).ravel()  # one dot a row, as one trial at a time
 
     return chunk
 
 
 def mmse_report(params, rho: float, errs: list) -> MmseReport:
-    """The MmseReport at rho of the squared errors of an MMSE arm."""
+    """The MmseReport at rho of an MMSE lane's outputs, the squared errors of each run."""
+    errs = np.concatenate(errs)
     mmse_hat, stderr = mean_stderr(errs)
     norm = signal_norm(params)
     return MmseReport(
@@ -370,15 +372,16 @@ def estimate_mmse_curve(
     Instances are shared across grid points (trial t uses the same instance at
     every rho; noise draws are independent per grid point), which correlates
     adjacent estimates without biasing them.  The grid is one coupled pass
-    with an arm per grid point, so each run of instances is drawn once.
+    with an arm and an MMSE lane per grid point, so each run of instances is
+    drawn once; the lanes rank in grid order.
     """
     if model_name(params) != "rlc" and full_rank_only:
         raise ParameterError("full_rank_only applies to the linear-code model only")
-    check_trials(trials)  # also when the grid is empty
     rho_grid = list(rho_grid)
-    if not rho_grid:
-        return []
     arms = [(rho, j) for j, rho in enumerate(rho_grid)]
     coupled = CoupledTrials(params, arms, seed, trials, draw=full_rank_run if full_rank_only else None)
-    errs = coupled.map_arms([squared_errors(params, rho) for rho in rho_grid])
-    return [mmse_report(params, rho, e) for rho, e in zip(rho_grid, errs)]
+    rows, failure = coupled.run_lanes([(j, partial(squared_errors, params, rho)) for j, rho in enumerate(rho_grid)])
+    reports = [mmse_report(params, rho, errs) for rho, errs in zip(rho_grid, rows)]
+    if failure is not None:
+        raise failure
+    return reports

@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, partial
+from itertools import cycle
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -30,7 +31,7 @@ from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_j
 from .noise import instance_runs, trial_runs
 from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, generator, keyed_runs, trial_keys
 from .solvers import LllConfig
-from .stability import SOLVERS, barrier_cell, check_estimator, solver_recoveries, stability_outcomes, verify_barrier
+from .stability import SOLVERS, barrier_cell, check_estimator, measure_stability_grid, solver_recoveries, verify_barrier
 
 CSV_HEADER = ["model", "params_json", "rho", "trials", "metric", "value", "stderr"]
 # config field -> its JSON type (models.check_json_types); model, params and output may also be null
@@ -220,14 +221,11 @@ def _estimator_rows(rep, blob: str, rho, *extra: tuple) -> list[Row]:
 def _cmd_stability(config: ExperimentConfig, opts: dict):
     params = config.model_params()
     blob = _params_blob(params)
-    outcomes = [stability_outcomes(config.estimators, params, rho, config.trials, config.seed) for rho in config.rho_grid]
+    # estimator-major, as the reports come, and so is the first failure raised
+    reports = measure_stability_grid(config.estimators, params, config.rho_grid, config.trials, config.seed)
     rows = []
-    for i in range(len(config.estimators)):  # estimator-major, so the first failure in that order is raised
-        for rho, (reports, failure) in zip(config.rho_grid, outcomes):
-            if i == len(reports):  # estimator i failed at this rho (an earlier one would have been raised)
-                raise failure
-            rep = reports[i]
-            rows += _estimator_rows(rep, blob, rho, ("estimator_norm", rep.estimator_norm_hat, rep.norm_stderr))
+    for rep, rho in zip(reports, cycle(config.rho_grid)):
+        rows += _estimator_rows(rep, blob, rho, ("estimator_norm", rep.estimator_norm_hat, rep.norm_stderr))
     return rows, None
 
 

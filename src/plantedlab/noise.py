@@ -18,6 +18,7 @@ realization can be replayed against different estimators.
 from __future__ import annotations
 
 from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .rng import (
     uniforms,
 )
 
-# bounds on the run of consecutive trials that CoupledTrials.map hands its function
+# bounds on the run of consecutive trials that a CoupledTrials pass hands its lanes
 EVAL_CHUNK = 256
 EVAL_CHUNK_BYTES = 2**22
 
@@ -135,30 +136,21 @@ class CoupledTrials:
     seed, ts) of a range of trials ts holding t.  So the same draw replays
     against any estimator, and every arm noises the same instances.
 
-    Each arm's noise keys, the instance keys, the one instance draw (the
-    model's chunk_sampler over the instance keys, or draw) and each arm's
-    chunk_noise are resolved at construction, arm by arm; an arm whose rho
-    is out of range ends the arms, and its error is raised after the arms
-    before it have run (at once for the first arm).  A run of trials is
-    drawn with one call, and each arm's noise with one call, re-keying one
-    shared Philox per trial, so trial t is the same whichever trials were
-    drawn before it; indexing draws the one-trial run.
+    Each arm's noise keys, the instance keys and the one instance draw (the
+    model's chunk_sampler over the instance keys, or draw) are resolved at
+    construction.  A run of trials is drawn with one call, and each arm's
+    noise with one call, re-keying one shared Philox per trial, so trial t
+    is the same whichever trials were drawn before it; indexing draws the
+    one-trial run.
     """
 
     def __init__(self, params, rho, seed: int, n: int, *, grid_point=None, draw=None):
         check_trials(n)
         self._params, self._n, self._rng = params, n, keyed_generator()
-        self._arms, self._failure = [], None
-        for level, point in rho if isinstance(rho, list) else [(rho, grid_point)]:
-            try:
-                noise = chunk_noise(params, level)
-            except ParameterError as err:
-                if not self._arms:
-                    raise
-                self._failure = err
-                break
-            path = () if point is None else (point,)
-            self._arms.append((noise, trial_keys(seed, NOISE_STREAM, *path, n=n)))
+        self._arms = [
+            (level, trial_keys(seed, NOISE_STREAM, *(() if point is None else (point,)), n=n))
+            for level, point in (rho if isinstance(rho, list) else [(rho, grid_point)])
+        ]
         if draw is None:
             sample, keys, rng = chunk_sampler(params), trial_keys(seed, INSTANCE_STREAM, n=n), self._rng
             self._draw = lambda ts: sample(len(ts), keyed_fresh(rng, keys[ts.start : ts.stop]))
@@ -170,8 +162,8 @@ class CoupledTrials:
 
     def _noisy(self, arm: int, run, ts: range):
         """The stacked noisy observation of the run record of trials ts in the given arm."""
-        noise, keys = self._arms[arm]
-        return noise(run, keyed_fresh(self._rng, keys[ts.start : ts.stop]))
+        level, keys = self._arms[arm]
+        return chunk_noise(self._params, level)(run, keyed_fresh(self._rng, keys[ts.start : ts.stop]))
 
     def __getitem__(self, t: int) -> tuple:
         """(instance, its noisy observation in each arm) of trial t."""
@@ -179,48 +171,61 @@ class CoupledTrials:
             raise IndexError(f"trial {t} outside 0..{len(self) - 1}")
         ts = range(t, t + 1)
         run = self._draw(ts)
-        out = (run[0], *(batch_rows(self._noisy(arm, run, ts), 0) for arm in range(len(self._arms))))
-        if self._failure is not None:
-            raise self._failure
-        return out
+        return (run[0], *(batch_rows(self._noisy(arm, run, ts), 0) for arm in range(len(self._arms))))
 
     def map(self, fn) -> list:
-        """map_arms of one arm: fn(start, run, noisy) on runs of consecutive trials; its results in trial order."""
-        (rows,) = self.map_arms([fn])
-        return rows
-
-    def map_arms(self, fns) -> list[list]:
-        """fns[j](start, run, noisy) on runs of consecutive trials in arm j, one fn per arm; each fn's results in trial order.
-
-        run is the run record of trials start, start + 1, ... and noisy their
-        noisy observation in arm j, stacked as run.observation is (see
-        chunk_noise).  Each run is drawn once, and then its arms one at a
-        time, in order, so a run holds its record and one arm.  The runs are
-        trial_runs of the trials, each trial counted at twice the size of
-        its instance's arrays, which bounds it.  Errors come as passes of
-        one arm at a time would raise them: when fns[j] raises, it and the
-        arms after it stop, the arms before it run to the end, and then the
-        error is raised (at once when j is 0).
-        """
-        runs = trial_runs(len(self), 2 * instance_bytes(self._params))
-        fns, failure = list(fns)[: len(self._arms)], self._failure
-
-        def chunk(c: int) -> list:
-            nonlocal failure
-            ts, rows = runs[c], []
-            run = self._draw(ts)
-            for arm, fn in enumerate(fns):
-                try:
-                    rows.append(fn(ts.start, run, self._noisy(arm, run, ts)))
-                except Exception as err:  # noqa: BLE001 - the arms before this one run on
-                    if not arm:
-                        raise
-                    del fns[arm:]
-                    failure = err
-                    break
-            return rows
-
-        done = run_trials(len(runs), chunk)
+        """The one-lane pass of fn on the first arm: fn(start, run, noisy)'s rows in trial order; raises what fn raises."""
+        rows, failure = self.run_lanes([(0, lambda: fn)])
         if failure is not None:
             raise failure
-        return [[row for rows in done for row in rows[arm]] for arm in range(len(fns))]
+        return [row for out in rows[0] for row in out]
+
+    def run_lanes(self, lanes) -> tuple[list[list], Optional[Exception]]:
+        """One coupled pass over ranked lanes: (the outputs of the lanes ranked before the first failure, that failure or None).
+
+        lanes lists (arm, make) pairs in the order their errors rank; make()
+        builds the lane's fn(start, run, noisy), run being the run record of
+        trials start, start + 1, ... and noisy their noisy observation in
+        the arm, stacked as run.observation is.  A lane whose arm's rho is
+        out of range or whose make raises fails before the pass.  Each run
+        (trial_runs of the trials, each counted at twice its instance's
+        arrays) is drawn once, then noised one arm at a time, in arm order,
+        and each live lane of that arm scores it, in rank order.  A lane
+        that raises stops, and so does every lane ranked after it; the pass
+        ends once the top-ranked lane has stopped.  So the failure is what
+        one-lane passes in rank order would raise first, and a lane's
+        outputs are its fn results, one a run, in trial order.
+        """
+        fns, failure = [], None
+        for arm, make in lanes:
+            try:
+                check_rho(self._arms[arm][0])
+                fns.append((arm, make()))
+            except Exception as err:  # noqa: BLE001 - the lane fails before the pass
+                failure = err
+                break
+        rows, live, arms = [[] for _ in fns], len(fns), {}  # the lanes ranked before live are still running
+        for lane, (arm, _) in enumerate(fns):
+            arms.setdefault(arm, []).append(lane)
+        runs = trial_runs(len(self), 2 * instance_bytes(self._params))
+
+        def chunk(c: int) -> None:
+            nonlocal failure, live
+            if not live:
+                return
+            ts = runs[c]
+            run = self._draw(ts)
+            for arm in sorted(arms):
+                if arms[arm][0] >= live:
+                    continue
+                noisy = self._noisy(arm, run, ts)
+                for lane in arms[arm]:
+                    if lane < live:
+                        try:
+                            rows[lane].append(fns[lane][1](ts.start, run, noisy))
+                        except Exception as err:  # noqa: BLE001 - it and the lanes ranked after it stop
+                            failure, live = err, lane
+                del noisy  # released before the next arm is noised
+
+        run_trials(len(runs), chunk)
+        return rows[:live], failure

@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bayes import MmseReport, estimate_mmse_curve, mmse_report, posterior_means, squared_errors
-from .errors import EstimatorTrialError, IllConditionedError, ParameterError
+from .bayes import MmseReport, mmse_report, posterior_means, squared_errors
+from .errors import EstimatorTrialError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
 from .models import PspParams, batch_rows, model_name, pair_ids, per_field, run_of, stack_observations, vertex_pairs
 from .noise import CoupledTrials
@@ -221,101 +222,75 @@ def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray)
     return np.stack([(v[:, None, :] @ v[:, :, None]).ravel() for v in (a - b, a - signals, a)], axis=1)
 
 
-class _StabilityArm:
-    """The stability arm of a coupled pass: each estimator's second moments, up to the first that fails.
+def _moment_lanes(estimators: Sequence, params, arms: Sequence[tuple[int, float]]) -> list:
+    """The lanes of each estimator at each (arm, rho) of arms, estimator-major: fn(start, run, noisy) -> its _second_moments rows.
 
-    Called as fn(start, run, noisy) on each run, it scores every estimator
-    still running, in order.  An estimator that fails is kept as failure
-    and stops with every estimator after it; when the first one fails, the
-    call raises.  Estimators are resolved at construction, up to the first
-    whose name does not resolve, which is the failure.
+    A lane resolves its estimator when it is built; the lanes share each
+    run's signal vectors, computed once a run.
     """
+    signals = {}  # the start of the run last scored -> its signal vectors
 
-    def __init__(self, estimators: Sequence, params, rho: float):
-        self.params, self.rho, self.fns, self.failure = params, rho, [], None
-        self.names = [e if isinstance(e, str) else getattr(e, "__name__", "custom") for e in estimators]
-        for estimator in estimators:
-            try:
-                self.fns.append(resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator)
-            except ParameterError as err:  # raised in estimator order, after the earlier estimators' errors
-                self.failure = err
-                break
-        self.moments = [[] for _ in self.fns]
+    def lane(estimator, rho: float) -> Callable:
+        fn = resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator
 
-    def __call__(self, start: int, run, noisy) -> list:
-        signals = run.signal_vectors()
-        for i, fn in enumerate(self.fns):
-            try:
-                self.moments[i].append(_second_moments(fn, start, run.observation, noisy, signals))
-            except EstimatorTrialError as err:
-                # only the first estimator that fails can be reported, so the later ones stop too
-                del self.fns[i:], self.moments[i:]
-                self.failure = err
-                if not self.fns:
-                    raise
-                break
-        return []
+        def score(start: int, run, noisy) -> np.ndarray:
+            if start not in signals:
+                signals.clear()
+                signals[start] = run.signal_vectors()
+            return _second_moments(fn, start, run.observation, noisy, signals[start])
 
-    def outcomes(self, trials: int) -> tuple[list, Optional[Exception]]:
-        """(reports, failure) of the estimators that ran the whole pass; see stability_outcomes."""
-        reports = []
-        for name, rows in zip(self.names, self.moments):
-            diffs, errs, norms = np.concatenate(rows).T
-            try:
-                eta_hat, eta_stderr = ratio_with_stderr(diffs, norms)
-            except IllConditionedError as err:  # e.g. an all-zero estimator
-                return reports, err
-            mse_hat, mse_stderr = mean_stderr(errs)
-            norm_hat, norm_stderr = mean_stderr(norms)
-            reports.append(
-                StabilityReport(
-                    model=model_name(self.params),
-                    params=self.params,
-                    estimator=name,
-                    rho=float(self.rho),
-                    trials=trials,
-                    eta_hat=eta_hat,
-                    eta_stderr=eta_stderr,
-                    mse_hat=mse_hat,
-                    mse_stderr=mse_stderr,
-                    estimator_norm_hat=norm_hat,
-                    norm_stderr=norm_stderr,
-                )
-            )
-        return reports, self.failure
+        return score
+
+    return [(arm, partial(lane, estimator, rho)) for estimator in estimators for arm, rho in arms]
 
 
-def stability_outcomes(estimators: Sequence, params, rho: float, trials: int, seed: int) -> tuple[list, Optional[Exception]]:
-    """measure_stability of each estimator in order, from one coupled pass, up to the first that fails.
+def stability_report(params, estimator, rho: float, moments: list) -> StabilityReport:
+    """The StabilityReport at rho of an estimator lane's outputs, the _second_moments rows of each run.
 
-    Returns (reports, failure): the StabilityReports of the estimators before
-    the first that fails, and what measure_stability raises for it (None when
-    none fails); the estimators after it are not run.
+    Raises IllConditionedError when the estimator's mean squared norm is
+    not a positive finite number (e.g. an all-zero estimator).
     """
-    arm = _StabilityArm(estimators, params, rho)
-    if not arm.fns:
-        return [], arm.failure
-    try:
-        CoupledTrials(params, rho, seed, trials).map(arm)
-    except EstimatorTrialError as err:  # the first estimator failed, and nothing is left to run
-        return [], err
-    return arm.outcomes(trials)
+    diffs, errs, norms = np.concatenate(moments).T
+    name = estimator if isinstance(estimator, str) else getattr(estimator, "__name__", "custom")
+    # the fields in order: eta, then mse, then the estimator norm, each with its stderr
+    return StabilityReport(
+        model_name(params), params, name, float(rho), len(diffs),
+        *ratio_with_stderr(diffs, norms), *mean_stderr(errs), *mean_stderr(norms),
+    )
 
 
-def measure_stabilities(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list[StabilityReport]:
-    """measure_stability of each estimator, all scored on one pass over the coupled trials.
+def measure_stability_grid(
+    estimators: Sequence, params, rho_grid: Sequence[float], trials: int, seed: int
+) -> list[StabilityReport]:
+    """measure_stabilities(estimators, params, rho, trials, seed) at each rho of the grid, estimator-major, from one coupled pass.
 
-    Each chunk of trials is drawn once and every estimator runs on it, so each
-    report equals measure_stability(estimator, params, rho, trials, seed) bit
-    for bit.  Raises what the per-estimator loop raises first: the error of
-    the first estimator, in the given order, that fails (at its first failing
-    trial) or whose reduction is ill-conditioned.  An estimator that fails is
-    not run on later chunks.
+    The pass has a noise arm (rho, None) per grid point, each at noise seed
+    path (seed, NOISE_STREAM, t), so each run is drawn once and noised once
+    an arm.  Its lanes rank estimator-major, so it raises the first error in
+    that order: that of the first estimator in the given order that fails
+    (at its first failing trial) or whose reduction is ill-conditioned, at
+    the first rho where it does.
     """
-    reports, failure = stability_outcomes(estimators, params, rho, trials, seed)
+    rho_grid = list(rho_grid)
+    coupled = CoupledTrials(params, [(rho, None) for rho in rho_grid], seed, trials)
+    rows, failure = coupled.run_lanes(_moment_lanes(estimators, params, list(enumerate(rho_grid))))
+    reports = [stability_report(params, e, rho, r) for (e, rho), r in zip(product(estimators, rho_grid), rows)]
     if failure is not None:
         raise failure
     return reports
+
+
+def measure_stabilities(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list[StabilityReport]:
+    """measure_stability of each estimator, all scored on one pass over the coupled trials: measure_stability_grid at one rho.
+
+    Each run of trials is drawn once and every estimator scores it, so each
+    report equals measure_stability(estimator, params, rho, trials, seed) bit
+    for bit.  Raises what the per-estimator loop raises first: the error of
+    the first estimator, in the given order, that does not resolve, fails
+    (at its first failing trial) or whose reduction is ill-conditioned.  An
+    estimator that fails is not run on later runs, nor is any after it.
+    """
+    return measure_stability_grid(estimators, params, [rho], trials, seed)
 
 
 def measure_stability(
@@ -341,21 +316,19 @@ def barrier_cell(estimators: Sequence, params, rho: float, trials: int, seed: in
 
     The pass has two noise arms over the same runs of instances: the MMSE
     arm at noise seed path (seed, NOISE_STREAM, 0, t), then the stability
-    arm at (seed, NOISE_STREAM, t).  Both reports are bit-identical to the
-    two calls', and so are the errors: the MMSE arm's error comes first,
-    then what measure_stabilities raises.
+    arm at (seed, NOISE_STREAM, t).  The MMSE lane ranks first, then the
+    estimator lanes, so both reports are bit-identical to the two calls',
+    and so are the errors: the MMSE lane's error comes first, then what
+    measure_stabilities raises.
     """
-    try:
-        arm = _StabilityArm(estimators, params, rho)
-    except Exception:  # noqa: BLE001 - raised after the MMSE pass, as the two calls would raise it
-        estimate_mmse_curve(params, [rho], trials, seed)
-        raise
     coupled = CoupledTrials(params, [(rho, 0), (rho, None)], seed, trials)
-    errs, _ = coupled.map_arms([squared_errors(params, rho), arm])
-    reports, failure = arm.outcomes(trials)
+    lanes = [(0, partial(squared_errors, params, rho)), *_moment_lanes(estimators, params, [(1, rho)])]
+    rows, failure = coupled.run_lanes(lanes)
+    reductions = [partial(mmse_report, params, rho), *(partial(stability_report, params, e, rho) for e in estimators)]
+    reports = [reduce(lane) for reduce, lane in zip(reductions, rows)]
     if failure is not None:
         raise failure
-    return mmse_report(params, rho, errs), reports
+    return reports[0], reports[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,136 @@
+"""Planted faults in src, kept as data: each must make its named tests fail.
+
+A mutant replaces one exact text of one file (which must occur there once)
+and names the tests that must catch it.  tests/replay_mutants.py replays
+them one at a time on a temporary copy of src and tests; it is not part of
+the tier-1 suite, since each mutant costs two pytest starts.  A mutant that
+survives means a test was loosened or a kernel moved out from under it.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    what: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+NOISE, STABILITY = "src/plantedlab/noise.py", "src/plantedlab/stability.py"
+RAISED_IN_ARM_ORDER = "tests/test_noise.py::test_map_arms_raises_in_arm_order"
+
+MUTANTS = (
+    # the ranked-lane pass
+    Mutant(
+        "a stop rule that ignores rank: the first failure in time wins",
+        NOISE,
+        "failure, live = err, lane",
+        "failure, live = failure or err, min(live, lane)",
+        (RAISED_IN_ARM_ORDER, "tests/test_stability.py::test_measure_stabilities_raises_the_first_estimator_failure_in_order"),
+    ),
+    Mutant(
+        "every lane raises at once",
+        NOISE,
+        "failure, live = err, lane",
+        "raise",
+        (RAISED_IN_ARM_ORDER, "tests/test_cli.py::test_stability_command_raises_the_first_failure_in_estimator_order"),
+    ),
+    Mutant(
+        "the lanes after the failure are reduced too",
+        NOISE,
+        "return rows[:live], failure",
+        "return rows, failure",
+        (RAISED_IN_ARM_ORDER, "tests/test_stability.py::test_measure_stabilities_raises_ill_conditioned_before_a_later_trial_failure"),
+    ),
+    Mutant(
+        "the arms are noised in reverse order",
+        NOISE,
+        "for arm in sorted(arms):",
+        "for arm in sorted(arms, reverse=True):",
+        ("tests/test_noise.py::test_map_arms_noises_each_run_in_every_arm_one_arm_at_a_time",),
+    ),
+    Mutant(
+        "a lane whose estimator does not resolve raises at once",
+        NOISE,
+        "            except Exception as err:  # noqa: BLE001 - the lane fails before the pass\n                failure = err\n",
+        "            except ParameterError as err:\n                failure = err\n",
+        ("tests/test_stability.py::test_measure_stabilities_raises_a_trial_failure_before_a_later_estimator_that_does_not_resolve",),
+    ),
+    Mutant(
+        "the signal vectors of a pass's first run serve every run",
+        STABILITY,
+        "if start not in signals:",
+        "if not signals:",
+        ("tests/test_stability.py::test_measure_stabilities_bit_identical_to_trial_loop",),
+    ),
+    Mutant(
+        "the stability grid takes the noise path of a grid point",
+        STABILITY,
+        "[(rho, None) for rho in rho_grid]",
+        "[(rho, j) for j, rho in enumerate(rho_grid)]",
+        ("tests/test_stability.py::test_stability_grid_is_hex_equal_to_per_rho_calls_read_estimator_major",),
+    ),
+    Mutant(
+        "the lanes of the stability grid rank rho-major",
+        STABILITY,
+        "for estimator in estimators for arm, rho in arms]",
+        "for arm, rho in arms for estimator in estimators]",
+        (
+            "tests/test_stability.py::test_stability_grid_is_hex_equal_to_per_rho_calls_read_estimator_major",
+            "tests/test_cli.py::test_stability_command_raises_the_first_failure_in_estimator_order",
+        ),
+    ),
+    Mutant(
+        "the estimator lanes of a barrier cell rank before its MMSE lane",
+        STABILITY,
+        "lanes = [(0, partial(squared_errors, params, rho)), *_moment_lanes(estimators, params, [(1, rho)])]",
+        "lanes = [*_moment_lanes(estimators, params, [(1, rho)]), (0, partial(squared_errors, params, rho))]",
+        ("tests/test_stability.py::test_barrier_cell_raises_a_resolution_error_after_the_mmse_arm",),
+    ),
+    # kept from earlier mutation checks that still apply
+    Mutant(
+        "an arm out of range raises at construction",
+        NOISE,
+        "        check_trials(n)\n",
+        "        check_trials(n)\n        [check_rho(level) for level, _ in (rho if isinstance(rho, list) else [(rho, grid_point)])]\n",
+        (
+            "tests/test_noise.py::test_an_arm_out_of_range_raises_after_the_arms_before_it",
+            "tests/test_bayes.py::test_mmse_curve_raises_in_grid_order",
+        ),
+    ),
+    Mutant(
+        "the two arms of a barrier cell swapped",
+        STABILITY,
+        "[(rho, 0), (rho, None)]",
+        "[(rho, None), (rho, 0)]",
+        (
+            "tests/test_stability.py::test_barrier_cell_is_hex_equal_to_the_mmse_curve_and_stability_calls",
+            "tests/test_golden.py::test_golden_csv[barrier-rlc]",
+        ),
+    ),
+    Mutant(
+        "the breadth-first search starts from vertex 3",
+        "src/plantedlab/solvers.py",
+        "dist[:, 2] = 0",
+        "dist[:, 3] = 0",
+        ("tests/test_symmetry.py::test_shortest_path_length_and_found_flag_stay_under_a_relabeling_of_vertices_3_to_n_exactly",),
+    ),
+    Mutant(
+        "the TPCA supports rolled against their tensor entries",
+        "src/plantedlab/bayes.py",
+        "entries = combos[b][:, corners]",
+        "entries = np.roll(combos[b], 1, axis=0)[:, corners]",
+        ("tests/test_symmetry.py::test_tpca_overlap_distribution_stays_under_a_permutation_of_tensor_indices",),
+    ),
+    Mutant(
+        "the TPCA overlap drops a support's first index",
+        "src/plantedlab/bayes.py",
+        "overlap = member[combos].sum(axis=1)",
+        "overlap = member[combos[:, 1:]].sum(axis=1)",
+        ("tests/test_symmetry.py::test_tpca_overlap_distribution_stays_under_a_permutation_of_tensor_indices",),
+    ),
+)

@@ -339,9 +339,8 @@ def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path, capsys):
     assert main(["--help"]) == 0
 
 
-def test_barrier_draws_each_trial_once_per_rho(tmp_path, monkeypatch):
-    # per rho, one coupled pass: each run of trials is drawn once, then noised in the MMSE arm and
-    # in the stability arm that scores all three estimators
+def _count_draws(monkeypatch) -> tuple:
+    """(the runs drawn, a Counter of (arm, trial) noised, the arms noised per run), filled in as coupled passes run."""
     runs, noised, arms_of = [], collections.Counter(), collections.defaultdict(list)
     sampler, noisy = noise.chunk_sampler, CoupledTrials._noisy
 
@@ -357,6 +356,13 @@ def test_barrier_draws_each_trial_once_per_rho(tmp_path, monkeypatch):
 
     monkeypatch.setattr(noise, "chunk_sampler", counted_sampler)
     monkeypatch.setattr(CoupledTrials, "_noisy", counted_noisy)
+    return runs, noised, arms_of
+
+
+def test_barrier_draws_each_trial_once_per_rho(tmp_path, monkeypatch):
+    # per rho, one coupled pass: each run of trials is drawn once, then noised in the MMSE arm and
+    # in the stability arm that scores all three estimators
+    runs, noised, arms_of = _count_draws(monkeypatch)
     argv = [
         "barrier", "--model", "rlc", "--params", '{"m":8,"n":5}', "--rho-grid", "0.3,0.6", "--trials", "20",
         "--estimators", "posterior_mean,f2_round,constant_prior_mean", "--out", str(tmp_path / "b"),
@@ -365,6 +371,20 @@ def test_barrier_draws_each_trial_once_per_rho(tmp_path, monkeypatch):
     assert sum(map(len, runs)) == 2 * 20  # each trial's instance once per rho
     assert noised == {(arm, t): 2 for arm in (0, 1) for t in range(20)}
     assert sorted(arms_of.values()) == [[0, 1]] * len(runs)
+
+
+def test_stability_draws_each_trial_once_per_pass(tmp_path, monkeypatch):
+    # the whole rho grid is one coupled pass: each run of trials is drawn once, then noised once in the
+    # arm of each grid point, where all three estimators score it
+    runs, noised, arms_of = _count_draws(monkeypatch)
+    argv = [
+        "stability", "--model", "rlc", "--params", '{"m":8,"n":5}', "--rho-grid", "0.3,0.6,0.9", "--trials", "300",
+        "--estimators", "posterior_mean,f2_round,constant_prior_mean", "--out", str(tmp_path / "s"),
+    ]
+    assert main(argv) == 0
+    assert sum(map(len, runs)) == 300 and len(runs) > 1  # each trial's instance once
+    assert noised == {(arm, t): 1 for arm in (0, 1, 2) for t in range(300)}
+    assert sorted(arms_of.values()) == [[0, 1, 2]] * len(runs)
 
 
 def test_stability_command_raises_the_first_failure_in_estimator_order(tmp_path, monkeypatch, capsys):

@@ -6,8 +6,9 @@ bayes._POSTERIORS, src and demos reach the fast solvers only through the
 wrappers of stability.SOLVERS, only models and counting name the PSP
 adjacency-matrix conversions, bayes, lowdeg and stability check
 observations only through models.stack_observations, cli draws no instance
-or null graph one seed at a time, and src calls no numpy function newer
-than the numpy floor in pyproject.toml.
+or null graph one seed at a time, no src module but noise keeps a caught
+exception to raise it later, and src calls no numpy function newer than
+the numpy floor in pyproject.toml.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def test_no_unused_imports():
 
 
 def test_only_noise_drives_run_trials():
-    # CoupledTrials.map is the one coupled-trial loop; no other src module may import or call mc.run_trials
+    # CoupledTrials.run_lanes is the one coupled-trial loop (map is its one-lane case); no other src module
+    # may import or call mc.run_trials
     users = set()
     for path in (ROOT / "src").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -284,3 +286,87 @@ def test_per_seed_draw_scan_finds_a_planted_loop():
 
 def test_cli_draws_no_per_seed_instances():
     assert per_seed_draws((ROOT / "src" / "plantedlab" / "cli.py").read_text(encoding="utf-8")) == []
+
+
+# a deferred failure is ranked in one place, the lane pass of noise.CoupledTrials.run_lanes; elsewhere in src
+# an except handler ends what it caught at once.  A handler keeps what it caught when it stores it (assigns,
+# returns or yields it, or passes it to a call outside a raise) or catches every Exception, which a deferred
+# lane failure needs.  Two broad handlers end it at once: _second_moments re-raises it with its trial index,
+# and cli.run turns it into exit status 1.
+KEEPS_ALLOWED = {("stability", "_second_moments"), ("cli", "run")}
+
+
+def _stores(handler: ast.ExceptHandler) -> bool:
+    raised = {id(node) for raise_ in ast.walk(handler) if isinstance(raise_, ast.Raise) for node in ast.walk(raise_)}
+
+    def caught(node) -> bool:
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List)) else [node]
+        return any(isinstance(e, ast.Name) and e.id == handler.name for e in elts)
+
+    for node in ast.walk(handler):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Return, ast.Yield)) and node.value is not None:
+            if caught(node.value):
+                return True
+        elif isinstance(node, ast.Call) and id(node) not in raised and any(caught(a) for a in node.args):
+            return True
+    return False
+
+
+def kept_exceptions(source: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function or class, line) of each except handler that keeps what it caught."""
+    found = []
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.ExceptHandler):
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                broad = any(t is None or (isinstance(t, ast.Name) and t.id in {"Exception", "BaseException"}) for t in types)
+                if broad or (child.name is not None and _stores(child)):
+                    found.append((inner, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_kept_exception_scan_finds_planted_deferrals():
+    planted = (
+        "class _Arm:\n"
+        "    def __call__(self, run):\n"
+        "        try:\n"
+        "            score(run)\n"
+        "        except TrialError as err:\n"
+        "            self.failure = err\n"
+        "def outcomes(arm):\n"
+        "    try:\n"
+        "        arm.reduce()\n"
+        "    except IllConditionedError as err:\n"
+        "        return [], err\n"
+        "    try:\n"
+        "        arm.more()\n"
+        "    except (KeyError, Exception):\n"
+        "        rerun()\n"
+        "        raise\n"
+        "    try:\n"
+        "        arm.last()\n"
+        "    except ValueError as err:\n"
+        "        failures.append(err)\n"
+    )
+    assert kept_exceptions(planted) == [("__call__", 5), ("outcomes", 10), ("outcomes", 14), ("outcomes", 19)]
+    ended = (
+        "def check(arrays):\n"
+        "    try:\n"
+        "        stack(arrays)\n"
+        "    except ValueError as err:\n"
+        "        print(f'{err}')\n"
+        "        raise ParameterError(str(err)) from err\n"
+    )
+    assert kept_exceptions(ended) == []
+
+
+def test_only_noise_keeps_a_caught_exception():
+    src = {p.stem: p.read_text(encoding="utf-8") for p in (ROOT / "src" / "plantedlab").glob("*.py")}
+    kept = {(module, scope) for module, source in src.items() if module != "noise" for scope, _ in kept_exceptions(source)}
+    assert kept == KEEPS_ALLOWED
+    assert {scope for scope, _ in kept_exceptions(src["noise"])} == {"run_lanes", "chunk"}

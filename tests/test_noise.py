@@ -316,6 +316,11 @@ def _corners(start, run, noisy) -> list:
     return [(y[0, 0, 0], obs[0, 0, 0]) for y, obs in zip(run.Y, noisy)]
 
 
+def _lanes(fns) -> list:
+    """One lane per arm, in arm order: lane j is fns[j] on arm j."""
+    return [(j, lambda fn=fn: fn) for j, fn in enumerate(fns)]
+
+
 def test_map_arms_noises_each_run_in_every_arm_one_arm_at_a_time():
     # each run is drawn once and noised in every arm in order, each arm at its own seed path, as one-arm
     # passes do; an arm's noisy observation is released before the next one is drawn
@@ -331,10 +336,10 @@ def test_map_arms_noises_each_run_in_every_arm_one_arm_at_a_time():
 
         return fn
 
-    got = CoupledTrials(params, arms, 5, trials).map_arms([arm(j) for j in range(3)])
-    assert list(arms_of.values()) == [[0, 1, 2]] * 2
+    got, failure = CoupledTrials(params, arms, 5, trials).run_lanes(_lanes([arm(j) for j in range(3)]))
+    assert failure is None and list(arms_of.values()) == [[0, 1, 2]] * 2
     for (rho, grid_point), rows in zip(arms, got):
-        assert rows == CoupledTrials(params, rho, 5, trials, grid_point=grid_point).map(_corners)
+        assert [row for out in rows for row in out] == CoupledTrials(params, rho, 5, trials, grid_point=grid_point).map(_corners)
 
 
 def _failing(arm: int, bad_start: int, calls: list):
@@ -348,25 +353,30 @@ def _failing(arm: int, bad_start: int, calls: list):
 
 
 def test_map_arms_raises_in_arm_order():
-    # the error of the first arm that fails is raised, after the arms before it ran every run
+    # the error of the first arm that fails is the pass's failure, after the arms before it ran every run
     params, trials, calls = GssParams(N=6, k=2), EVAL_CHUNK + 3, []
     coupled = CoupledTrials(params, [(0.3, 0), (0.6, None), (0.9, 1)], 2, trials)
-    with pytest.raises(ValueError, match="arm 0"):
-        coupled.map_arms([_failing(0, EVAL_CHUNK, calls), _failing(1, 0, calls), _failing(2, -1, calls)])
+    rows, failure = coupled.run_lanes(_lanes([_failing(0, EVAL_CHUNK, calls), _failing(1, 0, calls), _failing(2, -1, calls)]))
+    assert (rows, repr(failure)) == ([], "ValueError('arm 0')")
     assert calls == [(0, 0), (1, 0), (0, EVAL_CHUNK)]
     calls.clear()
-    with pytest.raises(ValueError, match="arm 1"):
-        coupled.map_arms([_failing(0, -1, calls), _failing(1, EVAL_CHUNK, calls), _failing(2, 0, calls)])
+    rows, failure = coupled.run_lanes(_lanes([_failing(0, -1, calls), _failing(1, EVAL_CHUNK, calls), _failing(2, 0, calls)]))
+    assert (rows, repr(failure)) == ([[[], []]], "ValueError('arm 1')")
     assert calls == [(0, 0), (1, 0), (2, 0), (0, EVAL_CHUNK), (1, EVAL_CHUNK)]
+    with pytest.raises(ValueError, match="arm 0"):  # map is the one-lane pass that raises
+        coupled.map(_failing(0, EVAL_CHUNK, calls))
 
 
 def test_an_arm_out_of_range_raises_after_the_arms_before_it():
     params, calls = GssParams(N=6, k=2), []
+    rows, failure = CoupledTrials(params, [(1.5, 0), (0.3, 1)], 2, 4).run_lanes(_lanes([_failing(j, -1, calls) for j in range(2)]))
+    assert rows == [] and isinstance(failure, ParameterError) and "need rho in" in str(failure) and calls == []
     with pytest.raises(ParameterError, match="need rho in"):
-        CoupledTrials(params, [(1.5, 0), (0.3, 1)], 2, 4)
+        CoupledTrials(params, 1.5, 2, 4).map(_failing(0, -1, calls))
+    assert calls == []
     coupled = CoupledTrials(params, [(0.3, 0), (1.5, 1), (0.6, 2)], 2, 4)
-    with pytest.raises(ParameterError, match="need rho in"):
-        coupled.map_arms([_failing(j, -1, calls) for j in range(3)])
+    rows, failure = coupled.run_lanes(_lanes([_failing(j, -1, calls) for j in range(3)]))
+    assert rows == [[[]]] and isinstance(failure, ParameterError) and "need rho in" in str(failure)
     assert calls == [(0, 0)]
-    with pytest.raises(ValueError, match="arm 0"):
-        coupled.map_arms([_failing(0, 0, calls)])
+    rows, failure = coupled.run_lanes(_lanes([_failing(0, 0, calls)]))
+    assert (rows, repr(failure)) == ([], "ValueError('arm 0')")

@@ -34,6 +34,7 @@ from plantedlab.stability import (
     barrier_penalty,
     measure_stabilities,
     measure_stability,
+    measure_stability_grid,
     prior_mean_vector,
     resolve_estimator,
     solver_recovers,
@@ -503,9 +504,10 @@ SMALL_PARAMS = {
 }
 
 
-def _fails_on_trial(params, rho: float, seed: int, trials: int, bad_trial: int):
-    """A batch estimator of ones that raises on any observation equal to trial bad_trial's clean one."""
-    bad = stack_observations(params, [CoupledTrials(params, rho, seed, trials)[bad_trial][0].observation])
+def _fails_on_trial(params, rho: float, seed: int, trials: int, bad_trial: int, arm: int = 0):
+    """A batch estimator of ones that raises on any observation equal to trial bad_trial's clean one (arm 0) or noisy one at rho (arm 1)."""
+    inst, noisy = CoupledTrials(params, rho, seed, trials)[bad_trial]
+    bad = stack_observations(params, [(inst.observation, noisy)[arm]])
     dim = len(prior_mean_vector(params))
 
     def failing(observations):
@@ -520,13 +522,24 @@ def _fails_on_trial(params, rho: float, seed: int, trials: int, bad_trial: int):
     return failing
 
 
+def _draw_estimators(data, params, rho: float, trials: int, seed: int, *extra) -> list:
+    """1 to 4 distinct estimators from a pool: the registry, one that fails on a drawn trial, an all-zero one, and extra."""
+    failing = _fails_on_trial(params, rho, seed, trials, data.draw(st.integers(0, trials - 1)))
+
+    def zero(observations):  # ill-conditioned: its eta has a zero denominator
+        return np.zeros((batch_size(observations), len(prior_mean_vector(params))))
+
+    pool = [*ESTIMATORS, failing, zero, *extra]  # the registry holds estimators of other models, which raise in order
+    return data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique_by=id))
+
+
 def _outcome(call) -> tuple | list:
-    """call()'s reports with every float as hex, or its error's type, message and trial."""
+    """call()'s reports (each a report or a list of them) with every float as hex, or its error's type, message and trial."""
     try:
         reports = call()
     except Exception as err:  # noqa: BLE001 - the error is the outcome compared
         return type(err), str(err), getattr(err, "trial", None)
-    flat = [reports[0], *reports[1]]
+    flat = [r for part in reports for r in (part if isinstance(part, list) else [part])]
     return [[float(v).hex() if isinstance(v, float) else v for v in vars(r).values()] for r in flat]
 
 
@@ -534,18 +547,42 @@ def _outcome(call) -> tuple | list:
 @given(data=st.data(), model=st.sampled_from(list(SMALL_PARAMS)), rho=st.sampled_from([0.0, 0.3, 1.0]),
        trials=st.integers(1, 30), seed=st.integers(0, 2**32))
 def test_barrier_cell_is_hex_equal_to_the_mmse_curve_and_stability_calls(data, model, rho, trials, seed):
+    # the drawn estimators often fail, so two that every model resolves are compared on every cell too
     params = data.draw(SMALL_PARAMS[model])
-    failing = _fails_on_trial(params, rho, seed, trials, data.draw(st.integers(0, trials - 1)))
+    for estimators in (_draw_estimators(data, params, rho, trials, seed), ["posterior_mean", "constant_prior_mean"]):
+        got = _outcome(lambda: barrier_cell(estimators, params, rho, trials, seed))
+        want = _outcome(lambda: (*estimate_mmse_curve(params, [rho], trials, seed),
+                                 measure_stabilities(estimators, params, rho, trials, seed)))
+        assert got == want
 
-    def zero(observations):  # ill-conditioned: its eta has a zero denominator
-        return np.zeros((batch_size(observations), len(prior_mean_vector(params))))
 
-    pool = [*ESTIMATORS, failing, zero]  # the registry holds estimators of other models, which raise in order
-    estimators = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique_by=id))
-    got = _outcome(lambda: barrier_cell(estimators, params, rho, trials, seed))
-    want = _outcome(lambda: (*estimate_mmse_curve(params, [rho], trials, seed),
-                             measure_stabilities(estimators, params, rho, trials, seed)))
-    assert got == want
+def _per_rho_estimator_major(estimators, params, rho_grid, trials: int, seed: int) -> list:
+    """The reports of per-rho measure_stabilities calls, read estimator-major; raises the first failure in that order.
+
+    Estimator i is reached only when the estimators before it pass at every
+    rho, so the first prefix that raises raises estimator i's own error, at
+    its first failing rho.
+    """
+    for i in range(len(estimators)):
+        for rho in rho_grid:
+            measure_stabilities(estimators[: i + 1], params, rho, trials, seed)
+    by_rho = [measure_stabilities(estimators, params, rho, trials, seed) for rho in rho_grid]
+    return [reports[i] for i in range(len(estimators)) for reports in by_rho]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), model=st.sampled_from(list(SMALL_PARAMS)),
+       rho_grid=st.lists(st.sampled_from([0.0, 0.3, 0.6, 1.0]), min_size=2, max_size=3),
+       trials=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_stability_grid_is_hex_equal_to_per_rho_calls_read_estimator_major(data, model, rho_grid, trials, seed):
+    # a second failing estimator fails only on one trial's noisy observation at one rho of the grid; the
+    # drawn estimators often fail, so two that every model resolves are compared on every grid too
+    params = data.draw(SMALL_PARAMS[model])
+    bad_rho, bad_trial = data.draw(st.sampled_from(rho_grid)), data.draw(st.integers(0, trials - 1))
+    drawn = _draw_estimators(data, params, rho_grid[0], trials, seed, _fails_on_trial(params, bad_rho, seed, trials, bad_trial, arm=1))
+    for estimators in (drawn, ["posterior_mean", "constant_prior_mean"]):
+        got = _outcome(lambda: measure_stability_grid(estimators, params, rho_grid, trials, seed))
+        assert got == _outcome(lambda: _per_rho_estimator_major(estimators, params, rho_grid, trials, seed))
 
 
 def test_barrier_cell_raises_a_resolution_error_after_the_mmse_arm(monkeypatch):
@@ -558,3 +595,23 @@ def test_barrier_cell_raises_a_resolution_error_after_the_mmse_arm(monkeypatch):
         barrier_cell(["constant_prior_mean", "broken"], RlcParams(m=25, n=25), 0.5, 3, seed=1)
     with pytest.raises(RuntimeError, match="factory fails"):
         barrier_cell(["constant_prior_mean", "broken"], RlcParams(m=6, n=4), 0.5, 3, seed=1)
+
+
+def test_measure_stabilities_raises_a_trial_failure_before_a_later_estimator_that_does_not_resolve(monkeypatch):
+    # any error of an estimator factory ranks in estimator order, as the per-estimator loop raises it
+    def flaky(observations):
+        raise ValueError("every trial")
+
+    def broken(params, rho):
+        raise RuntimeError("factory fails")
+
+    monkeypatch.setitem(ESTIMATORS, "broken", broken)
+    params = GssParams(N=8, k=2)
+    with pytest.raises(EstimatorTrialError) as err:
+        measure_stability(flaky, params, 0.3, 20, seed=6)
+    assert err.value.trial == 0
+    with pytest.raises(EstimatorTrialError) as err:
+        measure_stabilities([flaky, "broken"], params, 0.3, 20, seed=6)
+    assert err.value.trial == 0 and "every trial" in str(err.value)
+    with pytest.raises(RuntimeError, match="factory fails"):
+        measure_stabilities(["constant_prior_mean", "broken", flaky], params, 0.3, 20, seed=6)
