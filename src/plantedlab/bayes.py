@@ -333,7 +333,7 @@ def _sample_full_rank_rlc(params: RlcParams, seed: int, t: int):
 
 
 def squared_errors(params, rho: float):
-    """The MMSE lane of a coupled pass at rho: fn(start, run, noisy) -> |E[x | noisy] - x|^2 of each trial of the run."""
+    """The fn of an MMSE lane at rho: fn(start, run, noisy) -> |E[x | noisy] - x|^2 of each trial of the run."""
 
     def chunk(start: int, run, noisy) -> np.ndarray:
         diffs = (posterior_means(params, noisy, rho) - run.signal_vectors())[:, None, :]
@@ -343,7 +343,7 @@ def squared_errors(params, rho: float):
 
 
 def mmse_report(params, rho: float, errs: list) -> MmseReport:
-    """The MmseReport at rho of an MMSE lane's outputs, the squared errors of each run."""
+    """The reduce of an MMSE lane at rho: the MmseReport of its outputs, the squared errors of each run."""
     errs = np.concatenate(errs)
     mmse_hat, stderr = mean_stderr(errs)
     norm = signal_norm(params)
@@ -377,11 +377,7 @@ def estimate_mmse_curve(
     """
     if model_name(params) != "rlc" and full_rank_only:
         raise ParameterError("full_rank_only applies to the linear-code model only")
-    rho_grid = list(rho_grid)
-    arms = [(rho, j) for j, rho in enumerate(rho_grid)]
-    coupled = CoupledTrials(params, arms, seed, trials, draw=full_rank_run if full_rank_only else None)
-    rows, failure = coupled.run_lanes([(j, partial(squared_errors, params, rho)) for j, rho in enumerate(rho_grid)])
-    reports = [mmse_report(params, rho, errs) for rho, errs in zip(rho_grid, rows)]
-    if failure is not None:
-        raise failure
-    return reports
+    points = list(enumerate(rho_grid))
+    lanes = [(j, partial(squared_errors, params, rho), partial(mmse_report, params, rho)) for j, rho in points]
+    draw = full_rank_run if full_rank_only else None
+    return CoupledTrials(params, [(rho, j) for j, rho in points], seed, trials, draw=draw).run_lanes(lanes)

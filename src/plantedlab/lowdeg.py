@@ -441,7 +441,7 @@ def stability_ratio(
         # differ in the last bit from numpy's x * x
         return [((a - b) ** 2, a**2) for a, b in zip(v0, v1)]
 
-    num, den = np.array(CoupledTrials(params, rho, seed, trials).map(chunk)).T
+    num, den = np.array(CoupledTrials(params, [(rho, None)], seed, trials).map(chunk)).T
     den_mean, den_se = mean_stderr(den)
     if den_mean <= 10 * den_se:
         raise IllConditionedError(

@@ -18,7 +18,6 @@ realization can be replayed against different estimators.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -128,28 +127,26 @@ def noise_instance_observation(instance, rho: float, seed: int):
 class CoupledTrials:
     """Trials 0..n-1 of a coupled experiment: trial t is an instance and its observation after T_rho in each noise arm.
 
-    rho is one noise level, whose noise seed path is (seed, NOISE_STREAM, t),
-    or (seed, NOISE_STREAM, grid_point, t) for a point of a noise grid; or
-    it is a list of noise arms (rho, grid_point), each with that seed path.
-    The instance is sample_instance at seed path (seed, INSTANCE_STREAM, t),
-    or, when draw is given, trial t's instance in the run record draw(params,
-    seed, ts) of a range of trials ts holding t.  So the same draw replays
-    against any estimator, and every arm noises the same instances.
+    arms lists the noise arms (rho, grid_point): the arm's noise seed path is
+    (seed, NOISE_STREAM, t), or (seed, NOISE_STREAM, grid_point, t) for a
+    point of a noise grid.  The instance is sample_instance at seed path
+    (seed, INSTANCE_STREAM, t), or, when draw is given, trial t's instance in
+    the run record draw(params, seed, ts) of a range of trials ts holding t.
+    So the same draw replays against any estimator, and every arm noises the
+    same instances.
 
     Each arm's noise keys, the instance keys and the one instance draw (the
     model's chunk_sampler over the instance keys, or draw) are resolved at
     construction.  A run of trials is drawn with one call, and each arm's
     noise with one call, re-keying one shared Philox per trial, so trial t
-    is the same whichever trials were drawn before it; indexing draws the
-    one-trial run.
+    is the same whichever trials were drawn before it.
     """
 
-    def __init__(self, params, rho, seed: int, n: int, *, grid_point=None, draw=None):
+    def __init__(self, params, arms, seed: int, n: int, *, draw=None):
         check_trials(n)
         self._params, self._n, self._rng = params, n, keyed_generator()
         self._arms = [
-            (level, trial_keys(seed, NOISE_STREAM, *(() if point is None else (point,)), n=n))
-            for level, point in (rho if isinstance(rho, list) else [(rho, grid_point)])
+            (rho, trial_keys(seed, NOISE_STREAM, *(() if point is None else (point,)), n=n)) for rho, point in arms
         ]
         if draw is None:
             sample, keys, rng = chunk_sampler(params), trial_keys(seed, INSTANCE_STREAM, n=n), self._rng
@@ -165,39 +162,32 @@ class CoupledTrials:
         level, keys = self._arms[arm]
         return chunk_noise(self._params, level)(run, keyed_fresh(self._rng, keys[ts.start : ts.stop]))
 
-    def __getitem__(self, t: int) -> tuple:
-        """(instance, its noisy observation in each arm) of trial t."""
-        if not 0 <= t < len(self):
-            raise IndexError(f"trial {t} outside 0..{len(self) - 1}")
-        ts = range(t, t + 1)
-        run = self._draw(ts)
-        return (run[0], *(batch_rows(self._noisy(arm, run, ts), 0) for arm in range(len(self._arms))))
-
     def map(self, fn) -> list:
         """The one-lane pass of fn on the first arm: fn(start, run, noisy)'s rows in trial order; raises what fn raises."""
-        rows, failure = self.run_lanes([(0, lambda: fn)])
-        if failure is not None:
-            raise failure
-        return [row for out in rows[0] for row in out]
+        (rows,) = self.run_lanes([(0, lambda: fn, lambda outs: [row for out in outs for row in out])])
+        return rows
 
-    def run_lanes(self, lanes) -> tuple[list[list], Optional[Exception]]:
-        """One coupled pass over ranked lanes: (the outputs of the lanes ranked before the first failure, that failure or None).
+    def run_lanes(self, lanes) -> list:
+        """One coupled pass over ranked lanes: each lane's reduction, in rank order; raises the first failure.
 
-        lanes lists (arm, make) pairs in the order their errors rank; make()
-        builds the lane's fn(start, run, noisy), run being the run record of
-        trials start, start + 1, ... and noisy their noisy observation in
-        the arm, stacked as run.observation is.  A lane whose arm's rho is
-        out of range or whose make raises fails before the pass.  Each run
-        (trial_runs of the trials, each counted at twice its instance's
-        arrays) is drawn once, then noised one arm at a time, in arm order,
-        and each live lane of that arm scores it, in rank order.  A lane
-        that raises stops, and so does every lane ranked after it; the pass
-        ends once the top-ranked lane has stopped.  So the failure is what
-        one-lane passes in rank order would raise first, and a lane's
-        outputs are its fn results, one a run, in trial order.
+        lanes lists (arm, make, reduce) triples in the order their errors
+        rank; make() builds the lane's fn(start, run, noisy), run being the
+        run record of trials start, start + 1, ... and noisy their noisy
+        observation in the arm, stacked as run.observation is, and
+        reduce(outputs) takes the lane's fn results, one a run, in trial
+        order.  A lane whose arm's rho is out of range or whose make raises
+        fails before the pass.  Each run (trial_runs of the trials, each
+        counted at twice its instance's arrays) is drawn once, then noised
+        one arm at a time, in arm order, and each live lane of that arm
+        scores it, in rank order.  A lane that raises stops, and so does
+        every lane ranked after it; the pass ends once the top-ranked lane
+        has stopped.  Then the lanes ranked before the first failure are
+        reduced, in rank order, and the failure is raised.  So what is
+        raised (a reduction's error, or the failure) is what one-lane
+        passes in rank order, each reduced as it ends, would raise first.
         """
         fns, failure = [], None
-        for arm, make in lanes:
+        for arm, make, _ in lanes:
             try:
                 check_rho(self._arms[arm][0])
                 fns.append((arm, make()))
@@ -228,4 +218,7 @@ class CoupledTrials:
                 del noisy  # released before the next arm is noised
 
         run_trials(len(runs), chunk)
-        return rows[:live], failure
+        reductions = [reduce(outs) for (_, _, reduce), outs in zip(lanes, rows[:live])]
+        if failure is not None:
+            raise failure
+        return reductions

@@ -14,7 +14,7 @@ trials share once and mixes only the trial words per row; philox_keys mixes
 a (4, B) pool one source row at a time.  trial_keys chains the two and keeps
 its most recently used key sets, up to KEY_MEMO_BYTES, as read-only arrays.
 
-A run of trials re-keys one generator per trial (keyed_generator, rekey,
+A run of trials re-keys one generator per trial (keyed_generator,
 keyed_fresh; keyed_runs draws run after run) and reads each trial's raw
 Philox words with bit_generator.random_raw.  The decoders at the end turn
 stacked words into what numpy's Generator draws from them: uniforms
@@ -189,7 +189,7 @@ def trial_keys(seed: int, *prefix: int, n: int) -> np.ndarray:
 
 
 def keyed_generator() -> np.random.Generator:
-    """A Philox generator to re-key with rekey(), one per batch of trials."""
+    """A Philox generator to re-key with keyed_fresh(), one per batch of trials."""
     return np.random.Generator(np.random.Philox(key=0))
 
 
@@ -203,12 +203,6 @@ def _fresh_state(key) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-def rekey(gen: np.random.Generator, key) -> np.random.Generator:
-    """Reset gen's Philox to the fresh state for key; then gen draws what Philox(key=key) would."""
-    gen.bit_generator.state = _fresh_state(key)
-    return gen
 
 
 def keyed_fresh(gen: np.random.Generator, keys: np.ndarray):

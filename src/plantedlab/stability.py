@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -223,25 +222,20 @@ def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray)
 
 
 def _moment_lanes(estimators: Sequence, params, arms: Sequence[tuple[int, float]]) -> list:
-    """The lanes of each estimator at each (arm, rho) of arms, estimator-major: fn(start, run, noisy) -> its _second_moments rows.
+    """The lanes of each estimator at each (arm, rho) of arms, estimator-major: _second_moments rows, reduced by stability_report.
 
-    A lane resolves its estimator when it is built; the lanes share each
-    run's signal vectors, computed once a run.
+    A lane resolves its estimator when it is built.
     """
-    signals = {}  # the start of the run last scored -> its signal vectors
 
     def lane(estimator, rho: float) -> Callable:
         fn = resolve_estimator(estimator, params, rho) if isinstance(estimator, str) else estimator
+        return lambda start, run, noisy: _second_moments(fn, start, run.observation, noisy, run.signal_vectors())
 
-        def score(start: int, run, noisy) -> np.ndarray:
-            if start not in signals:
-                signals.clear()
-                signals[start] = run.signal_vectors()
-            return _second_moments(fn, start, run.observation, noisy, signals[start])
-
-        return score
-
-    return [(arm, partial(lane, estimator, rho)) for estimator in estimators for arm, rho in arms]
+    return [
+        (arm, partial(lane, estimator, rho), partial(stability_report, params, estimator, rho))
+        for estimator in estimators
+        for arm, rho in arms
+    ]
 
 
 def stability_report(params, estimator, rho: float, moments: list) -> StabilityReport:
@@ -272,12 +266,8 @@ def measure_stability_grid(
     the first rho where it does.
     """
     rho_grid = list(rho_grid)
-    coupled = CoupledTrials(params, [(rho, None) for rho in rho_grid], seed, trials)
-    rows, failure = coupled.run_lanes(_moment_lanes(estimators, params, list(enumerate(rho_grid))))
-    reports = [stability_report(params, e, rho, r) for (e, rho), r in zip(product(estimators, rho_grid), rows)]
-    if failure is not None:
-        raise failure
-    return reports
+    lanes = _moment_lanes(estimators, params, list(enumerate(rho_grid)))
+    return CoupledTrials(params, [(rho, None) for rho in rho_grid], seed, trials).run_lanes(lanes)
 
 
 def measure_stabilities(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list[StabilityReport]:
@@ -321,14 +311,10 @@ def barrier_cell(estimators: Sequence, params, rho: float, trials: int, seed: in
     and so are the errors: the MMSE lane's error comes first, then what
     measure_stabilities raises.
     """
-    coupled = CoupledTrials(params, [(rho, 0), (rho, None)], seed, trials)
-    lanes = [(0, partial(squared_errors, params, rho)), *_moment_lanes(estimators, params, [(1, rho)])]
-    rows, failure = coupled.run_lanes(lanes)
-    reductions = [partial(mmse_report, params, rho), *(partial(stability_report, params, e, rho) for e in estimators)]
-    reports = [reduce(lane) for reduce, lane in zip(reductions, rows)]
-    if failure is not None:
-        raise failure
-    return reports[0], reports[1:]
+    mmse_lane = (0, partial(squared_errors, params, rho), partial(mmse_report, params, rho))
+    lanes = [mmse_lane, *_moment_lanes(estimators, params, [(1, rho)])]
+    mmse, *reports = CoupledTrials(params, [(rho, 0), (rho, None)], seed, trials).run_lanes(lanes)
+    return mmse, reports
 
 
 # ---------------------------------------------------------------------------

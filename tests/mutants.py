@@ -42,8 +42,17 @@ MUTANTS = (
     Mutant(
         "the lanes after the failure are reduced too",
         NOISE,
-        "return rows[:live], failure",
-        "return rows, failure",
+        "zip(lanes, rows[:live])",
+        "zip(lanes, rows)",
+        (RAISED_IN_ARM_ORDER, "tests/test_stability.py::test_measure_stabilities_raises_ill_conditioned_before_a_later_trial_failure"),
+    ),
+    Mutant(
+        "the failure is raised before the lanes ranked before it are reduced",
+        NOISE,
+        "        reductions = [reduce(outs) for (_, _, reduce), outs in zip(lanes, rows[:live])]\n"
+        "        if failure is not None:\n            raise failure\n",
+        "        if failure is not None:\n            raise failure\n"
+        "        reductions = [reduce(outs) for (_, _, reduce), outs in zip(lanes, rows[:live])]\n",
         (RAISED_IN_ARM_ORDER, "tests/test_stability.py::test_measure_stabilities_raises_ill_conditioned_before_a_later_trial_failure"),
     ),
     Mutant(
@@ -61,13 +70,6 @@ MUTANTS = (
         ("tests/test_stability.py::test_measure_stabilities_raises_a_trial_failure_before_a_later_estimator_that_does_not_resolve",),
     ),
     Mutant(
-        "the signal vectors of a pass's first run serve every run",
-        STABILITY,
-        "if start not in signals:",
-        "if not signals:",
-        ("tests/test_stability.py::test_measure_stabilities_bit_identical_to_trial_loop",),
-    ),
-    Mutant(
         "the stability grid takes the noise path of a grid point",
         STABILITY,
         "[(rho, None) for rho in rho_grid]",
@@ -77,8 +79,8 @@ MUTANTS = (
     Mutant(
         "the lanes of the stability grid rank rho-major",
         STABILITY,
-        "for estimator in estimators for arm, rho in arms]",
-        "for arm, rho in arms for estimator in estimators]",
+        "        for estimator in estimators\n        for arm, rho in arms\n",
+        "        for arm, rho in arms\n        for estimator in estimators\n",
         (
             "tests/test_stability.py::test_stability_grid_is_hex_equal_to_per_rho_calls_read_estimator_major",
             "tests/test_cli.py::test_stability_command_raises_the_first_failure_in_estimator_order",
@@ -87,8 +89,8 @@ MUTANTS = (
     Mutant(
         "the estimator lanes of a barrier cell rank before its MMSE lane",
         STABILITY,
-        "lanes = [(0, partial(squared_errors, params, rho)), *_moment_lanes(estimators, params, [(1, rho)])]",
-        "lanes = [*_moment_lanes(estimators, params, [(1, rho)]), (0, partial(squared_errors, params, rho))]",
+        "lanes = [mmse_lane, *_moment_lanes(estimators, params, [(1, rho)])]",
+        "lanes = [*_moment_lanes(estimators, params, [(1, rho)]), mmse_lane]",
         ("tests/test_stability.py::test_barrier_cell_raises_a_resolution_error_after_the_mmse_arm",),
     ),
     # kept from earlier mutation checks that still apply
@@ -96,7 +98,7 @@ MUTANTS = (
         "an arm out of range raises at construction",
         NOISE,
         "        check_trials(n)\n",
-        "        check_trials(n)\n        [check_rho(level) for level, _ in (rho if isinstance(rho, list) else [(rho, grid_point)])]\n",
+        "        check_trials(n)\n        [check_rho(rho) for rho, _ in arms]\n",
         (
             "tests/test_noise.py::test_an_arm_out_of_range_raises_after_the_arms_before_it",
             "tests/test_bayes.py::test_mmse_curve_raises_in_grid_order",
@@ -132,5 +134,12 @@ MUTANTS = (
         "overlap = member[combos].sum(axis=1)",
         "overlap = member[combos[:, 1:]].sum(axis=1)",
         ("tests/test_symmetry.py::test_tpca_overlap_distribution_stays_under_a_permutation_of_tensor_indices",),
+    ),
+    Mutant(
+        "the PSP placements read the vertex permutations transposed",
+        "src/plantedlab/models.py",
+        ".reshape(count, len(holders))",
+        ".reshape(len(holders), count).T",
+        ("tests/test_symmetry.py::test_psp_symmetric_polynomials_stay_under_a_relabeling_of_vertices_3_to_n",),
     ),
 )

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    coupled_trial_scalar,
     gss_counting_weights_mpmath,
     gss_exact_match_posterior_loop,
     path_edges,
@@ -40,6 +41,7 @@ from plantedlab.models import (
     PspParams,
     RlcParams,
     TpcaParams,
+    batch_rows,
     model_name,
     pair_ids,
     sample_instance,
@@ -444,13 +446,13 @@ def _hex(values) -> list[str]:
 
 
 def _observations(params, rho: float, seed: int, size: int) -> list:
-    batch = CoupledTrials(params, rho, seed, size)
-    return [batch[t][1] for t in range(size)]
+    coupled = CoupledTrials(params, [(rho, None)], seed, size)
+    return coupled.map(lambda start, run, noisy: [batch_rows(noisy, i) for i in range(len(run))])
 
 
 def _stacked_observations(params, rho: float, seed: int, size: int):
     """The same noisy observations as _observations, as the one run's stacked observation (size <= EVAL_CHUNK)."""
-    (noisy,) = CoupledTrials(params, rho, seed, size).map(lambda start, run, noisy: [noisy])
+    (noisy,) = CoupledTrials(params, [(rho, None)], seed, size).map(lambda start, run, noisy: [noisy])
     return noisy
 
 
@@ -694,7 +696,7 @@ def test_observation_outside_the_model_raises(params, corrupt, message):
 def test_inconsistent_posterior_names_its_trial():
     # the rho=0 posterior of trial 5 has no support; the chunk is re-run one trial at a time
     params, bad = GssParams(N=8, k=2), 5
-    bad_Y = CoupledTrials(params, 0.0, 6, 9)[bad][0].Y
+    bad_Y = coupled_trial_scalar(params, 0.0, 6, bad)[0].Y
 
     def exact(observations):  # a stacked (X, Y) of both arms
         X, Y = observations

@@ -490,7 +490,7 @@ def test_hermite_check_command(tmp_path):
         ),
         pytest.param(
             ["hermite-check", "--options", '{"n_specs":1,"samples":-3}'],
-            "needs a non-negative sample count",
+            "hermite-check needs samples >= 0",
             id="hermite-check-samples",
         ),
         pytest.param(

@@ -49,6 +49,7 @@ from plantedlab.models import (
     GssParams,
     PspParams,
     RlcParams,
+    batch_rows,
     model_name,
     placements,
     sample_instance,
@@ -519,14 +520,15 @@ POLY_TYPES = {"rlc": RlcPoly, "gss": GssPoly, "psp": PspSymmetricPoly}
 
 
 def _clean_and_noisy(params, rho, seed, trials) -> list:
-    batch = CoupledTrials(params, rho, seed, trials)
-    pairs = [batch[t] for t in range(trials)]
-    return [inst.observation for inst, _ in pairs] + [noisy for _, noisy in pairs]
+    pairs = CoupledTrials(params, [(rho, None)], seed, trials).map(
+        lambda start, run, noisy: [(run[i].observation, batch_rows(noisy, i)) for i in range(len(run))]
+    )
+    return [clean for clean, _ in pairs] + [noisy for _, noisy in pairs]
 
 
 def _stacked_clean_and_noisy(params, rho, seed, trials) -> list:
     """The two stacked observations of the one run of trials (trials <= EVAL_CHUNK): clean, then noisy."""
-    (arms,) = CoupledTrials(params, rho, seed, trials).map(lambda start, run, noisy: [(run.observation, noisy)])
+    (arms,) = CoupledTrials(params, [(rho, None)], seed, trials).map(lambda start, run, noisy: [(run.observation, noisy)])
     return list(arms)
 
 

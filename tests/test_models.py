@@ -47,10 +47,10 @@ from plantedlab.rng import (
     coin_bits,
     derive_seeds,
     generator,
+    keyed_fresh,
     keyed_generator,
     lemire_draws,
     philox_keys,
-    rekey,
     uint32_stream,
     uniforms,
 )
@@ -63,7 +63,7 @@ def _trial_draws(params, seed: int, trials: int):
     keys = philox_keys(derive_seeds(seed, INSTANCE_STREAM, ts=np.arange(trials)))
     for start in range(0, trials, EVAL_CHUNK):
         run = keys[start : start + EVAL_CHUNK]
-        yield from draw(len(run), lambda i: rekey(rng, run[i]))
+        yield from draw(len(run), keyed_fresh(rng, run))
 
 
 def test_psp_forced_single_intermediate():
@@ -515,7 +515,7 @@ SAMPLER_PARAMS = [
 @given(params=st.sampled_from(SAMPLER_PARAMS), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
 def test_chunk_sampler_equals_the_generator_call_oracle(params, seeds):
     rng, keys = keyed_generator(), philox_keys(seeds)
-    run = chunk_sampler(params)(len(seeds), lambda i: rekey(rng, keys[i]))
+    run = chunk_sampler(params)(len(seeds), keyed_fresh(rng, keys))
     want = [sample_instance_scalar(params, s) for s in seeds]
     assert hex_fields(run) == hex_fields(models.run_of(want))  # the stacked fields, dtype and shape included
     assert [hex_fields(inst) for inst in run] == [hex_fields(inst) for inst in want]
@@ -574,7 +574,7 @@ def test_gss_sampler_draws_every_flagged_trial_with_choice(data, N, seeds):
 
     rng, keys = keyed_generator(), philox_keys(seeds)
     with mock.patch.object(models, "lemire_draws", flag_all):
-        run = chunk_sampler(params)(len(seeds), lambda i: rekey(rng, keys[i]))
+        run = chunk_sampler(params)(len(seeds), keyed_fresh(rng, keys))
     assert [hex_fields(inst) for inst in run] == [hex_fields(sample_instance_scalar(params, s)) for s in seeds]
 
 
@@ -587,7 +587,7 @@ def test_gss_sampler_reads_on_past_a_rejection():
     assert not lemire_draws(uint32_stream(g.bit_generator.random_raw(100))[None], range(9801, 10001))[1].all()
     for seeds in ((836, 837, 838), (837,)):
         rng, keys = keyed_generator(), philox_keys(seeds)
-        run = chunk_sampler(params)(len(seeds), lambda i: rekey(rng, keys[i]))
+        run = chunk_sampler(params)(len(seeds), keyed_fresh(rng, keys))
         assert [hex_fields(inst) for inst in run] == [hex_fields(sample_instance_scalar(params, s)) for s in seeds]
     assert hex_fields(sample_instance(params, 837)) == hex_fields(sample_instance_scalar(params, 837))
 
@@ -638,7 +638,7 @@ def test_check_stack_of_an_empty_batch():
 @pytest.mark.parametrize("params", SAMPLER_PARAMS, ids=repr)
 def test_batch_helpers_read_a_run_and_a_list_alike(params):
     rng, keys = keyed_generator(), philox_keys([5, 6, 7])
-    run = chunk_sampler(params)(3, lambda i: rekey(rng, keys[i]))
+    run = chunk_sampler(params)(3, keyed_fresh(rng, keys))
     stacked, listed = run.observation, [inst.observation for inst in run]
     assert models.batch_size(stacked) == models.batch_size(listed) == len(run) == 3
     for i in range(3):

@@ -1,4 +1,5 @@
 import collections
+import inspect
 import math
 import weakref
 
@@ -23,7 +24,7 @@ from oracles import coupled_trial_scalar, f2_rank_loop, full_rank_rlc_loop, hex_
 from plantedlab import bayes
 from plantedlab.bayes import _sample_full_rank_rlc, full_rank_run
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, noise_instance_observation
-from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, derive_seeds, keyed_generator, philox_keys, rekey
+from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, derive_seeds, keyed_fresh, keyed_generator, philox_keys
 
 
 def _gss_noise(Y: float, rho: float, seed: int) -> float:
@@ -58,7 +59,7 @@ def test_rho_zero_copies_the_input_and_draws_nothing(model, seed, key_seed):
     params, part = NOISE_OPERATORS[model]
     run = run_of([sample_instance(params, seed)])
     observed = part(run.observation)
-    rng = rekey(keyed_generator(), philox_keys([key_seed])[0])
+    rng = keyed_fresh(keyed_generator(), philox_keys([key_seed]))(0)
     before = rng.bit_generator.state
     out = part(chunk_noise(params, 0.0)(run, lambda _: rng))
     assert np.array_equal(out, observed) and out.dtype == observed.dtype
@@ -73,13 +74,13 @@ def test_rho_zero_copies_the_input_and_draws_nothing(model, seed, key_seed):
 @given(model=st.sampled_from(sorted(NOISE_OPERATORS)), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2, unique=True), key_seed=st.integers(0, 2**64 - 1))
 def test_rho_one_forgets_the_input(model, seeds, key_seed):
     params, part = NOISE_OPERATORS[model]
-    gen, key = keyed_generator(), philox_keys([key_seed])[0]
+    fresh = keyed_fresh(keyed_generator(), philox_keys([key_seed]))
     noise = chunk_noise(params, 1.0)
-    out_a, out_b = (part(noise(run_of([sample_instance(params, s)]), lambda _: rekey(gen, key)))[0] for s in seeds)
+    out_a, out_b = (part(noise(run_of([sample_instance(params, s)]), lambda _: fresh(0)))[0] for s in seeds)
     assert np.array_equal(out_a, out_b)
     if model in ("gss", "tpca"):
         # sqrt(1 - 1) * Y + 1 * Z is exactly Z
-        z = rekey(gen, key).standard_normal(np.shape(out_a) or None)
+        z = fresh(0).standard_normal(np.shape(out_a) or None)
         assert np.array_equal(out_a, z)
 
 
@@ -155,7 +156,7 @@ def test_gss_variance_preserved_under_ou():
     trials = 2 * 10**4
     # trial t: the instance at seed path (5, 0, t), its noise at (5, 1, t)
     assert (INSTANCE_STREAM, NOISE_STREAM) == (0, 1)
-    out = np.array(CoupledTrials(params, rho, 5, trials).map(lambda start, run, noisy: noisy[1]))
+    out = np.array(CoupledTrials(params, [(rho, None)], 5, trials).map(lambda start, run, noisy: noisy[1]))
     target = (1 - rho**2) * params.k + rho**2
     var = out.var(ddof=1)
     assert abs(var - target) <= 3 * var * math.sqrt(2 / (trials - 1))
@@ -175,7 +176,7 @@ def test_ou_semigroup_two_sample():
         # _gss_noise(Y, rho, derive_seed(6, stream, t)) at every trial t, as one run
         keys = philox_keys(derive_seeds(6, stream, ts=np.arange(trials)))
         run = run_of([GssInstance(params=params, X=np.zeros(1), S=(0,), Y=y) for y in Ys])
-        return chunk_noise(params, rho)(run, lambda i: rekey(gen, keys[i]))[1]
+        return chunk_noise(params, rho)(run, keyed_fresh(gen, keys))[1]
 
     two_step = arm(arm([Y] * trials, rho1, 1), rho2, 2)
     one_step = arm([Y] * trials, rho3, 3)
@@ -249,10 +250,9 @@ def _pairs(start, run, noisy):
 @given(params=st.sampled_from(COUPLED_PARAMS), seed=st.integers(0, 2**64 - 1), rho=rhos, grid_point=grid_points,
        trials=st.integers(1, 30))
 def test_coupled_runs_equal_the_generator_call_oracles(params, seed, rho, grid_point, trials):
-    batch = CoupledTrials(params, rho, seed, trials, grid_point=grid_point)
+    batch = CoupledTrials(params, [(rho, grid_point)], seed, trials)
     want = [coupled_trial_scalar(params, rho, seed, t, grid_point=grid_point) for t in range(trials)]
     assert [hex_fields(pair) for pair in batch.map(_pairs)] == [hex_fields(pair) for pair in want]
-    assert hex_fields(batch[trials - 1]) == hex_fields(want[-1])
     # the run record and the stacked noisy observation themselves (trials <= 30 make one run)
     ((run, noisy),) = batch.map(lambda start, run, noisy: [(run, noisy)])
     assert hex_fields(run) == hex_fields(run_of([inst for inst, _ in want]))
@@ -264,7 +264,7 @@ def test_coupled_runs_equal_the_generator_call_oracles(params, seed, rho, grid_p
        seed=st.integers(0, 2**32), rho=rhos, grid_point=st.integers(0, 6), trials=st.integers(1, 12))
 def test_full_rank_draws_take_the_run_noise(params, seed, rho, grid_point, trials):
     # draw= instances keep their scalar (seed, 0, t, attempt) seeds; their noise is the run's
-    batch = CoupledTrials(params, rho, seed, trials, grid_point=grid_point, draw=full_rank_run)
+    batch = CoupledTrials(params, [(rho, grid_point)], seed, trials, draw=full_rank_run)
     got = batch.map(_pairs)
     for t in range(trials):
         want = coupled_trial_scalar(params, rho, seed, t, grid_point=grid_point, full_rank_only=True)
@@ -300,7 +300,7 @@ def test_full_rank_run_redraws_only_rejected_trials(monkeypatch):
 def test_coupled_runs_cross_run_boundaries():
     for params in (RlcParams(m=7, n=7), GssParams(N=6, k=6), PspParams(n=7, L=3, q=0.35)):
         trials = EVAL_CHUNK + 5
-        got = CoupledTrials(params, 0.3, 8, trials).map(_pairs)
+        got = CoupledTrials(params, [(0.3, None)], 8, trials).map(_pairs)
         for t in (0, EVAL_CHUNK - 1, EVAL_CHUNK, trials - 1):
             assert hex_fields(got[t]) == hex_fields(coupled_trial_scalar(params, 0.3, 8, t))
 
@@ -312,20 +312,34 @@ def test_noise_instance_observation_equals_the_oracle():
             assert hex_fields(noise_instance_observation(inst, rho, 77)) == hex_fields(noise_scalar(inst, rho, 77))
 
 
+def test_coupled_trials_take_only_a_list_of_arms_and_have_no_indexing():
+    # one arm form, (rho, grid_point) pairs; one trial is read from a pass or from coupled_trial_scalar
+    assert list(inspect.signature(CoupledTrials).parameters) == ["params", "arms", "seed", "n", "draw"]
+    assert not hasattr(CoupledTrials, "__getitem__")
+
+
 def _corners(start, run, noisy) -> list:
     return [(y[0, 0, 0], obs[0, 0, 0]) for y, obs in zip(run.Y, noisy)]
 
 
-def _lanes(fns) -> list:
-    """One lane per arm, in arm order: lane j is fns[j] on arm j."""
-    return [(j, lambda fn=fn: fn) for j, fn in enumerate(fns)]
+def _lanes(fns, reduced: list) -> list:
+    """One lane per arm, in arm order: lane j is fns[j] on arm j, whose reduce appends (j, its outputs) to reduced and returns them."""
+    return [(j, lambda fn=fn: fn, lambda outs, j=j: reduced.append((j, outs)) or outs) for j, fn in enumerate(fns)]
+
+
+def _raised(coupled, fns) -> tuple[list, str]:
+    """The (lane, outputs) pairs reduced, in order, by a pass of _lanes(fns), and the repr of what the pass raised."""
+    reduced = []
+    with pytest.raises(Exception) as err:
+        coupled.run_lanes(_lanes(fns, reduced))
+    return reduced, repr(err.value)
 
 
 def test_map_arms_noises_each_run_in_every_arm_one_arm_at_a_time():
     # each run is drawn once and noised in every arm in order, each arm at its own seed path, as one-arm
     # passes do; an arm's noisy observation is released before the next one is drawn
     params, trials, arms = TpcaParams(n=6, k=2, d=3, lam=1.0), EVAL_CHUNK + 2, [(0.3, 0), (0.7, None), (0.0, 4)]
-    refs, arms_of = [], collections.defaultdict(list)
+    refs, arms_of, reduced = [], collections.defaultdict(list), []
 
     def arm(j):
         def fn(start, run, noisy):
@@ -336,10 +350,10 @@ def test_map_arms_noises_each_run_in_every_arm_one_arm_at_a_time():
 
         return fn
 
-    got, failure = CoupledTrials(params, arms, 5, trials).run_lanes(_lanes([arm(j) for j in range(3)]))
-    assert failure is None and list(arms_of.values()) == [[0, 1, 2]] * 2
-    for (rho, grid_point), rows in zip(arms, got):
-        assert [row for out in rows for row in out] == CoupledTrials(params, rho, 5, trials, grid_point=grid_point).map(_corners)
+    got = CoupledTrials(params, arms, 5, trials).run_lanes(_lanes([arm(j) for j in range(3)], reduced))
+    assert list(arms_of.values()) == [[0, 1, 2]] * 2 and reduced == list(enumerate(got))  # reduced in rank order
+    for noise_arm, rows in zip(arms, got):
+        assert [row for out in rows for row in out] == CoupledTrials(params, [noise_arm], 5, trials).map(_corners)
 
 
 def _failing(arm: int, bad_start: int, calls: list):
@@ -353,30 +367,28 @@ def _failing(arm: int, bad_start: int, calls: list):
 
 
 def test_map_arms_raises_in_arm_order():
-    # the error of the first arm that fails is the pass's failure, after the arms before it ran every run
+    # the error of the first arm that fails is the pass's failure, raised after the arms before it ran
+    # every run and were reduced, in arm order
     params, trials, calls = GssParams(N=6, k=2), EVAL_CHUNK + 3, []
     coupled = CoupledTrials(params, [(0.3, 0), (0.6, None), (0.9, 1)], 2, trials)
-    rows, failure = coupled.run_lanes(_lanes([_failing(0, EVAL_CHUNK, calls), _failing(1, 0, calls), _failing(2, -1, calls)]))
-    assert (rows, repr(failure)) == ([], "ValueError('arm 0')")
+    fns = [_failing(0, EVAL_CHUNK, calls), _failing(1, 0, calls), _failing(2, -1, calls)]
+    assert _raised(coupled, fns) == ([], "ValueError('arm 0')")
     assert calls == [(0, 0), (1, 0), (0, EVAL_CHUNK)]
     calls.clear()
-    rows, failure = coupled.run_lanes(_lanes([_failing(0, -1, calls), _failing(1, EVAL_CHUNK, calls), _failing(2, 0, calls)]))
-    assert (rows, repr(failure)) == ([[[], []]], "ValueError('arm 1')")
+    fns = [_failing(0, -1, calls), _failing(1, EVAL_CHUNK, calls), _failing(2, 0, calls)]
+    assert _raised(coupled, fns) == ([(0, [[], []])], "ValueError('arm 1')")
     assert calls == [(0, 0), (1, 0), (2, 0), (0, EVAL_CHUNK), (1, EVAL_CHUNK)]
     with pytest.raises(ValueError, match="arm 0"):  # map is the one-lane pass that raises
         coupled.map(_failing(0, EVAL_CHUNK, calls))
 
 
 def test_an_arm_out_of_range_raises_after_the_arms_before_it():
-    params, calls = GssParams(N=6, k=2), []
-    rows, failure = CoupledTrials(params, [(1.5, 0), (0.3, 1)], 2, 4).run_lanes(_lanes([_failing(j, -1, calls) for j in range(2)]))
-    assert rows == [] and isinstance(failure, ParameterError) and "need rho in" in str(failure) and calls == []
+    params, calls, out_of_range = GssParams(N=6, k=2), [], "ParameterError('need rho in [0,1], got 1.5')"
+    assert _raised(CoupledTrials(params, [(1.5, 0), (0.3, 1)], 2, 4), [_failing(j, -1, calls) for j in range(2)]) == ([], out_of_range)
     with pytest.raises(ParameterError, match="need rho in"):
-        CoupledTrials(params, 1.5, 2, 4).map(_failing(0, -1, calls))
+        CoupledTrials(params, [(1.5, None)], 2, 4).map(_failing(0, -1, calls))
     assert calls == []
     coupled = CoupledTrials(params, [(0.3, 0), (1.5, 1), (0.6, 2)], 2, 4)
-    rows, failure = coupled.run_lanes(_lanes([_failing(j, -1, calls) for j in range(3)]))
-    assert rows == [[[]]] and isinstance(failure, ParameterError) and "need rho in" in str(failure)
+    assert _raised(coupled, [_failing(j, -1, calls) for j in range(3)]) == ([(0, [[]])], out_of_range)
     assert calls == [(0, 0)]
-    rows, failure = coupled.run_lanes(_lanes([_failing(0, 0, calls)]))
-    assert (rows, repr(failure)) == ([], "ValueError('arm 0')")
+    assert _raised(coupled, [_failing(0, 0, calls)]) == ([], "ValueError('arm 0')")

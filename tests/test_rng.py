@@ -38,7 +38,6 @@ from plantedlab.rng import (
     keyed_fresh,
     keyed_generator,
     philox_keys,
-    rekey,
     trial_keys,
 )
 
@@ -205,15 +204,14 @@ def _same(a, b) -> bool:
 @given(seed=st.integers(0, 2**64 - 1), rho=st.sampled_from([0.0, 0.3, 1.0]))
 def test_rekeyed_generator_draws_the_seeded_stream(seed, rho):
     # one generator, re-keyed for every trial of a run, against a fresh generator(seed) per call
-    gen = keyed_generator()
-    key = philox_keys([seed])[0]
+    fresh = keyed_fresh(keyed_generator(), philox_keys([seed, seed]))
     for params in MODEL_PARAMS:
         inst = sample_instance(params, seed)
-        run = chunk_sampler(params)(2, lambda i: rekey(gen, key))
+        run = chunk_sampler(params)(2, fresh)
         assert [instance_to_json(i) for i in run] == [instance_to_json(inst)] * 2
         assert hex_fields(run) == hex_fields(run_of([inst, inst]))
         want = noise_instance_observation(inst, rho, seed)
-        noisy = chunk_noise(params, rho)(run, lambda i: rekey(gen, key))
+        noisy = chunk_noise(params, rho)(run, fresh)
         assert _same(batch_rows(noisy, 0), want) and _same(batch_rows(noisy, 1), want)
         assert _same(noisy, stack_observations([want, want]))
     # the generator draws the same stream as generator(seed) for the basic draws too
@@ -223,7 +221,7 @@ def test_rekeyed_generator_draws_the_seeded_stream(seed, rho):
         lambda g: g.random(4),
         lambda g: g.choice(11, size=4, replace=False),
     ):
-        assert np.array_equal(draw(rekey(gen, key)), draw(generator(seed)))
+        assert np.array_equal(draw(fresh(0)), draw(generator(seed)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -261,19 +259,22 @@ def test_keyed_fresh_resets_a_pending_uint32_and_a_partly_used_buffer(seeds, odd
         assert np.array_equal(gen.random(5), want.random(5))
 
 
+def _trials(start, run, noisy) -> list:
+    """Each trial of the run: (its instance, its noisy observation)."""
+    return [(run[i], batch_rows(noisy, i)) for i in range(len(run))]
+
+
 @pytest.mark.parametrize("params", MODEL_PARAMS, ids=lambda p: type(p).__name__)
 def test_coupled_trials_match_scalar_seeds(params):
-    batch = CoupledTrials(params, 0.4, 11, 12)
+    batch = CoupledTrials(params, [(0.4, None)], 11, 12)
     assert len(batch) == 12
-    # any access order gives the same trial
-    for t in (5, 0, 11, 5, 3):
-        inst, noisy = batch[t]
-        want_inst, want_noisy = coupled_trial_scalar(params, 0.4, 11, t)
-        assert instance_to_json(inst) == instance_to_json(want_inst)
-        assert _same(noisy, want_noisy)
-    with pytest.raises(IndexError):
-        batch[12]
-    inst, noisy = CoupledTrials(params, 0.7, 11, 4, grid_point=2)[3]
+    # every pass gives the same trials
+    for _ in range(2):
+        for t, (inst, noisy) in enumerate(batch.map(_trials)):
+            want_inst, want_noisy = coupled_trial_scalar(params, 0.4, 11, t)
+            assert instance_to_json(inst) == instance_to_json(want_inst)
+            assert _same(noisy, want_noisy)
+    inst, noisy = CoupledTrials(params, [(0.7, 2)], 11, 4).map(_trials)[3]
     want_inst, want_noisy = coupled_trial_scalar(params, 0.7, 11, 3, grid_point=2)
     assert instance_to_json(inst) == instance_to_json(want_inst) and _same(noisy, want_noisy)
 
@@ -286,11 +287,11 @@ def test_coupled_trials_custom_draw_keeps_noise_seeds():
         calls.append(ts)
         return run_of([sample_instance(p, derive_seed(seed, 9, t)) for t in ts])
 
-    batch = CoupledTrials(params, 0.5, 4, 3, grid_point=1, draw=draw)
-    inst, noisy = batch[2]
-    assert calls == [range(2, 3)]
-    assert instance_to_json(inst) == instance_to_json(sample_instance(params, derive_seed(4, 9, 2)))
-    assert _same(noisy, noise_instance_observation(inst, 0.5, derive_seed(4, 1, 1, 2)))
+    got = CoupledTrials(params, [(0.5, 1)], 4, 3, draw=draw).map(_trials)
+    assert calls == [range(0, 3)]
+    for t, (inst, noisy) in enumerate(got):
+        assert instance_to_json(inst) == instance_to_json(sample_instance(params, derive_seed(4, 9, t)))
+        assert _same(noisy, noise_instance_observation(inst, 0.5, derive_seed(4, 1, 1, t)))
 
 
 @pytest.mark.parametrize("params", MODEL_PARAMS, ids=lambda p: type(p).__name__)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import SOLVER_RECOVERS_RULES, f2_solve_loop, measure_stability_loop, mmse_curve_loop, row_dots_loop, shortest_path_lists
+from oracles import SOLVER_RECOVERS_RULES, coupled_trial_scalar, f2_solve_loop, measure_stability_loop, mmse_curve_loop, row_dots_loop, shortest_path_lists
 from plantedlab.bayes import estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
@@ -103,7 +103,7 @@ def test_estimator_failure_carries_trial_index():
 def test_non_finite_estimator_output_carries_trial_index(bad_call, bad):
     # bad_call counts the arms in trial order, clean arm first: 2 and 3 are trial 1's two arms
     params = RlcParams(m=8, n=5)
-    inst, noisy = CoupledTrials(params, 0.5, 1, 4)[1]
+    inst, noisy = coupled_trial_scalar(params, 0.5, 1, 1)
     A, y = (inst.observation, noisy)[bad_call - 2]
 
     def flaky(observations):  # a stacked (A, y) of both arms
@@ -123,7 +123,7 @@ def test_non_finite_estimator_output_carries_trial_index(bad_call, bad):
 def test_failure_past_the_first_chunk_names_its_trial(how):
     # only the clean arm of trial EVAL_CHUNK + 3 fails; the chunk is re-run one trial at a time
     params, bad_trial = GssParams(N=8, k=2), EVAL_CHUNK + 3
-    inst, _ = CoupledTrials(params, 0.3, 6, bad_trial + 10)[bad_trial]
+    inst, _ = coupled_trial_scalar(params, 0.3, 6, bad_trial)
     bad_Y = inst.observation[1]
 
     def flaky(observations):  # a stacked (X, Y) of both arms
@@ -318,7 +318,7 @@ def test_measure_stabilities_bit_identical_to_trial_loop(model):
 
 def _failing_at(params, rho: float, seed: int, trials: int, bad_trial: int, calls: list):
     """A batch estimator of ones that raises on trial bad_trial's clean arm, logging each batch size in calls."""
-    bad_Y = CoupledTrials(params, rho, seed, trials)[bad_trial][0].Y
+    bad_Y = coupled_trial_scalar(params, rho, seed, bad_trial)[0].Y
 
     def flaky(observations):  # a stacked (X, Y) of both arms
         calls.append(batch_size(observations))
@@ -440,7 +440,7 @@ def test_solver_estimators_equal_the_per_instance_solvers(params, seed, rho, tri
     # both arms of a coupled run in one batch; rho = 1 leaves many RLC systems inconsistent and many PSP targets apart
     name = next(name for name in ("shortest_path_indicator", "f2_round", "lll_subset_indicator") if _accepts(name, model_name(params)))
     estimator = resolve_estimator(name, params, rho)
-    ((run, noisy),) = CoupledTrials(params, rho, seed, trials).map(lambda start, run, noisy: [(run, noisy)])
+    ((run, noisy),) = CoupledTrials(params, [(rho, None)], seed, trials).map(lambda start, run, noisy: [(run, noisy)])
     for batch in (run.observation, noisy):
         got = estimator(batch)
         want = [_solver_estimate_loop(params, batch_rows(batch, i)) for i in range(trials)]
@@ -472,7 +472,7 @@ def test_mmse_curve_bit_identical_to_trial_loop(model):
 def test_map_caps_a_run_by_observation_bytes(params, trials, runs):
     # a run's clean and noisy tensors stay within EVAL_CHUNK_BYTES, no earlier run's tensor is held,
     # and rows come back in trial order
-    batch = CoupledTrials(params, 0.5, 4, trials)
+    batch = CoupledTrials(params, [(0.5, None)], 4, trials)
     seen, refs = [], []
 
     def corner(start, run, noisy):
@@ -484,7 +484,8 @@ def test_map_caps_a_run_by_observation_bytes(params, trials, runs):
 
     rows = batch.map(corner)
     assert [(start, size, size) for start, size in runs] == seen
-    assert rows == [(batch[t][0].Y[0, 0, 0], batch[t][1][0, 0, 0]) for t in range(trials)]
+    want = [coupled_trial_scalar(params, 0.5, 4, t) for t in range(trials)]
+    assert rows == [(inst.Y[0, 0, 0], noisy[0, 0, 0]) for inst, noisy in want]
 
 
 @pytest.mark.parametrize("n, L", [(5, 2), (7, 3), (9, 4), (8, 5)])
@@ -506,7 +507,7 @@ SMALL_PARAMS = {
 
 def _fails_on_trial(params, rho: float, seed: int, trials: int, bad_trial: int, arm: int = 0):
     """A batch estimator of ones that raises on any observation equal to trial bad_trial's clean one (arm 0) or noisy one at rho (arm 1)."""
-    inst, noisy = CoupledTrials(params, rho, seed, trials)[bad_trial]
+    inst, noisy = coupled_trial_scalar(params, rho, seed, bad_trial)
     bad = stack_observations(params, [(inst.observation, noisy)[arm]])
     dim = len(prior_mean_vector(params))
 

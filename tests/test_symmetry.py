@@ -8,27 +8,36 @@ to 2 alone (the path itself breaks ties by label), and the TPCA posterior's
 distribution of overlaps with the support.  The RLC posterior, f2_round and
 the shortest paths count whole numbers, so they must match exactly.  The
 other kernels sum floats in an order the relabeling changes, so they match
-to ULPS.
+to ULPS.  A PSP symmetric polynomial sums its terms over every placement of
+vertices 3..n, so a relabeling leaves its value alone, to POLY_ULPS of the
+sum of the absolute values it adds up.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantedlab.bayes import posterior_means, tpca_overlap_distribution
-from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, pair_ids, vertex_pairs
+from plantedlab.lowdeg import random_psp_symmetric_poly
+from plantedlab.models import GssParams, PspParams, RlcParams, TpcaParams, pair_ids, placements, vertex_pairs
 from plantedlab.noise import CoupledTrials
+from plantedlab.rng import generator
 from plantedlab.solvers import shortest_paths
 from plantedlab.stability import resolve_estimator
 
 RHO = 0.3
 ULPS = 8 * np.finfo(float).eps  # the float kernels' tolerance, absolute, on means of at most 1
 SEEDS = st.integers(0, 2**32)
+# numpy sums a row of at most 128 placements in 8 running sums, each within about 20 ulps of the row's
+# absolute sum at n = 8 (360 placements at most, halved pairwise), and the two sides sum in different orders
+POLY_ULPS = 64 * np.finfo(float).eps
 
 
 def _coupled(params, seed: int, trials: int = 16):
     """The run record of trials 0..trials-1 at seed, and their noisy observation at RHO."""
-    ((run, noisy),) = CoupledTrials(params, RHO, seed, trials).map(lambda start, run, noisy: [(run, noisy)])
+    ((run, noisy),) = CoupledTrials(params, [(RHO, None)], seed, trials).map(lambda start, run, noisy: [(run, noisy)])
     return run, noisy
 
 
@@ -120,3 +129,22 @@ def test_tpca_overlap_distribution_stays_under_a_permutation_of_tensor_indices(s
         got = tpca_overlap_distribution(Y[t][perm][:, perm][:, :, perm], inverse[list(inst.support)], params)
         want = tpca_overlap_distribution(Y[t], inst.support, params)
         np.testing.assert_allclose(got, want, rtol=0, atol=ULPS)
+
+
+def _absolute_sum(poly, edges: np.ndarray, params) -> np.ndarray:
+    """Each graph's sum over the terms of |coefficient| times the sum over placements of |product of centered edges|."""
+    centered = np.abs(edges - params.q) / math.sqrt(params.q * (1.0 - params.q))
+    return sum(abs(c) * centered[:, placements(shape, params.n)].prod(axis=2).sum(axis=1) for shape, c in poly.terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, degree=st.integers(1, 2), poly_seed=SEEDS, labels=st.permutations(range(3, 9)))
+def test_psp_symmetric_polynomials_stay_under_a_relabeling_of_vertices_3_to_n(seed, degree, poly_seed, labels):
+    # random polynomials of degree <= 2 from PSP_SHAPE_LIBRARY, on the clean and noisy arms alike
+    params = PspParams(n=8, L=3, q=0.3)
+    poly = random_psp_symmetric_poly(params, degree, generator(poly_seed))
+    run, noisy = _coupled(params, seed)
+    edges = np.concatenate([run.edges, noisy])
+    got = poly.evaluate_many(_relabeled(edges, params.n, labels)[1], params)
+    want = poly.evaluate_many(edges, params)
+    assert (np.abs(got - want) <= POLY_ULPS * _absolute_sum(poly, edges, params)).all()
