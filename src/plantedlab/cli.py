@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, partial
 from itertools import cycle
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bayes import estimate_mmse_curve, tpca_overlap_distribution
-from .counting import approx_path_counts, census_bytes, count_overlap_pairs, expected_count, null_graphs
+from .counting import census_bytes, expected_count, null_graphs, overlap_histogram, path_weights
 from .errors import ParameterError
 from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_oracle, stability_ratio
 from .mc import mean_stderr
@@ -149,8 +150,7 @@ def _write_outputs(config: ExperimentConfig, rows: list[Row], svg: Optional[str]
     }
     json_path = base.with_suffix(".json")
     with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
     written = [str(csv_path), str(json_path)]
     if svg is not None:
         svg_path = base.with_suffix(".svg")
@@ -261,18 +261,15 @@ def _cmd_count_paths(config: ExperimentConfig, opts: dict):
     target = expected_count(n, m, eps_m, q)  # checks n, m, eps_m and q before any draw
     total = max(graphs, pair_graphs)
     runs = trial_runs(total, census_bytes(n, m))
-    adjacency_runs = keyed_runs(partial(null_graphs, n, q), trial_keys(config.seed, INSTANCE_STREAM, n=total), runs)
+    edge_runs = keyed_runs(partial(null_graphs, n, q), trial_keys(config.seed, INSTANCE_STREAM, n=total), runs)
     counts = np.empty(total, dtype=np.int64)
-    totals: dict[int, float] = {}
-    pair_total = 0.0
+    totals: Counter = Counter()
     # graph t serves both the count (t < graphs) and the pair census (t < pair_graphs)
-    for ts, adjacency in zip(runs, adjacency_runs):
-        counts[ts.start : ts.stop] = approx_path_counts(adjacency, m, eps_m)
-        for t in ts[: max(0, pair_graphs - ts.start)]:
-            census = count_overlap_pairs(adjacency[t - ts.start], m, eps_m)
-            pair_total += census.pair_count
-            for shared, c in census.histogram.items():
-                totals[shared] = totals.get(shared, 0.0) + c
+    for ts, edges in zip(runs, edge_runs):
+        paths, weights = path_weights(edges, n, m, eps_m)
+        counts[ts.start : ts.stop] = weights.sum(axis=-1)
+        if ts.start < pair_graphs:
+            totals.update(overlap_histogram(paths, weights[: pair_graphs - ts.start]))
     mean, se = mean_stderr(counts[:graphs])
     blob = json.dumps({"eps_m": eps_m, "m": m, "n": n, "q": q}, sort_keys=True, separators=(",", ":"))
     rows = [
@@ -280,7 +277,7 @@ def _cmd_count_paths(config: ExperimentConfig, opts: dict):
         Row("gnq", blob, "", graphs, "expected_count", target, 0.0),
     ]
     if pairs:
-        rows.append(Row("gnq", blob, "", pair_graphs, "mean_pair_count", pair_total / pair_graphs, 0.0))
+        rows.append(Row("gnq", blob, "", pair_graphs, "mean_pair_count", sum(totals.values()) / pair_graphs, 0.0))
         for shared in sorted(totals):
             rows.append(
                 Row("gnq", blob, "", pair_graphs, f"mean_pair_overlap[{shared}]", totals[shared] / pair_graphs, 0.0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError
 from .models import adjacency_from_edge_vector, check_bits, edge_vector_from_adjacency, path_edge_indices, vertex_pairs
-from .noise import EVAL_CHUNK_BYTES
+from .noise import EVAL_CHUNK, EVAL_CHUNK_BYTES
 from .rng import generator, uniforms
 
 PAIR_BUDGET = 10**8
@@ -58,7 +58,7 @@ def _graph_edges(adjacency) -> tuple[np.ndarray, int]:
     return edge_vector_from_adjacency(adjacency).astype(bool), adjacency.shape[-1] - 1
 
 
-def _path_weights(edges: np.ndarray, n: int, m: int, eps_m: int) -> tuple[np.ndarray, np.ndarray]:
+def path_weights(edges: np.ndarray, n: int, m: int, eps_m: int) -> tuple[np.ndarray, np.ndarray]:
     """(paths, weights): the edge indices of every length-m path, and how many approximate
     paths it carries in each graph of a stack of 0/1 edge vectors, C(present edges, m - eps_m)."""
     _check_args(n, m, eps_m)
@@ -68,13 +68,13 @@ def _path_weights(edges: np.ndarray, n: int, m: int, eps_m: int) -> tuple[np.nda
 
 
 def census_bytes(n: int, m: int) -> int:
-    """Bytes approx_path_counts holds per graph: each path's gathered edges and its weight."""
+    """Bytes the census holds per graph: each path's gathered edges and its weight."""
     return len(path_edge_indices(n, m)) * (m + 16)
 
 
 def approx_path_counts(adjacency: np.ndarray, m: int, eps_m: int) -> np.ndarray:
     """count_approx_paths of each matrix in a stack of adjacency matrices, as int64."""
-    return _path_weights(*_graph_edges(adjacency), m, eps_m)[1].sum(axis=-1)
+    return path_weights(*_graph_edges(adjacency), m, eps_m)[1].sum(axis=-1)
 
 
 def count_approx_paths(adjacency: np.ndarray, m: int, eps_m: int) -> int:
@@ -92,29 +92,45 @@ def count_overlap_pairs(adjacency: np.ndarray, m: int, eps_m: int) -> OverlapPai
     """Ordered pairs of approximate paths whose paths share >= 1 edge.
 
     The histogram keys are the number of shared path edges; diagonal pairs
-    (identical underlying path) land at k = m.  Among the paths that carry
-    an approximate path, the shared edges of a pair are the matches of its
-    two edge lists (a path's edges are distinct), counted for row blocks of
-    pairs that fit EVAL_CHUNK_BYTES; the weight products add up in int64,
-    exactly (at most 2**(2m) * PAIR_BUDGET).
+    (identical underlying path) land at k = m.
     """
-    paths, weights = _path_weights(*_graph_edges(adjacency), m, eps_m)
-    count = paths.shape[0]
-    if count * count > PAIR_BUDGET:
-        raise ResourceBudgetError(f"{count}^2 path pairs exceed budget {PAIR_BUDGET}")
-    paths, weights = paths[weights > 0], weights[weights > 0]
-    totals = np.zeros(m + 1, dtype=np.int64)
-    rows = max(1, EVAL_CHUNK_BYTES // (24 * max(len(paths), 1)))  # shared counts, matches, weight products
-    for start in range(0, len(paths), rows):
-        block = paths[start : start + rows]
-        shared = sum(block[:, None, a] == paths[None, :, b] for a in range(m) for b in range(m))
-        np.add.at(totals, shared, np.outer(weights[start : start + rows], weights))
-    histogram = {k: c for k, c in enumerate(totals.tolist()) if k >= 1 and c}
+    paths, weights = path_weights(*_graph_edges(adjacency), m, eps_m)
+    histogram = overlap_histogram(paths, weights[None])
     return OverlapPairCount(pair_count=sum(histogram.values()), histogram=histogram)
 
 
+def overlap_histogram(paths: np.ndarray, weights: np.ndarray) -> dict[int, int]:
+    """Shared edges k >= 1 -> ordered pairs of approximate paths whose paths share k edges,
+    summed over a stack of at most EVAL_CHUNK graphs with path_weights' (paths, weights).
+
+    Over the paths U that carry weight in some graph, the shared-edge counts
+    S = I Iᵀ of their 0/1 incidence matrix I and the weight products C = WᵀW
+    summed over the graphs are float BLAS products, and each row block of
+    pairs that fits EVAL_CHUNK_BYTES adds np.bincount(S, weights=C).  Every
+    float sum adds integers below 2**53, so the counts are exact: S <= m, and
+    PAIR_BUDGET admits m <= 8, so a stack sums to at most
+    EVAL_CHUNK * 4**m * PAIR_BUDGET.
+    """
+    count, m = paths.shape
+    if count * count > PAIR_BUDGET:
+        raise ResourceBudgetError(f"{count}^2 path pairs exceed budget {PAIR_BUDGET}")
+    if len(weights) > EVAL_CHUNK:
+        raise ParameterError(f"the overlap pass takes at most {EVAL_CHUNK} graphs, got {len(weights)}")
+    live = weights.any(axis=0)
+    paths, products = paths[live], weights[:, live].astype(np.float64)
+    incidence = np.zeros((len(paths), paths.max(initial=0) + 1), dtype=np.float32)
+    np.put_along_axis(incidence, paths, 1.0, axis=1)
+    totals = [0] * (m + 1)
+    rows = max(1, EVAL_CHUNK_BYTES // (20 * max(len(paths), 1)))  # shared counts as float32 and intp, products
+    for start in range(0, len(paths), rows):
+        shared = (incidence[start : start + rows] @ incidence.T).astype(np.intp)
+        block = products[:, start : start + rows].T @ products
+        totals = [t + int(s) for t, s in zip(totals, np.bincount(shared.ravel(), block.ravel(), m + 1))]
+    return {k: c for k, c in enumerate(totals) if k >= 1 and c}
+
+
 def null_graphs(n: int, q: float, count: int, fresh) -> np.ndarray:
-    """Adjacency matrices of count plain G(n, q) draws (no planting), 1-indexed like the models.
+    """Boolean edge vectors of count plain G(n, q) draws (no planting), in vertex_pairs(n) order.
 
     Graph i is fresh(i).random(P) < q over the P vertex pairs, read as raw
     Philox words and decoded in one pass for the run.
@@ -122,9 +138,9 @@ def null_graphs(n: int, q: float, count: int, fresh) -> np.ndarray:
     _check_q(q)
     pairs = len(vertex_pairs(n))
     words = np.stack([fresh(i).bit_generator.random_raw(pairs) for i in range(count)]).reshape(count, pairs)
-    return adjacency_from_edge_vector(uniforms(words) < q, n)
+    return uniforms(words) < q
 
 
 def sample_null_graph(n: int, q: float, seed: int) -> np.ndarray:
     """Adjacency of a plain G(n, q) draw from generator(seed): null_graphs' one-graph run."""
-    return null_graphs(n, q, 1, lambda _: generator(seed))[0]
+    return adjacency_from_edge_vector(null_graphs(n, q, 1, lambda _: generator(seed))[0], n)

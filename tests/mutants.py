@@ -1,7 +1,11 @@
 """Planted faults in src, kept as data: each must make its named tests fail.
 
 A mutant replaces one exact text of one file (which must occur there once)
-and names the tests that must catch it.  tests/replay_mutants.py replays
+and names the tests that must catch it.  MUTANTS holds index, ordering and
+census faults; STATISTICAL holds faults in the uncertainty layer (the
+stderrs and the tolerance that turn numbers into verdicts), each named
+with a test outside tests/test_golden.py, since a golden fails on any
+change of output, right or wrong.  tests/replay_mutants.py replays
 them one at a time on a temporary copy of src and tests; it is not part of
 the tier-1 suite, since each mutant costs two pytest starts.  A mutant that
 survives means a test was loosened or a kernel moved out from under it.
@@ -22,6 +26,9 @@ class Mutant(NamedTuple):
 
 NOISE, STABILITY = "src/plantedlab/noise.py", "src/plantedlab/stability.py"
 RAISED_IN_ARM_ORDER = "tests/test_noise.py::test_map_arms_raises_in_arm_order"
+PER_SEED_CENSUS = "tests/test_cli.py::test_count_paths_matches_the_per_seed_loop"
+BARRIER_TOLERANCE = "tests/test_stability.py::test_verify_barrier_holds_within_three_combined_stderrs"
+STDERR_COVERAGE = "tests/test_mc.py::test_reported_stderr_covers_the_known_value"
 
 MUTANTS = (
     # the ranked-lane pass
@@ -141,5 +148,51 @@ MUTANTS = (
         ".reshape(count, len(holders))",
         ".reshape(len(holders), count).T",
         ("tests/test_symmetry.py::test_psp_symmetric_polynomials_stay_under_a_relabeling_of_vertices_3_to_n",),
+    ),
+    # the path census
+    Mutant(
+        "the pair census takes every graph of a run, past pair_graphs",
+        "src/plantedlab/cli.py",
+        "weights[: pair_graphs - ts.start]",
+        "weights",
+        (PER_SEED_CENSUS,),
+    ),
+    Mutant(
+        "the overlap pass drops its first row block",
+        "src/plantedlab/counting.py",
+        "for start in range(0, len(paths), rows):",
+        "for start in range(rows, len(paths), rows):",
+        ("tests/test_counting.py::test_overlap_pass_over_a_stack_matches_the_per_graph_oracles", PER_SEED_CENSUS),
+    ),
+)
+
+STATISTICAL = (
+    Mutant(
+        "the barrier tolerance doubled to 6 combined stderrs",
+        STABILITY,
+        "BARRIER_SIGMAS = 3.0",
+        "BARRIER_SIGMAS = 6.0",
+        (BARRIER_TOLERANCE,),
+    ),
+    Mutant(
+        "the barrier's combined stderr without the penalty term",
+        STABILITY,
+        "math.sqrt(stab.mse_stderr**2 + mmse_rho.stderr**2 + penalty_se**2)",
+        "math.sqrt(stab.mse_stderr**2 + mmse_rho.stderr**2)",
+        (BARRIER_TOLERANCE,),
+    ),
+    Mutant(
+        "the stderr of a mean times 0.7",
+        "src/plantedlab/mc.py",
+        "float(arr.std(ddof=1) / math.sqrt(arr.size))",
+        "float(0.7 * arr.std(ddof=1) / math.sqrt(arr.size))",
+        (STDERR_COVERAGE,),
+    ),
+    Mutant(
+        "the ratio stderr without its covariance term",
+        "src/plantedlab/mc.py",
+        " - 2 * mn * cov / md**3",
+        "",
+        (STDERR_COVERAGE,),
     ),
 )

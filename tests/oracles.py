@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from plantedlab.counting import count_approx_paths, count_overlap_pairs, expected_count
+from plantedlab.counting import expected_count
 from plantedlab.lowdeg import DIAGRAM_PSD_TOL, hermite_eval
 from plantedlab.mc import mean_stderr, ratio_with_stderr
 from plantedlab.models import (
@@ -344,6 +344,20 @@ def overlap_pairs_loop(adjacency: np.ndarray, m: int, eps_m: int) -> tuple[int, 
     return total, histogram
 
 
+def overlap_pairs_by_matches(adjacency: np.ndarray, m: int, eps_m: int) -> tuple[int, dict]:
+    """(pair_count, histogram) of count_overlap_pairs, one graph at a time, as the census counted before
+    its overlap pass over a stack of graphs: the shared edges of two paths that carry an approximate path
+    are the matches of their edge lists, m**2 equality passes, and the weight products add up in int64."""
+    paths = path_edge_indices_loop(adjacency.shape[0] - 1, m)
+    weights = np.array(census_weights_loop(adjacency, m, eps_m), dtype=np.int64)
+    paths, weights = paths[weights > 0], weights[weights > 0]
+    shared = sum(paths[:, None, a] == paths[None, :, b] for a in range(m) for b in range(m))
+    totals = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(totals, shared, np.outer(weights, weights))
+    histogram = {k: c for k, c in enumerate(totals.tolist()) if k >= 1 and c}
+    return sum(histogram.values()), histogram
+
+
 def rlc_character_expectation_loop(idx1, idx2, params, rho: float) -> float:
     """E[chi_{S1,T1}(A, y) * chi_{S2,T2}(A, T_rho(y))] by a loop over every (A, x, resample mask).
 
@@ -466,19 +480,19 @@ def count_paths_rows_loop(seed: int, n: int, m: int, eps_m: int, q: float, graph
     """(trials, metric, value, stderr) of each count-paths CSV row, from one G(n, q) draw per scalar seed.
 
     Graph t is generator(derive_seed(seed, INSTANCE_STREAM, t)).random(P) < q
-    over the vertex pairs, counted with count_approx_paths and, for t below
-    pair_graphs, count_overlap_pairs.
+    over the vertex pairs, counted with census_weights_loop and, for t below
+    pair_graphs, overlap_pairs_by_matches.
     """
     pairs = n * (n - 1) // 2
     counts, pair_total, totals = [], 0.0, {}
     for t in range(max(graphs, pair_graphs)):
         adj = psp_adjacency_loop(generator(derive_seed(seed, INSTANCE_STREAM, t)).random(pairs) < q, n)
         if t < graphs:
-            counts.append(count_approx_paths(adj, m, eps_m))
+            counts.append(sum(census_weights_loop(adj, m, eps_m)))
         if t < pair_graphs:
-            census = count_overlap_pairs(adj, m, eps_m)
-            pair_total += census.pair_count
-            for shared, c in census.histogram.items():
+            pair_count, histogram = overlap_pairs_by_matches(adj, m, eps_m)
+            pair_total += pair_count
+            for shared, c in histogram.items():
                 totals[shared] = totals.get(shared, 0.0) + c
     rows = [
         (graphs, "empirical_mean_count", *mean_stderr(counts)),

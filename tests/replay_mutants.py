@@ -1,7 +1,7 @@
 """Replay the mutants of tests/mutants.py, one at a time, on a temporary copy of src and tests.
 
-    python tests/replay_mutants.py            # every mutant
-    python tests/replay_mutants.py 0 3        # mutants 0 and 3 only
+    python tests/replay_mutants.py            # every mutant, MUTANTS then STATISTICAL
+    python tests/replay_mutants.py 0 3        # mutants 0 and 3 only, numbered across both tuples
 
 For each mutant it copies src and tests to a fresh temporary directory,
 applies the one edit (whose text must occur once in its file), and runs
@@ -21,7 +21,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from mutants import MUTANTS
+from mutants import MUTANTS, STATISTICAL
+
+REPLAYED = MUTANTS + STATISTICAL
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,7 +40,7 @@ def _failed(tree: Path, tests) -> set[str]:
 
 def replay(index: int) -> str:
     """'caught', 'SURVIVED' with the named tests that passed, or the replay error of mutant index."""
-    mutant = MUTANTS[index]
+    mutant = REPLAYED[index]
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
         for part in ("src", "tests"):
@@ -61,10 +63,10 @@ def replay(index: int) -> str:
 
 def main(argv: list[str]) -> int:
     caught = True
-    for index in [int(arg) for arg in argv] or range(len(MUTANTS)):
+    for index in [int(arg) for arg in argv] or range(len(REPLAYED)):
         result = replay(index)
         caught &= result == "caught"
-        print(f"{index:2d} {MUTANTS[index].what}: {result}", flush=True)
+        print(f"{index:2d} {REPLAYED[index].what}: {result}", flush=True)
     return 0 if caught else 1
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -7,18 +8,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import census_weights_loop, overlap_pairs_loop
+from oracles import census_weights_loop, overlap_pairs_by_matches, overlap_pairs_loop
 from plantedlab import counting
 from plantedlab.counting import (
-    _path_weights,
+    PAIR_BUDGET,
     approx_path_counts,
     count_approx_paths,
     count_overlap_pairs,
     expected_count,
+    overlap_histogram,
+    path_weights,
     sample_null_graph,
 )
 from plantedlab.errors import ParameterError
 from plantedlab.models import edge_vector_from_adjacency
+from plantedlab.noise import EVAL_CHUNK
 from plantedlab.rng import derive_seed
 
 
@@ -246,7 +250,7 @@ def test_q_outside_unit_interval_raises(q):
 def test_census_weights_match_the_per_path_loop():
     for n, m, eps_m, q, seed in [(6, 2, 1, 0.5, 1), (8, 3, 1, 0.3, 2), (8, 3, 0, 0.7, 3), (9, 4, 2, 0.4, 4), (7, 3, 3, 0.0, 5)]:
         adj = sample_null_graph(n, q, derive_seed(seed, 0))
-        paths, weights = _path_weights(edge_vector_from_adjacency(adj), n, m, eps_m)
+        paths, weights = path_weights(edge_vector_from_adjacency(adj), n, m, eps_m)
         assert weights.tolist() == census_weights_loop(adj, m, eps_m)
         assert len(paths) == math.perm(n - 2, m - 1)
 
@@ -271,3 +275,44 @@ def test_overlap_pairs_match_the_double_loop(n, m, eps_m, q, seed, bytes_per_pat
     with mock.patch.object(counting, "EVAL_CHUNK_BYTES", block_bytes):
         census = count_overlap_pairs(adj, m, eps_m)
     assert (census.pair_count, census.histogram) == overlap_pairs_loop(adj, m, eps_m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    m=st.integers(1, 7),
+    eps_m=st.integers(0, 7),
+    qs=st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+    rows=st.one_of(st.none(), st.integers(1, 6)),
+)
+@example(n=7, m=3, eps_m=1, qs=[0.0, 0.5, 1.0], seed=0, rows=2)  # a graph that carries no path, 20 paths in blocks of 2
+@example(n=6, m=3, eps_m=3, qs=[0.0, 1.0], seed=1, rows=5)  # eps_m = m: every path carries one in every graph
+def test_overlap_pass_over_a_stack_matches_the_per_graph_oracles(n, m, eps_m, qs, seed, rows):
+    # a block budget of 20 bytes (a float32 and an intp shared count, a float64 product) a pair
+    # of paths that carry an approximate path puts `rows` rows in each row block
+    assume(m < n and eps_m <= m and math.perm(n - 2, m - 1) <= 120)
+    stack = np.stack([sample_null_graph(n, q, derive_seed(seed, i)) for i, q in enumerate(qs)])
+    paths, weights = path_weights(edge_vector_from_adjacency(stack), n, m, eps_m)
+    live = int(weights.any(axis=0).sum())
+    block_bytes = 20 * max(live, 1) * rows if rows else counting.EVAL_CHUNK_BYTES
+    with mock.patch.object(counting, "EVAL_CHUNK_BYTES", block_bytes):
+        histogram = overlap_histogram(paths, weights)
+    by_matches, by_masks = Counter(), Counter()
+    for adj in stack:
+        by_matches.update(overlap_pairs_by_matches(adj, m, eps_m)[1])
+        by_masks.update(overlap_pairs_loop(adj, m, eps_m)[1])
+    assert histogram == dict(by_matches) == dict(by_masks)
+
+
+def test_overlap_pass_sums_stay_below_2_to_the_53():
+    # PAIR_BUDGET admits m <= 8 (at n = m + 1, the fewest paths); a row block's float sum is at most
+    # EVAL_CHUNK graphs times PAIR_BUDGET pairs of paths times the heaviest weight squared
+    admitted = [m for m in range(1, 12) if math.perm(m - 1, m - 1) ** 2 <= PAIR_BUDGET]
+    assert admitted == list(range(1, 9))
+    for m in admitted:
+        heaviest = max(math.comb(m, keep) for keep in range(m + 1))
+        assert EVAL_CHUNK * PAIR_BUDGET * heaviest**2 <= EVAL_CHUNK * 4**m * PAIR_BUDGET < 2**53
+    paths, weights = path_weights(np.ones((EVAL_CHUNK + 1, 21), dtype=bool), 7, 3, 1)
+    with pytest.raises(ParameterError, match=f"at most {EVAL_CHUNK} graphs"):
+        overlap_histogram(paths, weights)

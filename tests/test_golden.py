@@ -1,7 +1,9 @@
 """Golden CSVs: every command's output, byte for byte, at small sizes.
 
 Each case runs one CLI command and compares the CSV it writes with the
-checked-in file under ``tests/golden/``.  The cases cover every model on
+checked-in file under ``tests/golden/``; the cases in ``SIDECARS`` compare
+their JSON sidecar too.  Every case writes from a fixed relative ``--out``
+(its name), since the sidecar echoes that path.  The cases cover every model on
 ``mmse-curve`` (plus the full-rank linear code), every registered estimator
 on its model for ``stability`` and ``barrier``, the three polynomial
 families of ``lowdeg-stability``, and ``solve``, ``count-paths`` (with the
@@ -14,6 +16,7 @@ Regenerate (only for a deliberate change of output, named in CHANGES.md):
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +24,7 @@ import pytest
 
 from plantedlab.cli import main
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 PSP = '{"n":8,"L":3,"q":0.3}'
 RLC = '{"m":8,"n":5}'
@@ -86,14 +89,25 @@ CASES.update(
 )
 
 
-def _run(name: str, stem: Path) -> bytes:
-    assert main([*CASES[name], "--out", str(stem)]) == 0, name
-    return stem.with_suffix(".csv").read_bytes()
+SIDECARS = ("barrier-rlc", "count-paths", "count-paths-pairs-beyond-graphs")
+
+
+def _run(name: str) -> Path:
+    """Run case name from the working directory with --out name; the stem of the files it wrote."""
+    assert main([*CASES[name], "--out", name]) == 0, name
+    return Path(name)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_csv(name, tmp_path):
-    assert _run(name, tmp_path / name) == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+def test_golden_csv(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(name).with_suffix(".csv").read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", SIDECARS)
+def test_golden_sidecar(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(name).with_suffix(".json").read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 if __name__ == "__main__":
@@ -103,6 +117,9 @@ if __name__ == "__main__":
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
         for case in sorted(CASES):
-            (GOLDEN_DIR / f"{case}.csv").write_bytes(_run(case, Path(tmp) / case))
+            stem = _run(case)
+            for suffix in (".csv", ".json") if case in SIDECARS else (".csv",):
+                (GOLDEN_DIR / f"{case}{suffix}").write_bytes(stem.with_suffix(suffix).read_bytes())
             print(case)

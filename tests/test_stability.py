@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import SOLVER_RECOVERS_RULES, coupled_trial_scalar, f2_solve_loop, measure_stability_loop, mmse_curve_loop, row_dots_loop, shortest_path_lists
-from plantedlab.bayes import estimate_mmse_curve
+from plantedlab.bayes import MmseReport, estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
 from plantedlab.models import (
@@ -29,6 +29,7 @@ from plantedlab.rng import generator
 from plantedlab.solvers import LllConfig, lll_subset_sum
 from plantedlab.stability import (
     ESTIMATORS,
+    StabilityReport,
     _second_moments,
     barrier_cell,
     barrier_penalty,
@@ -192,6 +193,36 @@ def test_verify_barrier_provenance_mismatch():
     (mmse_other_rho,) = estimate_mmse_curve(params_a, [0.6], trials=20, seed=5)
     with pytest.raises(ParameterError):
         verify_barrier(stab, mmse_other_rho)
+
+
+def _barrier_reports(margin_sigmas: float):
+    """A synthetic (stability, MMSE) pair whose barrier margin is margin_sigmas combined stderrs.
+
+    By hand: eta = 0.5 gives the penalty 2 sqrt(2 (7 + 2) 0.5) = 6 per unit
+    of signal norm, so 12 at norm 2 and rhs = 10 - 12.  Its one-sigma finite
+    difference is (penalty(1) - penalty(0)) / 2 * 2 = 2 sqrt(22), and with
+    the stderrs 3 (mse) and 1 (mmse) the combined stderr is
+    sqrt(9 + 1 + 88) = 7 sqrt(2).
+    """
+    params = RlcParams(m=8, n=5)
+    mmse = MmseReport(
+        model="rlc", params=params, rho=0.4, trials=100, mmse_hat=10.0, stderr=1.0, signal_norm=2.0, nmmse_hat=5.0
+    )
+    stab = StabilityReport(
+        model="rlc", params=params, estimator="f2_round", rho=0.4, trials=100, eta_hat=0.5, eta_stderr=0.5,
+        mse_hat=-2.0 + margin_sigmas * 7 * math.sqrt(2), mse_stderr=3.0, estimator_norm_hat=1.0, norm_stderr=0.0,
+    )
+    return stab, mmse
+
+
+@pytest.mark.parametrize("sigmas, holds", [(-2.9, True), (-3.1, False), (0.0, True)])
+def test_verify_barrier_holds_within_three_combined_stderrs(sigmas, holds):
+    check = verify_barrier(*_barrier_reports(sigmas))
+    assert (check.penalty, check.rhs) == (12.0, -2.0)
+    assert check.combined_stderr == pytest.approx(7 * math.sqrt(2), rel=1e-12)
+    assert check.margin == pytest.approx(sigmas * 7 * math.sqrt(2), rel=1e-12, abs=1e-12)
+    assert check.holds is holds
+    assert check.holds_within == 3.0
 
 
 def test_full_pipeline_rlc_barrier_holds():
