@@ -257,6 +257,8 @@ def _cmd_count_paths(config: ExperimentConfig, opts: dict):
     n, m, eps_m, q = opts["n"], opts["m"], opts["eps_m"], float(opts["q"])
     graphs = opts.get("graphs", config.trials)
     pairs = opts["pairs"]
+    if "pair_graphs" in opts and not pairs:
+        raise UsageError("count-paths reads pair_graphs only with pairs")
     pair_graphs = opts.get("pair_graphs", min(graphs, 100)) if pairs else 0
     target = expected_count(n, m, eps_m, q)  # checks n, m, eps_m and q before any draw
     total = max(graphs, pair_graphs)

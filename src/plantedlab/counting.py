@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError
-from .models import adjacency_from_edge_vector, check_bits, edge_vector_from_adjacency, path_edge_indices, vertex_pairs
+from .models import check_bits, check_shape, path_edge_indices, vertex_pairs
 from .noise import EVAL_CHUNK, EVAL_CHUNK_BYTES
 from .rng import generator, uniforms
 
@@ -41,21 +41,12 @@ def expected_count(n: int, m: int, eps_m: int, q: float) -> float:
     return math.perm(n - 2, m - 1) * math.comb(m, eps_m) * q ** (m - eps_m)
 
 
-def _graph_edges(adjacency) -> tuple[np.ndarray, int]:
-    """The boolean edge vectors of a (stack of) adjacency matrices, and n.
-
-    Raises unless each matrix is a PSP graph: 0/1 entries, square and
-    symmetric, with an empty diagonal and an empty row and column 0.
-    """
-    adjacency = np.asarray(adjacency)
-    check_bits("adjacency", adjacency)
-    if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
-        raise ParameterError(f"adjacency has shape {adjacency.shape}, expected a square matrix")
-    if (adjacency != np.swapaxes(adjacency, -1, -2)).any():
-        raise ParameterError("adjacency must be symmetric")
-    if np.diagonal(adjacency, axis1=-2, axis2=-1).any() or adjacency[..., 0, :].any():
-        raise ParameterError("adjacency must have an empty diagonal and an empty row and column 0")
-    return edge_vector_from_adjacency(adjacency).astype(bool), adjacency.shape[-1] - 1
+def _graph(edges, n: int) -> np.ndarray:
+    """edges as a bool array; ParameterError unless it is one 0/1 edge vector over vertex_pairs(n)."""
+    edges = np.asarray(edges)
+    check_shape("edges", edges, (len(vertex_pairs(n)),))
+    check_bits("edges", edges)
+    return edges.astype(bool)
 
 
 def path_weights(edges: np.ndarray, n: int, m: int, eps_m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,14 +63,9 @@ def census_bytes(n: int, m: int) -> int:
     return len(path_edge_indices(n, m)) * (m + 16)
 
 
-def approx_path_counts(adjacency: np.ndarray, m: int, eps_m: int) -> np.ndarray:
-    """count_approx_paths of each matrix in a stack of adjacency matrices, as int64."""
-    return path_weights(*_graph_edges(adjacency), m, eps_m)[1].sum(axis=-1)
-
-
-def count_approx_paths(adjacency: np.ndarray, m: int, eps_m: int) -> int:
-    """Number of approximate paths of length m with eps_m missing edges."""
-    return int(approx_path_counts(adjacency, m, eps_m))
+def count_approx_paths(edges: np.ndarray, n: int, m: int, eps_m: int) -> int:
+    """Number of approximate paths of length m with eps_m missing edges in one graph's edge vector."""
+    return int(path_weights(_graph(edges, n), n, m, eps_m)[1].sum())
 
 
 @dataclass(frozen=True)
@@ -88,14 +74,14 @@ class OverlapPairCount:
     histogram: dict  # shared-edge count k >= 1 -> ordered pair count
 
 
-def count_overlap_pairs(adjacency: np.ndarray, m: int, eps_m: int) -> OverlapPairCount:
+def count_overlap_pairs(edges: np.ndarray, n: int, m: int, eps_m: int) -> OverlapPairCount:
     """Ordered pairs of approximate paths whose paths share >= 1 edge.
 
     The histogram keys are the number of shared path edges; diagonal pairs
     (identical underlying path) land at k = m.
     """
-    paths, weights = path_weights(*_graph_edges(adjacency), m, eps_m)
-    histogram = overlap_histogram(paths, weights[None])
+    paths, weights = path_weights(_graph(edges, n)[None], n, m, eps_m)
+    histogram = overlap_histogram(paths, weights)
     return OverlapPairCount(pair_count=sum(histogram.values()), histogram=histogram)
 
 
@@ -142,5 +128,5 @@ def null_graphs(n: int, q: float, count: int, fresh) -> np.ndarray:
 
 
 def sample_null_graph(n: int, q: float, seed: int) -> np.ndarray:
-    """Adjacency of a plain G(n, q) draw from generator(seed): null_graphs' one-graph run."""
-    return adjacency_from_edge_vector(null_graphs(n, q, 1, lambda _: generator(seed))[0], n)
+    """The edge vector of a plain G(n, q) draw from generator(seed): null_graphs' one-graph run."""
+    return null_graphs(n, q, 1, lambda _: generator(seed))[0]

@@ -5,8 +5,8 @@ Conventions
 * PSP vertices are 1-indexed; the planted path runs from vertex 1 to vertex 2.
   Unordered pairs are stored canonically as (min, max), and edge vectors are
   laid out in lexicographic pair order (1,2), (1,3), ..., (n-1,n).  A PSP
-  observation is the graph's boolean edge vector over vertex_pairs(n); only
-  the path census (counting) reads an (n+1)x(n+1) adjacency matrix.
+  graph, from the samplers to the solvers and the path census (counting), is
+  its boolean edge vector over vertex_pairs(n).
 * RLC/GSS/TPCA indices are 0-based.
 * Samplers are pure functions of (params, seed): identical arguments produce
   bit-identical instances.  chunk_sampler(params) draws a run of trials,
@@ -72,17 +72,9 @@ def vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) index arrays of vertex_pairs(n), read-only."""
-    pairs = np.array(vertex_pairs(n), dtype=np.intp).reshape(-1, 2).T.copy()
-    pairs.flags.writeable = False
-    return pairs[0], pairs[1]
-
-
-@lru_cache(maxsize=None)
 def pair_ids(n: int) -> np.ndarray:
     """Read-only (n+1)x(n+1) table of edge-vector indices: [i, j] = [j, i] = index of {i, j}, else -1."""
-    rows, cols = _pair_arrays(n)
+    rows, cols = np.array(vertex_pairs(n), dtype=np.intp).reshape(-1, 2).T
     ids = np.full((n + 1, n + 1), -1, dtype=np.intp)
     ids[rows, cols] = ids[cols, rows] = np.arange(len(rows))
     ids.flags.writeable = False
@@ -139,28 +131,6 @@ def subset_sums(X: np.ndarray, combos: np.ndarray) -> np.ndarray:
     for col in combos.T:
         sums += X[..., col]
     return sums
-
-
-def adjacency_from_edge_vector(edge_vec: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric (n+1)x(n+1) boolean adjacency; row/column 0 unused.
-
-    Leading axes of a stack of edge vectors are kept.
-    """
-    rows, cols = _pair_arrays(n)
-    present = np.asarray(edge_vec, dtype=bool)
-    adj = np.zeros(present.shape[:-1] + (n + 1, n + 1), dtype=bool)
-    adj[..., rows, cols] = present
-    adj[..., cols, rows] = present
-    return adj
-
-
-def edge_vector_from_adjacency(adj: np.ndarray) -> np.ndarray:
-    """adj at vertex_pairs(n), n = adj.shape[-1] - 1, in pair order and with adj's dtype.
-
-    Leading axes of a stack of adjacency matrices are kept.
-    """
-    rows, cols = _pair_arrays(adj.shape[-1] - 1)
-    return adj[..., rows, cols]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 A mutant replaces one exact text of one file (which must occur there once)
 and names the tests that must catch it.  MUTANTS holds index, ordering and
-census faults; STATISTICAL holds faults in the uncertainty layer (the
-stderrs and the tolerance that turn numbers into verdicts), each named
-with a test outside tests/test_golden.py, since a golden fails on any
-change of output, right or wrong.  tests/replay_mutants.py replays
+census faults; STATISTICAL holds faults in a law: the uncertainty layer
+(the stderrs and the tolerance that turn numbers into verdicts), the
+likelihoods, the noise, the sampler, the signal norm, the prior mean and
+the stability bounds, each named with a test outside tests/test_golden.py,
+since a golden fails on any change of output, right or wrong.  tests/replay_mutants.py replays
 them one at a time on a temporary copy of src and tests; it is not part of
 the tier-1 suite, since each mutant costs two pytest starts.  A mutant that
 survives means a test was loosened or a kernel moved out from under it.
@@ -24,7 +25,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
-NOISE, STABILITY = "src/plantedlab/noise.py", "src/plantedlab/stability.py"
+NOISE, STABILITY, LOWDEG = "src/plantedlab/noise.py", "src/plantedlab/stability.py", "src/plantedlab/lowdeg.py"
 RAISED_IN_ARM_ORDER = "tests/test_noise.py::test_map_arms_raises_in_arm_order"
 PER_SEED_CENSUS = "tests/test_cli.py::test_count_paths_matches_the_per_seed_loop"
 BARRIER_TOLERANCE = "tests/test_stability.py::test_verify_barrier_holds_within_three_combined_stderrs"
@@ -164,6 +165,16 @@ MUTANTS = (
         "for start in range(rows, len(paths), rows):",
         ("tests/test_counting.py::test_overlap_pass_over_a_stack_matches_the_per_graph_oracles", PER_SEED_CENSUS),
     ),
+    Mutant(
+        "the census takes an edge vector without checking its entries",
+        "src/plantedlab/counting.py",
+        '    check_bits("edges", edges)\n',
+        "",
+        (
+            "tests/test_counting.py::test_census_rejects_a_non_binary_adjacency",
+            "tests/test_counting.py::test_census_rejects_a_matrix_that_is_no_psp_graph",
+        ),
+    ),
 )
 
 STATISTICAL = (
@@ -194,5 +205,93 @@ STATISTICAL = (
         " - 2 * mn * cov / md**3",
         "",
         (STDERR_COVERAGE,),
+    ),
+    # the laws: the likelihood, the noise, the sampler, the signal norm, the prior mean and the stability bounds
+    Mutant(
+        "the posterior at 0.9 rho",
+        "src/plantedlab/bayes.py",
+        "runs = [kernel(params, rho, *(f[b] for f in fields))",
+        "runs = [kernel(params, 0.9 * rho if 0 < rho < 1 else rho, *(f[b] for f in fields))",
+        (
+            "tests/test_bayes.py::test_gss_posterior_matches_extended_precision_oracle",
+            "tests/test_bayes.py::test_tpca_noisy_observation_equals_rescaled_model",
+        ),
+    ),
+    Mutant(
+        "the noise operator at 0.9 rho",
+        NOISE,
+        "return partial(_NOISE[model_name(params)], params, rho)",
+        "return partial(_NOISE[model_name(params)], params, 0.9 * rho if rho < 1 else rho)",
+        ("tests/test_noise.py::test_rlc_flip_probability_is_half_rho", "tests/test_noise.py::test_gss_variance_preserved_under_ou"),
+    ),
+    Mutant(
+        "the RLC noise mask at 0.9 rho",
+        NOISE,
+        "uniforms(raw[:, :m]) < rho",
+        "uniforms(raw[:, :m]) < 0.9 * rho",
+        ("tests/test_noise.py::test_rlc_flip_probability_is_half_rho", "tests/test_noise.py::test_rlc_full_noise_uniform"),
+    ),
+    Mutant(
+        "the PSP sampler's edge probability at 1.1 q",
+        "src/plantedlab/models.py",
+        "edges = uniforms(words) < q",
+        "edges = uniforms(words) < 1.1 * q",
+        ("tests/test_models.py::test_psp_nonpath_edge_frequency_matches_q",),
+    ),
+    Mutant(
+        "the RLC signal norm n/1.8 in place of n/2",
+        "src/plantedlab/models.py",
+        '"rlc": lambda p: p.n / 2.0,',
+        '"rlc": lambda p: p.n / 1.8,',
+        ("tests/test_models.py::test_signal_norms", "tests/test_bayes.py::test_mmse_curve_rlc_endpoints_exact"),
+    ),
+    Mutant(
+        "the barrier penalty's 7 replaced by 5",
+        STABILITY,
+        "math.sqrt(2.0 * (7.0 + 4.0 * eta) * eta)",
+        "math.sqrt(2.0 * (5.0 + 4.0 * eta) * eta)",
+        ("tests/test_stability.py::test_barrier_penalty_values",),
+    ),
+    Mutant(
+        "the RLC stability bound times 1.25",
+        LOWDEG,
+        "return 2.0 * (1.0 - (1.0 - rho) ** degree)",
+        "return 2.5 * (1.0 - (1.0 - rho) ** degree)",
+        ("tests/test_lowdeg.py::test_rlc_pure_codeword_character_sits_at_bound",),
+    ),
+    Mutant(
+        "the GSS posterior's noise variance at 0.8 rho^2",
+        "src/plantedlab/bayes.py",
+        "/ (2.0 * rho * rho)",
+        "/ (1.6 * rho * rho)",
+        ("tests/test_bayes.py::test_gss_posterior_matches_extended_precision_oracle",),
+    ),
+    Mutant(
+        "the TPCA posterior's lambda times 1.1",
+        "src/plantedlab/bayes.py",
+        "lam=params.lam * (1.0 - rho * rho)",
+        "lam=1.1 * params.lam * (1.0 - rho * rho)",
+        ("tests/test_bayes.py::test_tpca_posterior_matches_full_density_oracle",),
+    ),
+    Mutant(
+        "the PSP prior mean of the pairs at vertices 1 and 2 times 1.1",
+        STABILITY,
+        "out[pair_ids(n)[1:3, 3:]] = p_end",
+        "out[pair_ids(n)[1:3, 3:]] = 1.1 * p_end",
+        ("tests/test_stability.py::test_psp_prior_mean_equals_path_enumeration",),
+    ),
+    Mutant(
+        "the GSS stability bound times 1.25",
+        LOWDEG,
+        "return 2.0 * (1.0 - (1.0 - rho * rho) ** (degree / 2.0))",
+        "return 2.5 * (1.0 - (1.0 - rho * rho) ** (degree / 2.0))",
+        ("tests/test_lowdeg.py::test_gss_pure_hermite_term_sits_at_bound",),
+    ),
+    Mutant(
+        "the ratio stderr from moments with ddof=0",
+        "src/plantedlab/mc.py",
+        "    var_n = num.var(ddof=1)\n    var_d = den.var(ddof=1)\n    cov = float(np.cov(num, den, ddof=1)[0, 1])\n",
+        "    var_n = num.var(ddof=0)\n    var_d = den.var(ddof=0)\n    cov = float(np.cov(num, den, ddof=0)[0, 1])\n",
+        ("tests/test_mc.py::test_ratio_stderr_is_the_delta_method_with_unbiased_moments",),
     ),
 )

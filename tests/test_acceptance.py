@@ -236,8 +236,8 @@ def test_criterion_06_path_count_first_moment():
         graphs = 10**4
         counts = np.empty(graphs)
         for t in range(graphs):
-            adj = sample_null_graph(n, q, derive_seed(41, n + m, t))
-            counts[t] = count_approx_paths(adj, m, eps_m)
+            edges = sample_null_graph(n, q, derive_seed(41, n + m, t))
+            counts[t] = count_approx_paths(edges, n, m, eps_m)
         target = expected_count(n, m, eps_m, q)
         se = counts.std(ddof=1) / math.sqrt(graphs)
         z = abs(counts.mean() - target) / se

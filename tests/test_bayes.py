@@ -179,10 +179,10 @@ def test_rlc_budget_error():
         # C(60, 5) = 5,461,512 subsets
         (lambda: posterior_mean_for(GssParams(N=60, k=5), (np.zeros(60), 0.0), 0.5), "subsets exceed budget"),
         (lambda: posterior_mean_for(TpcaParams(n=60, k=5, d=2, lam=1.0), np.zeros((60, 60)), 0.0), "subsets exceed budget"),
-        # (12)_4 = 11,880 paths, so 11,880^2 pairs
-        (lambda: count_overlap_pairs(np.zeros((15, 15), dtype=bool), 5, 1), "path pairs exceed budget"),
-        # (18)_5 = 1,028,160 paths
-        (lambda: count_approx_paths(np.zeros((21, 21), dtype=bool), 6, 1), "candidate paths exceed budget"),
+        # n = 14: (12)_4 = 11,880 paths, so 11,880^2 pairs
+        (lambda: count_overlap_pairs(np.zeros(91, dtype=bool), 14, 5, 1), "path pairs exceed budget"),
+        # n = 20: (18)_5 = 1,028,160 paths
+        (lambda: count_approx_paths(np.zeros(190, dtype=bool), 20, 6, 1), "candidate paths exceed budget"),
     ],
     ids=["gss-subsets", "tpca-subsets", "overlap-pairs", "approx-paths"],
 )

@@ -301,6 +301,14 @@ def test_count_paths_without_graphs_exits_2(tmp_path, graphs):
     assert code == 2
 
 
+def test_count_paths_pair_graphs_without_pairs_exits_2(tmp_path, capsys):
+    options = '{"n":9,"m":3,"eps_m":1,"q":0.3,"graphs":20,"pair_graphs":5}'
+    for pairs in ("", ',"pairs":false'):
+        code = main(["count-paths", "--options", options[:-1] + pairs + "}", "--out", str(tmp_path / "x")])
+        assert code == 2 and "count-paths reads pair_graphs only with pairs" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_barrier_command(tmp_path):
     out = tmp_path / "barrier"
     code = main(

@@ -155,8 +155,8 @@ def test_fast_solvers_are_reached_only_through_the_table():
     assert defined >= SOLVER_WRAPPERS
 
 
-# a PSP observation is its edge vector; in src only models (which defines them) and the
-# path census in counting, which reads an adjacency matrix, name the matrix conversions
+# a PSP graph is its edge vector everywhere in src, the path census included, so no src module
+# defines, imports or calls a conversion to or from an adjacency matrix
 CONVERSIONS = {"adjacency_from_edge_vector", "edge_vector_from_adjacency"}
 
 
@@ -187,7 +187,7 @@ def test_conversion_scan_finds_a_planted_conversion():
 def test_only_models_and_counting_name_the_adjacency_conversions():
     src = sorted((ROOT / "src" / "plantedlab").glob("*.py"))
     found = {p.name: conversion_references(p.read_text(encoding="utf-8")) for p in src}
-    assert len(src) > 10 and {name for name, lines in found.items() if lines} == {"models.py", "counting.py"}
+    assert len(src) > 10 and {name for name, lines in found.items() if lines} == set()
 
 
 # the checks on observations: bayes, lowdeg and stability reach them only through
@@ -278,7 +278,7 @@ def test_per_seed_draw_scan_finds_a_planted_loop():
     planted = (
         "from .models import sample_instance as draw, params_from_json\n"
         "hits = [solve(draw(p, s)) for s in seeds]\n"
-        "adj = counting.sample_null_graph(n, q, seed)\n"
+        "edges = counting.sample_null_graph(n, q, seed)\n"
     )
     assert per_seed_draws(planted) == [1, 3]
     assert per_seed_draws("runs = instance_runs(params, seed, n)\nsample = chunk_sampler(params)\n") == []

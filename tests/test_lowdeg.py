@@ -36,6 +36,7 @@ from plantedlab.lowdeg import (
     diagram_expectation,
     diagram_mc_oracle,
     enumerate_character_indices,
+    gss_stability_bound,
     hermite_eval,
     product_table,
     random_gss_poly,
@@ -802,6 +803,13 @@ def test_rlc_pure_codeword_character_sits_at_bound():
     r = stability_ratio(poly, params, rho, trials=4000, seed=4)
     bound = rlc_stability_bound(2, rho)
     assert abs(r.ratio - bound) <= 3 * r.stderr
+
+
+def test_gss_pure_hermite_term_sits_at_bound():
+    # at k = 1, y = Y is one standard normal and its noisy copy has correlation sqrt(1 - rho^2), so h_1(y)
+    # has ratio 2 (1 - sqrt(1 - rho^2)) exactly
+    r = stability_ratio(GssPoly(terms=(((), 1, 1.0),)), GssParams(N=6, k=1), 0.5, trials=4000, seed=5)
+    assert abs(r.ratio - gss_stability_bound(1, 0.5)) <= 3 * r.stderr
 
 
 def test_random_rlc_polys_respect_bound():

@@ -10,6 +10,9 @@ its covariance term (about 0% on the positive pairs, about 15% on the
 negative ones).
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,18 @@ def _misses(case: str, trials: int) -> int:
 def test_reported_stderr_covers_the_known_value(case, trials):
     lo, hi = BAND
     assert lo <= _misses(case, trials) <= hi
+
+
+def test_ratio_stderr_is_the_delta_method_with_unbiased_moments():
+    # the variances and the covariance divide by T - 1; by hand, in exact fractions
+    num, den = [1, 2, 4, 3, 5], [1, 2, 2, 3, 1]
+    T = len(num)
+    mn, md = Fraction(sum(num), T), Fraction(sum(den), T)
+
+    def moment(x, mx, y, my):
+        return sum((a - mx) * (b - my) for a, b in zip(x, y)) / (T - 1)
+
+    var_n, var_d, cov = moment(num, mn, num, mn), moment(den, md, den, md), moment(num, mn, den, md)
+    var_ratio = (var_n / md**2 + mn**2 * var_d / md**4 - 2 * mn * cov / md**3) / T
+    ratio, stderr = ratio_with_stderr(np.array(num), np.array(den))
+    assert math.isclose(ratio, mn / md, rel_tol=1e-15) and math.isclose(stderr, math.sqrt(var_ratio), rel_tol=1e-12)

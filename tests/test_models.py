@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -86,17 +87,18 @@ def test_psp_complete_graph_at_q_one():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=14), st.integers(min_value=0, max_value=2**32 - 1))
 def test_psp_pair_conversions_match_loop_oracle(n, seed):
+    # pair_ids reads an edge vector at the loop oracle's pairs, in both orientations, so it pins the pair order
     rng = np.random.default_rng(seed)
     vec = rng.random(n * (n - 1) // 2) < rng.random()
-    adj = models.adjacency_from_edge_vector(vec, n)
-    assert np.array_equal(adj, psp_adjacency_loop(vec, n))
-    back = models.edge_vector_from_adjacency(adj)
-    assert np.array_equal(back, vec) and back.dtype == bool
+    ids, adj = models.pair_ids(n), psp_adjacency_loop(vec, n)
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        assert vec[ids[i, j]] == adj[i, j]
+    assert np.array_equal(psp_edge_vector_loop(adj, n), vec)
     # any matrix, bool or float, is read at the upper-triangle pairs only
     for other in (rng.random((n + 1, n + 1)) < 0.5, rng.standard_normal((n + 1, n + 1))):
-        got = models.edge_vector_from_adjacency(other)
-        want = psp_edge_vector_loop(other, n)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = psp_edge_vector_loop(other, n)
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            assert got[ids[i, j]] == other[min(i, j), max(i, j)]
 
 
 def test_psp_path_edges_always_present():
@@ -464,8 +466,6 @@ def test_subset_sums_add_left_to_right(k):
 
 
 def test_subsets_run_in_combinations_order():
-    import itertools
-
     assert [tuple(r) for r in subsets(6, 3)] == list(itertools.combinations(range(6), 3))
 
 
@@ -476,7 +476,6 @@ def test_shared_enumeration_caches_are_read_only():
         placements(((1, 3), (3, 4)), 6),
         path_edge_indices(6, 3),
         subsets(6, 2),
-        *models._pair_arrays(5),
         *_character_sign_tables(2, 2),
     ]
     for arr in shared:
