@@ -25,6 +25,7 @@ from .models import (
     chunk_sampler,
     model_name,
     path_edge_indices,
+    per_field,
     signal_norm,
     stack_observations,
     subset_sums,
@@ -253,7 +254,7 @@ def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], par
     valid = support.dtype.kind in "iu" and support.shape == (params.k,) and len(set(support.tolist())) == params.k
     if not (valid and 0 <= support.min() and support.max() < params.n):
         raise ParameterError(f"planted support {planted_support!r} needs {params.k} distinct integers in 0..{params.n - 1}")
-    combos, (lw,) = _tpca_log_weights(*stack_observations(params, [Y]), params)
+    combos, (lw,) = _tpca_log_weights(*stack_observations(params, np.asarray(Y)[None]), params)
     member = np.zeros(params.n, dtype=bool)
     member[support] = True
     overlap = member[combos].sum(axis=1)
@@ -279,10 +280,9 @@ _POSTERIORS = {
 def posterior_means(params, observations, rho: float) -> np.ndarray:
     """Posterior-mean estimates of a batch of observations at rho, one row per observation.
 
-    The batch is a list of observations or a run's stacked observation,
-    which models.stack_observations stacks and checks.  The one way into the
-    kernels.  The batch runs in blocks of trials whose enumeration arrays fit
-    EVAL_CHUNK_BYTES.
+    The batch is a run's stacked observation, which models.stack_observations
+    checks.  The one way into the kernels.  The batch runs in blocks of
+    trials whose enumeration arrays fit EVAL_CHUNK_BYTES.
     """
     check_rho(rho)  # also when the batch is empty
     kernel, trial_bytes = _POSTERIORS[model_name(params)]
@@ -292,8 +292,8 @@ def posterior_means(params, observations, rho: float) -> np.ndarray:
 
 
 def posterior_mean_for(params, observation, rho: float) -> np.ndarray:
-    """Bayes-optimal estimate from one observation that passed through noise at rho."""
-    return posterior_means(params, [observation], rho)[0]
+    """Bayes-optimal estimate from one observation that passed through noise at rho: its batch of one row."""
+    return posterior_means(params, per_field(lambda a: np.asarray(a)[None], observation), rho)[0]
 
 
 @dataclass(frozen=True)

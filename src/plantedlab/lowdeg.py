@@ -26,6 +26,7 @@ from .models import (
     RlcParams,
     check_finite,
     model_name,
+    per_field,
     placements,
     stack_observations,
 )
@@ -264,8 +265,8 @@ def rlc_character_expectation(idx1: CharacterIndex, idx2: CharacterIndex, params
 
 class _OneObservation:
     def evaluate(self, observation, params) -> float:
-        """evaluate_many's one-observation case."""
-        return float(self.evaluate_many([observation], params)[0])
+        """evaluate_many of the observation's batch of one row."""
+        return float(self.evaluate_many(per_field(lambda a: np.asarray(a)[None], observation), params)[0])
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ Conventions
   into a record.
 * An observation is the fields _OBSERVED names for its model (PSP edges,
   RLC (A, y), GSS (X, Y), TPCA Y), a tuple when there are several.  A batch
-  of observations is a run's stacked observation or a list of per-trial
-  observations, and every estimator reads its batch through
-  stack_observations, the one check of a field's shape and entries.
+  of observations is a run's stacked observation, each field an array with
+  the trials along its first axis, and every estimator reads its batch
+  through stack_observations, the one check of a field's shape and entries.
 
 JSON schema (stable field names)
 --------------------------------
@@ -143,25 +143,12 @@ def check_shape(name: str, array, shape: tuple) -> None:
 
 
 def check_stack(name: str, arrays, shape: tuple) -> np.ndarray:
-    """arrays stacked along a new first axis; ParameterError unless each has the given shape.
-
-    An array that is already stacked is returned as it is, not copied.  An
-    empty batch stacks to shape (0, *shape); an error names one array's shape.
-    """
-    if isinstance(arrays, np.ndarray) and arrays.ndim:
-        if arrays.shape[1:] != shape:
-            raise ParameterError(f"{name} has shape {arrays.shape[1:]}, expected {shape}")
-        return arrays
-    if not len(arrays):
-        return np.zeros((0, *shape))
-    try:
-        stacked = np.stack(arrays)
-    except ValueError:  # the shapes differ: name the first that is not shape
-        for array in arrays:
-            check_shape(name, array, shape)
-        raise
-    check_shape(name, stacked[0], shape)  # they stacked, so each has the shape of the first
-    return stacked
+    """arrays as they are; ParameterError unless they are an array of one row a trial, each of the given shape."""
+    if not (isinstance(arrays, np.ndarray) and arrays.ndim):
+        raise ParameterError(f"{name} is not stacked: got a {type(arrays).__name__}, not an array of one row a trial")
+    if arrays.shape[1:] != shape:
+        raise ParameterError(f"{name} has shape {arrays.shape[1:]}, expected {shape}")
+    return arrays
 
 
 def check_bits(name: str, array: np.ndarray) -> None:
@@ -189,38 +176,30 @@ def per_field(fn, *observations):
 
 
 def stack_observations(params, observations) -> tuple:
-    """A batch of observations of params' model as the tuple of its fields, each stacked and checked.
+    """A run's stacked observation of params' model as the tuple of its fields, each checked and not copied.
 
-    The batch is a list of per-trial observations or a run's stacked
-    observation (run.observation, or what the noise operator returns), whose
-    fields are arrays with the trials along their first axis.  Each field is
-    stacked by check_stack, then checked to hold real numbers (numpy dtype
+    The batch is run.observation, or what the noise operator returns: each
+    field is an array with the trials along its first axis.  Each field goes
+    through check_stack, then is checked to hold real numbers (numpy dtype
     kind b, i, u or f) and to pass its entry check in _OBSERVED.  Raises
     ParameterError on an observation of the wrong number of fields and on a
-    stacked field that is not an array of at least one axis.
+    field that is not an array of at least one axis, such as a list.
     """
     model = model_name(params)
     spec = _OBSERVED[model]
     names = ", ".join(name for name, _, _ in spec)
-    listed = isinstance(observations, list)
-    if len(spec) == 1:
-        columns = (observations,)
-    else:
-        for observation in observations if listed else [observations]:
-            if not (isinstance(observation, tuple) and len(observation) == len(spec)):
-                got = f"{len(observation)} fields" if isinstance(observation, tuple) else f"a {type(observation).__name__}"
-                raise ParameterError(f"a {model} observation is ({names}), got {got}")
-        columns = (tuple(zip(*observations)) or ((),) * len(spec)) if listed else observations
-    fields = []
-    for (name, shape, check), column in zip(spec, columns):
-        if not listed and not (isinstance(column, np.ndarray) and column.ndim):
+    if len(spec) > 1 and not (isinstance(observations, tuple) and len(observations) == len(spec)):
+        got = f"{len(observations)} fields" if isinstance(observations, tuple) else f"a {type(observations).__name__}"
+        raise ParameterError(f"a {model} observation is ({names}), got {got}")
+    fields = observations if len(spec) > 1 else (observations,)
+    for (name, shape, check), field in zip(spec, fields):
+        if not (isinstance(field, np.ndarray) and field.ndim):
             raise ParameterError(f"{name} is not stacked: a stacked {model} batch holds ({names}) as arrays of one row a trial")
-        stacked = check_stack(name, column, shape(params))
-        if stacked.dtype.kind not in "biuf":
-            raise ParameterError(f"{name} entries must be real numbers, got dtype {stacked.dtype}")
-        check(name, stacked)
-        fields.append(stacked)
-    return tuple(fields)
+        check_stack(name, field, shape(params))
+        if field.dtype.kind not in "biuf":
+            raise ParameterError(f"{name} entries must be real numbers, got dtype {field.dtype}")
+        check(name, field)
+    return fields
 
 
 def batch_size(observations) -> int:
@@ -229,15 +208,8 @@ def batch_size(observations) -> int:
 
 
 def batch_rows(observations, rows):
-    """The observations of a batch at rows, a slice or one trial's index.
-
-    A list gives its items; a stacked observation gives each array's rows,
-    and one trial's entry of a 1-D array as a Python float.
-    """
-    if isinstance(observations, list):
-        return observations[rows]
-    one = not isinstance(rows, slice)
-    return per_field(lambda a: a[rows].item() if one and a.ndim == 1 else a[rows], observations)
+    """The observations of a stacked batch at rows, a slice or one trial's index: each field's rows."""
+    return per_field(lambda a: a[rows], observations)
 
 
 # ---------------------------------------------------------------------------

@@ -53,14 +53,17 @@ def _bfs_paths(edges: np.ndarray, n: int) -> np.ndarray:
 def shortest_paths(edges, n: int) -> np.ndarray:
     """shortest_path of each graph of a batch, as a (T, n) array of vertex rows.
 
-    edges is a stack (T, n(n-1)/2) or a list of edge vectors.  Row t holds
-    graph t's path from vertex 1 to vertex 2 followed by zeros, or only zeros
-    when vertex 2 is unreachable.  The adjacency matrices are built for runs
-    of graphs that fit EVAL_CHUNK_BYTES (noise.trial_runs).
+    edges is a PSP batch's stack (T, n(n-1)/2) of edge vectors; a list raises
+    ParameterError in models.stack_observations' words.  Row t holds graph
+    t's path from vertex 1 to vertex 2 followed by zeros, or only zeros when
+    vertex 2 is unreachable.  The adjacency matrices are built for runs of
+    graphs that fit EVAL_CHUNK_BYTES (noise.trial_runs).
     """
     if n < 2:
         raise ParameterError(f"need n >= 2 for the vertices 1 and 2, got n={n}")
-    edges = check_stack("edges", edges, (len(vertex_pairs(n)),))
+    if not (isinstance(edges, np.ndarray) and edges.ndim):
+        raise ParameterError("edges is not stacked: a stacked psp batch holds (edges) as arrays of one row a trial")
+    check_stack("edges", edges, (len(vertex_pairs(n)),))
     check_bits("edges", edges)
     paths = np.zeros((len(edges), n), dtype=np.intp)
     for run in trial_runs(len(edges), (n + 1) ** 2):
@@ -320,6 +323,8 @@ class LllConfig:
             raise ParameterError(f"need delta in (1/4, 1), got {self.delta}")
         if self.bits < 16:
             raise ParameterError(f"need bits >= 16, got {self.bits}")
+        if not (self.slack is None or self.slack >= 0):  # a negative or NaN tolerance accepts no subset
+            raise ParameterError(f"need slack >= 0 or None, got {self.slack}")
 
 
 def _truncate(value: float, bits: int) -> int:

@@ -150,8 +150,8 @@ def _constant_prior_mean(params, rho: float) -> Callable:
     return run
 
 
-# name -> factory(params, rho) -> batch estimator: a batch of T observations in (a run's
-# stacked observation or a list, see models.stack_observations), a T x dim array out.
+# name -> factory(params, rho) -> batch estimator: a run's stacked observation of T
+# trials in (see models.stack_observations), a T x dim array out.
 # "posterior_mean" is the Bayes estimator matched to the measurement noise
 # level, so both arms of a stability trial stay inside its support.
 ESTIMATORS: dict[str, Callable] = {
@@ -358,6 +358,8 @@ def verify_barrier(stab: StabilityReport, mmse_rho: MmseReport, *, alpha: Option
     Both reports must describe the same (model, params, rho).  When alpha is
     given, also evaluates the small-eta threshold eta <= min(alpha^2/400, 1).
     """
+    if alpha is not None and not math.isfinite(alpha):
+        raise ParameterError(f"need a finite alpha, got {alpha}")
     if (stab.model, stab.params) != (mmse_rho.model, mmse_rho.params) or stab.rho != mmse_rho.rho:
         raise ParameterError(
             f"provenance mismatch: stability is {(stab.model, stab.params, stab.rho)}, "

@@ -175,6 +175,17 @@ MUTANTS = (
             "tests/test_counting.py::test_census_rejects_a_matrix_that_is_no_psp_graph",
         ),
     ),
+    # the batch check
+    Mutant(
+        "check_stack takes a stacked array of any trial shape",
+        "src/plantedlab/models.py",
+        '    if arrays.shape[1:] != shape:\n        raise ParameterError(f"{name} has shape {arrays.shape[1:]}, expected {shape}")\n',
+        "",
+        (
+            "tests/test_models.py::test_check_stack_names_the_wrong_shape",
+            "tests/test_lowdeg.py::test_evaluate_many_rejects_a_batch_of_mixed_shapes",
+        ),
+    ),
 )
 
 STATISTICAL = (

@@ -21,6 +21,7 @@ from oracles import (
     rlc_hamming_profile_loop,
     rlc_profiles_strided,
     rlc_rejection_posterior,
+    stack_observations,
     tpca_class_sizes,
     tpca_full_density_posterior,
     tpca_log_weights_loop,
@@ -156,15 +157,18 @@ def test_rlc_marginal_ratio_complement():
 
 
 def test_rlc_posterior_takes_float_and_listed_bits():
-    # a float 0/1 A passed check_bits, then raised a bare TypeError from np.packbits
+    # a float 0/1 A passed check_bits, then raised a bare TypeError from np.packbits; one observation's
+    # bits may be lists, a batch of observations may not
     inst = sample_instance(RlcParams(m=8, n=5), seed=2)
     yh = noise_instance_observation(inst, 0.4, 3)[1]
     want = posterior_means(inst.params, (inst.A[None], yh[None]), 0.4)
     got_float = posterior_means(inst.params, (inst.A[None].astype(float), yh[None].astype(float)), 0.4)
-    got_list = posterior_means(inst.params, [(inst.A.tolist(), yh.tolist())], 0.4)
+    got_list = posterior_mean_for(inst.params, (inst.A.tolist(), yh.tolist()), 0.4)[None]
     assert want.tolist() == got_float.tolist() == got_list.tolist()
+    with pytest.raises(ParameterError, match="a rlc observation is \\(A, y\\), got a list"):
+        posterior_means(inst.params, [(inst.A, yh)], 0.4)
     with pytest.raises(ParameterError, match="A has shape \\(40,\\), expected \\(8, 5\\)"):
-        posterior_means(inst.params, [(inst.A.ravel(), yh)], 0.4)
+        posterior_means(inst.params, (inst.A.ravel()[None], yh[None]), 0.4)
 
 
 def test_rlc_budget_error():
@@ -446,6 +450,7 @@ def _hex(values) -> list[str]:
 
 
 def _observations(params, rho: float, seed: int, size: int) -> list:
+    """The noisy observations of a coupled run, one per trial."""
     coupled = CoupledTrials(params, [(rho, None)], seed, size)
     return coupled.map(lambda start, run, noisy: [batch_rows(noisy, i) for i in range(len(run))])
 
@@ -469,7 +474,7 @@ def test_posterior_means_hex_equal_to_the_per_observation_enumeration(params, rh
     observations = _observations(params, rho, seed, size)
     run_bytes = 3 * bayes._POSTERIORS[model_name(params)][1](params)
     with mock.patch.object(bayes, "EVAL_CHUNK_BYTES", run_bytes if split else bayes.EVAL_CHUNK_BYTES):
-        got = posterior_means(params, observations, rho)
+        got = posterior_means(params, stack_observations(observations), rho)
         stacked = posterior_means(params, _stacked_observations(params, rho, seed, size), rho)
         one = [posterior_mean_for(params, obs, rho) for obs in observations]
     want = [posterior_mean_loop(params, obs, rho) for obs in observations]
@@ -491,7 +496,7 @@ def test_posterior_means_hex_equal_to_the_per_observation_enumeration(params, rh
 def test_posterior_means_hex_equal_at_barrier_sizes(params, rho):
     observations = _observations(params, rho, 7, 37)
     want = [posterior_mean_loop(params, obs, rho) for obs in observations]
-    assert _hex(posterior_means(params, observations, rho)) == _hex(want)
+    assert _hex(posterior_means(params, stack_observations(observations), rho)) == _hex(want)
     assert _hex(posterior_means(params, _stacked_observations(params, rho, 7, 37), rho)) == _hex(want)
 
 
@@ -501,7 +506,7 @@ def test_rlc_posterior_over_message_blocks(m, n):
     params = RlcParams(m=m, n=n)
     for rho in (0.0, 0.4):
         observations = _observations(params, rho, 12, 2)
-        got = posterior_means(params, observations, rho)
+        got = posterior_means(params, stack_observations(observations), rho)
         assert _hex(got) == _hex([posterior_mean_loop(params, obs, rho) for obs in observations])
 
 
@@ -602,10 +607,10 @@ def _inconsistent(params):
 @pytest.mark.parametrize("params", [PspParams(n=7, L=3, q=0.3), RlcParams(m=8, n=5), GssParams(N=9, k=3)])
 def test_inconsistent_trial_in_a_batch_raises(params):
     observations = _observations(params, 0.0, 4, 7)
-    posterior_means(params, observations, 0.0)
+    posterior_means(params, stack_observations(observations), 0.0)
     observations[4] = _inconsistent(params)
     with pytest.raises(InconsistentInputError, match="rho=0|noise level"):
-        posterior_means(params, observations, 0.0)
+        posterior_means(params, stack_observations(observations), 0.0)
     with pytest.raises(InconsistentInputError):
         posterior_mean_for(params, observations[4], 0.0)
 
@@ -619,7 +624,7 @@ def test_inconsistent_trial_in_a_batch_raises(params):
 )
 def test_posterior_rejects_rho_outside_the_unit_interval(params, rho, size):
     # checked once at the entry, so also for an empty batch and for TPCA
-    observations = _observations(params, 0.5, 5, 1)[:size]
+    observations = batch_rows(_stacked_observations(params, 0.5, 5, 1), slice(0, size))
     with pytest.raises(ParameterError, match=r"need rho in \[0,1\]"):
         posterior_means(params, observations, rho)
 
@@ -641,13 +646,15 @@ _MISMATCHED = {
 
 @pytest.mark.parametrize("params, mismatch, shape", _MISMATCHED.values(), ids=_MISMATCHED)
 def test_observation_not_matching_params_raises(params, mismatch, shape):
-    # alone, and as trial 4 of a batch of 7, before the batch is stacked
+    # alone, and as every trial of a stacked batch of 7; a list with trial 4 mismatched is no batch
     observations = _observations(params, 0.5, 3, 7)
-    observations[4] = mismatch(observations[4])
     expected = re.escape(f"expected {shape}")
     with pytest.raises(ParameterError, match=expected):
-        posterior_mean_for(params, observations[4], 0.5)
+        posterior_means(params, stack_observations([mismatch(obs) for obs in observations]), 0.5)
+    observations[4] = mismatch(observations[4])
     with pytest.raises(ParameterError, match=expected):
+        posterior_mean_for(params, observations[4], 0.5)
+    with pytest.raises(ParameterError, match="not stacked|got a list"):
         posterior_means(params, observations, 0.5)
     if isinstance(params, TpcaParams):
         with pytest.raises(ParameterError, match=expected):
@@ -676,18 +683,24 @@ _OUT_OF_MODEL = {
 }
 
 
+def _shapes(observation) -> list:
+    return [np.shape(f) for f in (observation if isinstance(observation, tuple) else (observation,))]
+
+
 @pytest.mark.parametrize("params, corrupt, message", _OUT_OF_MODEL.values(), ids=_OUT_OF_MODEL)
 def test_observation_outside_the_model_raises(params, corrupt, message):
-    # alone, and as trial 4 of a batch of 7: a typed error, not a NaN or a silently misread estimate
+    # alone, and as trial 4 of a stacked batch of 7: a typed error, not a NaN or a silently misread estimate
     observations = _observations(params, 0.5, 3, 7)
     posterior_mean_for(params, observations[4], 0.5)
     bad = corrupt(observations[4])
     assert repr(bad) != repr(observations[4])
-    observations[4] = bad
+    # a field of another shape stacks only with its like: then every trial is corrupted
+    same = _shapes(bad) == _shapes(observations[0])
+    observations = [bad if t == 4 else obs for t, obs in enumerate(observations)] if same else list(map(corrupt, observations))
     with pytest.raises(ParameterError, match=message):
         posterior_mean_for(params, bad, 0.5)
     with pytest.raises(ParameterError, match=message):
-        posterior_means(params, observations, 0.5)
+        posterior_means(params, stack_observations(observations), 0.5)
     if isinstance(params, TpcaParams):
         with pytest.raises(ParameterError, match=message):
             tpca_overlap_distribution(bad, [0, 1], params)

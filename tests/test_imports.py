@@ -5,10 +5,11 @@ drives mc.run_trials, the posterior kernels are reached only through
 bayes._POSTERIORS, src and demos reach the fast solvers only through the
 wrappers of stability.SOLVERS, only models and counting name the PSP
 adjacency-matrix conversions, bayes, lowdeg and stability check
-observations only through models.stack_observations, cli draws no instance
-or null graph one seed at a time, no src module but noise keeps a caught
-exception to raise it later, and src calls no numpy function newer than
-the numpy floor in pyproject.toml.
+observations only through models.stack_observations, no src call passes a
+list as a batch of observations, cli draws no instance or null graph one
+seed at a time, no src module but noise keeps a caught exception to raise
+it later, and src calls no numpy function newer than the numpy floor in
+pyproject.toml.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def test_only_models_and_counting_name_the_adjacency_conversions():
 
 
 # the checks on observations: bayes, lowdeg and stability reach them only through
-# models.stack_observations, check_stack stacks only there and in solvers.shortest_paths
+# models.stack_observations, check_stack checks a stack only there and in solvers.shortest_paths
 # (for its own array input), and the per-field batch split batch_fields is gone
 OBSERVATION_CHECKS = {"check_stack", "check_shape", "check_bits", "check_finite", "batch_fields"}
 
@@ -239,6 +240,38 @@ def test_estimators_check_observations_only_through_stack_observations():
         "src/plantedlab/solvers.py",
     }
     assert {path for path, names in named.items() if "batch_fields" in names} == set()
+
+
+# a batch of observations is a run's stacked observation: no src call hands a batch entry point a list display
+BATCH_ENTRY_POINTS = {"stack_observations", "check_stack", "posterior_means", "evaluate_many"}
+
+
+def listed_batches(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each call of a batch entry point that passes a list display or comprehension."""
+    return sorted(
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in BATCH_ENTRY_POINTS
+        and any(isinstance(arg, (ast.List, ast.ListComp)) for arg in [*node.args, *(k.value for k in node.keywords)])
+    )
+
+
+def test_listed_batch_scan_finds_a_planted_list():
+    planted = (
+        "fields = stack_observations(params, [Y])\n"
+        "out = self.evaluate_many([obs for obs in batch], params)\n"
+        "means = bayes.posterior_means(params, observations=[observation], rho=rho)\n"
+        "edges = check_stack('edges', edges, (pairs,))\n"
+        "one = posterior_means(params, per_field(lambda a: a[None], observation), rho)\n"
+    )
+    assert listed_batches(planted) == [(1, "stack_observations"), (2, "evaluate_many"), (3, "posterior_means")]
+
+
+def test_src_passes_no_list_as_a_batch():
+    src = sorted((ROOT / "src" / "plantedlab").glob("*.py"))
+    found = {p.name: listed_batches(p.read_text(encoding="utf-8")) for p in src}
+    assert len(src) > 10 and {name: calls for name, calls in found.items() if calls} == {}
 
 
 # numpy functions src may call only when the pyproject floor is at least the version that added them

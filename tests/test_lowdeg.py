@@ -19,6 +19,7 @@ from oracles import (
     rlc_poly_evaluate_loop,
     stability_moments_loop,
     stability_ratio_loop,
+    stack_observations,
     symmetrize_check,
 )
 from plantedlab import lowdeg
@@ -53,6 +54,7 @@ from plantedlab.models import (
     batch_rows,
     model_name,
     placements,
+    run_of,
     sample_instance,
 )
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials
@@ -521,6 +523,7 @@ POLY_TYPES = {"rlc": RlcPoly, "gss": GssPoly, "psp": PspSymmetricPoly}
 
 
 def _clean_and_noisy(params, rho, seed, trials) -> list:
+    """The clean observations of a coupled run, one per trial, then the noisy ones."""
     pairs = CoupledTrials(params, [(rho, None)], seed, trials).map(
         lambda start, run, noisy: [(run[i].observation, batch_rows(noisy, i)) for i in range(len(run))]
     )
@@ -549,7 +552,7 @@ def test_evaluate_many_bit_identical_to_one_observation_loop(model, seed, degree
     poly = make(params, degree, generator(seed))
     observations = _clean_and_noisy(params, 0.4, seed, trials)
     want = _hex(loop(poly, obs, params) for obs in observations)
-    assert _hex(poly.evaluate_many(observations, params)) == want
+    assert _hex(poly.evaluate_many(stack_observations(observations), params)) == want
     # the run record's stacked clean and noisy observations, read with no restacking
     assert [v for arm in _stacked_clean_and_noisy(params, 0.4, seed, trials) for v in _hex(poly.evaluate_many(arm, params))] == want
     values = [poly.evaluate(obs, params) for obs in observations]
@@ -561,8 +564,9 @@ def test_evaluate_many_of_empty_poly_is_zero(model):
     params, _, loop = POLY_CASES[model]
     poly = POLY_TYPES[model](terms=())
     observations = _clean_and_noisy(params, 0.5, 3, 4)
-    assert _hex(poly.evaluate_many(observations, params)) == _hex(loop(poly, obs, params) for obs in observations)
-    assert _hex(poly.evaluate_many(observations, params)) == [(0.0).hex()] * 8
+    batch = stack_observations(observations)
+    assert _hex(poly.evaluate_many(batch, params)) == _hex(loop(poly, obs, params) for obs in observations)
+    assert _hex(poly.evaluate_many(batch, params)) == [(0.0).hex()] * 8
 
 
 def _psp_twos(obs):
@@ -590,14 +594,15 @@ def test_evaluate_many_rejects_observations_outside_the_model(case):
     poly = POLY_CASES[model_name(params)][1](params, 2, generator(5))
     obs = sample_instance(observed, seed=6).observation
     with pytest.raises(ParameterError, match=message):
-        poly.evaluate_many([change(obs) if change else obs], params)
+        poly.evaluate_many(stack_observations([change(obs) if change else obs]), params)
 
 
 @pytest.mark.parametrize("model", sorted(POLY_CASES))
 def test_evaluate_many_of_an_empty_batch_is_empty(model):
     # numpy's np.stack raised a bare ValueError on no observations; every estimator returns shape (0,)
     params, random_poly, _ = POLY_CASES[model]
-    out = random_poly(params, 2, generator(5)).evaluate_many([], params)
+    empty = batch_rows(run_of([sample_instance(params, seed=6)]).observation, slice(0, 0))
+    out = random_poly(params, 2, generator(5)).evaluate_many(empty, params)
     assert out.shape == (0,) and out.dtype == np.float64
 
 
@@ -611,12 +616,15 @@ MIXED_CASES = {
 
 @pytest.mark.parametrize("model", sorted(MIXED_CASES))
 def test_evaluate_many_rejects_a_batch_of_mixed_shapes(model):
-    # numpy's np.stack raised a bare ValueError ("all input arrays must have the same shape")
+    # numpy's np.stack raised a bare ValueError ("all input arrays must have the same shape"); a list of
+    # the two is no batch, and a stack of the second names its shape
     params, other, message = MIXED_CASES[model]
     poly = POLY_CASES[model][1](params, 2, generator(5))
     batch = [sample_instance(params, seed=6).observation, sample_instance(other, seed=6).observation]
-    with pytest.raises(ParameterError, match=message):
+    with pytest.raises(ParameterError, match="not stacked|got a list"):
         poly.evaluate_many(batch, params)
+    with pytest.raises(ParameterError, match=message):
+        poly.evaluate_many(stack_observations(batch[1:] * 2), params)
 
 
 def test_psp_evaluate_many_splits_the_largest_shape_across_gathers():
@@ -628,7 +636,7 @@ def test_psp_evaluate_many_splits_the_largest_shape_across_gathers():
     trials = 2 * (PSP_GATHER_ELEMENTS // per_trial) + 5  # over two gathers, not a multiple of one
     observations = _clean_and_noisy(params, 0.3, 5, trials)
     want = _hex(psp_poly_evaluate_loop(poly, obs, params) for obs in observations)
-    assert _hex(poly.evaluate_many(observations, params)) == want
+    assert _hex(poly.evaluate_many(stack_observations(observations), params)) == want
 
 
 def test_psp_shape_without_placements_contributes_zero():
@@ -665,8 +673,9 @@ def test_psp_evaluate_many_matches_the_placement_loop(shapes, n, q, blocks, tria
     widest = max(placements(shape, n).size for shape in shapes)
     gather = max(widest, 1) * -(-trials // blocks)
     with mock.patch.object(lowdeg, "PSP_GATHER_ELEMENTS", gather):
-        assert _hex(poly.evaluate_many(observations, params)) == want
         assert _hex(poly.evaluate_many(np.array(observations), params)) == want  # as a run's stacked edges
+        with pytest.raises(ParameterError, match="edges is not stacked"):
+            poly.evaluate_many(observations, params)
 
 
 @pytest.mark.parametrize("P", [1, 7, 8, 9, 127, 128, 129, 336, 1680])

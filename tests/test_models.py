@@ -17,6 +17,7 @@ from oracles import (
     psp_edge_vector_loop,
     sample_instance_scalar,
     shape_maps_loop,
+    stack_observations,
     tpca_signal_tensor,
 )
 from plantedlab import models
@@ -55,6 +56,7 @@ from plantedlab.rng import (
     uint32_stream,
     uniforms,
 )
+from plantedlab.solvers import shortest_paths
 from plantedlab.stability import SOLVERS, resolve_estimator
 
 
@@ -604,49 +606,55 @@ def test_instance_bytes_count_the_instance_arrays():
 
 
 # ---------------------------------------------------------------------------
-# batches of observations: a list of per-trial observations or a run's stacked observation
+# batches of observations: a run's stacked observation, each field an array with the trials along its first axis
+
+_NOT_STACKED = "is not stacked: got a list, not an array of one row a trial"
 
 
 def test_check_stack_returns_a_stacked_array_without_a_copy():
     stacked = sample_instance_scalar(GssParams(N=6, k=2), 3).X[None].repeat(4, axis=0)
     out = models.check_stack("X", stacked, (6,))
     assert out is stacked and np.shares_memory(out, stacked)
-    listed = models.check_stack("X", list(stacked), (6,))
-    assert not np.shares_memory(listed, stacked) and np.array_equal(listed, stacked)
+    with pytest.raises(ParameterError, match=f"X {_NOT_STACKED}"):
+        models.check_stack("X", list(stacked), (6,))
 
 
 def test_check_stack_names_the_wrong_shape():
-    rows = [np.zeros(6), np.zeros(6), np.zeros(5), np.zeros(4)]
-    with pytest.raises(ParameterError, match=re.escape("X has shape (5,), expected (6,)")):
-        models.check_stack("X", rows, (6,))
-    with pytest.raises(ParameterError, match=re.escape("X has shape (5,), expected (6,)")):
-        models.check_stack("X", [np.zeros(5)] * 3, (6,))
+    for listed in ([np.zeros(6), np.zeros(6), np.zeros(5), np.zeros(4)], [np.zeros(5)] * 3):
+        with pytest.raises(ParameterError, match=f"X {_NOT_STACKED}"):
+            models.check_stack("X", listed, (6,))
     with pytest.raises(ParameterError, match=re.escape("X has shape (5,), expected (6,)")):
         models.check_stack("X", np.zeros((3, 5)), (6,))
+    with pytest.raises(ParameterError, match=re.escape("X has shape (), expected (6,)")):
+        models.check_stack("X", np.zeros(3), (6,))
     with pytest.raises(ParameterError, match=re.escape("Y has shape (1,), expected ()")):
         models.check_stack("Y", np.zeros((3, 1)), ())
 
 
 def test_check_stack_of_an_empty_batch():
-    for empty in ([], np.zeros((0, 6))):
-        out = models.check_stack("X", empty, (6,))
-        assert out.shape == (0, 6) and out.dtype == np.float64
-    assert models.check_stack("Y", [], ()).shape == (0,)
+    empty = np.zeros((0, 6))
+    assert models.check_stack("X", empty, (6,)) is empty
+    assert models.check_stack("Y", np.zeros(0), ()).shape == (0,)
+    with pytest.raises(ParameterError, match=f"X {_NOT_STACKED}"):
+        models.check_stack("X", [], (6,))
 
 
 @pytest.mark.parametrize("params", SAMPLER_PARAMS, ids=repr)
 def test_batch_helpers_read_a_run_and_a_list_alike(params):
+    # a list of the run's per-trial observations reads alike once stacked, and raises unstacked
     rng, keys = keyed_generator(), philox_keys([5, 6, 7])
     run = chunk_sampler(params)(3, keyed_fresh(rng, keys))
     stacked, listed = run.observation, [inst.observation for inst in run]
-    assert models.batch_size(stacked) == models.batch_size(listed) == len(run) == 3
+    assert models.batch_size(stacked) == models.batch_size(stack_observations(listed)) == len(run) == 3
     for i in range(3):
         assert hex_fields(models.batch_rows(stacked, i)) == hex_fields(listed[i])
     assert hex_fields(models.batch_rows(stacked, slice(1, 3))) == hex_fields(models.run_of([run[1], run[2]]).observation)
     fields = models.stack_observations(params, stacked)
     assert all(f is s for f, s in zip(fields, stacked if isinstance(stacked, tuple) else (stacked,)))  # no copy
-    assert hex_fields(models.stack_observations(params, listed)) == hex_fields(fields)
-    empty = models.stack_observations(params, [])
+    assert hex_fields(models.stack_observations(params, stack_observations(listed))) == hex_fields(fields)
+    with pytest.raises(ParameterError):
+        models.stack_observations(params, listed)
+    empty = models.stack_observations(params, models.batch_rows(stacked, slice(0, 0)))
     assert [f.shape for f in empty] == [(0, *f.shape[1:]) for f in fields]
     assert hex_fields(run.signal_vectors()) == hex_fields(np.array([inst.signal_vector() for inst in run]))
 
@@ -659,7 +667,7 @@ _POLYS = {
 }
 
 
-def _observation_consumers(params, listed: bool) -> dict:
+def _observation_consumers(params, batch) -> dict:
     """Every batch entry point that reads params' observations: name -> batch -> its output."""
     name = models.model_name(params)
     out = {
@@ -671,16 +679,19 @@ def _observation_consumers(params, listed: bool) -> dict:
     for solver, spec in SOLVERS.items():
         if spec.model == name:
             out[solver] = resolve_estimator(solver, params, 0.5)
-    if name == "tpca" and listed:  # it takes one observation, not a batch
+    stacked = isinstance(batch, np.ndarray) and batch.ndim
+    if name == "psp" and not stacked:  # the batch solver checks that its edges are stacked, not their dtype
+        out["shortest_paths"] = lambda batch: shortest_paths(batch, params.n)
+    if name == "tpca" and stacked:  # it takes one observation, trial 0 of the batch
         out["tpca_overlap_distribution"] = lambda batch: tpca_overlap_distribution(batch[0], [0, 1], params)
     return out
 
 
 def _with_field(listed, i, field, value):
-    """listed with trial i's field replaced by value (field None: the whole observation)."""
+    """The stacked batch of listed with trial i's field replaced by value (field None: the whole observation)."""
     out = list(listed)
     out[i] = value if field is None else tuple(value if j == field else f for j, f in enumerate(listed[i]))
-    return out
+    return stack_observations(out)
 
 
 # (params, the batch made from a valid (listed, stacked) one, the message every consumer raises)
@@ -691,30 +702,36 @@ _OUTSIDE_THE_MODEL = {
                       "edges is not stacked: a stacked psp batch holds (edges) as arrays of one row a trial"),
     "psp-tuple-batch": (_PSP, lambda l, s: (s,),
                         "edges is not stacked: a stacked psp batch holds (edges) as arrays of one row a trial"),
+    "listed": (_PSP, lambda l, s: l, "edges is not stacked: a stacked psp batch holds (edges) as arrays of one row a trial"),
     "rlc-object-A": (_RLC, lambda l, s: _with_field(l, 2, 0, l[2][0].astype(object)),
                      "A entries must be real numbers, got dtype object"),
     "rlc-one-field": (_RLC, lambda l, s: s[:1], "a rlc observation is (A, y), got 1 fields"),
-    "rlc-bare-A": (_RLC, lambda l, s: _with_field(l, 0, None, l[0][0]), "a rlc observation is (A, y), got a ndarray"),
-    "gss-string-Y": (_GSS, lambda l, s: [(X, "a") for X, _ in l], "Y entries must be real numbers, got dtype <U1"),
+    "rlc-bare-A": (_RLC, lambda l, s: s[0], "a rlc observation is (A, y), got a ndarray"),
+    "rlc-listed": (_RLC, lambda l, s: l, "a rlc observation is (A, y), got a list"),
+    "gss-string-Y": (_GSS, lambda l, s: stack_observations([(X, "a") for X, _ in l]), "Y entries must be real numbers, got dtype <U1"),
     "gss-complex-X": (_GSS, lambda l, s: _with_field(l, 1, 0, l[1][0] + 0j), "X entries must be real numbers, got dtype complex128"),
-    "gss-three-fields": (_GSS, lambda l, s: [(X, Y, 0) for X, Y in l], "a gss observation is (X, Y), got 3 fields"),
+    "gss-three-fields": (_GSS, lambda l, s: (*s, np.zeros(3)), "a gss observation is (X, Y), got 3 fields"),
     "gss-0-d-Y": (_GSS, lambda l, s: (s[0], s[1][0]), "Y is not stacked: a stacked gss batch holds (X, Y) as arrays of one row a trial"),
     "gss-listed-Y": (_GSS, lambda l, s: (s[0], list(s[1])), "Y is not stacked: a stacked gss batch holds (X, Y) as arrays of one row a trial"),
+    "gss-listed": (_GSS, lambda l, s: l, "a gss observation is (X, Y), got a list"),
     "tpca-complex-Y": (_TPCA, lambda l, s: _with_field(l, 0, None, l[0] * (1 + 0j)), "Y entries must be real numbers, got dtype complex128"),
     "tpca-0-d-batch": (_TPCA, lambda l, s: np.array(0.5), "Y is not stacked: a stacked tpca batch holds (Y) as arrays of one row a trial"),
+    "tpca-listed": (_TPCA, lambda l, s: l, "Y is not stacked: a stacked tpca batch holds (Y) as arrays of one row a trial"),
 }
 
 
 @pytest.mark.parametrize("params, corrupt, message", _OUTSIDE_THE_MODEL.values(), ids=_OUTSIDE_THE_MODEL)
 def test_every_consumer_rejects_an_observation_outside_the_model_alike(params, corrupt, message):
     # a typed error with one message from every entry point, where a bare ValueError, TypeError or
-    # IndexError, or a silently dropped imaginary part, came from some of them
+    # IndexError, or a silently dropped imaginary part, came from some of them; a list of per-trial
+    # observations is no batch
     run = models.run_of([sample_instance(params, seed) for seed in range(3)])
     bad = corrupt([inst.observation for inst in run], run.observation)
-    consumers = _observation_consumers(params, isinstance(bad, list))
-    # the posterior, the constant estimator, the polynomial and the solver
-    assert len(consumers) == 4 or isinstance(params, TpcaParams)
+    consumers = _observation_consumers(params, bad)
+    # the posterior, the constant estimator, the polynomial and the solver (PSP: and shortest_paths)
+    assert len(consumers) >= 4 or isinstance(params, TpcaParams)
     for name, consume in consumers.items():
         with pytest.raises(ParameterError) as err:
             consume(bad)
         assert (name, str(err.value)) == (name, message)
+

@@ -149,7 +149,9 @@ def test_batched_bfs_equals_the_neighbour_list_bfs(n, q, cut, count, seed):
         edges[:, [e for e, pair in enumerate(vertex_pairs(n)) if 2 in pair]] = False
     want = [shortest_path_lists(row, n) for row in edges]
     assert _path_rows(shortest_paths(edges, n)) == want
-    assert _path_rows(shortest_paths(list(edges.astype(np.uint8)), n)) == want
+    assert _path_rows(shortest_paths(edges.astype(np.uint8), n)) == want
+    with pytest.raises(ParameterError, match="edges is not stacked: a stacked psp batch"):
+        shortest_paths(list(edges), n)
     assert [shortest_path(row, n) for row in edges] == want
     if cut:
         assert want == [None] * count
@@ -506,6 +508,15 @@ def test_lll_config_validation():
         LllConfig(delta=1.5)
     with pytest.raises(ParameterError):
         LllConfig(bits=8)
+
+
+@pytest.mark.parametrize("slack", [-1, -0.5, math.nan])
+def test_lll_config_rejects_a_negative_or_nan_slack(slack):
+    # a negative or NaN tolerance slack * 2^(2 - bits) accepted no subset, so the planted S went unfound
+    inst = sample_instance(GssParams(N=12, k=3), seed=5)
+    assert lll_subset_sum(inst.X, inst.Y, 3) == lll_subset_sum(inst.X, inst.Y, 3, LllConfig(slack=0)) == inst.S
+    with pytest.raises(ParameterError, match="need slack >= 0 or None"):
+        LllConfig(slack=slack)
 
 
 def test_exhaustive_subset_sum_matches_the_combinations_loop():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import SOLVER_RECOVERS_RULES, coupled_trial_scalar, f2_solve_loop, measure_stability_loop, mmse_curve_loop, row_dots_loop, shortest_path_lists
+from oracles import stack_observations as stack_trials
 from plantedlab.bayes import MmseReport, estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
@@ -20,6 +21,7 @@ from plantedlab.models import (
     batch_size,
     model_name,
     path_edge_indices,
+    run_of,
     sample_instance,
     stack_observations,
     vertex_pairs,
@@ -195,6 +197,17 @@ def test_verify_barrier_provenance_mismatch():
         verify_barrier(stab, mmse_other_rho)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_verify_barrier_rejects_an_alpha_that_is_not_finite(alpha):
+    # alpha = nan gave eta_threshold = nan and eta_within_threshold = False, with no error
+    params = GssParams(N=8, k=2)
+    stab = measure_stability("constant_prior_mean", params, rho=0.3, trials=20, seed=5)
+    (mmse,) = estimate_mmse_curve(params, [0.3], trials=20, seed=5)
+    assert verify_barrier(stab, mmse, alpha=-0.5).eta_threshold == 0.5**2 / 400
+    with pytest.raises(ParameterError, match="need a finite alpha"):
+        verify_barrier(stab, mmse, alpha=alpha)
+
+
 def _barrier_reports(margin_sigmas: float):
     """A synthetic (stability, MMSE) pair whose barrier margin is margin_sigmas combined stderrs.
 
@@ -263,7 +276,7 @@ def test_bayes_optimality_among_registered_estimators():
     signals = np.array([inst.signal_vector() for inst in instances])
     errs = {}
     for name in names:
-        diffs = resolve_estimator(name, params, rho)(noisy) - signals
+        diffs = resolve_estimator(name, params, rho)(stack_trials(noisy)) - signals
         errs[name] = [float(d @ d) for d in diffs]
     best, best_se = mean_stderr(errs["posterior_mean"])
     for name in names:
@@ -275,7 +288,7 @@ def test_shortest_path_indicator_is_zero_when_vertex_2_is_unreachable():
     params = PspParams(n=7, L=3, q=0.5)
     edges = sample_instance(params, seed=3).edges.copy()
     edges[[e for e, pair in enumerate(vertex_pairs(7)) if 2 in pair]] = False
-    out = resolve_estimator("shortest_path_indicator", params, 0.0)([edges])
+    out = resolve_estimator("shortest_path_indicator", params, 0.0)(edges[None])
     assert out.shape == (1, 21) and not out.any()
 
 
@@ -322,7 +335,7 @@ def test_measure_stability_bit_identical_to_trial_loop(model, name):
     fn = resolve_estimator(name, params, 0.5)
     r = measure_stability(name, params, 0.5, trials, seed=9)
     got = (r.eta_hat, r.eta_stderr, r.mse_hat, r.mse_stderr, r.estimator_norm_hat, r.norm_stderr)
-    assert _hex(got) == _hex(measure_stability_loop(lambda obs: fn([obs])[0], params, 0.5, trials, 9))
+    assert _hex(got) == _hex(measure_stability_loop(lambda obs: fn(stack_trials([obs]))[0], params, 0.5, trials, 9))
 
 
 # the estimators of each model's criterion-01 cells
@@ -343,7 +356,7 @@ def test_measure_stabilities_bit_identical_to_trial_loop(model):
     for r, name in zip(reports, names):
         fn = resolve_estimator(name, params, 0.5)
         got = (r.eta_hat, r.eta_stderr, r.mse_hat, r.mse_stderr, r.estimator_norm_hat, r.norm_stderr)
-        assert _hex(got) == _hex(measure_stability_loop(lambda obs: fn([obs])[0], params, 0.5, trials, 9))
+        assert _hex(got) == _hex(measure_stability_loop(lambda obs: fn(stack_trials([obs]))[0], params, 0.5, trials, 9))
         assert r == measure_stability(name, params, 0.5, trials, seed=9)
 
 
@@ -408,7 +421,9 @@ def test_measure_stabilities_reports_an_estimator_of_another_model_in_order():
     "model, name", [(m, name) for m in DIFFERENTIAL_PARAMS for name in ESTIMATORS if _accepts(name, m)]
 )
 def test_every_estimator_gives_one_shape_on_an_empty_batch(model, name):
-    assert resolve_estimator(name, DIFFERENTIAL_PARAMS[model], 0.5)([]).shape == (0,)
+    params = DIFFERENTIAL_PARAMS[model]
+    empty = batch_rows(run_of([sample_instance(params, 0)]).observation, slice(0, 0))
+    assert resolve_estimator(name, params, 0.5)(empty).shape == (0,)
 
 
 # rank-deficient RLC (m = n = 3 is mostly affine), LLL misses at 16 bits, and GSS at k = N, where the
@@ -435,7 +450,7 @@ def test_solver_recovery_equals_the_rule_on_the_solver_output(params, seed, bits
 def test_a_solver_miss_is_no_recovery_when_the_fallback_is_the_signal():
     params = GssParams(N=6, k=6)
     inst = sample_instance(params, 27)
-    estimate = resolve_estimator("lll_subset_indicator", params, 0.0)([inst.observation])[0]
+    estimate = resolve_estimator("lll_subset_indicator", params, 0.0)(run_of([inst]).observation)[0]
     assert np.array_equal(estimate, inst.signal_vector())
     assert not solver_recovers(inst)
 
@@ -539,7 +554,7 @@ SMALL_PARAMS = {
 def _fails_on_trial(params, rho: float, seed: int, trials: int, bad_trial: int, arm: int = 0):
     """A batch estimator of ones that raises on any observation equal to trial bad_trial's clean one (arm 0) or noisy one at rho (arm 1)."""
     inst, noisy = coupled_trial_scalar(params, rho, seed, bad_trial)
-    bad = stack_observations(params, [(inst.observation, noisy)[arm]])
+    bad = stack_observations(params, stack_trials([(inst.observation, noisy)[arm]]))
     dim = len(prior_mean_vector(params))
 
     def failing(observations):
