@@ -24,5 +24,5 @@ for mult in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
     mass = np.empty(trials)
     for t in range(trials):
         inst = sample_instance(params, seed=derive_seed(9, 0, t))
-        mass[t] = tpca_overlap_distribution(inst.Y, inst.support, params)[k]
+        mass[t] = tpca_overlap_distribution(inst.Y[0], inst.support[0], params)[k]
     print(f"{mult:12.1f}  {mass.mean():9.3f}  {float((mass > 0.5).mean()):14.2f}")

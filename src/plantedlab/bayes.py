@@ -329,7 +329,7 @@ def full_rank_run(params: RlcParams, seed: int, ts: range):
 
 def _sample_full_rank_rlc(params: RlcParams, seed: int, t: int):
     """Trial t's first full-column-rank draw: full_rank_run of the one trial."""
-    return full_rank_run(params, seed, range(t, t + 1))[0]
+    return full_rank_run(params, seed, range(t, t + 1))
 
 
 def squared_errors(params, rho: float):

@@ -333,9 +333,9 @@ def _cmd_pca_window(config: ExperimentConfig, opts: dict):
         p_lam = replace(params, lam=float(lam))
         top_mass = np.array(
             [
-                tpca_overlap_distribution(inst.Y, inst.support, p_lam)[params.k]
+                tpca_overlap_distribution(Y, support, p_lam)[params.k]
                 for run in instance_runs(p_lam, config.seed, config.trials)
-                for inst in run
+                for Y, support in zip(run.Y, run.support)
             ]
         )
         frac = float((top_mass > 0.5).mean())

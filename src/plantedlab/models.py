@@ -1,4 +1,4 @@
-"""The four planted models: parameters, instances, and seeded samplers.
+"""The four planted models: parameters, run records of trials, and seeded samplers.
 
 Conventions
 -----------
@@ -18,12 +18,13 @@ Conventions
   generator(seed).  Within a sampler the signal is drawn first, the ambient
   randomness second.
 * A run of T trials is one run record (PspRun, RlcRun, GssRun, TpcaRun):
-  the fields of the model's instance, each stacked along a new first axis
-  (PSP path (T, L+1) and edges (T, P); RLC A (T, m, n), x and y; GSS X
-  (T, N), S (T, k) and Y (T,); TPCA support (T, k) and Y (T, n, ...)).
-  run.observation stacks the observations, run.signal_vectors() the signal
-  vectors, run[i] builds trial i's instance, and run_of stacks instances
-  into a record.
+  the model's fields, each stacked along a new first axis (PSP path
+  (T, L+1) and edges (T, P); RLC A (T, m, n), x and y; GSS X (T, N), S (T, k)
+  and Y (T,); TPCA support (T, k) and Y (T, n, ...)).  run.observation
+  stacks the observations and run.signal_vectors() the signal vectors.  An
+  instance is a run of one trial, the one record type: every consumer of
+  one instance (instance_to_json, noise.noise_instance_observation,
+  stability.solver_recovers) takes it through check_instance.
 * An observation is the fields _OBSERVED names for its model (PSP edges,
   RLC (A, y), GSS (X, Y), TPCA Y), a tuple when there are several.  A batch
   of observations is a run's stacked observation, each field an array with
@@ -38,8 +39,9 @@ JSON schema (stable field names)
   "y": bit string}.
 * GSS instance: {"params", "X": [floats], "S": sorted indices, "Y": float}.
 * TPCA instance: {"params", "support": sorted indices, "Y": row-major [floats]}.
-* instance_from_json checks each field's type, length and range (not the
-  planted relation) and raises ParameterError naming the key.
+* instance_to_json writes an instance's one trial, and instance_from_json
+  returns a run of one trial.  It checks each field's type, length and
+  range (not the planted relation) and raises ParameterError naming the key.
 """
 
 from __future__ import annotations
@@ -143,11 +145,14 @@ def check_shape(name: str, array, shape: tuple) -> None:
 
 
 def check_stack(name: str, arrays, shape: tuple) -> np.ndarray:
-    """arrays as they are; ParameterError unless they are an array of one row a trial, each of the given shape."""
+    """arrays as they are; ParameterError unless they are an array of real numbers (numpy dtype kind b, i, u
+    or f) of one row a trial, each of the given shape."""
     if not (isinstance(arrays, np.ndarray) and arrays.ndim):
         raise ParameterError(f"{name} is not stacked: got a {type(arrays).__name__}, not an array of one row a trial")
     if arrays.shape[1:] != shape:
         raise ParameterError(f"{name} has shape {arrays.shape[1:]}, expected {shape}")
+    if arrays.dtype.kind not in "biuf":
+        raise ParameterError(f"{name} entries must be real numbers, got dtype {arrays.dtype}")
     return arrays
 
 
@@ -180,8 +185,7 @@ def stack_observations(params, observations) -> tuple:
 
     The batch is run.observation, or what the noise operator returns: each
     field is an array with the trials along its first axis.  Each field goes
-    through check_stack, then is checked to hold real numbers (numpy dtype
-    kind b, i, u or f) and to pass its entry check in _OBSERVED.  Raises
+    through check_stack, then through its entry check in _OBSERVED.  Raises
     ParameterError on an observation of the wrong number of fields and on a
     field that is not an array of at least one axis, such as a list.
     """
@@ -196,8 +200,6 @@ def stack_observations(params, observations) -> tuple:
         if not (isinstance(field, np.ndarray) and field.ndim):
             raise ParameterError(f"{name} is not stacked: a stacked {model} batch holds ({names}) as arrays of one row a trial")
         check_stack(name, field, shape(params))
-        if field.dtype.kind not in "biuf":
-            raise ParameterError(f"{name} entries must be real numbers, got dtype {field.dtype}")
         check(name, field)
     return fields
 
@@ -275,66 +277,29 @@ class TpcaParams:
 
 
 # ---------------------------------------------------------------------------
-# instance types
+# run records: a run of trials with each field stacked along a new first
+# axis, as the samplers draw it and the estimators read it; an instance is a
+# run of one trial
 
 
-class _Observed:
+class _Run:
+    """A run of trials of one model."""
+
     @property
     def observation(self):
-        """The fields _OBSERVED names for the model, in a tuple when there are several."""
+        """The fields _OBSERVED names for the model, stacked, in a tuple when there are several."""
         values = tuple(getattr(self, name) for name, _, _ in _OBSERVED[model_name(self.params)])
         return values if len(values) > 1 else values[0]
-
-
-class _Instance(_Observed):
-    def signal_vector(self) -> np.ndarray:
-        """The planted signal as a vector: its one-trial run's (run_of, signal_vectors)."""
-        return run_of([self]).signal_vectors()[0]
-
-
-@dataclass(frozen=True)
-class PspInstance(_Instance):
-    params: PspParams
-    path: tuple[int, ...]
-    edges: np.ndarray  # (n(n-1)/2,) bool over vertex_pairs(n)
-
-
-@dataclass(frozen=True)
-class RlcInstance(_Instance):
-    params: RlcParams
-    A: np.ndarray  # (m, n) uint8
-    x: np.ndarray  # (n,) uint8
-    y: np.ndarray  # (m,) uint8
-
-
-@dataclass(frozen=True)
-class GssInstance(_Instance):
-    params: GssParams
-    X: np.ndarray  # (N,) float64
-    S: tuple[int, ...]  # sorted 0-based indices
-    Y: float
-
-
-@dataclass(frozen=True)
-class TpcaInstance(_Instance):
-    params: TpcaParams
-    support: tuple[int, ...]  # sorted 0-based indices
-    Y: np.ndarray  # (n,)*d float64
-
-
-# ---------------------------------------------------------------------------
-# run records: a run of trials with each instance field stacked along a new
-# first axis, as the samplers draw it and the estimators read it
-
-
-class _Run(_Observed):
-    """A run of trials of one model: run[i] builds trial i's instance, and iterating a run builds each in turn."""
 
     def __len__(self) -> int:
         return batch_size(self.observation)
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+
+def check_instance(run):
+    """run as it is; ParameterError unless it is an instance, a run of one trial."""
+    if len(run) == 1:
+        return run
+    raise ParameterError(f"an instance is a run of one trial, got a run of {len(run)}")
 
 
 def _indicator_rows(width: int, index_rows: np.ndarray, value: float = 1.0) -> np.ndarray:
@@ -350,9 +315,6 @@ class PspRun(_Run):
     path: np.ndarray  # (T, L+1) intp
     edges: np.ndarray  # (T, n(n-1)/2) bool over vertex_pairs(n)
 
-    def __getitem__(self, i: int) -> PspInstance:
-        return PspInstance(self.params, tuple(self.path[i].tolist()), self.edges[i])
-
     def signal_vectors(self) -> np.ndarray:
         """Edge-indicator vectors of the planted paths over vertex_pairs(n)."""
         ids = pair_ids(self.params.n)[self.path[:, :-1], self.path[:, 1:]]
@@ -366,9 +328,6 @@ class RlcRun(_Run):
     x: np.ndarray  # (T, n) uint8
     y: np.ndarray  # (T, m) uint8
 
-    def __getitem__(self, i: int) -> RlcInstance:
-        return RlcInstance(self.params, self.A[i], self.x[i], self.y[i])
-
     def signal_vectors(self) -> np.ndarray:
         return self.x.astype(float)
 
@@ -380,9 +339,6 @@ class GssRun(_Run):
     S: np.ndarray  # (T, k) int64, each row ascending
     Y: np.ndarray  # (T,) float64
 
-    def __getitem__(self, i: int) -> GssInstance:
-        return GssInstance(self.params, self.X[i], tuple(self.S[i].tolist()), float(self.Y[i]))
-
     def signal_vectors(self) -> np.ndarray:
         return _indicator_rows(self.params.N, self.S)
 
@@ -392,9 +348,6 @@ class TpcaRun(_Run):
     params: TpcaParams
     support: np.ndarray  # (T, k) int64, each row ascending
     Y: np.ndarray  # (T, n, ..., n) float64
-
-    def __getitem__(self, i: int) -> TpcaInstance:
-        return TpcaInstance(self.params, tuple(self.support[i].tolist()), self.Y[i])
 
     def signal_vectors(self) -> np.ndarray:
         return _indicator_rows(self.params.n, self.support, 1.0 / math.sqrt(self.params.k))
@@ -539,20 +492,14 @@ def chunk_sampler(params):
     return partial(_SAMPLERS[model_name(params)], params)
 
 
-def run_of(instances: Sequence):
-    """The run record of one model's instances, in order: each field stacked along a new first axis."""
-    params = instances[0].params
-    run_type = _RUN_TYPES[model_name(params)]
-    return run_type(params, *(np.array([getattr(inst, f.name) for inst in instances]) for f in fields(run_type)[1:]))
-
-
 def sample_instance(params, seed: int):
-    """The instance drawn from generator(seed): chunk_sampler's one-trial run."""
-    return chunk_sampler(params)(1, lambda _: generator(seed))[0]
+    """The instance drawn from generator(seed): chunk_sampler's run of one trial on it."""
+    return chunk_sampler(params)(1, lambda _: generator(seed))
 
 
 def instance_bytes(params) -> int:
-    """Bytes of the arrays of one instance of the model."""
+    """Bytes of the arrays of one instance of the model, but for its planted indices (PSP path, GSS S, TPCA support)
+    and GSS's one number Y."""
     return _INSTANCE_BYTES[model_name(params)](params)
 
 
@@ -592,12 +539,12 @@ def _numbers_from_json(what: str, values, size: int) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _indices_from_json(what: str, values, k: int, n: int) -> tuple[int, ...]:
-    """values as a tuple; ParameterError unless they are k >= 1 strictly ascending integers in 0..n-1."""
+def _indices_from_json(what: str, values, k: int, n: int) -> np.ndarray:
+    """values as an int64 array; ParameterError unless they are k >= 1 strictly ascending integers in 0..n-1."""
     ints = isinstance(values, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in values)
     if not (ints and len(values) == k and values == sorted(set(values)) and 0 <= values[0] and values[-1] < n):
         raise ParameterError(f"{what} must be {k} strictly ascending integers in 0..{n - 1}, got {values!r}")
-    return tuple(values)
+    return np.array(values, dtype=np.int64)
 
 
 def params_to_json(params) -> dict:
@@ -654,9 +601,9 @@ def params_from_json(obj: dict):
     return _PARAM_TYPES[name](**{f.name: obj[key] for key, f in fs.items()})
 
 
-def _psp_to_json(inst: PspInstance) -> dict:
-    edges = [[i, j] for (i, j), present in zip(vertex_pairs(inst.params.n), inst.edges.tolist()) if present]
-    return {"path": list(inst.path), "edges": edges}
+def _psp_to_json(params: PspParams, path: np.ndarray, edges: np.ndarray) -> dict:
+    pairs = [[i, j] for (i, j), present in zip(vertex_pairs(params.n), edges.tolist()) if present]
+    return {"path": path.tolist(), "edges": pairs}
 
 
 def _check_labels(what: str, labels, n: int) -> None:
@@ -666,7 +613,7 @@ def _check_labels(what: str, labels, n: int) -> None:
         raise ParameterError(f"PSP {what} {labels!r} needs a list of integer vertex labels in 1..{n}")
 
 
-def _psp_from_json(params: PspParams, obj: dict) -> PspInstance:
+def _psp_from_json(params: PspParams, obj: dict) -> tuple:
     """ParameterError unless each edge is two distinct labels in 1..n and the path
     runs from 1 to 2 over L+1 distinct labels in 1..n."""
     n, path = params.n, obj["path"]
@@ -679,48 +626,47 @@ def _psp_from_json(params: PspParams, obj: dict) -> PspInstance:
     _check_labels("path", path, n)
     if len(set(path)) != len(path) or len(path) != params.L + 1 or path[0] != 1 or path[-1] != 2:
         raise ParameterError(f"PSP path {path!r} needs {params.L + 1} distinct vertices from 1 to 2")
-    return PspInstance(params=params, path=tuple(path), edges=edges)
+    return np.array(path, dtype=np.intp), edges
 
 
-def _rlc_to_json(inst: RlcInstance) -> dict:
-    return {"A": _bits_to_string(inst.A), "x": _bits_to_string(inst.x), "y": _bits_to_string(inst.y)}
+def _rlc_to_json(params: RlcParams, A: np.ndarray, x: np.ndarray, y: np.ndarray) -> dict:
+    return {"A": _bits_to_string(A), "x": _bits_to_string(x), "y": _bits_to_string(y)}
 
 
-def _rlc_from_json(params: RlcParams, obj: dict) -> RlcInstance:
+def _rlc_from_json(params: RlcParams, obj: dict) -> tuple:
     """ParameterError unless A, x and y are strings of m*n, n and m characters 0 or 1."""
-    return RlcInstance(
-        params=params,
-        A=_string_to_bits("A", obj["A"], (params.m, params.n)),
-        x=_string_to_bits("x", obj["x"], (params.n,)),
-        y=_string_to_bits("y", obj["y"], (params.m,)),
+    return (
+        _string_to_bits("A", obj["A"], (params.m, params.n)),
+        _string_to_bits("x", obj["x"], (params.n,)),
+        _string_to_bits("y", obj["y"], (params.m,)),
     )
 
 
-def _gss_to_json(inst: GssInstance) -> dict:
-    return {"X": [float(v) for v in inst.X], "S": list(inst.S), "Y": inst.Y}
+def _gss_to_json(params: GssParams, X: np.ndarray, S: np.ndarray, Y: np.ndarray) -> dict:
+    return {"X": X.tolist(), "S": S.tolist(), "Y": float(Y)}
 
 
-def _gss_from_json(params: GssParams, obj: dict) -> GssInstance:
+def _gss_from_json(params: GssParams, obj: dict) -> tuple:
     """ParameterError unless X is N finite numbers, S k ascending indices in 0..N-1 and Y a finite number."""
     X = _numbers_from_json("GSS 'X'", obj["X"], params.N)
     S = _indices_from_json("GSS 'S'", obj["S"], params.k, params.N)
     if not _finite(obj["Y"]):
         raise ParameterError(f"GSS 'Y' must be a finite number, got {obj['Y']!r}")
-    return GssInstance(params=params, X=X, S=S, Y=float(obj["Y"]))
+    return X, S, np.float64(obj["Y"])
 
 
-def _tpca_to_json(inst: TpcaInstance) -> dict:
-    return {"support": list(inst.support), "Y": [float(v) for v in inst.Y.ravel()]}
+def _tpca_to_json(params: TpcaParams, support: np.ndarray, Y: np.ndarray) -> dict:
+    return {"support": support.tolist(), "Y": Y.ravel().tolist()}
 
 
-def _tpca_from_json(params: TpcaParams, obj: dict) -> TpcaInstance:
+def _tpca_from_json(params: TpcaParams, obj: dict) -> tuple:
     """ParameterError unless support is k ascending indices in 0..n-1 and Y n^d finite numbers, row-major."""
     support = _indices_from_json("TPCA 'support'", obj["support"], params.k, params.n)
-    Y = _numbers_from_json("TPCA 'Y'", obj["Y"], params.n**params.d).reshape((params.n,) * params.d)
-    return TpcaInstance(params=params, support=support, Y=Y)
+    return support, _numbers_from_json("TPCA 'Y'", obj["Y"], params.n**params.d).reshape((params.n,) * params.d)
 
 
-# model -> (to_json, from_json, the keys of an instance beside "params")
+# model -> (to_json(params, *one trial's fields), from_json(params, obj) -> one trial's fields,
+#           the keys of an instance beside "params")
 _INSTANCE_CODECS = {
     "psp": (_psp_to_json, _psp_from_json, ("path", "edges")),
     "rlc": (_rlc_to_json, _rlc_from_json, ("A", "x", "y")),
@@ -730,13 +676,14 @@ _INSTANCE_CODECS = {
 
 
 def instance_to_json(inst) -> dict:
-    to_json, _, _ = _INSTANCE_CODECS[model_name(inst.params)]
-    return {"params": params_to_json(inst.params), **to_json(inst)}
+    """The JSON object of an instance, a run of one trial."""
+    to_json, _, keys = _INSTANCE_CODECS[model_name(check_instance(inst).params)]
+    return {"params": params_to_json(inst.params), **to_json(inst.params, *(getattr(inst, key)[0] for key in keys))}
 
 
 def instance_from_json(obj: dict):
-    """Inverse of instance_to_json: ParameterError, naming the key, unless obj holds a params
-    object and exactly the fields of its model, each well formed."""
+    """Inverse of instance_to_json, a run of one trial: ParameterError, naming the key, unless obj
+    holds a params object and exactly the fields of its model, each well formed."""
     if "params" not in obj:
         raise ParameterError(f"an instance needs the key 'params'; got keys {sorted(obj)}")
     check_json_types("instance", {"params": obj["params"]}, {"params": dict})
@@ -749,12 +696,11 @@ def instance_from_json(obj: dict):
             f"{name} instance needs fields {sorted(keys)}; "
             f"missing {sorted(set(keys) - given)}, unknown {sorted(given - set(keys))}"
         )
-    return from_json(params, obj)
+    return _RUN_TYPES[name](params, *(field[None] for field in from_json(params, obj)))
 
 
-@lru_cache(maxsize=32)
 def path_edge_indices(n: int, L: int) -> np.ndarray:
-    """Edge-vector indices of every length-L path from 1 to 2, shape (count, L), read-only.
+    """Edge-vector indices of every length-L path from 1 to 2, shape (count, L), read-only: placements' cached table.
 
     count = (n-2)(n-3)...(n-L); rows run in placements order of the interior vertices.
     """

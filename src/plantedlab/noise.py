@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mc import run_trials
-from .models import batch_rows, chunk_sampler, instance_bytes, model_name, per_field, run_of, vertex_pairs
+from .models import batch_rows, check_instance, chunk_sampler, instance_bytes, model_name, per_field, vertex_pairs
 from .rng import (
     INSTANCE_STREAM,
     NOISE_STREAM,
@@ -119,9 +119,9 @@ def chunk_noise(params, rho: float):
 
 
 def noise_instance_observation(instance, rho: float, seed: int):
-    """The instance's observation after the model's noise operator at rho, drawn from generator(seed)."""
+    """The instance's one observation after the model's noise operator at rho, drawn from generator(seed)."""
     rng = generator(seed)
-    return batch_rows(chunk_noise(instance.params, rho)(run_of([instance]), lambda _: rng), 0)
+    return batch_rows(chunk_noise(instance.params, rho)(check_instance(instance), lambda _: rng), 0)
 
 
 class CoupledTrials:

@@ -10,6 +10,7 @@ size-reduction and the Lovasz condition are checked without floating point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -319,6 +320,13 @@ class LllConfig:
     slack: Optional[int] = None  # defaults to N at call time
 
     def __post_init__(self):
+        for name, kind, what in (
+            ("delta", numbers.Real, "a number"),
+            ("bits", numbers.Integral, "an integer"),
+            ("slack", (numbers.Real, type(None)), "a number or None"),
+        ):
+            if not isinstance(getattr(self, name), kind):
+                raise ParameterError(f"LllConfig {name} must be {what}, got {getattr(self, name)!r}")
         if not (0.25 < self.delta < 1.0):
             raise ParameterError(f"need delta in (1/4, 1), got {self.delta}")
         if self.bits < 16:

@@ -12,6 +12,7 @@ both sides on the same instances, in one coupled pass of two noise arms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -21,7 +22,7 @@ import numpy as np
 from .bayes import MmseReport, mmse_report, posterior_means, squared_errors
 from .errors import EstimatorTrialError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
-from .models import PspParams, batch_rows, model_name, pair_ids, per_field, run_of, stack_observations, vertex_pairs
+from .models import PspParams, batch_rows, check_instance, model_name, pair_ids, per_field, stack_observations, vertex_pairs
 from .noise import CoupledTrials
 from .solvers import LllConfig, f2_rref, lll_subset_sum, shortest_paths
 
@@ -123,7 +124,7 @@ def solver_recoveries(run, cfg: LllConfig = LllConfig()) -> np.ndarray:
 
 def solver_recovers(inst, cfg: LllConfig = LllConfig()) -> bool:
     """Whether the fast solver of the instance's model returns exactly its signal vector: solver_recoveries of one."""
-    return bool(solver_recoveries(run_of([inst]), cfg)[0])
+    return bool(solver_recoveries(check_instance(inst), cfg)[0])
 
 
 def _solver_estimator(solver: Solver, params, rho: float) -> Callable:
@@ -358,8 +359,8 @@ def verify_barrier(stab: StabilityReport, mmse_rho: MmseReport, *, alpha: Option
     Both reports must describe the same (model, params, rho).  When alpha is
     given, also evaluates the small-eta threshold eta <= min(alpha^2/400, 1).
     """
-    if alpha is not None and not math.isfinite(alpha):
-        raise ParameterError(f"need a finite alpha, got {alpha}")
+    if alpha is not None and not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
+        raise ParameterError(f"need a finite alpha, got {alpha!r}")
     if (stab.model, stab.params) != (mmse_rho.model, mmse_rho.params) or stab.rho != mmse_rho.rho:
         raise ParameterError(
             f"provenance mismatch: stability is {(stab.model, stab.params, stab.rho)}, "

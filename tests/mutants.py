@@ -1,8 +1,8 @@
 """Planted faults in src, kept as data: each must make its named tests fail.
 
 A mutant replaces one exact text of one file (which must occur there once)
-and names the tests that must catch it.  MUTANTS holds index, ordering and
-census faults; STATISTICAL holds faults in a law: the uncertainty layer
+and names the tests that must catch it.  MUTANTS holds index, ordering,
+census and input-check faults; STATISTICAL holds faults in a law: the uncertainty layer
 (the stderrs and the tolerance that turn numbers into verdicts), the
 likelihoods, the noise, the sampler, the signal norm, the prior mean and
 the stability bounds, each named with a test outside tests/test_golden.py,
@@ -185,6 +185,21 @@ MUTANTS = (
             "tests/test_models.py::test_check_stack_names_the_wrong_shape",
             "tests/test_lowdeg.py::test_evaluate_many_rejects_a_batch_of_mixed_shapes",
         ),
+    ),
+    Mutant(
+        "check_stack takes entries of any dtype, complex and object included",
+        "src/plantedlab/models.py",
+        'if arrays.dtype.kind not in "biuf":',
+        "if False:",
+        ("tests/test_models.py::test_every_consumer_rejects_an_observation_outside_the_model_alike",),
+    ),
+    # the one trial form
+    Mutant(
+        "a run of several trials passes as an instance, read at trial 0",
+        "src/plantedlab/models.py",
+        "len(run) == 1",
+        "len(run) >= 1",
+        ("tests/test_models.py::test_one_trial_consumers_reject_a_run_of_another_length",),
     ),
 )
 

@@ -31,8 +31,9 @@ count-paths loop checks the census drawn as keyed runs.  The
 exhaustive oracles at the end (all simple paths, the full GF(2) solution
 set, exact lattice coordinates) check the fast solvers, and the recovery
 rules on each solver's own output check stability.solver_recovers.  The
-helpers in the last section are test-only API built on the library:
-canonical path edges, overlap class sizes, OU composition and a
+helpers in the last section are test-only API built on the library: a
+run's trials as instances (runs of one trial) and their stack back into a
+run, canonical path edges, overlap class sizes, OU composition and a
 symmetrization check.
 """
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -50,14 +51,14 @@ from plantedlab.counting import expected_count
 from plantedlab.lowdeg import DIAGRAM_PSD_TOL, hermite_eval
 from plantedlab.mc import mean_stderr, ratio_with_stderr
 from plantedlab.models import (
-    GssInstance,
     GssParams,
-    PspInstance,
+    GssRun,
     PspParams,
-    RlcInstance,
+    PspRun,
     RlcParams,
-    TpcaInstance,
+    RlcRun,
     TpcaParams,
+    TpcaRun,
     sample_instance,
     subset_sum_value,
     vertex_pairs,
@@ -591,10 +592,22 @@ def gram_det_loop(rows: list[list[int]]) -> int:
 
 # ---------------------------------------------------------------------------
 # per-trial Generator-call samplers and noise operators: the references for
-# models.chunk_sampler and noise.chunk_noise, which decode raw Philox words
+# models.chunk_sampler and noise.chunk_noise, which decode raw Philox words;
+# each draw builds an instance, a run of one trial
 
 
-def draw_psp(params: PspParams, rng: np.random.Generator) -> PspInstance:
+def one_trial(run_type, params, *trial_fields):
+    """The run of one trial whose fields are trial_fields, each stacked along a new first axis."""
+    return run_type(params, *(np.asarray(field)[None] for field in trial_fields))
+
+
+def trial_observation(instance):
+    """The one observation of an instance, a run of one trial: each field's row 0."""
+    observation = instance.observation
+    return tuple(field[0] for field in observation) if isinstance(observation, tuple) else observation[0]
+
+
+def draw_psp(params: PspParams, rng: np.random.Generator) -> PspRun:
     """Plant a uniform path from 1 to 2, then union an independent G(n, q)."""
     n, L, q = params.n, params.L, params.q
     interior = rng.permutation(np.arange(3, n + 1))[: L - 1]
@@ -602,20 +615,20 @@ def draw_psp(params: PspParams, rng: np.random.Generator) -> PspInstance:
     adj = psp_adjacency_loop(rng.random(len(vertex_pairs(n))) < q, n)
     for a, b in zip(path[:-1], path[1:]):
         adj[a, b] = adj[b, a] = True
-    return PspInstance(params=params, path=path, edges=psp_edge_vector_loop(adj, n))
+    return one_trial(PspRun, params, path, psp_edge_vector_loop(adj, n))
 
 
-def draw_rlc(params: RlcParams, rng: np.random.Generator) -> RlcInstance:
+def draw_rlc(params: RlcParams, rng: np.random.Generator) -> RlcRun:
     A = rng.integers(0, 2, size=(params.m, params.n), dtype=np.uint8)
     x = rng.integers(0, 2, size=params.n, dtype=np.uint8)
     y = (A @ x) % 2
-    return RlcInstance(params=params, A=A, x=x, y=y.astype(np.uint8))
+    return one_trial(RlcRun, params, A, x, y.astype(np.uint8))
 
 
-def draw_gss(params: GssParams, rng: np.random.Generator) -> GssInstance:
+def draw_gss(params: GssParams, rng: np.random.Generator) -> GssRun:
     X = rng.standard_normal(params.N)
     S = tuple(sorted(int(i) for i in rng.choice(params.N, size=params.k, replace=False)))
-    return GssInstance(params=params, X=X, S=S, Y=subset_sum_value(X, S))
+    return one_trial(GssRun, params, X, S, subset_sum_value(X, S))
 
 
 def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray:
@@ -628,22 +641,22 @@ def tpca_signal_tensor(params: TpcaParams, support: Sequence[int]) -> np.ndarray
     return tensor
 
 
-def draw_tpca(params: TpcaParams, rng: np.random.Generator) -> TpcaInstance:
+def draw_tpca(params: TpcaParams, rng: np.random.Generator) -> TpcaRun:
     support = tuple(sorted(int(i) for i in rng.choice(params.n, size=params.k, replace=False)))
     W = rng.standard_normal((params.n,) * params.d)
     Y = math.sqrt(params.lam) * tpca_signal_tensor(params, support) + W
-    return TpcaInstance(params=params, support=support, Y=Y)
+    return one_trial(TpcaRun, params, support, Y)
 
 
-def draw_noise_psp(instance: PspInstance, rho: float, rng: np.random.Generator) -> np.ndarray:
+def draw_noise_psp(instance: PspRun, rho: float, rng: np.random.Generator) -> np.ndarray:
     """Resample every unordered pair from Bern(q) with probability rho, on the adjacency matrix; its edge vector."""
     check_rho(rho)
-    n = instance.params.n
+    n, edges = instance.params.n, instance.edges[0]
     if rho == 0.0:
-        return instance.edges.copy()
-    adj = psp_adjacency_loop(instance.edges, n)
-    mask = rng.random(instance.edges.shape) < rho
-    fresh = rng.random(instance.edges.shape) < instance.params.q
+        return edges.copy()
+    adj = psp_adjacency_loop(edges, n)
+    mask = rng.random(edges.shape) < rho
+    fresh = rng.random(edges.shape) < instance.params.q
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for (i, j), resampled, bit in zip(pairs, mask, fresh):
         if resampled:
@@ -680,17 +693,17 @@ def draw_noise_tpca(Y: np.ndarray, rho: float, rng: np.random.Generator) -> np.n
 
 
 DRAWS = {PspParams: draw_psp, RlcParams: draw_rlc, GssParams: draw_gss, TpcaParams: draw_tpca}
-# params type -> (instance, rho, rng) -> the noisy observation, shaped like instance.observation
+# params type -> (instance, rho, rng) -> the noisy observation, shaped like trial_observation(instance)
 NOISE_DRAWS = {
     PspParams: draw_noise_psp,
-    RlcParams: lambda inst, rho, rng: (inst.A, draw_noise_rlc(inst.y, rho, rng)),
-    GssParams: lambda inst, rho, rng: (inst.X, draw_noise_gss(inst.Y, rho, rng)),
-    TpcaParams: lambda inst, rho, rng: draw_noise_tpca(inst.Y, rho, rng),
+    RlcParams: lambda inst, rho, rng: (inst.A[0], draw_noise_rlc(inst.y[0], rho, rng)),
+    GssParams: lambda inst, rho, rng: (inst.X[0], draw_noise_gss(inst.Y[0], rho, rng)),
+    TpcaParams: lambda inst, rho, rng: draw_noise_tpca(inst.Y[0], rho, rng),
 }
 
 
 def sample_instance_scalar(params, seed: int):
-    """The model's instance drawn from generator(seed) with Generator calls."""
+    """The model's instance, a run of one trial, drawn from generator(seed) with Generator calls."""
     return DRAWS[type(params)](params, generator(seed))
 
 
@@ -721,7 +734,7 @@ def full_rank_rlc_loop(params, seed: int, t: int):
     """The first of attempts 0..255 at seed path (seed, INSTANCE_STREAM, t, attempt) with full-column-rank A."""
     for attempt in range(256):
         inst = sample_instance_scalar(params, derive_seed(seed, INSTANCE_STREAM, t, attempt))
-        if f2_rank_loop(inst.A) == params.n:
+        if f2_rank_loop(inst.A[0]) == params.n:
             return inst
     raise AssertionError(f"no full-column-rank draw for trial {t} in 256 attempts")
 
@@ -778,7 +791,7 @@ def stability_moments_loop(evaluate: Callable, params, rho: float, trials: int, 
     num, den = [], []
     for t in range(trials):
         inst, noisy = coupled_trial_scalar(params, rho, seed, t)
-        v0 = float(evaluate(inst.observation))
+        v0 = float(evaluate(trial_observation(inst)))
         v1 = float(evaluate(noisy))
         num.append((v0 - v1) ** 2)
         den.append(v0**2)
@@ -798,7 +811,7 @@ def mmse_curve_loop(params, rho_grid: Sequence[float], trials: int, seed: int,
         errs = []
         for t in range(trials):
             inst, noisy = coupled_trial_scalar(params, rho, seed, t, grid_point=j, full_rank_only=full_rank_only)
-            diff = posterior_mean_loop(params, noisy, rho) - inst.signal_vector()
+            diff = posterior_mean_loop(params, noisy, rho) - inst.signal_vectors()[0]
             errs.append(float(diff @ diff))
         out.append(mean_stderr(errs))
     return out
@@ -809,9 +822,9 @@ def measure_stability_loop(run: Callable, params, rho: float, trials: int, seed:
     diffs, errs, norms = [], [], []
     for t in range(trials):
         inst, noisy = coupled_trial_scalar(params, rho, seed, t)
-        a = np.asarray(run(inst.observation), dtype=float)
+        a = np.asarray(run(trial_observation(inst)), dtype=float)
         b = np.asarray(run(noisy), dtype=float)
-        d, e = a - b, a - inst.signal_vector()
+        d, e = a - b, a - inst.signal_vectors()[0]
         diffs.append(float(d @ d))
         errs.append(float(e @ e))
         norms.append(float(a @ a))
@@ -1053,21 +1066,32 @@ def lattice_coordinates(basis: Sequence[Sequence[int]], vector: Sequence[int]) -
 
 
 def _f2_recovers(inst, cfg: LllConfig) -> bool:
-    sol = f2_solve(inst.A, inst.y)
-    return sol.kind == "unique" and bool(np.array_equal(sol.particular, inst.x))
+    sol = f2_solve(inst.A[0], inst.y[0])
+    return sol.kind == "unique" and bool(np.array_equal(sol.particular, inst.x[0]))
 
 
-# model -> (instance, LllConfig) -> whether the model's fast solver recovers the planted signal,
-# compared on the solver's own output (path, unique message, subset) rather than on a signal vector
+# model -> (instance, a run of one trial; LllConfig) -> whether the model's fast solver recovers the planted
+# signal, compared on the solver's own output (path, unique message, subset) rather than on a signal vector
 SOLVER_RECOVERS_RULES = {
-    "psp": lambda inst, cfg: shortest_path(inst.edges, inst.params.n) == inst.path,
+    "psp": lambda inst, cfg: shortest_path(inst.edges[0], inst.params.n) == tuple(inst.path[0].tolist()),
     "rlc": _f2_recovers,
-    "gss": lambda inst, cfg: lll_subset_sum(inst.X, inst.Y, inst.params.k, cfg) == inst.S,
+    "gss": lambda inst, cfg: lll_subset_sum(inst.X[0], inst.Y[0], inst.params.k, cfg) == tuple(inst.S[0].tolist()),
 }
 
 
 # ---------------------------------------------------------------------------
 # test-only helpers
+
+
+def instances_of(run) -> list:
+    """Each trial of a run as an instance, a run of one trial of its own, in order."""
+    return [type(run)(run.params, *(getattr(run, f.name)[i : i + 1] for f in fields(run)[1:])) for i in range(len(run))]
+
+
+def stack_runs(runs: Sequence):
+    """One model's runs as one run record, in order: each field concatenated along the trial axis."""
+    first = runs[0]
+    return type(first)(first.params, *(np.concatenate([getattr(r, f.name) for r in runs]) for f in fields(first)[1:]))
 
 
 def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
@@ -1125,8 +1149,8 @@ def symmetrize_check(
     sym = np.empty(trials)
     for t in range(trials):
         inst = sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t))
-        truth = float(tp in path_edges(inst.path))
-        adj = psp_adjacency_loop(inst.edges, n)
+        truth = float(tp in path_edges(inst.path[0].tolist()))
+        adj = psp_adjacency_loop(inst.edges[0], n)
         raw[t] = (g(adj) - truth) ** 2
         acc = 0.0
         for r in range(n_perms):

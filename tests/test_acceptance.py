@@ -112,15 +112,15 @@ def test_criterion_03_gss_endpoints_exact():
     for t in range(50):
         inst = sample_instance(params, seed=derive_seed(23, 0, t))
         y1 = noise_instance_observation(inst, 1.0, derive_seed(23, 1, t))[1]
-        pm = posterior_mean_for(params, (inst.X, y1), 1.0)
+        pm = posterior_mean_for(params, (inst.X[0], y1), 1.0)
         assert np.all(pm == exact_marginal)
-        diff = pm - inst.signal_vector()
+        diff = pm - inst.signal_vectors()[0]
         assert float(diff @ diff) == expected_err
     recovered = 0
     for t in range(200):
         inst = sample_instance(params, seed=derive_seed(29, 0, t))
-        pm = posterior_mean_for(params, (inst.X, inst.Y), 0.0)
-        recovered += bool(np.array_equal(pm, inst.signal_vector()))
+        pm = posterior_mean_for(params, (inst.X[0], inst.Y[0]), 0.0)
+        recovered += bool(np.array_equal(pm, inst.signal_vectors()[0]))
     report(3, recovered == 200, f"rho=1 exact, rho=0 recovery {recovered}/200")
     assert recovered == 200
 
@@ -293,8 +293,8 @@ def test_criterion_07_solver_correctness():
     agree = 0
     for t in range(100):
         inst = sample_instance(params, seed=derive_seed(47, 0, t))
-        got = lll_subset_sum(inst.X, inst.Y, params.k, cfg)
-        oracle, _ = exhaustive_subset_sum(inst.X, inst.Y, params.k)
+        got = lll_subset_sum(inst.X[0], inst.Y[0], params.k, cfg)
+        oracle, _ = exhaustive_subset_sum(inst.X[0], inst.Y[0], params.k)
         agree += got == oracle
     report(7, agree >= 95, f"gf2 1000/1000, paths 300/300, lattice {agree}/100")
     assert agree >= 95
@@ -326,7 +326,7 @@ def test_criterion_08_monotonicity_and_window():
         wins = 0
         for t in range(100):
             inst = sample_instance(params, derive_seed(59, 0, t))
-            p = tpca_overlap_distribution(inst.Y, inst.support, params)
+            p = tpca_overlap_distribution(inst.Y[0], inst.support[0], params)
             wins += p[k] > 0.5
         above[mult] = wins
     window_ok = above[4.0] > 50 and above[0.5] < 50

@@ -61,10 +61,10 @@ from plantedlab.stability import measure_stability
 def test_psp_noiseless_posterior_is_point_mass():
     params = PspParams(n=7, L=3, q=0.15)
     inst = sample_instance(params, seed=3)
-    pm = posterior_mean_for(params, inst.edges, 0.0)
+    pm = posterior_mean_for(params, inst.edges[0], 0.0)
     # the planted path must get posterior 1 on each of its edges unless a
     # second length-L path appeared by chance; verify via the path census
-    planted = inst.signal_vector()
+    planted = inst.signal_vectors()[0]
     on_path = pm[planted > 0]
     assert np.all(on_path > 0)
     if np.allclose(pm, planted):
@@ -75,7 +75,7 @@ def test_psp_uniform_posterior_hand_count():
     # rho=1: n=4, L=2: both 1-x-2 paths weigh equally
     params = PspParams(n=4, L=2, q=0.3)
     inst = sample_instance(params, seed=0)
-    pm = posterior_mean_for(params, inst.edges, 1.0)
+    pm = posterior_mean_for(params, inst.edges[0], 1.0)
     idx = pair_ids(4)
     assert pm[idx[1, 3]] == 0.5
     assert pm[idx[2, 3]] == 0.5
@@ -101,8 +101,8 @@ def test_psp_posterior_matches_rejection_oracle():
 def test_psp_inconsistent_at_rho_zero():
     params = PspParams(n=6, L=3, q=0.0)
     inst = sample_instance(params, seed=4)
-    broken = inst.edges.copy()
-    e = path_edges(inst.path)[1]
+    broken = inst.edges[0].copy()
+    e = path_edges(inst.path[0])[1]
     broken[pair_ids(params.n)[e]] = False
     with pytest.raises(InconsistentInputError):
         posterior_mean_for(params, broken, 0.0)
@@ -112,7 +112,7 @@ def test_psp_budget_error():
     params = PspParams(n=40, L=8, q=0.2)
     inst = sample_instance(params, seed=1)
     with pytest.raises(ResourceBudgetError):
-        posterior_mean_for(params, inst.edges, 0.5)
+        posterior_mean_for(params, inst.edges[0], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_psp_budget_error():
 
 def test_rlc_uniform_posterior_at_full_noise():
     inst = sample_instance(RlcParams(m=9, n=6), seed=8)
-    pm = posterior_mean_for(inst.params, (inst.A, inst.y), 1.0)
+    pm = posterior_mean_for(inst.params, (inst.A[0], inst.y[0]), 1.0)
     assert np.all(pm == 0.5)
 
 
@@ -130,19 +130,19 @@ def test_rlc_noiseless_full_rank_recovers_message():
     found = 0
     for seed in range(20):
         inst = sample_instance(params, seed=seed)
-        if f2_rank(inst.A) < params.n:
+        if f2_rank(inst.A[0]) < params.n:
             continue
         found += 1
-        pm = posterior_mean_for(params, (inst.A, inst.y), 0.0)
-        assert np.array_equal(pm, inst.x.astype(float))
+        pm = posterior_mean_for(params, (inst.A[0], inst.y[0]), 0.0)
+        assert np.array_equal(pm, inst.x[0].astype(float))
     assert found >= 15
 
 
 def test_rlc_posterior_matches_rejection_oracle():
     inst = sample_instance(RlcParams(m=10, n=8), seed=21)
     yh = noise_instance_observation(inst, 0.3, 22)[1]
-    pm = posterior_mean_for(inst.params, (inst.A, yh), 0.3)
-    oracle, hits = rlc_rejection_posterior(inst.A, yh, 0.3, samples=20_000_000, seed=5)
+    pm = posterior_mean_for(inst.params, (inst.A[0], yh), 0.3)
+    oracle, hits = rlc_rejection_posterior(inst.A[0], yh, 0.3, samples=20_000_000, seed=5)
     assert hits > 2000
     se = np.sqrt(np.maximum(pm * (1 - pm), 1e-12) / hits)
     assert np.all(np.abs(oracle - pm) <= 3 * np.maximum(se, 1e-9))
@@ -151,7 +151,7 @@ def test_rlc_posterior_matches_rejection_oracle():
 def test_rlc_marginal_ratio_complement():
     inst = sample_instance(RlcParams(m=8, n=5), seed=2)
     yh = noise_instance_observation(inst, 0.4, 3)[1]
-    pm = posterior_mean_for(inst.params, (inst.A, yh), 0.4)
+    pm = posterior_mean_for(inst.params, (inst.A[0], yh), 0.4)
     # estimate is P(x_i = 1); the zero-side ratio L0/(L0+L1) is its complement
     assert np.all((1 - pm) >= 0) and np.all(pm >= 0)
 
@@ -161,14 +161,14 @@ def test_rlc_posterior_takes_float_and_listed_bits():
     # bits may be lists, a batch of observations may not
     inst = sample_instance(RlcParams(m=8, n=5), seed=2)
     yh = noise_instance_observation(inst, 0.4, 3)[1]
-    want = posterior_means(inst.params, (inst.A[None], yh[None]), 0.4)
-    got_float = posterior_means(inst.params, (inst.A[None].astype(float), yh[None].astype(float)), 0.4)
-    got_list = posterior_mean_for(inst.params, (inst.A.tolist(), yh.tolist()), 0.4)[None]
+    want = posterior_means(inst.params, (inst.A[0][None], yh[None]), 0.4)
+    got_float = posterior_means(inst.params, (inst.A[0][None].astype(float), yh[None].astype(float)), 0.4)
+    got_list = posterior_mean_for(inst.params, (inst.A[0].tolist(), yh.tolist()), 0.4)[None]
     assert want.tolist() == got_float.tolist() == got_list.tolist()
     with pytest.raises(ParameterError, match="a rlc observation is \\(A, y\\), got a list"):
-        posterior_means(inst.params, [(inst.A, yh)], 0.4)
+        posterior_means(inst.params, [(inst.A[0], yh)], 0.4)
     with pytest.raises(ParameterError, match="A has shape \\(40,\\), expected \\(8, 5\\)"):
-        posterior_means(inst.params, (inst.A.ravel()[None], yh[None]), 0.4)
+        posterior_means(inst.params, (inst.A[0].ravel()[None], yh[None]), 0.4)
 
 
 def test_rlc_budget_error():
@@ -203,7 +203,7 @@ def test_gss_uniform_posterior_at_full_noise():
     params = GssParams(N=16, k=3)
     inst = sample_instance(params, seed=9)
     yh = noise_instance_observation(inst, 1.0, 10)[1]
-    pm = posterior_mean_for(params, (inst.X, yh), 1.0)
+    pm = posterior_mean_for(params, (inst.X[0], yh), 1.0)
     assert np.all(pm == params.k / params.N)
 
 
@@ -211,15 +211,15 @@ def test_gss_noiseless_recovers_planted_subset():
     params = GssParams(N=16, k=3)
     for t in range(50):
         inst = sample_instance(params, seed=derive_seed(77, 0, t))
-        pm = posterior_mean_for(params, (inst.X, inst.Y), 0.0)
-        assert np.array_equal(pm, inst.signal_vector())
+        pm = posterior_mean_for(params, (inst.X[0], inst.Y[0]), 0.0)
+        assert np.array_equal(pm, inst.signal_vectors()[0])
 
 
 def test_gss_noiseless_posterior_matches_the_row_scan():
     cases = [(np.array([1.0, 1.0, 2.0, 0.5, 0.5, 3.0]), 1.5, 2)]  # four exact matches
     for t in range(5):
         inst = sample_instance(GssParams(N=11, k=3 + t % 3), seed=derive_seed(41, 0, t))
-        cases.append((inst.X, inst.Y, inst.params.k))
+        cases.append((inst.X[0], inst.Y[0], inst.params.k))
     for X, y_hat, k in cases:
         pm = posterior_mean_for(GssParams(N=len(X), k=k), (X, y_hat), 0.0)
         est, _ = gss_exact_match_posterior_loop(X, y_hat, k)
@@ -230,15 +230,15 @@ def test_gss_noiseless_inconsistent_input():
     params = GssParams(N=10, k=2)
     inst = sample_instance(params, seed=1)
     with pytest.raises(InconsistentInputError):
-        posterior_mean_for(params, (inst.X, inst.Y + 0.5), 0.0)
+        posterior_mean_for(params, (inst.X[0], inst.Y[0] + 0.5), 0.0)
 
 
 def test_gss_posterior_matches_extended_precision_oracle():
     params = GssParams(N=14, k=3)
     inst = sample_instance(params, seed=31)
     yh = noise_instance_observation(inst, 0.2, 32)[1]
-    pm = posterior_mean_for(params, (inst.X, yh), 0.2)
-    oracle = gss_counting_weights_mpmath(inst.X, yh, 3, 0.2)
+    pm = posterior_mean_for(params, (inst.X[0], yh), 0.2)
+    oracle = gss_counting_weights_mpmath(inst.X[0], yh, 3, 0.2)
     assert np.max(np.abs(oracle - pm)) <= 1e-10
 
 
@@ -247,10 +247,10 @@ def test_gss_log_space_robust_in_far_tail():
     params = GssParams(N=12, k=3)
     inst = sample_instance(params, seed=6)
     far = 60.0
-    pm = posterior_mean_for(params, (inst.X, far), 0.25)
+    pm = posterior_mean_for(params, (inst.X[0], far), 0.25)
     assert np.all(np.isfinite(pm))
     assert math.isclose(pm.sum(), params.k, rel_tol=1e-9)
-    oracle = gss_counting_weights_mpmath(inst.X, far, 3, 0.25)
+    oracle = gss_counting_weights_mpmath(inst.X[0], far, 3, 0.25)
     assert np.max(np.abs(oracle - pm)) <= 1e-10
 
 
@@ -261,7 +261,7 @@ def test_gss_log_space_robust_in_far_tail():
 def test_tpca_uniform_posterior_at_lambda_zero():
     params = TpcaParams(n=8, k=2, d=3, lam=0.0)
     inst = sample_instance(params, seed=11)
-    pm = posterior_mean_for(params, inst.Y, 0.0)
+    pm = posterior_mean_for(params, inst.Y[0], 0.0)
     expected = (params.k / params.n) / math.sqrt(params.k)
     assert np.allclose(pm, expected, atol=1e-12)
 
@@ -270,8 +270,8 @@ def test_tpca_posterior_matches_full_density_oracle():
     # the fast path drops the constant quadratic term; the oracle keeps it
     params = TpcaParams(n=9, k=2, d=3, lam=6.0)
     inst = sample_instance(params, seed=42)
-    pm = posterior_mean_for(params, inst.Y, 0.0)
-    oracle = tpca_full_density_posterior(inst.Y, 9, 2, 3, 6.0)
+    pm = posterior_mean_for(params, inst.Y[0], 0.0)
+    oracle = tpca_full_density_posterior(inst.Y[0], 9, 2, 3, 6.0)
     assert np.max(np.abs(oracle - pm)) <= 1e-10
 
 
@@ -290,8 +290,8 @@ def test_tpca_noisy_observation_equals_rescaled_model():
 def test_tpca_posterior_matches_resampling_oracle():
     params = TpcaParams(n=10, k=2, d=3, lam=30.0)
     inst = sample_instance(params, seed=41)
-    pm = posterior_mean_for(params, inst.Y, 0.0)
-    oracle = tpca_resampling_posterior(inst.Y, 10, 2, 3, 30.0, samples=100_000, seed=6)
+    pm = posterior_mean_for(params, inst.Y[0], 0.0)
+    oracle = tpca_resampling_posterior(inst.Y[0], 10, 2, 3, 30.0, samples=100_000, seed=6)
     # at this SNR both concentrate; compare with a loose Monte-Carlo allowance
     assert np.max(np.abs(oracle - pm)) <= 0.05
 
@@ -299,7 +299,7 @@ def test_tpca_posterior_matches_resampling_oracle():
 def test_tpca_overlap_distribution_uniform_case():
     params = TpcaParams(n=12, k=3, d=3, lam=0.0)
     inst = sample_instance(params, seed=13)
-    p = tpca_overlap_distribution(inst.Y, inst.support, params)
+    p = tpca_overlap_distribution(inst.Y[0], inst.support[0], params)
     sizes = tpca_class_sizes(params.n, params.k)
     assert np.allclose(p, sizes / sizes.sum(), atol=1e-12)
     assert abs(p.sum() - 1.0) <= 1e-12
@@ -308,7 +308,7 @@ def test_tpca_overlap_distribution_uniform_case():
 def test_tpca_overlap_sums_to_one():
     params = TpcaParams(n=10, k=2, d=3, lam=5.0)
     inst = sample_instance(params, seed=14)
-    p = tpca_overlap_distribution(inst.Y, inst.support, params)
+    p = tpca_overlap_distribution(inst.Y[0], inst.support[0], params)
     assert abs(p.sum() - 1.0) <= 1e-12
 
 
@@ -318,7 +318,7 @@ def test_tpca_overlap_distribution_rejects_a_malformed_support(support):
     params = TpcaParams(n=5, k=2, d=3, lam=2.0)
     inst = sample_instance(params, seed=1)
     with pytest.raises(ParameterError, match="2 distinct integers in 0..4"):
-        tpca_overlap_distribution(inst.Y, support, params)
+        tpca_overlap_distribution(inst.Y[0], support, params)
 
 
 def test_tpca_high_snr_posterior_concentrates():
@@ -330,7 +330,7 @@ def test_tpca_high_snr_posterior_concentrates():
     wins = 0
     for t in range(100):
         inst = sample_instance(params, seed=derive_seed(15, 0, t))
-        p = tpca_overlap_distribution(inst.Y, inst.support, params)
+        p = tpca_overlap_distribution(inst.Y[0], inst.support[0], params)
         wins += p[k] > 0.9
     assert wins >= 80
 
@@ -424,9 +424,9 @@ def test_nishimori_identity():
     for t in range(trials):
         inst = sample_instance(params, seed=derive_seed(10, 0, t))
         yh = noise_instance_observation(inst, rho, derive_seed(10, 1, t))[1]
-        pm = posterior_mean_for(params, (inst.A, yh), rho)
+        pm = posterior_mean_for(params, (inst.A[0], yh), rho)
         norms[t] = pm @ pm
-        inners[t] = pm @ inst.x
+        inners[t] = pm @ inst.x[0]
     se = math.sqrt(norms.var(ddof=1) / trials + inners.var(ddof=1) / trials)
     assert abs(norms.mean() - inners.mean()) <= 3 * se
 
@@ -512,7 +512,7 @@ def test_rlc_posterior_over_message_blocks(m, n):
 
 @pytest.mark.parametrize("m, n", [(1, 1), (14, 10), (64, 6), (65, 6), (130, 5), (20, 17)])
 def test_rlc_profiles_equal_the_message_loop(m, n):
-    A, y_hat = sample_instance(RlcParams(m=m, n=n), seed=m * n).A, generator(n).integers(0, 2, m, dtype=np.uint8)
+    A, y_hat = sample_instance(RlcParams(m=m, n=n), seed=m * n).A[0], generator(n).integers(0, 2, m, dtype=np.uint8)
     count, ones = bayes._rlc_profiles(A[None], y_hat[None])
     want_count, want_ones = rlc_hamming_profile_loop(A, y_hat)
     assert np.array_equal(count[0], want_count) and np.array_equal(ones[0], want_ones)
@@ -584,14 +584,14 @@ def test_rlc_profiles_peak_holds_one_histogram_at_a_time():
 @pytest.mark.parametrize("n, k, d", [(10, 2, 3), (12, 2, 3), (8, 3, 2), (7, 2, 4), (9, 3, 3), (10, 3, 3)])
 def test_tpca_log_weights_and_overlaps_equal_the_support_loop(n, k, d):
     params = TpcaParams(n=n, k=k, d=d, lam=5.0)
-    tensors = [sample_instance(params, seed=n + k + d + t).Y for t in range(5)]
+    tensors = [sample_instance(params, seed=n + k + d + t).Y[0] for t in range(5)]
     combos, lw = bayes._tpca_log_weights(np.stack(tensors), params)
     for Y, row in zip(tensors, lw):
         want_combos, want_lw = tpca_log_weights_loop(Y, params)
         assert np.array_equal(combos, want_combos) and _hex(row) == _hex(want_lw)
     inst = sample_instance(params, seed=n)
-    got = tpca_overlap_distribution(inst.Y, inst.support, params)
-    assert _hex(got) == _hex(tpca_overlap_distribution_loop(inst.Y, inst.support, params))
+    got = tpca_overlap_distribution(inst.Y[0], inst.support[0], params)
+    assert _hex(got) == _hex(tpca_overlap_distribution_loop(inst.Y[0], inst.support[0], params))
 
 
 def _inconsistent(params):
@@ -601,7 +601,7 @@ def _inconsistent(params):
     if isinstance(params, RlcParams):
         return np.zeros((params.m, params.n), dtype=np.uint8), np.ones(params.m, dtype=np.uint8)
     inst = sample_instance(params, seed=2)
-    return inst.X, inst.Y + 0.5
+    return inst.X[0], inst.Y[0] + 0.5
 
 
 @pytest.mark.parametrize("params", [PspParams(n=7, L=3, q=0.3), RlcParams(m=8, n=5), GssParams(N=9, k=3)])
@@ -709,7 +709,7 @@ def test_observation_outside_the_model_raises(params, corrupt, message):
 def test_inconsistent_posterior_names_its_trial():
     # the rho=0 posterior of trial 5 has no support; the chunk is re-run one trial at a time
     params, bad = GssParams(N=8, k=2), 5
-    bad_Y = coupled_trial_scalar(params, 0.0, 6, bad)[0].Y
+    bad_Y = coupled_trial_scalar(params, 0.0, 6, bad)[0].Y[0]
 
     def exact(observations):  # a stacked (X, Y) of both arms
         X, Y = observations
@@ -726,7 +726,7 @@ def test_rlc_posterior_at_n20_peaks_below_the_message_chunks():
     inst = sample_instance(RlcParams(m=30, n=20), seed=3)
     tracemalloc.start()
     try:
-        posterior_mean_for(inst.params, (inst.A, inst.y), 0.3)
+        posterior_mean_for(inst.params, (inst.A[0], inst.y[0]), 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import count_paths_rows_loop, hex_fields, seed_sequence_philox_key
+from oracles import count_paths_rows_loop, hex_fields, instances_of, seed_sequence_philox_key
 from plantedlab.cli import COMMAND_TABLE, COMMANDS, CSV_HEADER, REQUIRED, ExperimentConfig, _build_parser, main, run
 from plantedlab.models import MODEL_NAMES, PspParams, TpcaParams, batch_size, sample_instance
 from plantedlab import noise
@@ -265,7 +265,7 @@ def test_solve_and_pca_window_instances_across_a_run_boundary(tmp_path, monkeypa
     seen = []
 
     def recoveries(run, cfg):
-        seen.extend(run)
+        seen.extend(instances_of(run))
         return np.ones(len(run), dtype=bool)
 
     monkeypatch.setattr("plantedlab.cli.solver_recoveries", recoveries)
@@ -290,8 +290,8 @@ def test_solve_and_pca_window_instances_across_a_run_boundary(tmp_path, monkeypa
     for lam in (1.0, 6.0):
         for t in range(trials):
             inst = sample_instance(TpcaParams(n=4, k=2, d=2, lam=lam), derive_seed(9, 0, t))
-            want.append((hex_fields(inst.Y), inst.support, lam))
-    assert [(hex_fields(Y), support, lam) for Y, support, lam in overlaps] == want
+            want.append((hex_fields(inst.Y[0]), hex_fields(inst.support[0]), lam))
+    assert [(hex_fields(Y), hex_fields(support), lam) for Y, support, lam in overlaps] == want
 
 
 @pytest.mark.parametrize("graphs", ['"graphs":0', '"pairs":true,"pair_graphs":0'], ids=["graphs", "pair_graphs"])

@@ -6,8 +6,9 @@ bayes._POSTERIORS, src and demos reach the fast solvers only through the
 wrappers of stability.SOLVERS, only models and counting name the PSP
 adjacency-matrix conversions, bayes, lowdeg and stability check
 observations only through models.stack_observations, no src call passes a
-list as a batch of observations, cli draws no instance or null graph one
-seed at a time, no src module but noise keeps a caught exception to raise
+list as a batch of observations, src keeps one trial form (an instance is
+a run of one trial: no instance class, no run indexing or iteration, no
+run_of), cli draws no instance or null graph one seed at a time, no src module but noise keeps a caught exception to raise
 it later, and src calls no numpy function newer than the numpy floor in
 pyproject.toml.
 """
@@ -272,6 +273,52 @@ def test_src_passes_no_list_as_a_batch():
     src = sorted((ROOT / "src" / "plantedlab").glob("*.py"))
     found = {p.name: listed_batches(p.read_text(encoding="utf-8")) for p in src}
     assert len(src) > 10 and {name: calls for name, calls in found.items() if calls} == {}
+
+
+# an instance is a run of one trial: no per-trial record type, and no way from a run to one or back
+RUN_TRIAL_METHODS = {"__getitem__", "__iter__"}
+
+
+def second_trial_forms(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each class named *Instance, each __getitem__ or __iter__ of _Run or a class built on it,
+    and each run_of named, by definition, use or import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Instance"):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef) and (node.name == "_Run" or any(getattr(b, "id", None) == "_Run" for b in node.bases)):
+            found += [(f.lineno, f"{node.name}.{f.name}") for f in node.body if getattr(f, "name", None) in RUN_TRIAL_METHODS]
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name == "run_of":
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_second_trial_form_scan_finds_planted_forms():
+    planted = (
+        "from .models import run_of as stack, sample_instance\n"
+        "@dataclass(frozen=True)\n"
+        "class GssInstance(_Instance):\n"
+        "    X: np.ndarray\n"
+        "class _Run:\n"
+        "    def __iter__(self):\n"
+        "        return iter(())\n"
+        "class PspRun(_Run):\n"
+        "    def __getitem__(self, i):\n"
+        "        return models.run_of([self])\n"
+        "def run_of(instances):\n"
+        "    pass\n"
+    )
+    assert second_trial_forms(planted) == [
+        (1, "run_of"), (3, "GssInstance"), (6, "_Run.__iter__"), (9, "PspRun.__getitem__"), (10, "run_of"), (11, "run_of"),
+    ]
+    assert second_trial_forms("class GssRun(_Run):\n    def __len__(self):\n        return run.S[0]\n") == []
+
+
+def test_src_keeps_one_trial_form():
+    src = sorted((ROOT / "src" / "plantedlab").glob("*.py"))
+    found = {p.name: second_trial_forms(p.read_text(encoding="utf-8")) for p in src}
+    assert len(src) > 10 and {name: forms for name, forms in found.items() if forms} == {}
 
 
 # numpy functions src may call only when the pyproject floor is at least the version that added them

@@ -21,6 +21,7 @@ from oracles import (
     stability_ratio_loop,
     stack_observations,
     symmetrize_check,
+    trial_observation,
 )
 from plantedlab import lowdeg
 from plantedlab.errors import IllConditionedError, ParameterError, ResourceBudgetError
@@ -54,7 +55,6 @@ from plantedlab.models import (
     batch_rows,
     model_name,
     placements,
-    run_of,
     sample_instance,
 )
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials
@@ -525,7 +525,7 @@ POLY_TYPES = {"rlc": RlcPoly, "gss": GssPoly, "psp": PspSymmetricPoly}
 def _clean_and_noisy(params, rho, seed, trials) -> list:
     """The clean observations of a coupled run, one per trial, then the noisy ones."""
     pairs = CoupledTrials(params, [(rho, None)], seed, trials).map(
-        lambda start, run, noisy: [(run[i].observation, batch_rows(noisy, i)) for i in range(len(run))]
+        lambda start, run, noisy: [(batch_rows(run.observation, i), batch_rows(noisy, i)) for i in range(len(run))]
     )
     return [clean for clean, _ in pairs] + [noisy for _, noisy in pairs]
 
@@ -592,7 +592,7 @@ OUTSIDE_CASES = {
 def test_evaluate_many_rejects_observations_outside_the_model(case):
     params, observed, change, message = OUTSIDE_CASES[case]
     poly = POLY_CASES[model_name(params)][1](params, 2, generator(5))
-    obs = sample_instance(observed, seed=6).observation
+    obs = trial_observation(sample_instance(observed, seed=6))
     with pytest.raises(ParameterError, match=message):
         poly.evaluate_many(stack_observations([change(obs) if change else obs]), params)
 
@@ -601,7 +601,7 @@ def test_evaluate_many_rejects_observations_outside_the_model(case):
 def test_evaluate_many_of_an_empty_batch_is_empty(model):
     # numpy's np.stack raised a bare ValueError on no observations; every estimator returns shape (0,)
     params, random_poly, _ = POLY_CASES[model]
-    empty = batch_rows(run_of([sample_instance(params, seed=6)]).observation, slice(0, 0))
+    empty = batch_rows(sample_instance(params, seed=6).observation, slice(0, 0))
     out = random_poly(params, 2, generator(5)).evaluate_many(empty, params)
     assert out.shape == (0,) and out.dtype == np.float64
 
@@ -620,7 +620,7 @@ def test_evaluate_many_rejects_a_batch_of_mixed_shapes(model):
     # the two is no batch, and a stack of the second names its shape
     params, other, message = MIXED_CASES[model]
     poly = POLY_CASES[model][1](params, 2, generator(5))
-    batch = [sample_instance(params, seed=6).observation, sample_instance(other, seed=6).observation]
+    batch = [trial_observation(sample_instance(params, seed=6)), trial_observation(sample_instance(other, seed=6))]
     with pytest.raises(ParameterError, match="not stacked|got a list"):
         poly.evaluate_many(batch, params)
     with pytest.raises(ParameterError, match=message):
@@ -642,7 +642,7 @@ def test_psp_evaluate_many_splits_the_largest_shape_across_gathers():
 def test_psp_shape_without_placements_contributes_zero():
     # ((3,4),(5,6)) needs four non-endpoint vertices; n = 5 has three
     params = PspParams(n=5, L=3, q=0.3)
-    edges = sample_instance(params, seed=4).edges
+    edges = sample_instance(params, seed=4).edges[0]
     both = PspSymmetricPoly(terms=((((3, 4), (5, 6)), 1.0), (((1, 3),), 2.0)))
     single = PspSymmetricPoly(terms=((((1, 3),), 2.0),))
     assert both.evaluate(edges, params) == single.evaluate(edges, params)
@@ -751,7 +751,7 @@ def test_product_table_shares_the_symmetric_placements_at_the_benchmark_size():
 
 def test_psp_constant_shape_is_the_constant_term():
     params = PspParams(n=8, L=3, q=0.3)
-    edges = sample_instance(params, seed=3).edges
+    edges = sample_instance(params, seed=3).edges[0]
     poly = PspSymmetricPoly(terms=(((), 1.5), (((1, 3),), 2.0)))
     want = psp_poly_evaluate_loop(poly, edges, params)
     assert poly.evaluate(edges, params).hex() == want.hex()
@@ -762,7 +762,7 @@ def test_psp_constant_shape_is_the_constant_term():
 def test_psp_poly_rejects_q_without_a_centered_basis(q):
     # sqrt(q(1-q)) = 0: the edge basis once divided by it and returned nan
     params = PspParams(n=8, L=3, q=q)
-    edges = sample_instance(params, seed=3).edges
+    edges = sample_instance(params, seed=3).edges[0]
     poly = PspSymmetricPoly(terms=((((1, 3),), 1.0),))
     with pytest.raises(ParameterError, match="0 < q < 1"):
         poly.evaluate_many([edges], params)
@@ -882,10 +882,10 @@ def test_planted_measure_permutation_invariance():
     relabeled_target = tuple(sorted((int(perm[3]), int(perm[4]))))
     for t in range(trials):
         inst = sample_instance(params, derive_seed(8, 0, t))
-        truth = float((3, 4) in path_edges(inst.path))
-        a[t] = (g(psp_adjacency_loop(inst.edges, params.n)) - truth) ** 2
+        truth = float((3, 4) in path_edges(inst.path[0].tolist()))
+        a[t] = (g(psp_adjacency_loop(inst.edges[0], params.n)) - truth) ** 2
         inst2 = sample_instance(params, derive_seed(8, 1, t))
-        truth2 = float(relabeled_target in path_edges(inst2.path))
-        b[t] = (g(psp_adjacency_loop(inst2.edges, params.n)[np.ix_(perm, perm)]) - truth2) ** 2
+        truth2 = float(relabeled_target in path_edges(inst2.path[0].tolist()))
+        b[t] = (g(psp_adjacency_loop(inst2.edges[0], params.n)[np.ix_(perm, perm)]) - truth2) ** 2
     se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
     assert abs(a.mean() - b.mean()) <= 3 * se

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     hex_fields,
+    instances_of,
     path_edge_indices_loop,
     path_edges,
     psp_adjacency_loop,
@@ -18,7 +19,9 @@ from oracles import (
     sample_instance_scalar,
     shape_maps_loop,
     stack_observations,
+    stack_runs,
     tpca_signal_tensor,
+    trial_observation,
 )
 from plantedlab import models
 from plantedlab.bayes import posterior_means, tpca_overlap_distribution
@@ -43,7 +46,7 @@ from plantedlab.models import (
     subset_sums,
     subsets,
 )
-from plantedlab.noise import EVAL_CHUNK
+from plantedlab.noise import EVAL_CHUNK, noise_instance_observation
 from plantedlab.rng import (
     INSTANCE_STREAM,
     coin_bits,
@@ -57,33 +60,35 @@ from plantedlab.rng import (
     uniforms,
 )
 from plantedlab.solvers import shortest_paths
-from plantedlab.stability import SOLVERS, resolve_estimator
+from plantedlab.stability import SOLVERS, resolve_estimator, solver_recovers
 
 
-def _trial_draws(params, seed: int, trials: int):
-    """sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t)) for t < trials: chunk_sampler runs on one re-keyed Philox."""
+def _trial_runs(params, seed: int, trials: int):
+    """The runs of trials t < trials, trial t being sample_instance(params, derive_seed(seed, INSTANCE_STREAM, t)):
+    chunk_sampler runs on one re-keyed Philox."""
     rng, draw = keyed_generator(), chunk_sampler(params)
     keys = philox_keys(derive_seeds(seed, INSTANCE_STREAM, ts=np.arange(trials)))
     for start in range(0, trials, EVAL_CHUNK):
         run = keys[start : start + EVAL_CHUNK]
-        yield from draw(len(run), keyed_fresh(rng, run))
+        yield draw(len(run), keyed_fresh(rng, run))
 
 
 def test_psp_forced_single_intermediate():
     # n=3, L=2, q=0: the only graph is the path 1-3-2
     inst = sample_instance(PspParams(n=3, L=2, q=0.0), seed=0)
-    assert inst.path == (1, 3, 2)
-    edges = {pair for pair, present in zip(models.vertex_pairs(3), inst.edges) if present}
+    assert tuple(inst.path[0]) == (1, 3, 2)
+    edges = {pair for pair, present in zip(models.vertex_pairs(3), inst.edges[0]) if present}
     assert edges == {(1, 3), (2, 3)}
 
 
 def test_psp_complete_graph_at_q_one():
     inst = sample_instance(PspParams(n=5, L=2, q=1.0), seed=11)
-    adjacency = psp_adjacency_loop(inst.edges, 5)
+    adjacency = psp_adjacency_loop(inst.edges[0], 5)
     for i, j in models.vertex_pairs(5):
         assert adjacency[i, j]
-    assert inst.path[0] == 1 and inst.path[-1] == 2
-    assert inst.path[1] in (3, 4, 5)
+    path = inst.path[0].tolist()
+    assert path[0] == 1 and path[-1] == 2
+    assert path[1] in (3, 4, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,17 +111,17 @@ def test_psp_pair_conversions_match_loop_oracle(n, seed):
 def test_psp_path_edges_always_present():
     for seed in range(200):
         inst = sample_instance(PspParams(n=10, L=4, q=0.2), seed=seed)
-        adjacency = psp_adjacency_loop(inst.edges, 10)
-        for i, j in path_edges(inst.path):
+        adjacency, path = psp_adjacency_loop(inst.edges[0], 10), inst.path[0].tolist()
+        for i, j in path_edges(path):
             assert adjacency[i, j]
-        assert len(set(inst.path)) == len(inst.path) == inst.params.L + 1
+        assert len(set(path)) == len(path) == inst.params.L + 1
 
 
 def test_psp_nonpath_edge_frequency_matches_q():
     # {1,2} is never a path edge when L >= 2, so its marginal is exactly q.
     params = PspParams(n=10, L=3, q=0.3)
     trials = 10**5
-    hits = sum(bool(inst.edges[pair_ids(10)[1, 2]]) for inst in _trial_draws(params, 7, trials))
+    hits = sum(int(run.edges[:, pair_ids(10)[1, 2]].sum()) for run in _trial_runs(params, 7, trials))
     freq = hits / trials
     stderr = math.sqrt(0.3 * 0.7 / trials)
     assert abs(freq - 0.3) <= 3 * stderr
@@ -125,7 +130,7 @@ def test_psp_nonpath_edge_frequency_matches_q():
 def test_rlc_parity_invariant():
     for seed in range(100):
         inst = sample_instance(RlcParams(m=9, n=5), seed=seed)
-        assert np.array_equal(inst.y, (inst.A @ inst.x) % 2)
+        assert np.array_equal(inst.y[0], (inst.A[0] @ inst.x[0]) % 2)
 
 
 def test_rlc_zero_message_gives_zero_codeword():
@@ -133,9 +138,9 @@ def test_rlc_zero_message_gives_zero_codeword():
     seen = False
     for seed in range(500):
         inst = sample_instance(params, seed=seed)
-        if not inst.x.any():
+        if not inst.x[0].any():
             seen = True
-            assert not inst.y.any()
+            assert not inst.y[0].any()
     assert seen, "all-zero message never sampled in 500 draws at n=3"
 
 
@@ -145,7 +150,7 @@ def test_rlc_full_rank_fraction():
 
     params = RlcParams(m=8, n=4)
     trials = 10**5
-    full = int((f2_ranks(np.array([inst.A for inst in _trial_draws(params, 3, trials)])) == params.n).sum())
+    full = int((f2_ranks(np.concatenate([run.A for run in _trial_runs(params, 3, trials)])) == params.n).sum())
     frac = full / trials
     bound = 1 - 2 ** (params.n - params.m)
     stderr = math.sqrt(frac * (1 - frac) / trials)
@@ -154,20 +159,20 @@ def test_rlc_full_rank_fraction():
 
 def test_gss_forced_full_subset():
     inst = sample_instance(GssParams(N=4, k=4), seed=5)
-    assert inst.S == (0, 1, 2, 3)
-    assert inst.Y == subset_sum_value(inst.X, inst.S)
+    assert tuple(inst.S[0]) == (0, 1, 2, 3)
+    assert inst.Y[0] == subset_sum_value(inst.X[0], inst.S[0])
 
 
 def test_gss_subset_sum_bit_exact():
     for seed in range(50):
         inst = sample_instance(GssParams(N=30, k=7), seed=seed)
-        assert inst.Y == subset_sum_value(inst.X, inst.S)
+        assert inst.Y[0] == subset_sum_value(inst.X[0], inst.S[0])
 
 
 def test_gss_observation_moments():
     params = GssParams(N=200, k=10)
     trials = 10**5
-    ys = np.array([inst.Y for inst in _trial_draws(params, 19, trials)])
+    ys = np.concatenate([run.Y for run in _trial_runs(params, 19, trials)])
     mean = ys.mean()
     mean_stderr = ys.std(ddof=1) / math.sqrt(trials)
     assert abs(mean - 0.0) <= 3 * mean_stderr
@@ -178,7 +183,7 @@ def test_gss_observation_moments():
 
 def test_tpca_pure_noise_variance_at_lambda_zero():
     inst = sample_instance(TpcaParams(n=10, k=2, d=3, lam=0.0), seed=2)
-    flat = inst.Y.ravel()
+    flat = inst.Y[0].ravel()
     var = flat.var(ddof=1)
     var_stderr = var * math.sqrt(2.0 / (flat.size - 1))
     assert abs(var - 1.0) <= 3 * var_stderr
@@ -191,13 +196,14 @@ def test_tpca_signal_tensor_entries():
     params_lo = TpcaParams(n=6, k=2, d=3, lam=1.0)
     hi = sample_instance(params_hi, seed=77)
     lo = sample_instance(params_lo, seed=77)
-    assert hi.support == lo.support
-    diff = hi.Y - lo.Y
-    expected = tpca_signal_tensor(params_hi, hi.support)
+    support = hi.support[0]
+    assert np.array_equal(support, lo.support[0])
+    diff = hi.Y[0] - lo.Y[0]
+    expected = tpca_signal_tensor(params_hi, support)
     assert np.allclose(diff, expected, atol=1e-12)
-    on_support = expected[np.ix_(hi.support, hi.support, hi.support)]
+    on_support = expected[np.ix_(support, support, support)]
     assert np.allclose(on_support, 2 ** (-3 / 2))
-    assert np.count_nonzero(expected) == len(hi.support) ** 3
+    assert np.count_nonzero(expected) == len(support) ** 3
 
 
 def test_tpca_support_entry_mean_over_resampled_noise():
@@ -221,16 +227,16 @@ def test_tpca_budget_error():
 def test_samplers_deterministic(seed):
     p1 = sample_instance(PspParams(n=8, L=3, q=0.4), seed)
     p2 = sample_instance(PspParams(n=8, L=3, q=0.4), seed)
-    assert p1.path == p2.path and np.array_equal(p1.edges, p2.edges)
+    assert np.array_equal(p1.path, p2.path) and np.array_equal(p1.edges, p2.edges)
     r1 = sample_instance(RlcParams(m=7, n=4), seed)
     r2 = sample_instance(RlcParams(m=7, n=4), seed)
     assert np.array_equal(r1.A, r2.A) and np.array_equal(r1.x, r2.x)
     g1 = sample_instance(GssParams(N=12, k=3), seed)
     g2 = sample_instance(GssParams(N=12, k=3), seed)
-    assert g1.S == g2.S and g1.Y == g2.Y and np.array_equal(g1.X, g2.X)
+    assert np.array_equal(g1.S, g2.S) and np.array_equal(g1.Y, g2.Y) and np.array_equal(g1.X, g2.X)
     t1 = sample_instance(TpcaParams(n=5, k=2, d=3, lam=2.0), seed)
     t2 = sample_instance(TpcaParams(n=5, k=2, d=3, lam=2.0), seed)
-    assert t1.support == t2.support and np.array_equal(t1.Y, t2.Y)
+    assert np.array_equal(t1.support, t2.support) and np.array_equal(t1.Y, t2.Y)
 
 
 def test_signal_norms():
@@ -242,9 +248,9 @@ def test_signal_norms():
 
 def test_signal_vectors_match_norms():
     inst = sample_instance(PspParams(n=9, L=4, q=0.3), seed=1)
-    assert inst.signal_vector().sum() == 4.0
+    assert inst.signal_vectors()[0].sum() == 4.0
     tins = sample_instance(TpcaParams(n=7, k=3, d=2, lam=1.0), seed=1)
-    assert math.isclose(np.sum(tins.signal_vector() ** 2), 1.0, rel_tol=1e-12)
+    assert math.isclose(np.sum(tins.signal_vectors()[0] ** 2), 1.0, rel_tol=1e-12)
 
 
 def test_invalid_params_raise():
@@ -283,20 +289,7 @@ def test_json_round_trip_all_models(seed):
         # the text form, as the CLI writes it, must decode to the same instance
         for back in (instance_from_json(blob), instance_from_json(json.loads(json.dumps(blob, sort_keys=True)))):
             assert type(back) is type(inst)
-            assert back.params == inst.params
-            if hasattr(inst, "edges"):
-                assert np.array_equal(back.edges, inst.edges)
-                assert back.path == inst.path
-            if hasattr(inst, "A"):
-                assert np.array_equal(back.A, inst.A)
-                assert np.array_equal(back.x, inst.x)
-                assert np.array_equal(back.y, inst.y)
-            if hasattr(inst, "S"):
-                assert np.array_equal(back.X, inst.X)
-                assert back.S == inst.S and back.Y == inst.Y
-            if hasattr(inst, "support"):
-                assert back.support == inst.support
-                assert np.array_equal(back.Y, inst.Y)
+            assert hex_fields(back) == hex_fields(inst)  # every field, its dtype and shape included
 
 
 # a malformed PSP instance field -> the error it raises; each once loaded, then vanished on a
@@ -399,6 +392,27 @@ def test_instance_json_rejects_a_malformed_envelope(model, case):
     malformed, message = BAD_ENVELOPES[case]
     with pytest.raises(ParameterError, match=re.escape(message.format(field=field))):
         instance_from_json(malformed(blob, field))
+
+
+# every consumer of one instance, a run of one trial; without the check each would read trial 0 of a longer run
+_ONE_TRIAL_CONSUMERS = {
+    "instance_to_json": instance_to_json,
+    "noise_instance_observation": lambda inst: noise_instance_observation(inst, 0.5, 3),
+    "solver_recovers": solver_recovers,
+}
+
+
+@pytest.mark.parametrize("count", [0, 2])
+@pytest.mark.parametrize("consumer", _ONE_TRIAL_CONSUMERS)
+@pytest.mark.parametrize("params", [PspParams(n=6, L=2, q=0.3), RlcParams(m=5, n=3), GssParams(N=6, k=2)], ids=repr)
+def test_one_trial_consumers_reject_a_run_of_another_length(params, consumer, count):
+    two = chunk_sampler(params)(2, generator)
+    run = two if count == 2 else type(two)(params, *(getattr(two, key)[:0] for key in vars(two) if key != "params"))
+    assert len(run) == count
+    _ONE_TRIAL_CONSUMERS[consumer](instances_of(two)[1])
+    with pytest.raises(ParameterError) as err:
+        _ONE_TRIAL_CONSUMERS[consumer](run)
+    assert str(err.value) == f"an instance is a run of one trial, got a run of {count}"
 
 
 def test_params_from_json_names_missing_and_unknown_fields():
@@ -518,8 +532,8 @@ def test_chunk_sampler_equals_the_generator_call_oracle(params, seeds):
     rng, keys = keyed_generator(), philox_keys(seeds)
     run = chunk_sampler(params)(len(seeds), keyed_fresh(rng, keys))
     want = [sample_instance_scalar(params, s) for s in seeds]
-    assert hex_fields(run) == hex_fields(models.run_of(want))  # the stacked fields, dtype and shape included
-    assert [hex_fields(inst) for inst in run] == [hex_fields(inst) for inst in want]
+    assert hex_fields(run) == hex_fields(stack_runs(want))  # the stacked fields, dtype and shape included
+    assert [hex_fields(inst) for inst in instances_of(run)] == [hex_fields(inst) for inst in want]
     assert hex_fields(sample_instance(params, seeds[0])) == hex_fields(want[0])
 
 
@@ -576,7 +590,7 @@ def test_gss_sampler_draws_every_flagged_trial_with_choice(data, N, seeds):
     rng, keys = keyed_generator(), philox_keys(seeds)
     with mock.patch.object(models, "lemire_draws", flag_all):
         run = chunk_sampler(params)(len(seeds), keyed_fresh(rng, keys))
-    assert [hex_fields(inst) for inst in run] == [hex_fields(sample_instance_scalar(params, s)) for s in seeds]
+    assert [hex_fields(inst) for inst in instances_of(run)] == [hex_fields(sample_instance_scalar(params, s)) for s in seeds]
 
 
 def test_gss_sampler_reads_on_past_a_rejection():
@@ -589,7 +603,7 @@ def test_gss_sampler_reads_on_past_a_rejection():
     for seeds in ((836, 837, 838), (837,)):
         rng, keys = keyed_generator(), philox_keys(seeds)
         run = chunk_sampler(params)(len(seeds), keyed_fresh(rng, keys))
-        assert [hex_fields(inst) for inst in run] == [hex_fields(sample_instance_scalar(params, s)) for s in seeds]
+        assert [hex_fields(inst) for inst in instances_of(run)] == [hex_fields(sample_instance_scalar(params, s)) for s in seeds]
     assert hex_fields(sample_instance(params, 837)) == hex_fields(sample_instance_scalar(params, 837))
 
 
@@ -599,10 +613,15 @@ def test_gss_sampler_past_floyds_range_calls_choice():
     assert hex_fields(sample_instance(params, 5)) == hex_fields(sample_instance_scalar(params, 5))
 
 
+# model -> the fields of an instance that instance_bytes leaves out: the planted indices and GSS's one number Y
+_UNCOUNTED_FIELDS = {"psp": {"path"}, "rlc": set(), "gss": {"S", "Y"}, "tpca": {"support"}}
+
+
 def test_instance_bytes_count_the_instance_arrays():
     for params in SAMPLER_PARAMS:
         inst = sample_instance(params, 1)
-        assert models.instance_bytes(params) == sum(v.nbytes for v in vars(inst).values() if isinstance(v, np.ndarray))
+        uncounted = _UNCOUNTED_FIELDS[models.model_name(params)]
+        assert models.instance_bytes(params) == sum(v.nbytes for k, v in vars(inst).items() if k != "params" and k not in uncounted)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +631,7 @@ _NOT_STACKED = "is not stacked: got a list, not an array of one row a trial"
 
 
 def test_check_stack_returns_a_stacked_array_without_a_copy():
-    stacked = sample_instance_scalar(GssParams(N=6, k=2), 3).X[None].repeat(4, axis=0)
+    stacked = sample_instance_scalar(GssParams(N=6, k=2), 3).X.repeat(4, axis=0)
     out = models.check_stack("X", stacked, (6,))
     assert out is stacked and np.shares_memory(out, stacked)
     with pytest.raises(ParameterError, match=f"X {_NOT_STACKED}"):
@@ -644,11 +663,11 @@ def test_batch_helpers_read_a_run_and_a_list_alike(params):
     # a list of the run's per-trial observations reads alike once stacked, and raises unstacked
     rng, keys = keyed_generator(), philox_keys([5, 6, 7])
     run = chunk_sampler(params)(3, keyed_fresh(rng, keys))
-    stacked, listed = run.observation, [inst.observation for inst in run]
+    stacked, listed = run.observation, [trial_observation(inst) for inst in instances_of(run)]
     assert models.batch_size(stacked) == models.batch_size(stack_observations(listed)) == len(run) == 3
     for i in range(3):
         assert hex_fields(models.batch_rows(stacked, i)) == hex_fields(listed[i])
-    assert hex_fields(models.batch_rows(stacked, slice(1, 3))) == hex_fields(models.run_of([run[1], run[2]]).observation)
+    assert hex_fields(models.batch_rows(stacked, slice(1, 3))) == hex_fields(stack_runs(instances_of(run)[1:3]).observation)
     fields = models.stack_observations(params, stacked)
     assert all(f is s for f, s in zip(fields, stacked if isinstance(stacked, tuple) else (stacked,)))  # no copy
     assert hex_fields(models.stack_observations(params, stack_observations(listed))) == hex_fields(fields)
@@ -656,7 +675,7 @@ def test_batch_helpers_read_a_run_and_a_list_alike(params):
         models.stack_observations(params, listed)
     empty = models.stack_observations(params, models.batch_rows(stacked, slice(0, 0)))
     assert [f.shape for f in empty] == [(0, *f.shape[1:]) for f in fields]
-    assert hex_fields(run.signal_vectors()) == hex_fields(np.array([inst.signal_vector() for inst in run]))
+    assert hex_fields(run.signal_vectors()) == hex_fields(np.array([inst.signal_vectors()[0] for inst in instances_of(run)]))
 
 
 _PSP, _RLC, _GSS, _TPCA = PspParams(n=6, L=3, q=0.3), RlcParams(m=6, n=4), GssParams(N=10, k=3), TpcaParams(n=6, k=2, d=3, lam=4.0)
@@ -679,10 +698,9 @@ def _observation_consumers(params, batch) -> dict:
     for solver, spec in SOLVERS.items():
         if spec.model == name:
             out[solver] = resolve_estimator(solver, params, 0.5)
-    stacked = isinstance(batch, np.ndarray) and batch.ndim
-    if name == "psp" and not stacked:  # the batch solver checks that its edges are stacked, not their dtype
+    if name == "psp":
         out["shortest_paths"] = lambda batch: shortest_paths(batch, params.n)
-    if name == "tpca" and stacked:  # it takes one observation, trial 0 of the batch
+    if name == "tpca" and isinstance(batch, np.ndarray) and batch.ndim:  # it takes one observation, trial 0 of the batch
         out["tpca_overlap_distribution"] = lambda batch: tpca_overlap_distribution(batch[0], [0, 1], params)
     return out
 
@@ -725,8 +743,8 @@ def test_every_consumer_rejects_an_observation_outside_the_model_alike(params, c
     # a typed error with one message from every entry point, where a bare ValueError, TypeError or
     # IndexError, or a silently dropped imaginary part, came from some of them; a list of per-trial
     # observations is no batch
-    run = models.run_of([sample_instance(params, seed) for seed in range(3)])
-    bad = corrupt([inst.observation for inst in run], run.observation)
+    run = stack_runs([sample_instance(params, seed) for seed in range(3)])
+    bad = corrupt([trial_observation(inst) for inst in instances_of(run)], run.observation)
     consumers = _observation_consumers(params, bad)
     # the posterior, the constant estimator, the polynomial and the solver (PSP: and shortest_paths)
     assert len(consumers) >= 4 or isinstance(params, TpcaParams)

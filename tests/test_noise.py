@@ -10,17 +10,27 @@ from hypothesis import strategies as st
 
 from plantedlab.errors import ParameterError
 from plantedlab.models import (
-    GssInstance,
     GssParams,
+    GssRun,
     PspParams,
     RlcParams,
     TpcaParams,
     batch_rows,
     pair_ids,
-    run_of,
     sample_instance,
 )
-from oracles import coupled_trial_scalar, f2_rank_loop, full_rank_rlc_loop, hex_fields, noise_scalar, ou_compose, stack_observations
+from oracles import (
+    coupled_trial_scalar,
+    f2_rank_loop,
+    full_rank_rlc_loop,
+    hex_fields,
+    instances_of,
+    noise_scalar,
+    one_trial,
+    ou_compose,
+    stack_observations,
+    stack_runs,
+)
 from plantedlab import bayes
 from plantedlab.bayes import _sample_full_rank_rlc, full_rank_run
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, noise_instance_observation
@@ -29,19 +39,19 @@ from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, derive_se
 
 def _gss_noise(Y: float, rho: float, seed: int) -> float:
     """The GSS operator on the observed value Y, drawn from generator(seed)."""
-    inst = GssInstance(params=GssParams(N=1, k=1), X=np.zeros(1), S=(0,), Y=Y)
+    inst = one_trial(GssRun, GssParams(N=1, k=1), np.zeros(1), (0,), Y)
     return noise_instance_observation(inst, rho, seed)[1]
 
 
 def test_rho_zero_is_identity_everywhere():
     psp = sample_instance(PspParams(n=8, L=3, q=0.4), seed=1)
-    assert np.array_equal(noise_instance_observation(psp, 0.0, 9), psp.edges)
+    assert np.array_equal(noise_instance_observation(psp, 0.0, 9), psp.edges[0])
     rlc = sample_instance(RlcParams(m=7, n=4), seed=1)
-    assert np.array_equal(noise_instance_observation(rlc, 0.0, 9)[1], rlc.y)
+    assert np.array_equal(noise_instance_observation(rlc, 0.0, 9)[1], rlc.y[0])
     gss = sample_instance(GssParams(N=10, k=3), seed=1)
-    assert noise_instance_observation(gss, 0.0, 9)[1] == gss.Y
+    assert noise_instance_observation(gss, 0.0, 9)[1] == gss.Y[0]
     tpca = sample_instance(TpcaParams(n=5, k=2, d=3, lam=2.0), seed=1)
-    assert np.array_equal(noise_instance_observation(tpca, 0.0, 9), tpca.Y)
+    assert np.array_equal(noise_instance_observation(tpca, 0.0, 9), tpca.Y[0])
 
 
 # model -> (params, observation -> the part of it that the operator resamples)
@@ -57,7 +67,7 @@ NOISE_OPERATORS = {
 @given(model=st.sampled_from(sorted(NOISE_OPERATORS)), seed=st.integers(0, 2**64 - 1), key_seed=st.integers(0, 2**64 - 1))
 def test_rho_zero_copies_the_input_and_draws_nothing(model, seed, key_seed):
     params, part = NOISE_OPERATORS[model]
-    run = run_of([sample_instance(params, seed)])
+    run = sample_instance(params, seed)
     observed = part(run.observation)
     rng = keyed_fresh(keyed_generator(), philox_keys([key_seed]))(0)
     before = rng.bit_generator.state
@@ -76,7 +86,7 @@ def test_rho_one_forgets_the_input(model, seeds, key_seed):
     params, part = NOISE_OPERATORS[model]
     fresh = keyed_fresh(keyed_generator(), philox_keys([key_seed]))
     noise = chunk_noise(params, 1.0)
-    out_a, out_b = (part(noise(run_of([sample_instance(params, s)]), lambda _: fresh(0)))[0] for s in seeds)
+    out_a, out_b = (part(noise(sample_instance(params, s), lambda _: fresh(0)))[0] for s in seeds)
     assert np.array_equal(out_a, out_b)
     if model in ("gss", "tpca"):
         # sqrt(1 - 1) * Y + 1 * Z is exactly Z
@@ -97,7 +107,7 @@ def test_psp_full_noise_fixed_pair_frequency():
     # rho = 1: output is a fresh G(n, q) regardless of input
     params = PspParams(n=8, L=3, q=0.35)
     inst = sample_instance(params, seed=5)
-    pair = pair_ids(params.n)[inst.path[0], inst.path[1]]  # a planted edge, always present in input
+    pair = pair_ids(params.n)[inst.path[0, 0], inst.path[0, 1]]  # a planted edge, always present in input
     trials = 10**4
     hits = sum(noise_instance_observation(inst, 1.0, derive_seed(0, 1, t))[pair] for t in range(trials))
     freq = hits / trials
@@ -109,7 +119,7 @@ def test_psp_planted_edge_survival_at_q_zero():
     # q = 0: survival probability of an existing edge is exactly 1 - rho
     params = PspParams(n=8, L=3, q=0.0)
     inst = sample_instance(params, seed=6)
-    pair = pair_ids(params.n)[inst.path[1], inst.path[2]]
+    pair = pair_ids(params.n)[inst.path[0, 1], inst.path[0, 2]]
     trials = 10**4
     hits = sum(noise_instance_observation(inst, 0.5, derive_seed(1, 1, t))[pair] for t in range(trials))
     freq = hits / trials
@@ -134,7 +144,7 @@ def test_rlc_flip_probability_is_half_rho():
     trials = 10**4
     flips = 0
     for t in range(trials):
-        flips += int((noise_instance_observation(rlc, rho, derive_seed(3, 1, t))[1] != rlc.y).sum())
+        flips += int((noise_instance_observation(rlc, rho, derive_seed(3, 1, t))[1] != rlc.y[0]).sum())
     freq = flips / (trials * 10)
     stderr = math.sqrt(0.2 * 0.8 / (trials * 10))
     assert abs(freq - rho / 2) <= 3 * stderr
@@ -175,7 +185,7 @@ def test_ou_semigroup_two_sample():
     def arm(Ys, rho, stream):
         # _gss_noise(Y, rho, derive_seed(6, stream, t)) at every trial t, as one run
         keys = philox_keys(derive_seeds(6, stream, ts=np.arange(trials)))
-        run = run_of([GssInstance(params=params, X=np.zeros(1), S=(0,), Y=y) for y in Ys])
+        run = GssRun(params, np.zeros((len(Ys), 1)), np.zeros((len(Ys), 1), dtype=np.int64), np.array(Ys, dtype=float))
         return chunk_noise(params, rho)(run, keyed_fresh(gen, keys))[1]
 
     two_step = arm(arm([Y] * trials, rho1, 1), rho2, 2)
@@ -209,11 +219,11 @@ def test_tpca_noise_matches_rescaled_model():
     for t in range(trials):
         inst = sample_instance(params, seed=derive_seed(7, 0, t))
         noisy = noise_instance_observation(inst, rho, derive_seed(7, 1, t))
-        s = list(inst.support)
+        s = inst.support[0]
         noisy_means[t] = noisy[np.ix_(s, s, s)].mean()
         fresh = sample_instance(params_tilde, seed=derive_seed(8, 0, t))
-        sf = list(fresh.support)
-        fresh_means[t] = fresh.Y[np.ix_(sf, sf, sf)].mean()
+        sf = fresh.support[0]
+        fresh_means[t] = fresh.Y[0][np.ix_(sf, sf, sf)].mean()
     se = math.sqrt(noisy_means.var(ddof=1) / trials + fresh_means.var(ddof=1) / trials)
     assert abs(noisy_means.mean() - fresh_means.mean()) <= 3 * se
 
@@ -243,7 +253,7 @@ grid_points = st.one_of(st.none(), st.integers(0, 2**40))
 
 
 def _pairs(start, run, noisy):
-    return [(run[i], batch_rows(noisy, i)) for i in range(len(run))]
+    return [(inst, batch_rows(noisy, i)) for i, inst in enumerate(instances_of(run))]
 
 
 @settings(max_examples=120, deadline=None)
@@ -255,7 +265,7 @@ def test_coupled_runs_equal_the_generator_call_oracles(params, seed, rho, grid_p
     assert [hex_fields(pair) for pair in batch.map(_pairs)] == [hex_fields(pair) for pair in want]
     # the run record and the stacked noisy observation themselves (trials <= 30 make one run)
     ((run, noisy),) = batch.map(lambda start, run, noisy: [(run, noisy)])
-    assert hex_fields(run) == hex_fields(run_of([inst for inst, _ in want]))
+    assert hex_fields(run) == hex_fields(stack_runs([inst for inst, _ in want]))
     assert hex_fields(noisy) == hex_fields(stack_observations([obs for _, obs in want]))
 
 
@@ -279,8 +289,8 @@ def test_full_rank_run_equals_the_per_trial_draws(params, seed, start, trials):
     ts = range(start, start + trials)
     run = full_rank_run(params, seed, ts)
     want = [_sample_full_rank_rlc(params, seed, t) for t in ts]
-    assert hex_fields(run) == hex_fields(run_of(want))
-    assert hex_fields(run) == hex_fields(run_of([full_rank_rlc_loop(params, seed, t) for t in ts]))
+    assert hex_fields(run) == hex_fields(stack_runs(want))
+    assert hex_fields(run) == hex_fields(stack_runs([full_rank_rlc_loop(params, seed, t) for t in ts]))
 
 
 def test_full_rank_run_redraws_only_rejected_trials(monkeypatch):
@@ -290,7 +300,7 @@ def test_full_rank_run_redraws_only_rejected_trials(monkeypatch):
     monkeypatch.setattr(bayes, "derive_seeds", lambda *a, ts, suffix: drawn.append((ts.tolist(), suffix)) or real(*a, ts=ts, suffix=suffix))
     run = full_rank_run(params, 5, range(40))
     first = [sample_instance(params, derive_seed(5, INSTANCE_STREAM, t, 0)) for t in range(40)]
-    rejected = [t for t, inst in enumerate(first) if f2_rank_loop(inst.A) < 4]
+    rejected = [t for t, inst in enumerate(first) if f2_rank_loop(inst.A[0]) < 4]
     assert drawn[:2] == [(list(range(40)), (0,)), (rejected, (1,))] and 20 <= len(rejected) < 40
     for a, ((ts, _), (later, suffix)) in enumerate(zip(drawn[1:], drawn[2:]), start=2):
         assert suffix == (a,) and set(later) <= set(ts)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from oracles import (
     coupled_trial_scalar,
     hex_fields,
+    instances_of,
     stack_observations,
+    stack_runs,
     seed_path_entropy,
     seed_sequence_philox_key,
     seed_sequence_seed,
@@ -26,7 +28,6 @@ from plantedlab.models import (
     batch_rows,
     chunk_sampler,
     instance_to_json,
-    run_of,
     sample_instance,
 )
 from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, instance_runs, noise_instance_observation
@@ -208,8 +209,8 @@ def test_rekeyed_generator_draws_the_seeded_stream(seed, rho):
     for params in MODEL_PARAMS:
         inst = sample_instance(params, seed)
         run = chunk_sampler(params)(2, fresh)
-        assert [instance_to_json(i) for i in run] == [instance_to_json(inst)] * 2
-        assert hex_fields(run) == hex_fields(run_of([inst, inst]))
+        assert [instance_to_json(i) for i in instances_of(run)] == [instance_to_json(inst)] * 2
+        assert hex_fields(run) == hex_fields(stack_runs([inst, inst]))
         want = noise_instance_observation(inst, rho, seed)
         noisy = chunk_noise(params, rho)(run, fresh)
         assert _same(batch_rows(noisy, 0), want) and _same(batch_rows(noisy, 1), want)
@@ -261,7 +262,7 @@ def test_keyed_fresh_resets_a_pending_uint32_and_a_partly_used_buffer(seeds, odd
 
 def _trials(start, run, noisy) -> list:
     """Each trial of the run: (its instance, its noisy observation)."""
-    return [(run[i], batch_rows(noisy, i)) for i in range(len(run))]
+    return [(inst, batch_rows(noisy, i)) for i, inst in enumerate(instances_of(run))]
 
 
 @pytest.mark.parametrize("params", MODEL_PARAMS, ids=lambda p: type(p).__name__)
@@ -285,7 +286,7 @@ def test_coupled_trials_custom_draw_keeps_noise_seeds():
 
     def draw(p, seed, ts):
         calls.append(ts)
-        return run_of([sample_instance(p, derive_seed(seed, 9, t)) for t in ts])
+        return stack_runs([sample_instance(p, derive_seed(seed, 9, t)) for t in ts])
 
     got = CoupledTrials(params, [(0.5, 1)], 4, 3, draw=draw).map(_trials)
     assert calls == [range(0, 3)]
@@ -299,7 +300,7 @@ def test_instance_runs_match_sample_instance_across_a_run_boundary(params):
     # the runs solve and pca-window draw: trial t is sample_instance at seed path (seed, INSTANCE_STREAM, t)
     runs = list(instance_runs(params, 13, EVAL_CHUNK + 2))
     assert [len(run) for run in runs] == [EVAL_CHUNK, 2]
-    got = [inst for run in runs for inst in run]
+    got = [inst for run in runs for inst in instances_of(run)]
     for t, inst in enumerate(got):
         assert hex_fields(inst) == hex_fields(sample_instance(params, derive_seed(13, 0, t)))
     assert trial_keys(13, 0, n=3).tolist() == [seed_sequence_philox_key(derive_seed(13, 0, t)).tolist() for t in range(3)]

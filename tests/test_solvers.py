@@ -106,7 +106,7 @@ def test_shortest_path_equals_the_matrix_bfs(n, q, seed):
 
 
 # the n=10, L=3, q=0.3 instance at seed 3, whose shortest path is (1, 4, 3, 2)
-_SEED3 = sample_instance(PspParams(n=10, L=3, q=0.3), seed=3).edges
+_SEED3 = sample_instance(PspParams(n=10, L=3, q=0.3), seed=3).edges[0]
 # input the adjacency-matrix form once read without a check -> the error it now raises
 BAD_EDGES = {
     "half-the-edges": (0.5 * _SEED3, 10, "edges entries must be 0 or 1"),
@@ -409,7 +409,7 @@ def test_gram_det_of_subset_sum_bases():
     # the square Lagarias-Odlyzko bases that lll_subset_sum reduces at N=20, 48 fractional bits
     for seed in range(40):
         inst = sample_instance(GssParams(N=20, k=3), derive_seed(seed, 0))
-        values = [_truncate(v, 48) for v in (*inst.X, inst.Y)]
+        values = [_truncate(v, 48) for v in (*inst.X[0], inst.Y[0])]
         rows = [[int(i == j) for j in range(20)] + [2**24 * values[i]] for i in range(20)]
         rows.append([0] * 20 + [2**24 * values[20]])
         assert _gram_det(rows) == gram_det_loop(rows) > 0
@@ -448,9 +448,9 @@ def test_subset_sum_recovers_planted():
     hits = 0
     for t in range(20):
         inst = sample_instance(params, seed=derive_seed(2024, 0, t))
-        got = lll_subset_sum(inst.X, inst.Y, 3, cfg)
-        oracle, err = exhaustive_subset_sum(inst.X, inst.Y, 3)
-        assert oracle == inst.S and err == 0.0
+        got = lll_subset_sum(inst.X[0], inst.Y[0], 3, cfg)
+        oracle, err = exhaustive_subset_sum(inst.X[0], inst.Y[0], 3)
+        assert oracle == tuple(inst.S[0].tolist()) and err == 0.0
         hits += got == oracle
     assert hits >= 19
 
@@ -459,10 +459,10 @@ def test_subset_sum_perturbed_target_returns_none():
     params = GssParams(N=20, k=3)
     cfg = LllConfig(bits=128)
     inst = sample_instance(params, seed=derive_seed(2024, 0, 0))
-    shifted = inst.Y + 1.0
-    _, err = exhaustive_subset_sum(inst.X, shifted, 3)
+    shifted = inst.Y[0] + 1.0
+    _, err = exhaustive_subset_sum(inst.X[0], shifted, 3)
     assert err > 20 * 2.0 ** (2 - 128)
-    assert lll_subset_sum(inst.X, shifted, 3, cfg) is None
+    assert lll_subset_sum(inst.X[0], shifted, 3, cfg) is None
 
 
 def test_subset_sum_invalid_k():
@@ -514,17 +514,29 @@ def test_lll_config_validation():
 def test_lll_config_rejects_a_negative_or_nan_slack(slack):
     # a negative or NaN tolerance slack * 2^(2 - bits) accepted no subset, so the planted S went unfound
     inst = sample_instance(GssParams(N=12, k=3), seed=5)
-    assert lll_subset_sum(inst.X, inst.Y, 3) == lll_subset_sum(inst.X, inst.Y, 3, LllConfig(slack=0)) == inst.S
+    X, Y, S = inst.X[0], inst.Y[0], tuple(inst.S[0].tolist())
+    assert lll_subset_sum(X, Y, 3) == lll_subset_sum(X, Y, 3, LllConfig(slack=0)) == S
     with pytest.raises(ParameterError, match="need slack >= 0 or None"):
         LllConfig(slack=slack)
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [("delta", "0.5", "a number"), ("bits", "64", "an integer"), ("bits", 64.0, "an integer"), ("slack", "3", "a number or None")],
+)
+def test_lll_config_rejects_a_field_that_is_not_a_number(field, value, kind):
+    # a string raised a bare TypeError from the range check; a float bits passed it, then raised one from the embedding's shift
+    with pytest.raises(ParameterError) as err:
+        LllConfig(**{field: value})
+    assert str(err.value) == f"LllConfig {field} must be {kind}, got {value!r}"
 
 
 def test_exhaustive_subset_sum_matches_the_combinations_loop():
     for t in range(10):
         inst = sample_instance(GssParams(N=12, k=3), seed=derive_seed(77, 0, t))
-        for target in (inst.Y, inst.Y + 0.37 * t, -inst.Y):
-            got = exhaustive_subset_sum(inst.X, target, 3)
-            want = exhaustive_subset_sum_loop(inst.X, target, 3)
+        for target in (inst.Y[0], inst.Y[0] + 0.37 * t, -inst.Y[0]):
+            got = exhaustive_subset_sum(inst.X[0], target, 3)
+            want = exhaustive_subset_sum_loop(inst.X[0], target, 3)
             assert got == want and got[1].hex() == want[1].hex()
     # on a tie the first subset in combinations order wins
     assert exhaustive_subset_sum(np.array([1.0, 1.0, 2.0]), 3.0, 2) == ((0, 2), 0.0)

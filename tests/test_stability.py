@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 import weakref
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import SOLVER_RECOVERS_RULES, coupled_trial_scalar, f2_solve_loop, measure_stability_loop, mmse_curve_loop, row_dots_loop, shortest_path_lists
 from oracles import stack_observations as stack_trials
+from oracles import trial_observation
 from plantedlab.bayes import MmseReport, estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
@@ -21,7 +23,6 @@ from plantedlab.models import (
     batch_size,
     model_name,
     path_edge_indices,
-    run_of,
     sample_instance,
     stack_observations,
     vertex_pairs,
@@ -107,7 +108,7 @@ def test_non_finite_estimator_output_carries_trial_index(bad_call, bad):
     # bad_call counts the arms in trial order, clean arm first: 2 and 3 are trial 1's two arms
     params = RlcParams(m=8, n=5)
     inst, noisy = coupled_trial_scalar(params, 0.5, 1, 1)
-    A, y = (inst.observation, noisy)[bad_call - 2]
+    A, y = (trial_observation(inst), noisy)[bad_call - 2]
 
     def flaky(observations):  # a stacked (A, y) of both arms
         out = np.ones((batch_size(observations), 5))
@@ -127,7 +128,7 @@ def test_failure_past_the_first_chunk_names_its_trial(how):
     # only the clean arm of trial EVAL_CHUNK + 3 fails; the chunk is re-run one trial at a time
     params, bad_trial = GssParams(N=8, k=2), EVAL_CHUNK + 3
     inst, _ = coupled_trial_scalar(params, 0.3, 6, bad_trial)
-    bad_Y = inst.observation[1]
+    bad_Y = trial_observation(inst)[1]
 
     def flaky(observations):  # a stacked (X, Y) of both arms
         out = np.ones((batch_size(observations), params.N))
@@ -197,14 +198,15 @@ def test_verify_barrier_provenance_mismatch():
         verify_barrier(stab, mmse_other_rho)
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, "1", [1.0]])
 def test_verify_barrier_rejects_an_alpha_that_is_not_finite(alpha):
-    # alpha = nan gave eta_threshold = nan and eta_within_threshold = False, with no error
+    # alpha = nan gave eta_threshold = nan and eta_within_threshold = False, with no error; a string
+    # or a list raised a bare TypeError from math.isfinite
     params = GssParams(N=8, k=2)
     stab = measure_stability("constant_prior_mean", params, rho=0.3, trials=20, seed=5)
     (mmse,) = estimate_mmse_curve(params, [0.3], trials=20, seed=5)
     assert verify_barrier(stab, mmse, alpha=-0.5).eta_threshold == 0.5**2 / 400
-    with pytest.raises(ParameterError, match="need a finite alpha"):
+    with pytest.raises(ParameterError, match=re.escape(f"need a finite alpha, got {alpha!r}")):
         verify_barrier(stab, mmse, alpha=alpha)
 
 
@@ -273,7 +275,7 @@ def test_bayes_optimality_among_registered_estimators():
     names = ("posterior_mean", "f2_round", "constant_prior_mean")
     instances = [sample_instance(params, derive_seed(8, 0, t)) for t in range(trials)]
     noisy = [noise_instance_observation(inst, rho, derive_seed(8, 1, t)) for t, inst in enumerate(instances)]
-    signals = np.array([inst.signal_vector() for inst in instances])
+    signals = np.array([inst.signal_vectors()[0] for inst in instances])
     errs = {}
     for name in names:
         diffs = resolve_estimator(name, params, rho)(stack_trials(noisy)) - signals
@@ -286,7 +288,7 @@ def test_bayes_optimality_among_registered_estimators():
 
 def test_shortest_path_indicator_is_zero_when_vertex_2_is_unreachable():
     params = PspParams(n=7, L=3, q=0.5)
-    edges = sample_instance(params, seed=3).edges.copy()
+    edges = sample_instance(params, seed=3).edges[0].copy()
     edges[[e for e, pair in enumerate(vertex_pairs(7)) if 2 in pair]] = False
     out = resolve_estimator("shortest_path_indicator", params, 0.0)(edges[None])
     assert out.shape == (1, 21) and not out.any()
@@ -362,7 +364,7 @@ def test_measure_stabilities_bit_identical_to_trial_loop(model):
 
 def _failing_at(params, rho: float, seed: int, trials: int, bad_trial: int, calls: list):
     """A batch estimator of ones that raises on trial bad_trial's clean arm, logging each batch size in calls."""
-    bad_Y = coupled_trial_scalar(params, rho, seed, bad_trial)[0].Y
+    bad_Y = coupled_trial_scalar(params, rho, seed, bad_trial)[0].Y[0]
 
     def flaky(observations):  # a stacked (X, Y) of both arms
         calls.append(batch_size(observations))
@@ -422,7 +424,7 @@ def test_measure_stabilities_reports_an_estimator_of_another_model_in_order():
 )
 def test_every_estimator_gives_one_shape_on_an_empty_batch(model, name):
     params = DIFFERENTIAL_PARAMS[model]
-    empty = batch_rows(run_of([sample_instance(params, 0)]).observation, slice(0, 0))
+    empty = batch_rows(sample_instance(params, 0).observation, slice(0, 0))
     assert resolve_estimator(name, params, 0.5)(empty).shape == (0,)
 
 
@@ -450,8 +452,8 @@ def test_solver_recovery_equals_the_rule_on_the_solver_output(params, seed, bits
 def test_a_solver_miss_is_no_recovery_when_the_fallback_is_the_signal():
     params = GssParams(N=6, k=6)
     inst = sample_instance(params, 27)
-    estimate = resolve_estimator("lll_subset_indicator", params, 0.0)(run_of([inst]).observation)[0]
-    assert np.array_equal(estimate, inst.signal_vector())
+    estimate = resolve_estimator("lll_subset_indicator", params, 0.0)(inst.observation)[0]
+    assert np.array_equal(estimate, inst.signal_vectors()[0])
     assert not solver_recovers(inst)
 
 
@@ -531,7 +533,7 @@ def test_map_caps_a_run_by_observation_bytes(params, trials, runs):
     rows = batch.map(corner)
     assert [(start, size, size) for start, size in runs] == seen
     want = [coupled_trial_scalar(params, 0.5, 4, t) for t in range(trials)]
-    assert rows == [(inst.Y[0, 0, 0], noisy[0, 0, 0]) for inst, noisy in want]
+    assert rows == [(inst.Y[0, 0, 0, 0], noisy[0, 0, 0]) for inst, noisy in want]
 
 
 @pytest.mark.parametrize("n, L", [(5, 2), (7, 3), (9, 4), (8, 5)])
@@ -554,7 +556,7 @@ SMALL_PARAMS = {
 def _fails_on_trial(params, rho: float, seed: int, trials: int, bad_trial: int, arm: int = 0):
     """A batch estimator of ones that raises on any observation equal to trial bad_trial's clean one (arm 0) or noisy one at rho (arm 1)."""
     inst, noisy = coupled_trial_scalar(params, rho, seed, bad_trial)
-    bad = stack_observations(params, stack_trials([(inst.observation, noisy)[arm]]))
+    bad = stack_observations(params, stack_trials([(trial_observation(inst), noisy)[arm]]))
     dim = len(prior_mean_vector(params))
 
     def failing(observations):

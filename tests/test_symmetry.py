@@ -125,9 +125,9 @@ def test_tpca_overlap_distribution_stays_under_a_permutation_of_tensor_indices(s
     params = TpcaParams(n=8, k=2, d=3, lam=4.0)
     run, Y = _coupled(params, seed, trials=4)
     inverse = np.argsort(perm)  # index i of the permuted tensor is index perm[i] of Y
-    for t, inst in enumerate(run):
-        got = tpca_overlap_distribution(Y[t][perm][:, perm][:, :, perm], inverse[list(inst.support)], params)
-        want = tpca_overlap_distribution(Y[t], inst.support, params)
+    for t, support in enumerate(run.support):
+        got = tpca_overlap_distribution(Y[t][perm][:, perm][:, :, perm], inverse[support], params)
+        want = tpca_overlap_distribution(Y[t], support, params)
         np.testing.assert_allclose(got, want, rtol=0, atol=ULPS)
 
 
