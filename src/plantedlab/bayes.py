@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InconsistentInputError, ParameterError, ResourceBudgetError
 from .mc import mean_stderr
 from .models import (
+    EVAL_CHUNK_BYTES,
     GssParams,
     PspParams,
     RlcParams,
@@ -31,7 +32,7 @@ from .models import (
     subset_sums,
     subsets,
 )
-from .noise import EVAL_CHUNK_BYTES, CoupledTrials, check_rho
+from .noise import CoupledTrials, check_rho
 from .rng import INSTANCE_STREAM, derive_seeds, keyed_fresh, keyed_generator, philox_keys
 from .solvers import f2_ranks, pack_words
 
@@ -249,7 +250,10 @@ def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], par
 
     Returns (p_0, ..., p_k) with p_i the posterior probability that the drawn
     support shares exactly i indices with the planted one; sums to 1.
+    Raises ParameterError for another model's params.
     """
+    if not isinstance(params, TpcaParams):
+        raise ParameterError(f"the overlap distribution takes TpcaParams, got {type(params).__name__}")
     support = np.asarray(planted_support)
     valid = support.dtype.kind in "iu" and support.shape == (params.k,) and len(set(support.tolist())) == params.k
     if not (valid and 0 <= support.min() and support.max() < params.n):

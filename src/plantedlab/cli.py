@@ -28,8 +28,8 @@ from .counting import census_bytes, expected_count, null_graphs, overlap_histogr
 from .errors import ParameterError
 from .lowdeg import POLY_FAMILIES, DiagramSpec, diagram_expectation, diagram_mc_oracle, stability_ratio
 from .mc import mean_stderr
-from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_json
-from .noise import instance_runs, trial_runs
+from .models import MODEL_NAMES, check_json_types, params_from_json, params_to_json, trial_runs
+from .noise import instance_runs
 from .rng import DIAGRAM_STREAM, INSTANCE_STREAM, POLY_STREAM, POLY_TRIAL_STREAM, derive_seed, generator, keyed_runs, trial_keys
 from .solvers import LllConfig
 from .stability import SOLVERS, barrier_cell, check_estimator, measure_stability_grid, solver_recoveries, verify_barrier
@@ -77,7 +77,10 @@ class ExperimentConfig:
         return cls(**obj)
 
     def model_params(self):
-        return params_from_json({"model": self.model, **self.params})
+        """The params of model; a "model" key in params may repeat model, as params_to_json writes it, but not differ."""
+        if self.params.get("model", self.model) != self.model:
+            raise UsageError(f"params name the model {self.params['model']!r}, but the model is {self.model!r}")
+        return params_from_json({**self.params, "model": self.model})
 
     def validate(self) -> dict:
         """Check the config against COMMAND_TABLE; return its options with the defaults filled in."""

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError
-from .models import check_bits, check_shape, path_edge_indices, vertex_pairs
-from .noise import EVAL_CHUNK, EVAL_CHUNK_BYTES
+from .models import EVAL_CHUNK, EVAL_CHUNK_BYTES, check_bits, check_shape, path_edge_indices, vertex_pairs
 from .rng import generator, uniforms
 
 PAIR_BUDGET = 10**8

@@ -269,6 +269,19 @@ class _OneObservation:
         return float(self.evaluate_many(per_field(lambda a: np.asarray(a)[None], observation), params)[0])
 
 
+def _check_poly_model(poly, params, kind) -> None:
+    """ParameterError unless params are kind, the params of the polynomial's model: once a call, never per trial."""
+    if not isinstance(params, kind):
+        raise ParameterError(f"{type(poly).__name__} takes {kind.__name__}, got {type(params).__name__}")
+
+
+def _check_term_indices(poly, what: str, indices, bound: int, params) -> None:
+    """ParameterError unless each index the polynomial's terms read lies in 0..bound-1."""
+    bad = sorted({i for i in indices if not 0 <= i < bound})
+    if bad:
+        raise ParameterError(f"{type(poly).__name__} terms read {what} {bad}, outside 0..{bound - 1} at {params}")
+
+
 @dataclass(frozen=True)
 class RlcPoly(_OneObservation):
     """Polynomial over (A, y) bits in the +-1 character basis."""
@@ -282,8 +295,13 @@ class RlcPoly(_OneObservation):
     def evaluate_many(self, observations, params: RlcParams) -> np.ndarray:
         """evaluate at each (A, y) of a batch (models.stack_observations).
 
-        Terms accumulate in order, as for one observation.
+        Terms accumulate in order, as for one observation.  Raises ParameterError
+        for another model's params and for a cell or coordinate outside m x n.
         """
+        _check_poly_model(self, params, RlcParams)
+        cells, coords = [c for idx, _ in self.terms for c in idx.S], [i for idx, _ in self.terms for i in idx.T]
+        _check_term_indices(self, "rows", [i for i, _ in cells] + coords, params.m, params)
+        _check_term_indices(self, "columns", [j for _, j in cells], params.n, params)
         A, y = stack_observations(params, observations)
         total = np.zeros(len(A))
         for idx, c in self.terms:
@@ -304,8 +322,12 @@ class GssPoly(_OneObservation):
     def evaluate_many(self, observations, params: GssParams) -> np.ndarray:
         """evaluate at each (X, Y) of a batch (models.stack_observations).
 
-        Every product and sum keeps the one-observation order.
+        Every product and sum keeps the one-observation order.  Raises
+        ParameterError for another model's params and for a coordinate outside 0..N-1.
         """
+        _check_poly_model(self, params, GssParams)
+        coords = [coord for alpha, _, _ in self.terms for coord, _ in alpha]
+        _check_term_indices(self, "coordinates", coords, params.N, params)
         X, Y = stack_observations(params, observations)
         y = Y.astype(float) / math.sqrt(params.k)
         total = np.zeros(len(X))
@@ -379,8 +401,10 @@ class PspSymmetricPoly(_OneObservation):
         block's rows sums each row pairwise, as a 1-D placement sum does; the
         strided rows of a fancy gather would sum in another order.  The shape
         () is one placement with the empty product 1; a shape with no
-        placements adds 0.  Raises ParameterError unless 0 < q < 1.
+        placements adds 0.  Raises ParameterError for another model's params
+        and unless 0 < q < 1.
         """
+        _check_poly_model(self, params, PspParams)
         n, q = params.n, params.q
         if not 0.0 < q < 1.0:
             raise ParameterError(f"the centered edge basis needs 0 < q < 1, got q={q}")

@@ -25,11 +25,14 @@ Conventions
   instance is a run of one trial, the one record type: every consumer of
   one instance (instance_to_json, noise.noise_instance_observation,
   stability.solver_recovers) takes it through check_instance.
-* An observation is the fields _OBSERVED names for its model (PSP edges,
+* An observation is the fields its model's record names (PSP edges,
   RLC (A, y), GSS (X, Y), TPCA Y), a tuple when there are several.  A batch
   of observations is a run's stacked observation, each field an array with
   the trials along its first axis, and every estimator reads its batch
   through stack_observations, the one check of a field's shape and entries.
+* Each model is one record of _MODELS (params and run types, sampler,
+  observed fields, instance bytes, exact signal norm and prior mean, JSON
+  codec).  trial_runs cuts runs of trials at EVAL_CHUNK and EVAL_CHUNK_BYTES.
 
 JSON schema (stable field names)
 --------------------------------
@@ -51,7 +54,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -166,15 +169,6 @@ def check_finite(name: str, array: np.ndarray) -> None:
         raise ParameterError(f"{name} must be finite")
 
 
-# model -> the fields of its observation, in order: (name, params -> one trial's shape, entry check)
-_OBSERVED = {
-    "psp": (("edges", lambda p: (len(vertex_pairs(p.n)),), check_bits),),
-    "rlc": (("A", lambda p: (p.m, p.n), check_bits), ("y", lambda p: (p.m,), check_bits)),
-    "gss": (("X", lambda p: (p.N,), check_finite), ("Y", lambda p: (), check_finite)),
-    "tpca": (("Y", lambda p: (p.n,) * p.d, check_finite),),
-}
-
-
 def per_field(fn, *observations):
     """fn over the fields of observations of one model: fn of each field's arrays, a tuple when there are several."""
     return tuple(map(fn, *observations)) if isinstance(observations[0], tuple) else fn(*observations)
@@ -185,12 +179,12 @@ def stack_observations(params, observations) -> tuple:
 
     The batch is run.observation, or what the noise operator returns: each
     field is an array with the trials along its first axis.  Each field goes
-    through check_stack, then through its entry check in _OBSERVED.  Raises
+    through check_stack, then through its model's entry check.  Raises
     ParameterError on an observation of the wrong number of fields and on a
     field that is not an array of at least one axis, such as a list.
     """
     model = model_name(params)
-    spec = _OBSERVED[model]
+    spec = _MODELS[model].observed
     names = ", ".join(name for name, _, _ in spec)
     if len(spec) > 1 and not (isinstance(observations, tuple) and len(observations) == len(spec)):
         got = f"{len(observations)} fields" if isinstance(observations, tuple) else f"a {type(observations).__name__}"
@@ -287,8 +281,8 @@ class _Run:
 
     @property
     def observation(self):
-        """The fields _OBSERVED names for the model, stacked, in a tuple when there are several."""
-        values = tuple(getattr(self, name) for name, _, _ in _OBSERVED[model_name(self.params)])
+        """The observed fields of the model, stacked, in a tuple when there are several."""
+        values = tuple(getattr(self, name) for name, _, _ in _MODELS[model_name(self.params)].observed)
         return values if len(values) > 1 else values[0]
 
     def __len__(self) -> int:
@@ -454,58 +448,18 @@ def _sample_tpca(params: TpcaParams, count: int, fresh) -> TpcaRun:
     return TpcaRun(params, supports, Y)
 
 
-MODEL_NAMES = ("psp", "rlc", "gss", "tpca")
-
-_PARAM_TYPES = {"psp": PspParams, "rlc": RlcParams, "gss": GssParams, "tpca": TpcaParams}
-_SAMPLERS = {"psp": _sample_psp, "rlc": _sample_rlc, "gss": _sample_gss, "tpca": _sample_tpca}
-_RUN_TYPES = {"psp": PspRun, "rlc": RlcRun, "gss": GssRun, "tpca": TpcaRun}
-# bytes of an instance's arrays
-_INSTANCE_BYTES = {
-    "psp": lambda p: p.n * (p.n - 1) // 2,
-    "rlc": lambda p: p.m * p.n + p.n + p.m,
-    "gss": lambda p: 8 * p.N,
-    "tpca": lambda p: 8 * p.n**p.d,
-}
-# exact E||signal||^2
-_SIGNAL_NORMS = {
-    "psp": lambda p: float(p.L),
-    "rlc": lambda p: p.n / 2.0,
-    "gss": lambda p: float(p.k),
-    "tpca": lambda p: 1.0,
-}
-
-
-def model_name(params) -> str:
-    for name, tp in _PARAM_TYPES.items():
-        if isinstance(params, tp):
-            return name
-    raise ParameterError(f"unknown params type {type(params)!r}")
-
-
-def chunk_sampler(params):
-    """The model's sampler over a run of trials: draw(count, fresh) -> the run record of its count trials.
-
-    fresh(i) returns trial i's generator at its fresh state.  Each trial's
-    draws are read from it before fresh(i + 1) is called, and fresh(i) may be
-    called again for a GSS trial whose support numpy's own choice draws.
-    """
-    return partial(_SAMPLERS[model_name(params)], params)
-
-
-def sample_instance(params, seed: int):
-    """The instance drawn from generator(seed): chunk_sampler's run of one trial on it."""
-    return chunk_sampler(params)(1, lambda _: generator(seed))
-
-
-def instance_bytes(params) -> int:
-    """Bytes of the arrays of one instance of the model, but for its planted indices (PSP path, GSS S, TPCA support)
-    and GSS's one number Y."""
-    return _INSTANCE_BYTES[model_name(params)](params)
-
-
-def signal_norm(params) -> float:
-    """Exact E||signal||^2 for each model."""
-    return _SIGNAL_NORMS[model_name(params)](params)
+def _psp_prior_mean(params: PspParams) -> np.ndarray:
+    """Exact prior edge marginals of the planted path (L >= 2)."""
+    n, L = params.n, params.L
+    total_paths = math.perm(n - 2, L - 1)
+    p_end = math.perm(n - 3, L - 2) / total_paths  # a fixed {1,u} or {2,u} pair
+    p_mid = (
+        2 * (L - 2) * math.perm(n - 4, L - 3) / total_paths if L >= 3 else 0.0
+    )  # a fixed pair of non-endpoint vertices
+    out = np.full(len(vertex_pairs(n)), p_mid)
+    out[pair_ids(n)[1:3, 3:]] = p_end  # the pairs {1, u} and {2, u}
+    out[pair_ids(n)[1, 2]] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +541,9 @@ def params_from_json(obj: dict):
     rejected.  Values are passed on unconverted.
     """
     name = obj.get("model")
-    if name not in _PARAM_TYPES:
+    if name not in _MODELS:
         raise ParameterError(f"unknown model name {name!r}")
-    fs = {_JSON_KEYS.get(f.name, f.name): f for f in fields(_PARAM_TYPES[name])}
+    fs = {_JSON_KEYS.get(f.name, f.name): f for f in fields(_MODELS[name].params)}
     given = set(obj) - {"model"}
     if given != set(fs):
         raise ParameterError(
@@ -598,7 +552,7 @@ def params_from_json(obj: dict):
         )
     types = {key: int if f.type == "int" else float for key, f in fs.items()}  # postponed annotations: f.type is a string
     check_json_types(f"{name} field", {key: obj[key] for key in fs}, types)
-    return _PARAM_TYPES[name](**{f.name: obj[key] for key, f in fs.items()})
+    return _MODELS[name].params(**{f.name: obj[key] for key, f in fs.items()})
 
 
 def _psp_to_json(params: PspParams, path: np.ndarray, edges: np.ndarray) -> dict:
@@ -614,9 +568,11 @@ def _check_labels(what: str, labels, n: int) -> None:
 
 
 def _psp_from_json(params: PspParams, obj: dict) -> tuple:
-    """ParameterError unless each edge is two distinct labels in 1..n and the path
+    """ParameterError unless edges is a list, each edge two distinct labels in 1..n, and the path
     runs from 1 to 2 over L+1 distinct labels in 1..n."""
     n, path = params.n, obj["path"]
+    if not isinstance(obj["edges"], list):
+        raise ParameterError(f"PSP 'edges' must be a list of vertex pairs, got {obj['edges']!r}")
     edges = np.zeros(len(vertex_pairs(n)), dtype=bool)
     for edge in obj["edges"]:
         _check_labels("edge", edge, n)
@@ -665,20 +621,98 @@ def _tpca_from_json(params: TpcaParams, obj: dict) -> tuple:
     return support, _numbers_from_json("TPCA 'Y'", obj["Y"], params.n**params.d).reshape((params.n,) * params.d)
 
 
-# model -> (to_json(params, *one trial's fields), from_json(params, obj) -> one trial's fields,
-#           the keys of an instance beside "params")
-_INSTANCE_CODECS = {
-    "psp": (_psp_to_json, _psp_from_json, ("path", "edges")),
-    "rlc": (_rlc_to_json, _rlc_from_json, ("A", "x", "y")),
-    "gss": (_gss_to_json, _gss_from_json, ("X", "S", "Y")),
-    "tpca": (_tpca_to_json, _tpca_from_json, ("support", "Y")),
+# ---------------------------------------------------------------------------
+# the model table: one record per model
+
+
+class _Model(NamedTuple):
+    params: type  # its params dataclass
+    run: type  # its run record; the fields after params are its instance's JSON keys
+    sample: Callable  # (params, count, fresh) -> the run record of count trials (see chunk_sampler)
+    observed: tuple  # the fields of its observation, in order: (name, params -> one trial's shape, entry check)
+    instance_bytes: Callable  # params -> bytes of an instance's arrays (see instance_bytes)
+    signal_norm: Callable  # params -> exact E||signal||^2
+    prior_mean: Callable  # params -> exact prior mean of the signal vector
+    to_json: Callable  # (params, *one trial's fields) -> the instance's JSON fields
+    from_json: Callable  # (params, obj) -> one trial's fields
+
+
+_MODELS = {
+    "psp": _Model(
+        PspParams, PspRun, _sample_psp, (("edges", lambda p: (len(vertex_pairs(p.n)),), check_bits),),
+        lambda p: p.n * (p.n - 1) // 2, lambda p: float(p.L), _psp_prior_mean, _psp_to_json, _psp_from_json,
+    ),
+    "rlc": _Model(
+        RlcParams, RlcRun, _sample_rlc, (("A", lambda p: (p.m, p.n), check_bits), ("y", lambda p: (p.m,), check_bits)),
+        lambda p: p.m * p.n + p.n + p.m, lambda p: p.n / 2.0, lambda p: np.full(p.n, 0.5), _rlc_to_json, _rlc_from_json,
+    ),
+    "gss": _Model(
+        GssParams, GssRun, _sample_gss, (("X", lambda p: (p.N,), check_finite), ("Y", lambda p: (), check_finite)),
+        lambda p: 8 * p.N, lambda p: float(p.k), lambda p: np.full(p.N, p.k / p.N), _gss_to_json, _gss_from_json,
+    ),
+    "tpca": _Model(
+        TpcaParams, TpcaRun, _sample_tpca, (("Y", lambda p: (p.n,) * p.d, check_finite),),
+        lambda p: 8 * p.n**p.d, lambda p: 1.0, lambda p: np.full(p.n, (p.k / p.n) / math.sqrt(p.k)),
+        _tpca_to_json, _tpca_from_json,
+    ),
 }
+MODEL_NAMES = tuple(_MODELS)
+
+
+def model_name(params) -> str:
+    for name, model in _MODELS.items():
+        if isinstance(params, model.params):
+            return name
+    raise ParameterError(f"unknown params type {type(params)!r}")
+
+
+def chunk_sampler(params):
+    """The model's sampler over a run of trials: draw(count, fresh) -> the run record of its count trials.
+
+    fresh(i) returns trial i's generator at its fresh state.  Each trial's
+    draws are read from it before fresh(i + 1) is called, and fresh(i) may be
+    called again for a GSS trial whose support numpy's own choice draws.
+    """
+    return partial(_MODELS[model_name(params)].sample, params)
+
+
+def sample_instance(params, seed: int):
+    """The instance drawn from generator(seed): chunk_sampler's run of one trial on it."""
+    return chunk_sampler(params)(1, lambda _: generator(seed))
+
+
+def instance_bytes(params) -> int:
+    """Bytes of the arrays of one instance of the model, but for its planted indices (PSP path, GSS S, TPCA support)
+    and GSS's one number Y."""
+    return _MODELS[model_name(params)].instance_bytes(params)
+
+
+# bounds on the run of consecutive trials that a CoupledTrials pass hands its lanes
+EVAL_CHUNK = 256
+EVAL_CHUNK_BYTES = 2**22
+
+
+def trial_runs(n: int, trial_bytes: int) -> list[range]:
+    """range(n) in consecutive runs of at most EVAL_CHUNK trials and EVAL_CHUNK_BYTES
+    at trial_bytes a trial, but of at least one trial."""
+    size = min(EVAL_CHUNK, max(1, EVAL_CHUNK_BYTES // trial_bytes))
+    return [range(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def signal_norm(params) -> float:
+    """Exact E||signal||^2 for each model."""
+    return _MODELS[model_name(params)].signal_norm(params)
+
+
+def prior_mean_vector(params) -> np.ndarray:
+    """Exact prior mean of the signal vector."""
+    return _MODELS[model_name(params)].prior_mean(params)
 
 
 def instance_to_json(inst) -> dict:
     """The JSON object of an instance, a run of one trial."""
-    to_json, _, keys = _INSTANCE_CODECS[model_name(check_instance(inst).params)]
-    return {"params": params_to_json(inst.params), **to_json(inst.params, *(getattr(inst, key)[0] for key in keys))}
+    to_json = _MODELS[model_name(check_instance(inst).params)].to_json
+    return {"params": params_to_json(inst.params), **to_json(inst.params, *(getattr(inst, f.name)[0] for f in fields(inst)[1:]))}
 
 
 def instance_from_json(obj: dict):
@@ -689,14 +723,14 @@ def instance_from_json(obj: dict):
     check_json_types("instance", {"params": obj["params"]}, {"params": dict})
     params = params_from_json(obj["params"])
     name = model_name(params)
-    _, from_json, keys = _INSTANCE_CODECS[name]
+    keys = [f.name for f in fields(_MODELS[name].run)[1:]]
     given = set(obj) - {"params"}
     if given != set(keys):
         raise ParameterError(
             f"{name} instance needs fields {sorted(keys)}; "
             f"missing {sorted(set(keys) - given)}, unknown {sorted(given - set(keys))}"
         )
-    return _RUN_TYPES[name](params, *(field[None] for field in from_json(params, obj)))
+    return _MODELS[name].run(params, *(field[None] for field in _MODELS[name].from_json(params, obj)))
 
 
 def path_edge_indices(n: int, L: int) -> np.ndarray:

@@ -12,7 +12,8 @@ Generator normals.  It returns the run's noisy observation stacked as
 run.observation is: PSP's edges (T, P), RLC's (A, y), GSS's (X, Y) and TPCA's
 Y, each array with the trials along its first axis.
 noise_instance_observation takes an explicit seed instead, so the same noise
-realization can be replayed against different estimators.
+realization can be replayed against different estimators.  CoupledTrials
+passes over runs of models.trial_runs, which bounds each run's size.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mc import run_trials
-from .models import batch_rows, check_instance, chunk_sampler, instance_bytes, model_name, per_field, vertex_pairs
+from .models import batch_rows, check_instance, chunk_sampler, instance_bytes, model_name, per_field, trial_runs, vertex_pairs
 from .rng import (
     INSTANCE_STREAM,
     NOISE_STREAM,
@@ -36,11 +37,6 @@ from .rng import (
     uniforms,
 )
 
-# bounds on the run of consecutive trials that a CoupledTrials pass hands its lanes
-EVAL_CHUNK = 256
-EVAL_CHUNK_BYTES = 2**22
-
-
 def check_rho(rho: float) -> None:
     if not (0.0 <= rho <= 1.0):
         raise ParameterError(f"need rho in [0,1], got {rho}")
@@ -49,13 +45,6 @@ def check_rho(rho: float) -> None:
 def check_trials(n: int) -> None:
     if n < 1:
         raise ParameterError(f"no values to average; need at least one trial, got {n}")
-
-
-def trial_runs(n: int, trial_bytes: int) -> list[range]:
-    """range(n) in consecutive runs of at most EVAL_CHUNK trials and EVAL_CHUNK_BYTES
-    at trial_bytes a trial, but of at least one trial."""
-    size = min(EVAL_CHUNK, max(1, EVAL_CHUNK_BYTES // trial_bytes))
-    return [range(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def instance_runs(params, seed: int, n: int):
@@ -176,7 +165,7 @@ class CoupledTrials:
         observation in the arm, stacked as run.observation is, and
         reduce(outputs) takes the lane's fn results, one a run, in trial
         order.  A lane whose arm's rho is out of range or whose make raises
-        fails before the pass.  Each run (trial_runs of the trials, each
+        fails before the pass.  Each run (models.trial_runs of the trials, each
         counted at twice its instance's arrays) is drawn once, then noised
         one arm at a time, in arm order, and each live lane of that arm
         scores it, in rank order.  A lane that raises stops, and so does

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
 from .models import SUBSET_BUDGET, check_bits, check_finite, check_shape, check_stack, pair_ids, subset_sum_value
-from .models import subset_sums, subsets, vertex_pairs
-from .noise import trial_runs
+from .models import subset_sums, subsets, trial_runs, vertex_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +57,7 @@ def shortest_paths(edges, n: int) -> np.ndarray:
     ParameterError in models.stack_observations' words.  Row t holds graph
     t's path from vertex 1 to vertex 2 followed by zeros, or only zeros when
     vertex 2 is unreachable.  The adjacency matrices are built for runs of
-    graphs that fit EVAL_CHUNK_BYTES (noise.trial_runs).
+    graphs that fit EVAL_CHUNK_BYTES (models.trial_runs).
     """
     if n < 2:
         raise ParameterError(f"need n >= 2 for the vertices 1 and 2, got n={n}")

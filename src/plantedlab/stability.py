@@ -22,7 +22,7 @@ import numpy as np
 from .bayes import MmseReport, mmse_report, posterior_means, squared_errors
 from .errors import EstimatorTrialError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
-from .models import PspParams, batch_rows, check_instance, model_name, pair_ids, per_field, stack_observations, vertex_pairs
+from .models import batch_rows, check_instance, model_name, pair_ids, per_field, prior_mean_vector, stack_observations, vertex_pairs
 from .noise import CoupledTrials
 from .solvers import LllConfig, f2_rref, lll_subset_sum, shortest_paths
 
@@ -32,33 +32,6 @@ BARRIER_SIGMAS = 3.0
 
 # ---------------------------------------------------------------------------
 # registered estimators
-
-
-def _psp_prior_mean(params: PspParams) -> np.ndarray:
-    """Exact prior edge marginals of the planted path (L >= 2)."""
-    n, L = params.n, params.L
-    total_paths = math.perm(n - 2, L - 1)
-    p_end = math.perm(n - 3, L - 2) / total_paths  # a fixed {1,u} or {2,u} pair
-    p_mid = (
-        2 * (L - 2) * math.perm(n - 4, L - 3) / total_paths if L >= 3 else 0.0
-    )  # a fixed pair of non-endpoint vertices
-    out = np.full(len(vertex_pairs(n)), p_mid)
-    out[pair_ids(n)[1:3, 3:]] = p_end  # the pairs {1, u} and {2, u}
-    out[pair_ids(n)[1, 2]] = 0.0
-    return out
-
-
-_PRIOR_MEANS = {
-    "psp": _psp_prior_mean,
-    "rlc": lambda p: np.full(p.n, 0.5),
-    "gss": lambda p: np.full(p.N, p.k / p.N),
-    "tpca": lambda p: np.full(p.n, (p.k / p.n) / math.sqrt(p.k)),
-}
-
-
-def prior_mean_vector(params) -> np.ndarray:
-    """Exact prior mean of the signal vector."""
-    return _PRIOR_MEANS[model_name(params)](params)
 
 
 class Solver(NamedTuple):

@@ -201,6 +201,28 @@ MUTANTS = (
         "len(run) >= 1",
         ("tests/test_models.py::test_one_trial_consumers_reject_a_run_of_another_length",),
     ),
+    # outside input of another form or another model
+    Mutant(
+        "a PSP instance's edges taken without checking that they are a list",
+        "src/plantedlab/models.py",
+        'if not isinstance(obj["edges"], list):',
+        "if False:",
+        ("tests/test_models.py::test_psp_instance_json_rejects_edges_that_are_not_a_list",),
+    ),
+    Mutant(
+        "a model key in params overrides the config's model",
+        "src/plantedlab/cli.py",
+        'if self.params.get("model", self.model) != self.model:',
+        "if False:",
+        ("tests/test_cli.py::test_params_naming_another_model_exit_2_and_write_nothing",),
+    ),
+    Mutant(
+        "a polynomial evaluated at another model's params",
+        LOWDEG,
+        "if not isinstance(params, kind):",
+        "if False:",
+        ("tests/test_lowdeg.py::test_polynomials_reject_another_models_params_or_a_term_outside_them",),
+    ),
 )
 
 STATISTICAL = (
@@ -267,8 +289,8 @@ STATISTICAL = (
     Mutant(
         "the RLC signal norm n/1.8 in place of n/2",
         "src/plantedlab/models.py",
-        '"rlc": lambda p: p.n / 2.0,',
-        '"rlc": lambda p: p.n / 1.8,',
+        "lambda p: p.n / 2.0,",
+        "lambda p: p.n / 1.8,",
         ("tests/test_models.py::test_signal_norms", "tests/test_bayes.py::test_mmse_curve_rlc_endpoints_exact"),
     ),
     Mutant(
@@ -301,7 +323,7 @@ STATISTICAL = (
     ),
     Mutant(
         "the PSP prior mean of the pairs at vertices 1 and 2 times 1.1",
-        STABILITY,
+        "src/plantedlab/models.py",
         "out[pair_ids(n)[1:3, 3:]] = p_end",
         "out[pair_ids(n)[1:3, 3:]] = 1.1 * p_end",
         ("tests/test_stability.py::test_psp_prior_mean_equals_path_enumeration",),

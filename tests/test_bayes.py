@@ -38,6 +38,7 @@ from plantedlab.bayes import (
 from plantedlab.counting import count_approx_paths, count_overlap_pairs
 from plantedlab.errors import EstimatorTrialError, InconsistentInputError, ParameterError, ResourceBudgetError
 from plantedlab.models import (
+    EVAL_CHUNK,
     GssParams,
     PspParams,
     RlcParams,
@@ -48,7 +49,7 @@ from plantedlab.models import (
     sample_instance,
     subsets,
 )
-from plantedlab.noise import EVAL_CHUNK, CoupledTrials, noise_instance_observation
+from plantedlab.noise import CoupledTrials, noise_instance_observation
 from plantedlab.rng import derive_seed, generator
 from plantedlab.solvers import f2_rank
 from plantedlab.stability import measure_stability
@@ -319,6 +320,15 @@ def test_tpca_overlap_distribution_rejects_a_malformed_support(support):
     inst = sample_instance(params, seed=1)
     with pytest.raises(ParameterError, match="2 distinct integers in 0..4"):
         tpca_overlap_distribution(inst.Y[0], support, params)
+
+
+@pytest.mark.parametrize("params", [GssParams(N=8, k=2), PspParams(n=6, L=3, q=0.3), RlcParams(m=6, n=4)], ids=repr)
+def test_tpca_overlap_distribution_rejects_another_models_params(params):
+    # each raised a bare AttributeError
+    Y = sample_instance(TpcaParams(n=5, k=2, d=3, lam=2.0), seed=1).Y[0]
+    with pytest.raises(ParameterError) as err:
+        tpca_overlap_distribution(Y, [0, 1], params)
+    assert str(err.value) == f"the overlap distribution takes TpcaParams, got {type(params).__name__}"
 
 
 def test_tpca_high_snr_posterior_concentrates():

@@ -13,9 +13,10 @@ import pytest
 
 from oracles import count_paths_rows_loop, hex_fields, instances_of, seed_sequence_philox_key
 from plantedlab.cli import COMMAND_TABLE, COMMANDS, CSV_HEADER, REQUIRED, ExperimentConfig, _build_parser, main, run
-from plantedlab.models import MODEL_NAMES, PspParams, TpcaParams, batch_size, sample_instance
+from plantedlab.models import EVAL_CHUNK, MODEL_NAMES, PspParams, RlcParams, TpcaParams, batch_size, params_to_json
+from plantedlab.models import sample_instance
 from plantedlab import noise
-from plantedlab.noise import EVAL_CHUNK, CoupledTrials
+from plantedlab.noise import CoupledTrials
 from plantedlab.rng import derive_seed, keyed_fresh
 from plantedlab.stability import ESTIMATORS
 
@@ -590,6 +591,43 @@ def test_malformed_params_exit_2(tmp_path, capsys, params, message):
     code = main([*argv, "--out", str(tmp_path / "x")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+# params whose "model" key names another model than --model; the first three ran on the params' model and
+# exited 0, writing rows under the other name, and the last two exited 1 with a bare TypeError or AttributeError
+_GRID_ARGV = ["--rho-grid", "0.5", "--trials", "3"]
+OTHER_MODEL_PARAMS = {
+    "solve": (["solve", "--model", "rlc", "--params", '{"model":"gss","N":8,"k":2}', "--trials", "3"], "gss", "rlc"),
+    "mmse-curve": (["mmse-curve", "--model", "rlc", "--params", '{"model":"psp","n":6,"L":3,"q":0.3}', *_GRID_ARGV], "psp", "rlc"),
+    "stability": (
+        ["stability", "--model", "gss", "--params", '{"model":"rlc","m":6,"n":4}', *_GRID_ARGV, "--estimators", "f2_round"],
+        "rlc",
+        "gss",
+    ),
+    "pca-window": (
+        ["pca-window", "--model", "tpca", "--params", '{"model":"gss","N":8,"k":2}', "--trials", "3", "--options", '{"lambdas":[1]}'],
+        "gss",
+        "tpca",
+    ),
+    "lowdeg-stability": (["lowdeg-stability", "--model", "gss", "--params", '{"model":"rlc","m":6,"n":4}', *_GRID_ARGV], "rlc", "gss"),
+}
+
+
+@pytest.mark.parametrize("command", OTHER_MODEL_PARAMS)
+def test_params_naming_another_model_exit_2_and_write_nothing(tmp_path, capsys, command):
+    argv, named, model = OTHER_MODEL_PARAMS[command]
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"params name the model {named!r}, but the model is {model!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_params_repeating_the_model_run_as_without_the_key(tmp_path):
+    # params_to_json writes the model name into params, so its output can be pasted as --params
+    pasted = json.dumps(params_to_json(RlcParams(m=6, n=4)))
+    for name, params in (("pasted", pasted), ("bare", '{"m":6,"n":4}')):
+        assert main(["solve", "--model", "rlc", "--params", params, "--trials", "5", "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "pasted.csv").read_bytes() == (tmp_path / "bare.csv").read_bytes()
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

@@ -20,8 +20,7 @@ from plantedlab.counting import (
     sample_null_graph,
 )
 from plantedlab.errors import ParameterError
-from plantedlab.models import pair_ids
-from plantedlab.noise import EVAL_CHUNK
+from plantedlab.models import EVAL_CHUNK, pair_ids
 from plantedlab.rng import derive_seed
 
 

@@ -8,9 +8,12 @@ adjacency-matrix conversions, bayes, lowdeg and stability check
 observations only through models.stack_observations, no src call passes a
 list as a batch of observations, src keeps one trial form (an instance is
 a run of one trial: no instance class, no run indexing or iteration, no
-run_of), cli draws no instance or null graph one seed at a time, no src module but noise keeps a caught exception to raise
-it later, and src calls no numpy function newer than the numpy floor in
-pyproject.toml.
+run_of), src keeps one record per model (the only per-model tables are
+models._MODELS and the kernel tables noise._NOISE, bayes._POSTERIORS and
+lowdeg.POLY_FAMILIES, and solvers and counting take the run-size rule from
+models, not noise), cli draws no instance or null graph one seed at a time,
+no src module but noise keeps a caught exception to raise it later, and src
+calls no numpy function newer than the numpy floor in pyproject.toml.
 """
 
 from __future__ import annotations
@@ -319,6 +322,62 @@ def test_src_keeps_one_trial_form():
     src = sorted((ROOT / "src" / "plantedlab").glob("*.py"))
     found = {p.name: second_trial_forms(p.read_text(encoding="utf-8")) for p in src}
     assert len(src) > 10 and {name: forms for name, forms in found.items() if forms} == {}
+
+
+# one record per model: models._MODELS holds what models knows of each model, and the only other per-model
+# tables are the kernels models cannot hold, since it would import the modules that import it; solvers and
+# counting read the run-size rule (trial_runs, EVAL_CHUNK, EVAL_CHUNK_BYTES) from models, so neither imports noise
+MODEL_TABLES = {("models", "_MODELS"), ("noise", "_NOISE"), ("bayes", "_POSTERIORS"), ("lowdeg", "POLY_FAMILIES")}
+MODEL_KEYS = {"psp", "rlc", "gss", "tpca"}
+
+
+def model_tables(source: str, nested: bool = False) -> list[tuple[int, str]]:
+    """(line, name) of each module-level assignment (any assignment, when nested) of a dict display with a model
+    name among its keys."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree) if nested else tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            if {k.value for k in node.value.keys if isinstance(k, ast.Constant)} & MODEL_KEYS:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def noise_imports(source: str) -> list[int]:
+    """Lines that import noise or a name from it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "noise")
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "noise" for alias in node.names))
+        or (isinstance(node, ast.Import) and any(alias.name.split(".")[-1] == "noise" for alias in node.names))
+    )
+
+
+def test_model_table_scan_finds_planted_tables():
+    planted = (
+        "_PRIOR_MEANS = {'psp': psp_mean, 'rlc': half}\n"
+        "_SIGNAL_NORMS: dict = {'tpca': one}\n"
+        "_JSON_KEYS = {'lam': 'lambda'}\n"
+        "def prior_mean_vector(params):\n"
+        "    means = {'gss': k_over_n}\n"
+        "from .noise import trial_runs\n"
+        "from . import models, noise\n"
+        "import plantedlab.noise as nz\n"
+        "from .models import EVAL_CHUNK, trial_runs\n"
+    )
+    assert model_tables(planted) == [(1, "_PRIOR_MEANS"), (2, "_SIGNAL_NORMS")]
+    assert model_tables(planted, nested=True) == [(1, "_PRIOR_MEANS"), (2, "_SIGNAL_NORMS"), (5, "means")]
+    assert noise_imports(planted) == [6, 7, 8]
+
+
+def test_src_keeps_one_record_per_model():
+    src = {p.stem: p.read_text(encoding="utf-8") for p in (ROOT / "src" / "plantedlab").glob("*.py")}
+    assert len(src) > 10
+    assert {(module, name) for module, source in src.items() for _, name in model_tables(source)} == MODEL_TABLES
+    assert model_tables(src["stability"], nested=True) == []
+    assert {module: noise_imports(src[module]) for module in ("solvers", "counting")} == {"solvers": [], "counting": []}
 
 
 # numpy functions src may call only when the pyproject floor is at least the version that added them

@@ -49,15 +49,17 @@ from plantedlab.lowdeg import (
     stability_ratio,
 )
 from plantedlab.models import (
+    EVAL_CHUNK,
     GssParams,
     PspParams,
     RlcParams,
     batch_rows,
+    chunk_sampler,
     model_name,
     placements,
     sample_instance,
 )
-from plantedlab.noise import EVAL_CHUNK, CoupledTrials
+from plantedlab.noise import CoupledTrials
 from plantedlab.rng import generator
 
 
@@ -595,6 +597,60 @@ def test_evaluate_many_rejects_observations_outside_the_model(case):
     obs = trial_observation(sample_instance(observed, seed=6))
     with pytest.raises(ParameterError, match=message):
         poly.evaluate_many(stack_observations([change(obs) if change else obs]), params)
+
+
+# a polynomial at another model's params, or at params its terms reach past -> (the call, the error it raises);
+# the first returned a StabilityRatio read off GSS's (X, Y) as (A, y), the next two raised a bare AttributeError
+# and the last three a bare IndexError
+FOREIGN_PARAMS_CASES = {
+    "rlc-poly-at-gss-params-in-stability-ratio": (
+        lambda: stability_ratio(random_rlc_poly(RlcParams(m=6, n=4), 2, generator(1)), GssParams(N=8, k=2), 0.3, 50, 1),
+        "RlcPoly takes RlcParams, got GssParams",
+    ),
+    "gss-poly-at-rlc-params": (
+        lambda: random_gss_poly(GssParams(N=8, k=2), 2, generator(1)).evaluate_many(
+            _run_observation(RlcParams(m=6, n=4)), RlcParams(m=6, n=4)
+        ),
+        "GssPoly takes GssParams, got RlcParams",
+    ),
+    "psp-poly-at-rlc-params": (
+        lambda: random_psp_symmetric_poly(PspParams(n=8, L=3, q=0.3), 2, generator(1)).evaluate_many(
+            _run_observation(RlcParams(m=6, n=4)), RlcParams(m=6, n=4)
+        ),
+        "PspSymmetricPoly takes PspParams, got RlcParams",
+    ),
+    "rlc-poly-past-the-code": (
+        lambda: RlcPoly(((CharacterIndex.make([(5, 3), (1, 1)], [4]), 1.0),)).evaluate_many(
+            _run_observation(RlcParams(m=3, n=2)), RlcParams(m=3, n=2)
+        ),
+        "RlcPoly terms read rows [4, 5], outside 0..2 at RlcParams(m=3, n=2)",
+    ),
+    "rlc-poly-past-the-columns": (
+        lambda: RlcPoly(((CharacterIndex.make([(0, 3)]), 1.0),)).evaluate_many(
+            _run_observation(RlcParams(m=6, n=2)), RlcParams(m=6, n=2)
+        ),
+        "RlcPoly terms read columns [3], outside 0..1 at RlcParams(m=6, n=2)",
+    ),
+    "gss-poly-past-N": (
+        lambda: GssPoly(((((2, 1), (18, 1)), 0, 1.0),)).evaluate_many(
+            _run_observation(GssParams(N=8, k=2)), GssParams(N=8, k=2)
+        ),
+        "GssPoly terms read coordinates [18], outside 0..7 at GssParams(N=8, k=2)",
+    ),
+}
+
+
+def _run_observation(params):
+    return chunk_sampler(params)(3, generator).observation
+
+
+@pytest.mark.filterwarnings("ignore:degree")
+@pytest.mark.parametrize("case", FOREIGN_PARAMS_CASES)
+def test_polynomials_reject_another_models_params_or_a_term_outside_them(case):
+    call, message = FOREIGN_PARAMS_CASES[case]
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("model", sorted(POLY_CASES))

@@ -28,6 +28,7 @@ from plantedlab.bayes import posterior_means, tpca_overlap_distribution
 from plantedlab.errors import ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import PSP_SHAPE_LIBRARY, CharacterIndex, GssPoly, PspSymmetricPoly, RlcPoly, _character_sign_tables
 from plantedlab.models import (
+    EVAL_CHUNK,
     GssParams,
     PspParams,
     RlcParams,
@@ -46,7 +47,7 @@ from plantedlab.models import (
     subset_sums,
     subsets,
 )
-from plantedlab.noise import EVAL_CHUNK, noise_instance_observation
+from plantedlab.noise import noise_instance_observation
 from plantedlab.rng import (
     INSTANCE_STREAM,
     coin_bits,
@@ -318,6 +319,15 @@ def test_psp_instance_json_rejects_malformed_fields(case):
     instance_from_json(blob)
     with pytest.raises(ParameterError, match=re.escape(message)):
         instance_from_json({**blob, key: value})
+
+
+# each raised a bare TypeError ("'int' object is not iterable") that named no key
+@pytest.mark.parametrize("edges", [5, None, 2.5, True], ids=repr)
+def test_psp_instance_json_rejects_edges_that_are_not_a_list(edges):
+    blob = instance_to_json(sample_instance(PspParams(n=6, L=3, q=0.3), seed=1))
+    with pytest.raises(ParameterError) as err:
+        instance_from_json({**blob, "edges": edges})
+    assert str(err.value) == f"PSP 'edges' must be a list of vertex pairs, got {edges!r}"
 
 
 # a malformed RLC, GSS or TPCA instance field -> the error it raises; each once loaded (a bit string

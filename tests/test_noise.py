@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from plantedlab.errors import ParameterError
 from plantedlab.models import (
+    EVAL_CHUNK,
     GssParams,
     GssRun,
     PspParams,
@@ -33,7 +34,7 @@ from oracles import (
 )
 from plantedlab import bayes
 from plantedlab.bayes import _sample_full_rank_rlc, full_rank_run
-from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, noise_instance_observation
+from plantedlab.noise import CoupledTrials, chunk_noise, noise_instance_observation
 from plantedlab.rng import INSTANCE_STREAM, NOISE_STREAM, derive_seed, derive_seeds, keyed_fresh, keyed_generator, philox_keys
 
 

@@ -21,6 +21,7 @@ from oracles import (
 from plantedlab import rng
 from plantedlab.errors import ParameterError
 from plantedlab.models import (
+    EVAL_CHUNK,
     GssParams,
     PspParams,
     RlcParams,
@@ -30,7 +31,7 @@ from plantedlab.models import (
     instance_to_json,
     sample_instance,
 )
-from plantedlab.noise import EVAL_CHUNK, CoupledTrials, chunk_noise, instance_runs, noise_instance_observation
+from plantedlab.noise import CoupledTrials, chunk_noise, instance_runs, noise_instance_observation
 from plantedlab.rng import (
     KEY_MEMO_BYTES,
     derive_seed,

@@ -15,6 +15,8 @@ from plantedlab.bayes import MmseReport, estimate_mmse_curve
 from plantedlab.errors import EstimatorTrialError, IllConditionedError, ParameterError, ResourceBudgetError
 from plantedlab.lowdeg import random_rlc_poly, stability_ratio
 from plantedlab.models import (
+    EVAL_CHUNK,
+    EVAL_CHUNK_BYTES,
     GssParams,
     PspParams,
     RlcParams,
@@ -27,7 +29,7 @@ from plantedlab.models import (
     stack_observations,
     vertex_pairs,
 )
-from plantedlab.noise import EVAL_CHUNK, EVAL_CHUNK_BYTES, CoupledTrials
+from plantedlab.noise import CoupledTrials
 from plantedlab.rng import generator
 from plantedlab.solvers import LllConfig, lll_subset_sum
 from plantedlab.stability import (
