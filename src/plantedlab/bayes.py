@@ -25,6 +25,7 @@ from .models import (
     TpcaParams,
     chunk_sampler,
     model_name,
+    pairwise_row_sums,
     path_edge_indices,
     per_field,
     signal_norm,
@@ -86,7 +87,7 @@ def _psp_posteriors(params: PspParams, rho: float, edges: np.ndarray) -> np.ndar
     n, L, q = params.n, params.L, params.q
     edge_present = edges.astype(float)
     path_idx = path_edge_indices(n, L)
-    m_in = edge_present[:, path_idx].sum(axis=2)  # edges of each H present in each graph
+    m_in = pairwise_row_sums(edge_present, path_idx)  # edges of each H present in each graph
     p1 = 1.0 - rho * (1.0 - q)
 
     def coef_log(coef: np.ndarray, p: float) -> np.ndarray:
@@ -138,12 +139,14 @@ def _rlc_profiles(A: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndar
     lo = (index & (1 << a) - 1) * (m + 1)
     bits = (np.arange(1 << low - a) >> np.arange(low - a)[:, None] & 1).astype(np.float32)  # bit i of each value
     halves = ((0, bits[:a], lo), (a, bits, (index >> a) * (m + 1) - lo))  # (first bit, its bits, key offset)
+    trial_keys = (np.arange(T)[:, None] << low - a) * (m + 1)
     count = np.zeros((T, m + 1))
     ones = np.zeros((T, m + 1, n))
     for prefix in range(1 << (n - low)):
         codes = table ^ high[:, prefix, None] if prefix else table
-        keys = np.bitwise_count(codes).sum(axis=2, dtype=np.intp)
-        keys += (np.arange(T)[:, None] << low - a) * (m + 1)
+        keys = np.add(np.bitwise_count(codes[:, :, 0]), trial_keys, dtype=np.intp)  # a weight a word, no reduce
+        for word in range(1, codes.shape[2]):
+            keys += np.bitwise_count(codes[:, :, word])
         for at, half_bits, offset in halves:  # the offset turns a weight, or the key of the half before, into a key
             keys += offset
             hist = None  # the histogram before is freed before this one is counted
@@ -189,9 +192,11 @@ def _gss_posteriors(params: GssParams, rho: float, X: np.ndarray, y_hat: np.ndar
     """Posterior means of subset membership given each noisy sum.
 
     For rho > 0, subset S has Gaussian log-weight
-    -(y_hat - sqrt(1-rho^2) * sum_S)^2 / (2 rho^2).  rho = 0 is the exact-match
-    case: the weight concentrates on subsets whose float sum (left-to-right
-    over sorted indices) reproduces y_hat bit-exactly.
+    -(y_hat - sqrt(1-rho^2) * sum_S)^2 / (2 rho^2), sum_S in numpy's pairwise
+    order of S's entries as a contiguous row (pairwise_row_sums).  rho = 0 is
+    the exact-match case: the weight concentrates on subsets whose float sum
+    (left-to-right over sorted indices) reproduces y_hat bit-exactly.  The two
+    orders agree for k < 8.
     """
     N, k = params.N, params.k
     X, y_hat = np.asarray(X, dtype=float), np.asarray(y_hat, dtype=float)[:, None]
@@ -202,10 +207,12 @@ def _gss_posteriors(params: GssParams, rho: float, X: np.ndarray, y_hat: np.ndar
         if not found.all():
             raise InconsistentInputError("no k-subset reproduces y_hat exactly at rho=0")
         return np.array([np.bincount(combos[row].ravel(), minlength=N) / c for row, c in zip(hits, found)])
-    # a C-ordered block keeps numpy's pairwise order in each row sum
-    sums = np.ascontiguousarray(np.take(X, combos, axis=1)).sum(axis=2)
-    shrink = math.sqrt(1.0 - rho * rho)
-    lw = -((y_hat - shrink * sums) ** 2) / (2.0 * rho * rho)
+    # -((y_hat - shrink * sums) ** 2) / (2 rho^2), in place over the sums
+    lw = pairwise_row_sums(X, combos)
+    lw *= math.sqrt(1.0 - rho * rho)
+    np.subtract(y_hat, lw, out=lw)
+    np.square(lw, out=lw)
+    lw /= -(2.0 * rho * rho)
     return _weighted_marginals(lw, combos, N)
 
 
@@ -218,7 +225,10 @@ def _tpca_log_weights(tensors: np.ndarray, params: TpcaParams) -> tuple[np.ndarr
 
     The k^d entries of each support's block are gathered in C order and
     summed as one contiguous row, so each sum keeps numpy's pairwise order
-    over the block.
+    over the block.  The gather stays, where the GSS and PSP kernels add
+    columns (models.pairwise_row_sums): the pca-window command weighs one
+    tensor a call, and on one row the k^d column gathers and adds take
+    several times as long as the one block.
     """
     n, k, d = params.n, params.k, params.d
     flat = tensors.reshape(len(tensors), -1)

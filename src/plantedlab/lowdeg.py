@@ -269,10 +269,10 @@ class _OneObservation:
         return float(self.evaluate_many(per_field(lambda a: np.asarray(a)[None], observation), params)[0])
 
 
-def _check_poly_model(poly, params, kind) -> None:
-    """ParameterError unless params are kind, the params of the polynomial's model: once a call, never per trial."""
+def _check_model(what: str, params, kind) -> None:
+    """ParameterError unless params are kind, the params of what's model: once a call, never per trial."""
     if not isinstance(params, kind):
-        raise ParameterError(f"{type(poly).__name__} takes {kind.__name__}, got {type(params).__name__}")
+        raise ParameterError(f"{what} takes {kind.__name__}, got {type(params).__name__}")
 
 
 def _check_term_indices(poly, what: str, indices, bound: int, params) -> None:
@@ -298,7 +298,7 @@ class RlcPoly(_OneObservation):
         Terms accumulate in order, as for one observation.  Raises ParameterError
         for another model's params and for a cell or coordinate outside m x n.
         """
-        _check_poly_model(self, params, RlcParams)
+        _check_model(type(self).__name__, params, RlcParams)
         cells, coords = [c for idx, _ in self.terms for c in idx.S], [i for idx, _ in self.terms for i in idx.T]
         _check_term_indices(self, "rows", [i for i, _ in cells] + coords, params.m, params)
         _check_term_indices(self, "columns", [j for _, j in cells], params.n, params)
@@ -325,7 +325,7 @@ class GssPoly(_OneObservation):
         Every product and sum keeps the one-observation order.  Raises
         ParameterError for another model's params and for a coordinate outside 0..N-1.
         """
-        _check_poly_model(self, params, GssParams)
+        _check_model(type(self).__name__, params, GssParams)
         coords = [coord for alpha, _, _ in self.terms for coord, _ in alpha]
         _check_term_indices(self, "coordinates", coords, params.N, params)
         X, Y = stack_observations(params, observations)
@@ -404,7 +404,7 @@ class PspSymmetricPoly(_OneObservation):
         placements adds 0.  Raises ParameterError for another model's params
         and unless 0 < q < 1.
         """
-        _check_poly_model(self, params, PspParams)
+        _check_model(type(self).__name__, params, PspParams)
         n, q = params.n, params.q
         if not 0.0 < q < 1.0:
             raise ParameterError(f"the centered edge basis needs 0 < q < 1, got q={q}")
@@ -489,10 +489,12 @@ psp_stability_bound = rlc_stability_bound
 
 
 # ---------------------------------------------------------------------------
-# random polynomial ensembles (for stability experiments)
+# random polynomial ensembles (for stability experiments); each maker raises
+# ParameterError for another model's params before it draws
 
 
 def random_rlc_poly(params: RlcParams, degree: int, rng: np.random.Generator) -> RlcPoly:
+    _check_model("random_rlc_poly", params, RlcParams)
     cells = [(i, j) for i in range(params.m) for j in range(params.n)]
     terms = []
     for _ in range(5):
@@ -505,6 +507,7 @@ def random_rlc_poly(params: RlcParams, degree: int, rng: np.random.Generator) ->
 
 
 def random_gss_poly(params: GssParams, degree: int, rng: np.random.Generator) -> GssPoly:
+    _check_model("random_gss_poly", params, GssParams)
     terms = []
     for _ in range(5):
         dx = int(rng.integers(0, degree + 1))
@@ -536,6 +539,7 @@ PSP_SHAPE_LIBRARY: dict[int, list[Shape]] = {
 
 
 def random_psp_symmetric_poly(params: PspParams, degree: int, rng: np.random.Generator) -> PspSymmetricPoly:
+    _check_model("random_psp_symmetric_poly", params, PspParams)
     pool = [s for d in range(1, degree + 1) for s in PSP_SHAPE_LIBRARY.get(d, [])]
     picks = rng.choice(len(pool), size=min(3, len(pool)), replace=False)
     terms = tuple((pool[int(i)], float(rng.standard_normal())) for i in picks)

@@ -138,6 +138,62 @@ def subset_sums(X: np.ndarray, combos: np.ndarray) -> np.ndarray:
     return sums
 
 
+def pairwise_row_sums(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """X[..., cols].sum(axis=-1) in the bits numpy gives each gathered row as a C-ordered block.
+
+    numpy adds a contiguous row of n entries pairwise: left to right below 8;
+    up to 128 in eight accumulators, accumulator j adding entries j, j+8, ...
+    of the first n - n % 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest left to right; above 128, the sum of the first h entries
+    plus that of the rest, h being n // 2 rounded down to a multiple of 8.
+    Each sum is built from one gather of a column of X at a time, never the
+    (..., len(cols), n) block, and each accumulator is finished before the
+    next, so up to 128 columns hold four arrays of the output's size at once
+    (one more a split).  The reduce adds each row sum to 0.0, so a sum of
+    -0.0 entries reads +0.0; an add of 0.0 to each entry of X instead changes
+    no other sum.  Below 8 columns this is subset_sums' order.
+    """
+    X = np.asarray(X, dtype=float)
+    if not cols.shape[1]:
+        return np.zeros(X.shape[:-1] + (len(cols),))
+    rows = np.add(X.reshape(-1, X.shape[-1]).T, 0.0, order="C")  # rows[i] is X[..., i], gathered whole
+    return np.ascontiguousarray(_pairwise_columns(rows, cols.T).T).reshape(X.shape[:-1] + (len(cols),))
+
+
+def _left_to_right(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows[c] over the rows c of cols, added left to right."""
+    total = rows[cols[0]]
+    for col in cols[1:]:
+        total += rows[col]
+    return total
+
+
+def _pairwise_columns(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of the gathers rows[c] over the rows c of cols."""
+    n = len(cols)
+    if n < 8:
+        return _left_to_right(rows, cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_columns(rows, cols[:half])
+        total += _pairwise_columns(rows, cols[half:])
+        return total
+    top = n - n % 8
+    total = _lanes(rows, cols[:top], 0, 8)
+    for col in cols[top:]:
+        total += rows[col]
+    return total
+
+
+def _lanes(rows: np.ndarray, cols: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Accumulators lo..hi-1 of numpy's eight over cols, combined pairwise; accumulator j adds rows j, j+8, ..."""
+    if hi - lo == 1:
+        return _left_to_right(rows, cols[lo::8])
+    total = _lanes(rows, cols, lo, (lo + hi) // 2)
+    total += _lanes(rows, cols, (lo + hi) // 2, hi)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # checks on observations from outside the samplers
 

@@ -30,6 +30,7 @@ RAISED_IN_ARM_ORDER = "tests/test_noise.py::test_map_arms_raises_in_arm_order"
 PER_SEED_CENSUS = "tests/test_cli.py::test_count_paths_matches_the_per_seed_loop"
 BARRIER_TOLERANCE = "tests/test_stability.py::test_verify_barrier_holds_within_three_combined_stderrs"
 STDERR_COVERAGE = "tests/test_mc.py::test_reported_stderr_covers_the_known_value"
+ROW_SUMS = "tests/test_models.py::test_pairwise_row_sums_hex_equal_the_c_ordered_block_sum"
 
 MUTANTS = (
     # the ranked-lane pass
@@ -223,6 +224,38 @@ MUTANTS = (
         "if False:",
         ("tests/test_lowdeg.py::test_polynomials_reject_another_models_params_or_a_term_outside_them",),
     ),
+    Mutant(
+        "a random PSP polynomial drawn for another model's params",
+        LOWDEG,
+        '    _check_model("random_psp_symmetric_poly", params, PspParams)\n',
+        "",
+        ("tests/test_lowdeg.py::test_random_polynomial_makers_reject_another_models_params_before_a_draw",),
+    ),
+    # row-sum order
+    Mutant(
+        "numpy's eight accumulators combined left to right",
+        "src/plantedlab/models.py",
+        "    total = _lanes(rows, cols, lo, (lo + hi) // 2)\n    total += _lanes(rows, cols, (lo + hi) // 2, hi)\n",
+        "    total = _lanes(rows, cols, lo, hi - 1)\n    total += _lanes(rows, cols, hi - 1, hi)\n",
+        (ROW_SUMS, "tests/test_bayes.py::test_posterior_means_hex_equal_at_barrier_sizes"),
+    ),
+    Mutant(
+        "a row above 128 entries split at n // 2, not rounded down to a multiple of 8",
+        "src/plantedlab/models.py",
+        "half = n // 2 - n // 2 % 8",
+        "half = n // 2",
+        (ROW_SUMS,),
+    ),
+    Mutant(
+        "the RLC word loop skips word 0 of a two-word codeword",
+        "src/plantedlab/bayes.py",
+        "np.bitwise_count(codes[:, :, 0])",
+        "np.bitwise_count(codes[:, :, -1])",
+        (
+            "tests/test_bayes.py::test_rlc_profiles_equal_the_message_loop",
+            "tests/test_bayes.py::test_rlc_profiles_and_finish_equal_the_strided_kernel",
+        ),
+    ),
 )
 
 STATISTICAL = (
@@ -310,8 +343,8 @@ STATISTICAL = (
     Mutant(
         "the GSS posterior's noise variance at 0.8 rho^2",
         "src/plantedlab/bayes.py",
-        "/ (2.0 * rho * rho)",
-        "/ (1.6 * rho * rho)",
+        "lw /= -(2.0 * rho * rho)",
+        "lw /= -(1.6 * rho * rho)",
         ("tests/test_bayes.py::test_gss_posterior_matches_extended_precision_oracle",),
     ),
     Mutant(

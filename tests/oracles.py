@@ -14,8 +14,10 @@ correlation.  The one-shot draw of every sample at once checks the diagram
 Monte-Carlo oracle, which streams blocks of rows.  The per-observation
 posterior enumerations (the RLC message profile 65,536 messages at a time,
 the TPCA np.ix_ block per support) check the batched posterior kernels,
-the strided per-bit bincounts of the RLC profiles, the per-trial RLC finish and the one-dot-a-row squared norms
-check the histogram folds and stacked matmuls that replaced them, the per-bit row packing checks
+the strided per-bit bincounts of the RLC profiles (with their one reduce over each codeword's words),
+the per-trial RLC finish and the one-dot-a-row squared norms
+check the histogram folds, word adds and stacked matmuls that replaced them, the C-ordered
+block sum of a gather (gathered_row_sums) checks the column adds of models.pairwise_row_sums, the per-bit row packing checks
 solvers.pack_words, the elimination of rows as Python ints
 (f2_eliminate_loop, f2_solve_loop) checks the batched GF(2) elimination,
 the per-trial full-rank RLC loop checks the run-level full-rank draw, and
@@ -289,6 +291,11 @@ def shape_maps_loop(shape, n: int) -> np.ndarray:
         table = {1: 1, 2: 2, **dict(zip(placeholders, assign))}
         rows.append([idx[tuple(sorted((table[a], table[b])))] for a, b in shape])
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
+
+
+def gathered_row_sums(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """X[..., cols].sum(axis=-1) as one C-ordered (..., len(cols), n) block summed along its rows."""
+    return np.ascontiguousarray(np.take(X, cols, axis=-1)).sum(axis=-1)
 
 
 def gss_exact_match_posterior_loop(X: np.ndarray, y_hat: float, k: int) -> tuple[np.ndarray, int]:

@@ -572,6 +572,31 @@ def test_weighted_marginals_peak_is_bounded_by_its_row_blocks():
     assert peak <= 1.5 * 2**20
 
 
+@pytest.mark.parametrize("N, k", [(20, 3), (14, 9)])
+def test_gss_posterior_holds_no_k_fold_gather(N, k):
+    # 4 observations: the (4, C(N, k), k) gather the subset sums were taken from is alone 4 x the kernel's trial
+    # bytes, and the sums are now added a column at a time.  The peak is read as the log-weights reach
+    # _weighted_marginals, whose row blocks (keys and repeated weights of up to 2^14 entries, 218,880 bytes at
+    # N=20, k=3, twice this bound already) have their own peak test
+    params, (kernel, trial_bytes) = GssParams(N=N, k=k), bayes._POSTERIORS["gss"]
+    rng = generator(N + k)
+    X, y_hat = rng.standard_normal((4, N)), rng.standard_normal(4)
+    subsets(N, k)  # the cached enumeration is not the kernel's
+    peaks, marginals = [], bayes._weighted_marginals
+
+    def probe(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return marginals(*args)
+
+    with mock.patch.object(bayes, "_weighted_marginals", probe):
+        tracemalloc.start()
+        try:
+            kernel(params, 0.5, X, y_hat)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 4 * trial_bytes(params)
+
+
 def test_rlc_profiles_peak_holds_one_histogram_at_a_time():
     # 90 trials of RLC 14x10: the codeword table and the keys take 2 x 737,280 bytes, and each
     # half of the low bits has a 345,600-byte int64 histogram (90 trials x 2^5 values x 15

@@ -53,6 +53,7 @@ from plantedlab.models import (
     GssParams,
     PspParams,
     RlcParams,
+    TpcaParams,
     batch_rows,
     chunk_sampler,
     model_name,
@@ -651,6 +652,28 @@ def test_polynomials_reject_another_models_params_or_a_term_outside_them(case):
     with pytest.raises(ParameterError) as err:
         call()
     assert str(err.value) == message
+
+
+# a random polynomial maker at another model's params -> (the call on a generator, the error); the GSS and
+# RLC makers raised a bare AttributeError, and the PSP one returned a polynomial
+FOREIGN_MAKER_CASES = {
+    "gss-maker-at-rlc-params": (lambda rng: random_gss_poly(RlcParams(6, 4), 2, rng), "random_gss_poly takes GssParams, got RlcParams"),
+    "rlc-maker-at-gss-params": (lambda rng: random_rlc_poly(GssParams(8, 2), 2, rng), "random_rlc_poly takes RlcParams, got GssParams"),
+    "psp-maker-at-tpca-params": (
+        lambda rng: random_psp_symmetric_poly(TpcaParams(5, 2, 3, 1.0), 2, rng),
+        "random_psp_symmetric_poly takes PspParams, got TpcaParams",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_MAKER_CASES)
+def test_random_polynomial_makers_reject_another_models_params_before_a_draw(case):
+    call, message = FOREIGN_MAKER_CASES[case]
+    rng = generator(1)
+    with pytest.raises(ParameterError) as err:
+        call(rng)
+    assert str(err.value) == message
+    assert rng.random(4).tolist() == generator(1).random(4).tolist()  # nothing was drawn
 
 
 @pytest.mark.parametrize("model", sorted(POLY_CASES))

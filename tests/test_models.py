@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    gathered_row_sums,
     hex_fields,
     instances_of,
     path_edge_indices_loop,
@@ -37,6 +38,7 @@ from plantedlab.models import (
     instance_from_json,
     instance_to_json,
     pair_ids,
+    pairwise_row_sums,
     params_from_json,
     params_to_json,
     path_edge_indices,
@@ -489,6 +491,39 @@ def test_subset_sums_add_left_to_right(k):
     combos = subsets(12, k)
     want = [subset_sum_value(X, row).hex() for row in combos]
     assert [v.hex() for v in subset_sums(X, combos)] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 7), st.integers(8, 128), st.integers(129, 300)),
+    lead=st.sampled_from([(), (0,), (1,), (37,), (3, 5)]),
+    rows=st.integers(1, 12),
+    scale=st.integers(-300, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+# eight accumulators of three entries each, and a split above 128 that n // 2 = 150 would misplace
+@example(n=24, lead=(37,), rows=12, scale=0, seed=1)
+@example(n=300, lead=(37,), rows=12, scale=0, seed=2)
+def test_pairwise_row_sums_hex_equal_the_c_ordered_block_sum(n, lead, rows, scale, seed):
+    # rows below 8 entries, of 8 to 128 with and without a remainder past the last multiple of 8, and split
+    # above 128; entries mostly normals at one scale, so the order of the adds shows in the last bits, with
+    # +-0.0, subnormals and magnitudes from 1e-300 to 1e300 mixed in
+    rng = generator(seed)
+    width = 20
+    X = rng.standard_normal(lead + (width,)) * 10.0**scale
+    kind = rng.choice(4, size=X.shape, p=[0.85, 0.05, 0.05, 0.05])
+    X = np.where(kind == 1, np.copysign(0.0, X), X)
+    X = np.where(kind == 2, np.copysign(5e-324, X) * rng.integers(1, 2**20, X.shape), X)
+    X = np.where(kind == 3, np.copysign(10.0 ** rng.uniform(-300, 300, X.shape), X), X)
+    X[..., :2] = -0.0
+    cols = rng.integers(0, width, (rows, n))
+    cols[0] = rng.integers(0, 2, n)  # a row of -0.0 entries, which numpy sums to +0.0
+    want = gathered_row_sums(X, cols)
+    got = pairwise_row_sums(X, cols)
+    assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    if n < 8:  # below 8 entries numpy adds left to right, as subset_sums does
+        assert subset_sums(X, cols).tobytes() == want.tobytes()
 
 
 def test_subsets_run_in_combinations_order():
