@@ -28,6 +28,7 @@ from .models import (
     pairwise_row_sums,
     path_edge_indices,
     per_field,
+    row_dots,
     signal_norm,
     stack_observations,
     subset_sums,
@@ -46,23 +47,22 @@ def _blocks(total: int, unit_bytes: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, total, size)]
 
 
-def _finite_or_inconsistent(log_weights: np.ndarray, what: str) -> None:
-    if not np.all(np.any(log_weights > -np.inf, axis=-1)):
-        raise InconsistentInputError(f"no {what} supports the observation at this noise level")
-
-
-def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int) -> np.ndarray:
+def _weighted_marginals(log_weights: np.ndarray, members: np.ndarray, size: int, what: str) -> np.ndarray:
     """Posterior mass on each of size coordinates, one row per trial; configuration r holds members[r].
 
     log_weights is trials x configurations.  The maximum log-weight of each
-    trial is subtracted before exponentiation.  Each trial's total is one
-    contiguous row sum, so it keeps numpy's pairwise order, and each
-    coordinate's mass accumulates in configuration order: one bincount over
-    (trial, coordinate) bins takes a block of trials, and it adds each bin's
-    weights in input order.
+    trial is subtracted before exponentiation, and a maximum of -inf raises
+    InconsistentInputError: no what supports that trial's observation.  A
+    trial's total is one contiguous row sum, in numpy's pairwise order, and
+    each coordinate's mass accumulates in configuration order: one bincount
+    over (trial, coordinate) bins takes a block of trials, and it adds each
+    bin's weights in input order.
     """
     log_weights = np.ascontiguousarray(log_weights)
-    w = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
+    hi = log_weights.max(axis=1, keepdims=True)
+    if (hi == -np.inf).any():
+        raise InconsistentInputError(f"no {what} supports the observation at this noise level")
+    w = np.exp(log_weights - hi)
     Z = w.sum(axis=1)
     flat = members.ravel()
     rows = max(1, min(len(w), 2**14 // flat.size))  # trials a bincount takes, bounding its key and weight arrays
@@ -106,8 +106,7 @@ def _psp_posteriors(params: PspParams, rho: float, edges: np.ndarray) -> np.ndar
             + coef_log(total_present - m_in, q)
             + coef_log(n_pairs - L - (total_present - m_in), 1.0 - q)
         )
-    _finite_or_inconsistent(lw, "length-L path")
-    return _weighted_marginals(lw, path_idx, edge_present.shape[1])
+    return _weighted_marginals(lw, path_idx, edge_present.shape[1], "length-L path")
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +193,22 @@ def _gss_posteriors(params: GssParams, rho: float, X: np.ndarray, y_hat: np.ndar
     For rho > 0, subset S has Gaussian log-weight
     -(y_hat - sqrt(1-rho^2) * sum_S)^2 / (2 rho^2), sum_S in numpy's pairwise
     order of S's entries as a contiguous row (pairwise_row_sums).  rho = 0 is
-    the exact-match case: the weight concentrates on subsets whose float sum
-    (left-to-right over sorted indices) reproduces y_hat bit-exactly.  The two
-    orders agree for k < 8.
+    the exact-match case, the indicator average: log-weight 0 (weight 1) on
+    each subset whose float sum (left-to-right over sorted indices)
+    reproduces y_hat bit-exactly, -inf (0) elsewhere.  The orders agree for k < 8.
     """
     N, k = params.N, params.k
     X, y_hat = np.asarray(X, dtype=float), np.asarray(y_hat, dtype=float)[:, None]
     combos = subsets(N, k)
     if rho == 0.0:
-        hits = subset_sums(X, combos) == y_hat
-        found = hits.sum(axis=1)
-        if not found.all():
-            raise InconsistentInputError("no k-subset reproduces y_hat exactly at rho=0")
-        return np.array([np.bincount(combos[row].ravel(), minlength=N) / c for row, c in zip(hits, found)])
+        return _weighted_marginals(np.where(subset_sums(X, combos) == y_hat, 0.0, -np.inf), combos, N, "k-subset")
     # -((y_hat - shrink * sums) ** 2) / (2 rho^2), in place over the sums
     lw = pairwise_row_sums(X, combos)
     lw *= math.sqrt(1.0 - rho * rho)
     np.subtract(y_hat, lw, out=lw)
     np.square(lw, out=lw)
     lw /= -(2.0 * rho * rho)
-    return _weighted_marginals(lw, combos, N)
+    return _weighted_marginals(lw, combos, N, "k-subset")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +247,7 @@ def _tpca_posteriors(params: TpcaParams, rho: float, tensors: np.ndarray) -> np.
     """
     params = replace(params, lam=params.lam * (1.0 - rho * rho))
     combos, lw = _tpca_log_weights(tensors, params)
-    return _weighted_marginals(lw, combos, params.n) / math.sqrt(params.k)
+    return _weighted_marginals(lw, combos, params.n, "k-sparse support") / math.sqrt(params.k)
 
 
 def tpca_overlap_distribution(Y: np.ndarray, planted_support: Sequence[int], params: TpcaParams) -> np.ndarray:
@@ -350,8 +345,7 @@ def squared_errors(params, rho: float):
     """The fn of an MMSE lane at rho: fn(start, run, noisy) -> |E[x | noisy] - x|^2 of each trial of the run."""
 
     def chunk(start: int, run, noisy) -> np.ndarray:
-        diffs = (posterior_means(params, noisy, rho) - run.signal_vectors())[:, None, :]
-        return (diffs @ diffs.transpose(0, 2, 1)).ravel()  # one dot a row, as one trial at a time
+        return row_dots(posterior_means(params, noisy, rho) - run.signal_vectors())
 
     return chunk
 

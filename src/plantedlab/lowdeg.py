@@ -269,10 +269,12 @@ class _OneObservation:
         return float(self.evaluate_many(per_field(lambda a: np.asarray(a)[None], observation), params)[0])
 
 
-def _check_model(what: str, params, kind) -> None:
-    """ParameterError unless params are kind, the params of what's model: once a call, never per trial."""
+def _check_model(what: str, params, kind, degree: int = 0) -> None:
+    """ParameterError unless params are kind, the params of what's model, and degree >= 0: once a call, never per trial."""
     if not isinstance(params, kind):
         raise ParameterError(f"{what} takes {kind.__name__}, got {type(params).__name__}")
+    if degree < 0:
+        raise ParameterError(f"{what} needs degree >= 0, got {degree}")
 
 
 def _check_term_indices(poly, what: str, indices, bound: int, params) -> None:
@@ -490,16 +492,19 @@ psp_stability_bound = rlc_stability_bound
 
 # ---------------------------------------------------------------------------
 # random polynomial ensembles (for stability experiments); each maker raises
-# ParameterError for another model's params before it draws
+# ParameterError for another model's params or a negative degree before it draws
 
 
 def random_rlc_poly(params: RlcParams, degree: int, rng: np.random.Generator) -> RlcPoly:
-    _check_model("random_rlc_poly", params, RlcParams)
+    _check_model("random_rlc_poly", params, RlcParams, degree)
     cells = [(i, j) for i in range(params.m) for j in range(params.n)]
     terms = []
     for _ in range(5):
         ds = int(rng.integers(0, degree + 1))
         dt = int(rng.integers(0, degree - ds + 1))
+        if ds > len(cells) or dt > params.m:
+            what = f"{ds} of {len(cells)} cells and {dt} of {params.m} coordinates"
+            raise ParameterError(f"random_rlc_poly drew {what} at degree {degree}")
         S = [cells[i] for i in rng.choice(len(cells), size=ds, replace=False)] if ds else []
         T = list(rng.choice(params.m, size=dt, replace=False)) if dt else []
         terms.append((CharacterIndex.make(S, T), float(rng.standard_normal())))
@@ -507,7 +512,7 @@ def random_rlc_poly(params: RlcParams, degree: int, rng: np.random.Generator) ->
 
 
 def random_gss_poly(params: GssParams, degree: int, rng: np.random.Generator) -> GssPoly:
-    _check_model("random_gss_poly", params, GssParams)
+    _check_model("random_gss_poly", params, GssParams, degree)
     terms = []
     for _ in range(5):
         dx = int(rng.integers(0, degree + 1))
@@ -539,7 +544,7 @@ PSP_SHAPE_LIBRARY: dict[int, list[Shape]] = {
 
 
 def random_psp_symmetric_poly(params: PspParams, degree: int, rng: np.random.Generator) -> PspSymmetricPoly:
-    _check_model("random_psp_symmetric_poly", params, PspParams)
+    _check_model("random_psp_symmetric_poly", params, PspParams, degree)
     pool = [s for d in range(1, degree + 1) for s in PSP_SHAPE_LIBRARY.get(d, [])]
     picks = rng.choice(len(pool), size=min(3, len(pool)), replace=False)
     terms = tuple((pool[int(i)], float(rng.standard_normal())) for i in picks)

@@ -17,19 +17,23 @@ def run_trials(n: int, fn: Callable[[int], object], _ignored=None) -> list:
 
 
 def mean_stderr(values: Sequence[float]) -> tuple[float, float]:
-    """Sample mean and its standard error; raises ParameterError on no values."""
+    """Sample mean and its standard error; raises ParameterError on no values or a mean that is not finite."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ParameterError("no values to average; need at least one sample")
+    mean = float(arr.mean())
+    if not math.isfinite(mean):
+        raise ParameterError(f"values have mean {mean}; need finite values")
     if arr.size == 1:
-        return (float(arr[0]), 0.0)
-    return (float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)))
+        return (mean, 0.0)
+    return (mean, float(arr.std(ddof=1) / math.sqrt(arr.size)))
 
 
 def ratio_with_stderr(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     """Delta-method stderr for mean(num)/mean(den) over paired samples.
 
-    Raises IllConditionedError unless mean(den) is a positive finite number.
+    Raises IllConditionedError unless mean(den) is a positive finite number,
+    and then ParameterError unless mean(num) is finite.
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
@@ -37,6 +41,8 @@ def ratio_with_stderr(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     mn, md = num.mean(), den.mean()
     if not (0.0 < md < math.inf):
         raise IllConditionedError(f"ratio denominator has mean {float(md)}; need a positive finite mean")
+    if not math.isfinite(mn):
+        raise ParameterError(f"ratio numerator has mean {float(mn)}; need finite values")
     ratio = mn / md
     if T < 2:
         return (float(ratio), 0.0)

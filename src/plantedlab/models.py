@@ -22,9 +22,9 @@ Conventions
   (T, L+1) and edges (T, P); RLC A (T, m, n), x and y; GSS X (T, N), S (T, k)
   and Y (T,); TPCA support (T, k) and Y (T, n, ...)).  run.observation
   stacks the observations and run.signal_vectors() the signal vectors.  An
-  instance is a run of one trial, the one record type: every consumer of
-  one instance (instance_to_json, noise.noise_instance_observation,
-  stability.solver_recovers) takes it through check_instance.
+  instance is a run of one trial, the one record type: both consumers of
+  one instance (instance_to_json, noise.noise_instance_observation) take
+  it through check_instance.
 * An observation is the fields its model's record names (PSP edges,
   RLC (A, y), GSS (X, Y), TPCA Y), a tuple when there are several.  A batch
   of observations is a run's stacked observation, each field an array with
@@ -194,6 +194,11 @@ def _lanes(rows: np.ndarray, cols: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return total
 
 
+def row_dots(v: np.ndarray) -> np.ndarray:
+    """Each row's squared norm as one stacked matmul: a BLAS dot a row, the bits of one row at a time."""
+    return (v[:, None, :] @ v[:, :, None]).ravel()
+
+
 # ---------------------------------------------------------------------------
 # checks on observations from outside the samplers
 
@@ -352,7 +357,7 @@ def check_instance(run):
     raise ParameterError(f"an instance is a run of one trial, got a run of {len(run)}")
 
 
-def _indicator_rows(width: int, index_rows: np.ndarray, value: float = 1.0) -> np.ndarray:
+def indicator_rows(width: int, index_rows: np.ndarray, value: float = 1.0) -> np.ndarray:
     """One row of width zeros per row of indices, with value at those indices."""
     out = np.zeros((len(index_rows), width))
     out[np.arange(len(index_rows))[:, None], index_rows] = value
@@ -368,7 +373,7 @@ class PspRun(_Run):
     def signal_vectors(self) -> np.ndarray:
         """Edge-indicator vectors of the planted paths over vertex_pairs(n)."""
         ids = pair_ids(self.params.n)[self.path[:, :-1], self.path[:, 1:]]
-        return _indicator_rows(self.edges.shape[1], ids)
+        return indicator_rows(self.edges.shape[1], ids)
 
 
 @dataclass(frozen=True)
@@ -390,7 +395,7 @@ class GssRun(_Run):
     Y: np.ndarray  # (T,) float64
 
     def signal_vectors(self) -> np.ndarray:
-        return _indicator_rows(self.params.N, self.S)
+        return indicator_rows(self.params.N, self.S)
 
 
 @dataclass(frozen=True)
@@ -400,7 +405,7 @@ class TpcaRun(_Run):
     Y: np.ndarray  # (T, n, ..., n) float64
 
     def signal_vectors(self) -> np.ndarray:
-        return _indicator_rows(self.params.n, self.support, 1.0 / math.sqrt(self.params.k))
+        return indicator_rows(self.params.n, self.support, 1.0 / math.sqrt(self.params.k))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +502,7 @@ def _sample_tpca(params: TpcaParams, count: int, fresh) -> TpcaRun:
     for support, y, g in zip(supports, Y, map(fresh, range(count))):
         support[:] = np.sort(g.choice(params.n, size=params.k, replace=False))
         g.standard_normal(out=y)
-    x = signal = _indicator_rows(params.n, supports, 1.0 / math.sqrt(params.k))
+    x = signal = indicator_rows(params.n, supports, 1.0 / math.sqrt(params.k))
     for axis in range(1, params.d):  # x (x) x (x) ... one factor at a time, left to right
         signal = signal[..., None] * x.reshape((count,) + (1,) * axis + (params.n,))
     Y += np.multiply(signal, math.sqrt(params.lam), out=signal)

@@ -6,13 +6,14 @@ the same values whichever other trials run, and in whatever order.  Sampler
 seeds and noise seeds live on separate streams: a stability trial can replay
 the same noise realization against several estimators.
 
-Seeds and path words are non-negative integers; a negative one raises
-ParameterError.  The batch forms derive_seeds and philox_keys re-implement
-numpy's SeedSequence mixing over uint32 words and give the same bits as
-derive_seed and generator trial by trial.  derive_seeds folds the words all
-trials share once and mixes only the trial words per row; philox_keys mixes
-a (4, B) pool one source row at a time.  trial_keys chains the two and keeps
-its most recently used key sets, up to KEY_MEMO_BYTES, as read-only arrays.
+Seeds and path words are non-negative Python or numpy integers, not bools;
+any other value raises ParameterError.  The batch forms derive_seeds and
+philox_keys re-implement numpy's SeedSequence mixing over uint32 words and
+give the same bits as derive_seed and generator trial by trial.
+derive_seeds folds the words all trials share once and mixes only the
+trial words per row; philox_keys mixes a (4, B) pool one source row at a
+time.  trial_keys chains the two and keeps its most recently used key
+sets, up to KEY_MEMO_BYTES, as read-only arrays.
 
 A run of trials re-keys one generator per trial (keyed_generator,
 keyed_fresh; keyed_runs draws run after run) and reads each trial's raw
@@ -45,7 +46,10 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _checked(seed: int, path) -> tuple[int, tuple[int, ...]]:
-    words = (int(seed), *(int(p) for p in path))
+    words = (seed, *path)
+    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in words):
+        raise ParameterError(f"seeds and seed path entries must be integers, got {words}")
+    words = tuple(int(w) for w in words)
     if min(words) < 0:
         raise ParameterError(f"seeds and seed path entries must be non-negative, got {words}")
     return words[0], words[1:]
@@ -176,7 +180,8 @@ def trial_keys(seed: int, *prefix: int, n: int) -> np.ndarray:
     A key set is derived once and kept while the kept sets, most recently
     used first, fit KEY_MEMO_BYTES; a set above that bound is never kept.
     """
-    memo = (int(seed), tuple(int(p) for p in prefix), int(n))
+    seed, (*prefix, n) = _checked(seed, (*prefix, n))
+    memo = (seed, tuple(prefix), n)
     keys = _key_memo.pop(memo, None)
     if keys is None:
         keys = philox_keys(derive_seeds(seed, *prefix, ts=np.arange(n)))

@@ -22,7 +22,7 @@ import numpy as np
 from .bayes import MmseReport, mmse_report, posterior_means, squared_errors
 from .errors import EstimatorTrialError, ParameterError
 from .mc import mean_stderr, ratio_with_stderr
-from .models import batch_rows, check_instance, model_name, pair_ids, per_field, prior_mean_vector, stack_observations, vertex_pairs
+from .models import batch_rows, indicator_rows, model_name, pair_ids, per_field, prior_mean_vector, row_dots, stack_observations, vertex_pairs
 from .noise import CoupledTrials
 from .solvers import LllConfig, f2_rref, lll_subset_sum, shortest_paths
 
@@ -43,10 +43,8 @@ class Solver(NamedTuple):
 
 def _solve_psp(params, fields, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
     paths = shortest_paths(*fields, params.n)
-    ids = pair_ids(params.n)[paths[:, :-1], paths[:, 1:]]
-    out = np.zeros((len(paths), len(vertex_pairs(params.n)) + 1))
-    out[np.arange(len(paths))[:, None], ids] = 1.0  # a step past vertex 2 has pair id -1, the spare last column
-    return out[:, :-1], paths[:, 0] == 1
+    ids = pair_ids(params.n)[paths[:, :-1], paths[:, 1:]]  # a step past vertex 2 has pair id -1, the spare last column
+    return indicator_rows(len(vertex_pairs(params.n)) + 1, ids)[:, :-1], paths[:, 0] == 1
 
 
 def _solve_rlc(params, fields, cfg: LllConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -93,11 +91,6 @@ def solver_recoveries(run, cfg: LllConfig = LllConfig()) -> np.ndarray:
         raise ParameterError(f"no fast solver for the {model_name(run.params)} model")
     estimates, found = solver.solve(run.params, stack_observations(run.params, run.observation), cfg)
     return found & (estimates == run.signal_vectors()).all(axis=1)
-
-
-def solver_recovers(inst, cfg: LllConfig = LllConfig()) -> bool:
-    """Whether the fast solver of the instance's model returns exactly its signal vector: solver_recoveries of one."""
-    return bool(solver_recoveries(check_instance(inst), cfg)[0])
 
 
 def _solver_estimator(solver: Solver, params, rho: float) -> Callable:
@@ -191,8 +184,7 @@ def _second_moments(fn: Callable, start: int, clean, noisy, signals: np.ndarray)
                 _second_moments(fn, start + i, batch_rows(clean, one), batch_rows(noisy, one), signals[one])
         raise EstimatorTrialError(start, exc) from exc
     a, b = np.split(out, 2)
-    # a stacked matmul makes each row's own BLAS dot, as one trial at a time would
-    return np.stack([(v[:, None, :] @ v[:, :, None]).ravel() for v in (a - b, a - signals, a)], axis=1)
+    return np.stack([row_dots(v) for v in (a - b, a - signals, a)], axis=1)
 
 
 def _moment_lanes(estimators: Sequence, params, arms: Sequence[tuple[int, float]]) -> list:
@@ -230,31 +222,18 @@ def stability_report(params, estimator, rho: float, moments: list) -> StabilityR
 def measure_stability_grid(
     estimators: Sequence, params, rho_grid: Sequence[float], trials: int, seed: int
 ) -> list[StabilityReport]:
-    """measure_stabilities(estimators, params, rho, trials, seed) at each rho of the grid, estimator-major, from one coupled pass.
+    """measure_stability of each estimator at each rho of the grid, bit for bit, estimator-major, from one coupled pass.
 
     The pass has a noise arm (rho, None) per grid point, each at noise seed
     path (seed, NOISE_STREAM, t), so each run is drawn once and noised once
     an arm.  Its lanes rank estimator-major, so it raises the first error in
-    that order: that of the first estimator in the given order that fails
-    (at its first failing trial) or whose reduction is ill-conditioned, at
-    the first rho where it does.
+    that order: that of the first estimator in the given order that does not
+    resolve, fails (at its first failing trial) or whose reduction is
+    ill-conditioned, at the first rho where it does.
     """
     rho_grid = list(rho_grid)
     lanes = _moment_lanes(estimators, params, list(enumerate(rho_grid)))
     return CoupledTrials(params, [(rho, None) for rho in rho_grid], seed, trials).run_lanes(lanes)
-
-
-def measure_stabilities(estimators: Sequence, params, rho: float, trials: int, seed: int) -> list[StabilityReport]:
-    """measure_stability of each estimator, all scored on one pass over the coupled trials: measure_stability_grid at one rho.
-
-    Each run of trials is drawn once and every estimator scores it, so each
-    report equals measure_stability(estimator, params, rho, trials, seed) bit
-    for bit.  Raises what the per-estimator loop raises first: the error of
-    the first estimator, in the given order, that does not resolve, fails
-    (at its first failing trial) or whose reduction is ill-conditioned.  An
-    estimator that fails is not run on later runs, nor is any after it.
-    """
-    return measure_stability_grid(estimators, params, [rho], trials, seed)
 
 
 def measure_stability(
@@ -268,22 +247,22 @@ def measure_stability(
 
     estimator is a registry name or a batch estimator like those of ESTIMATORS.
     Each trial replays one coupled noise draw against both arms; the
-    output-norm denominator uses the clean arm only.  The one-estimator case
-    of measure_stabilities.
+    output-norm denominator uses the clean arm only.  The one-cell case of
+    measure_stability_grid.
     """
-    (report,) = measure_stabilities([estimator], params, rho, trials, seed)
+    (report,) = measure_stability_grid([estimator], params, [rho], trials, seed)
     return report
 
 
 def barrier_cell(estimators: Sequence, params, rho: float, trials: int, seed: int) -> tuple[MmseReport, list[StabilityReport]]:
-    """estimate_mmse_curve(params, [rho], trials, seed) and measure_stabilities(estimators, params, rho, trials, seed), from one coupled pass.
+    """estimate_mmse_curve(params, [rho], ...) and measure_stability_grid(estimators, params, [rho], ...), from one coupled pass.
 
     The pass has two noise arms over the same runs of instances: the MMSE
     arm at noise seed path (seed, NOISE_STREAM, 0, t), then the stability
     arm at (seed, NOISE_STREAM, t).  The MMSE lane ranks first, then the
     estimator lanes, so both reports are bit-identical to the two calls',
     and so are the errors: the MMSE lane's error comes first, then what
-    measure_stabilities raises.
+    measure_stability_grid raises.
     """
     mmse_lane = (0, partial(squared_errors, params, rho), partial(mmse_report, params, rho))
     lanes = [mmse_lane, *_moment_lanes(estimators, params, [(1, rho)])]
@@ -296,8 +275,8 @@ def barrier_cell(estimators: Sequence, params, rho: float, trials: int, seed: in
 
 
 def barrier_penalty(eta: float) -> float:
-    """The stability penalty coefficient 2 sqrt(2 (7 + 4 eta) eta)."""
-    if eta < 0:
+    """The stability penalty coefficient 2 sqrt(2 (7 + 4 eta) eta); ParameterError unless eta >= 0 (a NaN included)."""
+    if not eta >= 0:
         raise ParameterError(f"need eta >= 0, got {eta}")
     return 2.0 * math.sqrt(2.0 * (7.0 + 4.0 * eta) * eta)
 
@@ -329,11 +308,16 @@ class BarrierCheck:
 def verify_barrier(stab: StabilityReport, mmse_rho: MmseReport, *, alpha: Optional[float] = None) -> BarrierCheck:
     """Check mse >= mmse_rho - penalty(eta) * E||signal||^2 up to MC error.
 
-    Both reports must describe the same (model, params, rho).  When alpha is
-    given, also evaluates the small-eta threshold eta <= min(alpha^2/400, 1).
+    Both reports must describe the same (model, params, rho), and every
+    number in them must be finite.  When alpha is given, also evaluates the
+    small-eta threshold eta <= min(alpha^2/400, 1).
     """
     if alpha is not None and not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
         raise ParameterError(f"need a finite alpha, got {alpha!r}")
+    for report in (stab, mmse_rho):
+        bad = {key: v for key, v in vars(report).items() if isinstance(v, numbers.Real) and not math.isfinite(v)}
+        if bad:
+            raise ParameterError(f"the {type(report).__name__} has non-finite {bad}")
     if (stab.model, stab.params) != (mmse_rho.model, mmse_rho.params) or stab.rho != mmse_rho.rho:
         raise ParameterError(
             f"provenance mismatch: stability is {(stab.model, stab.params, stab.rho)}, "

@@ -227,7 +227,7 @@ MUTANTS = (
     Mutant(
         "a random PSP polynomial drawn for another model's params",
         LOWDEG,
-        '    _check_model("random_psp_symmetric_poly", params, PspParams)\n',
+        '    _check_model("random_psp_symmetric_poly", params, PspParams, degree)\n',
         "",
         ("tests/test_lowdeg.py::test_random_polynomial_makers_reject_another_models_params_before_a_draw",),
     ),
@@ -245,6 +245,77 @@ MUTANTS = (
         "half = n // 2 - n // 2 % 8",
         "half = n // 2",
         (ROW_SUMS,),
+    ),
+    # the one normaliser
+    Mutant(
+        "the normaliser exponentiates a trial whose largest log-weight is -inf",
+        "src/plantedlab/bayes.py",
+        "    if (hi == -np.inf).any():\n",
+        "    if False:\n",
+        (
+            "tests/test_bayes.py::test_weighted_marginals_reject_a_trial_with_no_support",
+            "tests/test_bayes.py::test_inconsistent_trial_in_a_batch_raises",
+        ),
+    ),
+    # inputs the draws and the uncertainty layer once took silently
+    Mutant(
+        "a random polynomial maker draws at a negative degree",
+        LOWDEG,
+        "    if degree < 0:\n",
+        "    if False:\n",
+        ("tests/test_lowdeg.py::test_random_polynomial_makers_reject_a_negative_degree_before_a_draw",),
+    ),
+    Mutant(
+        "random_rlc_poly asks numpy for more cells or coordinates than the code has",
+        LOWDEG,
+        "if ds > len(cells) or dt > params.m:",
+        "if False:",
+        (
+            "tests/test_lowdeg.py::test_random_rlc_poly_names_a_term_the_code_cannot_hold",
+            "tests/test_cli.py::test_malformed_params_exit_2[lowdeg-stability-rlc-degree-beyond-the-code]",
+        ),
+    ),
+    Mutant(
+        "a seed word that is not an integer is truncated",
+        "src/plantedlab/rng.py",
+        "    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in words):\n",
+        "    if False:\n",
+        ("tests/test_rng.py::test_seed_words_that_are_not_integers_raise_parameter_error",),
+    ),
+    Mutant(
+        "trial_keys looks up its kept keys by the truncated seed before any check",
+        "src/plantedlab/rng.py",
+        "    seed, (*prefix, n) = _checked(seed, (*prefix, n))\n    memo = (seed, tuple(prefix), n)\n",
+        "    memo = (int(seed), tuple(int(p) for p in prefix), int(n))\n",
+        ("tests/test_rng.py::test_trial_keys_check_the_seed_before_the_kept_keys",),
+    ),
+    Mutant(
+        "the barrier penalty takes a NaN eta",
+        STABILITY,
+        "    if not eta >= 0:\n",
+        "    if eta < 0:\n",
+        ("tests/test_stability.py::test_barrier_penalty_rejects_an_eta_below_zero_or_nan",),
+    ),
+    Mutant(
+        "verify_barrier takes a report with a non-finite number",
+        STABILITY,
+        "        if bad:\n",
+        "        if False:\n",
+        ("tests/test_stability.py::test_verify_barrier_rejects_a_report_with_a_non_finite_number",),
+    ),
+    Mutant(
+        "mean_stderr returns a mean that is not finite",
+        "src/plantedlab/mc.py",
+        "    if not math.isfinite(mean):\n",
+        "    if False:\n",
+        ("tests/test_mc.py::test_a_mean_that_is_not_finite_raises",),
+    ),
+    Mutant(
+        "ratio_with_stderr divides a numerator mean that is not finite",
+        "src/plantedlab/mc.py",
+        "    if not math.isfinite(mn):\n",
+        "    if False:\n",
+        ("tests/test_mc.py::test_a_mean_that_is_not_finite_raises",),
     ),
     Mutant(
         "the RLC word loop skips word 0 of a two-word codeword",

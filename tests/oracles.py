@@ -32,7 +32,9 @@ which CoupledTrials.map runs EVAL_CHUNK trials at a time.  The per-seed
 count-paths loop checks the census drawn as keyed runs.  The
 exhaustive oracles at the end (all simple paths, the full GF(2) solution
 set, exact lattice coordinates) check the fast solvers, and the recovery
-rules on each solver's own output check stability.solver_recovers.  The
+rules on each solver's own output check stability.solver_recoveries of
+one instance, a run of one trial (not a consumer of check_instance: it
+reads a run of any length).  The
 helpers in the last section are test-only API built on the library: a
 run's trials as instances (runs of one trial) and their stack back into a
 run, canonical path edges, overlap class sizes, OU composition and a

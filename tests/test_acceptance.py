@@ -49,7 +49,7 @@ from plantedlab.solvers import (
     lll_subset_sum,
     shortest_path,
 )
-from plantedlab.stability import measure_stabilities, verify_barrier
+from plantedlab.stability import measure_stability_grid, verify_barrier
 
 from oracles import all_simple_paths, f2_solution_set, psp_edge_vector_loop
 
@@ -76,7 +76,7 @@ def test_criterion_01_barrier_inequality_grid():
     for params, estimators, rhos in grid:
         for rho in rhos:
             (mmse,) = estimate_mmse_curve(params, [rho], trials, seed=101)
-            for stab in measure_stabilities(estimators, params, rho, trials, seed=202):
+            for stab in measure_stability_grid(estimators, params, [rho], trials, seed=202):
                 check = verify_barrier(stab, mmse)
                 cells += 1
                 if not check.holds:

@@ -227,6 +227,18 @@ def test_gss_noiseless_posterior_matches_the_row_scan():
         assert [v.hex() for v in pm] == [v.hex() for v in est]
 
 
+def test_gss_noiseless_batch_is_hex_equal_to_the_row_scan():
+    # the four-match case of the row scan test between one-match rows, in one stacked batch: Z is 4 in one row, 1 in the rest
+    params = GssParams(N=6, k=2)
+    insts = [sample_instance(params, seed=derive_seed(43, 0, t)) for t in range(5)]
+    X = [inst.X[0] for inst in insts[:2]] + [np.array([1.0, 1.0, 2.0, 0.5, 0.5, 3.0])] + [inst.X[0] for inst in insts[2:]]
+    y_hat = [inst.Y[0] for inst in insts[:2]] + [1.5] + [inst.Y[0] for inst in insts[2:]]
+    got = posterior_means(params, (np.array(X), np.array(y_hat)), 0.0)
+    scans = [gss_exact_match_posterior_loop(x, y, params.k) for x, y in zip(X, y_hat)]
+    assert [count for _, count in scans] == [1, 1, 4, 1, 1, 1]
+    assert [_hex(row) for row in got] == [_hex(est) for est, _ in scans]
+
+
 def test_gss_noiseless_inconsistent_input():
     params = GssParams(N=10, k=2)
     inst = sample_instance(params, seed=1)
@@ -553,8 +565,16 @@ def test_weighted_marginals_equal_the_one_trial_loop(T, configs, k, size, seed):
     rng = generator(seed)
     members = rng.integers(0, size, (configs, k))
     log_weights = 30.0 * rng.standard_normal((T, configs))
-    got = bayes._weighted_marginals(log_weights, members, size)
+    got = bayes._weighted_marginals(log_weights, members, size, "configuration")
     assert _hex(got) == _hex([_weighted_marginals_loop(row, members, size) for row in log_weights])
+
+
+def test_weighted_marginals_reject_a_trial_with_no_support():
+    # a trial whose log-weights are all -inf, between two that have support, names what it lacks
+    log_weights = np.zeros((3, 4))
+    log_weights[1] = -np.inf
+    with pytest.raises(InconsistentInputError, match="^no length-L path supports the observation at this noise level$"):
+        bayes._weighted_marginals(log_weights, np.arange(8).reshape(4, 2), 8, "length-L path")
 
 
 def test_weighted_marginals_peak_is_bounded_by_its_row_blocks():
@@ -565,7 +585,7 @@ def test_weighted_marginals_peak_is_bounded_by_its_row_blocks():
     log_weights = generator(4).standard_normal((90, len(combos)))
     tracemalloc.start()
     try:
-        bayes._weighted_marginals(log_weights, combos, 16)
+        bayes._weighted_marginals(log_weights, combos, 16, "k-subset")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

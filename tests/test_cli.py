@@ -497,6 +497,12 @@ def test_hermite_check_command(tmp_path):
             "needs degree >= 0",
             id="lowdeg-stability-degree",
         ),
+        pytest.param(  # a bare ValueError from numpy's choice, exit 1
+            ["lowdeg-stability", "--model", "rlc", "--params", '{"m":4,"n":3}', "--rho-grid", "0.3", "--trials", "50",
+             "--options", '{"degree":13,"n_polys":3}', "--seed", "1"],
+            "random_rlc_poly drew 5 of 12 cells and 6 of 4 coordinates at degree 13",
+            id="lowdeg-stability-rlc-degree-beyond-the-code",
+        ),
         pytest.param(
             ["hermite-check", "--options", '{"n_specs":1,"samples":-3}'],
             "hermite-check needs samples >= 0",

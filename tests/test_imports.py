@@ -12,8 +12,11 @@ run_of), src keeps one record per model (the only per-model tables are
 models._MODELS and the kernel tables noise._NOISE, bayes._POSTERIORS and
 lowdeg.POLY_FAMILIES, and solvers and counting take the run-size rule from
 models, not noise), cli draws no instance or null graph one seed at a time,
-no src module but noise keeps a caught exception to raise it later, and src
-calls no numpy function newer than the numpy floor in pyproject.toml.
+no src module but noise keeps a caught exception to raise it later, src
+calls no numpy function newer than the numpy floor in pyproject.toml, and
+each exactness rule of the estimator layer has one implementation (one
+normaliser that calls np.exp beside the two that README names, one per-row
+dot, no retired forwarder).
 """
 
 from __future__ import annotations
@@ -395,6 +398,73 @@ def test_numpy_floor_covers_the_functions_src_calls():
         if isinstance(node, ast.Attribute) and node.attr in NUMPY_ADDED
     }
     assert {name: NUMPY_ADDED[name] for name in used if have < NUMPY_ADDED[name]} == {}
+
+
+# the exactness rules, one implementation each: bayes._weighted_marginals is the normaliser (the RLC finish
+# weighs Hamming profiles and the overlap distribution keeps its one-row form), models.row_dots the per-row dot,
+# and the other src uses of @ are matrix products, not dots; the retired forwarders stay gone
+EXP_USERS = {"bayes._weighted_marginals", "bayes._rlc_posteriors", "bayes.tpca_overlap_distribution"}
+MATMUL_USERS = {
+    "bayes._rlc_profiles", "bayes._rlc_posteriors", "bayes._tpca_log_weights", "cli._cmd_hermite_check",
+    "counting.overlap_histogram", "lowdeg.diagram_mc_oracle", "lowdeg.rlc_character_expectation", "models.row_dots",
+}
+RETIRED = {"measure_stabilities", "solver_recovers", "_finite_or_inconsistent"}
+
+
+def rule_uses(source: str) -> dict[str, set[str]]:
+    """The module-level definitions that name np.exp, that use @, and the RETIRED names bound anywhere.
+
+    A use inside a nested function counts for the definition that holds it;
+    a use outside every definition counts for "".
+    """
+    found: dict[str, set[str]] = {"np.exp": set(), "@": set(), "retired": set()}
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "exp" and isinstance(node.value, ast.Name) and node.value.id == "np":
+                found["np.exp"].add(scope)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found["@"].add(scope)
+            defined = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            name = node.name if defined else node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) else None
+            if name in RETIRED:
+                found["retired"].add(name)
+    return found
+
+
+def test_rule_scan_finds_planted_uses():
+    planted = (
+        "import numpy as np\n"
+        "def softmax(v):\n"
+        "    w = np.exp(v - v.max())\n"
+        "    return w / w.sum()\n"
+        "def squared_errors(params):\n"
+        "    def chunk(v):\n"
+        "        return (v[:, None, :] @ v[:, :, None]).ravel()\n"
+        "    return chunk\n"
+        "class Gram:\n"
+        "    def __call__(self, a):\n"
+        "        a @= a.T\n"
+        "def measure_stabilities(*args):\n"
+        "    def _finite_or_inconsistent(lw):\n"
+        "        pass\n"
+        "solver_recovers = len\n"
+        "exp = np.exp\n"
+    )
+    assert rule_uses(planted) == {
+        "np.exp": {"softmax", ""},
+        "@": {"squared_errors", "Gram"},
+        "retired": RETIRED,
+    }
+    assert rule_uses("import math\nx = math.exp(1.0) * np.sum(v * v)\n") == {"np.exp": set(), "@": set(), "retired": set()}
+
+
+def test_each_exactness_rule_has_one_implementation():
+    found: dict[str, set[str]] = {"np.exp": set(), "@": set(), "retired": set()}
+    for path in (ROOT / "src" / "plantedlab").glob("*.py"):
+        for key, names in rule_uses(path.read_text(encoding="utf-8")).items():
+            found[key] |= {f"{path.stem}.{name}" for name in names}
+    assert found == {"np.exp": EXP_USERS, "@": MATMUL_USERS, "retired": set()}
 
 
 # cli draws its instances and null graphs as keyed runs (noise.instance_runs, rng.keyed_runs);

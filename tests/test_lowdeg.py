@@ -676,6 +676,23 @@ def test_random_polynomial_makers_reject_another_models_params_before_a_draw(cas
     assert rng.random(4).tolist() == generator(1).random(4).tolist()  # nothing was drawn
 
 
+@pytest.mark.parametrize("maker", [random_rlc_poly, random_gss_poly, random_psp_symmetric_poly], ids=lambda f: f.__name__)
+def test_random_polynomial_makers_reject_a_negative_degree_before_a_draw(maker):
+    # the RLC and GSS makers raised numpy's "high <= 0", and the PSP maker returned an empty polynomial
+    params = {random_rlc_poly: RlcParams(4, 3), random_gss_poly: GssParams(8, 2), random_psp_symmetric_poly: PspParams(8, 3, 0.3)}
+    rng = generator(1)
+    with pytest.raises(ParameterError, match=f"^{maker.__name__} needs degree >= 0, got -1$"):
+        maker(params[maker], -1, rng)
+    assert rng.random(4).tolist() == generator(1).random(4).tolist()
+
+
+def test_random_rlc_poly_names_a_term_the_code_cannot_hold():
+    # degree 13 on a 4 x 3 code draws terms of more cells than its 12 or more coordinates than its 4; numpy's
+    # choice raised a bare ValueError there
+    with pytest.raises(ParameterError, match=r"^random_rlc_poly drew \d+ of 12 cells and \d+ of 4 coordinates at degree 13$"):
+        random_rlc_poly(RlcParams(4, 3), 13, generator(0))
+
+
 @pytest.mark.parametrize("model", sorted(POLY_CASES))
 def test_evaluate_many_of_an_empty_batch_is_empty(model):
     # numpy's np.stack raised a bare ValueError on no observations; every estimator returns shape (0,)

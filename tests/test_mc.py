@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from plantedlab.errors import ParameterError
 from plantedlab.mc import mean_stderr, ratio_with_stderr
 
 REPLICATES = 1000
@@ -68,3 +69,20 @@ def test_ratio_stderr_is_the_delta_method_with_unbiased_moments():
     var_ratio = (var_n / md**2 + mn**2 * var_d / md**4 - 2 * mn * cov / md**3) / T
     ratio, stderr = ratio_with_stderr(np.array(num), np.array(den))
     assert math.isclose(ratio, mn / md, rel_tol=1e-15) and math.isclose(stderr, math.sqrt(var_ratio), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mean_stderr([1.0, math.nan]),
+        lambda: mean_stderr([1.0, math.inf]),
+        lambda: mean_stderr([math.nan]),
+        lambda: ratio_with_stderr([1.0, math.nan], [1.0, 2.0]),
+        lambda: ratio_with_stderr([-math.inf], [1.0]),
+    ],
+    ids=["mean-nan", "mean-inf", "mean-one-nan", "ratio-nan", "ratio-one-inf"],
+)
+def test_a_mean_that_is_not_finite_raises(call):
+    # these gave (nan, nan) or (inf, nan) with no error
+    with pytest.raises(ParameterError, match="need finite values"):
+        call()

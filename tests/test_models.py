@@ -17,6 +17,7 @@ from oracles import (
     path_edges,
     psp_adjacency_loop,
     psp_edge_vector_loop,
+    row_dots_loop,
     sample_instance_scalar,
     shape_maps_loop,
     stack_observations,
@@ -43,6 +44,7 @@ from plantedlab.models import (
     params_to_json,
     path_edge_indices,
     placements,
+    row_dots,
     sample_instance,
     signal_norm,
     subset_sum_value,
@@ -63,7 +65,7 @@ from plantedlab.rng import (
     uniforms,
 )
 from plantedlab.solvers import shortest_paths
-from plantedlab.stability import SOLVERS, resolve_estimator, solver_recovers
+from plantedlab.stability import SOLVERS, resolve_estimator
 
 
 def _trial_runs(params, seed: int, trials: int):
@@ -410,7 +412,6 @@ def test_instance_json_rejects_a_malformed_envelope(model, case):
 _ONE_TRIAL_CONSUMERS = {
     "instance_to_json": instance_to_json,
     "noise_instance_observation": lambda inst: noise_instance_observation(inst, 0.5, 3),
-    "solver_recovers": solver_recovers,
 }
 
 
@@ -524,6 +525,16 @@ def test_pairwise_row_sums_hex_equal_the_c_ordered_block_sum(n, lead, rows, scal
     assert got.tobytes() == want.tobytes()
     if n < 8:  # below 8 entries numpy adds left to right, as subset_sums does
         assert subset_sums(X, cols).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from([0, 1, 37]), width=st.integers(1, 300), scale=st.integers(-150, 150), seed=st.integers(0, 2**32 - 1))
+def test_row_dots_hex_equal_one_dot_a_row(rows, width, scale, seed):
+    # normals at one scale, so a reordered sum of the squares shows in the last bits
+    v = generator(seed).standard_normal((rows, width)) * 10.0**scale
+    got = row_dots(v)
+    assert got.shape == (rows,)
+    assert [x.hex() for x in got] == [x.hex() for x in row_dots_loop(v)]
 
 
 def test_subsets_run_in_combinations_order():

@@ -158,6 +158,36 @@ def test_negative_seed_words_raise_parameter_error(call):
 
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: derive_seed(1.9, 0),
+        lambda: derive_seed(1, 0.0),
+        lambda: derive_seeds(np.float64(1.0), 0, ts=[0]),
+        lambda: generator(2.7),
+        lambda: sample_instance(RlcParams(m=5, n=3), 1.5),
+        lambda: sample_instance(RlcParams(m=5, n=3), True),
+        lambda: trial_keys(1, 0, n=np.bool_(True)),
+    ],
+    ids=["scalar-seed", "scalar-path", "batch-seed", "generator", "instance", "instance-bool", "trial-count"],
+)
+def test_seed_words_that_are_not_integers_raise_parameter_error(call):
+    # int() truncated 1.9 to 1 and took True as 1, so each drew the stream of another seed
+    with pytest.raises(ParameterError, match="must be integers"):
+        call()
+
+
+def test_numpy_integer_seed_words_derive_the_seed_of_their_value():
+    assert derive_seed(np.uint64(7), np.int32(1), np.int64(3)) == derive_seed(7, 1, 3)
+    assert generator(np.uint32(7)).integers(2**32) == generator(7).integers(2**32)
+
+
+def test_trial_keys_check_the_seed_before_the_kept_keys():
+    trial_keys(1, 0, n=3)  # seed 1's keys are kept, and int(1.5) would find them
+    with pytest.raises(ParameterError, match="must be integers"):
+        trial_keys(1.5, 0, n=3)
+
+
 def test_trial_keys_are_read_only():
     for keys in (trial_keys(5, 1, n=4), trial_keys(5, 1, n=4)):  # derived, then kept
         with pytest.raises(ValueError, match="read-only"):

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,12 +39,11 @@ from plantedlab.stability import (
     _second_moments,
     barrier_cell,
     barrier_penalty,
-    measure_stabilities,
     measure_stability,
     measure_stability_grid,
     prior_mean_vector,
     resolve_estimator,
-    solver_recovers,
+    solver_recoveries,
     verify_barrier,
 )
 
@@ -178,6 +178,13 @@ def test_barrier_penalty_values():
     assert math.isclose(barrier_penalty(1.0), 9.38083151, rel_tol=1e-8)
 
 
+@pytest.mark.parametrize("eta", [math.nan, -0.1, -math.inf])
+def test_barrier_penalty_rejects_an_eta_below_zero_or_nan(eta):
+    # eta < 0 is False for nan, which gave a nan penalty
+    with pytest.raises(ParameterError, match="need eta >= 0"):
+        barrier_penalty(eta)
+
+
 def test_verify_barrier_zero_eta_keeps_rhs():
     params = RlcParams(m=8, n=5)
     stab = measure_stability("constant_prior_mean", params, rho=0.5, trials=100, seed=4)
@@ -230,6 +237,16 @@ def _barrier_reports(margin_sigmas: float):
         mse_hat=-2.0 + margin_sigmas * 7 * math.sqrt(2), mse_stderr=3.0, estimator_norm_hat=1.0, norm_stderr=0.0,
     )
     return stab, mmse
+
+
+@pytest.mark.parametrize("report, field", [(0, "eta_hat"), (0, "mse_stderr"), (1, "mmse_hat"), (1, "stderr"), (1, "rho")])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_verify_barrier_rejects_a_report_with_a_non_finite_number(report, field, value):
+    # a nan eta gave holds=False with a nan margin, and a nan stderr a nan combined stderr
+    reports = list(_barrier_reports(0.0))
+    reports[report] = replace(reports[report], **{field: value})
+    with pytest.raises(ParameterError, match=f"has non-finite {{'{field}': {value}}}"):
+        verify_barrier(*reports)
 
 
 @pytest.mark.parametrize("sigmas, holds", [(-2.9, True), (-3.1, False), (0.0, True)])
@@ -355,7 +372,7 @@ CRITERION_01_ESTIMATORS = {
 def test_measure_stabilities_bit_identical_to_trial_loop(model):
     # one shared pass scores every estimator of a cell as the per-estimator trial loop does
     params, trials, names = DIFFERENTIAL_PARAMS[model], EVAL_CHUNK + 37, CRITERION_01_ESTIMATORS[model]
-    reports = measure_stabilities(names, params, 0.5, trials, seed=9)
+    reports = measure_stability_grid(names, params, [0.5], trials, seed=9)
     assert [r.estimator for r in reports] == names
     for r, name in zip(reports, names):
         fn = resolve_estimator(name, params, 0.5)
@@ -384,7 +401,7 @@ def test_measure_stabilities_raises_the_first_estimator_failure_in_order():
     first = _failing_at(params, 0.3, 6, trials, EVAL_CHUNK + 5, [])
     second = _failing_at(params, 0.3, 6, trials, 3, second_calls)
     with pytest.raises(EstimatorTrialError) as err:
-        measure_stabilities([first, "constant_prior_mean", second], params, 0.3, trials, seed=6)
+        measure_stability_grid([first, "constant_prior_mean", second], params, [0.3], trials, seed=6)
     assert err.value.trial == EVAL_CHUNK + 5 and f"ValueError('trial {EVAL_CHUNK + 5}')" in str(err.value)
     with pytest.raises(EstimatorTrialError) as err:
         measure_stability(first, params, 0.3, trials, seed=6)
@@ -392,7 +409,7 @@ def test_measure_stabilities_raises_the_first_estimator_failure_in_order():
     # estimator 2 ran on the first chunk (one batch, then one trial at a time up to trial 3) and not after
     assert second_calls == [2 * EVAL_CHUNK, 2, 2, 2, 2]
     with pytest.raises(EstimatorTrialError) as err:
-        measure_stabilities(["constant_prior_mean", second, first], params, 0.3, trials, seed=6)
+        measure_stability_grid(["constant_prior_mean", second, first], params, [0.3], trials, seed=6)
     assert err.value.trial == 3
 
 
@@ -405,9 +422,9 @@ def test_measure_stabilities_raises_ill_conditioned_before_a_later_trial_failure
 
     second = _failing_at(params, 0.3, 6, trials, 3, [])
     with pytest.raises(IllConditionedError):
-        measure_stabilities([zero, second], params, 0.3, trials, seed=6)
+        measure_stability_grid([zero, second], params, [0.3], trials, seed=6)
     with pytest.raises(EstimatorTrialError):
-        measure_stabilities([second, zero], params, 0.3, trials, seed=6)
+        measure_stability_grid([second, zero], params, [0.3], trials, seed=6)
 
 
 def test_measure_stabilities_reports_an_estimator_of_another_model_in_order():
@@ -416,9 +433,9 @@ def test_measure_stabilities_reports_an_estimator_of_another_model_in_order():
     params = GssParams(N=8, k=2)
     flaky = _failing_at(params, 0.3, 6, 20, 4, [])
     with pytest.raises(EstimatorTrialError):
-        measure_stabilities([flaky, "f2_round"], params, 0.3, 20, seed=6)
+        measure_stability_grid([flaky, "f2_round"], params, [0.3], 20, seed=6)
     with pytest.raises(ParameterError, match="linear-code"):
-        measure_stabilities(["constant_prior_mean", "f2_round", flaky], params, 0.3, 20, seed=6)
+        measure_stability_grid(["constant_prior_mean", "f2_round", flaky], params, [0.3], 20, seed=6)
 
 
 @pytest.mark.parametrize(
@@ -448,7 +465,7 @@ SOLVER_PARAMS = [
 @example(params=GssParams(N=6, k=6), seed=27, bits=128)  # an LLL miss at k = N
 def test_solver_recovery_equals_the_rule_on_the_solver_output(params, seed, bits):
     inst, cfg = sample_instance(params, seed), LllConfig(bits=bits)
-    assert solver_recovers(inst, cfg) == SOLVER_RECOVERS_RULES[model_name(params)](inst, cfg)
+    assert solver_recoveries(inst, cfg)[0] == SOLVER_RECOVERS_RULES[model_name(params)](inst, cfg)
 
 
 def test_a_solver_miss_is_no_recovery_when_the_fallback_is_the_signal():
@@ -456,7 +473,7 @@ def test_a_solver_miss_is_no_recovery_when_the_fallback_is_the_signal():
     inst = sample_instance(params, 27)
     estimate = resolve_estimator("lll_subset_indicator", params, 0.0)(inst.observation)[0]
     assert np.array_equal(estimate, inst.signal_vectors()[0])
-    assert not solver_recovers(inst)
+    assert not solver_recoveries(inst)[0]
 
 
 def _solver_estimate_loop(params, observation) -> np.ndarray:
@@ -499,7 +516,7 @@ def test_solver_estimators_equal_the_per_instance_solvers(params, seed, rho, tri
 
 def test_solver_recovers_names_a_model_without_a_solver():
     with pytest.raises(ParameterError, match="no fast solver for the tpca model"):
-        solver_recovers(sample_instance(DIFFERENTIAL_PARAMS["tpca"], 0))
+        solver_recoveries(sample_instance(DIFFERENTIAL_PARAMS["tpca"], 0))
 
 
 @pytest.mark.parametrize("model", [*DIFFERENTIAL_PARAMS, "rlc-full-rank"])
@@ -603,12 +620,12 @@ def test_barrier_cell_is_hex_equal_to_the_mmse_curve_and_stability_calls(data, m
     for estimators in (_draw_estimators(data, params, rho, trials, seed), ["posterior_mean", "constant_prior_mean"]):
         got = _outcome(lambda: barrier_cell(estimators, params, rho, trials, seed))
         want = _outcome(lambda: (*estimate_mmse_curve(params, [rho], trials, seed),
-                                 measure_stabilities(estimators, params, rho, trials, seed)))
+                                 measure_stability_grid(estimators, params, [rho], trials, seed)))
         assert got == want
 
 
 def _per_rho_estimator_major(estimators, params, rho_grid, trials: int, seed: int) -> list:
-    """The reports of per-rho measure_stabilities calls, read estimator-major; raises the first failure in that order.
+    """The reports of one-rho measure_stability_grid calls, read estimator-major; raises the first failure in that order.
 
     Estimator i is reached only when the estimators before it pass at every
     rho, so the first prefix that raises raises estimator i's own error, at
@@ -616,8 +633,8 @@ def _per_rho_estimator_major(estimators, params, rho_grid, trials: int, seed: in
     """
     for i in range(len(estimators)):
         for rho in rho_grid:
-            measure_stabilities(estimators[: i + 1], params, rho, trials, seed)
-    by_rho = [measure_stabilities(estimators, params, rho, trials, seed) for rho in rho_grid]
+            measure_stability_grid(estimators[: i + 1], params, [rho], trials, seed)
+    by_rho = [measure_stability_grid(estimators, params, [rho], trials, seed) for rho in rho_grid]
     return [reports[i] for i in range(len(estimators)) for reports in by_rho]
 
 
@@ -637,7 +654,7 @@ def test_stability_grid_is_hex_equal_to_per_rho_calls_read_estimator_major(data,
 
 
 def test_barrier_cell_raises_a_resolution_error_after_the_mmse_arm(monkeypatch):
-    # measure_stabilities resolves its estimators after the MMSE pass of the cell has raised or returned
+    # measure_stability_grid resolves its estimators after the MMSE pass of the cell has raised or returned
     def broken(params, rho):
         raise RuntimeError("factory fails")
 
@@ -662,7 +679,7 @@ def test_measure_stabilities_raises_a_trial_failure_before_a_later_estimator_tha
         measure_stability(flaky, params, 0.3, 20, seed=6)
     assert err.value.trial == 0
     with pytest.raises(EstimatorTrialError) as err:
-        measure_stabilities([flaky, "broken"], params, 0.3, 20, seed=6)
+        measure_stability_grid([flaky, "broken"], params, [0.3], 20, seed=6)
     assert err.value.trial == 0 and "every trial" in str(err.value)
     with pytest.raises(RuntimeError, match="factory fails"):
-        measure_stabilities(["constant_prior_mean", "broken", flaky], params, 0.3, 20, seed=6)
+        measure_stability_grid(["constant_prior_mean", "broken", flaky], params, [0.3], 20, seed=6)
